@@ -24,7 +24,7 @@ import numpy as np
 from . import paramfile, synth, waveform
 from .array import ReadoutConfig, init_array
 from .conduction import ConductionModel, fit_limiting_model
-from .svar import ConvergenceError, fit_svar, spectral_radius
+from .svar import fit_svar, spectral_radius
 from .transform import MonotonicityError, fit_map_with_fallback, forward_map, inverse_map
 from .svar import generate as svar_generate
 
@@ -440,7 +440,7 @@ def main(argv=None) -> int:
     except (FileNotFoundError, IsADirectoryError, PermissionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, KeyError, ConvergenceError, MonotonicityError,
+    except (ValueError, KeyError, MonotonicityError,
             np.linalg.LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -6,7 +6,9 @@ maximum-likelihood structural decomposition under the recursive constraints
 used here (unit lower-triangular contemporaneous matrix, diagonal noise
 amplitudes, unit-variance uncorrelated noise).  Generation runs the reduced
 form with correlated innovations chol_u @ eps, which is algebraically
-identical to solving the structural form but cheaper per step.
+identical to solving the structural form but cheaper per step.  It fills one
+preallocated history array in place, each step reading the p rows before it
+newest first, and discards a fixed burn-in of max(10 p, 500) steps.
 """
 
 import warnings
@@ -17,10 +19,6 @@ import numpy as np
 DIM = 4
 MAX_ORDER = 200
 INTERCEPT_WARN = 0.05
-
-
-class ConvergenceError(RuntimeError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -50,7 +48,10 @@ class SvarModel:
         if not (1 <= self.p <= MAX_ORDER):
             raise ValueError(f"order must be in [1, {MAX_ORDER}], got {self.p}")
         for name in ("a", "b", "c", "phi", "sigma_u", "chol_u", "intercept"):
-            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=np.float64))
+            value = np.asarray(getattr(self, name), dtype=np.float64)
+            if not np.all(np.isfinite(value)):
+                raise ValueError(f"{name} has non-finite entries")
+            object.__setattr__(self, name, value)
         if self.c.shape != (self.p, DIM, DIM) or self.phi.shape != (self.p, DIM, DIM):
             raise ValueError("lag matrices must have shape (p, 4, 4)")
         if np.any(np.triu(self.a, 1) != 0.0) or np.any(np.diag(self.a) != 1.0):
@@ -77,27 +78,6 @@ class VarFit:
     phi: np.ndarray        # (p, 4, 4)
     sigma_u: np.ndarray    # (4, 4)
     intercept: np.ndarray  # (4,)
-
-
-class LagBuffer:
-    """Ring buffer holding the last p normalized vectors, with a write cursor."""
-
-    def __init__(self, p: int, dim: int = DIM):
-        self.data = np.zeros((p, dim))
-        self.cursor = 0  # next slot to overwrite (the oldest entry)
-
-    @property
-    def p(self) -> int:
-        return self.data.shape[0]
-
-    def push(self, x) -> None:
-        self.data[self.cursor] = x
-        self.cursor = (self.cursor + 1) % self.p
-
-    def ordered(self) -> np.ndarray:
-        """Entries newest first: [x_{n-1}, x_{n-2}, ..., x_{n-p}]."""
-        idx = (self.cursor - 1 - np.arange(self.p)) % self.p
-        return self.data[idx]
 
 
 def fit_var_ols(series: np.ndarray, p: int) -> VarFit:
@@ -157,10 +137,10 @@ def structural_decompose(sigma_u: np.ndarray):
     return a, b
 
 
-def build_model(fit: VarFit, p: int | None = None) -> SvarModel:
+def build_model(fit: VarFit) -> SvarModel:
     """Assemble the structural model from a reduced-form fit."""
     phi = np.asarray(fit.phi, dtype=np.float64)
-    p = phi.shape[0] if p is None else p
+    p = phi.shape[0]
     a, b = structural_decompose(fit.sigma_u)
     chol = np.linalg.cholesky(np.asarray(fit.sigma_u, dtype=np.float64))
     c = np.stack([a @ phi[i] for i in range(p)])
@@ -175,12 +155,12 @@ def fit_svar(series: np.ndarray, p: int) -> SvarModel:
     return build_model(fit_var_ols(series, p))
 
 
-def step(model: SvarModel, buf: LagBuffer, eps) -> np.ndarray:
-    """Advance one cycle: x_n = sum_i phi_i x_{n-i} + chol_u eps, pushed into buf."""
-    lags = buf.ordered()
-    x = np.einsum("pij,pj->i", model.phi, lags) + model.chol_u @ np.asarray(eps, dtype=np.float64)
-    buf.push(x)
-    return x
+def step(model: SvarModel, lags: np.ndarray, eps) -> np.ndarray:
+    """One VAR cycle: x_n = sum_i phi_i x_{n-i} + chol_u eps.
+
+    lags is a (p, 4) array ordered newest first: [x_{n-1}, ..., x_{n-p}].
+    """
+    return np.einsum("pij,pj->i", model.phi, lags) + model.chol_u @ np.asarray(eps, dtype=np.float64)
 
 
 def companion_matrix(model: SvarModel) -> np.ndarray:
@@ -192,60 +172,28 @@ def companion_matrix(model: SvarModel) -> np.ndarray:
     return f
 
 
-def spectral_radius(model: SvarModel, tol: float = 1e-8, max_iter: int = 100_000) -> float:
-    """Largest eigenvalue modulus of the companion matrix by power iteration.
-
-    Each sweep applies the companion matrix twice and extracts the dominant
-    pair from the three latest iterates via a least-squares two-term
-    recurrence, which also converges for complex-conjugate dominant pairs.
-    """
-    f = companion_matrix(model)
-    k = f.shape[0]
-    v0 = np.linspace(1.0, 2.0, k)
-    v0 /= np.linalg.norm(v0)
-    prev = np.inf
-    for _ in range(max_iter):
-        w1 = f @ v0
-        s1 = np.linalg.norm(w1)
-        if s1 == 0.0:
-            return 0.0
-        v1 = w1 / s1
-        w2 = f @ v1
-        s2 = np.linalg.norm(w2)
-        if s2 == 0.0:
-            return 0.0
-        # fit w2*s1 ~= alpha*v1*s1 + beta*v0 -> roots of z^2 - alpha z - beta
-        design = np.stack([v1 * s1, v0], axis=1)
-        rhs = w2 * s1
-        (alpha, beta), *_ = np.linalg.lstsq(design, rhs, rcond=None)
-        radius = float(np.max(np.abs(np.roots([1.0, -alpha, -beta]))))
-        if abs(radius - prev) <= tol * max(1.0, radius):
-            return radius
-        prev = radius
-        v0 = w2 / s2
-    raise ConvergenceError(f"power iteration did not settle after {max_iter} sweeps")
+def spectral_radius(model: SvarModel) -> float:
+    """Largest eigenvalue modulus of the companion matrix (LAPACK eigvals)."""
+    return float(np.max(np.abs(np.linalg.eigvals(companion_matrix(model)))))
 
 
-def generate(model: SvarModel, n: int, seed, burn_in: int | None = None) -> np.ndarray:
+def generate(model: SvarModel, n: int, seed) -> np.ndarray:
     """Generate n normalized vectors; deterministic for a given seed.
 
-    The lag buffer is seeded with p draws of chol_u @ eps and the transient
-    is discarded over max(10 p, 500) burn-in steps (overridable).
+    One (p + burn_in + n, 4) history is filled in place: its first p rows are
+    chol_u @ eps, every later row is one step on the p rows before it, and the
+    first max(10 p, 500) of those steps are discarded as burn-in.
     """
     radius = spectral_radius(model)
     if radius >= 1.0:
         raise ValueError(f"model is not stationary (spectral radius {radius:.4f})")
-    if burn_in is None:
-        burn_in = max(10 * model.p, 500)
+    p = model.p
+    burn_in = max(10 * p, 500)
     rng = np.random.default_rng(seed)
-    total = model.p + burn_in + n
-    eps = rng.standard_normal((total, DIM))
-    buf = LagBuffer(model.p)
-    for j in range(model.p):
-        buf.push(model.chol_u @ eps[j])
-    for j in range(model.p, model.p + burn_in):
-        step(model, buf, eps[j])
-    out = np.empty((n, DIM))
-    for j in range(n):
-        out[j] = step(model, buf, eps[model.p + burn_in + j])
-    return out
+    eps = rng.standard_normal((p + burn_in + n, DIM))
+    x = np.empty_like(eps)
+    for t in range(p):
+        x[t] = model.chol_u @ eps[t]
+    for t in range(p, x.shape[0]):
+        x[t] = step(model, x[t - p : t][::-1], eps[t])
+    return x[p + burn_in :]

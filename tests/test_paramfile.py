@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from stochsyn import paramfile
+from stochsyn.cli import main
 from stochsyn.paramfile import (
     BadMagicError,
     ChecksumError,
@@ -157,3 +158,20 @@ def test_json_export_complete(ref_bundle):
                         "defaults", "svar"}
     assert doc["svar"]["1"]["p"] == 1
     assert len(doc["gamma"]["coeffs"]) == 4
+
+
+def test_non_finite_model_parameter_rejected(tmp_path, ref_bundle):
+    p = tmp_path / "a.ssyn"
+    save(ref_bundle, p)
+    blob = bytearray(p.read_bytes())
+    # the last section is the highest order's model, which ends with chol_u
+    last = ref_bundle.svar[max(ref_bundle.svar)]
+    assert struct.unpack("<d", blob[-12:-4])[0] == last.chol_u[3, 3]
+    blob[-12:-4] = struct.pack("<d", float("nan"))
+    blob[-4:] = struct.pack("<I", zlib.crc32(bytes(blob[:-4])))
+    p.write_bytes(bytes(blob))
+    with pytest.raises(ValueError):
+        load(p)
+    rc = main(["generate", str(p), "-n", "10", "--seed", "1",
+               "-o", str(tmp_path / "gen.csv"), "--order", str(last.p)])
+    assert rc == 1

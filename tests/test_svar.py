@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
+from stochsyn import paramfile
 from stochsyn.svar import (
-    LagBuffer,
     SvarModel,
     build_model,
     VarFit,
@@ -13,7 +13,7 @@ from stochsyn.svar import (
     step,
     structural_decompose,
 )
-from stochsyn.synth import reference_svar
+from stochsyn.synth import reference_bundle, reference_svar
 
 
 def _white_model(p=1):
@@ -98,15 +98,13 @@ def test_decompose_rejects_non_pd():
 
 def test_step_zero_lags_zero_noise():
     m = reference_svar(1)
-    buf = LagBuffer(1)
-    assert np.allclose(step(m, buf, np.zeros(4)), 0.0)
+    assert np.allclose(step(m, np.zeros((1, 4)), np.zeros(4)), 0.0)
 
 
 def test_step_pure_noise_passthrough():
     m = _white_model()
-    buf = LagBuffer(1)
     eps = np.array([0.3, -1.2, 0.5, 2.0])
-    assert np.allclose(step(m, buf, eps), eps)
+    assert np.allclose(step(m, np.zeros((1, 4)), eps), eps)
 
 
 def test_reference_fixture_matches_published_weights():
@@ -116,16 +114,8 @@ def test_reference_fixture_matches_published_weights():
     assert -m.a[2, 1] == pytest.approx(-0.139)
     assert -m.a[3, 2] == pytest.approx(0.180)
     assert m.c[0][2, 2] == pytest.approx(0.153)
-    out = step(m, LagBuffer(1), np.array([1.0, 0.0, 0.0, 0.0]))
+    out = step(m, np.zeros((1, 4)), np.array([1.0, 0.0, 0.0, 0.0]))
     assert out[0] == pytest.approx(0.984, abs=1e-12)
-
-
-def test_lag_buffer_ordering():
-    buf = LagBuffer(3)
-    for k in range(1, 5):
-        buf.push(np.full(4, float(k)))
-    ordered = buf.ordered()
-    assert np.allclose(ordered[:, 0], [4.0, 3.0, 2.0])
 
 
 # -- spectral radius ----------------------------------------------------------
@@ -150,10 +140,68 @@ def test_spectral_radius_matches_dense_eigensolver():
         assert spectral_radius(m) == pytest.approx(oracle, abs=1e-6)
 
 
+def _rotation_model(r):
+    """VAR(1) with eigenvalues {r, +-r i, 0.5}: two dominant modes share |r|."""
+    phi = np.zeros((1, 4, 4))
+    phi[0, 0, 0] = r
+    phi[0, 1:3, 1:3] = [[0.0, -r], [r, 0.0]]
+    phi[0, 3, 3] = 0.5
+    return build_model(VarFit(phi=phi, sigma_u=np.eye(4), intercept=np.zeros(4)))
+
+
+def test_spectral_radius_exact_with_tied_dominant_modes():
+    assert spectral_radius(_rotation_model(0.9)) == pytest.approx(0.9, abs=1e-12)
+
+
+def test_explosive_model_with_tied_dominant_modes_rejected():
+    explosive = _rotation_model(1.02)
+    with pytest.raises(ValueError):
+        generate(explosive, 10, seed=0)
+    ref = reference_bundle(orders=(1,))
+    bundle = paramfile.ParameterBundle(conduction=ref.conduction, gamma=ref.gamma,
+                                       sigma=ref.sigma, svar={1: explosive})
+    with pytest.raises(paramfile.FormatError):
+        bundle.validate()
+
+
 # -- generation -----------------------------------------------------------------
 
 def test_generate_empty():
     assert generate(reference_svar(1), 0, seed=1).shape == (0, 4)
+
+
+def _reference_generate(model, n, seed):
+    """Ring-buffer generator: the lags are gathered newest first from a cursor
+    buffer, stepped, and pushed back, one cycle at a time."""
+    p = model.p
+    burn_in = max(10 * p, 500)
+    eps = np.random.default_rng(seed).standard_normal((p + burn_in + n, 4))
+    data = np.zeros((p, 4))
+    cursor = 0
+    out = np.empty((n, 4))
+    for j in range(p + burn_in + n):
+        if j < p:
+            x = model.chol_u @ eps[j]
+        else:
+            lags = data[(cursor - 1 - np.arange(p)) % p]
+            x = np.einsum("pij,pj->i", model.phi, lags) + model.chol_u @ eps[j]
+        data[cursor] = x
+        cursor = (cursor + 1) % p
+        if j >= p + burn_in:
+            out[j - p - burn_in] = x
+    return out
+
+
+def test_generate_matches_ring_buffer_reference_bit_exact():
+    rng = np.random.default_rng(29)
+    g = rng.standard_normal((4, 4))
+    dense = build_model(VarFit(phi=rng.uniform(-0.25, 0.25, (100, 4, 4)) / 100,
+                               sigma_u=g @ g.T + np.eye(4), intercept=np.zeros(4)))
+    assert np.all(dense.phi != 0.0)
+    for m in (reference_svar(1), reference_svar(2), reference_svar(10), dense):
+        for n in (0, 257):
+            assert np.array_equal(generate(m, n, seed=n + m.p),
+                                  _reference_generate(m, n, seed=n + m.p))
 
 
 def test_generate_white_covariance():
