@@ -3,8 +3,13 @@
 Cell state lives in per-cell numpy arrays (32-bit floats; model matrices stay
 64-bit and are cast once at construction).  Every cell carries its own
 counter-based random stream, so any partitioning of the cells over worker
-threads produces bit-identical results; the lag contraction deliberately uses
+threads produces bit-identical results; the lag contractions deliberately use
 `einsum` rather than BLAS so the floating-point summation order is fixed.
+
+Each cell starts from one exact draw of its p lags from the stationary
+distribution of the autoregression (`svar.stationary_factor`), followed by
+the one step that realizes its first cycle's features; no warm-up steps are
+run.
 
 Pulse semantics (single scalar amplitude `u_a` per pulse):
 
@@ -36,12 +41,14 @@ from scipy.constants import k as BOLTZMANN
 
 from . import streams
 from .conduction import eval_poly
+from .svar import stationary_factor
 
 PHASE_HRS, PHASE_LRS, PHASE_IRS = 0, 1, 2
 PHASE_NAMES = {PHASE_HRS: "hrs", PHASE_LRS: "lrs", PHASE_IRS: "irs"}
 
 U_RESET_CLEARANCE = 1e-3   # generated thresholds stay this far below u_max [V]
 MIN_PARALLEL_CELLS = 4096  # below this a thread pool is pure overhead
+INIT_BLOCK_DRAWS = 1 << 19  # lag entries per init block (2 MB)
 
 _DRAWS_DTD = 4
 _DRAWS_STEP = 4
@@ -100,6 +107,20 @@ def dequantize(codes, cfg: ReadoutConfig):
     return cfg.i_min + np.asarray(codes, dtype=np.float64) * lsb
 
 
+def stationary_factor32(model) -> np.ndarray:
+    """float32 copy of `svar.stationary_factor`, pinned C-contiguous: the
+    layout fixes the initial-lag contraction's summation order.
+
+    Entries below 2^-64 of the largest are set to zero.  They lie far below
+    the float32 resolution of any lag, and their products with the draws can
+    be subnormal, which slows the contraction (models whose far lags barely
+    matter have thousands of such entries).
+    """
+    factor = np.ascontiguousarray(stationary_factor(model), dtype=np.float32)
+    factor[np.abs(factor) < 2.0**-64 * np.abs(factor).max()] = 0.0
+    return factor
+
+
 def mix_lower_triangular(eps: np.ndarray, tri: np.ndarray) -> np.ndarray:
     """(tri @ eps).T for a lower-triangular 4x4 and word-major draws (4, M).
 
@@ -146,8 +167,7 @@ class CellArray:
 
     def __init__(self, bundle, m: int, a: float | None = None, seed: int = 0,
                  p: int | None = None, threads: int = 1,
-                 burn_in: int | None = None, u_max: float | None = None,
-                 readout: ReadoutConfig | None = None):
+                 u_max: float | None = None, readout: ReadoutConfig | None = None):
         if m < 1:
             raise ValueError(f"need at least one cell, got m={m}")
         defaults = bundle.defaults
@@ -171,8 +191,9 @@ class CellArray:
         self.gamma = bundle.gamma
         self.model = bundle.svar[p]
 
-        # float32 working copies of the model
-        self._w32 = self.model.lag_weights().astype(np.float32)          # (4p, 4)
+        # float32 working copies of the model; the lag weights are pinned
+        # Fortran-ordered, which fixes the einsum's summation order and speed
+        self._w32 = np.asfortranarray(self.model.lag_weights(), dtype=np.float32)  # (4p, 4)
         self._cholu32 = self.model.chol_u.astype(np.float32)
         self._gamma32 = self.gamma.coeffs.astype(np.float32)
         self._zlo = np.float32(self.gamma.z_range[0])
@@ -202,11 +223,11 @@ class CellArray:
         self._pool = None
         self._pool_workers = 0
 
-        self._init_cells(bundle, burn_in)
+        self._init_cells(bundle)
 
     # -- construction ------------------------------------------------------
 
-    def _init_cells(self, bundle, burn_in: int | None) -> None:
+    def _init_cells(self, bundle) -> None:
         if self.a > 0.0:
             try:
                 chol = np.linalg.cholesky(self.a * np.asarray(bundle.sigma, dtype=np.float64))
@@ -218,22 +239,39 @@ class CellArray:
             med = np.exp(self._gamma32[:, 0])
             for k in range(4):
                 self.scale[:, k] = np.exp(eval_poly(self._gamma32[k], shat[:, k])) / med[k]
-        # seed the lag history with pure innovations, oldest slot first
-        for j in range(self.p):
-            eps = streams.normals(self._keys, self._counters, _DRAWS_STEP)
-            x = mix_lower_triangular(eps, self._cholu32)
-            slot = self.p - 1 - j
-            self._lags[:, 4 * slot : 4 * slot + 4] = x
-        if burn_in is None:
-            burn_in = max(10 * self.p, 500)
-        everything = slice(0, self.m)
-        for _ in range(burn_in):
-            self._advance(everything, out=None)
-        self._advance(everything, out=self.features)
+        factor = stationary_factor32(self.model)
+        self._run_partitioned(lambda lo, hi: self._draw_stationary_lags(lo, hi, factor))
+        self._advance(slice(0, self.m), out=self.features)
         self.phase[:] = PHASE_HRS
         self.cycle[:] = 1
         self.r[:] = self._state_from_res32(self.features[:, 0])
         self.u_reset[:] = self.features[:, 3]
+
+    def _draw_stationary_lags(self, lo: int, hi: int, factor) -> None:
+        """Lags of cells [lo, hi) as one draw from their stationary distribution.
+
+        Per cell, 4p normals drawn slot by slot (oldest slot first) into the
+        lag history, then multiplied in place by the lower-triangular
+        `factor`: slot i takes the first 4(i + 1) normals, so the slots are
+        written newest last and no slot reads one already written.  The
+        blocks keep a block's lags in cache across the p contractions; the
+        einsum's order per row does not depend on how many rows go in, so
+        they leave no trace in the bits.
+        """
+        k = 4 * self.p
+        block = max(1, INIT_BLOCK_DRAWS // k)
+        for b_lo in range(lo, hi, block):
+            cells = slice(b_lo, min(b_lo + block, hi))
+            lags = self._lags[cells]
+            for j in range(self.p):
+                slot = self.p - 1 - j
+                lags[:, 4 * slot : 4 * slot + 4] = streams.normals(
+                    self._keys[cells], self._counters[cells], _DRAWS_STEP).T
+            x = np.empty((lags.shape[0], 4), dtype=np.float32)
+            for i in reversed(range(self.p)):
+                w = 4 * (i + 1)
+                np.einsum("mk,jk->mj", lags[:, :w], factor[w - 4 : w, :w], out=x, optimize=False)
+                lags[:, w - 4 : w] = x
 
     # -- internals ---------------------------------------------------------
 
@@ -369,8 +407,11 @@ class CellArray:
         `u_a` is a scalar amplitude or an array (per cell for a broadcast
         call, per addressed cell otherwise).  Results are independent of the
         thread count; addressing the same cell twice in one call collapses to
-        a single application.
+        a single application.  Amplitudes that are not finite raise
+        ValueError.
         """
+        if not np.all(np.isfinite(u_a)):
+            raise ValueError("pulse amplitudes must be finite")
         n_addr = self.m
         if cells is not None:
             cells = np.asarray(cells, dtype=np.int64)
@@ -490,16 +531,18 @@ class CellArray:
 
 def init_array(bundle, m: int, a: float | None = None, seed: int = 0,
                p: int | None = None, threads: int = 1,
-               burn_in: int | None = None, u_max: float | None = None,
+               u_max: float | None = None,
                readout: ReadoutConfig | None = None) -> CellArray:
     """Instantiate an array of `m` cells from a parameter bundle.
 
     With a > 0 each cell draws a scale vector from the device-variability
     distribution (normal with covariance a * sigma in normalized space,
     mapped through the inverse normalizing transform and divided by its
-    median image); a = 0 pins every scale to exactly one.  Lag histories are
-    seeded with pure innovations and burned in for max(10 p, 500) steps
-    unless overridden.
+    median image); a = 0 pins every scale to exactly one.  Each cell's lag
+    history is one exact draw from the stationary distribution of the
+    order-p model, and one autoregression step from there realizes the
+    features of its first cycle.  Cells are drawn on `threads` workers;
+    the result does not depend on that number.
     """
     return CellArray(bundle, m, a=a, seed=seed, p=p, threads=threads,
-                     burn_in=burn_in, u_max=u_max, readout=readout)
+                     u_max=u_max, readout=readout)

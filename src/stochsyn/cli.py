@@ -178,44 +178,52 @@ def cmd_generate(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _parse_target(token: str, m: int):
+    """None for 'all', else the cells of an index 'i' or a range 'lo:hi'."""
     token = token.strip()
     if token == "all":
         return None
     if ":" in token:
-        lo, hi = token.split(":")
-        return np.arange(int(lo), int(hi))
-    return np.array([int(token)])
+        lo, hi = (int(t) for t in token.split(":"))
+        if not 0 <= lo < hi <= m:
+            raise ValueError(f"range {token!r} is not lo:hi with 0 <= lo < hi <= {m}")
+        return np.arange(lo, hi)
+    cell = int(token)
+    if not 0 <= cell < m:
+        raise ValueError(f"cell {cell} out of range 0..{m - 1}")
+    return np.array([cell])
 
 
 def _read_schedule(pulse_path, read_path, m: int):
     """Merge pulse and read scripts into one ordered event list.
 
     Events at the same step run pulses first, then reads; within a step,
-    file order is preserved.
+    file order is preserved.  A malformed row, an amplitude that is not
+    finite, or a target outside the m cells raises ValueError naming the
+    script and line.
     """
     events = []
-    if pulse_path:
-        with open(pulse_path) as fh:
-            header = fh.readline().strip().replace(" ", "")
-            if header != "step,target,u_a":
-                raise ValueError(f"pulse script must start with 'step,target,u_a', got {header!r}")
-            for line_no, line in enumerate(fh):
+    scripts = ((pulse_path, "step,target,u_a", 0, "pulse"), (read_path, "step,target", 1, "read"))
+    for path, header, order, kind in scripts:
+        if not path:
+            continue
+        with open(path) as fh:
+            first = fh.readline().strip().replace(" ", "")
+            if first != header:
+                raise ValueError(f"{kind} script must start with {header!r}, got {first!r}")
+            for line_no, line in enumerate(fh, start=2):
                 if not line.strip():
                     continue
-                step, target, u_a = line.split(",")
-                events.append((int(step), 0, line_no, "pulse",
-                               _parse_target(target, m), float(u_a)))
-    if read_path:
-        with open(read_path) as fh:
-            header = fh.readline().strip().replace(" ", "")
-            if header != "step,target":
-                raise ValueError(f"read script must start with 'step,target', got {header!r}")
-            for line_no, line in enumerate(fh):
-                if not line.strip():
-                    continue
-                step, target = line.split(",")
-                events.append((int(step), 1, line_no, "read",
-                               _parse_target(target, m), None))
+                try:
+                    fields = line.split(",")
+                    if len(fields) != len(header.split(",")):
+                        raise ValueError(f"expected {header!r}, got {line.strip()!r}")
+                    amp = float(fields[2]) if kind == "pulse" else None
+                    if amp is not None and not np.isfinite(amp):
+                        raise ValueError(f"amplitude {amp} is not finite")
+                    events.append((int(fields[0]), order, line_no, kind,
+                                   _parse_target(fields[1], m), amp))
+                except ValueError as exc:
+                    raise ValueError(f"{path} line {line_no}: {exc}") from None
     events.sort(key=lambda ev: ev[:3])
     return events
 
@@ -248,7 +256,7 @@ def cmd_sim(args) -> int:
     bundle = paramfile.load(_params_path(args))
     readout = _readout_from_args(args, bundle.defaults.readout)
     array = init_array(bundle, args.m, a=args.a, seed=args.seed, p=args.order,
-                       threads=args.threads, burn_in=args.burn_in, readout=readout)
+                       threads=args.threads, readout=readout)
     if args.preset:
         events = _preset_schedule(args.preset, args.cycles, array.u_max)
     elif args.pulses:
@@ -281,9 +289,11 @@ def cmd_sim(args) -> int:
 def cmd_bench(args) -> int:
     bundle = paramfile.load(_params_path(args))
     rows = []
+    init_seconds = {}
     for p in args.orders:
-        array = init_array(bundle, args.m, a=args.a, seed=args.seed, p=p,
-                           burn_in=args.burn_in)
+        t0 = time.perf_counter()
+        array = init_array(bundle, args.m, a=args.a, seed=args.seed, p=p)
+        init_seconds[str(p)] = time.perf_counter() - t0
         for threads in args.threads_list:
             array.threads = threads
             for mode in args.modes:
@@ -319,7 +329,9 @@ def cmd_bench(args) -> int:
             fh.write(f"{row[0]},{row[1]},{row[2]},{row[3]},{row[4]},"
                      f"{row[5]:.6f},{row[6]:.6g}\n")
     meta = {
-        "contract": "timing excludes array initialization, schedule generation and file I/O",
+        "contract": "timing excludes array initialization, schedule generation and file I/O;"
+                    " init_seconds holds each order's single-threaded initialization time",
+        "init_seconds": init_seconds,
         "warmup": "one untimed pulse pair (write) or one untimed pass (read)",
         "seed": args.seed,
         "cpu_count": os.cpu_count(),
@@ -389,7 +401,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-a", type=float, default=None, help="device-variability scale")
     p.add_argument("--order", type=int, default=None)
     p.add_argument("--threads", type=_positive_int, default=1)
-    p.add_argument("--burn-in", type=_nonneg_int, default=None)
     p.add_argument("--preset", choices=["full-cycling", "multilevel"], default=None)
     p.add_argument("--cycles", type=_positive_int, default=300, help="preset cycle count")
     p.add_argument("--pulses", default=None, help="pulse script CSV (step,target,u_a)")
@@ -414,7 +425,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--modes", type=lambda s: s.split(","), default=["write", "read"])
     p.add_argument("--pulses", type=_positive_int, default=16)
     p.add_argument("--reads", type=_positive_int, default=16)
-    p.add_argument("--burn-in", type=_nonneg_int, default=None)
     p.add_argument("-o", "--output", required=True, help="benchmark CSV")
     p.set_defaults(func=cmd_bench)
 

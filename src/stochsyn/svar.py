@@ -8,7 +8,12 @@ amplitudes, unit-variance uncorrelated noise).  Generation runs the reduced
 form with correlated innovations chol_u @ eps, which is algebraically
 identical to solving the structural form but cheaper per step.  It fills one
 preallocated history array in place, each step reading the p rows before it
-newest first, and discards a fixed burn-in of max(10 p, 500) steps.
+newest first.  The first p rows are one exact draw from the stationary
+distribution of the lags, so no warm-up steps are run: `stationary_factor`
+solves the discrete Lyapunov equation Gamma = F Gamma F^T + blockdiag(sigma_u,
+0) of the companion form F (Lutkepohl, New Introduction to Multiple Time
+Series Analysis, 2005, sec. 2.1) without BLAS and returns chol(Gamma), which
+the array engine uses to start every cell the same way.
 """
 
 import warnings
@@ -19,6 +24,8 @@ import numpy as np
 DIM = 4
 MAX_ORDER = 200
 INTERCEPT_WARN = 0.05
+LYAPUNOV_TOL = 1e-12   # relative residual of the stationary covariance
+MAX_TERMS = 1 << 16    # impulse responses summed at most: spectral radius up to about 0.9997
 
 
 @dataclass(frozen=True)
@@ -177,23 +184,94 @@ def spectral_radius(model: SvarModel) -> float:
     return float(np.max(np.abs(np.linalg.eigvals(companion_matrix(model)))))
 
 
+def stationary_factor(model: SvarModel) -> np.ndarray:
+    """Lower Cholesky factor of the stationary covariance of the p lags.
+
+    Gamma = Cov([x_{n-1}; ...; x_{n-p}]), stacked newest first as in
+    `lag_weights` and `companion_matrix`, solves Gamma = F Gamma F^T + Q with
+    Q = blockdiag(sigma_u, 0).  Its block (i, j) is the autocovariance
+    C(j - i), C(h) = Cov(x_n, x_{n-h}) = sum_t w_{t+h} w_t^T, where
+    w_t = psi_t chol_u are the impulse responses of the moving-average form,
+    w_0 = chol_u and w_t = sum_i phi_i w_{t-i}.  The sums run until a block of
+    256 terms adds less than machine epsilon of the total.  Every product is
+    a fixed-order einsum and the Cholesky factorization is written out, so
+    the bits do not depend on BLAS or its thread count.
+    Raises ValueError when the sums do not converge within MAX_TERMS terms,
+    when the relative residual ||F Gamma F^T + Q - Gamma|| / ||Gamma||
+    exceeds LYAPUNOV_TOL, or when Gamma is not positive definite.
+    """
+    p = model.p
+    phi = np.concatenate(list(model.phi), axis=1)            # (4, 4p): F's first block row
+    phi_rev = np.concatenate(list(model.phi[::-1]), axis=1)  # pairs with w oldest first
+    # w[p - 1 + t] = w_t; the p - 1 zero blocks in front stand for t < 0
+    block = 256  # terms between convergence checks
+    w = np.zeros((p + 2 * block, DIM, DIM))
+    w[p - 1] = model.chol_u
+    total = float(np.sum(model.chol_u**2))
+    t = 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        while True:
+            if t >= MAX_TERMS:
+                raise ValueError(f"model is not stationary, or too close to a unit root: its"
+                                 f" covariance series does not converge within {MAX_TERMS} terms")
+            if p + t + block > len(w):
+                w = np.concatenate([w, np.zeros_like(w)])
+            for t in range(t + 1, t + block + 1):
+                np.einsum("ik,kj->ij", phi_rev, w[t - 1 : t - 1 + p].reshape(-1, DIM),
+                          out=w[p - 1 + t])
+            energy = float(np.sum(w[p + t - block : p + t] ** 2))
+            total += energy
+            if not np.isfinite(total):
+                raise ValueError("model is not stationary: its covariance series diverges")
+            if energy <= np.finfo(float).eps * total:
+                break
+    # the last p - 1 terms, negligible, have no partners at lag p - 1
+    n = t + 1 - (p - 1)
+    wt = np.ascontiguousarray(w[p - 1 : p + t].transpose(1, 0, 2))  # (4, t + 1, 4)
+    right = wt[:, :n].reshape(DIM, -1)
+    cov = [np.einsum("ik,jk->ij", wt[:, h : h + n].reshape(DIM, -1), right) for h in range(p)]
+    blocks = np.stack([c.T for c in cov[:0:-1]] + cov)  # C(-(p-1)), ..., C(p-1)
+    lag = np.arange(p)
+    gamma = blocks[p - 1 + lag[None, :] - lag[:, None]].transpose(0, 2, 1, 3).reshape(DIM * p, -1)
+
+    # Gamma is block Toeplitz by construction, so the residual vanishes outside
+    # its first block row and column, which are transposes of each other
+    top = np.einsum("ik,kl->il", phi, gamma)  # first block row of F Gamma
+    resid = np.concatenate([np.einsum("ik,jk->ij", top, phi) + model.sigma_u,
+                            top[:, :-DIM]], axis=1) - gamma[:DIM]
+    sq = 2.0 * np.sum(resid**2) - np.sum(resid[:, :DIM] ** 2)
+    resid_rel = float(np.sqrt(sq / np.einsum("ij,ij->", gamma, gamma)))
+    if not resid_rel <= LYAPUNOV_TOL:
+        raise ValueError(f"model is not stationary: Lyapunov residual {resid_rel:.3g}"
+                         f" (limit {LYAPUNOV_TOL:g})")
+    return _cholesky(gamma)
+
+
+def _cholesky(a: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factor, column by column with fixed-order einsums."""
+    low = np.zeros_like(a)
+    for j in range(len(a)):
+        col = a[j:, j] - np.einsum("ik,k->i", low[j:, :j], low[j, :j])
+        if not col[0] > 0.0:
+            raise ValueError(f"stationary covariance not positive definite (pivot {j})")
+        low[j:, j] = col / np.sqrt(col[0])
+    return low
+
+
 def generate(model: SvarModel, n: int, seed) -> np.ndarray:
     """Generate n normalized vectors; deterministic for a given seed.
 
-    One (p + burn_in + n, 4) history is filled in place: its first p rows are
-    chol_u @ eps, every later row is one step on the p rows before it, and the
-    first max(10 p, 500) of those steps are discarded as burn-in.
+    One (p + n, 4) history is filled in place: its first p rows are one exact
+    draw stationary_factor(model) @ eps from the stationary distribution of
+    the lags, and every later row is one step on the p rows before it.  A
+    model with no stationary distribution fails that factor's gates with
+    ValueError.
     """
-    radius = spectral_radius(model)
-    if radius >= 1.0:
-        raise ValueError(f"model is not stationary (spectral radius {radius:.4f})")
     p = model.p
-    burn_in = max(10 * p, 500)
     rng = np.random.default_rng(seed)
-    eps = rng.standard_normal((p + burn_in + n, DIM))
+    eps = rng.standard_normal((p + n, DIM))
     x = np.empty_like(eps)
-    for t in range(p):
-        x[t] = model.chol_u @ eps[t]
+    x[:p] = np.einsum("ik,k->i", stationary_factor(model), eps[:p].ravel()).reshape(p, DIM)[::-1]
     for t in range(p, x.shape[0]):
         x[t] = step(model, x[t - p : t][::-1], eps[t])
-    return x[p + burn_in :]
+    return x[p:]

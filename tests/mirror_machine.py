@@ -3,13 +3,16 @@
 One object per cell, plain if/else control flow, no mask algebra.  It shares
 the engine's primitive kernels (streams, Horner, float32 widths) so that any
 disagreement with the vectorized engine isolates a branch-logic defect rather
-than arithmetic noise; state comparisons in the tests are exact.
+than arithmetic noise; state comparisons in the tests are exact.  The start
+is written out here on its own: 4p normals drawn slot by slot, oldest slot
+first, each newest-first lag slot i the dot product of the first 4(i + 1) of
+them with its rows of the shared float32 stationary factor, then one step.
 """
 
 import numpy as np
 
 from stochsyn import streams
-from stochsyn.array import mix_lower_triangular
+from stochsyn.array import mix_lower_triangular, stationary_factor32
 from stochsyn.conduction import eval_poly
 
 HRS, LRS, IRS = 0, 1, 2
@@ -19,7 +22,7 @@ _F0 = np.float32(0.0)
 
 
 class MirrorCell:
-    def __init__(self, bundle, p, seed, index, burn_in):
+    def __init__(self, bundle, p, seed, index):
         model = bundle.svar[p]
         self.p = p
         self.w32 = model.lag_weights().astype(np.float32)
@@ -42,13 +45,15 @@ class MirrorCell:
         self.ctr = np.zeros(1, dtype=np.uint64)
         self.lags = np.zeros((1, 4 * p), dtype=np.float32)
         self.scale = np.ones((1, 4), dtype=np.float32)
+        draws = np.zeros((1, 4 * p), dtype=np.float32)
         for j in range(p):
-            eps = streams.normals(self.key, self.ctr, 4)
-            x = mix_lower_triangular(eps, self.cholu32)
             slot = p - 1 - j
-            self.lags[:, 4 * slot : 4 * slot + 4] = x
-        for _ in range(burn_in):
-            self._step()
+            draws[0, 4 * slot : 4 * slot + 4] = streams.normals(self.key, self.ctr, 4)[:, 0]
+        factor = stationary_factor32(model)
+        for i in range(p):
+            w = 4 * (i + 1)
+            self.lags[:, w - 4 : w] = np.einsum("mk,jk->mj", draws[:, :w], factor[w - 4 : w, :w],
+                                                optimize=False)
         self.feat = self._realize(self._step())
         self.nfeat = np.full(4, np.nan, dtype=np.float32)
         self.phase = HRS

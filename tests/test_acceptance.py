@@ -120,7 +120,7 @@ def test_criterion_5_pulse_state_machine(ref_bundle):
     notes = []
 
     # deterministic branch walk on one cell with pinned features
-    arr = init_array(ref_bundle, m=1, a=0.0, seed=31, p=10, burn_in=30)
+    arr = init_array(ref_bundle, m=1, a=0.0, seed=31, p=10)
     arr.features[0] = np.array([150e3, 0.9, 8e3, 0.7], dtype=np.float32)
     arr.u_reset[0] = np.float32(0.7)
     arr.r[0] = arr._state_from_res32(arr.features[0:1, 0])[0]
@@ -151,8 +151,8 @@ def test_criterion_5_pulse_state_machine(ref_bundle):
 
     # randomized cross-check against the straight-line reimplementation
     m, n_pulses, seed = 24, 500, 41
-    engine = init_array(ref_bundle, m=m, a=0.0, seed=seed, p=10, burn_in=30)
-    mirrors = [MirrorCell(ref_bundle, p=10, seed=seed, index=c, burn_in=30)
+    engine = init_array(ref_bundle, m=m, a=0.0, seed=seed, p=10)
+    mirrors = [MirrorCell(ref_bundle, p=10, seed=seed, index=c)
                for c in range(m)]
     phase_map = {HRS: PHASE_HRS, LRS: PHASE_LRS, IRS: PHASE_IRS}
     rng = np.random.default_rng(1234)
@@ -178,7 +178,7 @@ def test_criterion_5_pulse_state_machine(ref_bundle):
 
 
 def test_criterion_6_readout_statistics(ref_bundle):
-    arr = init_array(ref_bundle, m=100_000, a=0.0, seed=32, p=10, burn_in=0)
+    arr = init_array(ref_bundle, m=100_000, a=0.0, seed=32, p=10)
     arr.r[:] = np.float32(0.5)
     cfg = ReadoutConfig(noise_enabled=True, n_bits=12, i_min=0.0, i_max=60e-6)
     i_noisy, _, _ = arr.read_all(cfg)
@@ -234,7 +234,7 @@ def test_criterion_8_memory_budget(ref_bundle):
     gc.collect()
     results = {}
     for p in (10, 100):
-        arr = init_array(ref_bundle, m=1_000_000, a=0.0, seed=33, p=p, burn_in=0)
+        arr = init_array(ref_bundle, m=1_000_000, a=0.0, seed=33, p=p)
         results[p] = (arr.bytes_per_cell(), 2 * (16 * p + 56))
         del arr
         gc.collect()
@@ -268,7 +268,7 @@ def _bench_p10_m20(tmp_path, params, threads_list):
     out = tmp_path / "bench_a.csv"
     assert main(["bench", str(params), "-m", str(1 << 20), "--seed", "91",
                  "--orders", "10", "--threads-list", threads_list, "--pulses", "16",
-                 "--reads", "16", "--burn-in", "64", "-o", str(out)]) == 0
+                 "--reads", "16", "-o", str(out)]) == 0
     return _bench_rows(out)
 
 
@@ -280,7 +280,7 @@ def test_criterion_9_throughput(tmp_path, ref_bundle):
     out_b = tmp_path / "bench_b.csv"
     assert main(["bench", str(params), "-m", str(1 << 18), "--seed", "92",
                  "--orders", "10,100", "--threads-list", "1", "--pulses", "8",
-                 "--reads", "8", "--burn-in", "48", "-o", str(out_b)]) == 0
+                 "--reads", "8", "-o", str(out_b)]) == 0
     b = _bench_rows(out_b)
 
     write_1 = a[("write", 10, 1)]
@@ -328,7 +328,7 @@ def test_criterion_10_determinism(tmp_path, ref_bundle):
     digests = []
     for threads in (1, 8):
         arr = init_array(ref_bundle, m=32_768, a=0.7, seed=1234, p=10,
-                         burn_in=40, threads=threads)
+                         threads=threads)
         rng = np.random.default_rng(5)
         for _ in range(30):
             arr.apply_pulses(float(rng.uniform(-1.7, 1.7)))

@@ -15,13 +15,15 @@ from stochsyn.array import (
     init_array,
     noise_sigma,
     quantize,
+    stationary_factor32,
 )
 from stochsyn.conduction import build_reset_curve, state_from_point, state_from_resistance
+from stochsyn.svar import stationary_factor
 
 
 @pytest.fixture()
 def small(ref_bundle):
-    return init_array(ref_bundle, m=32, a=0.0, seed=101, p=10, burn_in=40)
+    return init_array(ref_bundle, m=32, a=0.0, seed=101, p=10)
 
 
 def test_init_state(small):
@@ -42,10 +44,39 @@ def test_init_validation(ref_bundle):
 
 
 def test_footprint_formula(ref_bundle):
-    arr = init_array(ref_bundle, m=1000, a=0.0, seed=2, p=10, burn_in=0)
+    arr = init_array(ref_bundle, m=1000, a=0.0, seed=2, p=10)
     assert arr.bytes_per_cell() == 16 * 10 + 77
-    arr = init_array(ref_bundle, m=1000, a=0.0, seed=2, p=1, burn_in=0)
+    arr = init_array(ref_bundle, m=1000, a=0.0, seed=2, p=1)
     assert arr.bytes_per_cell() == 16 * 1 + 77
+
+
+def test_contraction_operands_have_pinned_layouts(ref_bundle):
+    for p in (1, 10, 100):
+        arr = init_array(ref_bundle, m=4, a=0.0, seed=5, p=p)
+        assert arr._w32.dtype == np.float32 and arr._w32.flags.f_contiguous
+        factor = stationary_factor32(arr.model)
+        assert factor.dtype == np.float32 and factor.flags.c_contiguous
+
+
+@pytest.mark.parametrize("p", [10, 100])
+def test_init_of_first_cells_independent_of_array_size(ref_bundle, p):
+    big = init_array(ref_bundle, m=MIN_PARALLEL_CELLS, a=0.4, seed=21, p=p, threads=2)
+    small = init_array(ref_bundle, m=256, a=0.4, seed=21, p=p)
+    for a, b in zip(big._state_arrays(), small._state_arrays()):
+        assert a[:256].tobytes() == b.tobytes()
+
+
+def test_initial_lags_match_stationary_covariance(ref_bundle):
+    m, p = 100_000, 10
+    arr = init_array(ref_bundle, m=m, a=0.0, seed=22, p=p)
+    factor = stationary_factor(arr.model)
+    gamma = factor @ factor.T
+    lags = arr._lags.astype(np.float64)
+    second_moment = lags.T @ lags / m
+    # standard error of a Gaussian second moment: sqrt((g_ii g_jj + g_ij^2) / m)
+    var = np.outer(np.diag(gamma), np.diag(gamma)) + gamma ** 2
+    z = np.abs(second_moment - gamma) / np.sqrt(var / m)
+    assert z.max() < 5.0
 
 
 def test_hrs_positive_pulse_noop(small):
@@ -71,7 +102,7 @@ def test_abrupt_switch_and_cycle_advance(small):
 
 
 def test_pulse_pair_advances_one_cycle_each(ref_bundle):
-    arr = init_array(ref_bundle, m=16, a=0.0, seed=11, p=10, burn_in=40)
+    arr = init_array(ref_bundle, m=16, a=0.0, seed=11, p=10)
     for _ in range(1000):
         arr.apply_pulses(-1.5)
         arr.apply_pulses(1.5)
@@ -80,7 +111,7 @@ def test_pulse_pair_advances_one_cycle_each(ref_bundle):
 
 
 def test_partial_ladder_monotone_and_threshold_tracking(ref_bundle):
-    arr = init_array(ref_bundle, m=64, a=0.0, seed=12, p=10, burn_in=40)
+    arr = init_array(ref_bundle, m=64, a=0.0, seed=12, p=10)
     arr.apply_pulses(-1.5)
     res_prev = arr.static_resistance()
     lo = np.float32(arr.u_reset.max())
@@ -108,7 +139,7 @@ def test_partial_ladder_monotone_and_threshold_tracking(ref_bundle):
 
 
 def test_partial_matches_scalar_transition_curve(ref_bundle):
-    arr = init_array(ref_bundle, m=8, a=0.0, seed=13, p=10, burn_in=40)
+    arr = init_array(ref_bundle, m=8, a=0.0, seed=13, p=10)
     arr.apply_pulses(-1.5)
     feat = arr.features.astype(np.float64).copy()
     amp = float(arr.u_reset.max() + 0.1)
@@ -126,7 +157,7 @@ def test_partial_matches_scalar_transition_curve(ref_bundle):
 
 
 def test_set_from_partial_enters_following_cycle(ref_bundle):
-    arr = init_array(ref_bundle, m=16, a=0.0, seed=14, p=10, burn_in=40)
+    arr = init_array(ref_bundle, m=16, a=0.0, seed=14, p=10)
     arr.apply_pulses(-1.5)
     arr.apply_pulses(float(arr.u_reset.max() + 0.05))
     assert np.all(arr.phase == PHASE_IRS)
@@ -151,6 +182,14 @@ def test_sparse_addressing(small):
     assert rep.n_set == 1
 
 
+def test_non_finite_amplitudes_rejected(small):
+    digest = small.state_digest()
+    for u_a, cells in ((np.nan, None), (np.inf, [3]), (np.full(32, -np.inf), None)):
+        with pytest.raises(ValueError):
+            small.apply_pulses(u_a, cells=cells)
+    assert small.state_digest() == digest
+
+
 def test_per_cell_amplitudes(small):
     amps = np.zeros(32, dtype=np.float32)
     amps[:16] = -1.5
@@ -166,7 +205,7 @@ def test_partition_independence_bit_exact(ref_bundle):
     runs = []
     for threads in (1, 3, 8):
         arr = init_array(ref_bundle, m=8192, a=0.4, seed=55, p=10,
-                         burn_in=30, threads=threads)
+                         threads=threads)
         rng = np.random.default_rng(7)
         for _ in range(40):
             arr.apply_pulses(float(rng.uniform(-1.7, 1.7)))
@@ -178,7 +217,7 @@ def test_partition_independence_bit_exact(ref_bundle):
 
 def test_raising_threads_grows_the_pool(ref_bundle):
     m = MIN_PARALLEL_CELLS
-    arr = init_array(ref_bundle, m=m, a=0.4, seed=56, p=10, burn_in=20, threads=2)
+    arr = init_array(ref_bundle, m=m, a=0.4, seed=56, p=10, threads=2)
     arr.apply_pulses(-1.5)
     arr.threads = 4
 
@@ -194,17 +233,17 @@ def test_raising_threads_grows_the_pool(ref_bundle):
     arr.apply_pulses(1.5)
     assert not barrier.broken
 
-    ref = init_array(ref_bundle, m=m, a=0.4, seed=56, p=10, burn_in=20, threads=1)
+    ref = init_array(ref_bundle, m=m, a=0.4, seed=56, p=10, threads=1)
     ref.apply_pulses(-1.5)
     ref.apply_pulses(1.5)
     assert arr.state_digest() == ref.state_digest()
 
 
 def test_same_seed_same_result(ref_bundle):
-    a = init_array(ref_bundle, m=256, a=1.0, seed=9, p=10, burn_in=30)
-    b = init_array(ref_bundle, m=256, a=1.0, seed=9, p=10, burn_in=30)
+    a = init_array(ref_bundle, m=256, a=1.0, seed=9, p=10)
+    b = init_array(ref_bundle, m=256, a=1.0, seed=9, p=10)
     assert a.state_digest() == b.state_digest()
-    c = init_array(ref_bundle, m=256, a=1.0, seed=10, p=10, burn_in=30)
+    c = init_array(ref_bundle, m=256, a=1.0, seed=10, p=10)
     assert a.state_digest() != c.state_digest()
 
 
@@ -243,7 +282,7 @@ def test_read_noise_off_deterministic_and_immutable(small):
 
 
 def test_read_code_for_forced_current(ref_bundle):
-    arr = init_array(ref_bundle, m=4, a=0.0, seed=3, p=10, burn_in=0)
+    arr = init_array(ref_bundle, m=4, a=0.0, seed=3, p=10)
     cfg = ReadoutConfig(noise_enabled=False, n_bits=4, i_min=0.0, i_max=40e-6)
     arr.r[:] = np.float32(state_from_point(20e-6, 0.2, arr.conduction))
     i, codes, deq = arr.read_all(cfg)
@@ -253,7 +292,7 @@ def test_read_code_for_forced_current(ref_bundle):
 
 
 def test_read_noise_statistics(ref_bundle):
-    arr = init_array(ref_bundle, m=20_000, a=0.0, seed=4, p=10, burn_in=0)
+    arr = init_array(ref_bundle, m=20_000, a=0.0, seed=4, p=10)
     arr.r[:] = np.float32(0.5)
     cfg = ReadoutConfig(noise_enabled=True, n_bits=12, i_min=0.0, i_max=60e-6)
     i_noisy, _, _ = arr.read_all(cfg)

@@ -133,7 +133,7 @@ def test_sim_full_cycling_preset(corpus, tmp_path):
     st = tmp_path / "st.csv"
     rc = main(["sim", str(corpus / "params.ssyn"), "-m", "8", "--seed", "3",
                "--preset", "full-cycling", "--cycles", "5", "--order", "10",
-               "--burn-in", "30", "--readout-out", str(ro), "--state-out", str(st)])
+               "--readout-out", str(ro), "--state-out", str(st)])
     assert rc == 0
     lines = ro.read_text().strip().splitlines()
     assert lines[0] == "step,cell,i_noisy,code,i_dequant"
@@ -149,7 +149,7 @@ def test_sim_multilevel_resistance_tracks_amplitude(corpus, tmp_path):
     ro = tmp_path / "ro.csv"
     rc = main(["sim", str(corpus / "params.ssyn"), "-m", "256", "--seed", "4",
                "--preset", "multilevel", "--cycles", "40", "--order", "10",
-               "--burn-in", "30", "--no-noise",
+               "--no-noise",
                "--readout-out", str(ro), "--state-out", str(tmp_path / "st.csv")])
     assert rc == 0
     lines = ro.read_text().strip().splitlines()[1:]
@@ -169,7 +169,7 @@ def test_sim_custom_script(corpus, tmp_path):
     reads.write_text("step,target\n2,all\n")
     ro = tmp_path / "ro.csv"
     rc = main(["sim", str(corpus / "params.ssyn"), "-m", "8", "--seed", "5",
-               "--order", "10", "--burn-in", "20", "--pulses", str(pulses),
+               "--order", "10", "--pulses", str(pulses),
                "--reads", str(reads), "--readout-out", str(ro),
                "--state-out", str(tmp_path / "st.csv")])
     assert rc == 0
@@ -181,11 +181,30 @@ def test_sim_custom_script(corpus, tmp_path):
     assert cycles[4] == 1 and phases[4] == "lrs"   # pulsed down, never reset
 
 
+@pytest.mark.parametrize("script, row", [
+    ("pulses", "0,0:40,-1.5"),   # range past the last of 16 cells
+    ("pulses", "0,all,nan"),     # amplitude that is not finite
+    ("reads", "0,5:3"),          # reversed range
+])
+def test_sim_hostile_script_row_fails_naming_the_line(corpus, tmp_path, capsys, script, row):
+    scripts = {"pulses": "step,target,u_a\n0,all,-1.5\n", "reads": "step,target\n0,all\n"}
+    scripts[script] += row + "\n"
+    for name, text in scripts.items():
+        (tmp_path / f"{name}.csv").write_text(text)
+    rc = main(["sim", str(corpus / "params.ssyn"), "-m", "16", "--seed", "5",
+               "--order", "10", "--pulses", str(tmp_path / "pulses.csv"),
+               "--reads", str(tmp_path / "reads.csv"),
+               "--readout-out", str(tmp_path / "ro.csv"),
+               "--state-out", str(tmp_path / "st.csv")])
+    assert rc == 1
+    assert f"{script}.csv line 3" in capsys.readouterr().err
+
+
 def test_bench_csv_schema(corpus, tmp_path):
     out = tmp_path / "bench.csv"
     rc = main(["bench", str(corpus / "params.ssyn"), "-m", "4096", "--seed", "6",
                "--orders", "1,10", "--threads-list", "1,2", "--pulses", "4",
-               "--reads", "4", "--burn-in", "10", "-o", str(out)])
+               "--reads", "4", "-o", str(out)])
     assert rc == 0
     lines = out.read_text().strip().splitlines()
     assert lines[0] == "mode,m,p,threads,ops,seconds,ops_per_second"
@@ -193,3 +212,6 @@ def test_bench_csv_schema(corpus, tmp_path):
     with open(str(out) + ".meta.json") as fh:
         meta = json.load(fh)
     assert "timing excludes" in meta["contract"]
+    assert "init_seconds" in meta["contract"]
+    assert set(meta["init_seconds"]) == {"1", "10"}
+    assert all(t > 0 for t in meta["init_seconds"].values())

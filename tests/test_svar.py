@@ -1,15 +1,24 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import stochsyn
 from stochsyn import paramfile
 from stochsyn.svar import (
+    LYAPUNOV_TOL,
     SvarModel,
     build_model,
+    companion_matrix,
     VarFit,
     fit_svar,
     fit_var_ols,
     generate,
     spectral_radius,
+    stationary_factor,
     step,
     structural_decompose,
 )
@@ -164,6 +173,60 @@ def test_explosive_model_with_tied_dominant_modes_rejected():
         bundle.validate()
 
 
+# -- stationary start -------------------------------------------------------------
+
+def test_stationary_factor_matches_reference_lyapunov_solution():
+    gamma = reference_bundle(orders=(1,)).sigma  # scipy's solve_discrete_lyapunov
+    factor = stationary_factor(reference_svar(1))
+    assert np.array_equal(factor, np.tril(factor))
+    assert np.max(np.abs(factor @ factor.T - gamma)) < 1e-12
+
+
+def test_stationary_factor_passes_residual_gate_with_tied_dominant_modes():
+    model = _rotation_model(0.9)
+    factor = stationary_factor(model)
+    gamma = factor @ factor.T
+    # unit innovations: each mode of modulus r carries variance 1 / (1 - r^2)
+    want = np.diag([1 / (1 - 0.81)] * 3 + [1 / (1 - 0.25)])
+    assert np.max(np.abs(gamma - want)) < 1e-12
+    f = companion_matrix(model)
+    resid = f @ gamma @ f.T + model.sigma_u - gamma
+    assert np.linalg.norm(resid) / np.linalg.norm(gamma) <= LYAPUNOV_TOL
+
+
+def test_stationary_factor_rejects_models_without_a_stationary_distribution():
+    for model in (_rotation_model(1.02), _diag_model(1.0)):  # explosive, unit root
+        with pytest.raises(ValueError):
+            stationary_factor(model)
+
+
+_START_DIGESTS = """
+import hashlib
+import numpy as np
+from stochsyn.svar import VarFit, build_model, generate, stationary_factor
+rng = np.random.default_rng(31)
+phi = rng.uniform(-0.25, 0.25, (100, 4, 4)) / 100
+phi[0] += 0.9 * np.eye(4)
+g = rng.standard_normal((4, 4))
+model = build_model(VarFit(phi=phi, sigma_u=g @ g.T + np.eye(4), intercept=np.zeros(4)))
+print(hashlib.sha256(stationary_factor(model).tobytes()).hexdigest())
+print(hashlib.sha256(generate(model, 50, seed=3).tobytes()).hexdigest())
+"""
+
+
+def test_stationary_start_bits_do_not_depend_on_blas_threads():
+    # BLAS reads its thread count at load time, hence one interpreter per setting
+    src = str(Path(stochsyn.__file__).resolve().parents[1])
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        run = subprocess.run([sys.executable, "-c", _START_DIGESTS], env=env,
+                             capture_output=True, text=True, check=True)
+        digests.append(run.stdout.split())
+    assert [len(d) for d in digests[0]] == [64, 64] and digests[0] == digests[1]
+
+
 # -- generation -----------------------------------------------------------------
 
 def test_generate_empty():
@@ -171,24 +234,25 @@ def test_generate_empty():
 
 
 def _reference_generate(model, n, seed):
-    """Ring-buffer generator: the lags are gathered newest first from a cursor
-    buffer, stepped, and pushed back, one cycle at a time."""
+    """Ring-buffer generator: the first p cycles are one stationary draw,
+    pushed oldest first; after that the lags are gathered newest first from a
+    cursor buffer, stepped, and pushed back, one cycle at a time."""
     p = model.p
-    burn_in = max(10 * p, 500)
-    eps = np.random.default_rng(seed).standard_normal((p + burn_in + n, 4))
+    eps = np.random.default_rng(seed).standard_normal((p + n, 4))
+    start = np.einsum("ik,k->i", stationary_factor(model), eps[:p].ravel())  # newest first
     data = np.zeros((p, 4))
     cursor = 0
     out = np.empty((n, 4))
-    for j in range(p + burn_in + n):
+    for j in range(p + n):
         if j < p:
-            x = model.chol_u @ eps[j]
+            x = start[4 * (p - 1 - j) : 4 * (p - j)]
         else:
             lags = data[(cursor - 1 - np.arange(p)) % p]
             x = np.einsum("pij,pj->i", model.phi, lags) + model.chol_u @ eps[j]
         data[cursor] = x
         cursor = (cursor + 1) % p
-        if j >= p + burn_in:
-            out[j - p - burn_in] = x
+        if j >= p:
+            out[j - p] = x
     return out
 
 
