@@ -1,10 +1,14 @@
 """Vectorized runtime engine for large arrays of simulated cells.
 
-Cell state lives in per-cell numpy arrays (32-bit floats; model matrices stay
-64-bit and are cast once at construction).  Every cell carries its own
-counter-based random stream, so any partitioning of the cells over worker
-threads produces bit-identical results; the lag contractions deliberately use
-`einsum` rather than BLAS so the floating-point summation order is fixed.
+Cell state lives in per-cell numpy arrays of 32-bit floats.  The model
+equations are the dtype-generic kernels shared with the float64 path
+(`transform.inverse_map`, `conduction.state_from_resistance` and
+`transition_state`, `noise_sigma`, `quantize`), which compute in float32 on
+that state; only the autoregression's matrices are cast to float32, once, at
+construction.  Every cell carries its own counter-based random stream, so any
+partitioning of the cells over worker threads produces bit-identical results;
+the lag contractions deliberately use `einsum` rather than BLAS so the
+floating-point summation order is fixed.
 
 Each cell starts from one exact draw of its p lags from the stationary
 distribution of the autoregression (`svar.stationary_factor`), followed by
@@ -40,8 +44,12 @@ from scipy.constants import e as ELECTRON_CHARGE
 from scipy.constants import k as BOLTZMANN
 
 from . import streams
-from .conduction import eval_poly
+# eval_poly is not called here; it stays importable as `array.eval_poly`,
+# which perfbench's layer tracer wraps by that name
+from .conduction import as_float, eval_poly  # noqa: F401
+from .conduction import state_from_resistance, transition_state
 from .svar import stationary_factor
+from .transform import inverse_map
 
 PHASE_HRS, PHASE_LRS, PHASE_IRS = 0, 1, 2
 PHASE_NAMES = {PHASE_HRS: "hrs", PHASE_LRS: "lrs", PHASE_IRS: "irs"}
@@ -68,6 +76,9 @@ class ReadoutConfig:
     noise_enabled: bool = True
 
     def __post_init__(self):
+        if not np.all(np.isfinite([self.u_read, self.delta_f, self.temperature,
+                                   self.i_min, self.i_max])):
+            raise ValueError("readout settings must be finite")
         if self.i_max <= self.i_min:
             raise ValueError("need i_max > i_min")
         if not 1 <= self.n_bits <= 16:
@@ -86,9 +97,10 @@ def noise_sigma(i_read, cfg: ReadoutConfig):
     """Thermal plus shot noise amplitude for a noiseless readout current.
 
     sigma = sqrt(4 k T |I| df / |U| + 2 q |I| df); magnitudes keep the
-    expression defined for negative read voltages.
+    expression defined for negative read voltages.  Dtype-generic (see
+    `conduction.as_float`).
     """
-    i_abs = np.abs(i_read)
+    i_abs = np.abs(as_float(i_read))
     return np.sqrt(
         (4.0 * BOLTZMANN * cfg.temperature * cfg.delta_f / abs(cfg.u_read)
          + 2.0 * ELECTRON_CHARGE * cfg.delta_f) * i_abs
@@ -96,9 +108,10 @@ def noise_sigma(i_read, cfg: ReadoutConfig):
 
 
 def quantize(i, cfg: ReadoutConfig):
-    """ADC code for a current: round-to-nearest over the window, clamped."""
+    """ADC code for a current: round-to-nearest of (i - i_min) * (1 / lsb),
+    clamped to the window.  Dtype-generic (see `conduction.as_float`)."""
     lsb = (cfg.i_max - cfg.i_min) / cfg.levels
-    codes = np.rint((np.asarray(i, dtype=np.float64) - cfg.i_min) / lsb)
+    codes = np.rint((as_float(i) - cfg.i_min) * (1.0 / lsb))
     return np.clip(codes, 0, cfg.levels).astype(np.int32)
 
 
@@ -195,19 +208,6 @@ class CellArray:
         # Fortran-ordered, which fixes the einsum's summation order and speed
         self._w32 = np.asfortranarray(self.model.lag_weights(), dtype=np.float32)  # (4p, 4)
         self._cholu32 = self.model.chol_u.astype(np.float32)
-        self._gamma32 = self.gamma.coeffs.astype(np.float32)
-        self._zlo = np.float32(self.gamma.z_range[0])
-        self._zhi = np.float32(self.gamma.z_range[1])
-        self._hhrs32 = self.conduction.hhrs.astype(np.float32)
-        self._llrs32 = self.conduction.llrs.astype(np.float32)
-        cm = self.conduction
-        il0, ih0 = cm.i_llrs(cm.u0), cm.i_hhrs(cm.u0)
-        self._state_ca = np.float32(il0 / (il0 - ih0))
-        self._state_cb = np.float32(cm.u0 / (il0 - ih0))
-        self._il_umax = np.float32(cm.i_llrs(self.u_max))
-        self._ih_umax = np.float32(cm.i_hhrs(self.u_max))
-        self._umax32 = np.float32(self.u_max)
-        self._ur_cap = np.float32(self.u_max - U_RESET_CLEARANCE)
 
         # per-cell state
         self._lags = np.zeros((m, 4 * p), dtype=np.float32)
@@ -234,17 +234,15 @@ class CellArray:
             except np.linalg.LinAlgError as exc:
                 raise ValueError(f"a * sigma is not positive definite: {exc}") from exc
             z = streams.normals(self._keys, self._counters, _DRAWS_DTD)
-            shat = np.clip(mix_lower_triangular(z, chol.astype(np.float32)),
-                           self._zlo, self._zhi)
-            med = np.exp(self._gamma32[:, 0])
-            for k in range(4):
-                self.scale[:, k] = np.exp(eval_poly(self._gamma32[k], shat[:, k])) / med[k]
+            shat = mix_lower_triangular(z, chol.astype(np.float32))
+            med = inverse_map(self.gamma, np.zeros(4, dtype=np.float32))
+            self.scale[:] = inverse_map(self.gamma, shat) / med
         factor = stationary_factor32(self.model)
         self._run_partitioned(lambda lo, hi: self._draw_stationary_lags(lo, hi, factor))
         self._advance(slice(0, self.m), out=self.features)
         self.phase[:] = PHASE_HRS
         self.cycle[:] = 1
-        self.r[:] = self._state_from_res32(self.features[:, 0])
+        self.r[:] = state_from_resistance(self.features[:, 0], self.conduction)
         self.u_reset[:] = self.features[:, 3]
 
     def _draw_stationary_lags(self, lo: int, hi: int, factor) -> None:
@@ -275,9 +273,6 @@ class CellArray:
 
     # -- internals ---------------------------------------------------------
 
-    def _state_from_res32(self, res):
-        return np.clip(self._state_ca - self._state_cb / res, np.float32(0.0), np.float32(1.0))
-
     def _advance(self, idx, out) -> None:
         """One autoregression step for the selected cells.
 
@@ -301,12 +296,9 @@ class CellArray:
         if not sliced:
             self._lags[idx] = lags
         if out is not None:
-            z = np.clip(x, self._zlo, self._zhi)
-            y = np.empty_like(z)
-            for k in range(4):
-                y[:, k] = np.exp(eval_poly(self._gamma32[k], z[:, k]))
+            y = inverse_map(self.gamma, x)
             y *= self.scale[idx]
-            y[:, 3] = np.minimum(y[:, 3], self._ur_cap)
+            y[:, 3] = np.minimum(y[:, 3], self.u_max - U_RESET_CLEARANCE)
             out[idx] = y
 
     def _apply_chunk(self, lo: int, hi: int, ua) -> PulseReport:
@@ -331,30 +323,22 @@ class CellArray:
             self._advance(idx, out=self.next_features)
 
         trans = reset_m & ~in_hrs
-        full = trans & (ua >= self._umax32)
+        full = trans & (ua >= self.u_max)
         part = trans & ~full
+        cm = self.conduction
 
         if part.any():
             ua_p = ua if np.isscalar(ua) else ua[part]
-            u_start = feat[part, 3]
-            r_lrs = self._state_from_res32(feat[part, 2])
-            r_hend = self._state_from_res32(nfeat[part, 0])
-            i_start = r_lrs * eval_poly(self._hhrs32, u_start) \
-                + (np.float32(1.0) - r_lrs) * eval_poly(self._llrs32, u_start)
-            i_end = r_hend * self._ih_umax + (np.float32(1.0) - r_hend) * self._il_umax
-            curv = (i_start - i_end) / (u_start - self._umax32) ** 2
-            i_at = i_end + curv * (ua_p - self._umax32) ** 2
-            il = eval_poly(self._llrs32, ua_p)
-            ih = eval_poly(self._hhrs32, ua_p)
-            denom = np.maximum(il - ih, np.float32(1e-12))
-            r[part] = np.clip((il - i_at) / denom, np.float32(0.0), np.float32(1.0))
+            r[part] = transition_state(
+                ua_p, feat[part, 3], state_from_resistance(feat[part, 2], cm),
+                state_from_resistance(nfeat[part, 0], cm), self.u_max, cm)
             phase[part] = PHASE_IRS
             u_reset[part] = ua_p
 
         if full.any():
             feat[full] = nfeat[full]
             cycle[full] += 1
-            r[full] = self._state_from_res32(feat[full, 0])
+            r[full] = state_from_resistance(feat[full, 0], cm)
             phase[full] = PHASE_HRS
             u_reset[full] = feat[full, 3]
 
@@ -366,7 +350,7 @@ class CellArray:
             if promote.any():
                 feat[promote] = nfeat[promote]
                 cycle[promote] += 1
-            r[set_m] = self._state_from_res32(feat[set_m, 2])
+            r[set_m] = state_from_resistance(feat[set_m, 2], cm)
             phase[set_m] = PHASE_LRS
             u_reset[set_m] = feat[set_m, 3]
 
@@ -453,13 +437,6 @@ class CellArray:
         cm = self.conduction
         ih = np.float32(cm.i_hhrs(cfg.u_read))
         il = np.float32(cm.i_llrs(cfg.u_read))
-        sig_scale = np.float32(
-            4.0 * BOLTZMANN * cfg.temperature * cfg.delta_f / abs(cfg.u_read)
-            + 2.0 * ELECTRON_CHARGE * cfg.delta_f
-        )
-        lsb = (cfg.i_max - cfg.i_min) / cfg.levels
-        inv_lsb = np.float32(1.0 / lsb)
-        i_min32 = np.float32(cfg.i_min)
 
         if cells is not None:
             cells = np.asarray(cells, dtype=np.int64)
@@ -475,12 +452,8 @@ class CellArray:
                 z = streams.normals(keys, ctrs, _DRAWS_READ)[0]
                 if not isinstance(sl, slice):
                     self._counters[sl] = ctrs
-                i_noisy = i_read + np.sqrt(sig_scale * np.abs(i_read)) * z
-            else:
-                i_noisy = i_read
-            codes = np.clip(np.rint((i_noisy - i_min32) * inv_lsb),
-                            0, cfg.levels).astype(np.int32)
-            return i_noisy, codes
+                i_read = i_read + noise_sigma(i_read, cfg) * z
+            return i_read, quantize(i_read, cfg)
 
         if cells is None:
             chunks = self._run_partitioned(run)
@@ -498,10 +471,7 @@ class CellArray:
 
     def static_resistance(self) -> np.ndarray:
         """u0 / I(r, u0) per cell, in float64."""
-        cm = self.conduction
-        r = self.r.astype(np.float64)
-        i0 = r * cm.i_hhrs(cm.u0) + (1.0 - r) * cm.i_llrs(cm.u0)
-        return cm.u0 / i0
+        return self.conduction.static_resistance(self.r.astype(np.float64))
 
     def state_table(self) -> dict:
         return {

@@ -23,23 +23,33 @@ class DegenerateVoltageError(ValueError):
     """Raised when the two limiting polynomials cannot be separated at u."""
 
 
+def as_float(x) -> np.ndarray:
+    """``x`` as an array in the dtype the model kernels compute in: float32
+    stays float32 (the array engine), anything else becomes float64.  The
+    kernels' constants are Python floats, which numpy rounds to float32 next
+    to float32 operands, as explicit float32 constants would be."""
+    x = np.asarray(x)
+    return x if x.dtype == np.float32 else x.astype(np.float64, copy=False)
+
+
 def eval_poly(coeffs, u):
     """Evaluate sum_k c_k * u**k by Horner's rule.
 
     ``coeffs`` are ascending (c_0 first).  The accumulation runs from the
     highest coefficient down, one multiply-add per order, so the operation
-    order is fixed and results are bit-reproducible.  Accepts scalar or
-    array ``u``; scalars come back as floats.
+    order is fixed and results are bit-reproducible.  Dtype-generic (see
+    `as_float`), with the coefficients rounded to float32 for float32 ``u``.
+    Accepts scalar or array ``u``; float64 scalars come back as floats.
     """
-    coeffs = np.asarray(coeffs)
+    u_arr = as_float(u)
+    coeffs = np.asarray(coeffs, dtype=u_arr.dtype)
     if coeffs.size == 0:
         raise ValueError("empty coefficient list")
-    u_arr = np.asarray(u)
     acc = np.zeros_like(u_arr) + coeffs[-1]
     for c in coeffs[-2::-1]:
         acc = acc * u_arr + c
     if acc.ndim == 0:
-        return acc.item()
+        return acc.item() if acc.dtype == np.float64 else acc[()]
     return acc
 
 
@@ -108,12 +118,28 @@ def state_from_point(i, u, model: ConductionModel, floor: float = DENOM_FLOOR):
 
 
 def state_from_resistance(res, model: ConductionModel):
-    """State variable whose static resistance at u0 equals ``res``."""
+    """State variable whose static resistance at u0 equals ``res``:
+    clip(ca - cb / res), ca = i_l / (i_l - i_h) and cb = u0 / (i_l - i_h) at
+    u0.  Dtype-generic (see `as_float`)."""
+    res = as_float(res)
     if np.min(res) <= 0.0:
         raise ValueError(f"resistance must be positive, got {res!r}")
     il = model.i_llrs(model.u0)
     denom = il - model.i_hhrs(model.u0)
-    return np.clip((il - model.u0 / np.asarray(res, dtype=float)) / denom, 0.0, 1.0)
+    return np.clip(il / denom - (model.u0 / denom) / res, 0.0, 1.0)
+
+
+def transition_state(u_a, u_start, r_lrs, r_next, u_max, model: ConductionModel):
+    """State at amplitude ``u_a`` on `build_reset_curve`'s parabola through
+    (u_start, I(r_lrs)) and (u_max, I(r_next)), inverted as `state_from_point`
+    does but with the limiting-current gap floored at DENOM_FLOOR instead of
+    raising.  Dtype-generic (see `as_float`); ``u_max`` is a Python float."""
+    i_end = current(r_next, u_max, model)
+    curv = (current(r_lrs, u_start, model) - i_end) / (u_start - u_max) ** 2
+    i_at = i_end + curv * (u_a - u_max) ** 2
+    il = model.i_llrs(u_a)
+    denom = np.maximum(il - model.i_hhrs(u_a), DENOM_FLOOR)
+    return np.clip((il - i_at) / denom, 0.0, 1.0)
 
 
 @dataclass(frozen=True)

@@ -10,18 +10,22 @@ Layout (little-endian throughout)::
 Section payloads hold counts ahead of their float64 data, so the file is
 self-describing; unknown tags are skipped on load for forward compatibility.
 The autoregression section may repeat, one entry per stored model order.
+Each section's payload layout is written once, in `SECTIONS`, which encoding,
+decoding and the JSON rendering all walk; a float64 field that is not finite
+fails to load.
 """
 
-import json
+import math
 import struct
 import zlib
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .array import ReadoutConfig
 from .conduction import ConductionModel
-from .svar import SvarModel, spectral_radius
+from .svar import SvarModel, spectral_radius, stationary_factor
 from .transform import NormalizingMap, _check_monotone
 
 MAGIC = b"SSYN"
@@ -78,7 +82,11 @@ class ParameterBundle:
             raise KeyError(f"no order-{p} model (available: {sorted(self.svar)})") from None
 
     def validate(self) -> None:
-        """Cross-checks beyond what the member constructors enforce."""
+        """Cross-checks beyond what the member constructors enforce.
+
+        Every model must pass `svar.stationary_factor`'s gates, so a bundle
+        that validates can always start an array and a generator.
+        """
         sigma = np.asarray(self.sigma, dtype=np.float64)
         if sigma.shape != (4, 4) or np.max(np.abs(sigma - sigma.T)) > 1e-12:
             raise FormatError("sigma must be a symmetric 4x4 matrix")
@@ -86,51 +94,63 @@ class ParameterBundle:
         for p, model in self.svar.items():
             if p != model.p:
                 raise FormatError(f"model order mismatch: key {p} vs model {model.p}")
-            radius = spectral_radius(model)
-            if radius >= 1.0:
-                raise FormatError(f"order-{p} model unstable (spectral radius {radius:.4f})")
+            try:
+                stationary_factor(model)
+            except ValueError as exc:
+                raise FormatError(f"order-{p} model unstable (spectral radius"
+                                  f" {spectral_radius(model):.4f}): {exc}") from None
 
 
-def _pack_f64(*values) -> bytes:
-    return struct.pack(f"<{len(values)}d", *[float(v) for v in values])
+# Field kinds: a struct code, "I" (u32) or "?" (u8 flag), or the shape of a
+# float64 array, whose entries are fixed sizes, the name of an earlier field
+# ("p"), or None for a u32 size stored ahead of the data.
+U32, FLAG, F64, VEC, MAT = "I", "?", (), (None,), (None, None)
+_READOUT_FIELDS = (("u_read", F64), ("delta_f", F64), ("temperature", F64), ("n_bits", U32),
+                   ("i_min", F64), ("i_max", F64), ("noise_enabled", FLAG))
 
 
-def _pack_arr(a: np.ndarray) -> bytes:
-    return np.ascontiguousarray(a, dtype="<f8").tobytes()
+# A section: its tag, name, (field, kind) pairs in file order, the field
+# values read off a bundle (one dict per stored section), the bundle member
+# built back from them and, for a section that may repeat, the field that
+# keys its entries.
+_Section = namedtuple("_Section", "tag name fields values build key", defaults=(None,))
 
 
-def _section(tag: int, payload: bytes) -> bytes:
-    return struct.pack("<IQ", tag, len(payload)) + payload
+SECTIONS = (
+    _Section(SEC_CONDUCTION, "conduction", (("hhrs", VEC), ("llrs", VEC), ("u0", F64)),
+             lambda b: [vars(b.conduction)], lambda f: ConductionModel(**f)),
+    _Section(SEC_GAMMA, "gamma", (("coeffs", MAT), ("z_range", (2,))),
+             lambda b: [vars(b.gamma)], lambda f: NormalizingMap(**f)),
+    _Section(SEC_SIGMA, "sigma", (("sigma", (4, 4)),),
+             lambda b: [{"sigma": b.sigma}], lambda f: f["sigma"]),
+    _Section(SEC_DEFAULTS, "defaults", (("u_max", F64), ("dtd_scale", F64), *_READOUT_FIELDS),
+             lambda b: [{"u_max": b.defaults.u_max, "dtd_scale": b.defaults.dtd_scale,
+                         **vars(b.defaults.readout)}],
+             lambda f: SimDefaults(u_max=f["u_max"], dtd_scale=f["dtd_scale"], readout=ReadoutConfig(
+                 **{name: f[name] for name, _ in _READOUT_FIELDS}))),
+    _Section(SEC_SVAR, "svar", (("p", U32), ("a", (4, 4)), ("b", (4, 4)), ("c", ("p", 4, 4)),
+                                ("phi", ("p", 4, 4)), ("intercept", (4,)), ("sigma_u", (4, 4)),
+                                ("chol_u", (4, 4))),
+             lambda b: [vars(b.svar[p]) for p in sorted(b.svar)], lambda f: SvarModel(**f),
+             key="p"),
+)
+_BY_TAG = {sec.tag: sec for sec in SECTIONS}
+
+
+def _encode_field(kind, value) -> bytes:
+    if isinstance(kind, str):
+        return struct.pack("<" + kind, value)
+    data = np.ascontiguousarray(value, dtype="<f8")
+    stored = [n for n, d in zip(data.shape, kind) if d is None]
+    return struct.pack(f"<{len(stored)}I", *stored) + data.tobytes()
 
 
 def _encode(bundle: ParameterBundle) -> bytes:
-    cm = bundle.conduction
-    cond = struct.pack("<I", cm.hhrs.size) + _pack_arr(cm.hhrs) \
-        + struct.pack("<I", cm.llrs.size) + _pack_arr(cm.llrs) + _pack_f64(cm.u0)
-
-    g = bundle.gamma
-    gamma = struct.pack("<II", *g.coeffs.shape) + _pack_arr(g.coeffs) \
-        + _pack_f64(g.z_range[0], g.z_range[1])
-
-    sigma = _pack_arr(np.asarray(bundle.sigma, dtype=np.float64))
-
-    d = bundle.defaults
-    ro = d.readout
-    defaults = _pack_f64(d.u_max, d.dtd_scale, ro.u_read, ro.delta_f, ro.temperature) \
-        + struct.pack("<I", ro.n_bits) + _pack_f64(ro.i_min, ro.i_max) \
-        + struct.pack("<B", 1 if ro.noise_enabled else 0)
-
     blob = MAGIC + struct.pack("<H", VERSION)
-    blob += _section(SEC_CONDUCTION, cond)
-    blob += _section(SEC_GAMMA, gamma)
-    blob += _section(SEC_SIGMA, sigma)
-    blob += _section(SEC_DEFAULTS, defaults)
-    for p in sorted(bundle.svar):
-        m = bundle.svar[p]
-        payload = struct.pack("<I", m.p) + _pack_arr(m.a) + _pack_arr(m.b) \
-            + _pack_arr(m.c) + _pack_arr(m.phi) + _pack_arr(m.intercept) \
-            + _pack_arr(m.sigma_u) + _pack_arr(m.chol_u)
-        blob += _section(SEC_SVAR, payload)
+    for sec in SECTIONS:
+        for values in sec.values(bundle):
+            payload = b"".join(_encode_field(kind, values[name]) for name, kind in sec.fields)
+            blob += struct.pack("<IQ", sec.tag, len(payload)) + payload
     return blob + struct.pack("<I", zlib.crc32(blob))
 
 
@@ -140,28 +160,30 @@ def save(bundle: ParameterBundle, path) -> None:
         fh.write(_encode(bundle))
 
 
-class _Reader:
-    def __init__(self, buf: bytes):
-        self.buf = buf
-        self.pos = 0
+def _decode(sec, payload: bytes) -> dict:
+    """Field values of one section payload; trailing bytes are ignored."""
+    pos = 0
 
-    def take(self, n: int) -> bytes:
-        if self.pos + n > len(self.buf):
+    def take(n: int) -> bytes:
+        nonlocal pos
+        if pos + n > len(payload):
             raise FormatError("section payload truncated")
-        out = self.buf[self.pos : self.pos + n]
-        self.pos += n
-        return out
+        pos += n
+        return payload[pos - n : pos]
 
-    def u32(self) -> int:
-        return struct.unpack("<I", self.take(4))[0]
-
-    def f64(self, n: int = 1):
-        vals = struct.unpack(f"<{n}d", self.take(8 * n))
-        return vals[0] if n == 1 else vals
-
-    def arr(self, shape) -> np.ndarray:
-        n = int(np.prod(shape))
-        return np.frombuffer(self.take(8 * n), dtype="<f8").reshape(shape).copy()
+    values = {}
+    for name, kind in sec.fields:
+        if isinstance(kind, str):
+            values[name] = struct.unpack("<" + kind, take(struct.calcsize("<" + kind)))[0]
+            continue
+        stored = iter(struct.unpack(f"<{kind.count(None)}I", take(4 * kind.count(None))))
+        shape = tuple(next(stored) if d is None else values[d] if isinstance(d, str) else d
+                      for d in kind)
+        data = np.frombuffer(take(8 * math.prod(shape)), dtype="<f8").reshape(shape)
+        if not np.all(np.isfinite(data)):
+            raise FormatError(f"section {sec.name}: field {name} is not finite")
+        values[name] = data.item() if kind == F64 else data.copy()
+    return values
 
 
 def load(path, validate: bool = True) -> ParameterBundle:
@@ -178,8 +200,7 @@ def load(path, validate: bool = True) -> ParameterBundle:
 
     body = blob[6:-4]
     pos = 0
-    conduction = gamma = sigma = defaults = None
-    svar: dict[int, SvarModel] = {}
+    found: dict = {}
     while pos < len(body):
         if pos + 12 > len(body):
             raise FormatError("dangling section header")
@@ -187,90 +208,33 @@ def load(path, validate: bool = True) -> ParameterBundle:
         pos += 12
         if pos + length > len(body):
             raise FormatError(f"section {tag} overruns the file")
-        r = _Reader(body[pos : pos + length])
+        payload = body[pos : pos + length]
         pos += length
-        if tag == SEC_CONDUCTION:
-            hhrs = r.arr(r.u32())
-            llrs = r.arr(r.u32())
-            conduction = ConductionModel(hhrs=hhrs, llrs=llrs, u0=r.f64())
-        elif tag == SEC_GAMMA:
-            rows, cols = r.u32(), r.u32()
-            coeffs = r.arr((rows, cols))
-            gamma = NormalizingMap(coeffs=coeffs, z_range=(r.f64(), r.f64()))
-        elif tag == SEC_SIGMA:
-            sigma = r.arr((4, 4))
-        elif tag == SEC_DEFAULTS:
-            u_max, a, u_read, delta_f, temp = r.f64(5)
-            n_bits = r.u32()
-            i_min, i_max = r.f64(2)
-            noise = bool(r.take(1)[0])
-            defaults = SimDefaults(
-                u_max=u_max, dtd_scale=a,
-                readout=ReadoutConfig(u_read=u_read, delta_f=delta_f,
-                                      temperature=temp, n_bits=n_bits,
-                                      i_min=i_min, i_max=i_max,
-                                      noise_enabled=noise),
-            )
-        elif tag == SEC_SVAR:
-            p = r.u32()
-            svar[p] = SvarModel(
-                p=p,
-                a=r.arr((4, 4)), b=r.arr((4, 4)), c=r.arr((p, 4, 4)),
-                phi=r.arr((p, 4, 4)), intercept=r.arr(4),
-                sigma_u=r.arr((4, 4)), chol_u=r.arr((4, 4)),
-            )
-        # unknown tags are skipped for forward compatibility
+        sec = _BY_TAG.get(tag)
+        if sec is None:
+            continue  # unknown tags are skipped for forward compatibility
+        values = _decode(sec, payload)
+        if sec.key is None:
+            found[sec.name] = sec.build(values)
+        else:
+            found.setdefault(sec.name, {})[values[sec.key]] = sec.build(values)
 
-    missing = [name for name, val in
-               (("conduction", conduction), ("gamma", gamma), ("sigma", sigma),
-                ("defaults", defaults)) if val is None]
-    if missing or not svar:
-        raise FormatError(f"incomplete file, missing sections: {missing or ['svar']}")
-    bundle = ParameterBundle(conduction=conduction, gamma=gamma, sigma=sigma,
-                             svar=svar, defaults=defaults)
+    missing = [sec.name for sec in SECTIONS if sec.name not in found]
+    if missing:
+        raise FormatError(f"incomplete file, missing sections: {missing}")
+    bundle = ParameterBundle(**found)
     if validate:
         bundle.validate()
     return bundle
 
 
 def bundle_to_json(bundle: ParameterBundle) -> dict:
-    """Plain-python rendering of every section, for inspection/debugging."""
-    d = bundle.defaults
-    return {
-        "format_version": VERSION,
-        "conduction": {
-            "hhrs": bundle.conduction.hhrs.tolist(),
-            "llrs": bundle.conduction.llrs.tolist(),
-            "u0": bundle.conduction.u0,
-        },
-        "gamma": {
-            "coeffs": bundle.gamma.coeffs.tolist(),
-            "z_range": list(bundle.gamma.z_range),
-            "features": list(bundle.gamma.feature_names),
-        },
-        "sigma": np.asarray(bundle.sigma).tolist(),
-        "defaults": {
-            "u_max": d.u_max,
-            "dtd_scale": d.dtd_scale,
-            "readout": {
-                "u_read": d.readout.u_read, "delta_f": d.readout.delta_f,
-                "temperature": d.readout.temperature, "n_bits": d.readout.n_bits,
-                "i_min": d.readout.i_min, "i_max": d.readout.i_max,
-                "noise_enabled": d.readout.noise_enabled,
-            },
-        },
-        "svar": {
-            str(p): {
-                "p": m.p,
-                "a": m.a.tolist(), "b": m.b.tolist(), "c": m.c.tolist(),
-                "phi": m.phi.tolist(), "intercept": m.intercept.tolist(),
-                "sigma_u": m.sigma_u.tolist(), "chol_u": m.chol_u.tolist(),
-            }
-            for p, m in sorted(bundle.svar.items())
-        },
-    }
-
-
-def write_json(bundle: ParameterBundle, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(bundle_to_json(bundle), fh, indent=2)
+    """Plain-python rendering of every section, for inspection/debugging:
+    each section's fields by name, repeated sections keyed by their key."""
+    doc = {"format_version": VERSION}
+    for sec in SECTIONS:
+        entries = [{name: np.asarray(values[name]).tolist() for name, _ in sec.fields}
+                   for values in sec.values(bundle)]
+        doc[sec.name] = entries[0] if sec.key is None else {
+            str(entry[sec.key]): entry for entry in entries}
+    return doc

@@ -5,8 +5,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-FEATURE_NAMES = ("r_h", "u_s", "r_l", "u_r")
-
 
 def wasserstein1(a, b) -> float:
     """First Wasserstein distance between two empirical 1-D distributions.
@@ -80,13 +78,3 @@ def lagged_pearson(series: np.ndarray, max_lag: int) -> CorrelationReport:
             r[:, v_lead == 0.0] = 0.0
         rho[l] = r
     return CorrelationReport(lags=lags, rho=rho, zero_variance=flagged)
-
-
-def correlation_csv(report: CorrelationReport, path) -> None:
-    """One row per lag, 16 correlation columns named rho_<row>_<col>."""
-    cols = [f"rho_{r}_{c}" for r in FEATURE_NAMES for c in FEATURE_NAMES]
-    header = "lag," + ",".join(cols)
-    flat = report.rho.reshape(len(report.lags), 16)
-    data = np.column_stack([report.lags, flat])
-    np.savetxt(path, data, delimiter=",", header=header, comments="",
-               fmt=["%d"] + ["%.17g"] * 16)

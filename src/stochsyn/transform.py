@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.stats import norm
 
-from .conduction import eval_poly
+from .conduction import as_float, eval_poly
 
 N_QUANTILES = 500
 PROB_RANGE = (0.01, 0.99)
@@ -42,12 +42,9 @@ class NormalizingMap:
 
     def __post_init__(self):
         object.__setattr__(self, "coeffs", np.asarray(self.coeffs, dtype=np.float64))
+        object.__setattr__(self, "z_range", tuple(float(v) for v in self.z_range))
         if self.coeffs.ndim != 2 or self.coeffs.shape[0] != 4:
             raise ValueError(f"coeffs must be (4, degree+1), got {self.coeffs.shape}")
-
-    def median(self) -> np.ndarray:
-        """Feature vector at z = 0, i.e. the marginal medians."""
-        return np.exp(self.coeffs[:, 0])
 
 
 def _check_monotone(coeffs: np.ndarray, z_range, names) -> None:
@@ -119,10 +116,11 @@ def fit_map_with_fallback(features: np.ndarray, degree: int = 5,
     raise last
 
 
-def _eval_gamma(m: NormalizingMap, z: np.ndarray) -> np.ndarray:
+def _eval_gamma(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Feature k's polynomial, row k of ``coeffs``, at z[..., k]."""
     out = np.empty_like(z)
     for k in range(4):
-        out[..., k] = eval_poly(m.coeffs[k], z[..., k])
+        out[..., k] = eval_poly(coeffs[k], z[..., k])
     return out
 
 
@@ -131,10 +129,12 @@ def inverse_map(m: NormalizingMap, z) -> np.ndarray:
 
     z outside z_range is clamped first (deliberate tail truncation: the
     polynomials are only monotonicity-checked inside that window).
+    Dtype-generic like `eval_poly`: float32 z, as the array engine passes,
+    is realized in float32 with the coefficients and the clamp bounds
+    rounded to float32; any other z in float64.
     """
-    z = np.asarray(z, dtype=np.float64)
-    z = np.clip(z, m.z_range[0], m.z_range[1])
-    return np.exp(_eval_gamma(m, z))
+    z = np.clip(as_float(z), *m.z_range)
+    return np.exp(_eval_gamma(m.coeffs, z))
 
 
 def forward_map(m: NormalizingMap, x, tol: float = 1e-12):
@@ -147,8 +147,8 @@ def forward_map(m: NormalizingMap, x, tol: float = 1e-12):
     """
     x = np.asarray(x, dtype=np.float64)
     target = np.log(x)
-    lo_val = _eval_gamma(m, np.full_like(target, m.z_range[0]))
-    hi_val = _eval_gamma(m, np.full_like(target, m.z_range[1]))
+    lo_val = _eval_gamma(m.coeffs, np.full_like(target, m.z_range[0]))
+    hi_val = _eval_gamma(m.coeffs, np.full_like(target, m.z_range[1]))
     out_of_range = (target < lo_val) | (target > hi_val)
     t = np.clip(target, lo_val, hi_val)
 
@@ -156,20 +156,17 @@ def forward_map(m: NormalizingMap, x, tol: float = 1e-12):
     hi = np.full_like(t, m.z_range[1])
     for _ in range(52):
         mid = 0.5 * (lo + hi)
-        below = _eval_gamma(m, mid) <= t
+        below = _eval_gamma(m.coeffs, mid) <= t
         lo = np.where(below, mid, lo)
         hi = np.where(below, hi, mid)
     z = 0.5 * (lo + hi)
     # Newton cleanup; the bracket already has ~1e-15 width in z, this drives
     # the residual in gamma itself under tol
     for _ in range(3):
-        resid = _eval_gamma(m, z) - t
-        deriv = np.empty_like(z)
-        for k in range(4):
-            dc = m.coeffs[k, 1:] * np.arange(1, m.coeffs.shape[1])
-            deriv[..., k] = eval_poly(dc, z[..., k])
+        resid = _eval_gamma(m.coeffs, z) - t
+        deriv = _eval_gamma(m.coeffs[:, 1:] * np.arange(1, m.coeffs.shape[1]), z)
         z = np.clip(z - resid / deriv, m.z_range[0], m.z_range[1])
-    resid = np.abs(_eval_gamma(m, z) - t)
+    resid = np.abs(_eval_gamma(m.coeffs, z) - t)
     if np.max(resid) > tol:
         warnings.warn(
             f"forward transform residual {np.max(resid):.2e} above {tol:.0e}",

@@ -97,11 +97,6 @@ def read_trace_csv(path, samples_per_cycle: int = 1042) -> RawTrace:
     return RawTrace(u=data[:, 0], i=data[:, 1], samples_per_cycle=samples_per_cycle)
 
 
-def write_trace_csv(trace: RawTrace, path) -> None:
-    np.savetxt(path, np.column_stack([trace.u, trace.i]), delimiter=",",
-               header="u,i", comments="", fmt="%.9g")
-
-
 def read_trace_iuw(path, samples_per_cycle: int = 1042) -> RawTrace:
     with open(path, "rb") as fh:
         magic = fh.read(4)

@@ -25,6 +25,7 @@ from mirror_machine import HRS, IRS, LRS, MirrorCell
 from stochsyn import paramfile
 from stochsyn.array import PHASE_HRS, PHASE_IRS, PHASE_LRS, ReadoutConfig, init_array, noise_sigma, quantize
 from stochsyn.cli import main
+from stochsyn.conduction import state_from_resistance
 from stochsyn.stats import lagged_pearson, wasserstein1
 from stochsyn.svar import VarFit, build_model, fit_svar, fit_var_ols, generate, structural_decompose
 from stochsyn.transform import (
@@ -123,7 +124,7 @@ def test_criterion_5_pulse_state_machine(ref_bundle):
     arr = init_array(ref_bundle, m=1, a=0.0, seed=31, p=10)
     arr.features[0] = np.array([150e3, 0.9, 8e3, 0.7], dtype=np.float32)
     arr.u_reset[0] = np.float32(0.7)
-    arr.r[0] = arr._state_from_res32(arr.features[0:1, 0])[0]
+    arr.r[0] = state_from_resistance(arr.features[0:1, 0], arr.conduction)[0]
     arr.apply_pulses(1.5)
     notes.append(("hrs positive noop", arr.phase[0] == PHASE_HRS and arr.cycle[0] == 1))
     arr.apply_pulses(-0.89)

@@ -17,8 +17,15 @@ from stochsyn.array import (
     quantize,
     stationary_factor32,
 )
-from stochsyn.conduction import build_reset_curve, state_from_point, state_from_resistance
+from stochsyn.conduction import (
+    build_reset_curve,
+    eval_poly,
+    state_from_point,
+    state_from_resistance,
+    transition_state,
+)
 from stochsyn.svar import stationary_factor
+from stochsyn.transform import inverse_map
 
 
 @pytest.fixture()
@@ -90,8 +97,7 @@ def test_abrupt_switch_and_cycle_advance(small):
     rep = small.apply_pulses(-1.5)
     assert rep.n_set == 32
     assert np.all(small.phase == PHASE_LRS)
-    expect = np.clip(
-        small._state_ca - small._state_cb / small.features[:, 2], 0.0, 1.0)
+    expect = state_from_resistance(small.features[:, 2], small.conduction)
     assert np.array_equal(small.r, expect)
     rep = small.apply_pulses(-1.5)
     assert rep.n_noop == 32  # already switched
@@ -317,9 +323,34 @@ def test_state_table(small):
     assert np.all(table["static_resistance"] > 0)
 
 
+def test_shared_kernels_compute_float32_for_float32_input(ref_bundle):
+    cm, cfg = ref_bundle.conduction, ReadoutConfig()
+    u = np.linspace(0.3, 1.4, 101, dtype=np.float32)
+    r = np.linspace(0.0, 1.0, 101, dtype=np.float32)
+    assert eval_poly(cm.hhrs, u).dtype == np.float32
+    assert eval_poly(cm.hhrs, u[0]).dtype == np.float32
+    z = np.repeat(np.linspace(-5, 5, 101, dtype=np.float32)[:, None], 4, axis=1)
+    assert inverse_map(ref_bundle.gamma, z).dtype == np.float32
+    assert state_from_resistance(u * np.float32(1e5), cm).dtype == np.float32
+    assert transition_state(np.float32(1.45), u, r, r[::-1], 1.5, cm).dtype == np.float32
+    assert noise_sigma(u * np.float32(1e-5), cfg).dtype == np.float32
+    # quantize returns codes: float32 currents next to the half-code points
+    # must be coded by float32 arithmetic, which differs from float64 there
+    lsb = (cfg.i_max - cfg.i_min) / cfg.levels
+    half = ((np.arange(cfg.levels) + 0.5) * lsb + cfg.i_min).astype(np.float32)
+    sweep = (half.view(np.int32)[:, None] + np.arange(-64, 65, dtype=np.int32)).view(np.float32)
+    want32 = np.rint((sweep - np.float32(cfg.i_min)) * np.float32(1.0 / lsb))
+    want64 = np.rint((sweep.astype(np.float64) - cfg.i_min) / lsb)
+    assert np.any(want32 != want64)
+    assert np.array_equal(quantize(sweep, cfg), want32.astype(np.int32))
+
+
 def test_readout_config_validation():
     with pytest.raises(ValueError):
         ReadoutConfig(i_min=1e-6, i_max=1e-6)
+    for name in ("u_read", "delta_f", "temperature", "i_min", "i_max"):
+        with pytest.raises(ValueError, match="finite"):
+            ReadoutConfig(**{name: float("nan")})
     with pytest.raises(ValueError):
         ReadoutConfig(n_bits=0)
     with pytest.raises(ValueError):

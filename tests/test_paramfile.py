@@ -175,3 +175,56 @@ def test_non_finite_model_parameter_rejected(tmp_path, ref_bundle):
     rc = main(["generate", str(p), "-n", "10", "--seed", "1",
                "-o", str(tmp_path / "gen.csv"), "--order", str(last.p)])
     assert rc == 1
+
+
+def _overwrite_f64(path, tag, offset, value):
+    """Overwrite the float64 at `offset` in the first `tag` section's
+    payload and recompute the checksum."""
+    blob = bytearray(path.read_bytes())
+    pos = 6
+    while struct.unpack("<I", blob[pos : pos + 4])[0] != tag:
+        pos += 12 + struct.unpack("<Q", blob[pos + 4 : pos + 12])[0]
+    at = pos + 12 + offset
+    blob[at : at + 8] = struct.pack("<d", value)
+    blob[-4:] = struct.pack("<I", zlib.crc32(bytes(blob[:-4])))
+    path.write_bytes(bytes(blob))
+
+
+@pytest.mark.parametrize("tag, offset, field, command", [
+    # gamma: u32 rows, u32 cols, then coeffs[0, 0]
+    (paramfile.SEC_GAMMA, 8, "gamma: field coeffs", "generate"),
+    (paramfile.SEC_SIGMA, 0, "sigma: field sigma", "sim"),
+    # defaults: u_max, dtd_scale, u_read, delta_f, temperature, ...
+    (paramfile.SEC_DEFAULTS, 32, "defaults: field temperature", "sim"),
+    (paramfile.SEC_DEFAULTS, 0, "defaults: field u_max", "sim"),
+], ids=["gamma-nan", "sigma-nan", "temperature-inf", "u_max-nan"])
+def test_non_finite_field_rejected(tmp_path, capsys, ref_bundle, tag, offset, field, command):
+    p = tmp_path / "a.ssyn"
+    save(ref_bundle, p)
+    _overwrite_f64(p, tag, offset, float("inf") if "temperature" in field else float("nan"))
+    with pytest.raises(FormatError, match=field):
+        load(p)
+    if command == "generate":
+        argv = ["generate", str(p), "-n", "10", "--seed", "1", "-o", str(tmp_path / "g.csv")]
+    else:
+        argv = ["sim", str(p), "-m", "8", "--seed", "1", "-a", "0.5", "--preset", "multilevel",
+                "--cycles", "2", "--readout-out", str(tmp_path / "ro.csv"),
+                "--state-out", str(tmp_path / "st.csv")]
+    assert main(argv) == 1
+    assert field in capsys.readouterr().err
+
+
+def test_validate_and_load_reject_model_past_the_stationary_factor(tmp_path):
+    bundle = reference_bundle(orders=(1,))
+    m = reference_svar(1)
+    near_unit = paramfile.ParameterBundle(
+        conduction=bundle.conduction, gamma=bundle.gamma, sigma=bundle.sigma,
+        svar={1: type(m)(p=1, a=m.a, b=m.b, c=m.c, phi=0.9998 * np.eye(4)[None],
+                         sigma_u=m.sigma_u, chol_u=m.chol_u, intercept=m.intercept)},
+    )
+    with pytest.raises(FormatError, match="order-1"):
+        near_unit.validate()
+    p = tmp_path / "near.ssyn"
+    p.write_bytes(paramfile._encode(near_unit))
+    with pytest.raises(FormatError, match="order-1"):
+        load(p)

@@ -50,7 +50,6 @@ def test_inverse_map_median_and_clamp(lognormal_map):
     m, mu, sd = lognormal_map
     med = inverse_map(m, np.zeros(4))
     assert np.allclose(med, np.exp(m.coeffs[:, 0]), rtol=1e-12)
-    assert np.allclose(med, m.median(), rtol=1e-12)
     one_sigma = inverse_map(m, np.ones(4))
     assert np.allclose(np.log(one_sigma), mu + sd, atol=0.01)
     # outside the checked window the map clamps
