@@ -13,7 +13,7 @@ from .conduction import (
 )
 from .paramfile import ParameterBundle, SimDefaults, load, save
 from .stats import CorrelationReport, lagged_pearson, wasserstein1
-from .svar import SvarModel, fit_svar, fit_var_ols, generate, spectral_radius, step
+from .svar import SvarModel, fit_svar, generate, mix_lower_triangular, spectral_radius, step
 from .transform import NormalizingMap, fit_map, forward_map, inverse_map
 from .waveform import RawTrace, extract_features
 

@@ -11,9 +11,9 @@ the lag contractions deliberately use `einsum` rather than BLAS so the
 floating-point summation order is fixed.
 
 Each cell starts from one exact draw of its p lags from the stationary
-distribution of the autoregression (`svar.stationary_factor`), followed by
-the one step that realizes its first cycle's features; no warm-up steps are
-run.
+distribution of the autoregression (the model's cached
+`svar.stationary_factor`), followed by the one `svar.step` that realizes its
+first cycle's features; no warm-up steps are run.
 
 Pulse semantics (single scalar amplitude `u_a` per pulse):
 
@@ -48,7 +48,7 @@ from . import streams
 # which perfbench's layer tracer wraps by that name
 from .conduction import as_float, eval_poly  # noqa: F401
 from .conduction import state_from_resistance, transition_state
-from .svar import stationary_factor
+from .svar import mix_lower_triangular, step
 from .transform import inverse_map
 
 PHASE_HRS, PHASE_LRS, PHASE_IRS = 0, 1, 2
@@ -58,6 +58,7 @@ U_RESET_CLEARANCE = 1e-3   # generated thresholds stay this far below u_max [V]
 MIN_PARALLEL_CELLS = 4096  # below this a thread pool is pure overhead
 INIT_BLOCK_DRAWS = 1 << 19  # lag entries per init block (2 MB)
 
+FLOAT32_MAX = float(np.finfo(np.float32).max)
 _DRAWS_DTD = 4
 _DRAWS_STEP = 4
 _DRAWS_READ = 2
@@ -76,13 +77,15 @@ class ReadoutConfig:
     noise_enabled: bool = True
 
     def __post_init__(self):
-        if not np.all(np.isfinite([self.u_read, self.delta_f, self.temperature,
-                                   self.i_min, self.i_max])):
-            raise ValueError("readout settings must be finite")
+        if not (np.all(np.isfinite([self.u_read, self.delta_f, self.temperature, self.i_min,
+                                    self.i_max])) and self.temperature >= 0):
+            raise ValueError(f"readout settings must be finite, temperature >= 0: {self}")
         if self.i_max <= self.i_min:
             raise ValueError("need i_max > i_min")
         if not 1 <= self.n_bits <= 16:
             raise ValueError("n_bits must be in 1..16")
+        if not max(-self.i_min, self.i_max, self.levels / (self.i_max - self.i_min)) <= FLOAT32_MAX:
+            raise ValueError(f"i_min, i_max: `quantize`'s float32 window overflows: {self}")
         if self.delta_f <= 0:
             raise ValueError("delta_f must be positive")
         if self.u_read == 0.0:
@@ -121,34 +124,14 @@ def dequantize(codes, cfg: ReadoutConfig):
 
 
 def stationary_factor32(model) -> np.ndarray:
-    """float32 copy of `svar.stationary_factor`, pinned C-contiguous: the
-    layout fixes the initial-lag contraction's summation order.
-
-    Entries below 2^-64 of the largest are set to zero.  They lie far below
-    the float32 resolution of any lag, and their products with the draws can
-    be subnormal, which slows the contraction (models whose far lags barely
-    matter have thousands of such entries).
-    """
-    factor = np.ascontiguousarray(stationary_factor(model), dtype=np.float32)
+    """float32 copy of the model's cached `svar.stationary_factor`, pinned
+    C-contiguous (the layout fixes the initial-lag contraction's summation
+    order).  Entries below 2^-64 of the largest, far below the float32
+    resolution of any lag, are set to zero: their products with the draws
+    can be subnormal, which slows the contraction."""
+    factor = np.ascontiguousarray(model.stationary_factor, dtype=np.float32)
     factor[np.abs(factor) < 2.0**-64 * np.abs(factor).max()] = 0.0
     return factor
-
-
-def mix_lower_triangular(eps: np.ndarray, tri: np.ndarray) -> np.ndarray:
-    """(tri @ eps).T for a lower-triangular 4x4 and word-major draws (4, M).
-
-    Expanded term by term with a fixed left-to-right evaluation order so the
-    result is bit-identical for every batch shape and stride (einsum picks
-    its summation order from the memory layout, which would break the
-    partition-independence guarantee).
-    """
-    out = np.empty((eps.shape[1], 4), dtype=np.float32)
-    out[:, 0] = tri[0, 0] * eps[0]
-    out[:, 1] = tri[1, 0] * eps[0] + tri[1, 1] * eps[1]
-    out[:, 2] = (tri[2, 0] * eps[0] + tri[2, 1] * eps[1]) + tri[2, 2] * eps[2]
-    out[:, 3] = ((tri[3, 0] * eps[0] + tri[3, 1] * eps[1]) + tri[3, 2] * eps[2]) \
-        + tri[3, 3] * eps[3]
-    return out
 
 
 @dataclass
@@ -187,14 +170,12 @@ class CellArray:
         a = defaults.dtd_scale if a is None else float(a)
         if a < 0:
             raise ValueError(f"device-variability scale must be >= 0, got {a}")
-        orders = sorted(bundle.svar)
-        if p is None:
-            p = 10 if 10 in bundle.svar else orders[-1]
-        if p not in bundle.svar:
-            raise ValueError(f"no order-{p} model in bundle (available: {orders})")
+        if p is not None and p not in bundle.svar:
+            raise ValueError(f"no order-{p} model in bundle (available: {sorted(bundle.svar)})")
+        self.model = bundle.model(p)
 
         self.m = int(m)
-        self.p = int(p)
+        self.p = self.model.p
         self.a = a
         self.seed = int(seed)
         self.threads = max(1, int(threads))
@@ -202,7 +183,6 @@ class CellArray:
         self.readout = readout or defaults.readout
         self.conduction = bundle.conduction
         self.gamma = bundle.gamma
-        self.model = bundle.svar[p]
 
         # float32 working copies of the model; the lag weights are pinned
         # Fortran-ordered, which fixes the einsum's summation order and speed
@@ -210,7 +190,7 @@ class CellArray:
         self._cholu32 = self.model.chol_u.astype(np.float32)
 
         # per-cell state
-        self._lags = np.zeros((m, 4 * p), dtype=np.float32)
+        self._lags = np.zeros((m, 4 * self.p), dtype=np.float32)
         self.r = np.zeros(m, dtype=np.float32)
         self.phase = np.zeros(m, dtype=np.int8)
         self.cycle = np.zeros(m, dtype=np.int32)
@@ -285,9 +265,8 @@ class CellArray:
         eps = streams.normals(keys, ctrs, _DRAWS_STEP)
         if not sliced:
             self._counters[idx] = ctrs
-        noise = mix_lower_triangular(eps, self._cholu32)
         lags = self._lags[idx]
-        x = np.einsum("mk,kj->mj", lags, self._w32, optimize=False) + noise
+        x = step(lags, self._w32, mix_lower_triangular(eps, self._cholu32))
         # numpy buffers overlapping copies; chunk rows to bound the temporary
         for lo in range(0, lags.shape[0], 65536):
             block = lags[lo : lo + 65536]

@@ -17,7 +17,7 @@ import platform
 import sys
 import time
 import warnings
-from pathlib import Path
+from dataclasses import replace
 
 import numpy as np
 
@@ -66,15 +66,10 @@ def _params_path(args) -> str:
 
 
 def _readout_from_args(args, base: ReadoutConfig) -> ReadoutConfig:
-    return ReadoutConfig(
-        u_read=args.u_read if args.u_read is not None else base.u_read,
-        delta_f=args.bandwidth if args.bandwidth is not None else base.delta_f,
-        temperature=base.temperature,
-        n_bits=args.n_bits if args.n_bits is not None else base.n_bits,
-        i_min=args.i_min if args.i_min is not None else base.i_min,
-        i_max=args.i_max if args.i_max is not None else base.i_max,
-        noise_enabled=False if args.no_noise else base.noise_enabled,
-    )
+    given = {"u_read": args.u_read, "delta_f": args.bandwidth, "n_bits": args.n_bits,
+             "i_min": args.i_min, "i_max": args.i_max,
+             "noise_enabled": False if args.no_noise else None}
+    return replace(base, **{name: value for name, value in given.items() if value is not None})
 
 
 # ---------------------------------------------------------------------------

@@ -23,10 +23,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .array import ReadoutConfig
-from .conduction import ConductionModel
-from .svar import SvarModel, spectral_radius, stationary_factor
-from .transform import NormalizingMap, _check_monotone
+from .array import FLOAT32_MAX, ReadoutConfig, noise_sigma
+from .conduction import ConductionModel, eval_poly
+from .svar import SvarModel, spectral_radius
+from .transform import MonotonicityError, NormalizingMap, _check_monotone, inverse_map
 
 MAGIC = b"SSYN"
 VERSION = 1
@@ -62,6 +62,11 @@ class SimDefaults:
     dtd_scale: float = 0.0
     readout: ReadoutConfig = field(default_factory=ReadoutConfig)
 
+    def __post_init__(self):
+        if not (0.0 < self.u_max <= FLOAT32_MAX and 0.0 <= self.dtd_scale < np.inf):
+            raise ValueError(f"u_max must be positive and finite in float32 (the engine's dtype),"
+                             f" and dtd_scale finite and >= 0; got {self.u_max}, {self.dtd_scale}")
+
 
 @dataclass
 class ParameterBundle:
@@ -72,33 +77,54 @@ class ParameterBundle:
     defaults: SimDefaults = field(default_factory=SimDefaults)
 
     def model(self, p: int | None = None) -> SvarModel:
-        if p is None:
-            if len(self.svar) == 1:
-                return next(iter(self.svar.values()))
-            p = 10
-        try:
-            return self.svar[p]
-        except KeyError:
-            raise KeyError(f"no order-{p} model (available: {sorted(self.svar)})") from None
+        """The order-p model; by default order 10 if stored, else the highest."""
+        p = (10 if 10 in self.svar else max(self.svar)) if p is None else p
+        if p not in self.svar:
+            raise KeyError(f"no order-{p} model (available: {sorted(self.svar)})")
+        return self.svar[p]
 
     def validate(self) -> None:
-        """Cross-checks beyond what the member constructors enforce.
+        """Cross-checks beyond the member constructors, in float32 where the
+        engine computes in float32: sigma is positive definite and a*sigma
+        fits; γ, monotone on z_range, is finite and positive at its ends;
+        each limiting polynomial's absolute coefficients at the largest
+        voltage applied, which bound every current and Horner partial sum,
+        and the read noise are finite; every model passes the (cached)
+        `svar.stationary_factor` gates, so the bundle can start an array."""
+        sigma, gamma, cm, d = np.asarray(self.sigma), self.gamma, self.conduction, self.defaults
 
-        Every model must pass `svar.stationary_factor`'s gates, so a bundle
-        that validates can always start an array and a generator.
-        """
-        sigma = np.asarray(self.sigma, dtype=np.float64)
-        if sigma.shape != (4, 4) or np.max(np.abs(sigma - sigma.T)) > 1e-12:
-            raise FormatError("sigma must be a symmetric 4x4 matrix")
-        _check_monotone(self.gamma.coeffs, self.gamma.z_range, self.gamma.feature_names)
+        def need(ok, where: str, what: str) -> None:
+            if not ok:
+                raise FormatError(f"section {where}: {what}")
+
+        need(sigma.shape == (4, 4) and np.max(np.abs(sigma - sigma.T)) <= 1e-12
+             and np.linalg.eigvalsh(sigma).min() > 0.0,
+             "sigma", "field sigma must be a symmetric positive definite 4x4 matrix")
+        need(d.dtd_scale * np.max(np.diag(sigma)) <= FLOAT32_MAX,
+             "defaults", "field dtd_scale: dtd_scale * sigma overflows float32")
+        try:
+            _check_monotone(gamma.coeffs, gamma.z_range, gamma.feature_names)
+        except MonotonicityError as exc:
+            need(False, "gamma", f"field coeffs: {exc}")
+        with np.errstate(all="ignore"):
+            ends = inverse_map(gamma, np.float32(gamma.z_range)[:, None].repeat(4, 1))
+            u_top = np.float32(max(1.0, d.u_max, abs(d.readout.u_read)))
+            bounds = [eval_poly(np.abs(c), u_top) for c in (cm.hhrs, cm.llrs)]
+            i_read = np.float32([cm.i_hhrs(d.readout.u_read), cm.i_llrs(d.readout.u_read)])
+            noise = noise_sigma(i_read, d.readout)
+        need(np.all((ends > 0.0) & np.isfinite(ends)), "gamma", f"field coeffs: float32"
+             f" realization at the z_range ends is not finite and positive: {ends.tolist()}")
+        need(np.all(np.isfinite(bounds)), "conduction",
+             f"fields hhrs, llrs: float32 currents overflow below {u_top:g} V")
+        need(np.all(np.isfinite(noise)), "defaults",
+             "fields u_read, delta_f, temperature: float32 read noise is not finite")
         for p, model in self.svar.items():
-            if p != model.p:
-                raise FormatError(f"model order mismatch: key {p} vs model {model.p}")
+            need(p == model.p, "svar", f"model order mismatch: key {p} vs model {model.p}")
             try:
-                stationary_factor(model)
+                model.stationary_factor
             except ValueError as exc:
-                raise FormatError(f"order-{p} model unstable (spectral radius"
-                                  f" {spectral_radius(model):.4f}): {exc}") from None
+                need(False, "svar", f"order-{p} model unstable (spectral radius"
+                     f" {spectral_radius(model):.4f}): {exc}")
 
 
 # Field kinds: a struct code, "I" (u32) or "?" (u8 flag), or the shape of a
@@ -107,6 +133,15 @@ class ParameterBundle:
 U32, FLAG, F64, VEC, MAT = "I", "?", (), (None,), (None, None)
 _READOUT_FIELDS = (("u_read", F64), ("delta_f", F64), ("temperature", F64), ("n_bits", U32),
                    ("i_min", F64), ("i_max", F64), ("noise_enabled", FLAG))
+
+
+def _svar_model(fields) -> SvarModel:
+    """The model from its primary fields; the derived ones must agree."""
+    model = SvarModel(phi=fields["phi"], sigma_u=fields["sigma_u"], intercept=fields["intercept"])
+    for name in ("a", "b", "c", "chol_u"):
+        if not np.max(np.abs(fields[name] - getattr(model, name))) <= 1e-10:
+            raise ValueError(f"field {name} disagrees with phi and sigma_u by more than 1e-10")
+    return model
 
 
 # A section: its tag, name, (field, kind) pairs in file order, the field
@@ -131,7 +166,7 @@ SECTIONS = (
     _Section(SEC_SVAR, "svar", (("p", U32), ("a", (4, 4)), ("b", (4, 4)), ("c", ("p", 4, 4)),
                                 ("phi", ("p", 4, 4)), ("intercept", (4,)), ("sigma_u", (4, 4)),
                                 ("chol_u", (4, 4))),
-             lambda b: [vars(b.svar[p]) for p in sorted(b.svar)], lambda f: SvarModel(**f),
+             lambda b: [vars(b.svar[p]) for p in sorted(b.svar)], _svar_model,
              key="p"),
 )
 _BY_TAG = {sec.tag: sec for sec in SECTIONS}
@@ -214,10 +249,14 @@ def load(path, validate: bool = True) -> ParameterBundle:
         if sec is None:
             continue  # unknown tags are skipped for forward compatibility
         values = _decode(sec, payload)
+        try:
+            member = sec.build(values)
+        except ValueError as exc:
+            raise FormatError(f"section {sec.name}: {exc}") from None
         if sec.key is None:
-            found[sec.name] = sec.build(values)
+            found[sec.name] = member
         else:
-            found.setdefault(sec.name, {})[values[sec.key]] = sec.build(values)
+            found.setdefault(sec.name, {})[values[sec.key]] = member
 
     missing = [sec.name for sec in SECTIONS if sec.name not in found]
     if missing:

@@ -1,25 +1,23 @@
 """Structural vector autoregression on the normalized feature series.
 
-Fitting is ordinary least squares for the reduced form followed by a
-Cholesky factorization of the residual covariance, which is the exact
-maximum-likelihood structural decomposition under the recursive constraints
-used here (unit lower-triangular contemporaneous matrix, diagonal noise
-amplitudes, unit-variance uncorrelated noise).  Generation runs the reduced
-form with correlated innovations chol_u @ eps, which is algebraically
-identical to solving the structural form but cheaper per step.  It fills one
-preallocated history array in place, each step reading the p rows before it
-newest first.  The first p rows are one exact draw from the stationary
-distribution of the lags, so no warm-up steps are run: `stationary_factor`
-solves the discrete Lyapunov equation Gamma = F Gamma F^T + blockdiag(sigma_u,
-0) of the companion form F (Lutkepohl, New Introduction to Multiple Time
-Series Analysis, 2005, sec. 2.1) without BLAS and returns chol(Gamma), which
-the array engine uses to start every cell the same way.
+One model, built from the fit's outputs: reduced-form lag matrices phi_i,
+residual covariance sigma_u and intercept (Lutkepohl, New Introduction to
+Multiple Time Series Analysis, 2005, ch. 2).  The constructor derives its
+recursive structural form (ch. 9), the exact maximum-likelihood
+decomposition under those constraints, once.  One kernel, `step`, advances
+the float64 generator, the float32 array engine and its test mirror.  Every
+start is one exact draw from the stationary distribution of the lags, whose
+Cholesky factor `stationary_factor` solves without BLAS and each model
+caches, so validation, the engine and the generator share one solve.
 """
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
+
+from .conduction import as_float
 
 DIM = 4
 MAX_ORDER = 200
@@ -28,67 +26,69 @@ LYAPUNOV_TOL = 1e-12   # relative residual of the stationary covariance
 MAX_TERMS = 1 << 16    # impulse responses summed at most: spectral radius up to about 0.9997
 
 
+def structural_decompose(sigma_u: np.ndarray):
+    """Recursive-identification MLE (a, b) from the residual covariance: with
+    L = chol(sigma_u), b = diag(L) and a = b L^-1, so a^-1 b = L exactly."""
+    sigma_u = np.asarray(sigma_u, dtype=np.float64)
+    try:
+        chol = np.linalg.cholesky(sigma_u)
+    except np.linalg.LinAlgError as exc:
+        raise ValueError(f"covariance not positive definite: {exc}") from exc
+    b = np.diag(np.diag(chol))
+    # forward substitution keeps the strict upper triangle exactly zero
+    a = b @ np.linalg.inv(chol)
+    a[np.triu_indices(DIM, 1)] = 0.0
+    np.fill_diagonal(a, 1.0)
+    return a, b
+
+
 @dataclass(frozen=True)
 class SvarModel:
-    """Fitted model of order p.
-
-    a:  (4, 4) unit lower-triangular contemporaneous matrix
-    b:  (4, 4) positive diagonal noise-amplitude matrix
-    c:  (p, 4, 4) structural lag matrices
-    phi: (p, 4, 4) reduced-form lag matrices, phi_i = a^-1 c_i
-    sigma_u: (4, 4) reduced-form residual covariance
-    chol_u:  its lower Cholesky factor (= a^-1 b)
-    intercept: (4,) reduced-form constant, kept for reporting; the generator
-        treats the process as zero-mean and does not add it.
+    """Model of order p = len(phi) from phi (p, 4, 4), sigma_u (4, 4) and the
+    intercept (4,), kept for reporting: the generator treats the process as
+    zero-mean.  Derived on construction: p, chol_u = chol(sigma_u), and the
+    structural form, a unit lower-triangular and b positive diagonal with
+    a^-1 b = chol_u (`structural_decompose`), c_i = a phi_i.
     """
 
-    p: int
-    a: np.ndarray
-    b: np.ndarray
-    c: np.ndarray
     phi: np.ndarray
     sigma_u: np.ndarray
-    chol_u: np.ndarray
     intercept: np.ndarray
 
     def __post_init__(self):
-        if not (1 <= self.p <= MAX_ORDER):
-            raise ValueError(f"order must be in [1, {MAX_ORDER}], got {self.p}")
-        for name in ("a", "b", "c", "phi", "sigma_u", "chol_u", "intercept"):
+        for name in ("phi", "sigma_u", "intercept"):
             value = np.asarray(getattr(self, name), dtype=np.float64)
             if not np.all(np.isfinite(value)):
                 raise ValueError(f"{name} has non-finite entries")
             object.__setattr__(self, name, value)
-        if self.c.shape != (self.p, DIM, DIM) or self.phi.shape != (self.p, DIM, DIM):
-            raise ValueError("lag matrices must have shape (p, 4, 4)")
-        if np.any(np.triu(self.a, 1) != 0.0) or np.any(np.diag(self.a) != 1.0):
-            raise ValueError("a must be unit lower-triangular")
-        if np.any(self.b != np.diag(np.diag(self.b))) or np.any(np.diag(self.b) <= 0.0):
-            raise ValueError("b must be diagonal with positive entries")
-        recon = self.chol_u @ self.chol_u.T
-        if np.max(np.abs(recon - self.sigma_u)) > 1e-10:
-            raise ValueError("chol_u does not reproduce sigma_u within 1e-10")
+        if self.phi.ndim != 3 or self.phi.shape[1:] != (DIM, DIM) \
+                or not 1 <= len(self.phi) <= MAX_ORDER:
+            raise ValueError(f"phi must be (p, 4, 4) with order p in [1, {MAX_ORDER}],"
+                             f" got {self.phi.shape}")
+        if self.sigma_u.shape != (DIM, DIM) or self.intercept.shape != (DIM,):
+            raise ValueError("sigma_u must be (4, 4) and intercept (4,)")
+        a, b = structural_decompose(self.sigma_u)
+        chol_u = np.linalg.cholesky(self.sigma_u)
+        if np.max(np.abs(chol_u @ chol_u.T - self.sigma_u)) > 1e-10:
+            raise ValueError("sigma_u is not symmetric within 1e-10")
+        vars(self).update(p=len(self.phi), a=a, b=b, chol_u=chol_u,
+                          c=np.stack([a @ phi_i for phi_i in self.phi]))
 
     def lag_weights(self) -> np.ndarray:
-        """Reduced-form weights stacked as one (4p, 4) matrix.
+        """(4p, 4) Fortran-ordered, row block i phi_{i+1}.T: the `step` weights
+        for lags flattened newest first."""
+        return np.concatenate(list(self.phi), axis=1).T
 
-        Row block i holds phi_{i+1}.T, so that with lags flattened newest
-        first, x_new = lags_flat @ lag_weights() + chol_u @ eps.
-        """
-        return np.concatenate([self.phi[i].T for i in range(self.p)], axis=0)
-
-
-@dataclass(frozen=True)
-class VarFit:
-    """Reduced-form OLS result."""
-
-    phi: np.ndarray        # (p, 4, 4)
-    sigma_u: np.ndarray    # (4, 4)
-    intercept: np.ndarray  # (4,)
+    @cached_property
+    def stationary_factor(self) -> np.ndarray:
+        """`stationary_factor(self)`, solved on first use and kept read-only."""
+        factor = stationary_factor(self)
+        factor.flags.writeable = False
+        return factor
 
 
-def fit_var_ols(series: np.ndarray, p: int) -> VarFit:
-    """OLS regression of x_n on its p lags and a constant.
+def fit_svar(series: np.ndarray, p: int) -> SvarModel:
+    """OLS regression of x_n on its p lags and a constant, as a model.
 
     The residual covariance uses denominator N - p (the number of fitted
     rows).  The input is expected to be normalized, so a large intercept is
@@ -114,66 +114,48 @@ def fit_var_ols(series: np.ndarray, p: int) -> VarFit:
     if rank < n_params:
         raise ValueError(f"regressor matrix is rank deficient ({rank} < {n_params})")
     resid = y - design @ beta
-    sigma_u = resid.T @ resid / (n - p)
-    phi = np.stack([beta[(i - 1) * DIM : i * DIM].T for i in range(1, p + 1)])
     intercept = beta[-1]
     if np.max(np.abs(intercept)) > INTERCEPT_WARN:
         warnings.warn(
             f"intercept {intercept} larger than {INTERCEPT_WARN}; input not centered?",
             RuntimeWarning,
         )
-    return VarFit(phi=phi, sigma_u=sigma_u, intercept=intercept)
+    return SvarModel(phi=np.stack([beta[(i - 1) * DIM : i * DIM].T for i in range(1, p + 1)]),
+                     sigma_u=resid.T @ resid / (n - p), intercept=intercept)
 
 
-def structural_decompose(sigma_u: np.ndarray):
-    """Recursive-identification MLE: (a, b) from the residual covariance.
+def mix_lower_triangular(eps: np.ndarray, tri: np.ndarray) -> np.ndarray:
+    """(tri @ eps).T for a lower-triangular 4x4 and word-major draws (4, M).
 
-    With L the lower Cholesky factor of sigma_u, b = diag(L) and
-    a = b @ L^-1, so a^-1 b = L reproduces sigma_u exactly.
+    Expanded term by term with a fixed left-to-right evaluation order, so
+    the result is bit-identical for every batch shape and stride (einsum
+    picks its summation order from the memory layout).  Dtype-generic (see
+    `conduction.as_float`), with tri rounded to the draws' dtype.
     """
-    sigma_u = np.asarray(sigma_u, dtype=np.float64)
-    try:
-        chol = np.linalg.cholesky(sigma_u)
-    except np.linalg.LinAlgError as exc:
-        raise ValueError(f"covariance not positive definite: {exc}") from exc
-    b = np.diag(np.diag(chol))
-    # forward substitution keeps the strict upper triangle exactly zero
-    a = b @ np.linalg.inv(chol)
-    a[np.triu_indices(DIM, 1)] = 0.0
-    np.fill_diagonal(a, 1.0)
-    return a, b
+    eps = as_float(eps)
+    tri = np.asarray(tri, dtype=eps.dtype)
+    out = np.empty((eps.shape[1], DIM), dtype=eps.dtype)
+    out[:, 0] = tri[0, 0] * eps[0]
+    out[:, 1] = tri[1, 0] * eps[0] + tri[1, 1] * eps[1]
+    out[:, 2] = (tri[2, 0] * eps[0] + tri[2, 1] * eps[1]) + tri[2, 2] * eps[2]
+    out[:, 3] = ((tri[3, 0] * eps[0] + tri[3, 1] * eps[1]) + tri[3, 2] * eps[2]) \
+        + tri[3, 3] * eps[3]
+    return out
 
 
-def build_model(fit: VarFit) -> SvarModel:
-    """Assemble the structural model from a reduced-form fit."""
-    phi = np.asarray(fit.phi, dtype=np.float64)
-    p = phi.shape[0]
-    a, b = structural_decompose(fit.sigma_u)
-    chol = np.linalg.cholesky(np.asarray(fit.sigma_u, dtype=np.float64))
-    c = np.stack([a @ phi[i] for i in range(p)])
-    return SvarModel(
-        p=p, a=a, b=b, c=c, phi=phi,
-        sigma_u=np.asarray(fit.sigma_u, dtype=np.float64),
-        chol_u=chol, intercept=np.asarray(fit.intercept, dtype=np.float64),
-    )
-
-
-def fit_svar(series: np.ndarray, p: int) -> SvarModel:
-    return build_model(fit_var_ols(series, p))
-
-
-def step(model: SvarModel, lags: np.ndarray, eps) -> np.ndarray:
-    """One VAR cycle: x_n = sum_i phi_i x_{n-i} + chol_u eps.
-
-    lags is a (p, 4) array ordered newest first: [x_{n-1}, ..., x_{n-p}].
+def step(lags: np.ndarray, weights: np.ndarray, noise: np.ndarray) -> np.ndarray:
+    """One VAR cycle per row, x_n = sum_i phi_i x_{n-i} + u_n, for (m, 4p)
+    lags flattened newest first, `SvarModel.lag_weights` and (m, 4)
+    innovations u_n = chol_u eps_n from `mix_lower_triangular`.  A fixed
+    einsum, not BLAS: its summation order depends only on dtype and layout.
     """
-    return np.einsum("pij,pj->i", model.phi, lags) + model.chol_u @ np.asarray(eps, dtype=np.float64)
+    return np.einsum("mk,kj->mj", lags, weights, optimize=False) + noise
 
 
 def companion_matrix(model: SvarModel) -> np.ndarray:
     k = DIM * model.p
     f = np.zeros((k, k))
-    f[:DIM] = np.concatenate(list(model.phi), axis=1)
+    f[:DIM] = model.lag_weights().T
     if model.p > 1:
         f[DIM:, :-DIM] = np.eye(k - DIM)
     return f
@@ -201,7 +183,7 @@ def stationary_factor(model: SvarModel) -> np.ndarray:
     exceeds LYAPUNOV_TOL, or when Gamma is not positive definite.
     """
     p = model.p
-    phi = np.concatenate(list(model.phi), axis=1)            # (4, 4p): F's first block row
+    phi = model.lag_weights().T                              # (4, 4p): F's first block row
     phi_rev = np.concatenate(list(model.phi[::-1]), axis=1)  # pairs with w oldest first
     # w[p - 1 + t] = w_t; the p - 1 zero blocks in front stand for t < 0
     block = 256  # terms between convergence checks
@@ -261,17 +243,18 @@ def _cholesky(a: np.ndarray) -> np.ndarray:
 def generate(model: SvarModel, n: int, seed) -> np.ndarray:
     """Generate n normalized vectors; deterministic for a given seed.
 
-    One (p + n, 4) history is filled in place: its first p rows are one exact
-    draw stationary_factor(model) @ eps from the stationary distribution of
-    the lags, and every later row is one step on the p rows before it.  A
-    model with no stationary distribution fails that factor's gates with
-    ValueError.
+    One (n + p, 4) history holds the series newest first, so each step's
+    lags are the 4p values after its row.  The last p rows are one exact
+    draw from the stationary distribution of the lags (ValueError if there
+    is none); each row above is one `step`, innovations mixed up front.
     """
     p = model.p
-    rng = np.random.default_rng(seed)
-    eps = rng.standard_normal((p + n, DIM))
-    x = np.empty_like(eps)
-    x[:p] = np.einsum("ik,k->i", stationary_factor(model), eps[:p].ravel()).reshape(p, DIM)[::-1]
-    for t in range(p, x.shape[0]):
-        x[t] = step(model, x[t - p : t][::-1], eps[t])
-    return x[p:]
+    eps = np.random.default_rng(seed).standard_normal((p + n, DIM))
+    noise = mix_lower_triangular(eps[: p - 1 : -1].T, model.chol_u)  # row order
+    weights = model.lag_weights()
+    hist = np.empty((n + p, DIM))
+    hist[n:] = np.einsum("ik,k->i", model.stationary_factor, eps[:p].ravel()).reshape(p, DIM)
+    flat = hist.reshape(1, -1)
+    for row in range(n - 1, -1, -1):
+        hist[row] = step(flat[:, DIM * (row + 1) : DIM * (row + p + 1)], weights, noise[row])
+    return hist[:n][::-1]

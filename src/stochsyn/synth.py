@@ -53,8 +53,11 @@ def reference_svar(p: int = 1) -> SvarModel:
     """Stable order-1 structure, optionally zero-padded to a higher order.
 
     The contemporaneous chain and noise amplitudes are chosen so recent
-    history matters most; padding with zero lag matrices leaves the process
-    unchanged while exercising the longer history machinery.
+    history matters most.  These structural weights enter as their reduced
+    form, phi_1 = a^-1 c_1 and sigma_u = (a^-1 b)(a^-1 b)^T, from which the
+    model derives its structural form back like any fitted one.  Padding
+    with zero lag matrices leaves the process unchanged while exercising the
+    longer history machinery.
     """
     a = np.eye(4)
     a[1, 0] = -0.111
@@ -71,13 +74,9 @@ def reference_svar(p: int = 1) -> SvarModel:
         [0.0, 0.0, 0.0, 0.085],
     ])
     chol_u = np.linalg.solve(a, b)
-    sigma_u = chol_u @ chol_u.T
-    c = np.zeros((p, 4, 4))
-    c[0] = c1
     phi = np.zeros((p, 4, 4))
     phi[0] = np.linalg.solve(a, c1)
-    return SvarModel(p=p, a=a, b=b, c=c, phi=phi, sigma_u=sigma_u,
-                     chol_u=chol_u, intercept=np.zeros(4))
+    return SvarModel(phi=phi, sigma_u=chol_u @ chol_u.T, intercept=np.zeros(4))
 
 
 def reference_bundle(orders=REFERENCE_ORDERS) -> ParameterBundle:

@@ -18,6 +18,7 @@ from .conduction import as_float, eval_poly
 N_QUANTILES = 500
 PROB_RANGE = (0.01, 0.99)
 Z_RANGE = (-4.0, 4.0)
+Z_LIMIT = 10.0  # z_range must lie inside [-Z_LIMIT, Z_LIMIT]
 MONOTONIC_GRID_STEP = 1e-3
 
 
@@ -43,8 +44,11 @@ class NormalizingMap:
     def __post_init__(self):
         object.__setattr__(self, "coeffs", np.asarray(self.coeffs, dtype=np.float64))
         object.__setattr__(self, "z_range", tuple(float(v) for v in self.z_range))
-        if self.coeffs.ndim != 2 or self.coeffs.shape[0] != 4:
-            raise ValueError(f"coeffs must be (4, degree+1), got {self.coeffs.shape}")
+        if self.coeffs.ndim != 2 or self.coeffs.shape[0] != 4 or self.coeffs.shape[1] < 2:
+            raise ValueError(f"coeffs must be (4, degree+1), degree >= 1, got {self.coeffs.shape}")
+        if not -Z_LIMIT <= self.z_range[0] < self.z_range[1] <= Z_LIMIT:
+            raise ValueError(f"z_range must be (lo, hi), {-Z_LIMIT:g} <= lo < hi <= {Z_LIMIT:g},"
+                             f" got {self.z_range}")
 
 
 def _check_monotone(coeffs: np.ndarray, z_range, names) -> None:

@@ -1,20 +1,22 @@
 """Independent straight-line reimplementation of the pulse flow chart.
 
 One object per cell, plain if/else control flow, no mask algebra.  It calls
-the engine's model kernels (streams, the innovation mix, `inverse_map`,
-`state_from_resistance`, `transition_state`) on float32 values, so that any
-disagreement with the vectorized engine isolates a branch-logic defect rather
-than arithmetic noise; state comparisons in the tests are exact.  The start
-is written out here on its own: 4p normals drawn slot by slot, oldest slot
-first, each newest-first lag slot i the dot product of the first 4(i + 1) of
-them with its rows of the shared float32 stationary factor, then one step.
+the engine's model kernels (streams, the VAR `step` and its innovation mix,
+`inverse_map`, `state_from_resistance`, `transition_state`) on float32
+values, so that any disagreement with the vectorized engine isolates a
+branch-logic defect rather than arithmetic noise; state comparisons in the
+tests are exact.  The start is written out here on its own: 4p normals drawn
+slot by slot, oldest slot first, each newest-first lag slot i the dot
+product of the first 4(i + 1) of them with its rows of the shared float32
+stationary factor, then one step.
 """
 
 import numpy as np
 
 from stochsyn import streams
-from stochsyn.array import U_RESET_CLEARANCE, mix_lower_triangular, stationary_factor32
+from stochsyn.array import U_RESET_CLEARANCE, stationary_factor32
 from stochsyn.conduction import state_from_resistance, transition_state
+from stochsyn.svar import mix_lower_triangular, step
 from stochsyn.transform import inverse_map
 
 HRS, LRS, IRS = 0, 1, 2
@@ -52,8 +54,7 @@ class MirrorCell:
 
     def _step(self):
         eps = streams.normals(self.key, self.ctr, 4)
-        noise = mix_lower_triangular(eps, self.cholu32)
-        x = np.einsum("mk,kj->mj", self.lags, self.w32, optimize=False) + noise
+        x = step(self.lags, self.w32, mix_lower_triangular(eps, self.cholu32))
         self.lags[:, 4:] = self.lags[:, :-4]
         self.lags[:, :4] = x
         return x

@@ -27,7 +27,7 @@ from stochsyn.array import PHASE_HRS, PHASE_IRS, PHASE_LRS, ReadoutConfig, init_
 from stochsyn.cli import main
 from stochsyn.conduction import state_from_resistance
 from stochsyn.stats import lagged_pearson, wasserstein1
-from stochsyn.svar import VarFit, build_model, fit_svar, fit_var_ols, generate, structural_decompose
+from stochsyn.svar import SvarModel, fit_svar, generate, structural_decompose
 from stochsyn.transform import (
     MONOTONIC_GRID_STEP,
     fit_map,
@@ -89,9 +89,9 @@ def test_criterion_3_fit_recovery():
         [0.00, -0.10, 0.80, 0.00],
         [0.10, 0.00, 0.15, 1.10],
     ])
-    truth = build_model(VarFit(phi=phi, sigma_u=chol @ chol.T, intercept=np.zeros(4)))
+    truth = SvarModel(phi=phi, sigma_u=chol @ chol.T, intercept=np.zeros(4))
     series = generate(truth, 100_000, seed=1003)
-    fit = fit_var_ols(series, 2)
+    fit = fit_svar(series, 2)
     coeff_err = float(np.max(np.abs(fit.phi - phi)))
     a, b = structural_decompose(fit.sigma_u)
     recon = np.linalg.solve(a, b)

@@ -345,6 +345,17 @@ def test_shared_kernels_compute_float32_for_float32_input(ref_bundle):
     assert np.array_equal(quantize(sweep, cfg), want32.astype(np.int32))
 
 
+def test_readout_config_rejects_negative_temperature_and_float32_overflow():
+    # a negative temperature made the read noise NaN; a window that float32
+    # cannot hold made the ADC codes garbage
+    with pytest.raises(ValueError, match="temperature"):
+        ReadoutConfig(temperature=-1e6)
+    ReadoutConfig(temperature=0.0)
+    for window in ({"i_min": -1e308}, {"i_max": 1e39}, {"i_max": 1e-300}):
+        with pytest.raises(ValueError, match="i_min, i_max"):
+            ReadoutConfig(**window)
+
+
 def test_readout_config_validation():
     with pytest.raises(ValueError):
         ReadoutConfig(i_min=1e-6, i_max=1e-6)

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from scipy.stats import spearmanr
 
-from stochsyn import paramfile
+from stochsyn import paramfile, synth
+from stochsyn.array import init_array
 from stochsyn.cli import main
 from stochsyn.waveform import read_features_csv
 
@@ -104,6 +105,20 @@ def test_generate_n_zero_header_only(corpus, tmp_path):
                "-o", str(out), "--order", "1"])
     assert rc == 0
     assert out.read_text().strip() == "cycle,r_h,u_s,r_l,u_r"
+
+
+def test_generate_and_sim_share_the_default_order(tmp_path):
+    # no order 10 stored: both commands take the highest order, here 3
+    params = tmp_path / "p13.ssyn"
+    paramfile.save(synth.reference_bundle(orders=(1, 3)), params)
+    outs = []
+    for extra in ([], ["--order", "3"]):
+        out = tmp_path / f"gen{len(extra)}.csv"
+        assert main(["generate", str(params), "-n", "200", "--seed", "4", "-o", str(out),
+                     *extra]) == 0
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1]
+    assert init_array(paramfile.load(params), 4, seed=1).p == 3
 
 
 def test_generate_seed_required(corpus, tmp_path):

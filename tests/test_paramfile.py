@@ -1,9 +1,15 @@
+import os
+import re
 import struct
+import subprocess
+import sys
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import stochsyn
 from stochsyn import paramfile
 from stochsyn.cli import main
 from stochsyn.paramfile import (
@@ -145,8 +151,7 @@ def test_validate_rejects_unstable_model(tmp_path):
     phi[0] = 1.2 * np.eye(4)
     unstable = paramfile.ParameterBundle(
         conduction=bundle.conduction, gamma=bundle.gamma, sigma=bundle.sigma,
-        svar={1: type(m)(p=1, a=m.a, b=m.b, c=m.c, phi=phi, sigma_u=m.sigma_u,
-                         chol_u=m.chol_u, intercept=m.intercept)},
+        svar={1: type(m)(phi=phi, sigma_u=m.sigma_u, intercept=m.intercept)},
     )
     with pytest.raises(FormatError):
         unstable.validate()
@@ -219,8 +224,7 @@ def test_validate_and_load_reject_model_past_the_stationary_factor(tmp_path):
     m = reference_svar(1)
     near_unit = paramfile.ParameterBundle(
         conduction=bundle.conduction, gamma=bundle.gamma, sigma=bundle.sigma,
-        svar={1: type(m)(p=1, a=m.a, b=m.b, c=m.c, phi=0.9998 * np.eye(4)[None],
-                         sigma_u=m.sigma_u, chol_u=m.chol_u, intercept=m.intercept)},
+        svar={1: type(m)(phi=0.9998 * np.eye(4)[None], sigma_u=m.sigma_u, intercept=m.intercept)},
     )
     with pytest.raises(FormatError, match="order-1"):
         near_unit.validate()
@@ -228,3 +232,96 @@ def test_validate_and_load_reject_model_past_the_stationary_factor(tmp_path):
     p.write_bytes(paramfile._encode(near_unit))
     with pytest.raises(FormatError, match="order-1"):
         load(p)
+
+
+def test_load_rejects_structure_inconsistent_with_reduced_form(tmp_path, capsys, ref_bundle):
+    # the first SVAR section (order 1): u32 p, then a, b and c as float64
+    p = tmp_path / "a.ssyn"
+    save(ref_bundle, p)
+    for i in range(4):
+        _overwrite_f64(p, paramfile.SEC_SVAR, 4 + 128 + 8 * (5 * i), 5.0)  # b = 5 I
+        for j in range(4):
+            _overwrite_f64(p, paramfile.SEC_SVAR, 4 + 256 + 8 * (4 * i + j), 7.0)  # c = 7
+            if j < i:
+                _overwrite_f64(p, paramfile.SEC_SVAR, 4 + 8 * (4 * i + j), 3.0)
+    with pytest.raises(FormatError, match="section svar: field a disagrees"):
+        load(p)
+    argv = ["generate", str(p), "-n", "10", "--seed", "1", "-o", str(tmp_path / "g.csv"),
+            "--order", "1"]
+    assert main(argv) == 1
+    assert "section svar: field a" in capsys.readouterr().err
+
+
+def test_stationary_factor_solved_once_per_model(tmp_path, monkeypatch, ref_bundle):
+    from stochsyn import array, svar
+    from stochsyn.svar import generate
+
+    calls = []
+    original = svar.stationary_factor
+
+    def counting(model):
+        calls.append(model.p)
+        return original(model)
+
+    for module in (svar, paramfile, array):  # wherever the solver is looked up by name
+        if getattr(module, "stationary_factor", None) is original:
+            monkeypatch.setattr(module, "stationary_factor", counting)
+    p = tmp_path / "a.ssyn"
+    save(ref_bundle, p)
+    calls.clear()
+    bundle = load(p)
+    for order in sorted(bundle.svar):
+        stochsyn.init_array(bundle, 64, seed=1, p=order)
+        generate(bundle.model(order), 10, seed=2)
+    assert sorted(calls) == sorted(bundle.svar)
+    with pytest.raises(ValueError):  # the one cached factor is shared read-only
+        bundle.model(1).stationary_factor[0, 0] = 1.0
+
+
+_LOAD_UNDER_LIMIT = """
+import resource, sys
+limit = 3 << 30
+resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+from stochsyn import paramfile
+try:
+    paramfile.load(sys.argv[1])
+except paramfile.FormatError as exc:
+    print("FormatError:", exc)
+"""
+
+
+def test_unbounded_z_range_fails_load_without_allocating(tmp_path, ref_bundle):
+    # gamma: u32 rows, u32 cols, the (4, 6) coeffs, then z_range = (lo, hi)
+    p = tmp_path / "z.ssyn"
+    save(ref_bundle, p)
+    _overwrite_f64(p, paramfile.SEC_GAMMA, 8 + 8 * 24 + 8, 1e6)
+    src = str(Path(stochsyn.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    run = subprocess.run([sys.executable, "-c", _LOAD_UNDER_LIMIT, str(p)], env=env,
+                         capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.startswith("FormatError: section gamma:") and "z_range" in run.stdout
+
+
+@pytest.mark.parametrize("tag, offset, value, match", [
+    (paramfile.SEC_GAMMA, 8 + 8 * 24, 5.0, "section gamma: z_range"),       # (5, 4)
+    (paramfile.SEC_GAMMA, 8, 200.0, "section gamma: field coeffs"),         # exp overflows float32
+    (paramfile.SEC_DEFAULTS, 32, -1e6, "section defaults: .*temperature >= 0"),
+    (paramfile.SEC_DEFAULTS, 0, -1e308, "section defaults: u_max"),
+    (paramfile.SEC_DEFAULTS, 0, 1e308, "section defaults: u_max"),          # inf in float32
+    (paramfile.SEC_DEFAULTS, 8, -1.0, "section defaults: u_max .* dtd_scale"),
+    # conduction: u32 size and the 6 hhrs coefficients, u32 size, then llrs
+    (paramfile.SEC_CONDUCTION, 52 + 4 + 8 * 3, 1e300, "section conduction: fields hhrs, llrs"),
+], ids=["z_range-reversed", "gamma-float32-overflow", "temperature-negative", "u_max-negative",
+        "u_max-float32-inf", "dtd_scale-negative", "llrs-float32-overflow"])
+def test_out_of_domain_field_rejected(tmp_path, capsys, ref_bundle, tag, offset, value, match):
+    p = tmp_path / "a.ssyn"
+    save(ref_bundle, p)
+    _overwrite_f64(p, tag, offset, value)
+    with pytest.raises(FormatError, match=match):
+        load(p)
+    argv = ["sim", str(p), "-m", "8", "--seed", "1", "--preset", "multilevel", "--cycles", "2",
+            "--readout-out", str(tmp_path / "ro.csv"), "--state-out", str(tmp_path / "st.csv")]
+    assert main(argv) == 1
+    assert re.search(match, capsys.readouterr().err)

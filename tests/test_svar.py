@@ -11,12 +11,10 @@ from stochsyn import paramfile
 from stochsyn.svar import (
     LYAPUNOV_TOL,
     SvarModel,
-    build_model,
     companion_matrix,
-    VarFit,
     fit_svar,
-    fit_var_ols,
     generate,
+    mix_lower_triangular,
     spectral_radius,
     stationary_factor,
     step,
@@ -28,16 +26,14 @@ from stochsyn.synth import reference_bundle, reference_svar
 def _white_model(p=1):
     eye = np.eye(4)
     zeros = np.zeros((p, 4, 4))
-    return SvarModel(p=p, a=eye, b=eye, c=zeros, phi=zeros, sigma_u=eye,
-                     chol_u=eye, intercept=np.zeros(4))
+    return SvarModel(phi=zeros, sigma_u=eye, intercept=np.zeros(4))
 
 
 def _diag_model(coef, p=1):
     phi = np.zeros((p, 4, 4))
     phi[0] = coef * np.eye(4)
     eye = np.eye(4)
-    return SvarModel(p=p, a=eye, b=eye, c=phi.copy(), phi=phi, sigma_u=eye,
-                     chol_u=eye, intercept=np.zeros(4))
+    return SvarModel(phi=phi, sigma_u=eye, intercept=np.zeros(4))
 
 
 # -- fitting ----------------------------------------------------------------
@@ -45,26 +41,26 @@ def _diag_model(coef, p=1):
 def test_fit_rejects_order_zero():
     series = np.random.default_rng(0).standard_normal((5000, 4))
     with pytest.raises(ValueError):
-        fit_var_ols(series, 0)
+        fit_svar(series, 0)
 
 
 def test_fit_rejects_short_series():
     series = np.random.default_rng(0).standard_normal((100, 4))
     with pytest.raises(ValueError):
-        fit_var_ols(series, 5)
+        fit_svar(series, 5)
 
 
 def test_fit_recovers_diagonal_var1():
     truth = _diag_model(0.5)
     series = generate(truth, 100_000, seed=21)
-    fit = fit_var_ols(series, 1)
+    fit = fit_svar(series, 1)
     assert np.max(np.abs(fit.phi[0] - 0.5 * np.eye(4))) < 0.02
     assert np.max(np.abs(fit.intercept)) < 0.02
 
 
 def test_fit_white_noise_gives_null_coefficients():
     series = generate(_white_model(), 100_000, seed=22)
-    fit = fit_var_ols(series, 1)
+    fit = fit_svar(series, 1)
     assert np.max(np.abs(fit.phi)) < 0.02
 
 
@@ -72,7 +68,7 @@ def test_fit_rank_deficient_rejected():
     series = np.zeros((5000, 4))
     series[:, 0] = 1.0  # constant column collides with the intercept
     with pytest.raises(ValueError):
-        fit_var_ols(series, 1)
+        fit_svar(series, 1)
 
 
 # -- structural decomposition -------------------------------------------------
@@ -107,13 +103,14 @@ def test_decompose_rejects_non_pd():
 
 def test_step_zero_lags_zero_noise():
     m = reference_svar(1)
-    assert np.allclose(step(m, np.zeros((1, 4)), np.zeros(4)), 0.0)
+    assert np.allclose(step(np.zeros((1, 4)), m.lag_weights(), np.zeros((1, 4))), 0.0)
 
 
 def test_step_pure_noise_passthrough():
     m = _white_model()
     eps = np.array([0.3, -1.2, 0.5, 2.0])
-    assert np.allclose(step(m, np.zeros((1, 4)), eps), eps)
+    noise = mix_lower_triangular(eps[:, None], m.chol_u)
+    assert np.allclose(step(np.zeros((1, 4)), m.lag_weights(), noise), eps)
 
 
 def test_reference_fixture_matches_published_weights():
@@ -123,7 +120,8 @@ def test_reference_fixture_matches_published_weights():
     assert -m.a[2, 1] == pytest.approx(-0.139)
     assert -m.a[3, 2] == pytest.approx(0.180)
     assert m.c[0][2, 2] == pytest.approx(0.153)
-    out = step(m, np.zeros((1, 4)), np.array([1.0, 0.0, 0.0, 0.0]))
+    noise = mix_lower_triangular(np.array([[1.0], [0.0], [0.0], [0.0]]), m.chol_u)
+    out = step(np.zeros((1, 4)), m.lag_weights(), noise)[0]
     assert out[0] == pytest.approx(0.984, abs=1e-12)
 
 
@@ -138,8 +136,7 @@ def test_spectral_radius_matches_dense_eigensolver():
     rng = np.random.default_rng(17)
     for p in (1, 2, 5):
         phi = rng.uniform(-0.25, 0.25, (p, 4, 4)) / p
-        fit = VarFit(phi=phi, sigma_u=np.eye(4), intercept=np.zeros(4))
-        m = build_model(fit)
+        m = SvarModel(phi=phi, sigma_u=np.eye(4), intercept=np.zeros(4))
         k = 4 * p
         comp = np.zeros((k, k))
         comp[:4] = np.concatenate(list(phi), axis=1)
@@ -155,7 +152,7 @@ def _rotation_model(r):
     phi[0, 0, 0] = r
     phi[0, 1:3, 1:3] = [[0.0, -r], [r, 0.0]]
     phi[0, 3, 3] = 0.5
-    return build_model(VarFit(phi=phi, sigma_u=np.eye(4), intercept=np.zeros(4)))
+    return SvarModel(phi=phi, sigma_u=np.eye(4), intercept=np.zeros(4))
 
 
 def test_spectral_radius_exact_with_tied_dominant_modes():
@@ -203,12 +200,12 @@ def test_stationary_factor_rejects_models_without_a_stationary_distribution():
 _START_DIGESTS = """
 import hashlib
 import numpy as np
-from stochsyn.svar import VarFit, build_model, generate, stationary_factor
+from stochsyn.svar import SvarModel, generate, stationary_factor
 rng = np.random.default_rng(31)
 phi = rng.uniform(-0.25, 0.25, (100, 4, 4)) / 100
 phi[0] += 0.9 * np.eye(4)
 g = rng.standard_normal((4, 4))
-model = build_model(VarFit(phi=phi, sigma_u=g @ g.T + np.eye(4), intercept=np.zeros(4)))
+model = SvarModel(phi=phi, sigma_u=g @ g.T + np.eye(4), intercept=np.zeros(4))
 print(hashlib.sha256(stationary_factor(model).tobytes()).hexdigest())
 print(hashlib.sha256(generate(model, 50, seed=3).tobytes()).hexdigest())
 """
@@ -236,7 +233,8 @@ def test_generate_empty():
 def _reference_generate(model, n, seed):
     """Ring-buffer generator: the first p cycles are one stationary draw,
     pushed oldest first; after that the lags are gathered newest first from a
-    cursor buffer, stepped, and pushed back, one cycle at a time."""
+    cursor buffer, stepped with that cycle's own innovation, and pushed
+    back, one cycle at a time."""
     p = model.p
     eps = np.random.default_rng(seed).standard_normal((p + n, 4))
     start = np.einsum("ik,k->i", stationary_factor(model), eps[:p].ravel())  # newest first
@@ -248,7 +246,8 @@ def _reference_generate(model, n, seed):
             x = start[4 * (p - 1 - j) : 4 * (p - j)]
         else:
             lags = data[(cursor - 1 - np.arange(p)) % p]
-            x = np.einsum("pij,pj->i", model.phi, lags) + model.chol_u @ eps[j]
+            noise = mix_lower_triangular(eps[j][:, None], model.chol_u)
+            x = step(lags.reshape(1, -1), model.lag_weights(), noise)[0]
         data[cursor] = x
         cursor = (cursor + 1) % p
         if j >= p:
@@ -259,8 +258,8 @@ def _reference_generate(model, n, seed):
 def test_generate_matches_ring_buffer_reference_bit_exact():
     rng = np.random.default_rng(29)
     g = rng.standard_normal((4, 4))
-    dense = build_model(VarFit(phi=rng.uniform(-0.25, 0.25, (100, 4, 4)) / 100,
-                               sigma_u=g @ g.T + np.eye(4), intercept=np.zeros(4)))
+    dense = SvarModel(phi=rng.uniform(-0.25, 0.25, (100, 4, 4)) / 100,
+                      sigma_u=g @ g.T + np.eye(4), intercept=np.zeros(4))
     assert np.all(dense.phi != 0.0)
     for m in (reference_svar(1), reference_svar(2), reference_svar(10), dense):
         for n in (0, 257):
@@ -298,18 +297,22 @@ def test_generate_mean_reversion_long_run():
 
 def test_model_structure_validation():
     eye = np.eye(4)
-    zeros = np.zeros((1, 4, 4))
-    bad_a = eye.copy()
-    bad_a[0, 1] = 0.2  # above the diagonal
-    with pytest.raises(ValueError):
-        SvarModel(p=1, a=bad_a, b=eye, c=zeros, phi=zeros, sigma_u=eye,
-                  chol_u=eye, intercept=np.zeros(4))
-    with pytest.raises(ValueError):
-        SvarModel(p=1, a=eye, b=-eye, c=zeros, phi=zeros, sigma_u=eye,
-                  chol_u=eye, intercept=np.zeros(4))
-    with pytest.raises(ValueError):
-        SvarModel(p=0, a=eye, b=eye, c=np.zeros((0, 4, 4)), phi=np.zeros((0, 4, 4)),
-                  sigma_u=eye, chol_u=eye, intercept=np.zeros(4))
+    asymmetric = eye.copy()
+    asymmetric[0, 1] = 0.2  # the Cholesky factor reads only the lower triangle
+    for phi, sigma_u in ((np.zeros((1, 4, 4)), asymmetric),
+                         (np.zeros((1, 4, 4)), -eye),
+                         (np.zeros((0, 4, 4)), eye)):
+        with pytest.raises(ValueError):
+            SvarModel(phi=phi, sigma_u=sigma_u, intercept=np.zeros(4))
+
+
+def test_structural_form_derived_from_reduced_form():
+    m = reference_svar(3)
+    assert m.p == 3
+    assert np.array_equal(np.triu(m.a, 1), np.zeros((4, 4))) and np.all(np.diag(m.a) == 1.0)
+    assert np.array_equal(m.b, np.diag(np.diag(m.b))) and np.all(np.diag(m.b) > 0.0)
+    assert np.max(np.abs(np.linalg.solve(m.a, m.b) - m.chol_u)) < 1e-12
+    assert np.max(np.abs(np.einsum("ij,pjk->pik", m.a, m.phi) - m.c)) < 1e-15
 
 
 def test_fit_svar_identification_identity(source_normalized):
