@@ -44,9 +44,7 @@ from scipy.constants import e as ELECTRON_CHARGE
 from scipy.constants import k as BOLTZMANN
 
 from . import streams
-# eval_poly is not called here; it stays importable as `array.eval_poly`,
-# which perfbench's layer tracer wraps by that name
-from .conduction import as_float, eval_poly  # noqa: F401
+from .conduction import as_float, eval_poly
 from .conduction import state_from_resistance, transition_state
 from .svar import mix_lower_triangular, step
 from .transform import inverse_map
@@ -108,6 +106,32 @@ def noise_sigma(i_read, cfg: ReadoutConfig):
         (4.0 * BOLTZMANN * cfg.temperature * cfg.delta_f / abs(cfg.u_read)
          + 2.0 * ELECTRON_CHARGE * cfg.delta_f) * i_abs
     )
+
+
+def float32_problems(conduction, sigma, u_max: float, a: float, readout: ReadoutConfig):
+    """(section, message) for each float32 gate that engine settings fail.
+
+    The device-variability covariance a * sigma must fit; each limiting
+    polynomial's absolute coefficients at the largest voltage applied, which
+    bound every current and Horner partial sum, and the read noise must be
+    finite.  `ParameterBundle.validate` runs this on a file's defaults and
+    `CellArray` on the settings it actually runs with.
+    """
+    problems = []
+    if not a * np.max(np.diag(np.asarray(sigma))) <= FLOAT32_MAX:
+        problems.append(("defaults", "field dtd_scale: dtd_scale (a) * sigma overflows float32"))
+    with np.errstate(all="ignore"):
+        u_top = np.float32(max(1.0, u_max, abs(readout.u_read)))
+        bounds = [eval_poly(np.abs(c), u_top) for c in (conduction.hhrs, conduction.llrs)]
+        i_read = np.float32([conduction.i_hhrs(readout.u_read), conduction.i_llrs(readout.u_read)])
+        noise = noise_sigma(i_read, readout)
+    if not np.all(np.isfinite(bounds)):
+        problems.append(("conduction", f"fields hhrs, llrs: float32 currents overflow below"
+                                       f" {u_top:g} V = max(1, u_max, |u_read|)"))
+    if not np.all(np.isfinite(noise)):
+        problems.append(("defaults",
+                         "fields u_read, delta_f, temperature: float32 read noise is not finite"))
+    return problems
 
 
 def quantize(i, cfg: ReadoutConfig):
@@ -183,6 +207,8 @@ class CellArray:
         self.readout = readout or defaults.readout
         self.conduction = bundle.conduction
         self.gamma = bundle.gamma
+        self.sigma = bundle.sigma
+        self._check_float32(self.readout)
 
         # float32 working copies of the model; the lag weights are pinned
         # Fortran-ordered, which fixes the einsum's summation order and speed
@@ -206,6 +232,12 @@ class CellArray:
         self._init_cells(bundle)
 
     # -- construction ------------------------------------------------------
+
+    def _check_float32(self, readout: ReadoutConfig) -> None:
+        """`float32_problems` on the settings this array runs with."""
+        for where, what in float32_problems(self.conduction, self.sigma, self.u_max, self.a,
+                                            readout):
+            raise ValueError(f"{where}: {what}")
 
     def _init_cells(self, bundle) -> None:
         if self.a > 0.0:
@@ -413,6 +445,8 @@ class CellArray:
         noise enabled each read consumes one draw from the cell's stream.
         """
         cfg = cfg or self.readout
+        if cfg is not self.readout:
+            self._check_float32(cfg)
         cm = self.conduction
         ih = np.float32(cm.i_hhrs(cfg.u_read))
         il = np.float32(cm.i_llrs(cfg.u_read))

@@ -147,11 +147,12 @@ class ResetCurve:
     """Parabolic transition current, valid on [u_start, u_max].
 
     Satisfies q(u_start) = I_lrs(u_start), q(u_max) = I_next_hrs(u_max) and
-    q'(u_max) = 0.
+    q'(u_max) = 0.  An array ``u_start`` holds one curve per element, with
+    the coefficients stacked along the first axis of ``quad_coeffs``.
     """
 
     quad_coeffs: np.ndarray  # ascending [A, A/V, A/V^2]
-    u_start: float
+    u_start: float | np.ndarray
     u_max: float
 
     def __call__(self, u):
@@ -163,44 +164,95 @@ def build_reset_curve(u_reset, r_lrs, r_hrs_next, u_max, model: ConductionModel)
     the arriving high-resistance point.
 
     The three conditions (two endpoint currents, zero slope at u_max) pin the
-    quadratic as q(u) = i_end + c*(u - u_max)^2.
+    quadratic as q(u) = i_end + c*(u - u_max)^2.  Elementwise over arrays of
+    ``u_reset``, ``r_lrs`` and ``r_hrs_next``; the square is libm's pow, as a
+    scalar ``**`` computes it, so each element gets the bits of a scalar call.
     """
-    if not (0.0 < u_reset < u_max):
-        raise ValueError(f"need 0 < u_reset < u_max, got {u_reset!r}, {u_max!r}")
-    if u_max - u_reset < MIN_CURVE_SPAN:
+    u_arr = np.asarray(u_reset, dtype=np.float64)
+    outside = ~((0.0 < u_arr) & (u_arr < u_max))
+    if outside.any():
+        raise ValueError(f"need 0 < u_reset < u_max, got {u_arr[outside].flat[0]!r}, {u_max!r}")
+    span = np.min(u_max - u_arr, initial=np.inf)
+    if span < MIN_CURVE_SPAN:
         raise ValueError(
-            f"ill-conditioned transition: u_max - u_reset = {u_max - u_reset:g} V"
-            f" < {MIN_CURVE_SPAN:g} V"
+            f"ill-conditioned transition: u_max - u_reset = {span:g} V < {MIN_CURVE_SPAN:g} V"
         )
     i_start = current(r_lrs, u_reset, model)
     i_end = current(r_hrs_next, u_max, model)
-    c = (i_start - i_end) / (u_reset - u_max) ** 2
+    c = (i_start - i_end) / np.float_power(u_reset - u_max, 2)
     coeffs = np.array([i_end + c * u_max**2, -2.0 * c * u_max, c])
-    return ResetCurve(coeffs, float(u_reset), float(u_max))
+    return ResetCurve(coeffs, u_arr.item() if u_arr.ndim == 0 else u_arr, float(u_max))
 
 
 def fit_conduction_poly(u, i, degree, min_linear: float = MIN_LINEAR_COEFF) -> np.ndarray:
     """Least-squares polynomial of ``degree`` with c0 = 0 and c1 >= min_linear.
 
-    The constant term is eliminated from the design matrix; the linear bound
-    is enforced by a single active-set clamp (fix c1, refit the rest), which
-    is always feasible.  Returns ascending coefficients of length degree + 1.
+    One row of `fit_conduction_polys`.  Returns ascending coefficients of
+    length degree + 1.
+    """
+    u = np.asarray(u, dtype=np.float64)
+    if u.size <= degree:
+        raise ValueError(f"need more than {degree} points, got {u.size}")
+    return fit_conduction_polys(u[None, :], np.asarray(i, dtype=np.float64)[None, :],
+                                degree, min_linear)[0]
+
+
+def fit_conduction_polys(u, i, degree, min_linear: float = MIN_LINEAR_COEFF) -> np.ndarray:
+    """`fit_conduction_poly` for every row of a (rows, width) block at once.
+
+    Each row is fit with c0 = 0, so a point at u = i = 0 adds nothing to its
+    fit: windows of different sizes are zero-padded (or zeroed where masked
+    off) to one width.  The linear bound is enforced by a single active-set
+    clamp (fix c1, refit the rest), which is always feasible; only the rows
+    that need it are refit.  Returns (rows, degree + 1) ascending
+    coefficients.
     """
     u = np.asarray(u, dtype=np.float64)
     i = np.asarray(i, dtype=np.float64)
-    if u.size <= degree:
-        raise ValueError(f"need more than {degree} points, got {u.size}")
-    powers = np.arange(1, degree + 1)
-    design = u[:, None] ** powers[None, :]
-    coef, *_ = np.linalg.lstsq(design, i, rcond=None)
-    if coef[0] < min_linear:
-        resid = i - min_linear * u
-        if degree >= 2:
-            rest, *_ = np.linalg.lstsq(design[:, 1:], resid, rcond=None)
-        else:
-            rest = np.empty(0)
-        coef = np.concatenate([[min_linear], rest])
-    return np.concatenate([[0.0], coef])
+    coef = _monomial_lstsq(u, i, 1, degree)
+    low = np.nonzero(coef[:, 0] < min_linear)[0]
+    if low.size:
+        coef[low, 0] = min_linear
+        coef[low, 1:] = _monomial_lstsq(u[low], i[low] - min_linear * u[low], 2, degree)
+    return np.concatenate([np.zeros((u.shape[0], 1)), coef], axis=1)
+
+
+def _monomial_lstsq(u, y, lo: int, hi: int) -> np.ndarray:
+    """Per-row least squares of y on the columns u**lo .. u**hi.
+
+    Solved from the column-scaled normal equations, whose power sums come
+    from powers built by repeated products, with one step of iterative
+    refinement on the residual.  The scaled Gram matrix is inverted through
+    its eigenvalues, dropping those at rounding level, so a rank-deficient
+    row still gets a finite least-squares solution (minimum-norm in the
+    scaled columns).  Returns (rows, hi - lo + 1).
+    """
+    k = hi - lo + 1
+    if k < 1:
+        return np.empty((u.shape[0], 0))
+    powers = np.empty((hi,) + u.shape)
+    powers[0] = u
+    for m in range(1, hi):
+        np.multiply(powers[m - 1], u, out=powers[m])
+    sums = np.empty((u.shape[0], 2 * hi + 1))
+    sums[:, 1 : hi + 1] = powers.sum(axis=2).T
+    for m in range(1, hi + 1):
+        sums[:, hi + m] = np.einsum("rw,rw->r", powers[-1], powers[m - 1])
+    j = np.arange(lo, hi + 1)
+    gram = sums[:, j[:, None] + j[None, :]]
+    scale = np.sqrt(np.diagonal(gram, axis1=1, axis2=2))
+    scale = np.divide(1.0, scale, out=np.zeros_like(scale), where=scale > 0.0)
+    evals, evecs = np.linalg.eigh(gram * scale[:, :, None] * scale[:, None, :])
+    keep = evals > k * np.finfo(np.float64).eps * evals[:, -1:]
+    inv = np.divide(1.0, evals, out=np.zeros_like(evals), where=keep)
+    design = powers[lo - 1 :]
+
+    def solve(target):
+        rhs = np.einsum("jrw,rw->rj", design, target) * scale
+        return np.einsum("rij,rj->ri", evecs, np.einsum("rji,rj->ri", evecs, rhs) * inv) * scale
+
+    coef = solve(y)
+    return coef + solve(y - np.einsum("jrw,rj->rw", design, coef))
 
 
 def fit_limiting_model(

@@ -23,8 +23,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .array import FLOAT32_MAX, ReadoutConfig, noise_sigma
-from .conduction import ConductionModel, eval_poly
+from .array import FLOAT32_MAX, ReadoutConfig, float32_problems
+from .conduction import ConductionModel
 from .svar import SvarModel, spectral_radius
 from .transform import MonotonicityError, NormalizingMap, _check_monotone, inverse_map
 
@@ -85,11 +85,9 @@ class ParameterBundle:
 
     def validate(self) -> None:
         """Cross-checks beyond the member constructors, in float32 where the
-        engine computes in float32: sigma is positive definite and a*sigma
-        fits; γ, monotone on z_range, is finite and positive at its ends;
-        each limiting polynomial's absolute coefficients at the largest
-        voltage applied, which bound every current and Horner partial sum,
-        and the read noise are finite; every model passes the (cached)
+        engine computes in float32: sigma is positive definite; γ, monotone
+        on z_range, is finite and positive at its ends; the defaults pass
+        `array.float32_problems`; every model passes the (cached)
         `svar.stationary_factor` gates, so the bundle can start an array."""
         sigma, gamma, cm, d = np.asarray(self.sigma), self.gamma, self.conduction, self.defaults
 
@@ -100,24 +98,16 @@ class ParameterBundle:
         need(sigma.shape == (4, 4) and np.max(np.abs(sigma - sigma.T)) <= 1e-12
              and np.linalg.eigvalsh(sigma).min() > 0.0,
              "sigma", "field sigma must be a symmetric positive definite 4x4 matrix")
-        need(d.dtd_scale * np.max(np.diag(sigma)) <= FLOAT32_MAX,
-             "defaults", "field dtd_scale: dtd_scale * sigma overflows float32")
         try:
             _check_monotone(gamma.coeffs, gamma.z_range, gamma.feature_names)
         except MonotonicityError as exc:
             need(False, "gamma", f"field coeffs: {exc}")
         with np.errstate(all="ignore"):
             ends = inverse_map(gamma, np.float32(gamma.z_range)[:, None].repeat(4, 1))
-            u_top = np.float32(max(1.0, d.u_max, abs(d.readout.u_read)))
-            bounds = [eval_poly(np.abs(c), u_top) for c in (cm.hhrs, cm.llrs)]
-            i_read = np.float32([cm.i_hhrs(d.readout.u_read), cm.i_llrs(d.readout.u_read)])
-            noise = noise_sigma(i_read, d.readout)
         need(np.all((ends > 0.0) & np.isfinite(ends)), "gamma", f"field coeffs: float32"
              f" realization at the z_range ends is not finite and positive: {ends.tolist()}")
-        need(np.all(np.isfinite(bounds)), "conduction",
-             f"fields hhrs, llrs: float32 currents overflow below {u_top:g} V")
-        need(np.all(np.isfinite(noise)), "defaults",
-             "fields u_read, delta_f, temperature: float32 read noise is not finite")
+        for where, what in float32_problems(cm, sigma, d.u_max, d.dtd_scale, d.readout):
+            need(False, where, what)
         for p, model in self.svar.items():
             need(p == model.p, "svar", f"model order mismatch: key {p} vs model {model.p}")
             try:

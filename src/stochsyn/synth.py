@@ -18,13 +18,15 @@ import numpy as np
 from scipy.linalg import solve_discrete_lyapunov
 
 from . import waveform
-from .conduction import ConductionModel, build_reset_curve, current, state_from_resistance
+from .conduction import (ConductionModel, build_reset_curve, current, eval_poly,
+                         state_from_resistance)
 from .paramfile import ParameterBundle, SimDefaults, save
 from .svar import SvarModel, generate
 from .transform import NormalizingMap, inverse_map
 from .waveform import RawTrace
 
 REFERENCE_ORDERS = (1, 10, 100)
+RENDER_BLOCK = 512               # cycles per block of `reconstruct_trace`
 
 
 def reference_conduction() -> ConductionModel:
@@ -110,7 +112,8 @@ def reconstruct_trace(features: np.ndarray, conduction: ConductionModel,
     switching threshold, the low-resistance branch through the bottom and up
     to u_r, then the parabolic transition to the next cycle's
     high-resistance point at the apex.  Additive normal noise lands on the
-    current channel only.
+    current channel only.  Cycles are rendered as the rows of one
+    (cycles, samples_per_cycle) evaluation, RENDER_BLOCK rows at a time.
     """
     x = np.asarray(features, dtype=np.float64)
     n_cycles = x.shape[0]
@@ -122,23 +125,24 @@ def reconstruct_trace(features: np.ndarray, conduction: ConductionModel,
     u_cycle = np.interp(k, [0, half, pp], [u_max, -u_max, u_max])
     down = k <= half
 
+    # per-cycle columns; the last cycle ends on its own high-resistance state
+    r_h, u_s, r_l, u_r = (x[:, col, None] for col in range(4))
+    r_h_next = np.append(x[1:, 0], x[-1, 0])[:, None]
+    s_h = state_from_resistance(r_h, conduction)
+    s_l = state_from_resistance(r_l, conduction)
+    curve = build_reset_curve(u_r, s_l, state_from_resistance(r_h_next, conduction),
+                              u_max, conduction).quad_coeffs
     u = np.tile(u_cycle, n_cycles)
-    i = np.empty(n_cycles * pp, dtype=np.float64)
-    for n in range(n_cycles):
-        r_h, u_s, r_l, u_r = x[n]
-        r_h_next = x[n + 1, 0] if n + 1 < n_cycles else r_h
-        s_h = state_from_resistance(r_h, conduction)
-        s_l = state_from_resistance(r_l, conduction)
-        s_hn = state_from_resistance(r_h_next, conduction)
-        curve = build_reset_curve(u_r, s_l, s_hn, u_max, conduction)
-        cyc = np.where(
+    i = np.empty((n_cycles, pp), dtype=np.float64)
+    for lo in range(0, n_cycles, RENDER_BLOCK):
+        rows = slice(lo, lo + RENDER_BLOCK)
+        i_lrs = current(s_l[rows], u_cycle, conduction)
+        i[rows] = np.where(
             down,
-            np.where(u_cycle > -u_s, current(s_h, u_cycle, conduction),
-                     current(s_l, u_cycle, conduction)),
-            np.where(u_cycle <= u_r, current(s_l, u_cycle, conduction),
-                     curve(u_cycle)),
+            np.where(u_cycle > -u_s[rows], current(s_h[rows], u_cycle, conduction), i_lrs),
+            np.where(u_cycle <= u_r[rows], i_lrs, eval_poly(curve[:, rows], u_cycle)),
         )
-        i[n * pp : (n + 1) * pp] = cyc
+    i = i.ravel()
     if noise_sigma > 0:
         i += np.random.default_rng(seed).normal(0.0, noise_sigma, i.size)
     return RawTrace(u=u, i=i, samples_per_cycle=pp)

@@ -7,16 +7,18 @@ transitions, smooths the current with an adaptive moving average that
 narrows around those transitions, and reduces each cycle to the four-feature
 vector (r_h, u_s, r_l, u_r): high-resistance value, switching threshold
 magnitude, low-resistance value, and the voltage where the gradual
-positive-polarity transition begins.
+positive-polarity transition begins.  Every step runs as array operations
+over a block of cycles at once, one cycle per row of a padded view; the
+per-cycle functions are one-row calls of the same kernels.
 """
 
 import struct
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.signal import find_peaks, peak_prominences
+from numpy.lib.stride_tricks import sliding_window_view
 
-from .conduction import eval_poly, fit_conduction_poly
+from .conduction import eval_poly, fit_conduction_polys
 
 FEATURE_NAMES = ("r_h", "u_s", "r_l", "u_r")
 FEATURES_HEADER = "cycle,r_h,u_s,r_l,u_r"
@@ -27,6 +29,9 @@ RESET_MIN_PROMINENCE = 5e-6      # peak prominence floor for the gradual one [A]
 SMOOTH_WINDOW_MAX = 25           # samples, far from any abrupt transition
 SMOOTH_WINDOW_MIN = 3            # samples, at a detected transition
 SMOOTH_RAMP_SPAN = 25            # samples over which the window recovers
+SMOOTH_BLOCK = 1 << 16           # samples per moving-average block
+CYCLE_BLOCK = 256                # cycles per batch of the extraction kernels
+PEAK_WALK_BLOCK = 32             # samples per pass of the prominence base search
 
 HRS_FIT_DEGREE = 5
 HRS_FIT_MARGIN = 0.1             # start the window this far above the (signed) threshold [V]
@@ -147,33 +152,42 @@ def smoothing_half_widths(n: int, set_locations) -> np.ndarray:
 
     Far from any flagged location the window is SMOOTH_WINDOW_MAX samples
     wide; it ramps down linearly to SMOOTH_WINDOW_MIN at the locations over
-    a +-SMOOTH_RAMP_SPAN span.
+    a +-SMOOTH_RAMP_SPAN span.  The ramp only grows with distance, so each
+    sample takes the smallest ramp value any location writes onto it.
     """
     h_max = (SMOOTH_WINDOW_MAX - 1) // 2
     h_min = (SMOOTH_WINDOW_MIN - 1) // 2
-    locs = np.sort(np.asarray(set_locations, dtype=np.int64))
-    if locs.size == 0:
-        return np.full(n, h_max, dtype=np.int64)
-    pos = np.arange(n)
-    right = np.searchsorted(locs, pos)
-    d_next = np.where(right < locs.size, locs[np.minimum(right, locs.size - 1)] - pos, n)
-    d_prev = np.where(right > 0, pos - locs[np.maximum(right - 1, 0)], n)
-    dist = np.minimum(np.abs(d_next), np.abs(d_prev))
-    frac = np.minimum(dist, SMOOTH_RAMP_SPAN) / SMOOTH_RAMP_SPAN
-    return np.rint(h_min + (h_max - h_min) * frac).astype(np.int64)
+    h = np.full(n, h_max, dtype=np.int64)
+    locs = np.asarray(set_locations, dtype=np.int64)
+    if locs.size:
+        offsets = np.arange(-SMOOTH_RAMP_SPAN, SMOOTH_RAMP_SPAN + 1)
+        frac = np.abs(offsets) / SMOOTH_RAMP_SPAN
+        ramp = np.rint(h_min + (h_max - h_min) * frac).astype(np.int64)
+        pos = (locs[:, None] + offsets).ravel()
+        inside = (pos >= 0) & (pos < n)
+        np.minimum.at(h, pos[inside], np.tile(ramp, locs.size)[inside])
+    return h
 
 
 def smooth_adaptive(trace: RawTrace, set_locations) -> RawTrace:
-    """Adaptive moving average on the current channel; voltage untouched."""
+    """Adaptive moving average on the current channel; voltage untouched.
+
+    Every window sum is a difference of one global cumulative sum, taken in
+    fixed blocks of samples so the temporaries stay small."""
     n = len(trace)
-    if any(not (0 <= k < n) for k in np.asarray(set_locations, dtype=np.int64)):
+    locs = np.asarray(set_locations, dtype=np.int64)
+    if locs.size and (locs.min() < 0 or locs.max() >= n):
         raise ValueError("set locations out of range")
-    h = smoothing_half_widths(n, set_locations)
-    pos = np.arange(n)
-    lo = np.maximum(pos - h, 0)
-    hi = np.minimum(pos + h, n - 1)
-    cs = np.concatenate([[0.0], np.cumsum(trace.i, dtype=np.float64)])
-    sm = (cs[hi + 1] - cs[lo]) / (hi + 1 - lo)
+    h = smoothing_half_widths(n, locs)
+    cs = np.zeros(n + 1)
+    np.cumsum(trace.i, out=cs[1:])
+    sm = np.empty(n)
+    for start in range(0, n, SMOOTH_BLOCK):
+        block = slice(start, min(start + SMOOTH_BLOCK, n))
+        pos = np.arange(block.start, block.stop)
+        lo = np.maximum(pos - h[block], 0)
+        hi = np.minimum(pos + h[block], n - 1)
+        sm[block] = (cs[hi + 1] - cs[lo]) / (hi + 1 - lo)
     return RawTrace(u=trace.u, i=sm, samples_per_cycle=trace.samples_per_cycle)
 
 
@@ -191,20 +205,213 @@ def split_cycles(trace: RawTrace):
     n_windows = n // period
     if n_windows < 1:
         return [], (1 if n else 0)
-    apex = np.array([
-        k * period + int(np.argmax(trace.u[k * period : (k + 1) * period]))
-        for k in range(n_windows)
-    ])
-    bounds = [(int(a), int(b)) for a, b in zip(apex[:-1], apex[1:])]
+    windows = trace.u[: n_windows * period].reshape(n_windows, period)
+    apex = (np.argmax(windows, axis=1) + period * np.arange(n_windows)).tolist()
+    bounds = list(zip(apex[:-1], apex[1:]))
     dropped = 0
     if apex[0] > 0:
         dropped += 1
     tail = n - apex[-1]
     if tail >= period - 2:
-        bounds.append((int(apex[-1]), n))
+        bounds.append((apex[-1], n))
     elif tail > 0:
         dropped += 1
     return bounds, dropped
+
+
+# ---------------------------------------------------------------------------
+# batch kernels: every cycle is one row of a padded (cycles, width) view
+
+def _cycle_blocks(boundaries):
+    """(starts, lengths, width) per block of CYCLE_BLOCK cycles.  The width
+    leaves at least one padding column after every cycle."""
+    bounds = np.asarray(boundaries, dtype=np.int64).reshape(-1, 2)
+    lengths = bounds[:, 1] - bounds[:, 0]
+    width = int(lengths.max(initial=0)) + 1
+    for lo in range(0, bounds.shape[0], CYCLE_BLOCK):
+        rows = slice(lo, lo + CYCLE_BLOCK)
+        yield bounds[rows, 0], lengths[rows], width
+
+
+def _rows(x, starts, lengths, width: int, fill) -> np.ndarray:
+    """x[start : start + length] as the rows of a (len(starts), width) array,
+    padded with ``fill``.  Rows are copied from a strided view of x; the few
+    that would run past its end are gathered instead."""
+    last = x.size - width
+    if last >= 0:
+        out = sliding_window_view(x, width)[np.minimum(starts, last)]
+    else:
+        out = np.empty((starts.size, width))
+    cols = np.arange(width)
+    late = np.flatnonzero(starts > last)
+    out[late] = x[np.minimum(starts[late, None] + cols, x.size - 1)]
+    out[cols >= lengths[:, None]] = fill
+    return out
+
+
+def _one_row(u, *currents):
+    """One cycle as a one-row padded view: (lengths, u, *currents), the
+    voltage padded with +inf (which argmin passes over), currents with NaN."""
+    pad = [np.concatenate([np.asarray(x, dtype=np.float64), [fill]])[None, :]
+           for x, fill in zip((u, *currents), (np.inf,) + (np.nan,) * len(currents))]
+    return (np.array([pad[0].shape[1] - 1]), *pad)
+
+
+def _first_crossings(i: np.ndarray, threshold: float):
+    """Per row, the first k with i[k] above (or NaN) and i[k + 1] at or below
+    ``threshold``; -1 where there is none.  NaN padding never crosses."""
+    below = i <= threshold
+    cross = below[:, 1:] & ~below[:, :-1]
+    if cross.shape[1] == 0:
+        return np.full(i.shape[0], -1)
+    return np.where(cross.any(axis=1), cross.argmax(axis=1), -1)
+
+
+def _set_voltages(u, i, threshold: float):
+    """|U| at each row's first threshold crossing, interpolated between the
+    bracketing samples; NaN and a reason where there is no crossing."""
+    k = _first_crossings(i, threshold)
+    r = np.arange(u.shape[0])
+    k0 = np.maximum(k, 0)
+    k1 = np.minimum(k0 + 1, u.shape[1] - 1)
+    i0, i1, u0, u1 = i[r, k0], i[r, k1], u[r, k0], u[r, k1]
+    with np.errstate(all="ignore"):
+        frac = (threshold - i0) / (i1 - i0)
+        u_s = np.abs(u0 + frac * (u1 - u0))
+    missing = k < 0
+    u_s[missing] = np.nan
+    return u_s, _reasons(missing, f"no crossing of {threshold:g} A")
+
+
+def _reasons(failed, message: str) -> np.ndarray:
+    """Per-row exclusion reasons: ``message`` where ``failed``, else None."""
+    out = np.full(failed.size, None, dtype=object)
+    out[failed] = message
+    return out
+
+
+def _first_reason(*steps) -> np.ndarray:
+    """Per row, the reason of the first step that failed (None if none did)."""
+    out = steps[-1].copy()
+    for why in steps[-2::-1]:
+        failed = np.not_equal(why, None)
+        out[failed] = why[failed]
+    return out
+
+
+def _local_maxima(x: np.ndarray) -> np.ndarray:
+    """Indices of the local maxima of a 1-D x by scipy's `find_peaks` rule: a
+    run of equal samples is a peak when both neighbours are lower, placed at
+    the run's midpoint rounded down.  NaN is never equal, lower or a peak, so
+    NaN separators keep segments apart; x must start and end with NaN."""
+    new_run = np.empty(x.size, dtype=bool)
+    new_run[0] = True
+    np.not_equal(x[1:], x[:-1], out=new_run[1:])
+    runs = np.flatnonzero(new_run)
+    start, end = runs[1:-1], runs[2:] - 1
+    top = x[start]
+    peak = (x[start - 1] < top) & (x[end + 1] < top)
+    return (start[peak] + end[peak]) // 2
+
+
+def _base_minima(x: np.ndarray, peaks: np.ndarray, step: int) -> np.ndarray:
+    """Per peak, the minimum over the samples reached walking from it in
+    direction ``step`` while they stay at or below the peak (scipy's
+    `peak_prominences` base search), PEAK_WALK_BLOCK samples per pass.  x must
+    start and end with NaN, which stops every walk."""
+    top = x[peaks]
+    low = top.copy()
+    at = peaks.copy()
+    todo = np.arange(peaks.size)
+    offsets = step * np.arange(1, PEAK_WALK_BLOCK + 1)
+    while todo.size:
+        v = x.take(at[todo, None] + offsets, mode="clip")
+        walk = np.logical_and.accumulate(v <= top[todo, None], axis=1)
+        low[todo] = np.minimum(low[todo], np.where(walk, v, np.inf).min(axis=1))
+        at[todo] += step * PEAK_WALK_BLOCK
+        todo = todo[walk[:, -1]]
+    return low
+
+
+def _reset_voltages(u, i, lengths, turn, min_prominence: float, i_raw=None):
+    """Per row, the voltage of the first peak of prominence >= min_prominence
+    (else the most prominent one) on the increasing, positive-voltage section
+    after the voltage minimum ``turn``, refined on ``i_raw`` when given (see
+    `extract_reset_voltage`).  NaN and a reason where that fails."""
+    n_rows, width = u.shape
+    cols = np.arange(width)
+    inside = cols < lengths[:, None]
+    rising = (cols >= turn[:, None]) & inside & (u > 0.0)
+    has_section = rising.any(axis=1)
+    first = rising.argmax(axis=1)
+    # the sections' column span, each row NaN outside its own section
+    c0 = int(first[has_section].min(initial=width - 1))
+    sec = (cols >= first[:, None]) & inside & has_section[:, None]
+    section = np.where(sec[:, c0:], i[:, c0:], np.nan)
+    flat = np.concatenate([[np.nan], section.ravel()])
+    peaks = _local_maxima(flat)
+    prom = flat[peaks] - np.maximum(_base_minima(flat, peaks, -1), _base_minima(flat, peaks, 1))
+    row, col = np.divmod(peaks - 1, width - c0)
+    col += c0
+    # per row: the first qualifying peak, else the first of the most prominent
+    good = prom >= min_prominence
+    order = np.lexsort((peaks, np.where(good, 0.0, -prom), ~good, row))
+    row, col = row[order], col[order]
+    lead = np.ones(row.size, dtype=bool)
+    lead[1:] = row[1:] != row[:-1]
+    has_peak = np.zeros(n_rows, dtype=bool)
+    has_peak[row[lead]] = True
+    pick = np.zeros(n_rows, dtype=np.int64)
+    pick[row[lead]] = col[lead]
+    if i_raw is not None:
+        h = (SMOOTH_WINDOW_MAX - 1) // 2
+        lo = np.maximum(pick - h, first)
+        hi = np.minimum(pick + h + 1, lengths)
+        near = lo[:, None] + np.arange(2 * h + 1)
+        raw = np.where(near < hi[:, None],
+                       np.take_along_axis(i_raw, np.minimum(near, width - 1), axis=1), -np.inf)
+        pick = lo + raw.argmax(axis=1)
+    u_r = u[np.arange(n_rows), pick]
+    u_r[~has_peak] = np.nan
+    reason = _reasons(~has_peak, "monotone section, no peak")
+    reason[~has_section] = "no positive-voltage section"
+    return u_r, reason
+
+
+def _masked_block(mask, u, i):
+    """(u, i) over the columns any row's mask spans, zero where the mask is
+    off: a zero point adds nothing to a `fit_conduction_polys` row."""
+    span = np.flatnonzero(mask.any(axis=0))
+    cut = slice(span[0], span[-1] + 1) if span.size else slice(0, 1)
+    return np.where(mask[:, cut], u[:, cut], 0.0), np.where(mask[:, cut], i[:, cut], 0.0)
+
+
+def _branch_fits(u, i, turn, u_s, u_r, u0: float):
+    """Constrained fits of both static branches of every row (see
+    `fit_state_polynomials`), the decreasing sweep up to and the increasing
+    sweep from the voltage minimum ``turn``.  Returns r_h, r_l, the point
+    masks of each branch, the coefficients and per-row reasons."""
+    cols = np.arange(u.shape[1])
+    m_h = (cols <= turn[:, None]) & (u >= -u_s[:, None] + HRS_FIT_MARGIN) \
+        & (u <= HRS_FIT_U_MAX) & (i >= HRS_FIT_I_RANGE[0]) & (i <= HRS_FIT_I_RANGE[1])
+    m_l = (cols >= turn[:, None]) & (u >= LRS_FIT_U_MIN) \
+        & (u <= u_r[:, None] - LRS_FIT_MARGIN) & (i >= LRS_FIT_I_RANGE[0]) \
+        & (i <= LRS_FIT_I_RANGE[1])
+    n_h, n_l = m_h.sum(axis=1), m_l.sum(axis=1)
+    fit = (n_h >= MIN_FIT_POINTS) & (n_l >= MIN_FIT_POINTS)
+    hrs = np.full((u.shape[0], HRS_FIT_DEGREE + 1), np.nan)
+    lrs = np.full((u.shape[0], LRS_FIT_DEGREE + 1), np.nan)
+    hrs[fit] = fit_conduction_polys(*_masked_block(m_h[fit], u[fit], i[fit]), HRS_FIT_DEGREE)
+    lrs[fit] = fit_conduction_polys(*_masked_block(m_l[fit], u[fit], i[fit]), LRS_FIT_DEGREE)
+    ih, il = eval_poly(hrs.T, u0), eval_poly(lrs.T, u0)
+    reason = _reasons(fit & ((ih <= 0.0) | (il <= 0.0)),
+                      "fitted branch has non-positive current at u0")
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r_h, r_l = u0 / ih, u0 / il
+    for count, name in ((n_l, "low"), (n_h, "high")):
+        for row in np.flatnonzero(count < MIN_FIT_POINTS):
+            reason[row] = f"only {count[row]} points in {name}-resistance window"
+    return r_h, r_l, m_h, m_l, hrs, lrs, reason
 
 
 def detect_set_locations(trace: RawTrace, threshold: float = SET_CURRENT_THRESHOLD,
@@ -219,36 +426,29 @@ def detect_set_locations(trace: RawTrace, threshold: float = SET_CURRENT_THRESHO
     if boundaries is None:
         boundaries, _ = split_cycles(trace)
     locs = []
-    missing = 0
-    i = trace.i
-    for start, stop in boundaries:
-        seg = i[start:stop]
-        below = seg <= threshold
-        cross = below[1:] & ~below[:-1]
-        idx = np.nonzero(cross)[0]
-        if idx.size:
-            locs.append(start + int(idx[0]) + 1)
-        else:
-            missing += 1
-    return np.array(locs, dtype=np.int64), missing
+    for starts, lengths, width in _cycle_blocks(boundaries):
+        k = _first_crossings(_rows(trace.i, starts, lengths, width, np.nan), threshold)
+        locs.append((starts + k + 1)[k >= 0])
+    locs = np.concatenate(locs) if locs else np.empty(0, dtype=np.int64)
+    return locs, len(boundaries) - locs.size
 
 
 # ---------------------------------------------------------------------------
-# per-cycle extraction
+# per-cycle extraction: one-row calls of the batch kernels
+
+def _raise_reason(reason) -> None:
+    if reason[0] is not None:
+        raise ExtractionError(reason[0])
+
 
 def extract_set_voltage(u: np.ndarray, i: np.ndarray,
                         threshold: float = SET_CURRENT_THRESHOLD) -> float:
     """|U| at the first crossing of the threshold current, linearly
     interpolated between the bracketing samples."""
-    below = i <= threshold
-    cross = np.nonzero(below[1:] & ~below[:-1])[0]
-    if cross.size == 0:
-        raise ExtractionError(f"no crossing of {threshold:g} A")
-    k = int(cross[0])
-    i0, i1 = i[k], i[k + 1]
-    u0, u1 = u[k], u[k + 1]
-    frac = (threshold - i0) / (i1 - i0)
-    return float(abs(u0 + frac * (u1 - u0)))
+    _, u2, i2 = _one_row(u, i)
+    u_s, reason = _set_voltages(u2, i2, threshold)
+    _raise_reason(reason)
+    return float(u_s[0])
 
 
 def extract_reset_voltage(u: np.ndarray, i: np.ndarray,
@@ -266,28 +466,12 @@ def extract_reset_voltage(u: np.ndarray, i: np.ndarray,
     average locates the peak robustly but displaces an asymmetric peak
     toward its shallower flank.
     """
-    rise_start = int(np.argmin(u))
-    u_rise = u[rise_start:]
-    i_rise = i[rise_start:]
-    pos = u_rise > 0.0
-    if not pos.any():
-        raise ExtractionError("no positive-voltage section")
-    first = int(np.argmax(pos))
-    u_sec = u_rise[first:]
-    i_sec = i_rise[first:]
-    peaks, _ = find_peaks(i_sec)
-    if peaks.size == 0:
-        raise ExtractionError("monotone section, no peak")
-    prom = peak_prominences(i_sec, peaks)[0]
-    good = np.nonzero(prom >= min_prominence)[0]
-    pick = int(peaks[good[0]] if good.size else peaks[int(np.argmax(prom))])
-    if i_raw is not None:
-        raw_sec = i_raw[rise_start:][first:]
-        h = (SMOOTH_WINDOW_MAX - 1) // 2
-        lo = max(pick - h, 0)
-        hi = min(pick + h + 1, raw_sec.size)
-        pick = lo + int(np.argmax(raw_sec[lo:hi]))
-    return float(u_sec[pick])
+    arrays = (u, i) if i_raw is None else (u, i, i_raw)
+    n, u2, i2, *raw2 = _one_row(*arrays)
+    u_r, reason = _reset_voltages(u2, i2, n, np.argmin(u2, axis=1), min_prominence,
+                                  raw2[0] if raw2 else None)
+    _raise_reason(reason)
+    return float(u_r[0])
 
 
 @dataclass
@@ -311,29 +495,22 @@ def fit_state_polynomials(u: np.ndarray, i: np.ndarray, u_s: float, u_r: float,
     LRS_FIT_MARGIN below u_r, restricted to LRS_FIT_I_RANGE.  Resistance
     values are the static resistances of the fits at u0.
     """
-    turn = int(np.argmin(u))
-    u_dn, i_dn = u[: turn + 1], i[: turn + 1]
-    u_up, i_up = u[turn:], i[turn:]
-
-    m_h = (u_dn >= -u_s + HRS_FIT_MARGIN) & (u_dn <= HRS_FIT_U_MAX) \
-        & (i_dn >= HRS_FIT_I_RANGE[0]) & (i_dn <= HRS_FIT_I_RANGE[1])
-    if m_h.sum() < MIN_FIT_POINTS:
-        raise ExtractionError(f"only {int(m_h.sum())} points in high-resistance window")
-    m_l = (u_up >= LRS_FIT_U_MIN) & (u_up <= u_r - LRS_FIT_MARGIN) \
-        & (i_up >= LRS_FIT_I_RANGE[0]) & (i_up <= LRS_FIT_I_RANGE[1])
-    if m_l.sum() < MIN_FIT_POINTS:
-        raise ExtractionError(f"only {int(m_l.sum())} points in low-resistance window")
-
-    hrs = fit_conduction_poly(u_dn[m_h], i_dn[m_h], HRS_FIT_DEGREE)
-    lrs = fit_conduction_poly(u_up[m_l], i_up[m_l], LRS_FIT_DEGREE)
-    ih, il = eval_poly(hrs, u0), eval_poly(lrs, u0)
-    if ih <= 0.0 or il <= 0.0:
-        raise ExtractionError("fitted branch has non-positive current at u0")
+    _, u2, i2 = _one_row(u, i)
+    r_h, r_l, m_h, m_l, hrs, lrs, reason = _branch_fits(
+        u2, i2, np.argmin(u2, axis=1), np.array([u_s], float), np.array([u_r], float), u0)
+    _raise_reason(reason)
     return StatePolyFit(
-        r_h=u0 / ih, r_l=u0 / il, hrs_coeffs=hrs, lrs_coeffs=lrs,
-        hrs_window=(u_dn[m_h].copy(), i_dn[m_h].copy()),
-        lrs_window=(u_up[m_l].copy(), i_up[m_l].copy()),
+        r_h=float(r_h[0]), r_l=float(r_l[0]), hrs_coeffs=hrs[0], lrs_coeffs=lrs[0],
+        hrs_window=(u2[0, m_h[0]], i2[0, m_h[0]]), lrs_window=(u2[0, m_l[0]], i2[0, m_l[0]]),
     )
+
+
+def _windows(mask, u, i) -> list:
+    """Per row, the (u, i) points under its mask."""
+    if mask.shape[0] == 0:
+        return []      # np.split would still return one empty piece
+    cut = np.cumsum(mask.sum(axis=1))[:-1]
+    return list(zip(np.split(u[mask], cut), np.split(i[mask], cut)))
 
 
 def extract_features(trace: RawTrace, smoothing: bool = True,
@@ -342,8 +519,10 @@ def extract_features(trace: RawTrace, smoothing: bool = True,
                      u0: float = 0.2, collect_windows: bool = False) -> ExtractionResult:
     """Reduce a whole trace to the per-cycle feature series.
 
-    Cycles failing any step are excluded (with a reason) rather than imputed;
-    more than 50% exclusions is an error, as is a trace with no full cycle.
+    Cycles run through the batch kernels CYCLE_BLOCK at a time.  Cycles
+    failing any step are excluded (with the reason of the first failing
+    step) rather than imputed; more than 50% exclusions is an error, as is a
+    trace with no full cycle.
     """
     if len(trace) == 0:
         raise ExtractionError("empty trace")
@@ -353,35 +532,34 @@ def extract_features(trace: RawTrace, smoothing: bool = True,
     set_locs, set_missing = detect_set_locations(trace, set_threshold, boundaries)
     work = smooth_adaptive(trace, set_locs) if smoothing else trace
 
-    rows = []
-    kept = []
-    exclusions = []
+    features, reasons = [], []
     hrs_windows = [] if collect_windows else None
     lrs_windows = [] if collect_windows else None
-    for n, (start, stop) in enumerate(boundaries):
-        u = work.u[start:stop]
-        i = work.i[start:stop]
-        i_raw = trace.i[start:stop] if smoothing else None
-        try:
-            u_s = extract_set_voltage(u, i, set_threshold)
-            u_r = extract_reset_voltage(u, i, min_prominence, i_raw=i_raw)
-            sfit = fit_state_polynomials(u, i, u_s, u_r, u0)
-        except ExtractionError as exc:
-            exclusions.append((n, str(exc)))
-            continue
-        rows.append((sfit.r_h, u_s, sfit.r_l, u_r))
-        kept.append(n)
+    for starts, lengths, width in _cycle_blocks(boundaries):
+        u = _rows(work.u, starts, lengths, width, np.inf)
+        i = _rows(work.i, starts, lengths, width, np.nan)
+        i_raw = _rows(trace.i, starts, lengths, width, np.nan) if smoothing else None
+        turn = np.argmin(u, axis=1)
+        u_s, why_s = _set_voltages(u, i, set_threshold)
+        u_r, why_r = _reset_voltages(u, i, lengths, turn, min_prominence, i_raw)
+        r_h, r_l, m_h, m_l, _, _, why_f = _branch_fits(u, i, turn, u_s, u_r, u0)
+        reason = _first_reason(why_s, why_r, why_f)
+        features.append(np.column_stack([r_h, u_s, r_l, u_r]))
+        reasons.append(reason)
         if collect_windows:
-            hrs_windows.append(sfit.hrs_window)
-            lrs_windows.append(sfit.lrs_window)
+            kept = np.flatnonzero(np.equal(reason, None))
+            hrs_windows += _windows(m_h[kept], u[kept], i[kept])
+            lrs_windows += _windows(m_l[kept], u[kept], i[kept])
 
+    reasons = np.concatenate(reasons)
+    kept = np.flatnonzero(np.equal(reasons, None))
+    exclusions = [(int(n), reasons[n]) for n in np.flatnonzero(np.not_equal(reasons, None))]
     if len(exclusions) > 0.5 * len(boundaries):
         raise ExtractionError(
             f"{len(exclusions)} of {len(boundaries)} cycles failed extraction"
         )
-    features = np.array(rows, dtype=np.float64).reshape(-1, 4)
     return ExtractionResult(
-        features=features, cycles=np.asarray(kept, dtype=int),
+        features=np.concatenate(features)[kept], cycles=kept,
         exclusions=exclusions, n_cycles=len(boundaries), set_missing=set_missing,
         boundaries=boundaries, hrs_windows=hrs_windows, lrs_windows=lrs_windows,
     )

@@ -356,6 +356,20 @@ def test_readout_config_rejects_negative_temperature_and_float32_overflow():
             ReadoutConfig(**window)
 
 
+def test_array_gates_its_effective_settings(ref_bundle):
+    # the bundle's own defaults pass its load gates; settings given to the
+    # array go through the same float32 checks
+    with pytest.raises(ValueError, match="u_read"):
+        init_array(ref_bundle, m=8, readout=ReadoutConfig(u_read=1e20))
+    with pytest.raises(ValueError, match="dtd_scale"):
+        init_array(ref_bundle, m=8, a=1e300)
+    with pytest.raises(ValueError, match="u_max"):
+        init_array(ref_bundle, m=8, u_max=1e39)
+    arr = init_array(ref_bundle, m=8)
+    with pytest.raises(ValueError, match="u_read"):
+        arr.read_all(ReadoutConfig(u_read=1e20))
+
+
 def test_readout_config_validation():
     with pytest.raises(ValueError):
         ReadoutConfig(i_min=1e-6, i_max=1e-6)

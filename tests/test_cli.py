@@ -215,6 +215,28 @@ def test_sim_hostile_script_row_fails_naming_the_line(corpus, tmp_path, capsys, 
     assert f"{script}.csv line 3" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags, field", [
+    (["--u-read", "1e20"], "u_read"),   # conduction polynomials overflow float32 there
+    (["-a", "1e300"], "dtd_scale"),     # a * sigma overflows float32
+])
+def test_sim_overrides_fail_the_float32_gates(corpus, tmp_path, capsys, flags, field):
+    # unchecked, these overrides reach the engine: NaN reads, out-of-range
+    # ADC codes and an IndexError in the readout writer
+    rc = main(["sim", str(corpus / "params.ssyn"), "-m", "16", "--seed", "1",
+               "--preset", "multilevel", "--cycles", "2", *flags,
+               "--readout-out", str(tmp_path / "ro.csv"),
+               "--state-out", str(tmp_path / "st.csv")])
+    assert rc == 1
+    assert field in capsys.readouterr().err
+
+
+def test_bench_scale_fails_the_float32_gate(corpus, tmp_path, capsys):
+    rc = main(["bench", str(corpus / "params.ssyn"), "-m", "16", "--seed", "1",
+               "-a", "1e300", "-o", str(tmp_path / "bench.csv")])
+    assert rc == 1
+    assert "dtd_scale" in capsys.readouterr().err
+
+
 def test_bench_csv_schema(corpus, tmp_path):
     out = tmp_path / "bench.csv"
     rc = main(["bench", str(corpus / "params.ssyn"), "-m", "4096", "--seed", "6",

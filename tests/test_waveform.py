@@ -1,10 +1,27 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from stochsyn import synth
-from stochsyn.conduction import fit_limiting_model
+from stochsyn.conduction import (
+    MIN_LINEAR_COEFF,
+    build_reset_curve,
+    current,
+    fit_conduction_polys,
+    fit_limiting_model,
+    state_from_resistance,
+)
 from stochsyn.stats import wasserstein1
 from stochsyn.waveform import (
+    HRS_FIT_DEGREE,
+    HRS_FIT_MARGIN,
+    HRS_FIT_U_MAX,
+    LRS_FIT_DEGREE,
+    LRS_FIT_MARGIN,
+    LRS_FIT_U_MIN,
+    CYCLE_BLOCK,
+    MIN_FIT_POINTS,
     ExtractionError,
     RawTrace,
     detect_set_locations,
@@ -60,6 +77,22 @@ def test_smoothing_preserves_flagged_step():
     slope_u = uniform[201] - uniform[199]
     assert slope_a > 3 * slope_u
     assert slope_a > 0.6
+
+
+def test_smoothing_peak_memory_per_sample():
+    # one global cumulative sum, evaluated in fixed blocks: about 24 B per
+    # sample (half-widths, cumulative sum, output) where the whole-trace
+    # index arithmetic took about 61
+    u = triangle_u(960)
+    trace = RawTrace(u=u, i=np.random.default_rng(3).normal(0.0, 1e-6, u.size))
+    locs = np.arange(600, u.size, 1042)
+    tracemalloc.start()
+    try:
+        smooth_adaptive(trace, locs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 32 * u.size
 
 
 def test_smoothing_rejects_out_of_range_locations():
@@ -202,6 +235,27 @@ def test_prominence_matches_brute_force():
         assert np.allclose(fast, _brute_prominences(x, peaks), rtol=1e-12)
 
 
+def test_reset_voltage_matches_scipy_peak_rule():
+    # random walks rounded to 1 uA steps: many plateaus, and peaks on both
+    # sides of the prominence floor
+    from scipy.signal import find_peaks, peak_prominences
+    rng = np.random.default_rng(5)
+    u = np.linspace(-1.5, 1.5, 301)
+    for _ in range(200):
+        i = np.round(np.cumsum(rng.normal(size=u.size)) * 2.0) * 1e-6
+        floor = rng.uniform(1e-6, 2e-5)
+        sec = i[u > 0.0]
+        peaks, _ = find_peaks(sec)
+        if peaks.size == 0:
+            with pytest.raises(ExtractionError, match="monotone"):
+                extract_reset_voltage(u, i, floor)
+            continue
+        prom = peak_prominences(sec, peaks)[0]
+        good = np.nonzero(prom >= floor)[0]
+        pick = peaks[good[0]] if good.size else peaks[np.argmax(prom)]
+        assert extract_reset_voltage(u, i, floor) == u[u > 0.0][pick]
+
+
 def test_state_fit_ohmic_exact():
     period = 1042
     u = triangle_u(1, period=period)
@@ -235,6 +289,142 @@ def test_state_fit_insufficient_points():
     u = np.linspace(1.5, -1.5, 40)
     with pytest.raises(ExtractionError):
         fit_state_polynomials(u, np.zeros(40), u_s=0.85, u_r=0.72)
+
+
+# -- batch branch fits against np.linalg.lstsq -------------------------------------
+
+def _lstsq_reference(u, i, degree):
+    """One window's constrained fit as per-window np.linalg.lstsq solves it."""
+    design = u[:, None] ** np.arange(1, degree + 1)
+    coef = np.linalg.lstsq(design, i, rcond=None)[0]
+    if coef[0] < MIN_LINEAR_COEFF:
+        rest = np.linalg.lstsq(design[:, 1:], i - MIN_LINEAR_COEFF * u, rcond=None)[0]
+        coef = np.concatenate([[MIN_LINEAR_COEFF], rest])
+    return np.concatenate([[0.0], coef])
+
+
+def _assert_fits_match_lstsq(windows, degree, u0=0.2, rel=1e-10):
+    """The batch kernel on zero-padded windows against the per-window
+    reference: coefficients relative to each row's largest, and u0 / I(u0)."""
+    width = max(u.size for u, _ in windows)
+    u_pad, i_pad = np.zeros((len(windows), width)), np.zeros((len(windows), width))
+    for row, (u, i) in enumerate(windows):
+        u_pad[row, : u.size], i_pad[row, : i.size] = u, i
+    got = fit_conduction_polys(u_pad, i_pad, degree)
+    want = np.array([_lstsq_reference(u, i, degree) for u, i in windows])
+    assert np.all(np.abs(got - want) <= rel * np.abs(want).max(axis=1, keepdims=True))
+    r_want = u0 / np.polynomial.polynomial.polyval(u0, want.T)
+    r_got = u0 / np.polynomial.polynomial.polyval(u0, got.T)
+    assert np.all(np.abs(r_got / r_want - 1.0) <= rel)
+    return want, r_want
+
+
+def test_branch_fits_match_lstsq_on_synthetic_trace(ref_bundle):
+    n = 10_000
+    feats = synth.sample_features(ref_bundle, n + 1, seed=77)
+    trace = synth.reconstruct_trace(feats, ref_bundle.conduction, seed=78)
+    keep = n * trace.samples_per_cycle
+    result = extract_features(RawTrace(u=trace.u[:keep], i=trace.i[:keep]),
+                              collect_windows=True)
+    _, r_h = _assert_fits_match_lstsq(result.hrs_windows, HRS_FIT_DEGREE)
+    _, r_l = _assert_fits_match_lstsq(result.lrs_windows, LRS_FIT_DEGREE)
+    assert np.all(np.abs(result.features[:, 0] / r_h - 1.0) <= 1e-10)
+    assert np.all(np.abs(result.features[:, 2] / r_l - 1.0) <= 1e-10)
+
+
+def test_branch_fits_match_lstsq_clamped_and_narrowest_windows(ref_bundle):
+    rng = np.random.default_rng(8)
+    cm = ref_bundle.conduction
+    # negative unconstrained slope: c1 is clamped and the rest refit
+    u = np.linspace(HRS_FIT_MARGIN, HRS_FIT_U_MAX, 60)
+    clamped = [(u, (-1e-6 * u + 2e-6 * u**3) * (1.0 + 0.01 * rng.standard_normal(u.size)))
+               for _ in range(20)]
+    for degree in (HRS_FIT_DEGREE, LRS_FIT_DEGREE):
+        want, _ = _assert_fits_match_lstsq(clamped, degree)
+        assert np.all(want[:, 1] == MIN_LINEAR_COEFF)
+    # MIN_FIT_POINTS points over the narrowest spans the masks admit: the
+    # high-resistance window at u_s -> 0, the low-resistance one at u_r -> 0
+    for lo, hi, degree, res in ((HRS_FIT_MARGIN, HRS_FIT_U_MAX, HRS_FIT_DEGREE, 166e3),
+                                (LRS_FIT_U_MIN, -LRS_FIT_MARGIN, LRS_FIT_DEGREE, 8.2e3)):
+        u = np.linspace(lo, hi, MIN_FIT_POINTS)
+        i = current(state_from_resistance(res, cm), u, cm)
+        _assert_fits_match_lstsq(
+            [(u, i * (1.0 + 0.05 * rng.standard_normal(u.size))) for _ in range(50)], degree)
+
+
+# -- synthetic traces and exclusions -----------------------------------------------
+
+def test_reconstruct_trace_matches_per_cycle_loop(ref_bundle):
+    feats = synth.sample_features(ref_bundle, 1100, seed=21)
+    cm, u_max, pp = ref_bundle.conduction, 1.5, 1042
+    k = np.arange(pp)
+    u_cycle = np.interp(k, [0, pp // 2, pp], [u_max, -u_max, u_max])
+    down = k <= pp // 2
+    want = []
+    for n, (r_h, u_s, r_l, u_r) in enumerate(feats):
+        r_next = feats[n + 1, 0] if n + 1 < len(feats) else r_h
+        s_h, s_l, s_n = (state_from_resistance(r, cm) for r in (r_h, r_l, r_next))
+        curve = build_reset_curve(u_r, s_l, s_n, u_max, cm)
+        want.append(np.where(
+            down,
+            np.where(u_cycle > -u_s, current(s_h, u_cycle, cm), current(s_l, u_cycle, cm)),
+            np.where(u_cycle <= u_r, current(s_l, u_cycle, cm), curve(u_cycle)),
+        ))
+    trace = synth.reconstruct_trace(feats, cm, u_max=u_max, samples_per_cycle=pp,
+                                    noise_sigma=0.0)
+    assert np.array_equal(trace.u, np.tile(u_cycle, len(feats)))
+    assert np.array_equal(trace.i, np.concatenate(want))
+
+
+def _exclusion_trace(bundle):
+    """16 model cycles, six of them broken, one for each exclusion reason."""
+    n = 16
+    feats = synth.sample_features(bundle, n + 1, seed=9)
+    trace = synth.reconstruct_trace(feats, bundle.conduction, noise_sigma=0.0)
+    pp = trace.samples_per_cycle
+    u = trace.u[: n * pp].reshape(n, pp).copy()
+    i = trace.i[: n * pp].reshape(n, pp).copy()
+    k = np.arange(pp)
+    down, rising = k <= pp // 2, k >= pp // 2
+    hrs = down & (u > -feats[:n, 1, None])
+    i[0, hrs[0]] = 100e-6                           # above the high-resistance current range
+    i[2] = np.abs(i[2])                             # never reaches the set threshold
+    u[4, rising] = -np.abs(u[4, rising])            # increasing sweep stays negative
+    bump = 20e-6 * np.exp(-(((u[6] - 0.5) / 0.1) ** 2))
+    i[6, rising] = 130e-6 + bump[rising]            # a reset peak above the low-resistance range
+    i[8, hrs[8]] = -20e-6 * u[8, hrs[8]] ** 2       # fitted branch current <= 0 at u0
+    i[15, rising] = 50e-6 * (u[15, rising] + 1.5)   # strictly increasing, last cycle
+    return RawTrace(u=u.ravel(), i=i.ravel(), samples_per_cycle=pp)
+
+
+def test_exclusion_reasons_one_cycle_each(ref_bundle):
+    result = extract_features(_exclusion_trace(ref_bundle))
+    assert result.exclusions == [
+        (0, "only 0 points in high-resistance window"),
+        (2, "no crossing of -5e-05 A"),
+        (4, "no positive-voltage section"),
+        (6, "only 0 points in low-resistance window"),
+        (8, "fitted branch has non-positive current at u0"),
+        (15, "monotone section, no peak"),
+    ]
+    assert result.set_missing == 1
+    assert result.cycles.tolist() == [1, 3, 5, 7, 9, 10, 11, 12, 13, 14]
+
+
+def test_windows_align_with_cycles_when_a_block_keeps_none(ref_bundle):
+    """A last block whose only cycle is excluded adds no window."""
+    n = CYCLE_BLOCK + 1
+    feats = synth.sample_features(ref_bundle, n + 1, seed=11)
+    trace = synth.reconstruct_trace(feats, ref_bundle.conduction, noise_sigma=0.0)
+    pp = trace.samples_per_cycle
+    u, i = trace.u[: n * pp].copy(), trace.i[: n * pp].copy()
+    last = slice((n - 1) * pp + pp // 2, n * pp)
+    i[last] = 50e-6 * (u[last] + 1.5)               # strictly increasing: no reset peak
+    result = extract_features(RawTrace(u=u, i=i, samples_per_cycle=pp), collect_windows=True)
+    assert result.exclusions == [(n - 1, "monotone section, no peak")]
+    assert len(result.hrs_windows) == len(result.lrs_windows) == len(result.cycles) == n - 1
+    fit_limiting_model(result.hrs_windows, result.lrs_windows,
+                       result.features[:, 0], result.features[:, 2])
 
 
 # -- end to end -------------------------------------------------------------------
