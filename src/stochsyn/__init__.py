@@ -4,12 +4,11 @@ resistive-memory synapses."""
 from .array import CellArray, PulseReport, ReadoutConfig, init_array
 from .conduction import (
     ConductionModel,
-    ResetCurve,
-    build_reset_curve,
     current,
     eval_poly,
     state_from_point,
     state_from_resistance,
+    transition_current,
 )
 from .paramfile import ParameterBundle, SimDefaults, load, save
 from .stats import CorrelationReport, lagged_pearson, wasserstein1

@@ -4,9 +4,9 @@ The current of a cell in any state is a linear mixture of two fixed limiting
 polynomials in the applied voltage: the most resistive characteristic
 (``hhrs``) and the most conductive one (``llrs``).  A single state variable
 ``r`` in [0, 1] selects the mixture, with r = 1 the most resistive limit.
-The module also builds the parabolic transition curve that connects a cycle's
-low-resistance branch to the next high-resistance branch during gradual
-positive-polarity switching.
+The module also holds the parabolic transition current, `transition_current`,
+that connects a cycle's low-resistance branch to the next high-resistance
+branch during gradual positive-polarity switching.
 """
 
 from dataclasses import dataclass
@@ -129,59 +129,29 @@ def state_from_resistance(res, model: ConductionModel):
     return np.clip(il / denom - (model.u0 / denom) / res, 0.0, 1.0)
 
 
-def transition_state(u_a, u_start, r_lrs, r_next, u_max, model: ConductionModel):
-    """State at amplitude ``u_a`` on `build_reset_curve`'s parabola through
-    (u_start, I(r_lrs)) and (u_max, I(r_next)), inverted as `state_from_point`
-    does but with the limiting-current gap floored at DENOM_FLOOR instead of
-    raising.  Dtype-generic (see `as_float`); ``u_max`` is a Python float."""
+def transition_current(u, u_start, r_lrs, r_next, u_max, model: ConductionModel):
+    """Current at ``u`` on the parabolic transition from the low-resistance
+    point (u_start, I(r_lrs, u_start)) to the next high-resistance point
+    (u_max, I(r_next, u_max)) during gradual positive-polarity switching.
+
+    The three conditions (both endpoint currents, zero slope at u_max) pin
+    the parabola in vertex form as i_end + curv * (u - u_max)**2; no other
+    form of it is written.  Elementwise over broadcast arrays; dtype-generic
+    (see `as_float`); ``u_max`` is a Python float.
+    """
     i_end = current(r_next, u_max, model)
     curv = (current(r_lrs, u_start, model) - i_end) / (u_start - u_max) ** 2
-    i_at = i_end + curv * (u_a - u_max) ** 2
+    return i_end + curv * (u - u_max) ** 2
+
+
+def transition_state(u_a, u_start, r_lrs, r_next, u_max, model: ConductionModel):
+    """State at amplitude ``u_a`` on the `transition_current` parabola,
+    inverted as `state_from_point` does but with the limiting-current gap
+    floored at DENOM_FLOOR instead of raising."""
+    i_at = transition_current(u_a, u_start, r_lrs, r_next, u_max, model)
     il = model.i_llrs(u_a)
     denom = np.maximum(il - model.i_hhrs(u_a), DENOM_FLOOR)
     return np.clip((il - i_at) / denom, 0.0, 1.0)
-
-
-@dataclass(frozen=True)
-class ResetCurve:
-    """Parabolic transition current, valid on [u_start, u_max].
-
-    Satisfies q(u_start) = I_lrs(u_start), q(u_max) = I_next_hrs(u_max) and
-    q'(u_max) = 0.  An array ``u_start`` holds one curve per element, with
-    the coefficients stacked along the first axis of ``quad_coeffs``.
-    """
-
-    quad_coeffs: np.ndarray  # ascending [A, A/V, A/V^2]
-    u_start: float | np.ndarray
-    u_max: float
-
-    def __call__(self, u):
-        return eval_poly(self.quad_coeffs, u)
-
-
-def build_reset_curve(u_reset, r_lrs, r_hrs_next, u_max, model: ConductionModel) -> ResetCurve:
-    """Closed-form parabola between the departing low-resistance point and
-    the arriving high-resistance point.
-
-    The three conditions (two endpoint currents, zero slope at u_max) pin the
-    quadratic as q(u) = i_end + c*(u - u_max)^2.  Elementwise over arrays of
-    ``u_reset``, ``r_lrs`` and ``r_hrs_next``; the square is libm's pow, as a
-    scalar ``**`` computes it, so each element gets the bits of a scalar call.
-    """
-    u_arr = np.asarray(u_reset, dtype=np.float64)
-    outside = ~((0.0 < u_arr) & (u_arr < u_max))
-    if outside.any():
-        raise ValueError(f"need 0 < u_reset < u_max, got {u_arr[outside].flat[0]!r}, {u_max!r}")
-    span = np.min(u_max - u_arr, initial=np.inf)
-    if span < MIN_CURVE_SPAN:
-        raise ValueError(
-            f"ill-conditioned transition: u_max - u_reset = {span:g} V < {MIN_CURVE_SPAN:g} V"
-        )
-    i_start = current(r_lrs, u_reset, model)
-    i_end = current(r_hrs_next, u_max, model)
-    c = (i_start - i_end) / np.float_power(u_reset - u_max, 2)
-    coeffs = np.array([i_end + c * u_max**2, -2.0 * c * u_max, c])
-    return ResetCurve(coeffs, u_arr.item() if u_arr.ndim == 0 else u_arr, float(u_max))
 
 
 def fit_conduction_poly(u, i, degree, min_linear: float = MIN_LINEAR_COEFF) -> np.ndarray:

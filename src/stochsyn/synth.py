@@ -18,8 +18,8 @@ import numpy as np
 from scipy.linalg import solve_discrete_lyapunov
 
 from . import waveform
-from .conduction import (ConductionModel, build_reset_curve, current, eval_poly,
-                         state_from_resistance)
+from .conduction import (MIN_CURVE_SPAN, ConductionModel, current, state_from_resistance,
+                         transition_current)
 from .paramfile import ParameterBundle, SimDefaults, save
 from .svar import SvarModel, generate
 from .transform import NormalizingMap, inverse_map
@@ -128,10 +128,15 @@ def reconstruct_trace(features: np.ndarray, conduction: ConductionModel,
     # per-cycle columns; the last cycle ends on its own high-resistance state
     r_h, u_s, r_l, u_r = (x[:, col, None] for col in range(4))
     r_h_next = np.append(x[1:, 0], x[-1, 0])[:, None]
+    # the transition parabola needs 0 < u_r and a span u_max - u_r of at
+    # least MIN_CURVE_SPAN to stay well conditioned
+    bad = ~((0.0 < u_r) & (u_max - u_r >= MIN_CURVE_SPAN))
+    if bad.any():
+        raise ValueError(f"need 0 < u_r <= u_max - {MIN_CURVE_SPAN:g} V with u_max = "
+                         f"{u_max!r}, got u_r = {float(u_r[bad][0])!r}")
     s_h = state_from_resistance(r_h, conduction)
     s_l = state_from_resistance(r_l, conduction)
-    curve = build_reset_curve(u_r, s_l, state_from_resistance(r_h_next, conduction),
-                              u_max, conduction).quad_coeffs
+    s_next = state_from_resistance(r_h_next, conduction)
     u = np.tile(u_cycle, n_cycles)
     i = np.empty((n_cycles, pp), dtype=np.float64)
     for lo in range(0, n_cycles, RENDER_BLOCK):
@@ -140,7 +145,9 @@ def reconstruct_trace(features: np.ndarray, conduction: ConductionModel,
         i[rows] = np.where(
             down,
             np.where(u_cycle > -u_s[rows], current(s_h[rows], u_cycle, conduction), i_lrs),
-            np.where(u_cycle <= u_r[rows], i_lrs, eval_poly(curve[:, rows], u_cycle)),
+            np.where(u_cycle <= u_r[rows], i_lrs,
+                     transition_current(u_cycle, u_r[rows], s_l[rows], s_next[rows],
+                                        u_max, conduction)),
         )
     i = i.ravel()
     if noise_sigma > 0:

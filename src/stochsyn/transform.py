@@ -11,7 +11,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtri
 
 from .conduction import as_float, eval_poly
 
@@ -80,7 +80,7 @@ def fit_map(features: np.ndarray, degree: int = 5, z_range=Z_RANGE) -> Normalizi
     if not np.all(np.isfinite(x)) or np.min(x) <= 0.0:
         raise ValueError("features must be finite and strictly positive")
     probs = np.linspace(PROB_RANGE[0], PROB_RANGE[1], N_QUANTILES)
-    zq = norm.ppf(probs)
+    zq = ndtri(probs)
     coeffs = np.empty((4, degree + 1))
     for k in range(4):
         lq = np.quantile(np.log(x[:, k]), probs)

@@ -98,19 +98,23 @@ def read_trace_csv(path, samples_per_cycle: int = 1042) -> RawTrace:
             raise ExtractionError(f"expected header 'u,i', got {header!r}")
         data = np.loadtxt(fh, delimiter=",", ndmin=2)
     if data.size == 0:
-        raise ExtractionError("empty trace file")
+        raise ExtractionError(f"empty trace file {path}")
+    if data.shape[1] != 2:
+        raise ExtractionError(f"need 2 columns (u, i) in {path}, got {data.shape[1]}")
     return RawTrace(u=data[:, 0], i=data[:, 1], samples_per_cycle=samples_per_cycle)
 
 
 def read_trace_iuw(path, samples_per_cycle: int = 1042) -> RawTrace:
     with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != IUW_MAGIC:
-            raise ExtractionError(f"bad magic {magic!r} in {path}")
-        (count,) = struct.unpack("<I", fh.read(4))
+        head = fh.read(8)
+        if head[:4] != IUW_MAGIC:
+            raise ExtractionError(f"bad magic {head[:4]!r} in {path}")
+        if len(head) < 8:
+            raise ExtractionError(f"truncated header in {path}")
+        (count,) = struct.unpack("<I", head[4:])
         data = np.fromfile(fh, dtype="<f4", count=2 * count)
     if data.size != 2 * count:
-        raise ExtractionError(f"truncated trace: wanted {count} pairs")
+        raise ExtractionError(f"truncated trace {path}: wanted {count} pairs")
     pairs = data.reshape(-1, 2)
     return RawTrace(u=pairs[:, 0], i=pairs[:, 1], samples_per_cycle=samples_per_cycle)
 
@@ -336,8 +340,14 @@ def _base_minima(x: np.ndarray, peaks: np.ndarray, step: int) -> np.ndarray:
 def _reset_voltages(u, i, lengths, turn, min_prominence: float, i_raw=None):
     """Per row, the voltage of the first peak of prominence >= min_prominence
     (else the most prominent one) on the increasing, positive-voltage section
-    after the voltage minimum ``turn``, refined on ``i_raw`` when given (see
-    `extract_reset_voltage`).  NaN and a reason where that fails."""
+    after the voltage minimum ``turn``; NaN and a reason where the section or
+    its peaks are missing.  Peaks are plain neighbour-comparison local
+    maxima, and prominence is computed within the section.
+
+    When the unsmoothed current ``i_raw`` is given, the chosen peak moves to
+    the raw argmax inside the smoothing support: the moving average locates
+    the peak robustly but displaces an asymmetric peak toward its shallower
+    flank."""
     n_rows, width = u.shape
     cols = np.arange(width)
     inside = cols < lengths[:, None]
@@ -387,9 +397,15 @@ def _masked_block(mask, u, i):
 
 
 def _branch_fits(u, i, turn, u_s, u_r, u0: float):
-    """Constrained fits of both static branches of every row (see
-    `fit_state_polynomials`), the decreasing sweep up to and the increasing
-    sweep from the voltage minimum ``turn``.  Returns r_h, r_l, the point
+    """Constrained fits of both static branches of every row.
+
+    The high-resistance branch is fit with degree HRS_FIT_DEGREE on the
+    decreasing sweep up to the voltage minimum ``turn``, from HRS_FIT_MARGIN
+    above the signed switching threshold -u_s up to HRS_FIT_U_MAX, restricted
+    to HRS_FIT_I_RANGE; the low-resistance branch with degree LRS_FIT_DEGREE
+    on the increasing sweep from ``turn``, from LRS_FIT_U_MIN up to
+    LRS_FIT_MARGIN below u_r, restricted to LRS_FIT_I_RANGE.  r_h and r_l are
+    the static resistances of the fits at u0.  Returns r_h, r_l, the point
     masks of each branch, the coefficients and per-row reasons."""
     cols = np.arange(u.shape[1])
     m_h = (cols <= turn[:, None]) & (u >= -u_s[:, None] + HRS_FIT_MARGIN) \
@@ -434,7 +450,8 @@ def detect_set_locations(trace: RawTrace, threshold: float = SET_CURRENT_THRESHO
 
 
 # ---------------------------------------------------------------------------
-# per-cycle extraction: one-row calls of the batch kernels
+# per-cycle extraction: one-row calls of the batch kernels, kept because
+# perfbench's layer map times these names
 
 def _raise_reason(reason) -> None:
     if reason[0] is not None:
@@ -443,8 +460,7 @@ def _raise_reason(reason) -> None:
 
 def extract_set_voltage(u: np.ndarray, i: np.ndarray,
                         threshold: float = SET_CURRENT_THRESHOLD) -> float:
-    """|U| at the first crossing of the threshold current, linearly
-    interpolated between the bracketing samples."""
+    """`_set_voltages` on one cycle; ExtractionError where it fails."""
     _, u2, i2 = _one_row(u, i)
     u_s, reason = _set_voltages(u2, i2, threshold)
     _raise_reason(reason)
@@ -454,18 +470,7 @@ def extract_set_voltage(u: np.ndarray, i: np.ndarray,
 def extract_reset_voltage(u: np.ndarray, i: np.ndarray,
                           min_prominence: float = RESET_MIN_PROMINENCE,
                           i_raw: np.ndarray | None = None) -> float:
-    """Voltage of the first sufficiently prominent current peak on the
-    increasing, positive-voltage section of the cycle.
-
-    Peaks are plain neighbor-comparison local maxima; prominence is computed
-    within the section.  If no peak reaches ``min_prominence`` the most
-    prominent one is taken; a monotone section (no peaks at all) is an error.
-
-    When the unsmoothed current is supplied, the selected peak's position is
-    refined to the raw argmax inside the smoothing support: the moving
-    average locates the peak robustly but displaces an asymmetric peak
-    toward its shallower flank.
-    """
+    """`_reset_voltages` on one cycle; ExtractionError where it fails."""
     arrays = (u, i) if i_raw is None else (u, i, i_raw)
     n, u2, i2, *raw2 = _one_row(*arrays)
     u_r, reason = _reset_voltages(u2, i2, n, np.argmin(u2, axis=1), min_prominence,
@@ -486,15 +491,7 @@ class StatePolyFit:
 
 def fit_state_polynomials(u: np.ndarray, i: np.ndarray, u_s: float, u_r: float,
                           u0: float = 0.2) -> StatePolyFit:
-    """Constrained polynomial fits of the two static branches of one cycle.
-
-    The high-resistance branch is fit with degree 5 on the decreasing sweep,
-    from HRS_FIT_MARGIN above the signed switching threshold up to
-    HRS_FIT_U_MAX, restricted to HRS_FIT_I_RANGE; the low-resistance branch
-    with degree 3 on the increasing sweep from LRS_FIT_U_MIN up to
-    LRS_FIT_MARGIN below u_r, restricted to LRS_FIT_I_RANGE.  Resistance
-    values are the static resistances of the fits at u0.
-    """
+    """`_branch_fits` on one cycle; ExtractionError where it fails."""
     _, u2, i2 = _one_row(u, i)
     r_h, r_l, m_h, m_l, hrs, lrs, reason = _branch_fits(
         u2, i2, np.argmin(u2, axis=1), np.array([u_s], float), np.array([u_r], float), u0)

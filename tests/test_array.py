@@ -18,10 +18,10 @@ from stochsyn.array import (
     stationary_factor32,
 )
 from stochsyn.conduction import (
-    build_reset_curve,
     eval_poly,
     state_from_point,
     state_from_resistance,
+    transition_current,
     transition_state,
 )
 from stochsyn.svar import stationary_factor
@@ -152,13 +152,13 @@ def test_partial_matches_scalar_transition_curve(ref_bundle):
     arr.apply_pulses(amp)
     nxt = arr.next_features.astype(np.float64)
     for c in range(8):
-        curve = build_reset_curve(
-            feat[c, 3],
+        i_at = transition_current(
+            amp, feat[c, 3],
             state_from_resistance(feat[c, 2], arr.conduction),
             state_from_resistance(nxt[c, 0], arr.conduction),
             arr.u_max, arr.conduction,
         )
-        want = state_from_point(curve(amp), amp, arr.conduction)
+        want = state_from_point(i_at, amp, arr.conduction)
         assert arr.r[c] == pytest.approx(want, rel=2e-5)
 
 

@@ -1,10 +1,15 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.stats import spearmanr
 
+import stochsyn
 from stochsyn import paramfile, synth
 from stochsyn.array import init_array
 from stochsyn.cli import main
@@ -51,6 +56,27 @@ def test_extract_and_flags(corpus, tmp_path):
 def test_extract_missing_file_exits_2(tmp_path):
     rc = main(["extract", str(tmp_path / "nope.iuw"), str(tmp_path / "o.csv")])
     assert rc == 2
+
+
+@pytest.mark.parametrize("name, content, why", [
+    ("short.iuw", b"IUW0\x01\x00", "truncated header in"),
+    ("one_column.csv", b"u,i\n0.1\n0.2\n", "need 2 columns (u, i) in"),
+], ids=["short_iuw_header", "one_column_csv"])
+def test_extract_hostile_trace_exits_1(tmp_path, capsys, name, content, why):
+    path = tmp_path / name
+    path.write_bytes(content)
+    assert main(["extract", str(path), str(tmp_path / "o.csv")]) == 1
+    err = capsys.readouterr().err
+    assert why in err and name in err
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    src = str(Path(stochsyn.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    run = subprocess.run(
+        [sys.executable, "-c", "import sys, stochsyn.cli; print('scipy.stats' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True)
+    assert run.stdout.strip() == "False"
 
 
 def test_fit_generate_pipeline(corpus, tmp_path):

@@ -5,15 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stochsyn import synth
 from stochsyn.conduction import (
     ConductionModel,
     DegenerateVoltageError,
-    build_reset_curve,
     current,
     eval_poly,
     fit_conduction_poly,
     state_from_point,
     state_from_resistance,
+    transition_current,
 )
 
 
@@ -92,26 +93,32 @@ def test_reset_curve_boundary_conditions(model):
     u_r, u_max = 0.72, 1.5
     r_lrs = state_from_resistance(8.2e3, model)
     r_next = state_from_resistance(200e3, model)
-    q = build_reset_curve(u_r, r_lrs, r_next, u_max, model)
+
+    def q(u):
+        return transition_current(u, u_r, r_lrs, r_next, u_max, model)
+
     assert q(u_r) == pytest.approx(current(r_lrs, u_r, model), abs=1e-12)
     assert q(u_max) == pytest.approx(current(r_next, u_max, model), abs=1e-12)
-    dq = np.polynomial.polynomial.polyder(q.quad_coeffs)
-    assert eval_poly(dq, u_max) == pytest.approx(0.0, abs=1e-12)
+    # zero slope at u_max: a central difference is exact on a parabola
+    for h in (1e-2, 0.1):
+        assert (q(u_max + h) - q(u_max - h)) / (2 * h) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_reset_curve_degenerate_same_state(model):
     r = state_from_resistance(50e3, model)
-    q = build_reset_curve(0.7, r, r, 1.5, model)
-    assert q(0.7) == pytest.approx(current(r, 0.7, model), abs=1e-12)
-    assert q(1.5) == pytest.approx(current(r, 1.5, model), abs=1e-12)
+    assert transition_current(0.7, 0.7, r, r, 1.5, model) == pytest.approx(
+        current(r, 0.7, model), abs=1e-12)
+    assert transition_current(1.5, 0.7, r, r, 1.5, model) == pytest.approx(
+        current(r, 1.5, model), abs=1e-12)
 
 
 def test_reset_curve_rejects_narrow_span(model):
-    r = state_from_resistance(50e3, model)
-    with pytest.raises(ValueError):
-        build_reset_curve(1.4995, r, r, 1.5, model)
-    with pytest.raises(ValueError):
-        build_reset_curve(-0.1, r, r, 1.5, model)
+    # the transition's input gates live where the parabola is rendered
+    feats = np.array([[50e3, 0.85, 8.2e3, 0.72]] * 3)
+    for u_r in (1.4995, -0.1):
+        feats[1, 3] = u_r
+        with pytest.raises(ValueError, match="u_r"):
+            synth.reconstruct_trace(feats, model, u_max=1.5, noise_sigma=0.0)
 
 
 def test_model_invariants_enforced():

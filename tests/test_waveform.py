@@ -6,11 +6,11 @@ import pytest
 from stochsyn import synth
 from stochsyn.conduction import (
     MIN_LINEAR_COEFF,
-    build_reset_curve,
     current,
     fit_conduction_polys,
     fit_limiting_model,
     state_from_resistance,
+    transition_current,
 )
 from stochsyn.stats import wasserstein1
 from stochsyn.waveform import (
@@ -22,8 +22,15 @@ from stochsyn.waveform import (
     LRS_FIT_U_MIN,
     CYCLE_BLOCK,
     MIN_FIT_POINTS,
+    RESET_MIN_PROMINENCE,
+    SET_CURRENT_THRESHOLD,
+    SMOOTH_WINDOW_MAX,
     ExtractionError,
     RawTrace,
+    _branch_fits,
+    _one_row,
+    _reset_voltages,
+    _set_voltages,
     detect_set_locations,
     extract_features,
     extract_reset_voltage,
@@ -169,24 +176,55 @@ def test_detect_on_model_trace_within_two_samples(ref_bundle):
         assert abs(-u_at - feats[n, 1]) < 2.5 * du
 
 
-# -- per-cycle features ----------------------------------------------------------
+# -- per-cycle features: the batch kernels on one padded row ----------------------
+
+def _set_voltage(u, i):
+    _, u2, i2 = _one_row(u, i)
+    u_s, why = _set_voltages(u2, i2, SET_CURRENT_THRESHOLD)
+    return u_s[0], why[0]
+
+
+def _reset_voltage(u, i, min_prominence=RESET_MIN_PROMINENCE, i_raw=None):
+    n, u2, i2, *raw = _one_row(u, i) if i_raw is None else _one_row(u, i, i_raw)
+    u_r, why = _reset_voltages(u2, i2, n, np.argmin(u2, axis=1), min_prominence, *raw)
+    return u_r[0], why[0]
+
+
+def _branch_fit(u, i, u_s, u_r):
+    _, u2, i2 = _one_row(u, i)
+    r_h, r_l, _, _, hrs, lrs, why = _branch_fits(
+        u2, i2, np.argmin(u2, axis=1), np.array([u_s]), np.array([u_r]), 0.2)
+    return r_h[0], r_l[0], hrs[0], lrs[0], why[0]
+
 
 def test_set_voltage_exact_sample_and_midpoint():
     u = np.array([-0.70, -0.80, -0.85, -0.90])
     i = np.array([-10e-6, -30e-6, -50e-6, -70e-6])
-    assert extract_set_voltage(u, i) == pytest.approx(0.85)
+    assert _set_voltage(u, i) == (pytest.approx(0.85), None)
     u = np.array([-0.70, -0.80, -0.90])
     i = np.array([-10e-6, -40e-6, -60e-6])
-    assert extract_set_voltage(u, i) == pytest.approx(0.85)
-    with pytest.raises(ExtractionError):
-        extract_set_voltage(u, np.zeros(3))
+    assert _set_voltage(u, i) == (pytest.approx(0.85), None)
+    u_s, why = _set_voltage(u, np.zeros(3))
+    assert np.isnan(u_s) and why == "no crossing of -5e-05 A"
 
 
 def test_reset_voltage_single_bump():
     u = np.concatenate([np.linspace(-1.5, 0, 50), np.linspace(0.0, 1.5, 150)[1:]])
     i = np.where(u < 0.72, u * 50e-6, (1.44 - u) * 50e-6)
     i = i * (u > 0)  # flat at zero before the rise
-    assert extract_reset_voltage(u, i) == pytest.approx(0.72, abs=0.02)
+    assert _reset_voltage(u, i) == (pytest.approx(0.72, abs=0.02), None)
+
+
+def test_reset_voltage_refined_on_raw_current():
+    # the smoothed peak moves to the raw argmax, but only within the
+    # smoothing support around it
+    h = (SMOOTH_WINDOW_MAX - 1) // 2
+    u = np.linspace(-1.5, 1.5, 301)
+    i = _bump(u, 0.9, 0.05, 10e-6)
+    raw = _bump(u, 0.93, 0.05, 10e-6)
+    assert _reset_voltage(u, i, i_raw=raw) == (u[np.argmax(raw)], None)
+    raw = _bump(u, 0.3, 0.05, 10e-6)
+    assert _reset_voltage(u, i, i_raw=raw) == (u[np.argmax(i) - h], None)
 
 
 def _bump(u, center, width, height):
@@ -197,12 +235,12 @@ def test_reset_voltage_prominence_rule():
     u = np.linspace(-1.5, 1.5, 600)
     # first peak too small (3 uA), second qualifies (10 uA)
     i = _bump(u, 0.4, 0.02, 3e-6) + _bump(u, 0.9, 0.05, 10e-6)
-    assert extract_reset_voltage(u, i) == pytest.approx(0.9, abs=0.02)
+    assert _reset_voltage(u, i) == (pytest.approx(0.9, abs=0.02), None)
     # nothing qualifies: fall back to the most prominent peak
     i = _bump(u, 0.4, 0.02, 2e-6) + _bump(u, 0.9, 0.05, 4e-6)
-    assert extract_reset_voltage(u, i) == pytest.approx(0.9, abs=0.02)
-    with pytest.raises(ExtractionError):
-        extract_reset_voltage(u, u * 1e-6)  # monotone
+    assert _reset_voltage(u, i) == (pytest.approx(0.9, abs=0.02), None)
+    u_r, why = _reset_voltage(u, u * 1e-6)
+    assert np.isnan(u_r) and why == "monotone section, no peak"
 
 
 def _brute_prominences(x, peaks):
@@ -247,25 +285,25 @@ def test_reset_voltage_matches_scipy_peak_rule():
         sec = i[u > 0.0]
         peaks, _ = find_peaks(sec)
         if peaks.size == 0:
-            with pytest.raises(ExtractionError, match="monotone"):
-                extract_reset_voltage(u, i, floor)
+            assert _reset_voltage(u, i, floor)[1] == "monotone section, no peak"
             continue
         prom = peak_prominences(sec, peaks)[0]
         good = np.nonzero(prom >= floor)[0]
         pick = peaks[good[0]] if good.size else peaks[np.argmax(prom)]
-        assert extract_reset_voltage(u, i, floor) == u[u > 0.0][pick]
+        assert _reset_voltage(u, i, floor) == (u[u > 0.0][pick], None)
 
 
 def test_state_fit_ohmic_exact():
     period = 1042
     u = triangle_u(1, period=period)
     i = u / 10e3
-    sfit = fit_state_polynomials(u, i, u_s=0.85, u_r=0.72)
-    assert sfit.r_l == pytest.approx(10e3, rel=1e-9)
-    assert sfit.r_h == pytest.approx(10e3, rel=1e-9)
-    assert sfit.lrs_coeffs[0] == 0.0
-    assert sfit.lrs_coeffs[1] == pytest.approx(1e-4, rel=1e-9)
-    assert np.allclose(sfit.lrs_coeffs[2:], 0.0, atol=1e-15)
+    r_h, r_l, _, lrs, why = _branch_fit(u, i, u_s=0.85, u_r=0.72)
+    assert why is None
+    assert r_l == pytest.approx(10e3, rel=1e-9)
+    assert r_h == pytest.approx(10e3, rel=1e-9)
+    assert lrs[0] == 0.0
+    assert lrs[1] == pytest.approx(1e-4, rel=1e-9)
+    assert np.allclose(lrs[2:], 0.0, atol=1e-15)
 
 
 def test_state_fit_recovers_under_noise():
@@ -278,17 +316,35 @@ def test_state_fit_recovers_under_noise():
     i[: turn + 1] = np.polynomial.polynomial.polyval(u[: turn + 1], truth_h)
     i[turn:] = np.polynomial.polynomial.polyval(u[turn:], truth_l)
     i *= 1.0 + 0.01 * rng.standard_normal(i.size)
-    sfit = fit_state_polynomials(u, i, u_s=0.85, u_r=0.72)
+    r_h, r_l, _, _, why = _branch_fit(u, i, u_s=0.85, u_r=0.72)
     r_h_true = 0.2 / np.polynomial.polynomial.polyval(0.2, truth_h)
     r_l_true = 0.2 / np.polynomial.polynomial.polyval(0.2, truth_l)
-    assert sfit.r_h == pytest.approx(r_h_true, rel=0.02)
-    assert sfit.r_l == pytest.approx(r_l_true, rel=0.02)
+    assert why is None
+    assert r_h == pytest.approx(r_h_true, rel=0.02)
+    assert r_l == pytest.approx(r_l_true, rel=0.02)
 
 
 def test_state_fit_insufficient_points():
     u = np.linspace(1.5, -1.5, 40)
-    with pytest.raises(ExtractionError):
-        fit_state_polynomials(u, np.zeros(40), u_s=0.85, u_r=0.72)
+    assert _branch_fit(u, np.zeros(40), u_s=0.85, u_r=0.72)[4] == \
+        "only 0 points in low-resistance window"
+
+
+def test_per_cycle_functions_are_one_row_kernel_calls(ref_bundle):
+    feats = synth.sample_features(ref_bundle, 2, seed=3)
+    trace = synth.reconstruct_trace(feats, ref_bundle.conduction, seed=4)
+    u, i = trace.u[: trace.samples_per_cycle], trace.i[: trace.samples_per_cycle]
+    u_s, why_s = _set_voltage(u, i)
+    u_r, why_r = _reset_voltage(u, i)
+    r_h, r_l, hrs, lrs, why_f = _branch_fit(u, i, u_s, u_r)
+    assert (why_s, why_r, why_f) == (None, None, None)
+    assert extract_set_voltage(u, i) == u_s
+    assert extract_reset_voltage(u, i) == u_r
+    sfit = fit_state_polynomials(u, i, u_s, u_r)
+    assert (sfit.r_h, sfit.r_l) == (r_h, r_l)
+    assert np.array_equal(sfit.hrs_coeffs, hrs) and np.array_equal(sfit.lrs_coeffs, lrs)
+    with pytest.raises(ExtractionError, match="monotone section, no peak"):
+        extract_reset_voltage(u, u * 1e-6)
 
 
 # -- batch branch fits against np.linalg.lstsq -------------------------------------
@@ -364,11 +420,12 @@ def test_reconstruct_trace_matches_per_cycle_loop(ref_bundle):
     for n, (r_h, u_s, r_l, u_r) in enumerate(feats):
         r_next = feats[n + 1, 0] if n + 1 < len(feats) else r_h
         s_h, s_l, s_n = (state_from_resistance(r, cm) for r in (r_h, r_l, r_next))
-        curve = build_reset_curve(u_r, s_l, s_n, u_max, cm)
+        # one-element arrays: numpy squares an array by a multiply, a scalar by pow
+        curve = transition_current(u_cycle, np.array([u_r]), s_l, s_n, u_max, cm)
         want.append(np.where(
             down,
             np.where(u_cycle > -u_s, current(s_h, u_cycle, cm), current(s_l, u_cycle, cm)),
-            np.where(u_cycle <= u_r, current(s_l, u_cycle, cm), curve(u_cycle)),
+            np.where(u_cycle <= u_r, current(s_l, u_cycle, cm), curve),
         ))
     trace = synth.reconstruct_trace(feats, cm, u_max=u_max, samples_per_cycle=pp,
                                     noise_sigma=0.0)
