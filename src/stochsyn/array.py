@@ -1,13 +1,13 @@
 """Vectorized runtime engine for large arrays of simulated cells.
 
-Cell state lives in per-cell numpy arrays of 32-bit floats.  The model
-equations are the dtype-generic kernels shared with the float64 path
-(`transform.inverse_map`, `conduction.state_from_resistance` and
-`transition_state`, `noise_sigma`, `quantize`), which compute in float32 on
-that state; only the autoregression's matrices are cast to float32, once, at
-construction.  Every cell carries its own counter-based random stream, so any
-partitioning of the cells over worker threads produces bit-identical results;
-the lag contractions deliberately use `einsum` rather than BLAS so the
+Cell state lives in per-cell numpy arrays of 32-bit floats; numpy is the one
+dependency.  The model equations are the dtype-generic kernels shared with
+the float64 path (`transform.inverse_map`, `conduction.state_from_resistance`
+and `transition_state`, `noise_sigma`, `quantize`), which compute in float32
+on that state; only the autoregression's matrices are cast to float32, once,
+at construction.  Every cell carries its own counter-based random stream, so
+any partitioning of the cells over worker threads produces bit-identical
+results; the lag contractions use `einsum` rather than BLAS so the
 floating-point summation order is fixed.
 
 Each cell starts from one exact draw of its p lags from the stationary
@@ -40,8 +40,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.constants import e as ELECTRON_CHARGE
-from scipy.constants import k as BOLTZMANN
 
 from . import streams
 from .conduction import as_float, eval_poly
@@ -56,6 +54,8 @@ U_RESET_CLEARANCE = 1e-3   # generated thresholds stay this far below u_max [V]
 MIN_PARALLEL_CELLS = 4096  # below this a thread pool is pure overhead
 INIT_BLOCK_DRAWS = 1 << 19  # lag entries per init block (2 MB)
 
+ELECTRON_CHARGE = 1.602176634e-19  # C, exact in the SI since 2019
+BOLTZMANN = 1.380649e-23           # J/K, exact in the SI since 2019
 FLOAT32_MAX = float(np.finfo(np.float32).max)
 _DRAWS_DTD = 4
 _DRAWS_STEP = 4
@@ -443,6 +443,7 @@ class CellArray:
 
         Returns (i_noisy, codes, i_dequantized).  Reads never modify r; with
         noise enabled each read consumes one draw from the cell's stream.
+        Each cell may be addressed once per call (ValueError otherwise).
         """
         cfg = cfg or self.readout
         if cfg is not self.readout:
@@ -455,6 +456,8 @@ class CellArray:
             cells = np.asarray(cells, dtype=np.int64)
             if cells.size and (cells.min() < 0 or cells.max() >= self.m):
                 raise IndexError(f"cell index out of range 0..{self.m - 1}")
+            if np.unique(cells).size != cells.size:
+                raise ValueError("a read addresses each cell at most once")
 
         def run(lo, hi):
             sl = slice(lo, hi) if cells is None else cells[lo:hi]

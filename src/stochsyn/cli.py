@@ -30,6 +30,7 @@ from .svar import generate as svar_generate
 
 PARAMS_ENV = "STOCHSYN_PARAMS"
 BENCH_AMPLITUDE = 1.5
+BENCH_MODES = ("write", "read")
 
 
 def _positive_int(text):
@@ -54,6 +55,13 @@ def _int_list(text):
     if not values or any(v < 1 for v in values):
         raise argparse.ArgumentTypeError(f"need positive integers, got {text!r}")
     return values
+
+
+def _mode_list(text):
+    modes = [tok for tok in text.split(",") if tok]
+    if not modes or not set(modes) <= set(BENCH_MODES):
+        raise argparse.ArgumentTypeError(f"need modes from {','.join(BENCH_MODES)}, got {text!r}")
+    return modes
 
 
 def _params_path(args) -> str:
@@ -249,10 +257,8 @@ def cmd_sim(args) -> int:
                        threads=args.threads, readout=readout)
     if args.preset:
         events = _preset_schedule(args.preset, args.cycles, array.u_max)
-    elif args.pulses:
-        events = _read_schedule(args.pulses, args.reads, args.m)
     else:
-        raise ValueError("need either --preset or --pulses")
+        events = _read_schedule(args.pulses, args.reads, args.m)
 
     # the dequantized current is a function of the code: format each once
     deq_text = [f"{v:.9g}" for v in dequantize(np.arange(readout.levels + 1), readout).tolist()]
@@ -301,15 +307,13 @@ def cmd_bench(args) -> int:
                         array.apply_pulses(amp)
                     dt = time.perf_counter() - t0
                     ops = args.m * args.pulses
-                elif mode == "read":
+                else:
                     array.read_all()  # warmup, untimed
                     t0 = time.perf_counter()
                     for _ in range(args.reads):
                         array.read_all()
                     dt = time.perf_counter() - t0
                     ops = args.m * args.reads
-                else:
-                    raise ValueError(f"unknown mode {mode!r}")
                 rows.append((mode, args.m, p, threads, ops, dt, ops / dt))
                 print(f"bench {mode:5s} m={args.m} p={p} threads={threads}:"
                       f" {ops / dt:.3e} ops/s")
@@ -393,9 +397,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-a", type=float, default=None, help="device-variability scale")
     p.add_argument("--order", type=int, default=None)
     p.add_argument("--threads", type=_positive_int, default=1)
-    p.add_argument("--preset", choices=["full-cycling", "multilevel"], default=None)
+    schedule = p.add_mutually_exclusive_group(required=True)
+    schedule.add_argument("--preset", choices=["full-cycling", "multilevel"], default=None)
+    schedule.add_argument("--pulses", default=None, help="pulse script CSV (step,target,u_a)")
     p.add_argument("--cycles", type=_positive_int, default=300, help="preset cycle count")
-    p.add_argument("--pulses", default=None, help="pulse script CSV (step,target,u_a)")
     p.add_argument("--reads", default=None, help="read script CSV (step,target)")
     p.add_argument("--readout-out", default="sim_readouts.csv")
     p.add_argument("--state-out", default="sim_state.csv")
@@ -414,7 +419,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-a", type=float, default=None)
     p.add_argument("--orders", type=_int_list, default=[10])
     p.add_argument("--threads-list", type=_int_list, default=[1], dest="threads_list")
-    p.add_argument("--modes", type=lambda s: s.split(","), default=["write", "read"])
+    p.add_argument("--modes", type=_mode_list, default=list(BENCH_MODES))
     p.add_argument("--pulses", type=_positive_int, default=16)
     p.add_argument("--reads", type=_positive_int, default=16)
     p.add_argument("-o", "--output", required=True, help="benchmark CSV")

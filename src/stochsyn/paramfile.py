@@ -9,7 +9,8 @@ Layout (little-endian throughout)::
 
 Section payloads hold counts ahead of their float64 data, so the file is
 self-describing; unknown tags are skipped on load for forward compatibility.
-The autoregression section may repeat, one entry per stored model order.
+The autoregression section may repeat, one entry per stored model order;
+any other repeated section, or a repeated order, fails to load.
 Each section's payload layout is written once, in `SECTIONS`, which encoding,
 decoding and the JSON rendering all walk; a float64 field that is not finite
 fails to load.
@@ -239,14 +240,15 @@ def load(path, validate: bool = True) -> ParameterBundle:
         if sec is None:
             continue  # unknown tags are skipped for forward compatibility
         values = _decode(sec, payload)
+        entries, key = ((found, sec.name) if sec.key is None
+                        else (found.setdefault(sec.name, {}), values[sec.key]))
+        if key in entries:
+            raise FormatError(f"section {sec.name}: stored twice" if sec.key is None
+                              else f"section {sec.name}: {sec.key} = {key} stored twice")
         try:
-            member = sec.build(values)
+            entries[key] = sec.build(values)
         except ValueError as exc:
             raise FormatError(f"section {sec.name}: {exc}") from None
-        if sec.key is None:
-            found[sec.name] = member
-        else:
-            found.setdefault(sec.name, {})[values[sec.key]] = member
 
     missing = [sec.name for sec in SECTIONS if sec.name not in found]
     if missing:

@@ -6,9 +6,9 @@ Multiple Time Series Analysis, 2005, ch. 2).  The constructor derives its
 recursive structural form (ch. 9), the exact maximum-likelihood
 decomposition under those constraints, once.  One kernel, `step`, advances
 the float64 generator, the float32 array engine and its test mirror.  Every
-start is one exact draw from the stationary distribution of the lags, whose
-Cholesky factor `stationary_factor` solves without BLAS and each model
-caches, so validation, the engine and the generator share one solve.
+start is one exact draw from the stationary distribution of the lags.  Their
+covariance is solved once, without BLAS (`stationary_covariance`); each model
+caches its Cholesky factor, and C(0) is `synth.reference_bundle`'s sigma.
 """
 
 import warnings
@@ -166,8 +166,8 @@ def spectral_radius(model: SvarModel) -> float:
     return float(np.max(np.abs(np.linalg.eigvals(companion_matrix(model)))))
 
 
-def stationary_factor(model: SvarModel) -> np.ndarray:
-    """Lower Cholesky factor of the stationary covariance of the p lags.
+def stationary_covariance(model: SvarModel) -> np.ndarray:
+    """Stationary covariance of the p lags; its (4, 4) top-left block is C(0).
 
     Gamma = Cov([x_{n-1}; ...; x_{n-p}]), stacked newest first as in
     `lag_weights` and `companion_matrix`, solves Gamma = F Gamma F^T + Q with
@@ -176,11 +176,10 @@ def stationary_factor(model: SvarModel) -> np.ndarray:
     w_t = psi_t chol_u are the impulse responses of the moving-average form,
     w_0 = chol_u and w_t = sum_i phi_i w_{t-i}.  The sums run until a block of
     256 terms adds less than machine epsilon of the total.  Every product is
-    a fixed-order einsum and the Cholesky factorization is written out, so
-    the bits do not depend on BLAS or its thread count.
-    Raises ValueError when the sums do not converge within MAX_TERMS terms,
-    when the relative residual ||F Gamma F^T + Q - Gamma|| / ||Gamma||
-    exceeds LYAPUNOV_TOL, or when Gamma is not positive definite.
+    a fixed-order einsum, so the bits do not depend on BLAS or its thread
+    count, and C(0) is exactly symmetric.  Raises ValueError when the sums
+    do not converge within MAX_TERMS terms, or when the relative residual
+    ||F Gamma F^T + Q - Gamma|| / ||Gamma|| exceeds LYAPUNOV_TOL.
     """
     p = model.p
     phi = model.lag_weights().T                              # (4, 4p): F's first block row
@@ -226,7 +225,12 @@ def stationary_factor(model: SvarModel) -> np.ndarray:
     if not resid_rel <= LYAPUNOV_TOL:
         raise ValueError(f"model is not stationary: Lyapunov residual {resid_rel:.3g}"
                          f" (limit {LYAPUNOV_TOL:g})")
-    return _cholesky(gamma)
+    return gamma
+
+
+def stationary_factor(model: SvarModel) -> np.ndarray:
+    """Lower Cholesky factor of `stationary_covariance` (ValueError if not positive definite)."""
+    return _cholesky(stationary_covariance(model))
 
 
 def _cholesky(a: np.ndarray) -> np.ndarray:

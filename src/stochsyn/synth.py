@@ -2,26 +2,25 @@
 
 No measurement data ships with the package, so tests and demos run against a
 known ground truth: a stable hand-chosen autoregression with log-space
-polynomial marginals on realistic resistance/threshold scales, plus a
-conduction model wide enough to represent every feature vector the generator
-can emit.  From that bundle the module can sample feature series and render
-full sweep waveforms (one triangular voltage period per cycle, the abrupt
-transition at the threshold, the parabolic transition back up to the apex),
-which gives the whole extraction/fitting pipeline something to round-trip
-against.
+polynomial marginals on realistic resistance/threshold scales, a conduction
+model wide enough to represent every feature vector the generator can emit,
+and as sigma the autoregression's C(0) (`svar.stationary_covariance`).  From
+that bundle the module can sample feature series and render full sweep
+waveforms (one triangular voltage period per cycle, the abrupt transition at
+the threshold, the parabolic transition back up to the apex), which gives the
+whole extraction/fitting pipeline something to round-trip against.
 """
 
 import json
 from pathlib import Path
 
 import numpy as np
-from scipy.linalg import solve_discrete_lyapunov
 
 from . import waveform
 from .conduction import (MIN_CURVE_SPAN, ConductionModel, current, state_from_resistance,
                          transition_current)
 from .paramfile import ParameterBundle, SimDefaults, save
-from .svar import SvarModel, generate
+from .svar import SvarModel, generate, stationary_covariance
 from .transform import NormalizingMap, inverse_map
 from .waveform import RawTrace
 
@@ -83,13 +82,10 @@ def reference_svar(p: int = 1) -> SvarModel:
 
 def reference_bundle(orders=REFERENCE_ORDERS) -> ParameterBundle:
     models = {p: reference_svar(p) for p in orders}
-    base = models[min(orders)]
-    sigma = solve_discrete_lyapunov(base.phi[0], base.sigma_u)
-    sigma = 0.5 * (sigma + sigma.T)
     return ParameterBundle(
         conduction=reference_conduction(),
         gamma=reference_gamma(),
-        sigma=sigma,
+        sigma=stationary_covariance(models[min(orders)])[:4, :4],
         svar=models,
         defaults=SimDefaults(u_max=1.5, dtd_scale=0.0),
     )

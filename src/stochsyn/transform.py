@@ -2,16 +2,15 @@
 
 Each of the four cycle features gets one degree-5 polynomial mapping a
 standard-normal quantile z to the log of the feature.  The generating
-direction (z -> feature) is then just one Horner evaluation and an exp per
-component, with no lookup tables; the analysis direction (feature -> z)
-inverts the polynomial numerically and is only needed at fit time.
+direction (z -> feature) is one Horner evaluation and an exp per component;
+the analysis direction (feature -> z) inverts the polynomial numerically and
+is needed at fit time only, as is scipy (`ndtri`, imported in `fit_map`).
 """
 
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri
 
 from .conduction import as_float, eval_poly
 
@@ -79,6 +78,7 @@ def fit_map(features: np.ndarray, degree: int = 5, z_range=Z_RANGE) -> Normalizi
         raise ValueError(f"need at least 1000 feature vectors, got {x.shape[0]}")
     if not np.all(np.isfinite(x)) or np.min(x) <= 0.0:
         raise ValueError("features must be finite and strictly positive")
+    from scipy.special import ndtri  # fit time only: no other import loads scipy
     probs = np.linspace(PROB_RANGE[0], PROB_RANGE[1], N_QUANTILES)
     zq = ndtri(probs)
     coeffs = np.empty((4, degree + 1))

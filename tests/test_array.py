@@ -310,6 +310,15 @@ def test_read_noise_statistics(ref_bundle):
     assert np.mean(i_noisy) == pytest.approx(i_clean, abs=4 * sig / np.sqrt(20_000))
 
 
+def test_read_rejects_a_repeated_cell(small):
+    # each read of a cell consumes one draw, so a cell addressed twice in one
+    # call cannot be read once and reported twice
+    digest = small.state_digest()
+    with pytest.raises(ValueError, match="at most once"):
+        small.read_all(cells=[5, 5, 6])
+    assert small.state_digest() == digest
+
+
 def test_read_single_cell(small):
     i, code, deq = small.read(5)
     assert isinstance(code, int)

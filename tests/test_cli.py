@@ -10,7 +10,7 @@ import pytest
 from scipy.stats import spearmanr
 
 import stochsyn
-from stochsyn import paramfile, synth
+from stochsyn import cli, paramfile, synth
 from stochsyn.array import init_array
 from stochsyn.cli import main
 from stochsyn.waveform import read_features_csv
@@ -71,12 +71,14 @@ def test_extract_hostile_trace_exits_1(tmp_path, capsys, name, content, why):
 
 
 def test_cli_import_leaves_scipy_stats_unloaded():
+    # no scipy module at all: only `fit` imports it, inside `transform.fit_map`
     src = str(Path(stochsyn.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     run = subprocess.run(
-        [sys.executable, "-c", "import sys, stochsyn.cli; print('scipy.stats' in sys.modules)"],
+        [sys.executable, "-c", "import sys, stochsyn.cli; print(sorted(name for name in"
+         " sys.modules if name == 'scipy' or name.startswith('scipy.')))"],
         env=env, capture_output=True, text=True, check=True)
-    assert run.stdout.strip() == "False"
+    assert run.stdout.strip() == "[]"
 
 
 def test_fit_generate_pipeline(corpus, tmp_path):
@@ -167,6 +169,22 @@ def test_sim_m_zero_usage_error(corpus, tmp_path):
     rc = main(["sim", str(corpus / "params.ssyn"), "-m", "0", "--seed", "1",
                "--preset", "multilevel"])
     assert rc == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["sim", "-m", "8", "--seed", "1", "--preset", "multilevel", "--pulses", "nonexistent.csv"],
+    ["sim", "-m", "8", "--seed", "1"],
+    ["bench", "-m", "64", "--seed", "1", "--modes", "wrte", "-o", "bench.csv"],
+], ids=["preset_and_pulses", "no_schedule", "unknown_mode"])
+def test_usage_errors_exit_2_before_any_work(corpus, tmp_path, monkeypatch, capsys, argv):
+    def no_work(*args, **kwargs):
+        raise AssertionError("a usage error reached init_array")
+
+    monkeypatch.setattr(cli, "init_array", no_work)
+    monkeypatch.chdir(tmp_path)
+    assert main([argv[0], str(corpus / "params.ssyn"), *argv[1:]]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_sim_full_cycling_preset(corpus, tmp_path):

@@ -91,6 +91,23 @@ def test_unknown_section_skipped(tmp_path, ref_bundle):
     assert sorted(again.svar) == sorted(ref_bundle.svar)
 
 
+@pytest.mark.parametrize("tag, match", [
+    (paramfile.SEC_GAMMA, "section gamma: stored twice"),
+    (paramfile.SEC_SVAR, "section svar: p = 1 stored twice"),
+], ids=["gamma", "svar_same_order"])
+def test_repeated_section_rejected(tmp_path, ref_bundle, tag, match):
+    blob = paramfile._encode(ref_bundle)[:-4]
+    pos = 6
+    while struct.unpack("<I", blob[pos : pos + 4])[0] != tag:
+        pos += 12 + struct.unpack("<Q", blob[pos + 4 : pos + 12])[0]
+    end = pos + 12 + struct.unpack("<Q", blob[pos + 4 : pos + 12])[0]
+    blob += blob[pos:end]  # the first section with this tag, once more
+    p = tmp_path / "a.ssyn"
+    p.write_bytes(blob + struct.pack("<I", zlib.crc32(blob)))
+    with pytest.raises(FormatError, match=match):
+        load(p)
+
+
 def test_missing_section_rejected(tmp_path, ref_bundle):
     p = tmp_path / "a.ssyn"
     # rebuild the file with the gamma section renamed to an unknown tag

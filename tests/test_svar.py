@@ -5,6 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_discrete_lyapunov
 
 import stochsyn
 from stochsyn import paramfile
@@ -16,6 +17,7 @@ from stochsyn.svar import (
     generate,
     mix_lower_triangular,
     spectral_radius,
+    stationary_covariance,
     stationary_factor,
     step,
     structural_decompose,
@@ -173,10 +175,19 @@ def test_explosive_model_with_tied_dominant_modes_rejected():
 # -- stationary start -------------------------------------------------------------
 
 def test_stationary_factor_matches_reference_lyapunov_solution():
-    gamma = reference_bundle(orders=(1,)).sigma  # scipy's solve_discrete_lyapunov
-    factor = stationary_factor(reference_svar(1))
+    model = reference_svar(1)
+    gamma = solve_discrete_lyapunov(model.phi[0], model.sigma_u)  # independent reference
+    factor = stationary_factor(model)
     assert np.array_equal(factor, np.tril(factor))
     assert np.max(np.abs(factor @ factor.T - gamma)) < 1e-12
+
+
+def test_reference_sigma_is_the_exactly_symmetric_c0_of_every_order():
+    sigma = reference_bundle(orders=(1,)).sigma
+    assert np.array_equal(sigma, sigma.T)
+    for p in (1, 10, 100):  # zero-padded lags leave the process unchanged
+        assert np.array_equal(stationary_covariance(reference_svar(p))[:4, :4], sigma)
+        assert np.array_equal(reference_bundle(orders=(p,)).sigma, sigma)
 
 
 def test_stationary_factor_passes_residual_gate_with_tied_dominant_modes():
