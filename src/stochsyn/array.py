@@ -42,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import streams
-from .conduction import as_float, eval_poly
+from .conduction import U0_DEFAULT, as_float, eval_poly
 from .conduction import state_from_resistance, transition_state
 from .svar import mix_lower_triangular, step
 from .transform import inverse_map
@@ -66,7 +66,7 @@ _DRAWS_READ = 2
 class ReadoutConfig:
     """Read voltage, noise bandwidth and ADC window."""
 
-    u_read: float = 0.2
+    u_read: float = U0_DEFAULT     # read where the static resistance is defined
     delta_f: float = 1e6
     temperature: float = 300.0
     n_bits: int = 4
@@ -288,8 +288,8 @@ class CellArray:
     def _advance(self, idx, out) -> None:
         """One autoregression step for the selected cells.
 
-        Shifts their lag history and, when `out` is given, realizes the
-        scaled feature vector of the new cycle into out[idx].
+        Shifts their lag history and realizes the scaled feature vector of
+        the new cycle into out[idx].
         """
         sliced = isinstance(idx, slice)
         keys = self._keys[idx]
@@ -306,11 +306,10 @@ class CellArray:
         lags[:, :4] = x
         if not sliced:
             self._lags[idx] = lags
-        if out is not None:
-            y = inverse_map(self.gamma, x)
-            y *= self.scale[idx]
-            y[:, 3] = np.minimum(y[:, 3], self.u_max - U_RESET_CLEARANCE)
-            out[idx] = y
+        y = inverse_map(self.gamma, x)
+        y *= self.scale[idx]
+        y[:, 3] = np.minimum(y[:, 3], self.u_max - U_RESET_CLEARANCE)
+        out[idx] = y
 
     def _apply_chunk(self, lo: int, hi: int, ua) -> PulseReport:
         """Pulse branch logic for cells [lo, hi); `ua` is a scalar or the

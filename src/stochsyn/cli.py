@@ -8,6 +8,8 @@ drives a cell array through scripted or preset pulse/read schedules, and
 explicit --seed and are deterministic for a given seed and thread count.
 
 Exit codes: 0 success, 1 validation or fit failure, 2 usage or I/O error.
+Usage errors include option combinations that argparse cannot reject on its
+own (`UsageError`), such as ``sim --preset`` with ``--reads``.
 """
 
 import argparse
@@ -31,6 +33,11 @@ from .svar import generate as svar_generate
 PARAMS_ENV = "STOCHSYN_PARAMS"
 BENCH_AMPLITUDE = 1.5
 BENCH_MODES = ("write", "read")
+PRESET_CYCLES = 300
+
+
+class UsageError(Exception):
+    """Options that parse one by one but do not go together (exit 2)."""
 
 
 def _positive_int(text):
@@ -251,12 +258,16 @@ def _preset_schedule(preset: str, cycles: int, u_max: float):
 
 
 def cmd_sim(args) -> int:
+    if args.preset and args.reads:
+        raise UsageError("--reads applies only to --pulses; a preset schedules its own reads")
+    if args.pulses and args.cycles is not None:
+        raise UsageError("--cycles counts preset cycles; it does not apply to --pulses")
     bundle = paramfile.load(_params_path(args))
     readout = _readout_from_args(args, bundle.defaults.readout)
     array = init_array(bundle, args.m, a=args.a, seed=args.seed, p=args.order,
                        threads=args.threads, readout=readout)
     if args.preset:
-        events = _preset_schedule(args.preset, args.cycles, array.u_max)
+        events = _preset_schedule(args.preset, args.cycles or PRESET_CYCLES, array.u_max)
     else:
         events = _read_schedule(args.pulses, args.reads, args.m)
 
@@ -363,7 +374,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="level-crossing current for the abrupt transition [A]")
     p.add_argument("--min-prominence", type=float, default=waveform.RESET_MIN_PROMINENCE,
                    help="peak prominence floor for the gradual transition [A]")
-    p.add_argument("--samples-per-cycle", type=_positive_int, default=1042)
+    p.add_argument("--samples-per-cycle", type=_positive_int,
+                   default=waveform.SAMPLES_PER_CYCLE)
     p.add_argument("--report", default=None, help="exclusion report JSON path")
     p.add_argument("--limits-out", default=None,
                    help="write pooled limiting-polynomial estimates to this JSON")
@@ -400,7 +412,8 @@ def build_parser() -> argparse.ArgumentParser:
     schedule = p.add_mutually_exclusive_group(required=True)
     schedule.add_argument("--preset", choices=["full-cycling", "multilevel"], default=None)
     schedule.add_argument("--pulses", default=None, help="pulse script CSV (step,target,u_a)")
-    p.add_argument("--cycles", type=_positive_int, default=300, help="preset cycle count")
+    p.add_argument("--cycles", type=_positive_int, default=None,
+                   help=f"preset cycle count (default {PRESET_CYCLES})")
     p.add_argument("--reads", default=None, help="read script CSV (step,target)")
     p.add_argument("--readout-out", default="sim_readouts.csv")
     p.add_argument("--state-out", default="sim_state.csv")
@@ -444,7 +457,7 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code is not None else 0
     try:
         return args.func(args)
-    except (FileNotFoundError, IsADirectoryError, PermissionError) as exc:
+    except (FileNotFoundError, IsADirectoryError, PermissionError, UsageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, KeyError, MonotonicityError,

@@ -6,7 +6,10 @@ polynomials in the applied voltage: the most resistive characteristic
 ``r`` in [0, 1] selects the mixture, with r = 1 the most resistive limit.
 The module also holds the parabolic transition current, `transition_current`,
 that connects a cycle's low-resistance branch to the next high-resistance
-branch during gradual positive-polarity switching.
+branch during gradual positive-polarity switching, and the constrained
+polynomial fits (c0 = 0, c1 >= MIN_LINEAR_COEFF) that estimate the limits
+from the cycles at the LIMIT_PERCENTILE extremes.  U0_DEFAULT is the one
+reference voltage of the package's static resistances.
 """
 
 from dataclasses import dataclass
@@ -17,6 +20,7 @@ U0_DEFAULT = 0.2            # reference voltage for static resistance [V]
 MIN_LINEAR_COEFF = 1e-9     # lower bound on the linear coefficient [A/V]
 DENOM_FLOOR = 1e-12         # |i_llrs - i_hhrs| below this is degenerate [A]
 MIN_CURVE_SPAN = 1e-3       # smallest usable (u_max - u_start) [V]
+LIMIT_PERCENTILE = 1.0      # share of cycles pooled at each extreme [%]
 
 
 class DegenerateVoltageError(ValueError):
@@ -102,17 +106,17 @@ def current(r, u, model: ConductionModel):
     return r * ih + (1.0 - r) * il
 
 
-def state_from_point(i, u, model: ConductionModel, floor: float = DENOM_FLOOR):
+def state_from_point(i, u, model: ConductionModel):
     """State variable of the mixture curve passing through the point (i, u).
 
     Clamped to [0, 1].  Raises DegenerateVoltageError when the limiting
-    currents at u differ by less than ``floor``.
+    currents at u differ by less than DENOM_FLOOR.
     """
     il = model.i_llrs(u)
     denom = il - model.i_hhrs(u)
-    if np.min(np.abs(denom)) < floor:
+    if np.min(np.abs(denom)) < DENOM_FLOOR:
         raise DegenerateVoltageError(
-            f"limiting currents separated by < {floor:g} A at u={u!r}"
+            f"limiting currents separated by < {DENOM_FLOOR:g} A at u={u!r}"
         )
     return np.clip((il - i) / denom, 0.0, 1.0)
 
@@ -154,8 +158,8 @@ def transition_state(u_a, u_start, r_lrs, r_next, u_max, model: ConductionModel)
     return np.clip((il - i_at) / denom, 0.0, 1.0)
 
 
-def fit_conduction_poly(u, i, degree, min_linear: float = MIN_LINEAR_COEFF) -> np.ndarray:
-    """Least-squares polynomial of ``degree`` with c0 = 0 and c1 >= min_linear.
+def fit_conduction_poly(u, i, degree) -> np.ndarray:
+    """Least-squares polynomial of ``degree`` with c0 = 0 and c1 >= MIN_LINEAR_COEFF.
 
     One row of `fit_conduction_polys`.  Returns ascending coefficients of
     length degree + 1.
@@ -163,11 +167,10 @@ def fit_conduction_poly(u, i, degree, min_linear: float = MIN_LINEAR_COEFF) -> n
     u = np.asarray(u, dtype=np.float64)
     if u.size <= degree:
         raise ValueError(f"need more than {degree} points, got {u.size}")
-    return fit_conduction_polys(u[None, :], np.asarray(i, dtype=np.float64)[None, :],
-                                degree, min_linear)[0]
+    return fit_conduction_polys(u[None, :], np.asarray(i, dtype=np.float64)[None, :], degree)[0]
 
 
-def fit_conduction_polys(u, i, degree, min_linear: float = MIN_LINEAR_COEFF) -> np.ndarray:
+def fit_conduction_polys(u, i, degree) -> np.ndarray:
     """`fit_conduction_poly` for every row of a (rows, width) block at once.
 
     Each row is fit with c0 = 0, so a point at u = i = 0 adds nothing to its
@@ -180,10 +183,10 @@ def fit_conduction_polys(u, i, degree, min_linear: float = MIN_LINEAR_COEFF) -> 
     u = np.asarray(u, dtype=np.float64)
     i = np.asarray(i, dtype=np.float64)
     coef = _monomial_lstsq(u, i, 1, degree)
-    low = np.nonzero(coef[:, 0] < min_linear)[0]
+    low = np.nonzero(coef[:, 0] < MIN_LINEAR_COEFF)[0]
     if low.size:
-        coef[low, 0] = min_linear
-        coef[low, 1:] = _monomial_lstsq(u[low], i[low] - min_linear * u[low], 2, degree)
+        coef[low, 0] = MIN_LINEAR_COEFF
+        coef[low, 1:] = _monomial_lstsq(u[low], i[low] - MIN_LINEAR_COEFF * u[low], 2, degree)
     return np.concatenate([np.zeros((u.shape[0], 1)), coef], axis=1)
 
 
@@ -225,30 +228,23 @@ def _monomial_lstsq(u, y, lo: int, hi: int) -> np.ndarray:
     return coef + solve(y - np.einsum("jrw,rj->rw", design, coef))
 
 
-def fit_limiting_model(
-    hrs_windows,
-    lrs_windows,
-    r_h,
-    r_l,
-    u0: float = U0_DEFAULT,
-    percentile: float = 1.0,
-) -> ConductionModel:
+def fit_limiting_model(hrs_windows, lrs_windows, r_h, r_l) -> ConductionModel:
     """Estimate the limiting polynomials from per-cycle fit windows.
 
-    Cycles whose high-resistance value falls in the top ``percentile`` of
-    r_h (respectively the bottom percentile of r_l) are pooled, and one
+    Cycles whose high-resistance value falls in the top LIMIT_PERCENTILE of
+    r_h (respectively the bottom LIMIT_PERCENTILE of r_l) are pooled, and one
     constrained polynomial is refit to each pooled point set.
     """
     r_h = np.asarray(r_h, dtype=float)
     r_l = np.asarray(r_l, dtype=float)
     if not (len(hrs_windows) == len(lrs_windows) == r_h.size == r_l.size):
         raise ValueError("windows and resistances must align one per cycle")
-    hi = r_h >= np.quantile(r_h, 1.0 - percentile / 100.0)
-    lo = r_l <= np.quantile(r_l, percentile / 100.0)
+    hi = r_h >= np.quantile(r_h, 1.0 - LIMIT_PERCENTILE / 100.0)
+    lo = r_l <= np.quantile(r_l, LIMIT_PERCENTILE / 100.0)
     u_hi = np.concatenate([hrs_windows[k][0] for k in np.nonzero(hi)[0]])
     i_hi = np.concatenate([hrs_windows[k][1] for k in np.nonzero(hi)[0]])
     u_lo = np.concatenate([lrs_windows[k][0] for k in np.nonzero(lo)[0]])
     i_lo = np.concatenate([lrs_windows[k][1] for k in np.nonzero(lo)[0]])
     hhrs = fit_conduction_poly(u_hi, i_hi, degree=5)
     llrs = fit_conduction_poly(u_lo, i_lo, degree=3)
-    return ConductionModel(hhrs=hhrs, llrs=llrs, u0=u0)
+    return ConductionModel(hhrs=hhrs, llrs=llrs)

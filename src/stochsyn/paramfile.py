@@ -100,7 +100,7 @@ class ParameterBundle:
              and np.linalg.eigvalsh(sigma).min() > 0.0,
              "sigma", "field sigma must be a symmetric positive definite 4x4 matrix")
         try:
-            _check_monotone(gamma.coeffs, gamma.z_range, gamma.feature_names)
+            _check_monotone(gamma)
         except MonotonicityError as exc:
             need(False, "gamma", f"field coeffs: {exc}")
         with np.errstate(all="ignore"):

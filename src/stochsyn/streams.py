@@ -6,7 +6,8 @@ together with a per-cell draw counter.  A draw is a pure function of
 threads, and a cell can be replayed in isolation.  Words are produced by a
 splitmix64-style finalizer applied to the keyed counter, which vectorizes
 cheaply with numpy; statistical quality is more than sufficient for
-Monte-Carlo use.
+Monte-Carlo use.  The finalizer (`mix64`, in place) makes both the keys and
+the words, and `uniforms` feeds the Box-Muller pairs of `normals`.
 """
 
 import numpy as np
@@ -27,13 +28,18 @@ _INV24 = np.float32(2.0 ** -24)
 
 
 def mix64(z: np.ndarray) -> np.ndarray:
-    """splitmix64 finalizer: an avalanching bijection of uint64."""
+    """splitmix64 finalizer, an avalanching bijection of uint64, applied to
+    the array ``z`` in place (one temporary of its size); returns ``z``."""
+    tmp = np.empty_like(z)
     with np.errstate(over="ignore"):
-        z = z ^ (z >> _U30)
-        z = z * _MIX1
-        z = z ^ (z >> _U27)
-        z = z * _MIX2
-        z = z ^ (z >> _U31)
+        np.right_shift(z, _U30, out=tmp)
+        z ^= tmp
+        z *= _MIX1
+        np.right_shift(z, _U27, out=tmp)
+        z ^= tmp
+        z *= _MIX2
+        np.right_shift(z, _U31, out=tmp)
+        z ^= tmp
     return z
 
 
@@ -49,29 +55,24 @@ def raw_words(keys: np.ndarray, counters: np.ndarray, n: int) -> np.ndarray:
 
     Word j of stream m sits at [j, m]; the word-major layout keeps every
     downstream pass contiguous.  Pure function of the inputs; counters are
-    not advanced here.  The body is mix64 of (key xor scrambled counter),
-    written with in-place ops to avoid large temporaries.
+    not advanced here.  Each word is mix64 of (key xor scrambled counter).
     """
     offs = np.arange(1, n + 1, dtype=np.uint64)
     with np.errstate(over="ignore"):
         z = offs[:, None] + counters[None, :]
         z *= _STEP
         z ^= keys[None, :]
-        tmp = np.empty_like(z)
-        np.right_shift(z, _U30, out=tmp)
-        z ^= tmp
-        z *= _MIX1
-        np.right_shift(z, _U27, out=tmp)
-        z ^= tmp
-        z *= _MIX2
-        np.right_shift(z, _U31, out=tmp)
-        z ^= tmp
-    return z
+    return mix64(z)
 
 
 def uniforms(words: np.ndarray) -> np.ndarray:
-    """Map raw words to float32 uniforms strictly inside (0, 1)."""
-    return ((words >> _U40).astype(np.float32) + _HALF) * _INV24
+    """Map raw words to float32 uniforms strictly inside (0, 1).  Consumes
+    ``words``: they are shifted in place."""
+    words >>= _U40
+    u = words.astype(np.float32)
+    u += _HALF
+    u *= _INV24
+    return u
 
 
 def normals(keys: np.ndarray, counters: np.ndarray, n: int) -> np.ndarray:
@@ -83,12 +84,8 @@ def normals(keys: np.ndarray, counters: np.ndarray, n: int) -> np.ndarray:
     """
     if n % 2:
         raise ValueError("normals() draws words in pairs; n must be even")
-    w = raw_words(keys, counters, n)
+    u = uniforms(raw_words(keys, counters, n))
     counters += np.uint64(n)
-    w >>= _U40
-    u = w.astype(np.float32)
-    u += _HALF
-    u *= _INV24
     half = n // 2
     # first half of the uniforms feeds the radii, second half the angles
     rad = u[:half]

@@ -8,7 +8,9 @@ and as sigma the autoregression's C(0) (`svar.stationary_covariance`).  From
 that bundle the module can sample feature series and render full sweep
 waveforms (one triangular voltage period per cycle, the abrupt transition at
 the threshold, the parabolic transition back up to the apex), which gives the
-whole extraction/fitting pipeline something to round-trip against.
+whole extraction/fitting pipeline something to round-trip against.  The
+corpus always stores the reference orders, samples from the lowest one and
+renders at most one trace cycle per sampled feature vector.
 """
 
 import json
@@ -29,12 +31,11 @@ RENDER_BLOCK = 512               # cycles per block of `reconstruct_trace`
 
 
 def reference_conduction() -> ConductionModel:
-    # static resistances at 0.2 V: ~866 kOhm and ~4.99 kOhm, bracketing
+    # static resistances at u0: ~866 kOhm and ~4.99 kOhm, bracketing
     # everything reference_gamma() can generate
     return ConductionModel(
         hhrs=[0.0, 1.15e-6, 0.0, 1.0e-7, 0.0, 5.0e-8],
         llrs=[0.0, 2.0e-4, 0.0, 1.0e-5],
-        u0=0.2,
     )
 
 
@@ -91,15 +92,14 @@ def reference_bundle(orders=REFERENCE_ORDERS) -> ParameterBundle:
     )
 
 
-def sample_features(bundle: ParameterBundle, n: int, seed, p: int | None = None) -> np.ndarray:
-    """n feature vectors from the bundle's generating process (float64 path)."""
-    model = bundle.model(p) if p is not None else bundle.svar[min(bundle.svar)]
-    z = generate(model, n, seed)
+def sample_features(bundle: ParameterBundle, n: int, seed) -> np.ndarray:
+    """n feature vectors from the bundle's lowest-order model (float64 path)."""
+    z = generate(bundle.svar[min(bundle.svar)], n, seed)
     return inverse_map(bundle.gamma, z)
 
 
 def reconstruct_trace(features: np.ndarray, conduction: ConductionModel,
-                      u_max: float = 1.5, samples_per_cycle: int = 1042,
+                      u_max: float = 1.5, samples_per_cycle: int = waveform.SAMPLES_PER_CYCLE,
                       noise_sigma: float = 1e-6, seed=0) -> RawTrace:
     """Render a full sweep waveform from a feature series.
 
@@ -151,17 +151,18 @@ def reconstruct_trace(features: np.ndarray, conduction: ConductionModel,
     return RawTrace(u=u, i=i, samples_per_cycle=pp)
 
 
-def make_corpus(outdir, n: int, seed: int, trace_cycles: int | None = None,
-                orders=REFERENCE_ORDERS) -> dict:
+def make_corpus(outdir, n: int, seed: int, trace_cycles: int | None = None) -> dict:
     """Write the test corpus: parameter file, sampled features, waveform.
 
     Returns a manifest dict (also written as meta.json).
     """
-    outdir = Path(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
     if trace_cycles is None:
         trace_cycles = min(n, 20_000)
-    bundle = reference_bundle(orders)
+    if trace_cycles > n:
+        raise ValueError(f"cannot render {trace_cycles} trace cycles from {n} feature vectors")
+    outdir = Path(outdir)
+    outdir.mkdir(parents=True, exist_ok=True)
+    bundle = reference_bundle()
     root = np.random.SeedSequence(seed)
     s_feat, s_noise = root.spawn(2)
 

@@ -1,10 +1,12 @@
 """Marginal normalizing map between feature space and standard-normal space.
 
 Each of the four cycle features gets one degree-5 polynomial mapping a
-standard-normal quantile z to the log of the feature.  The generating
-direction (z -> feature) is one Horner evaluation and an exp per component;
-the analysis direction (feature -> z) inverts the polynomial numerically and
-is needed at fit time only, as is scipy (`ndtri`, imported in `fit_map`).
+standard-normal quantile z to the log of the feature, checked increasing on
+Z_RANGE (a failure names the feature from `waveform.FEATURE_NAMES`).  The
+generating direction (z -> feature) is one Horner evaluation and an exp per
+component; the analysis direction (feature -> z) inverts the polynomial
+numerically and is needed at fit time only, as is scipy (`ndtri`, imported
+in `fit_map`).
 """
 
 import warnings
@@ -13,12 +15,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .conduction import as_float, eval_poly
+from .waveform import FEATURE_NAMES
 
 N_QUANTILES = 500
 PROB_RANGE = (0.01, 0.99)
 Z_RANGE = (-4.0, 4.0)
 Z_LIMIT = 10.0  # z_range must lie inside [-Z_LIMIT, Z_LIMIT]
 MONOTONIC_GRID_STEP = 1e-3
+MIN_FALLBACK_DEGREE = 3  # `fit_map_with_fallback` drops the degree no lower
+FORWARD_TOL = 1e-12      # largest gamma residual `forward_map` passes silently
 
 
 class MonotonicityError(ValueError):
@@ -38,7 +43,6 @@ class NormalizingMap:
 
     coeffs: np.ndarray                     # (4, degree+1) ascending
     z_range: tuple = Z_RANGE
-    feature_names: tuple = ("r_h", "u_s", "r_l", "u_r")
 
     def __post_init__(self):
         object.__setattr__(self, "coeffs", np.asarray(self.coeffs, dtype=np.float64))
@@ -50,25 +54,23 @@ class NormalizingMap:
                              f" got {self.z_range}")
 
 
-def _check_monotone(coeffs: np.ndarray, z_range, names) -> None:
-    lo, hi = z_range
+def _check_monotone(m: NormalizingMap) -> None:
+    lo, hi = m.z_range
     grid = np.arange(lo, hi + MONOTONIC_GRID_STEP / 2, MONOTONIC_GRID_STEP)
-    for k in range(coeffs.shape[0]):
-        dc = coeffs[k, 1:] * np.arange(1, coeffs.shape[1])
-        deriv = eval_poly(dc, grid)
-        bad = deriv <= 0.0
+    for name, c in zip(FEATURE_NAMES, m.coeffs):
+        bad = eval_poly(c[1:] * np.arange(1, c.size), grid) <= 0.0
         if bad.any():
-            raise MonotonicityError(names[k], float(grid[np.argmax(bad)]))
+            raise MonotonicityError(name, float(grid[np.argmax(bad)]))
 
 
-def fit_map(features: np.ndarray, degree: int = 5, z_range=Z_RANGE) -> NormalizingMap:
+def fit_map(features: np.ndarray, degree: int = 5) -> NormalizingMap:
     """Fit the map from empirical quantiles of the log features.
 
     Quantiles are taken at N_QUANTILES equally spaced probabilities between
     0.01 and 0.99 (linear interpolation between order statistics) and paired
     with the standard-normal quantiles of the same probabilities; a
     least-squares polynomial of ``degree`` is fit per feature and verified to
-    be increasing on z_range.  Non-monotone fits are a hard error, no silent
+    be increasing on Z_RANGE.  Non-monotone fits are a hard error, no silent
     repair.
     """
     x = np.asarray(features, dtype=np.float64)
@@ -85,39 +87,39 @@ def fit_map(features: np.ndarray, degree: int = 5, z_range=Z_RANGE) -> Normalizi
     for k in range(4):
         lq = np.quantile(np.log(x[:, k]), probs)
         coeffs[k] = np.polynomial.polynomial.polyfit(zq, lq, degree)
-    m = NormalizingMap(coeffs=coeffs, z_range=tuple(z_range))
-    _check_monotone(m.coeffs, m.z_range, m.feature_names)
+    m = NormalizingMap(coeffs=coeffs)
+    _check_monotone(m)
     return m
 
 
-def fit_map_with_fallback(features: np.ndarray, degree: int = 5,
-                          min_degree: int = 3, z_range=Z_RANGE) -> NormalizingMap:
+def fit_map_with_fallback(features: np.ndarray, degree: int = 5) -> NormalizingMap:
     """fit_map, retrying at successively lower degrees on monotonicity failure.
 
     The quantile pairs only span the fitted probability range (roughly
     +-2.3 sigma), so with moderate sample sizes the top polynomial orders are
     noise-dominated and can turn the extrapolated tail non-monotone; dropping
     the degree is the documented caller-side remedy.  Each fallback emits a
-    warning; below ``min_degree`` the last error propagates.
+    warning.  The error of the fit at MIN_FALLBACK_DEGREE propagates, as does
+    that of a requested degree below it, which is fit once with no fallback.
     """
-    last: MonotonicityError | None = None
-    for d in range(degree, min_degree - 1, -1):
+    lowest = min(degree, MIN_FALLBACK_DEGREE)
+    for d in range(degree, lowest - 1, -1):
         try:
-            m = fit_map(features, degree=d, z_range=z_range)
+            m = fit_map(features, degree=d)
         except MonotonicityError as exc:
+            if d == lowest:
+                raise
             warnings.warn(
                 f"degree-{d} quantile fit not monotone ({exc.feature});"
                 f" retrying with degree {d - 1}",
                 RuntimeWarning,
             )
-            last = exc
             continue
         if d < degree:
             padded = np.zeros((4, degree + 1))
             padded[:, : d + 1] = m.coeffs
-            m = NormalizingMap(coeffs=padded, z_range=m.z_range)
+            m = NormalizingMap(coeffs=padded)
         return m
-    raise last
 
 
 def _eval_gamma(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -141,7 +143,7 @@ def inverse_map(m: NormalizingMap, z) -> np.ndarray:
     return np.exp(_eval_gamma(m.coeffs, z))
 
 
-def forward_map(m: NormalizingMap, x, tol: float = 1e-12):
+def forward_map(m: NormalizingMap, x):
     """Map features to normal deviates by inverting the gamma polynomials.
 
     Solves gamma_k(z) = log(x_k) by bracketed bisection plus a Newton polish
@@ -165,15 +167,15 @@ def forward_map(m: NormalizingMap, x, tol: float = 1e-12):
         hi = np.where(below, hi, mid)
     z = 0.5 * (lo + hi)
     # Newton cleanup; the bracket already has ~1e-15 width in z, this drives
-    # the residual in gamma itself under tol
+    # the residual in gamma itself under FORWARD_TOL
     for _ in range(3):
         resid = _eval_gamma(m.coeffs, z) - t
         deriv = _eval_gamma(m.coeffs[:, 1:] * np.arange(1, m.coeffs.shape[1]), z)
         z = np.clip(z - resid / deriv, m.z_range[0], m.z_range[1])
     resid = np.abs(_eval_gamma(m.coeffs, z) - t)
-    if np.max(resid) > tol:
+    if np.max(resid) > FORWARD_TOL:
         warnings.warn(
-            f"forward transform residual {np.max(resid):.2e} above {tol:.0e}",
+            f"forward transform residual {np.max(resid):.2e} above {FORWARD_TOL:.0e}",
             RuntimeWarning,
         )
     return z, out_of_range

@@ -9,19 +9,23 @@ vector (r_h, u_s, r_l, u_r): high-resistance value, switching threshold
 magnitude, low-resistance value, and the voltage where the gradual
 positive-polarity transition begins.  Every step runs as array operations
 over a block of cycles at once, one cycle per row of a padded view; the
-per-cycle functions are one-row calls of the same kernels.
+per-cycle functions are one-row calls of the same kernels.  The feature
+names (FEATURE_NAMES), the nominal cycle length (SAMPLES_PER_CYCLE) and the
+static-resistance voltage (`conduction.U0_DEFAULT`) are each defined once.
 """
 
+import os
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .conduction import eval_poly, fit_conduction_polys
+from .conduction import U0_DEFAULT, eval_poly, fit_conduction_polys
 
 FEATURE_NAMES = ("r_h", "u_s", "r_l", "u_r")
-FEATURES_HEADER = "cycle,r_h,u_s,r_l,u_r"
+FEATURES_HEADER = ",".join(("cycle",) + FEATURE_NAMES)
+SAMPLES_PER_CYCLE = 1042         # nominal samples per cycle of a trace
 
 SET_CURRENT_THRESHOLD = -50e-6   # level crossing that marks the abrupt transition [A]
 RESET_MIN_PROMINENCE = 5e-6      # peak prominence floor for the gradual one [A]
@@ -56,7 +60,7 @@ class RawTrace:
 
     u: np.ndarray
     i: np.ndarray
-    samples_per_cycle: int = 1042
+    samples_per_cycle: int = SAMPLES_PER_CYCLE
 
     def __post_init__(self):
         self.u = np.asarray(self.u, dtype=np.float64)
@@ -75,7 +79,6 @@ class ExtractionResult:
     exclusions: list                  # (cycle index, reason)
     n_cycles: int
     set_missing: int                  # cycles without a detectable abrupt transition
-    boundaries: list = field(default_factory=list)
     hrs_windows: list | None = None   # per kept cycle: (u, i) arrays fed to the fits
     lrs_windows: list | None = None
 
@@ -83,7 +86,7 @@ class ExtractionResult:
 # ---------------------------------------------------------------------------
 # trace I/O
 
-def read_trace(path, samples_per_cycle: int = 1042) -> RawTrace:
+def read_trace(path, samples_per_cycle: int = SAMPLES_PER_CYCLE) -> RawTrace:
     """Load a trace from .csv (header ``u,i``) or .iuw (binary f32 pairs)."""
     path = str(path)
     if path.endswith(".iuw"):
@@ -91,7 +94,7 @@ def read_trace(path, samples_per_cycle: int = 1042) -> RawTrace:
     return read_trace_csv(path, samples_per_cycle)
 
 
-def read_trace_csv(path, samples_per_cycle: int = 1042) -> RawTrace:
+def read_trace_csv(path, samples_per_cycle: int = SAMPLES_PER_CYCLE) -> RawTrace:
     with open(path, "r", newline="") as fh:
         header = fh.readline().strip()
         if header.replace(" ", "") != "u,i":
@@ -104,7 +107,7 @@ def read_trace_csv(path, samples_per_cycle: int = 1042) -> RawTrace:
     return RawTrace(u=data[:, 0], i=data[:, 1], samples_per_cycle=samples_per_cycle)
 
 
-def read_trace_iuw(path, samples_per_cycle: int = 1042) -> RawTrace:
+def read_trace_iuw(path, samples_per_cycle: int = SAMPLES_PER_CYCLE) -> RawTrace:
     with open(path, "rb") as fh:
         head = fh.read(8)
         if head[:4] != IUW_MAGIC:
@@ -112,10 +115,11 @@ def read_trace_iuw(path, samples_per_cycle: int = 1042) -> RawTrace:
         if len(head) < 8:
             raise ExtractionError(f"truncated header in {path}")
         (count,) = struct.unpack("<I", head[4:])
-        data = np.fromfile(fh, dtype="<f4", count=2 * count)
-    if data.size != 2 * count:
-        raise ExtractionError(f"truncated trace {path}: wanted {count} pairs")
-    pairs = data.reshape(-1, 2)
+        held = (os.fstat(fh.fileno()).st_size - 8) // 8
+        if held < count:   # checked first: the count sizes the allocation
+            raise ExtractionError(f"truncated trace {path}: header counts {count} pairs,"
+                                  f" the file holds {held}")
+        pairs = np.fromfile(fh, dtype="<f4", count=2 * count).reshape(-1, 2)
     return RawTrace(u=pairs[:, 0], i=pairs[:, 1], samples_per_cycle=samples_per_cycle)
 
 
@@ -489,12 +493,11 @@ class StatePolyFit:
     lrs_window: tuple
 
 
-def fit_state_polynomials(u: np.ndarray, i: np.ndarray, u_s: float, u_r: float,
-                          u0: float = 0.2) -> StatePolyFit:
+def fit_state_polynomials(u: np.ndarray, i: np.ndarray, u_s: float, u_r: float) -> StatePolyFit:
     """`_branch_fits` on one cycle; ExtractionError where it fails."""
     _, u2, i2 = _one_row(u, i)
     r_h, r_l, m_h, m_l, hrs, lrs, reason = _branch_fits(
-        u2, i2, np.argmin(u2, axis=1), np.array([u_s], float), np.array([u_r], float), u0)
+        u2, i2, np.argmin(u2, axis=1), np.array([u_s], float), np.array([u_r], float), U0_DEFAULT)
     _raise_reason(reason)
     return StatePolyFit(
         r_h=float(r_h[0]), r_l=float(r_l[0]), hrs_coeffs=hrs[0], lrs_coeffs=lrs[0],
@@ -513,7 +516,7 @@ def _windows(mask, u, i) -> list:
 def extract_features(trace: RawTrace, smoothing: bool = True,
                      set_threshold: float = SET_CURRENT_THRESHOLD,
                      min_prominence: float = RESET_MIN_PROMINENCE,
-                     u0: float = 0.2, collect_windows: bool = False) -> ExtractionResult:
+                     collect_windows: bool = False) -> ExtractionResult:
     """Reduce a whole trace to the per-cycle feature series.
 
     Cycles run through the batch kernels CYCLE_BLOCK at a time.  Cycles
@@ -539,7 +542,7 @@ def extract_features(trace: RawTrace, smoothing: bool = True,
         turn = np.argmin(u, axis=1)
         u_s, why_s = _set_voltages(u, i, set_threshold)
         u_r, why_r = _reset_voltages(u, i, lengths, turn, min_prominence, i_raw)
-        r_h, r_l, m_h, m_l, _, _, why_f = _branch_fits(u, i, turn, u_s, u_r, u0)
+        r_h, r_l, m_h, m_l, _, _, why_f = _branch_fits(u, i, turn, u_s, u_r, U0_DEFAULT)
         reason = _first_reason(why_s, why_r, why_f)
         features.append(np.column_stack([r_h, u_s, r_l, u_r]))
         reasons.append(reason)
@@ -558,5 +561,5 @@ def extract_features(trace: RawTrace, smoothing: bool = True,
     return ExtractionResult(
         features=np.concatenate(features)[kept], cycles=kept,
         exclusions=exclusions, n_cycles=len(boundaries), set_missing=set_missing,
-        boundaries=boundaries, hrs_windows=hrs_windows, lrs_windows=lrs_windows,
+        hrs_windows=hrs_windows, lrs_windows=lrs_windows,
     )

@@ -36,6 +36,13 @@ def test_synth_reproducible(tmp_path):
         assert ha == hb, name
 
 
+def test_synth_rejects_more_trace_cycles_than_features(tmp_path, capsys):
+    out = tmp_path / "c"
+    assert main(["synth", str(out), "-n", "5", "--seed", "1", "--trace-cycles", "10"]) == 1
+    assert "10 trace cycles from 5 feature vectors" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_extract_and_flags(corpus, tmp_path):
     out = tmp_path / "f.csv"
     report = tmp_path / "rep.json"
@@ -68,6 +75,29 @@ def test_extract_hostile_trace_exits_1(tmp_path, capsys, name, content, why):
     assert main(["extract", str(path), str(tmp_path / "o.csv")]) == 1
     err = capsys.readouterr().err
     assert why in err and name in err
+
+
+_EXTRACT_UNDER_LIMIT = r"""
+import resource, sys
+limit = 2 << 30
+resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+from stochsyn.cli import main
+sys.exit(main(["extract", sys.argv[1], sys.argv[2]]))
+"""
+
+
+def test_extract_rejects_an_iuw_count_beyond_the_file_without_allocating(tmp_path):
+    # the header claims 2**32 - 1 pairs (32 GiB) over 20 bytes of data
+    path = tmp_path / "huge.iuw"
+    path.write_bytes(b"IUW0" + b"\xff" * 4 + bytes(20))
+    src = str(Path(stochsyn.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    run = subprocess.run([sys.executable, "-c", _EXTRACT_UNDER_LIMIT, str(path),
+                          str(tmp_path / "o.csv")], env=env, capture_output=True, text=True,
+                         timeout=300)
+    assert run.returncode == 1 and "Traceback" not in run.stderr, run.stderr
+    assert "4294967295 pairs" in run.stderr and "huge.iuw" in run.stderr
 
 
 def test_cli_import_leaves_scipy_stats_unloaded():
@@ -117,6 +147,16 @@ def test_fit_supports_order_100(corpus, tmp_path):
     rc = main(["fit", str(corpus / "features.csv"), "-o", str(params), "-p", "100"])
     assert rc == 0
     assert sorted(paramfile.load(params).svar) == [100]
+
+
+def test_fit_below_the_fallback_floor(corpus, tmp_path):
+    params = tmp_path / "d2.ssyn"
+    rc = main(["fit", str(corpus / "features.csv"), "-o", str(params), "-p", "2",
+               "--gamma-degree", "2"])
+    assert rc == 0
+    diag = json.loads(Path(str(params) + ".diag.json").read_text())
+    assert diag["gamma_degree_used"] == 2 and diag["gamma_fallbacks"] == []
+    assert paramfile.load(params).gamma.coeffs.shape == (4, 3)
 
 
 def test_fit_usage_errors(corpus, tmp_path):
@@ -175,7 +215,10 @@ def test_sim_m_zero_usage_error(corpus, tmp_path):
     ["sim", "-m", "8", "--seed", "1", "--preset", "multilevel", "--pulses", "nonexistent.csv"],
     ["sim", "-m", "8", "--seed", "1"],
     ["bench", "-m", "64", "--seed", "1", "--modes", "wrte", "-o", "bench.csv"],
-], ids=["preset_and_pulses", "no_schedule", "unknown_mode"])
+    ["sim", "-m", "8", "--seed", "1", "--preset", "multilevel", "--reads", "nonexistent.csv"],
+    ["sim", "-m", "8", "--seed", "1", "--pulses", "nonexistent.csv", "--cycles", "2"],
+], ids=["preset_and_pulses", "no_schedule", "unknown_mode", "preset_and_reads",
+        "pulses_and_cycles"])
 def test_usage_errors_exit_2_before_any_work(corpus, tmp_path, monkeypatch, capsys, argv):
     def no_work(*args, **kwargs):
         raise AssertionError("a usage error reached init_array")
