@@ -492,7 +492,7 @@ class CellArray:
         return {
             "cell": np.arange(self.m),
             "cycle": self.cycle.copy(),
-            "phase": np.array([PHASE_NAMES[int(ph)] for ph in self.phase]),
+            "phase": np.array([PHASE_NAMES[k] for k in range(len(PHASE_NAMES))])[self.phase],
             "r": self.r.astype(np.float64),
             "static_resistance": self.static_resistance(),
         }

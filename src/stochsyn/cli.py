@@ -23,7 +23,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from . import paramfile, synth, waveform
+from . import csvtext, paramfile, synth, waveform
 from .array import ReadoutConfig, dequantize, init_array
 from .conduction import ConductionModel, fit_limiting_model
 from .svar import fit_svar, spectral_radius
@@ -80,6 +80,32 @@ def _params_path(args) -> str:
     return path
 
 
+def _read_limits(path) -> ConductionModel:
+    """The conduction model in an `extract --limits-out` JSON; a missing or
+    malformed field fails with ValueError naming the file and the field."""
+    with open(path) as fh:
+        try:
+            lims = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: not JSON ({exc})") from None
+    fields = {}
+    for name, ndim in (("u0", 0), ("hhrs", 1), ("llrs", 1)):
+        if not isinstance(lims, dict) or name not in lims:
+            raise ValueError(f"{path}: missing field {name!r}")
+        try:
+            fields[name] = np.asarray(lims[name], dtype=np.float64)
+            valid = fields[name].ndim == ndim and np.isfinite(fields[name]).all()
+        except (TypeError, ValueError):
+            valid = False
+        if not valid:
+            kind = "a finite number" if ndim == 0 else "a list of finite numbers"
+            raise ValueError(f"{path}: field {name!r} is not {kind}: {lims[name]!r}")
+    try:
+        return ConductionModel(hhrs=fields["hhrs"], llrs=fields["llrs"], u0=float(fields["u0"]))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
 def _readout_from_args(args, base: ReadoutConfig) -> ReadoutConfig:
     given = {"u_read": args.u_read, "delta_f": args.bandwidth, "n_bits": args.n_bits,
              "i_min": args.i_min, "i_max": args.i_max,
@@ -124,9 +150,11 @@ def cmd_fit(args) -> int:
     _, features = waveform.read_features_csv(args.features)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        gamma = fit_map_with_fallback(features, degree=args.gamma_degree)
-    for w in caught:
-        print(f"warning: {w.message}", file=sys.stderr)
+        try:
+            gamma = fit_map_with_fallback(features, degree=args.gamma_degree)
+        finally:   # a failed fit still reports the fallbacks it tried
+            for w in caught:
+                print(f"warning: {w.message}", file=sys.stderr)
     z, clipped = forward_map(gamma, features)
     sigma = np.cov(z, rowvar=False)
 
@@ -150,9 +178,7 @@ def cmd_fit(args) -> int:
         }
 
     if args.conduction:
-        with open(args.conduction) as fh:
-            lims = json.load(fh)
-        conduction = ConductionModel(hhrs=lims["hhrs"], llrs=lims["llrs"], u0=lims["u0"])
+        conduction = _read_limits(args.conduction)
         diagnostics["conduction_source"] = str(args.conduction)
     else:
         conduction = synth.reference_conduction()
@@ -202,9 +228,9 @@ def _read_schedule(pulse_path, read_path, m: int):
     """Merge pulse and read scripts into one ordered event list.
 
     Events at the same step run pulses first, then reads; within a step,
-    file order is preserved.  A malformed row, an amplitude that is not
-    finite, or a target outside the m cells raises ValueError naming the
-    script and line.
+    file order is preserved.  A malformed row, a negative step, an amplitude
+    that is not finite, or a target outside the m cells raises ValueError
+    naming the script and line.
     """
     events = []
     scripts = ((pulse_path, "step,target,u_a", 0, "pulse"), (read_path, "step,target", 1, "read"))
@@ -222,11 +248,13 @@ def _read_schedule(pulse_path, read_path, m: int):
                     fields = line.split(",")
                     if len(fields) != len(header.split(",")):
                         raise ValueError(f"expected {header!r}, got {line.strip()!r}")
+                    step = int(fields[0])
+                    if step < 0:
+                        raise ValueError(f"step {step} is negative")
                     amp = float(fields[2]) if kind == "pulse" else None
                     if amp is not None and not np.isfinite(amp):
                         raise ValueError(f"amplitude {amp} is not finite")
-                    events.append((int(fields[0]), order, line_no, kind,
-                                   _parse_target(fields[1], m), amp))
+                    events.append((step, order, line_no, kind, _parse_target(fields[1], m), amp))
                 except ValueError as exc:
                     raise ValueError(f"{path} line {line_no}: {exc}") from None
     events.sort(key=lambda ev: ev[:3])
@@ -271,25 +299,28 @@ def cmd_sim(args) -> int:
     else:
         events = _read_schedule(args.pulses, args.reads, args.m)
 
-    # the dequantized current is a function of the code: format each once
-    deq_text = [f"{v:.9g}" for v in dequantize(np.arange(readout.levels + 1), readout).tolist()]
-    with open(args.readout_out, "w") as fh:
-        fh.write("step,cell,i_noisy,code,i_dequant\n")
+    # texts formatted once per run: cell indices, and `code,i_dequant` per code
+    all_cells = np.arange(array.m)
+    cell_text = csvtext.value_chars(all_cells)
+    deq = dequantize(np.arange(readout.levels + 1), readout).tolist()
+    code_text = csvtext.chars([f"{code},{v:.9g}" for code, v in enumerate(deq)])
+    with open(args.readout_out, "wb") as fh:
+        fh.write(b"step,cell,i_noisy,code,i_dequant\n")
         for step, _, _, kind, target, amp in events:
             if kind == "pulse":
                 array.apply_pulses(amp, cells=target)
             else:
                 i_noisy, codes, _ = array.read_all(cells=target)
-                cells = range(array.m) if target is None else target.tolist()
-                fh.write("".join(
-                    f"{step},{c},{ino:.9g},{code},{deq_text[code]}\n"
-                    for c, ino, code in zip(cells, i_noisy.tolist(), codes.tolist())))
+                cells = all_cells if target is None else target
+                csvtext.write_rows(fh, i_noisy.size, [
+                    (csvtext.chars([str(step)]), 0), (cell_text, cells), i_noisy,
+                    (code_text, codes)])
 
     table = array.state_table()
-    columns = [table[name].tolist() for name in ("cell", "cycle", "phase", "r", "static_resistance")]
-    with open(args.state_out, "w") as fh:
-        fh.write("cell,cycle,phase,r,static_resistance\n")
-        fh.write("".join(f"{c},{cy},{ph},{r:.9g},{res:.9g}\n" for c, cy, ph, r, res in zip(*columns)))
+    with open(args.state_out, "wb") as fh:
+        fh.write(b"cell,cycle,phase,r,static_resistance\n")
+        csvtext.write_rows(fh, array.m, [table[name] for name in
+                                         ("cell", "cycle", "phase", "r", "static_resistance")])
     print(f"simulated {len(events)} events on {args.m} cells"
           f" -> {args.readout_out}, {args.state_out}")
     return 0

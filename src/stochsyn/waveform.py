@@ -87,11 +87,24 @@ class ExtractionResult:
 # trace I/O
 
 def read_trace(path, samples_per_cycle: int = SAMPLES_PER_CYCLE) -> RawTrace:
-    """Load a trace from .csv (header ``u,i``) or .iuw (binary f32 pairs)."""
+    """Load a trace from .csv (header ``u,i``) or .iuw (binary f32 pairs).
+
+    A NaN or infinite sample fails the load: the smoothing's running sums
+    would carry it into every later cycle.
+    """
     path = str(path)
     if path.endswith(".iuw"):
-        return read_trace_iuw(path, samples_per_cycle)
-    return read_trace_csv(path, samples_per_cycle)
+        trace = read_trace_iuw(path, samples_per_cycle)
+    else:
+        trace = read_trace_csv(path, samples_per_cycle)
+    for lo in range(0, len(trace), SMOOTH_BLOCK):   # blockwise: no trace-sized mask
+        bad = np.flatnonzero(~(np.isfinite(trace.u[lo:lo + SMOOTH_BLOCK])
+                               & np.isfinite(trace.i[lo:lo + SMOOTH_BLOCK])))
+        if bad.size:
+            k = lo + int(bad[0])
+            raise ExtractionError(f"{path}: sample {k} is not finite"
+                                  f" (u={trace.u[k]:g}, i={trace.i[k]:g})")
+    return trace
 
 
 def read_trace_csv(path, samples_per_cycle: int = SAMPLES_PER_CYCLE) -> RawTrace:
@@ -115,10 +128,10 @@ def read_trace_iuw(path, samples_per_cycle: int = SAMPLES_PER_CYCLE) -> RawTrace
         if len(head) < 8:
             raise ExtractionError(f"truncated header in {path}")
         (count,) = struct.unpack("<I", head[4:])
-        held = (os.fstat(fh.fileno()).st_size - 8) // 8
-        if held < count:   # checked first: the count sizes the allocation
-            raise ExtractionError(f"truncated trace {path}: header counts {count} pairs,"
-                                  f" the file holds {held}")
+        size = os.fstat(fh.fileno()).st_size - 8
+        if size != 8 * count:   # checked first: the count sizes the allocation
+            raise ExtractionError(f"trace {path}: header counts {count} pairs"
+                                  f" ({8 * count} bytes), the file holds {size} bytes")
         pairs = np.fromfile(fh, dtype="<f4", count=2 * count).reshape(-1, 2)
     return RawTrace(u=pairs[:, 0], i=pairs[:, 1], samples_per_cycle=samples_per_cycle)
 

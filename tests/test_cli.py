@@ -10,10 +10,10 @@ import pytest
 from scipy.stats import spearmanr
 
 import stochsyn
-from stochsyn import cli, paramfile, synth
-from stochsyn.array import init_array
+from stochsyn import cli, csvtext, paramfile, synth
+from stochsyn.array import dequantize, init_array
 from stochsyn.cli import main
-from stochsyn.waveform import read_features_csv
+from stochsyn.waveform import RawTrace, read_features_csv, read_trace, write_trace_iuw
 
 
 @pytest.fixture(scope="module")
@@ -100,6 +100,40 @@ def test_extract_rejects_an_iuw_count_beyond_the_file_without_allocating(tmp_pat
     assert "4294967295 pairs" in run.stderr and "huge.iuw" in run.stderr
 
 
+def _tiled_trace(corpus, path, copies):
+    """The corpus trace repeated `copies` times, written as .iuw."""
+    trace = read_trace(corpus / "trace.iuw")
+    write_trace_iuw(RawTrace(u=np.tile(trace.u, copies), i=np.tile(trace.i, copies)), path)
+    return len(trace) * copies
+
+
+def test_extract_rejects_an_iuw_count_below_the_file(corpus, tmp_path, capsys):
+    # an 8000-cycle trace whose header counts half its pairs
+    path = tmp_path / "half.iuw"
+    pairs = _tiled_trace(corpus, path, 20)
+    with open(path, "r+b") as fh:
+        fh.seek(4)
+        fh.write((pairs // 2).to_bytes(4, "little"))
+    assert main(["extract", str(path), str(tmp_path / "o.csv")]) == 1
+    err = capsys.readouterr().err
+    assert f"{pairs // 2} pairs" in err and "half.iuw" in err
+    assert not (tmp_path / "o.csv").exists()
+
+
+def test_extract_rejects_non_finite_samples(corpus, tmp_path, capsys):
+    # 100 NaN currents in cycle 1000 of a 2000-cycle trace: the smoothing's
+    # running sums would carry them into every later cycle
+    path = tmp_path / "nan.iuw"
+    _tiled_trace(corpus, path, 5)
+    trace = read_trace(path)
+    first = 1000 * trace.samples_per_cycle + 300
+    trace.i[first:first + 100] = np.nan
+    write_trace_iuw(trace, path)
+    assert main(["extract", str(path), str(tmp_path / "o.csv")]) == 1
+    err = capsys.readouterr().err
+    assert f"sample {first} is not finite" in err and "nan.iuw" in err
+
+
 def test_cli_import_leaves_scipy_stats_unloaded():
     # no scipy module at all: only `fit` imports it, inside `transform.fit_map`
     src = str(Path(stochsyn.__file__).resolve().parents[1])
@@ -157,6 +191,41 @@ def test_fit_below_the_fallback_floor(corpus, tmp_path):
     diag = json.loads(Path(str(params) + ".diag.json").read_text())
     assert diag["gamma_degree_used"] == 2 and diag["gamma_fallbacks"] == []
     assert paramfile.load(params).gamma.coeffs.shape == (4, 3)
+
+
+def test_fit_prints_its_fallbacks_when_it_fails(tmp_path, capsys):
+    # r_h from two well-separated modes: no quantile polynomial of degree 5,
+    # 4 or 3 is monotone
+    rng = np.random.default_rng(0)
+    n = 2000
+    modes = np.where(rng.random(n) < 0.5, 1e4, 1e5)
+    feats = np.column_stack([modes * np.exp(0.05 * rng.standard_normal(n))]
+                            + [c * np.exp(0.1 * rng.standard_normal(n)) for c in (0.8, 1e3, 0.6)])
+    path = tmp_path / "bimodal.csv"
+    cli.waveform.write_features_csv(feats, path)
+    assert main(["fit", str(path), "-o", str(tmp_path / "b.ssyn")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err[0].startswith("warning: degree-5 quantile fit not monotone (r_h)")
+    assert err[1].startswith("warning: degree-4 quantile fit not monotone (r_h)")
+    assert err[2].startswith("error: quantile polynomial for 'r_h' not increasing")
+
+
+@pytest.mark.parametrize("limits, why", [
+    ({"u0": 0.2, "hhrs": [0.0, 1e-4]}, "missing field 'llrs'"),
+    ({"u0": "x", "hhrs": [0.0, 1e-4], "llrs": [0.0, 2e-4]}, "field 'u0' is not a finite number"),
+    ({"u0": 0.2, "hhrs": [0.0, None], "llrs": [0.0, 2e-4]},
+     "field 'hhrs' is not a list of finite numbers"),
+    ({"u0": 0.2, "hhrs": [1.0, 1e-4], "llrs": [0.0, 2e-4]}, "hhrs constant term must be 0 A"),
+    ([], "missing field 'u0'"),
+], ids=["missing", "text", "null", "constant_term", "not_an_object"])
+def test_fit_rejects_a_bad_limits_file_naming_it(corpus, tmp_path, capsys, limits, why):
+    path = tmp_path / "limits.json"
+    path.write_text(json.dumps(limits))
+    rc = main(["fit", str(corpus / "features.csv"), "-o", str(tmp_path / "x.ssyn"),
+               "-p", "2", "--conduction", str(path)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert f"{path}: {why}" in err
 
 
 def test_fit_usage_errors(corpus, tmp_path):
@@ -283,10 +352,54 @@ def test_sim_custom_script(corpus, tmp_path):
     assert cycles[4] == 1 and phases[4] == "lrs"   # pulsed down, never reset
 
 
+def _f_string_sim(params, m, seed, events, **init):
+    """`sim`'s readout and state CSV texts from a per-row f-string, the reference."""
+    bundle = paramfile.load(params)
+    readout = bundle.defaults.readout
+    array = init_array(bundle, m, seed=seed, readout=readout, **init)
+    deq_text = [f"{v:.9g}" for v in dequantize(np.arange(readout.levels + 1), readout).tolist()]
+    rows = ["step,cell,i_noisy,code,i_dequant\n"]
+    for step, _, _, kind, target, amp in events:
+        if kind == "pulse":
+            array.apply_pulses(amp, cells=target)
+        else:
+            i_noisy, codes, _ = array.read_all(cells=target)
+            cells = range(array.m) if target is None else target.tolist()
+            rows += [f"{step},{c},{ino:.9g},{code},{deq_text[code]}\n"
+                     for c, ino, code in zip(cells, i_noisy.tolist(), codes.tolist())]
+    table = array.state_table()
+    columns = [table[name].tolist() for name in ("cell", "cycle", "phase", "r", "static_resistance")]
+    state = ["cell,cycle,phase,r,static_resistance\n"]
+    state += [f"{c},{cy},{ph},{r:.9g},{res:.9g}\n" for c, cy, ph, r, res in zip(*columns)]
+    return "".join(rows), "".join(state)
+
+
+def test_sim_csvs_equal_the_f_string_rendering(corpus, tmp_path):
+    m = csvtext.BLOCK_ROWS + 300      # full reads and the state table span two blocks
+    pulses, reads = tmp_path / "pulses.csv", tmp_path / "reads.csv"
+    pulses.write_text(f"step,target,u_a\n0,all,-1.5\n1,0:{m // 2},1.5\n2,5,0.9\n"
+                      f"3,all,1.1\n4,100:{m // 2},-1.5\n")
+    reads.write_text(f"step,target\n0,all\n1,17\n2,all\n3,{m // 3}:{m}\n4,all\n")
+    ro, st = tmp_path / "ro.csv", tmp_path / "st.csv"
+    rc = main(["sim", str(corpus / "params.ssyn"), "-m", str(m), "--seed", "9", "-a", "0.5",
+               "--order", "10", "--threads", "2", "--pulses", str(pulses), "--reads", str(reads),
+               "--readout-out", str(ro), "--state-out", str(st)])
+    assert rc == 0
+    events = cli._read_schedule(pulses, reads, m)
+    want_ro, want_st = _f_string_sim(corpus / "params.ssyn", m, 9, events, a=0.5, p=10,
+                                     threads=2)
+    assert ro.read_bytes() == want_ro.encode()
+    assert st.read_bytes() == want_st.encode()
+    phases = {row.split(",")[2] for row in want_st.splitlines()[1:]}
+    assert phases == {"hrs", "lrs", "irs"}
+
+
 @pytest.mark.parametrize("script, row", [
     ("pulses", "0,0:40,-1.5"),   # range past the last of 16 cells
     ("pulses", "0,all,nan"),     # amplitude that is not finite
     ("reads", "0,5:3"),          # reversed range
+    ("pulses", "-1,all,1.5"),    # negative step
+    ("reads", "-2,0"),
 ])
 def test_sim_hostile_script_row_fails_naming_the_line(corpus, tmp_path, capsys, script, row):
     scripts = {"pulses": "step,target,u_a\n0,all,-1.5\n", "reads": "step,target\n0,all\n"}
