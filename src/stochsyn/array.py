@@ -15,7 +15,7 @@ distribution of the autoregression (the model's cached
 `svar.stationary_factor`), followed by the one `svar.step` that realizes its
 first cycle's features; no warm-up steps are run.
 
-Pulse semantics (single scalar amplitude `u_a` per pulse):
+Pulse semantics, per addressed cell and its float32 amplitude `u_a`:
 
 * ``u_a > u_reset_track`` enters the gradual positive-polarity branch.  A
   cell sitting in its high-resistance phase ignores it.  A cell leaving the
@@ -30,9 +30,10 @@ Pulse semantics (single scalar amplitude `u_a` per pulse):
   cycle's features, so that switch consumes them and advances the counter.
 * anything else is a no-op.
 
-The cycle counter therefore always names the cycle whose features are loaded,
-advancing when a transition completes (or when an abrupt switch cuts a
-partial transition short), not when the features are generated.
+Every mask is taken from the state before the pulse.  The cycle counter
+always names the cycle whose features are loaded: one promotion step, shared
+by completed transitions and by abrupt switches that cut a partial one short,
+loads the pending features and advances it; generating them does not.
 """
 
 import hashlib
@@ -312,8 +313,8 @@ class CellArray:
         out[idx] = y
 
     def _apply_chunk(self, lo: int, hi: int, ua) -> PulseReport:
-        """Pulse branch logic for cells [lo, hi); `ua` is a scalar or the
-        matching slice of per-cell amplitudes."""
+        """Pulse branch logic for cells [lo, hi); `ua` is a 0-d float32
+        amplitude or the matching slice of per-cell amplitudes."""
         sl = slice(lo, hi)
         phase = self.phase[sl]
         u_reset = self.u_reset[sl]
@@ -322,54 +323,43 @@ class CellArray:
         r = self.r[sl]
         cycle = self.cycle[sl]
 
-        in_hrs = phase == PHASE_HRS
+        # every mask from the state before the pulse
         in_lrs = phase == PHASE_LRS
         in_irs = phase == PHASE_IRS
         reset_m = ua > u_reset
-
         gen_m = reset_m & in_lrs
+        trans = reset_m & (phase != PHASE_HRS)
+        full = trans & (ua >= self.u_max)
+        part = trans & ~full
+        set_m = ~reset_m & (ua <= -np.where(in_irs, nfeat[:, 1], feat[:, 1])) & ~in_lrs
+
         if gen_m.any():
             idx = sl if gen_m.all() else lo + np.nonzero(gen_m)[0]
             self._advance(idx, out=self.next_features)
 
-        trans = reset_m & ~in_hrs
-        full = trans & (ua >= self.u_max)
-        part = trans & ~full
         cm = self.conduction
-
         if part.any():
-            ua_p = ua if np.isscalar(ua) else ua[part]
+            ua_p = ua if ua.ndim == 0 else ua[part]
             r[part] = transition_state(
                 ua_p, feat[part, 3], state_from_resistance(feat[part, 2], cm),
                 state_from_resistance(nfeat[part, 0], cm), self.u_max, cm)
             phase[part] = PHASE_IRS
             u_reset[part] = ua_p
 
-        if full.any():
-            feat[full] = nfeat[full]
-            cycle[full] += 1
-            r[full] = state_from_resistance(feat[full, 0], cm)
-            phase[full] = PHASE_HRS
-            u_reset[full] = feat[full, 3]
+        # promotion loads the pending cycle, switch takes the loaded state
+        promote = full | (set_m & in_irs)
+        # each 16-byte feature row is one record: a 1-d masked copy, bit for bit
+        np.copyto(feat.view("V16")[:, 0], nfeat.view("V16")[:, 0], where=promote)
+        cycle += promote
+        switch = np.flatnonzero(full | set_m)   # an index array is the fastest gather here
+        if switch.size:
+            to_lrs = set_m[switch]
+            r[switch] = state_from_resistance(
+                np.where(to_lrs, feat[switch, 2], feat[switch, 0]), cm)
+            phase[switch] = np.where(to_lrs, PHASE_LRS, PHASE_HRS)
+            u_reset[switch] = feat[switch, 3]
 
-        thresh = np.where(in_irs, nfeat[:, 1], feat[:, 1])
-        set_m = ~reset_m & (ua <= -thresh) & ~in_lrs
-        n_set = int(np.count_nonzero(set_m))
-        if n_set:
-            promote = set_m & in_irs
-            if promote.any():
-                feat[promote] = nfeat[promote]
-                cycle[promote] += 1
-            r[set_m] = state_from_resistance(feat[set_m, 2], cm)
-            phase[set_m] = PHASE_LRS
-            u_reset[set_m] = feat[set_m, 3]
-
-        return PulseReport(
-            n_addressed=hi - lo,
-            n_set=n_set,
-            n_full_reset=int(np.count_nonzero(full)),
-            n_partial_reset=int(np.count_nonzero(part)),
-        )
+        return PulseReport(hi - lo, *(int(np.count_nonzero(mask)) for mask in (set_m, full, part)))
 
     def _partitions(self):
         t = self.threads
@@ -398,14 +388,15 @@ class CellArray:
     def apply_pulses(self, u_a, cells=None) -> PulseReport:
         """Apply one voltage pulse to all cells (or an addressed subset).
 
-        `u_a` is a scalar amplitude or an array (per cell for a broadcast
-        call, per addressed cell otherwise).  Results are independent of the
-        thread count; addressing the same cell twice in one call collapses to
-        a single application.  Amplitudes that are not finite raise
-        ValueError.
+        `u_a` is one amplitude for every addressed cell or an array (per
+        cell for a broadcast call, per addressed cell otherwise); `cells=[c]`
+        addresses one cell.  Results are independent of the thread count;
+        addressing the same cell twice in one call collapses to a single
+        application.  Amplitudes that are not finite raise ValueError.
         """
         if not np.all(np.isfinite(u_a)):
             raise ValueError("pulse amplitudes must be finite")
+        ua = np.asarray(u_a, dtype=np.float32)
         n_addr = self.m
         if cells is not None:
             cells = np.asarray(cells, dtype=np.int64)
@@ -414,28 +405,18 @@ class CellArray:
             if cells.min() < 0 or cells.max() >= self.m:
                 raise IndexError(f"cell index out of range 0..{self.m - 1}")
             full = np.zeros(self.m, dtype=np.float32)  # 0 V never changes state
-            full[cells] = u_a
+            full[cells] = ua
             ua = full
             n_addr = int(np.unique(cells).size)
-        elif np.isscalar(u_a):
-            ua = np.float32(u_a)
-        else:
-            ua = np.asarray(u_a, dtype=np.float32)
-            if ua.shape != (self.m,):
-                raise ValueError(f"per-cell amplitudes must have shape ({self.m},)")
+        elif ua.ndim and ua.shape != (self.m,):
+            raise ValueError(f"per-cell amplitudes must have shape ({self.m},)")
 
-        if np.isscalar(ua) or ua.ndim == 0:
-            reports = self._run_partitioned(lambda lo, hi: self._apply_chunk(lo, hi, ua))
-        else:
-            reports = self._run_partitioned(lambda lo, hi: self._apply_chunk(lo, hi, ua[lo:hi]))
         out = PulseReport()
-        for rep in reports:
+        for rep in self._run_partitioned(
+                lambda lo, hi: self._apply_chunk(lo, hi, ua if ua.ndim == 0 else ua[lo:hi])):
             out.merge(rep)
         out.n_addressed = n_addr
         return out
-
-    def apply_pulse(self, cell: int, u_a: float) -> PulseReport:
-        return self.apply_pulses(u_a, cells=[cell])
 
     def read_all(self, cfg: ReadoutConfig | None = None, cells=None):
         """Noisy quantized readout of every cell (or a subset).
@@ -470,17 +451,10 @@ class CellArray:
                 i_read = i_read + noise_sigma(i_read, cfg) * z
             return i_read, quantize(i_read, cfg)
 
-        if cells is None:
-            chunks = self._run_partitioned(run)
-        else:
-            chunks = [run(0, cells.size)]
+        chunks = self._run_partitioned(run) if cells is None else [run(0, cells.size)]
         i_noisy = np.concatenate([c[0] for c in chunks])
         codes = np.concatenate([c[1] for c in chunks])
         return i_noisy, codes, dequantize(codes, cfg)
-
-    def read(self, cell: int, cfg: ReadoutConfig | None = None):
-        i_noisy, codes, deq = self.read_all(cfg, cells=[cell])
-        return float(i_noisy[0]), int(codes[0]), float(deq[0])
 
     # -- inspection ----------------------------------------------------------
 

@@ -86,7 +86,7 @@ def _read_limits(path) -> ConductionModel:
     with open(path) as fh:
         try:
             lims = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:   # also bad UTF-8, deep nesting
             raise ValueError(f"{path}: not JSON ({exc})") from None
     fields = {}
     for name, ndim in (("u0", 0), ("hhrs", 1), ("llrs", 1)):
@@ -95,7 +95,7 @@ def _read_limits(path) -> ConductionModel:
         try:
             fields[name] = np.asarray(lims[name], dtype=np.float64)
             valid = fields[name].ndim == ndim and np.isfinite(fields[name]).all()
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):   # OverflowError: a huge integer
             valid = False
         if not valid:
             kind = "a finite number" if ndim == 0 else "a list of finite numbers"
@@ -148,6 +148,10 @@ def cmd_extract(args) -> int:
 
 def cmd_fit(args) -> int:
     _, features = waveform.read_features_csv(args.features)
+    if args.conduction:   # read before fitting: a bad file fails at once
+        conduction, source = _read_limits(args.conduction), str(args.conduction)
+    else:
+        conduction, source = synth.reference_conduction(), "built-in reference"
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
@@ -166,6 +170,7 @@ def cmd_fit(args) -> int:
         "gamma_degree_requested": args.gamma_degree,
         "gamma_degree_used": degree_used,
         "gamma_fallbacks": [str(w.message) for w in caught],
+        "conduction_source": source,
     }
     for p in args.order:
         model = fit_svar(z, p)
@@ -176,13 +181,6 @@ def cmd_fit(args) -> int:
             "max_abs_intercept": float(np.max(np.abs(model.intercept))),
             "sigma_u": model.sigma_u.tolist(),
         }
-
-    if args.conduction:
-        conduction = _read_limits(args.conduction)
-        diagnostics["conduction_source"] = str(args.conduction)
-    else:
-        conduction = synth.reference_conduction()
-        diagnostics["conduction_source"] = "built-in reference"
 
     bundle = paramfile.ParameterBundle(
         conduction=conduction, gamma=gamma, sigma=sigma, svar=models,
@@ -233,8 +231,8 @@ def _read_schedule(pulse_path, read_path, m: int):
     naming the script and line.
     """
     events = []
-    scripts = ((pulse_path, "step,target,u_a", 0, "pulse"), (read_path, "step,target", 1, "read"))
-    for path, header, order, kind in scripts:
+    for path, header, kind in ((pulse_path, "step,target,u_a", "pulse"),
+                               (read_path, "step,target", "read")):
         if not path:
             continue
         with open(path) as fh:
@@ -254,10 +252,10 @@ def _read_schedule(pulse_path, read_path, m: int):
                     amp = float(fields[2]) if kind == "pulse" else None
                     if amp is not None and not np.isfinite(amp):
                         raise ValueError(f"amplitude {amp} is not finite")
-                    events.append((step, order, line_no, kind, _parse_target(fields[1], m), amp))
+                    events.append((step, kind, _parse_target(fields[1], m), amp))
                 except ValueError as exc:
                     raise ValueError(f"{path} line {line_no}: {exc}") from None
-    events.sort(key=lambda ev: ev[:3])
+    events.sort(key=lambda ev: (ev[0], ev[1] == "read"))   # stable: file order kept
     return events
 
 
@@ -269,16 +267,16 @@ def _preset_schedule(preset: str, cycles: int, u_max: float):
         amps = np.concatenate([-ramp, ramp])
         for _ in range(cycles):
             for amp in amps:
-                events.append((step, 0, 0, "pulse", None, float(amp)))
-                events.append((step, 1, 0, "read", None, None))
+                events.append((step, "pulse", None, float(amp)))
+                events.append((step, "read", None, None))
                 step += 1
     elif preset == "multilevel":
         tops = np.linspace(0.7, u_max, cycles)
         for top in tops:
-            events.append((step, 0, 0, "pulse", None, -u_max))
+            events.append((step, "pulse", None, -u_max))
             step += 1
-            events.append((step, 0, 0, "pulse", None, float(top)))
-            events.append((step, 1, 0, "read", None, None))
+            events.append((step, "pulse", None, float(top)))
+            events.append((step, "read", None, None))
             step += 1
     else:
         raise ValueError(f"unknown preset {preset!r}")
@@ -306,7 +304,7 @@ def cmd_sim(args) -> int:
     code_text = csvtext.chars([f"{code},{v:.9g}" for code, v in enumerate(deq)])
     with open(args.readout_out, "wb") as fh:
         fh.write(b"step,cell,i_noisy,code,i_dequant\n")
-        for step, _, _, kind, target, amp in events:
+        for step, kind, target, amp in events:
             if kind == "pulse":
                 array.apply_pulses(amp, cells=target)
             else:
@@ -318,9 +316,8 @@ def cmd_sim(args) -> int:
 
     table = array.state_table()
     with open(args.state_out, "wb") as fh:
-        fh.write(b"cell,cycle,phase,r,static_resistance\n")
-        csvtext.write_rows(fh, array.m, [table[name] for name in
-                                         ("cell", "cycle", "phase", "r", "static_resistance")])
+        fh.write(",".join(table).encode() + b"\n")
+        csvtext.write_rows(fh, array.m, list(table.values()))
     print(f"simulated {len(events)} events on {args.m} cells"
           f" -> {args.readout_out}, {args.state_out}")
     return 0

@@ -107,16 +107,29 @@ def read_trace(path, samples_per_cycle: int = SAMPLES_PER_CYCLE) -> RawTrace:
     return trace
 
 
-def read_trace_csv(path, samples_per_cycle: int = SAMPLES_PER_CYCLE) -> RawTrace:
+def _read_csv(path, header: str, error=ValueError) -> np.ndarray:
+    """The rows of a CSV file under ``header`` as a (rows, columns) float64
+    array.  Another header, a row of another width or a value that does not
+    parse raises ``error`` naming the file."""
+    names = header.split(",")
     with open(path, "r", newline="") as fh:
-        header = fh.readline().strip()
-        if header.replace(" ", "") != "u,i":
-            raise ExtractionError(f"expected header 'u,i', got {header!r}")
-        data = np.loadtxt(fh, delimiter=",", ndmin=2)
+        first = fh.readline().strip()
+        if first.replace(" ", "") != header:
+            raise error(f"expected header {header!r} in {path}, got {first!r}")
+        try:
+            data = np.loadtxt(fh, delimiter=",", ndmin=2)
+        except ValueError as exc:
+            raise error(f"{path}: {exc}") from None
+    if data.size and data.shape[1] != len(names):
+        raise error(f"need {len(names)} columns ({', '.join(names)}) in {path},"
+                    f" got {data.shape[1]}")
+    return data
+
+
+def read_trace_csv(path, samples_per_cycle: int = SAMPLES_PER_CYCLE) -> RawTrace:
+    data = _read_csv(path, "u,i", ExtractionError)
     if data.size == 0:
         raise ExtractionError(f"empty trace file {path}")
-    if data.shape[1] != 2:
-        raise ExtractionError(f"need 2 columns (u, i) in {path}, got {data.shape[1]}")
     return RawTrace(u=data[:, 0], i=data[:, 1], samples_per_cycle=samples_per_cycle)
 
 
@@ -155,14 +168,10 @@ def write_features_csv(features: np.ndarray, path, cycles=None) -> None:
 
 def read_features_csv(path) -> tuple[np.ndarray, np.ndarray]:
     """Returns (cycles, features (n, 4))."""
-    with open(path, "r", newline="") as fh:
-        header = fh.readline().strip()
-        if header.replace(" ", "") != FEATURES_HEADER:
-            raise ValueError(f"expected header {FEATURES_HEADER!r}, got {header!r}")
-        data = np.loadtxt(fh, delimiter=",", ndmin=2)
+    data = _read_csv(path, FEATURES_HEADER)
     if data.size == 0:
         return np.empty(0, dtype=int), np.empty((0, 4))
-    return data[:, 0].astype(int), data[:, 1:5]
+    return data[:, 0].astype(int), data[:, 1:]
 
 
 # ---------------------------------------------------------------------------

@@ -184,7 +184,7 @@ def test_sparse_addressing(small):
     assert rep.n_addressed == 0
     with pytest.raises(IndexError):
         small.apply_pulses(1.0, cells=[64])
-    rep = small.apply_pulse(3, -1.5)
+    rep = small.apply_pulses(-1.5, cells=[3])
     assert rep.n_set == 1
 
 
@@ -205,6 +205,18 @@ def test_per_cell_amplitudes(small):
     assert np.all(small.phase[16:] == PHASE_HRS)
     with pytest.raises(ValueError):
         small.apply_pulses(np.zeros(7))
+
+
+def test_scalar_amplitude_forms_are_one_form(ref_bundle):
+    # a Python float, numpy scalars and a 0-d array each become one 0-d
+    # float32 broadcast amplitude, through set, partial and full resets
+    digests = set()
+    for form in (float, np.float32, np.float64, np.asarray):
+        arr = init_array(ref_bundle, m=64, a=0.3, seed=5, p=10)
+        for amp in (-1.5, 0.9, 1.1, -1.5, 0.8, 1.5):
+            arr.apply_pulses(form(amp))
+        digests.add(arr.state_digest())
+    assert len(digests) == 1
 
 
 def test_partition_independence_bit_exact(ref_bundle):
@@ -317,12 +329,6 @@ def test_read_rejects_a_repeated_cell(small):
     with pytest.raises(ValueError, match="at most once"):
         small.read_all(cells=[5, 5, 6])
     assert small.state_digest() == digest
-
-
-def test_read_single_cell(small):
-    i, code, deq = small.read(5)
-    assert isinstance(code, int)
-    assert 0 <= code <= small.readout.levels
 
 
 def test_state_table(small):

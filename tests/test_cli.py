@@ -77,6 +77,43 @@ def test_extract_hostile_trace_exits_1(tmp_path, capsys, name, content, why):
     assert why in err and name in err
 
 
+def test_extract_reads_a_csv_trace_as_its_iuw(corpus, tmp_path):
+    # the first 300 cycles of the corpus trace, as .iuw and as a CSV of the
+    # same float32 values written with repr
+    trace = read_trace(corpus / "trace.iuw")
+    n = 300 * trace.samples_per_cycle
+    part = RawTrace(u=trace.u[:n], i=trace.i[:n])
+    write_trace_iuw(part, tmp_path / "t.iuw")
+    (tmp_path / "t.csv").write_text("u,i\n" + "".join(
+        f"{u!r},{i!r}\n" for u, i in zip(part.u.tolist(), part.i.tolist())))
+    for name in ("t.iuw", "t.csv"):
+        assert main(["extract", str(tmp_path / name), str(tmp_path / f"{name}.features"),
+                     "--limits-out", str(tmp_path / f"{name}.limits")]) == 0
+    for suffix in ("features", "features.report.json", "limits"):
+        want = (tmp_path / f"t.iuw.{suffix}").read_bytes()
+        assert (tmp_path / f"t.csv.{suffix}").read_bytes() == want, suffix
+    assert len(want) > 0
+
+
+def _cosine_trace(cycles: int, period: int = 1042) -> str:
+    """A CSV trace whose voltage peaks at the start of every period and whose
+    current is zero, so no cycle has an abrupt transition."""
+    u = 1.5 * np.cos(2 * np.pi * np.arange(cycles * period) / period)
+    return "u,i\n" + "".join(f"{v!r},0.0\n" for v in u.tolist())
+
+
+@pytest.mark.parametrize("text, why", [
+    ("u,i\n" + "0.1,0.0\n" * 100, "no full cycle found"),
+    (_cosine_trace(4), "4 of 4 cycles failed extraction"),
+], ids=["shorter_than_a_cycle", "every_cycle_excluded"])
+def test_extract_fails_on_a_trace_without_usable_cycles(tmp_path, capsys, text, why):
+    path = tmp_path / "t.csv"
+    path.write_text(text)
+    assert main(["extract", str(path), str(tmp_path / "o.csv")]) == 1
+    assert capsys.readouterr().err == f"error: {why}\n"
+    assert not (tmp_path / "o.csv").exists()
+
+
 _EXTRACT_UNDER_LIMIT = r"""
 import resource, sys
 limit = 2 << 30
@@ -217,15 +254,47 @@ def test_fit_prints_its_fallbacks_when_it_fails(tmp_path, capsys):
      "field 'hhrs' is not a list of finite numbers"),
     ({"u0": 0.2, "hhrs": [1.0, 1e-4], "llrs": [0.0, 2e-4]}, "hhrs constant term must be 0 A"),
     ([], "missing field 'u0'"),
-], ids=["missing", "text", "null", "constant_term", "not_an_object"])
+    (b'{"u0": 1' + b"0" * 400 + b', "hhrs": [0, 1e-4], "llrs": [0, 2e-4]}',
+     "field 'u0' is not a finite number"),
+    (b"[" * 100_000 + b"]" * 100_000, "not JSON"),
+    (b'{"u0": 0.2, "hhrs": "\xff"}', "not JSON"),
+], ids=["missing", "text", "null", "constant_term", "not_an_object", "huge_integer",
+        "deep_nesting", "not_utf8"])
 def test_fit_rejects_a_bad_limits_file_naming_it(corpus, tmp_path, capsys, limits, why):
     path = tmp_path / "limits.json"
-    path.write_text(json.dumps(limits))
+    path.write_bytes(limits if isinstance(limits, bytes) else json.dumps(limits).encode())
     rc = main(["fit", str(corpus / "features.csv"), "-o", str(tmp_path / "x.ssyn"),
                "-p", "2", "--conduction", str(path)])
     assert rc == 1
     err = capsys.readouterr().err
     assert f"{path}: {why}" in err
+
+
+def test_fit_reads_the_limits_file_before_fitting(tmp_path, capsys):
+    # 999 rows are too few to fit; the bad limits file must be the error
+    feats = tmp_path / "short.csv"
+    cli.waveform.write_features_csv(np.full((999, 4), 2.0), feats)
+    limits = tmp_path / "limits.json"
+    limits.write_text(json.dumps({"u0": 0.2, "hhrs": [0.0, 1e-4]}))
+    rc = main(["fit", str(feats), "-o", str(tmp_path / "x.ssyn"), "--conduction", str(limits)])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {limits}: missing field 'llrs'\n"
+
+
+@pytest.mark.parametrize("rows", ["all", "one"])
+def test_fit_rejects_features_rows_of_another_width(corpus, tmp_path, capsys, rows):
+    lines = (corpus / "features.csv").read_text().splitlines()
+    wide = [line + ",7" for line in lines[1:]] if rows == "all" else \
+        lines[1:5] + [lines[5] + ",7"] + lines[6:]
+    path = tmp_path / "wide.csv"
+    path.write_text("\n".join([lines[0], *wide]) + "\n")
+    rc = main(["fit", str(path), "-o", str(tmp_path / "x.ssyn"), "-p", "2"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(path) in err and err.count("\n") == 1
+    if rows == "all":
+        assert "need 5 columns (cycle, r_h, u_s, r_l, u_r)" in err and "got 6" in err
+    assert not (tmp_path / "x.ssyn").exists()
 
 
 def test_fit_usage_errors(corpus, tmp_path):
@@ -286,8 +355,9 @@ def test_sim_m_zero_usage_error(corpus, tmp_path):
     ["bench", "-m", "64", "--seed", "1", "--modes", "wrte", "-o", "bench.csv"],
     ["sim", "-m", "8", "--seed", "1", "--preset", "multilevel", "--reads", "nonexistent.csv"],
     ["sim", "-m", "8", "--seed", "1", "--pulses", "nonexistent.csv", "--cycles", "2"],
+    ["bench", "-m", "64", "--seed", "1", "--modes", "read,bogus", "-o", "bench.csv"],
 ], ids=["preset_and_pulses", "no_schedule", "unknown_mode", "preset_and_reads",
-        "pulses_and_cycles"])
+        "pulses_and_cycles", "one_unknown_mode"])
 def test_usage_errors_exit_2_before_any_work(corpus, tmp_path, monkeypatch, capsys, argv):
     def no_work(*args, **kwargs):
         raise AssertionError("a usage error reached init_array")
@@ -359,7 +429,7 @@ def _f_string_sim(params, m, seed, events, **init):
     array = init_array(bundle, m, seed=seed, readout=readout, **init)
     deq_text = [f"{v:.9g}" for v in dequantize(np.arange(readout.levels + 1), readout).tolist()]
     rows = ["step,cell,i_noisy,code,i_dequant\n"]
-    for step, _, _, kind, target, amp in events:
+    for step, kind, target, amp in events:
         if kind == "pulse":
             array.apply_pulses(amp, cells=target)
         else:
@@ -452,3 +522,14 @@ def test_bench_csv_schema(corpus, tmp_path):
     assert "init_seconds" in meta["contract"]
     assert set(meta["init_seconds"]) == {"1", "10"}
     assert all(t > 0 for t in meta["init_seconds"].values())
+
+
+def test_bench_modes_select_the_rows(corpus, tmp_path):
+    out = tmp_path / "bench.csv"
+    rc = main(["bench", str(corpus / "params.ssyn"), "-m", "64", "--seed", "6",
+               "--orders", "1", "--threads-list", "1,2", "--modes", "read",
+               "--reads", "2", "-o", str(out)])
+    assert rc == 0
+    rows = out.read_text().strip().splitlines()[1:]
+    assert [row.split(",")[:4] for row in rows] == [["read", "64", "1", "1"],
+                                                   ["read", "64", "1", "2"]]
