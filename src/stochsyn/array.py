@@ -15,7 +15,8 @@ distribution of the autoregression (the model's cached
 `svar.stationary_factor`), followed by the one `svar.step` that realizes its
 first cycle's features; no warm-up steps are run.
 
-Pulse semantics, per addressed cell and its float32 amplitude `u_a`:
+Pulse semantics, per addressed cell and its float32 amplitude `u_a` (one per
+cell, however the pulse was passed, so its bits do not depend on the form):
 
 * ``u_a > u_reset_track`` enters the gradual positive-polarity branch.  A
   cell sitting in its high-resistance phase ignores it.  A cell leaving the
@@ -170,12 +171,6 @@ class PulseReport:
     def n_noop(self) -> int:
         return self.n_addressed - self.n_set - self.n_full_reset - self.n_partial_reset
 
-    def merge(self, other: "PulseReport") -> None:
-        self.n_addressed += other.n_addressed
-        self.n_set += other.n_set
-        self.n_full_reset += other.n_full_reset
-        self.n_partial_reset += other.n_partial_reset
-
 
 class CellArray:
     """M independent stochastic cells sharing one parameter set.
@@ -188,23 +183,23 @@ class CellArray:
 
     def __init__(self, bundle, m: int, a: float | None = None, seed: int = 0,
                  p: int | None = None, threads: int = 1,
-                 u_max: float | None = None, readout: ReadoutConfig | None = None):
+                 readout: ReadoutConfig | None = None):
         if m < 1:
             raise ValueError(f"need at least one cell, got m={m}")
+        if threads < 1:
+            raise ValueError(f"need at least one thread, got threads={threads}")
         defaults = bundle.defaults
         a = defaults.dtd_scale if a is None else float(a)
         if a < 0:
             raise ValueError(f"device-variability scale must be >= 0, got {a}")
-        if p is not None and p not in bundle.svar:
-            raise ValueError(f"no order-{p} model in bundle (available: {sorted(bundle.svar)})")
         self.model = bundle.model(p)
 
         self.m = int(m)
         self.p = self.model.p
         self.a = a
         self.seed = int(seed)
-        self.threads = max(1, int(threads))
-        self.u_max = float(defaults.u_max if u_max is None else u_max)
+        self.threads = int(threads)
+        self.u_max = float(defaults.u_max)
         self.readout = readout or defaults.readout
         self.conduction = bundle.conduction
         self.gamma = bundle.gamma
@@ -246,7 +241,7 @@ class CellArray:
                 chol = np.linalg.cholesky(self.a * np.asarray(bundle.sigma, dtype=np.float64))
             except np.linalg.LinAlgError as exc:
                 raise ValueError(f"a * sigma is not positive definite: {exc}") from exc
-            z = streams.normals(self._keys, self._counters, _DRAWS_DTD)
+            z = self._normals(slice(None), _DRAWS_DTD)
             shat = mix_lower_triangular(z, chol.astype(np.float32))
             med = inverse_map(self.gamma, np.zeros(4, dtype=np.float32))
             self.scale[:] = inverse_map(self.gamma, shat) / med
@@ -276,8 +271,7 @@ class CellArray:
             lags = self._lags[cells]
             for j in range(self.p):
                 slot = self.p - 1 - j
-                lags[:, 4 * slot : 4 * slot + 4] = streams.normals(
-                    self._keys[cells], self._counters[cells], _DRAWS_STEP).T
+                lags[:, 4 * slot : 4 * slot + 4] = self._normals(cells, _DRAWS_STEP).T
             x = np.empty((lags.shape[0], 4), dtype=np.float32)
             for i in reversed(range(self.p)):
                 w = 4 * (i + 1)
@@ -286,18 +280,22 @@ class CellArray:
 
     # -- internals ---------------------------------------------------------
 
+    def _normals(self, idx, n: int) -> np.ndarray:
+        """(n, cells) standard normals from the streams of the cells that a
+        slice or an index array `idx` selects, advancing their counters."""
+        ctrs = self._counters[idx]          # view for slices, copy otherwise
+        z = streams.normals(self._keys[idx], ctrs, n)
+        if not isinstance(idx, slice):
+            self._counters[idx] = ctrs
+        return z
+
     def _advance(self, idx, out) -> None:
         """One autoregression step for the selected cells.
 
         Shifts their lag history and realizes the scaled feature vector of
         the new cycle into out[idx].
         """
-        sliced = isinstance(idx, slice)
-        keys = self._keys[idx]
-        ctrs = self._counters[idx]          # view for slices, copy otherwise
-        eps = streams.normals(keys, ctrs, _DRAWS_STEP)
-        if not sliced:
-            self._counters[idx] = ctrs
+        eps = self._normals(idx, _DRAWS_STEP)
         lags = self._lags[idx]
         x = step(lags, self._w32, mix_lower_triangular(eps, self._cholu32))
         # numpy buffers overlapping copies; chunk rows to bound the temporary
@@ -305,16 +303,16 @@ class CellArray:
             block = lags[lo : lo + 65536]
             block[:, 4:] = block[:, :-4]
         lags[:, :4] = x
-        if not sliced:
+        if not isinstance(idx, slice):
             self._lags[idx] = lags
         y = inverse_map(self.gamma, x)
         y *= self.scale[idx]
         y[:, 3] = np.minimum(y[:, 3], self.u_max - U_RESET_CLEARANCE)
         out[idx] = y
 
-    def _apply_chunk(self, lo: int, hi: int, ua) -> PulseReport:
-        """Pulse branch logic for cells [lo, hi); `ua` is a 0-d float32
-        amplitude or the matching slice of per-cell amplitudes."""
+    def _apply_chunk(self, lo: int, hi: int, ua) -> tuple[int, int, int]:
+        """Pulse branch logic for cells [lo, hi), given their float32
+        amplitudes `ua`; returns the counts of sets, full and partial resets."""
         sl = slice(lo, hi)
         phase = self.phase[sl]
         u_reset = self.u_reset[sl]
@@ -339,7 +337,7 @@ class CellArray:
 
         cm = self.conduction
         if part.any():
-            ua_p = ua if ua.ndim == 0 else ua[part]
+            ua_p = ua[part]
             r[part] = transition_state(
                 ua_p, feat[part, 3], state_from_resistance(feat[part, 2], cm),
                 state_from_resistance(nfeat[part, 0], cm), self.u_max, cm)
@@ -359,7 +357,7 @@ class CellArray:
             phase[switch] = np.where(to_lrs, PHASE_LRS, PHASE_HRS)
             u_reset[switch] = feat[switch, 3]
 
-        return PulseReport(hi - lo, *(int(np.count_nonzero(mask)) for mask in (set_m, full, part)))
+        return tuple(int(np.count_nonzero(mask)) for mask in (set_m, full, part))
 
     def _partitions(self):
         t = self.threads
@@ -390,9 +388,12 @@ class CellArray:
 
         `u_a` is one amplitude for every addressed cell or an array (per
         cell for a broadcast call, per addressed cell otherwise); `cells=[c]`
-        addresses one cell.  Results are independent of the thread count;
-        addressing the same cell twice in one call collapses to a single
-        application.  Amplitudes that are not finite raise ValueError.
+        addresses one cell.  Every form becomes one float32 amplitude per
+        cell, a broadcast view of a single one or addressed ones scattered
+        into 0 V no-ops, so an amplitude's bits do not depend on its form or
+        on the thread count.  Addressing the same cell twice in one call
+        collapses to a single application.  Amplitudes that are not finite
+        raise ValueError.
         """
         if not np.all(np.isfinite(u_a)):
             raise ValueError("pulse amplitudes must be finite")
@@ -400,23 +401,17 @@ class CellArray:
         n_addr = self.m
         if cells is not None:
             cells = np.asarray(cells, dtype=np.int64)
-            if cells.size == 0:
-                return PulseReport()
-            if cells.min() < 0 or cells.max() >= self.m:
+            if cells.size and (cells.min() < 0 or cells.max() >= self.m):
                 raise IndexError(f"cell index out of range 0..{self.m - 1}")
-            full = np.zeros(self.m, dtype=np.float32)  # 0 V never changes state
+            full = np.zeros(self.m, dtype=np.float32)
             full[cells] = ua
             ua = full
             n_addr = int(np.unique(cells).size)
-        elif ua.ndim and ua.shape != (self.m,):
+        elif ua.shape not in ((), (self.m,)):
             raise ValueError(f"per-cell amplitudes must have shape ({self.m},)")
-
-        out = PulseReport()
-        for rep in self._run_partitioned(
-                lambda lo, hi: self._apply_chunk(lo, hi, ua if ua.ndim == 0 else ua[lo:hi])):
-            out.merge(rep)
-        out.n_addressed = n_addr
-        return out
+        ua = np.broadcast_to(ua, (self.m,))
+        counts = self._run_partitioned(lambda lo, hi: self._apply_chunk(lo, hi, ua[lo:hi]))
+        return PulseReport(n_addr, *(sum(c) for c in zip(*counts)))
 
     def read_all(self, cfg: ReadoutConfig | None = None, cells=None):
         """Noisy quantized readout of every cell (or a subset).
@@ -443,11 +438,7 @@ class CellArray:
             sl = slice(lo, hi) if cells is None else cells[lo:hi]
             i_read = self.r[sl] * (ih - il) + il
             if cfg.noise_enabled:
-                keys = self._keys[sl]
-                ctrs = self._counters[sl]
-                z = streams.normals(keys, ctrs, _DRAWS_READ)[0]
-                if not isinstance(sl, slice):
-                    self._counters[sl] = ctrs
+                z = self._normals(sl, _DRAWS_READ)[0]
                 i_read = i_read + noise_sigma(i_read, cfg) * z
             return i_read, quantize(i_read, cfg)
 
@@ -490,7 +481,6 @@ class CellArray:
 
 def init_array(bundle, m: int, a: float | None = None, seed: int = 0,
                p: int | None = None, threads: int = 1,
-               u_max: float | None = None,
                readout: ReadoutConfig | None = None) -> CellArray:
     """Instantiate an array of `m` cells from a parameter bundle.
 
@@ -503,5 +493,4 @@ def init_array(bundle, m: int, a: float | None = None, seed: int = 0,
     features of its first cycle.  Cells are drawn on `threads` workers;
     the result does not depend on that number.
     """
-    return CellArray(bundle, m, a=a, seed=seed, p=p, threads=threads,
-                     u_max=u_max, readout=readout)
+    return CellArray(bundle, m, a=a, seed=seed, p=p, threads=threads, readout=readout)

@@ -106,6 +106,11 @@ def _read_limits(path) -> ConductionModel:
         raise ValueError(f"{path}: {exc}") from None
 
 
+def _write_json(path, obj) -> None:
+    with open(path, "w") as fh:
+        json.dump(obj, fh, indent=2)
+
+
 def _readout_from_args(args, base: ReadoutConfig) -> ReadoutConfig:
     given = {"u_read": args.u_read, "delta_f": args.bandwidth, "n_bits": args.n_bits,
              "i_min": args.i_min, "i_max": args.i_max,
@@ -131,17 +136,14 @@ def cmd_extract(args) -> int:
         "set_detect_missing": result.set_missing,
         "excluded": [{"cycle": int(c), "reason": r} for c, r in result.exclusions],
     }
-    report_path = args.report or str(args.output) + ".report.json"
-    with open(report_path, "w") as fh:
-        json.dump(report, fh, indent=2)
+    _write_json(args.report or str(args.output) + ".report.json", report)
     if args.limits_out:
         model = fit_limiting_model(
             result.hrs_windows, result.lrs_windows,
             r_h=result.features[:, 0], r_l=result.features[:, 2],
         )
-        with open(args.limits_out, "w") as fh:
-            json.dump({"u0": model.u0, "hhrs": model.hhrs.tolist(),
-                       "llrs": model.llrs.tolist()}, fh, indent=2)
+        _write_json(args.limits_out, {"u0": model.u0, "hhrs": model.hhrs.tolist(),
+                                      "llrs": model.llrs.tolist()})
     print(f"extracted {result.features.shape[0]}/{result.n_cycles} cycles -> {args.output}")
     return 0
 
@@ -152,11 +154,16 @@ def cmd_fit(args) -> int:
         conduction, source = _read_limits(args.conduction), str(args.conduction)
     else:
         conduction, source = synth.reference_conduction(), "built-in reference"
+    diag_path = args.diagnostics or str(args.output) + ".diag.json"
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
             gamma = fit_map_with_fallback(features, degree=args.gamma_degree)
-        finally:   # a failed fit still reports the fallbacks it tried
+        except ValueError as exc:   # a failed fit still records the fallbacks it tried
+            _write_json(diag_path, {"gamma_fallbacks": [str(w.message) for w in caught],
+                                    "error": str(exc)})
+            raise
+        finally:
             for w in caught:
                 print(f"warning: {w.message}", file=sys.stderr)
     z, clipped = forward_map(gamma, features)
@@ -187,9 +194,7 @@ def cmd_fit(args) -> int:
         defaults=paramfile.SimDefaults(),
     )
     paramfile.save(bundle, args.output)
-    diag_path = args.diagnostics or str(args.output) + ".diag.json"
-    with open(diag_path, "w") as fh:
-        json.dump(diagnostics, fh, indent=2)
+    _write_json(diag_path, diagnostics)
     print(f"fit orders {sorted(models)} on {features.shape[0]} cycles -> {args.output}")
     return 0
 
@@ -373,8 +378,7 @@ def cmd_bench(args) -> int:
         "platform": platform.platform(),
         "numpy": np.__version__,
     }
-    with open(str(args.output) + ".meta.json", "w") as fh:
-        json.dump(meta, fh, indent=2)
+    _write_json(str(args.output) + ".meta.json", meta)
     return 0
 
 

@@ -141,11 +141,14 @@ def transition_current(u, u_start, r_lrs, r_next, u_max, model: ConductionModel)
     The three conditions (both endpoint currents, zero slope at u_max) pin
     the parabola in vertex form as i_end + curv * (u - u_max)**2; no other
     form of it is written.  Elementwise over broadcast arrays; dtype-generic
-    (see `as_float`); ``u_max`` is a Python float.
+    (see `as_float`); ``u_max`` is a Python float.  Squares are products:
+    ``d ** 2`` of a 0-d float32 is a scalar power that is not always
+    correctly rounded, while ``d * d`` rounds alike for scalars and arrays.
     """
     i_end = current(r_next, u_max, model)
-    curv = (current(r_lrs, u_start, model) - i_end) / (u_start - u_max) ** 2
-    return i_end + curv * (u - u_max) ** 2
+    d_start, d = u_start - u_max, u - u_max
+    curv = (current(r_lrs, u_start, model) - i_end) / (d_start * d_start)
+    return i_end + curv * (d * d)
 
 
 def transition_state(u_a, u_start, r_lrs, r_next, u_max, model: ConductionModel):

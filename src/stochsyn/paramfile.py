@@ -78,10 +78,10 @@ class ParameterBundle:
     defaults: SimDefaults = field(default_factory=SimDefaults)
 
     def model(self, p: int | None = None) -> SvarModel:
-        """The order-p model; by default order 10 if stored, else the highest."""
+        """The order-p model (default: 10 if stored, else the highest); ValueError if absent."""
         p = (10 if 10 in self.svar else max(self.svar)) if p is None else p
         if p not in self.svar:
-            raise KeyError(f"no order-{p} model (available: {sorted(self.svar)})")
+            raise ValueError(f"no order-{p} model (available: {sorted(self.svar)})")
         return self.svar[p]
 
     def validate(self) -> None:

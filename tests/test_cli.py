@@ -245,6 +245,11 @@ def test_fit_prints_its_fallbacks_when_it_fails(tmp_path, capsys):
     assert err[0].startswith("warning: degree-5 quantile fit not monotone (r_h)")
     assert err[1].startswith("warning: degree-4 quantile fit not monotone (r_h)")
     assert err[2].startswith("error: quantile polynomial for 'r_h' not increasing")
+    # the diagnostics record the same fallbacks and error; no parameter file is written
+    diag = json.loads((tmp_path / "b.ssyn.diag.json").read_text())
+    assert diag["gamma_fallbacks"] == [line.removeprefix("warning: ") for line in err[:2]]
+    assert diag["error"] == err[2].removeprefix("error: ")
+    assert not (tmp_path / "b.ssyn").exists()
 
 
 @pytest.mark.parametrize("limits, why", [
@@ -325,6 +330,17 @@ def test_generate_and_sim_share_the_default_order(tmp_path):
         outs.append(out.read_bytes())
     assert outs[0] == outs[1]
     assert init_array(paramfile.load(params), 4, seed=1).p == 3
+
+
+def test_generate_and_sim_name_a_missing_order_alike(corpus, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    params = str(corpus / "params.ssyn")
+    errors = []
+    for argv in (["generate", params, "-n", "5", "--seed", "1", "-o", "g.csv"],
+                 ["sim", params, "-m", "8", "--seed", "1", "--preset", "multilevel"]):
+        assert main([*argv, "--order", "5"]) == 1
+        errors.append(capsys.readouterr().err)
+    assert errors == ["error: no order-5 model (available: [1, 10, 100])\n"] * 2
 
 
 def test_generate_seed_required(corpus, tmp_path):

@@ -157,7 +157,7 @@ def test_fitted_bundle_roundtrips_and_validates(tmp_path, source_features):
     save(bundle, p)
     again = load(p)  # load() validates
     assert again.model(2).p == 2
-    with pytest.raises(KeyError):
+    with pytest.raises(ValueError, match="no order-10 model"):
         again.model(10)
 
 

@@ -1,9 +1,11 @@
 """Fuzz tests of the text inputs: the trace CSV, the features CSV,
-`limits.json` and the `sim` pulse and read scripts.
+`limits.json` and the `sim` pulse and read scripts; and of the binary `.iuw`
+trace.
 
 Each test mutates a valid file (fields replaced by hostile tokens, added or
-dropped, lines deleted, duplicated or swapped, the text cut short) and runs
-the command that reads it through `cli.main`.  Every run must exit 0 with
+dropped, lines deleted, duplicated or swapped, the text cut short; for the
+`.iuw` file, its magic, count, length and float pairs) and runs the command
+that reads it through `cli.main`.  Every run must exit 0 with
 finite outputs, or exit 1 or 2 with a one-line `error:` message (after the
 `warning:` lines `fit` prints for its fallbacks); an exception escaping
 `cli.main` fails the test.  The examples are derandomized with a fixed count,
@@ -161,6 +163,56 @@ def check(edits):
 check()
 """
 
+_IUW = r"""
+import struct
+
+BASE = (CORPUS / "trace.iuw").read_bytes()
+PAIRS = len(BASE) // 8 - 1
+FLOATS = (float("nan"), float("inf"), -float("inf"), 3.4028234663852886e38, -1e30, 1e-45, 0.0,
+          -0.0, 1.0, -1.5)
+# the named floats twice as often as random float32 values
+FLOAT = st.sampled_from(FLOATS) | st.sampled_from(FLOATS) | st.floats(width=32)
+COUNT = st.sampled_from((0, 1, PAIRS - 1, PAIRS + 1, PAIRS // 2, 2 * PAIRS, 2**32 - 1)) \
+    | st.integers(0, 2**32 - 1)
+PAIR_EDIT = st.tuples(st.just("pair"), st.integers(0, PAIRS - 1), st.integers(0, 1), FLOAT)
+SHAPE_EDIT = st.one_of(
+    st.tuples(st.just("magic"), st.binary(min_size=4, max_size=4)),
+    st.tuples(st.just("count"), COUNT),
+    st.tuples(st.just("cut"), st.integers(0, 12) | st.integers(0, len(BASE))),   # header too
+    st.tuples(st.just("extend"), st.binary(min_size=1, max_size=16)),
+)
+
+
+def mutate_iuw(edits) -> bytes:
+    data = bytearray(BASE)
+    for kind, *args in edits:
+        if kind == "pair":
+            struct.pack_into("<f", data, 8 + 8 * args[0] + 4 * args[1], args[2])
+        elif kind == "magic":
+            data[:4] = args[0]
+        elif kind == "count":
+            struct.pack_into("<I", data, 4, args[0])
+        elif kind == "cut":
+            del data[args[0]:]
+        else:
+            data += args[0]
+    return bytes(data)
+
+
+# up to four float pairs changed, then at most one edit of the file's shape
+@fuzz(st.tuples(st.lists(PAIR_EDIT, max_size=4), st.lists(SHAPE_EDIT, max_size=1))
+      .map(lambda pair: pair[0] + pair[1]), 100)
+def check(edits):
+    path, out, limits = WORK / "t.iuw", WORK / "f.csv", WORK / "limits.json"
+    path.write_bytes(mutate_iuw(edits))
+    run(["extract", path, out, "--limits-out", limits],
+        lambda: finite_csv(out), lambda: finite_json(str(out) + ".report.json"),
+        lambda: finite_json(limits))
+
+
+check()
+"""
+
 _FEATURES = r"""
 LINES = (CORPUS / "features.csv").read_text().splitlines()
 
@@ -242,6 +294,10 @@ def _run_child(body):
 
 def test_mutated_trace_csv_extracts_finite_or_fails_cleanly():
     _run_child(_TRACE)
+
+
+def test_mutated_iuw_trace_extracts_finite_or_fails_cleanly():
+    _run_child(_IUW)
 
 
 def test_mutated_features_csv_fits_finite_or_fails_cleanly():
