@@ -54,6 +54,8 @@ PHASE_NAMES = {PHASE_HRS: "hrs", PHASE_LRS: "lrs", PHASE_IRS: "irs"}
 
 U_RESET_CLEARANCE = 1e-3   # generated thresholds stay this far below u_max [V]
 MIN_PARALLEL_CELLS = 4096  # below this a thread pool is pure overhead
+MAX_THREADS = 256          # worker threads an array may run on
+MAX_SEED = (1 << 64) - 1   # seeds are the 64-bit stream-key words 0..MAX_SEED
 INIT_BLOCK_DRAWS = 1 << 19  # lag entries per init block (2 MB)
 
 ELECTRON_CHARGE = 1.602176634e-19  # C, exact in the SI since 2019
@@ -186,8 +188,8 @@ class CellArray:
                  readout: ReadoutConfig | None = None):
         if m < 1:
             raise ValueError(f"need at least one cell, got m={m}")
-        if threads < 1:
-            raise ValueError(f"need at least one thread, got threads={threads}")
+        if not 0 <= seed <= MAX_SEED:
+            raise ValueError(f"seed must be in 0..{MAX_SEED}, got {seed}")
         defaults = bundle.defaults
         a = defaults.dtd_scale if a is None else float(a)
         if a < 0:
@@ -246,7 +248,7 @@ class CellArray:
             med = inverse_map(self.gamma, np.zeros(4, dtype=np.float32))
             self.scale[:] = inverse_map(self.gamma, shat) / med
         factor = stationary_factor32(self.model)
-        self._run_partitioned(lambda lo, hi: self._draw_stationary_lags(lo, hi, factor))
+        self._run_partitioned(lambda lo, hi: self._draw_stationary_lags(lo, hi, factor), self.m)
         self._advance(slice(0, self.m), out=self.features)
         self.phase[:] = PHASE_HRS
         self.cycle[:] = 1
@@ -359,15 +361,18 @@ class CellArray:
 
         return tuple(int(np.count_nonzero(mask)) for mask in (set_m, full, part))
 
-    def _partitions(self):
+    def _partitions(self, n: int):
+        """[lo, hi) parts of n items: one per thread, one below MIN_PARALLEL_CELLS."""
         t = self.threads
-        if t == 1 or self.m < MIN_PARALLEL_CELLS:
-            return [(0, self.m)]
-        bounds = [self.m * i // t for i in range(t + 1)]
+        if not 1 <= t <= MAX_THREADS:
+            raise ValueError(f"threads must be in 1..{MAX_THREADS}, got {t}")
+        if t == 1 or n < MIN_PARALLEL_CELLS:
+            return [(0, n)]
+        bounds = [n * i // t for i in range(t + 1)]
         return [(bounds[i], bounds[i + 1]) for i in range(t) if bounds[i] < bounds[i + 1]]
 
-    def _run_partitioned(self, fn):
-        parts = self._partitions()
+    def _run_partitioned(self, fn, n: int):
+        parts = self._partitions(n)
         if len(parts) == 1:
             return [fn(*parts[0])]
         if self._pool_workers != self.threads:
@@ -381,6 +386,14 @@ class CellArray:
         futures = [self._pool.submit(fn, lo, hi) for lo, hi in parts]
         return [f.result() for f in futures]
 
+    def _addresses(self, cells) -> np.ndarray:
+        """``cells`` as int64 indices.  Only integers in 0..m-1 (or an empty
+        list) address cells: floats, booleans and others raise IndexError."""
+        idx = np.asarray(cells)
+        if idx.size and (idx.dtype.kind not in "iu" or idx.min() < 0 or idx.max() >= self.m):
+            raise IndexError(f"cell indices must be integers in 0..{self.m - 1}")
+        return idx.astype(np.int64)
+
     # -- public operations ---------------------------------------------------
 
     def apply_pulses(self, u_a, cells=None) -> PulseReport:
@@ -388,21 +401,19 @@ class CellArray:
 
         `u_a` is one amplitude for every addressed cell or an array (per
         cell for a broadcast call, per addressed cell otherwise); `cells=[c]`
-        addresses one cell.  Every form becomes one float32 amplitude per
-        cell, a broadcast view of a single one or addressed ones scattered
-        into 0 V no-ops, so an amplitude's bits do not depend on its form or
-        on the thread count.  Addressing the same cell twice in one call
-        collapses to a single application.  Amplitudes that are not finite
-        raise ValueError.
+        addresses one cell (see `_addresses`).  Every form becomes one
+        float32 amplitude per cell, a broadcast view of a single one or
+        addressed ones scattered into 0 V no-ops, so an amplitude's bits do
+        not depend on its form or on the thread count.  Addressing the same
+        cell twice in one call collapses to a single application.
+        Amplitudes that are not finite raise ValueError.
         """
         if not np.all(np.isfinite(u_a)):
             raise ValueError("pulse amplitudes must be finite")
         ua = np.asarray(u_a, dtype=np.float32)
         n_addr = self.m
         if cells is not None:
-            cells = np.asarray(cells, dtype=np.int64)
-            if cells.size and (cells.min() < 0 or cells.max() >= self.m):
-                raise IndexError(f"cell index out of range 0..{self.m - 1}")
+            cells = self._addresses(cells)
             full = np.zeros(self.m, dtype=np.float32)
             full[cells] = ua
             ua = full
@@ -410,7 +421,7 @@ class CellArray:
         elif ua.shape not in ((), (self.m,)):
             raise ValueError(f"per-cell amplitudes must have shape ({self.m},)")
         ua = np.broadcast_to(ua, (self.m,))
-        counts = self._run_partitioned(lambda lo, hi: self._apply_chunk(lo, hi, ua[lo:hi]))
+        counts = self._run_partitioned(lambda lo, hi: self._apply_chunk(lo, hi, ua[lo:hi]), self.m)
         return PulseReport(n_addr, *(sum(c) for c in zip(*counts)))
 
     def read_all(self, cfg: ReadoutConfig | None = None, cells=None):
@@ -418,7 +429,8 @@ class CellArray:
 
         Returns (i_noisy, codes, i_dequantized).  Reads never modify r; with
         noise enabled each read consumes one draw from the cell's stream.
-        Each cell may be addressed once per call (ValueError otherwise).
+        Each cell (see `_addresses`) may be addressed once per call
+        (ValueError otherwise); addressed reads use the worker threads too.
         """
         cfg = cfg or self.readout
         if cfg is not self.readout:
@@ -428,9 +440,7 @@ class CellArray:
         il = np.float32(cm.i_llrs(cfg.u_read))
 
         if cells is not None:
-            cells = np.asarray(cells, dtype=np.int64)
-            if cells.size and (cells.min() < 0 or cells.max() >= self.m):
-                raise IndexError(f"cell index out of range 0..{self.m - 1}")
+            cells = self._addresses(cells)
             if np.unique(cells).size != cells.size:
                 raise ValueError("a read addresses each cell at most once")
 
@@ -442,9 +452,8 @@ class CellArray:
                 i_read = i_read + noise_sigma(i_read, cfg) * z
             return i_read, quantize(i_read, cfg)
 
-        chunks = self._run_partitioned(run) if cells is None else [run(0, cells.size)]
-        i_noisy = np.concatenate([c[0] for c in chunks])
-        codes = np.concatenate([c[1] for c in chunks])
+        chunks = self._run_partitioned(run, self.m if cells is None else cells.size)
+        i_noisy, codes = (np.concatenate(c) for c in zip(*chunks))
         return i_noisy, codes, dequantize(codes, cfg)
 
     # -- inspection ----------------------------------------------------------
@@ -490,7 +499,8 @@ def init_array(bundle, m: int, a: float | None = None, seed: int = 0,
     median image); a = 0 pins every scale to exactly one.  Each cell's lag
     history is one exact draw from the stationary distribution of the
     order-p model, and one autoregression step from there realizes the
-    features of its first cycle.  Cells are drawn on `threads` workers;
-    the result does not depend on that number.
+    features of its first cycle.  Cells are drawn on `threads` workers
+    (1..MAX_THREADS); the result does not depend on that number.  `seed` is
+    one 64-bit word (0..MAX_SEED); ValueError outside either range.
     """
     return CellArray(bundle, m, a=a, seed=seed, p=p, threads=threads, readout=readout)

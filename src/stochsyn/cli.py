@@ -24,7 +24,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import csvtext, paramfile, synth, waveform
-from .array import ReadoutConfig, dequantize, init_array
+from .array import MAX_SEED, MAX_THREADS, ReadoutConfig, dequantize, init_array
 from .conduction import ConductionModel, fit_limiting_model
 from .svar import fit_svar, spectral_radius
 from .transform import MonotonicityError, fit_map_with_fallback, forward_map, inverse_map
@@ -40,28 +40,20 @@ class UsageError(Exception):
     """Options that parse one by one but do not go together (exit 2)."""
 
 
-def _positive_int(text):
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+def _ints(lo: int, hi: float = float("inf"), many: bool = False):
+    """argparse type: an integer in lo..hi, or with ``many`` a comma list of them."""
+    def parse(text):
+        try:
+            values = [int(tok) for tok in (text.split(",") if many else [text]) if tok]
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+        if not values or not all(lo <= v <= hi for v in values):
+            raise argparse.ArgumentTypeError(f"need integers in {lo}..{hi}, got {text!r}")
+        return values if many else values[0]
+    return parse
 
 
-def _nonneg_int(text):
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
-    return value
-
-
-def _int_list(text):
-    try:
-        values = [int(tok) for tok in text.split(",") if tok]
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc))
-    if not values or any(v < 1 for v in values):
-        raise argparse.ArgumentTypeError(f"need positive integers, got {text!r}")
-    return values
+_seed = _ints(0, MAX_SEED)   # one range for every command's random streams
 
 
 def _mode_list(text):
@@ -138,10 +130,8 @@ def cmd_extract(args) -> int:
     }
     _write_json(args.report or str(args.output) + ".report.json", report)
     if args.limits_out:
-        model = fit_limiting_model(
-            result.hrs_windows, result.lrs_windows,
-            r_h=result.features[:, 0], r_l=result.features[:, 2],
-        )
+        model = fit_limiting_model(result.hrs_windows, result.lrs_windows,
+                                   result.features[:, 0], result.features[:, 2])
         _write_json(args.limits_out, {"u0": model.u0, "hhrs": model.hhrs.tolist(),
                                       "llrs": model.llrs.tolist()})
     print(f"extracted {result.features.shape[0]}/{result.n_cycles} cycles -> {args.output}")
@@ -406,7 +396,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="level-crossing current for the abrupt transition [A]")
     p.add_argument("--min-prominence", type=float, default=waveform.RESET_MIN_PROMINENCE,
                    help="peak prominence floor for the gradual transition [A]")
-    p.add_argument("--samples-per-cycle", type=_positive_int,
+    p.add_argument("--samples-per-cycle", type=_ints(1),
                    default=waveform.SAMPLES_PER_CYCLE)
     p.add_argument("--report", default=None, help="exclusion report JSON path")
     p.add_argument("--limits-out", default=None,
@@ -416,11 +406,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fit", help="fit normalizing map and autoregression from features")
     p.add_argument("features")
     p.add_argument("-o", "--output", required=True, help="parameter file to write")
-    p.add_argument("-p", "--order", type=_int_list, default=[10],
+    p.add_argument("-p", "--order", type=_ints(1, many=True), default=[10],
                    help="model order(s), comma separated")
     p.add_argument("--conduction", default=None,
                    help="limiting-polynomial JSON from `extract --limits-out`")
-    p.add_argument("--gamma-degree", type=_positive_int, default=5,
+    p.add_argument("--gamma-degree", type=_ints(1), default=5,
                    help="quantile polynomial degree (falls back if non-monotone)")
     p.add_argument("--diagnostics", default=None, help="diagnostics JSON path")
     p.set_defaults(func=cmd_fit)
@@ -428,23 +418,23 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("generate", help="sample a feature series from fitted parameters")
     p.add_argument("params", nargs="?", default=None,
                    help=f"parameter file (default ${PARAMS_ENV})")
-    p.add_argument("-n", type=_nonneg_int, required=True)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("-n", type=_ints(0), required=True)
+    p.add_argument("--seed", type=_seed, required=True)
     p.add_argument("-o", "--output", required=True)
     p.add_argument("--order", type=int, default=None)
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("sim", help="drive a simulated array through pulses and readouts")
     p.add_argument("params", nargs="?", default=None)
-    p.add_argument("-m", type=_positive_int, required=True, help="number of cells")
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("-m", type=_ints(1), required=True, help="number of cells")
+    p.add_argument("--seed", type=_seed, required=True)
     p.add_argument("-a", type=float, default=None, help="device-variability scale")
     p.add_argument("--order", type=int, default=None)
-    p.add_argument("--threads", type=_positive_int, default=1)
+    p.add_argument("--threads", type=_ints(1, MAX_THREADS), default=1)
     schedule = p.add_mutually_exclusive_group(required=True)
     schedule.add_argument("--preset", choices=["full-cycling", "multilevel"], default=None)
     schedule.add_argument("--pulses", default=None, help="pulse script CSV (step,target,u_a)")
-    p.add_argument("--cycles", type=_positive_int, default=None,
+    p.add_argument("--cycles", type=_ints(1), default=None,
                    help=f"preset cycle count (default {PRESET_CYCLES})")
     p.add_argument("--reads", default=None, help="read script CSV (step,target)")
     p.add_argument("--readout-out", default="sim_readouts.csv")
@@ -459,22 +449,23 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="measure write/read throughput")
     p.add_argument("params", nargs="?", default=None)
-    p.add_argument("-m", type=_positive_int, default=1 << 20)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("-m", type=_ints(1), default=1 << 20)
+    p.add_argument("--seed", type=_seed, required=True)
     p.add_argument("-a", type=float, default=None)
-    p.add_argument("--orders", type=_int_list, default=[10])
-    p.add_argument("--threads-list", type=_int_list, default=[1], dest="threads_list")
+    p.add_argument("--orders", type=_ints(1, many=True), default=[10])
+    p.add_argument("--threads-list", type=_ints(1, MAX_THREADS, many=True), default=[1],
+                   dest="threads_list")
     p.add_argument("--modes", type=_mode_list, default=list(BENCH_MODES))
-    p.add_argument("--pulses", type=_positive_int, default=16)
-    p.add_argument("--reads", type=_positive_int, default=16)
+    p.add_argument("--pulses", type=_ints(1), default=16)
+    p.add_argument("--reads", type=_ints(1), default=16)
     p.add_argument("-o", "--output", required=True, help="benchmark CSV")
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("synth", help="write a synthetic ground-truth corpus")
     p.add_argument("outdir")
-    p.add_argument("-n", type=_nonneg_int, required=True, help="feature vectors to sample")
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--trace-cycles", type=_nonneg_int, default=None,
+    p.add_argument("-n", type=_ints(0), required=True, help="feature vectors to sample")
+    p.add_argument("--seed", type=_seed, required=True)
+    p.add_argument("--trace-cycles", type=_ints(0), default=None,
                    help="cycles rendered into the waveform (default min(n, 20000))")
     p.set_defaults(func=cmd_synth)
 

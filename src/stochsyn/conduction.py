@@ -232,22 +232,20 @@ def _monomial_lstsq(u, y, lo: int, hi: int) -> np.ndarray:
 
 
 def fit_limiting_model(hrs_windows, lrs_windows, r_h, r_l) -> ConductionModel:
-    """Estimate the limiting polynomials from per-cycle fit windows.
+    """Estimate the limiting polynomials from the cycles' branch-fit points.
 
-    Cycles whose high-resistance value falls in the top LIMIT_PERCENTILE of
-    r_h (respectively the bottom LIMIT_PERCENTILE of r_l) are pooled, and one
-    constrained polynomial is refit to each pooled point set.
+    Each window argument is one (u, i, counts) triple (see
+    `waveform.ExtractionResult`): every cycle's points in cycle order, and
+    counts[k] of them for cycle k.  Cycles whose high-resistance value falls
+    in the top LIMIT_PERCENTILE of r_h (respectively the bottom
+    LIMIT_PERCENTILE of r_l) are pooled, and one constrained polynomial is
+    refit to each pooled point set.
     """
     r_h = np.asarray(r_h, dtype=float)
     r_l = np.asarray(r_l, dtype=float)
-    if not (len(hrs_windows) == len(lrs_windows) == r_h.size == r_l.size):
-        raise ValueError("windows and resistances must align one per cycle")
     hi = r_h >= np.quantile(r_h, 1.0 - LIMIT_PERCENTILE / 100.0)
     lo = r_l <= np.quantile(r_l, LIMIT_PERCENTILE / 100.0)
-    u_hi = np.concatenate([hrs_windows[k][0] for k in np.nonzero(hi)[0]])
-    i_hi = np.concatenate([hrs_windows[k][1] for k in np.nonzero(hi)[0]])
-    u_lo = np.concatenate([lrs_windows[k][0] for k in np.nonzero(lo)[0]])
-    i_lo = np.concatenate([lrs_windows[k][1] for k in np.nonzero(lo)[0]])
-    hhrs = fit_conduction_poly(u_hi, i_hi, degree=5)
-    llrs = fit_conduction_poly(u_lo, i_lo, degree=3)
-    return ConductionModel(hhrs=hhrs, llrs=llrs)
+    (u_h, i_h, n_h), (u_l, i_l, n_l) = hrs_windows, lrs_windows
+    pool_h, pool_l = np.repeat(hi, n_h), np.repeat(lo, n_l)   # misaligned counts raise
+    return ConductionModel(hhrs=fit_conduction_poly(u_h[pool_h], i_h[pool_h], degree=5),
+                           llrs=fit_conduction_poly(u_l[pool_l], i_l[pool_l], degree=3))

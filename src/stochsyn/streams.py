@@ -44,10 +44,10 @@ def mix64(z: np.ndarray) -> np.ndarray:
 
 
 def stream_keys(seed: int, cells) -> np.ndarray:
-    """Per-cell stream keys for an array seed.  `cells` is an integer array."""
+    """Per-cell stream keys for a seed in 0..2**64 - 1; `cells` is an integer array."""
     cells = np.asarray(cells, dtype=np.uint64)
     with np.errstate(over="ignore"):
-        return mix64(np.uint64(seed & 0xFFFFFFFFFFFFFFFF) + _PHI * (cells + np.uint64(1)))
+        return mix64(np.uint64(seed) + _PHI * (cells + np.uint64(1)))
 
 
 def raw_words(keys: np.ndarray, counters: np.ndarray, n: int) -> np.ndarray:

@@ -9,9 +9,11 @@ vector (r_h, u_s, r_l, u_r): high-resistance value, switching threshold
 magnitude, low-resistance value, and the voltage where the gradual
 positive-polarity transition begins.  Every step runs as array operations
 over a block of cycles at once, one cycle per row of a padded view; the
-per-cycle functions are one-row calls of the same kernels.  The feature
-names (FEATURE_NAMES), the nominal cycle length (SAMPLES_PER_CYCLE) and the
-static-resistance voltage (`conduction.U0_DEFAULT`) are each defined once.
+per-cycle functions are one-row calls of the same kernels, and the kept
+cycles' branch-fit points leave as flat arrays with a count per cycle.  The
+feature names (FEATURE_NAMES), the nominal cycle length (SAMPLES_PER_CYCLE)
+and the static-resistance voltage (`conduction.U0_DEFAULT`) are each defined
+once.
 """
 
 import os
@@ -74,13 +76,17 @@ class RawTrace:
 
 @dataclass
 class ExtractionResult:
+    """Features of the kept cycles and why the others were excluded.  With
+    ``collect_windows``, each branch's fit points as one (u, i, counts)
+    triple: the kept cycles' points in cycle order, and how many each has."""
+
     features: np.ndarray              # (n, 4) float64
     cycles: np.ndarray                # (n,) original cycle indices
     exclusions: list                  # (cycle index, reason)
     n_cycles: int
     set_missing: int                  # cycles without a detectable abrupt transition
-    hrs_windows: list | None = None   # per kept cycle: (u, i) arrays fed to the fits
-    lrs_windows: list | None = None
+    hrs_windows: tuple | None = None  # (u, i, counts) of the high-resistance fits
+    lrs_windows: tuple | None = None  # (u, i, counts) of the low-resistance fits
 
 
 # ---------------------------------------------------------------------------
@@ -527,14 +533,6 @@ def fit_state_polynomials(u: np.ndarray, i: np.ndarray, u_s: float, u_r: float) 
     )
 
 
-def _windows(mask, u, i) -> list:
-    """Per row, the (u, i) points under its mask."""
-    if mask.shape[0] == 0:
-        return []      # np.split would still return one empty piece
-    cut = np.cumsum(mask.sum(axis=1))[:-1]
-    return list(zip(np.split(u[mask], cut), np.split(i[mask], cut)))
-
-
 def extract_features(trace: RawTrace, smoothing: bool = True,
                      set_threshold: float = SET_CURRENT_THRESHOLD,
                      min_prominence: float = RESET_MIN_PROMINENCE,
@@ -544,7 +542,8 @@ def extract_features(trace: RawTrace, smoothing: bool = True,
     Cycles run through the batch kernels CYCLE_BLOCK at a time.  Cycles
     failing any step are excluded (with the reason of the first failing
     step) rather than imputed; more than 50% exclusions is an error, as is a
-    trace with no full cycle.
+    trace with no full cycle.  ``collect_windows`` keeps the branch-fit
+    points for `conduction.fit_limiting_model` (see `ExtractionResult`).
     """
     if len(trace) == 0:
         raise ExtractionError("empty trace")
@@ -554,9 +553,7 @@ def extract_features(trace: RawTrace, smoothing: bool = True,
     set_locs, set_missing = detect_set_locations(trace, set_threshold, boundaries)
     work = smooth_adaptive(trace, set_locs) if smoothing else trace
 
-    features, reasons = [], []
-    hrs_windows = [] if collect_windows else None
-    lrs_windows = [] if collect_windows else None
+    features, reasons, hrs_blocks, lrs_blocks = [], [], [], []
     for starts, lengths, width in _cycle_blocks(boundaries):
         u = _rows(work.u, starts, lengths, width, np.inf)
         i = _rows(work.i, starts, lengths, width, np.nan)
@@ -569,9 +566,9 @@ def extract_features(trace: RawTrace, smoothing: bool = True,
         features.append(np.column_stack([r_h, u_s, r_l, u_r]))
         reasons.append(reason)
         if collect_windows:
-            kept = np.flatnonzero(np.equal(reason, None))
-            hrs_windows += _windows(m_h[kept], u[kept], i[kept])
-            lrs_windows += _windows(m_l[kept], u[kept], i[kept])
+            kept = np.equal(reason, None)
+            for mask, blocks in ((m_h[kept], hrs_blocks), (m_l[kept], lrs_blocks)):
+                blocks.append((u[kept][mask], i[kept][mask], mask.sum(axis=1)))
 
     reasons = np.concatenate(reasons)
     kept = np.flatnonzero(np.equal(reasons, None))
@@ -580,6 +577,9 @@ def extract_features(trace: RawTrace, smoothing: bool = True,
         raise ExtractionError(
             f"{len(exclusions)} of {len(boundaries)} cycles failed extraction"
         )
+    del work   # free the trace-sized smoothed current before the points are copied
+    hrs_windows, lrs_windows = [tuple(map(np.concatenate, zip(*blocks))) if collect_windows
+                                else None for blocks in (hrs_blocks, lrs_blocks)]
     return ExtractionResult(
         features=np.concatenate(features)[kept], cycles=kept,
         exclusions=exclusions, n_cycles=len(boundaries), set_missing=set_missing,

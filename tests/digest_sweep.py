@@ -1,0 +1,104 @@
+"""Print the array engine's outputs over a fixed sweep, one line per step.
+
+Not a test (pytest does not collect it): run it on two trees and diff the
+outputs to see whether a change moves any engine bit.
+
+    PYTHONPATH=src python tests/digest_sweep.py > sweep.txt
+
+The sweep covers the reference bundle's orders 1, 10 and 100 and the orders
+10 and 100 of a bundle fitted to its sampled features, device variability
+a = 0 and 0.5, and 1 and 2 worker threads, on arrays of 4500 cells (above
+`MIN_PARALLEL_CELLS`, so 2 threads split the work).  Each configuration
+runs 16 pulses in each of four forms: one broadcast amplitude, one float32
+amplitude per cell, and addressed cells with repeats, given one amplitude
+or one per address.  After every pulse a line gives the `state_digest` and
+the `PulseReport` counts; after every third pulse two more give SHA-256
+hashes of the outputs of a whole read and of an addressed read of 4300
+cells in shuffled order.
+"""
+
+import contextlib
+import hashlib
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+from stochsyn import paramfile, synth
+from stochsyn.array import init_array
+from stochsyn.cli import main
+
+M = 4500
+ADDRESSED = 3000      # addresses drawn with repeats for the addressed pulses
+READ_CELLS = 4300     # cells of the addressed reads, each once
+AMPLITUDES = (-1.5, 0.9, 1.1, -1.5, 0.8, 1.5, 1.23236083984375, -1.5,
+              0.95, -0.7, 1.2, 1.5, -1.5, 1.0, 1.4, -1.5)
+
+
+def fitted_bundle(workdir: Path):
+    """Orders 10 and 100 fitted to 20000 features sampled from the reference.
+    The commands' messages, which name the temporary directory, go to stderr."""
+    corpus = workdir / "corpus"
+    for argv in (["synth", str(corpus), "-n", "20000", "--seed", "1", "--trace-cycles", "0"],
+                 ["fit", str(corpus / "features.csv"), "-o", str(workdir / "fit.ssyn"),
+                  "-p", "10,100", "--diagnostics", str(workdir / "fit.diag.json")]):
+        with contextlib.redirect_stdout(sys.stderr):
+            if main(argv) != 0:
+                raise SystemExit(f"{argv[0]} failed")
+    return paramfile.load(workdir / "fit.ssyn")
+
+
+def pulse_forms(rng):
+    """(name, pulse(arr, amp)) for each form an amplitude can take."""
+    cells = rng.integers(0, M, ADDRESSED)
+    jitter = rng.normal(0.0, 0.1, M).astype(np.float32)
+    jitter_addr = rng.normal(0.0, 0.1, ADDRESSED).astype(np.float32)
+    return [
+        ("broadcast", lambda arr, amp: arr.apply_pulses(amp)),
+        ("per_cell", lambda arr, amp: arr.apply_pulses(np.float32(amp) + jitter)),
+        ("addressed", lambda arr, amp: arr.apply_pulses(amp, cells=cells)),
+        ("addressed_per_cell",
+         lambda arr, amp: arr.apply_pulses(np.float32(amp) + jitter_addr, cells=cells)),
+    ]
+
+
+def read_hash(outputs) -> str:
+    h = hashlib.sha256()
+    for x in outputs:
+        h.update(np.ascontiguousarray(x).tobytes())
+    return h.hexdigest()
+
+
+def sweep(bundles, out) -> None:
+    for name, bundle, orders in bundles:
+        for p in orders:
+            for a in (0.0, 0.5):
+                for threads in (1, 2):
+                    config = f"{name} p={p} a={a} threads={threads}"
+                    rng = np.random.default_rng(p * 10 + int(a * 10))
+                    read_cells = rng.permutation(M)[:READ_CELLS]
+                    for form, pulse in pulse_forms(rng):
+                        arr = init_array(bundle, M, a=a, seed=7, p=p, threads=threads)
+                        print(f"{config} {form} init {arr.state_digest()}", file=out)
+                        for k, amp in enumerate(AMPLITUDES):
+                            rep = pulse(arr, amp)
+                            print(f"{config} {form} pulse {k} {amp!r} {arr.state_digest()}"
+                                  f" {rep.n_addressed} {rep.n_set} {rep.n_full_reset}"
+                                  f" {rep.n_partial_reset} {rep.n_noop}", file=out)
+                            if k % 3 == 2:
+                                print(f"{config} {form} read {k} whole"
+                                      f" {read_hash(arr.read_all())}", file=out)
+                                print(f"{config} {form} read {k} addressed"
+                                      f" {read_hash(arr.read_all(cells=read_cells))}", file=out)
+
+
+def run(out=sys.stdout) -> None:
+    with tempfile.TemporaryDirectory() as tmp:
+        fitted = fitted_bundle(Path(tmp))
+    sweep([("reference", synth.reference_bundle(), (1, 10, 100)),
+           ("fitted", fitted, (10, 100))], out)
+
+
+if __name__ == "__main__":
+    run()

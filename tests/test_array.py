@@ -6,6 +6,8 @@ from scipy.constants import e as Q_E
 from scipy.constants import k as K_B
 
 from stochsyn.array import (
+    MAX_SEED,
+    MAX_THREADS,
     MIN_PARALLEL_CELLS,
     PHASE_HRS,
     PHASE_IRS,
@@ -50,6 +52,31 @@ def test_init_validation(ref_bundle):
         init_array(ref_bundle, m=4, seed=1, p=7)
     with pytest.raises(ValueError, match="thread"):
         init_array(ref_bundle, m=4, seed=1, threads=0)
+
+
+def test_seeds_outside_64_bits_raise(ref_bundle):
+    # stream keys take the seed as one 64-bit word: 2**64 would alias seed 0
+    # and -1 seed 2**64 - 1
+    for seed in (-1, MAX_SEED + 1):
+        with pytest.raises(ValueError, match="seed"):
+            init_array(ref_bundle, m=4, seed=seed)
+    assert init_array(ref_bundle, m=4, seed=MAX_SEED).state_digest() \
+        != init_array(ref_bundle, m=4, seed=0).state_digest()
+
+
+def test_thread_counts_outside_the_bound_raise(ref_bundle):
+    # few cells: a count the check missed would still run one partition
+    with pytest.raises(ValueError, match="thread"):
+        init_array(ref_bundle, m=16, seed=1, threads=MAX_THREADS + 1)
+    arr = init_array(ref_bundle, m=16, seed=1)
+    digest = arr.state_digest()
+    for threads in (0, MAX_THREADS + 1):
+        arr.threads = threads
+        with pytest.raises(ValueError, match="thread"):
+            arr.apply_pulses(-1.5)
+        with pytest.raises(ValueError, match="thread"):
+            arr.read_all()
+    assert arr.state_digest() == digest
 
 
 def test_footprint_formula(ref_bundle):
@@ -190,6 +217,35 @@ def test_sparse_addressing(small):
     assert rep.n_set == 1
 
 
+@pytest.mark.parametrize("cells", [[1.5], np.array([0.0, 2.0]), [True, True] + [False] * 30],
+                         ids=["float_list", "float_array", "boolean_mask"])
+def test_non_integer_cells_raise(small, cells):
+    # once cast to int64: [1.5] addressed cell 1 and the mask cells 0 and 1
+    digest = small.state_digest()
+    with pytest.raises(IndexError, match="integers"):
+        small.apply_pulses(-1.5, cells=cells)
+    with pytest.raises(IndexError, match="integers"):
+        small.read_all(cells=cells)
+    assert small.state_digest() == digest
+
+
+def test_integer_cell_forms_are_one_form(ref_bundle):
+    outs = set()
+    for cells in ([3, 9, 4], np.array([3, 9, 4]), np.array([3, 9, 4], np.uint8),
+                  np.array([3, 9, 4], np.int32)):
+        arr = init_array(ref_bundle, m=16, a=0.3, seed=2, p=10)
+        rep = arr.apply_pulses(-1.5, cells=cells)
+        assert (rep.n_addressed, rep.n_set) == (3, 3)
+        reads = arr.read_all(cells=cells)
+        assert [x.shape for x in reads] == [(3,)] * 3
+        outs.add((arr.state_digest(), *(x.tobytes() for x in reads)))
+        digest = arr.state_digest()
+        assert arr.apply_pulses(1.5, cells=[]).n_addressed == 0
+        assert [x.size for x in arr.read_all(cells=[])] == [0, 0, 0]
+        assert arr.state_digest() == digest
+    assert len(outs) == 1
+
+
 def test_non_finite_amplitudes_rejected(small):
     digest = small.state_digest()
     for u_a, cells in ((np.nan, None), (np.inf, [3]), (np.full(32, -np.inf), None)):
@@ -231,7 +287,7 @@ def test_scalar_amplitude_forms_are_one_form(ref_bundle):
 
 def test_partition_independence_bit_exact(ref_bundle):
     runs = []
-    for threads in (1, 3, 8):
+    for threads in (1, 2, 3, 8):
         arr = init_array(ref_bundle, m=8192, a=0.4, seed=55, p=10,
                          threads=threads)
         rng = np.random.default_rng(7)
@@ -239,8 +295,10 @@ def test_partition_independence_bit_exact(ref_bundle):
             arr.apply_pulses(float(rng.uniform(-1.7, 1.7)))
         arr.apply_pulses(-1.5, cells=np.arange(0, 8192, 5))
         arr.read_all()
-        runs.append(arr.state_digest())
-    assert runs[0] == runs[1] == runs[2]
+        # an addressed read of more than MIN_PARALLEL_CELLS cells is split too
+        reads = arr.read_all(cells=rng.permutation(8192)[:5000])
+        runs.append((arr.state_digest(), *(x.tobytes() for x in reads)))
+    assert runs[0] == runs[1] == runs[2] == runs[3]
 
 
 def test_raising_threads_grows_the_pool(ref_bundle):

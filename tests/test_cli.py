@@ -11,9 +11,20 @@ from scipy.stats import spearmanr
 
 import stochsyn
 from stochsyn import cli, csvtext, paramfile, synth
-from stochsyn.array import dequantize, init_array
+from stochsyn.array import MAX_SEED, MAX_THREADS, dequantize, init_array
 from stochsyn.cli import main
-from stochsyn.waveform import RawTrace, read_features_csv, read_trace, write_trace_iuw
+from stochsyn.conduction import LIMIT_PERCENTILE, U0_DEFAULT, fit_conduction_poly
+from stochsyn.waveform import (
+    RawTrace,
+    detect_set_locations,
+    extract_features,
+    fit_state_polynomials,
+    read_features_csv,
+    read_trace,
+    smooth_adaptive,
+    split_cycles,
+    write_trace_iuw,
+)
 
 
 @pytest.fixture(scope="module")
@@ -58,6 +69,37 @@ def test_extract_and_flags(corpus, tmp_path):
     assert rc == 0
     _, feats2 = read_features_csv(out2)
     assert not np.array_equal(feats, feats2)  # smoothing flag is live
+
+
+def _per_cycle_limits_json(trace_path) -> str:
+    """`extract --limits-out`'s JSON text from per-cycle (u, i) windows, each
+    refit by `fit_state_polynomials`, pooled window by window: the reference."""
+    trace = read_trace(trace_path)
+    result = extract_features(trace)
+    bounds, _ = split_cycles(trace)
+    work = smooth_adaptive(trace, detect_set_locations(trace, boundaries=bounds)[0])
+    windows = []
+    for k, (_, u_s, _, u_r) in zip(result.cycles, result.features):
+        lo, hi = bounds[k]
+        fit = fit_state_polynomials(work.u[lo:hi], work.i[lo:hi], u_s, u_r)
+        windows.append((fit.hrs_window, fit.lrs_window))
+    r_h, r_l = result.features[:, 0], result.features[:, 2]
+    pools = (r_h >= np.quantile(r_h, 1.0 - LIMIT_PERCENTILE / 100.0),
+             r_l <= np.quantile(r_l, LIMIT_PERCENTILE / 100.0))
+    limits = {"u0": U0_DEFAULT}
+    for branch, (name, degree) in enumerate((("hhrs", 5), ("llrs", 3))):
+        picked = [windows[k][branch] for k in np.flatnonzero(pools[branch])]
+        u, i = (np.concatenate(x) for x in zip(*picked))
+        limits[name] = fit_conduction_poly(u, i, degree).tolist()
+    return json.dumps(limits, indent=2)
+
+
+def test_extract_limits_equal_the_per_cycle_pooling(corpus, tmp_path):
+    out = tmp_path / "limits.json"
+    rc = main(["extract", str(corpus / "trace.iuw"), str(tmp_path / "f.csv"),
+               "--limits-out", str(out)])
+    assert rc == 0
+    assert out.read_bytes() == _per_cycle_limits_json(corpus / "trace.iuw").encode()
 
 
 def test_extract_missing_file_exits_2(tmp_path):
@@ -372,8 +414,21 @@ def test_sim_m_zero_usage_error(corpus, tmp_path):
     ["sim", "-m", "8", "--seed", "1", "--preset", "multilevel", "--reads", "nonexistent.csv"],
     ["sim", "-m", "8", "--seed", "1", "--pulses", "nonexistent.csv", "--cycles", "2"],
     ["bench", "-m", "64", "--seed", "1", "--modes", "read,bogus", "-o", "bench.csv"],
+    ["generate", "-n", "5", "--seed", "-1", "-o", "g.csv"],
+    ["synth", "-n", "5", "--seed", "-1"],
+    ["sim", "-m", "8", "--seed", str(MAX_SEED + 1), "--preset", "multilevel"],
+    ["bench", "-m", "64", "--seed", "-1", "-o", "bench.csv"],
+    ["sim", "-m", "8", "--seed", "1", "--preset", "multilevel", "--threads", "0"],
+    ["sim", "-m", "8", "--seed", "1", "--preset", "multilevel",
+     "--threads", str(MAX_THREADS + 1)],
+    ["bench", "-m", "64", "--seed", "1", "--threads-list", "0", "-o", "bench.csv"],
+    ["bench", "-m", "64", "--seed", "1", "--threads-list", f"1,{MAX_THREADS + 1}",
+     "-o", "bench.csv"],
 ], ids=["preset_and_pulses", "no_schedule", "unknown_mode", "preset_and_reads",
-        "pulses_and_cycles", "one_unknown_mode"])
+        "pulses_and_cycles", "one_unknown_mode", "generate_negative_seed",
+        "synth_negative_seed", "sim_seed_past_64_bits", "bench_negative_seed",
+        "zero_threads", "threads_past_the_bound", "zero_in_threads_list",
+        "threads_list_past_the_bound"])
 def test_usage_errors_exit_2_before_any_work(corpus, tmp_path, monkeypatch, capsys, argv):
     def no_work(*args, **kwargs):
         raise AssertionError("a usage error reached init_array")

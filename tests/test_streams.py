@@ -9,6 +9,13 @@ def test_keys_distinct():
     assert np.unique(keys).size == 10_000
 
 
+def test_seeds_outside_64_bits_raise():
+    # masked to 64 bits, 2**64 gave seed 0's keys and -1 those of 2**64 - 1
+    for seed in (-1, 2**64):
+        with pytest.raises(OverflowError):
+            streams.stream_keys(seed, np.arange(3))
+
+
 def test_raw_words_pure_and_partition_invariant():
     keys = streams.stream_keys(7, np.arange(1000))
     ctr = np.arange(1000, dtype=np.uint64) * np.uint64(13)

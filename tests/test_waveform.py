@@ -359,9 +359,13 @@ def _lstsq_reference(u, i, degree):
     return np.concatenate([[0.0], coef])
 
 
-def _assert_fits_match_lstsq(windows, degree, u0=0.2, rel=1e-10):
+def _assert_fits_match_lstsq(points, degree, u0=0.2, rel=1e-10):
     """The batch kernel on zero-padded windows against the per-window
-    reference: coefficients relative to each row's largest, and u0 / I(u0)."""
+    reference: coefficients relative to each row's largest, and u0 / I(u0).
+    ``points`` is a (u, i, counts) triple, split into one window per count."""
+    u_all, i_all, counts = points
+    cut = np.cumsum(counts)[:-1]
+    windows = list(zip(np.split(u_all, cut), np.split(i_all, cut)))
     width = max(u.size for u, _ in windows)
     u_pad, i_pad = np.zeros((len(windows), width)), np.zeros((len(windows), width))
     for row, (u, i) in enumerate(windows):
@@ -388,6 +392,12 @@ def test_branch_fits_match_lstsq_on_synthetic_trace(ref_bundle):
     assert np.all(np.abs(result.features[:, 2] / r_l - 1.0) <= 1e-10)
 
 
+def _points(windows):
+    """Per-window (u, i) pairs as one (u, i, counts) triple."""
+    u, i = zip(*windows)
+    return np.concatenate(u), np.concatenate(i), np.array([x.size for x in u])
+
+
 def test_branch_fits_match_lstsq_clamped_and_narrowest_windows(ref_bundle):
     rng = np.random.default_rng(8)
     cm = ref_bundle.conduction
@@ -396,7 +406,7 @@ def test_branch_fits_match_lstsq_clamped_and_narrowest_windows(ref_bundle):
     clamped = [(u, (-1e-6 * u + 2e-6 * u**3) * (1.0 + 0.01 * rng.standard_normal(u.size)))
                for _ in range(20)]
     for degree in (HRS_FIT_DEGREE, LRS_FIT_DEGREE):
-        want, _ = _assert_fits_match_lstsq(clamped, degree)
+        want, _ = _assert_fits_match_lstsq(_points(clamped), degree)
         assert np.all(want[:, 1] == MIN_LINEAR_COEFF)
     # MIN_FIT_POINTS points over the narrowest spans the masks admit: the
     # high-resistance window at u_s -> 0, the low-resistance one at u_r -> 0
@@ -405,7 +415,8 @@ def test_branch_fits_match_lstsq_clamped_and_narrowest_windows(ref_bundle):
         u = np.linspace(lo, hi, MIN_FIT_POINTS)
         i = current(state_from_resistance(res, cm), u, cm)
         _assert_fits_match_lstsq(
-            [(u, i * (1.0 + 0.05 * rng.standard_normal(u.size))) for _ in range(50)], degree)
+            _points([(u, i * (1.0 + 0.05 * rng.standard_normal(u.size))) for _ in range(50)]),
+            degree)
 
 
 # -- synthetic traces and exclusions -----------------------------------------------
@@ -469,7 +480,7 @@ def test_exclusion_reasons_one_cycle_each(ref_bundle):
 
 
 def test_windows_align_with_cycles_when_a_block_keeps_none(ref_bundle):
-    """A last block whose only cycle is excluded adds no window."""
+    """A last block whose only cycle is excluded adds no points and no count."""
     n = CYCLE_BLOCK + 1
     feats = synth.sample_features(ref_bundle, n + 1, seed=11)
     trace = synth.reconstruct_trace(feats, ref_bundle.conduction, noise_sigma=0.0)
@@ -479,7 +490,9 @@ def test_windows_align_with_cycles_when_a_block_keeps_none(ref_bundle):
     i[last] = 50e-6 * (u[last] + 1.5)               # strictly increasing: no reset peak
     result = extract_features(RawTrace(u=u, i=i, samples_per_cycle=pp), collect_windows=True)
     assert result.exclusions == [(n - 1, "monotone section, no peak")]
-    assert len(result.hrs_windows) == len(result.lrs_windows) == len(result.cycles) == n - 1
+    for u_pts, i_pts, counts in (result.hrs_windows, result.lrs_windows):
+        assert counts.size == len(result.cycles) == n - 1
+        assert u_pts.size == i_pts.size == counts.sum()
     fit_limiting_model(result.hrs_windows, result.lrs_windows,
                        result.features[:, 0], result.features[:, 2])
 
