@@ -42,6 +42,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import streams
 from .conduction import U0_DEFAULT, as_float, eval_poly
@@ -57,6 +58,8 @@ MIN_PARALLEL_CELLS = 4096  # below this a thread pool is pure overhead
 MAX_THREADS = 256          # worker threads an array may run on
 MAX_SEED = (1 << 64) - 1   # seeds are the 64-bit stream-key words 0..MAX_SEED
 INIT_BLOCK_DRAWS = 1 << 19  # lag entries per init block (2 MB)
+SPARE_LAG_SLOTS = 16       # history slots beyond the p-slot lag window, at most p + 2
+READOUT_CACHE_SIZE = 16    # readout settings whose constants an array keeps
 
 ELECTRON_CHARGE = 1.602176634e-19  # C, exact in the SI since 2019
 BOLTZMANN = 1.380649e-23           # J/K, exact in the SI since 2019
@@ -178,9 +181,12 @@ class CellArray:
     """M independent stochastic cells sharing one parameter set.
 
     Construct via :func:`init_array` (or directly from a parameter bundle).
-    Per-cell state: flattened lag history (newest first), state variable r,
-    phase, cycle index, tracked transition threshold, current and pending
-    feature vectors, device scale vector, stream key and draw counter.
+    Per-cell state: a lag history of p + B slots (B = min(16, p + 2)) with
+    a window offset, state variable r, phase, cycle index, tracked
+    transition threshold, current and pending feature vectors, device scale
+    vector, stream key and draw counter.  The cell's lags are the p slots
+    from its offset on, newest first (`lags()`); an advance writes the new
+    slot in front of them, so no slot moves until the window reaches slot 0.
     """
 
     def __init__(self, bundle, m: int, a: float | None = None, seed: int = 0,
@@ -206,15 +212,21 @@ class CellArray:
         self.conduction = bundle.conduction
         self.gamma = bundle.gamma
         self.sigma = bundle.sigma
-        self._check_float32(self.readout)
+        self._readout_consts = {}
+        self._read_currents(self.readout)
 
         # float32 working copies of the model; the lag weights are pinned
         # Fortran-ordered, which fixes the einsum's summation order and speed
         self._w32 = np.asfortranarray(self.model.lag_weights(), dtype=np.float32)  # (4p, 4)
         self._cholu32 = self.model.chol_u.astype(np.float32)
 
-        # per-cell state
-        self._lags = np.zeros((m, 4 * self.p), dtype=np.float32)
+        # per-cell state; each window starts at the end of its history.  B
+        # spare slots copy a window back once per B advances; B <= p + 2
+        # keeps a cell's 16(p + B) + 78 bytes within 2(16p + 56).  A slot is
+        # one 16-byte record of 4 float32, so a new slot is one element write
+        self._spare = min(SPARE_LAG_SLOTS, self.p + 2)
+        self._slots = np.zeros((m, self.p + self._spare), dtype="V16")
+        self._offset = np.full(m, self._spare, dtype=np.uint8)
         self.r = np.zeros(m, dtype=np.float32)
         self.phase = np.zeros(m, dtype=np.int8)
         self.cycle = np.zeros(m, dtype=np.int32)
@@ -231,11 +243,21 @@ class CellArray:
 
     # -- construction ------------------------------------------------------
 
-    def _check_float32(self, readout: ReadoutConfig) -> None:
-        """`float32_problems` on the settings this array runs with."""
-        for where, what in float32_problems(self.conduction, self.sigma, self.u_max, self.a,
-                                            readout):
-            raise ValueError(f"{where}: {what}")
+    def _read_currents(self, cfg: ReadoutConfig):
+        """float32 (i_hhrs, i_llrs) at cfg.u_read, once the settings this
+        array runs with pass `float32_problems`.  Both are kept per config,
+        so a read pass does not evaluate the polynomials again."""
+        consts = self._readout_consts.get(cfg)
+        if consts is None:
+            for where, what in float32_problems(self.conduction, self.sigma, self.u_max, self.a,
+                                                cfg):
+                raise ValueError(f"{where}: {what}")
+            if len(self._readout_consts) >= READOUT_CACHE_SIZE:
+                self._readout_consts.clear()
+            cm = self.conduction
+            consts = self._readout_consts[cfg] = (np.float32(cm.i_hhrs(cfg.u_read)),
+                                                  np.float32(cm.i_llrs(cfg.u_read)))
+        return consts
 
     def _init_cells(self, bundle) -> None:
         if self.a > 0.0:
@@ -259,18 +281,17 @@ class CellArray:
         """Lags of cells [lo, hi) as one draw from their stationary distribution.
 
         Per cell, 4p normals drawn slot by slot (oldest slot first) into the
-        lag history, then multiplied in place by the lower-triangular
+        initial lag window, then multiplied in place by the lower-triangular
         `factor`: slot i takes the first 4(i + 1) normals, so the slots are
         written newest last and no slot reads one already written.  The
         blocks keep a block's lags in cache across the p contractions; the
         einsum's order per row does not depend on how many rows go in, so
         they leave no trace in the bits.
         """
-        k = 4 * self.p
-        block = max(1, INIT_BLOCK_DRAWS // k)
+        block = max(1, INIT_BLOCK_DRAWS // (4 * self.p))
         for b_lo in range(lo, hi, block):
             cells = slice(b_lo, min(b_lo + block, hi))
-            lags = self._lags[cells]
+            lags = self._slots[cells, self._spare :].view(np.float32)
             for j in range(self.p):
                 slot = self.p - 1 - j
                 lags[:, 4 * slot : 4 * slot + 4] = self._normals(cells, _DRAWS_STEP).T
@@ -294,19 +315,34 @@ class CellArray:
     def _advance(self, idx, out) -> None:
         """One autoregression step for the selected cells.
 
-        Shifts their lag history and realizes the scaled feature vector of
-        the new cycle into out[idx].
+        Each cell steps from its lag window where it lies, writes the new
+        slot in front of it and moves its offset one slot down; a cell at
+        offset 0 first copies its window back to slot B.  Cells that share
+        one offset read their windows as one strided view (no copy for a
+        slice of cells); otherwise one indexed read gathers each cell's
+        window alone.  Only the new slot is written back.  Realizes the
+        scaled feature vector of the new cycle into out[idx].
         """
-        eps = self._normals(idx, _DRAWS_STEP)
-        lags = self._lags[idx]
-        x = step(lags, self._w32, mix_lower_triangular(eps, self._cholu32))
-        # numpy buffers overlapping copies; chunk rows to bound the temporary
-        for lo in range(0, lags.shape[0], 65536):
-            block = lags[lo : lo + 65536]
-            block[:, 4:] = block[:, :-4]
-        lags[:, :4] = x
-        if not isinstance(idx, slice):
-            self._lags[idx] = lags
+        innov = mix_lower_triangular(self._normals(idx, _DRAWS_STEP), self._cholu32)
+        off = self._offset[idx]
+        if not off.all():
+            rows = np.arange(self.m)[idx][off == 0]
+            # the windows are gathered before they are written back, so the
+            # overlap is safe; blocks bound the gathered copy
+            for lo in range(0, rows.size, 65536):
+                block = rows[lo : lo + 65536]
+                self._slots[block, self._spare :] = self._slots[block, : self.p]
+            self._offset[rows] = self._spare
+            off = self._offset[idx]
+        if off.min() == off.max():
+            cells, cols = idx, int(off[0])
+        else:
+            cells, cols = np.arange(self.m)[idx], off.astype(np.intp)
+        # sliding_window_view(s, p, axis=1)[c, j] is s[c, j : j + p]
+        windows = sliding_window_view(self._slots, self.p, axis=1)
+        x = step(windows[cells, cols].view(np.float32), self._w32, innov)
+        self._slots[cells, cols - 1] = x.view("V16")[:, 0]
+        self._offset[idx] -= 1
         y = inverse_map(self.gamma, x)
         y *= self.scale[idx]
         y[:, 3] = np.minimum(y[:, 3], self.u_max - U_RESET_CLEARANCE)
@@ -405,8 +441,9 @@ class CellArray:
         float32 amplitude per cell, a broadcast view of a single one or
         addressed ones scattered into 0 V no-ops, so an amplitude's bits do
         not depend on its form or on the thread count.  Addressing the same
-        cell twice in one call collapses to a single application.
-        Amplitudes that are not finite raise ValueError.
+        cell twice in one call with one amplitude collapses to a single
+        application; two different amplitudes for one cell raise ValueError,
+        as do amplitudes that are not finite.
         """
         if not np.all(np.isfinite(u_a)):
             raise ValueError("pulse amplitudes must be finite")
@@ -416,6 +453,8 @@ class CellArray:
             cells = self._addresses(cells)
             full = np.zeros(self.m, dtype=np.float32)
             full[cells] = ua
+            if np.any(full[cells] != ua):
+                raise ValueError("a pulse gives a repeated cell two different amplitudes")
             ua = full
             n_addr = int(np.unique(cells).size)
         elif ua.shape not in ((), (self.m,)):
@@ -433,11 +472,7 @@ class CellArray:
         (ValueError otherwise); addressed reads use the worker threads too.
         """
         cfg = cfg or self.readout
-        if cfg is not self.readout:
-            self._check_float32(cfg)
-        cm = self.conduction
-        ih = np.float32(cm.i_hhrs(cfg.u_read))
-        il = np.float32(cm.i_llrs(cfg.u_read))
+        ih, il = self._read_currents(cfg)
 
         if cells is not None:
             cells = self._addresses(cells)
@@ -471,17 +506,30 @@ class CellArray:
             "static_resistance": self.static_resistance(),
         }
 
-    def _state_arrays(self):
-        return (self._lags, self.r, self.phase, self.cycle, self.u_reset,
+    def lags(self) -> np.ndarray:
+        """Each cell's p lag slots, newest first, as one (m, 4p) copy."""
+        windows = sliding_window_view(self._slots, self.p, axis=1)
+        return windows[np.arange(self.m), self._offset.astype(np.intp)].view(np.float32)
+
+    def _cell_arrays(self):
+        return (self.r, self.phase, self.cycle, self.u_reset,
                 self.features, self.next_features, self.scale,
                 self._keys, self._counters)
 
+    def _state_arrays(self):
+        """Every per-cell state array, the lags in canonical form: the same
+        state gives the same arrays wherever the windows lie."""
+        return (self.lags(),) + self._cell_arrays()
+
     def bytes_per_cell(self) -> float:
-        """Resident per-cell state, measured from the live arrays."""
-        return sum(arr.nbytes for arr in self._state_arrays()) / self.m
+        """Resident per-cell state, measured from the live arrays (the whole
+        lag history and the window offsets included)."""
+        live = (self._slots, self._offset) + self._cell_arrays()
+        return sum(arr.nbytes for arr in live) / self.m
 
     def state_digest(self) -> str:
-        """SHA-256 over all per-cell state; equal digests mean bit-identical arrays."""
+        """SHA-256 over all per-cell state in canonical form (see
+        `_state_arrays`); equal digests mean bit-identical states."""
         h = hashlib.sha256()
         for arr in self._state_arrays():
             h.update(np.ascontiguousarray(arr).tobytes())

@@ -11,10 +11,20 @@ a = 0 and 0.5, and 1 and 2 worker threads, on arrays of 4500 cells (above
 `MIN_PARALLEL_CELLS`, so 2 threads split the work).  Each configuration
 runs 16 pulses in each of four forms: one broadcast amplitude, one float32
 amplitude per cell, and addressed cells with repeats, given one amplitude
-or one per address.  After every pulse a line gives the `state_digest` and
-the `PulseReport` counts; after every third pulse two more give SHA-256
-hashes of the outputs of a whole read and of an addressed read of 4300
-cells in shuffled order.
+or the per-cell amplitude of each address (a repeated cell gets one
+amplitude).  After every pulse a line gives the `state_digest` and the
+`PulseReport` counts; after every third pulse two more give SHA-256 hashes
+of the outputs of a whole read and of an addressed read of 4300 cells in
+shuffled order.
+
+A long configuration then runs the reference orders 10 and 100 on 1 and 2
+threads for 56 rounds, each a set/reset pair on a random half of the cells
+and then one on all of them.  The halves advance some cells twice as often
+as others, so their lag windows lie at different offsets, and every cell
+advances at least 56 times, more than three times `SPARE_LAG_SLOTS`, so each
+window is copied back several times.  Each pulse gives a digest line, each
+eighth round a whole read's hash, and the last line the smallest cycle
+count.
 """
 
 import contextlib
@@ -34,6 +44,7 @@ ADDRESSED = 3000      # addresses drawn with repeats for the addressed pulses
 READ_CELLS = 4300     # cells of the addressed reads, each once
 AMPLITUDES = (-1.5, 0.9, 1.1, -1.5, 0.8, 1.5, 1.23236083984375, -1.5,
               0.95, -0.7, 1.2, 1.5, -1.5, 1.0, 1.4, -1.5)
+LONG_ROUNDS = 56      # rounds of the long configuration
 
 
 def fitted_bundle(workdir: Path):
@@ -53,13 +64,12 @@ def pulse_forms(rng):
     """(name, pulse(arr, amp)) for each form an amplitude can take."""
     cells = rng.integers(0, M, ADDRESSED)
     jitter = rng.normal(0.0, 0.1, M).astype(np.float32)
-    jitter_addr = rng.normal(0.0, 0.1, ADDRESSED).astype(np.float32)
     return [
         ("broadcast", lambda arr, amp: arr.apply_pulses(amp)),
         ("per_cell", lambda arr, amp: arr.apply_pulses(np.float32(amp) + jitter)),
         ("addressed", lambda arr, amp: arr.apply_pulses(amp, cells=cells)),
         ("addressed_per_cell",
-         lambda arr, amp: arr.apply_pulses(np.float32(amp) + jitter_addr, cells=cells)),
+         lambda arr, amp: arr.apply_pulses(np.float32(amp) + jitter[cells], cells=cells)),
     ]
 
 
@@ -93,11 +103,30 @@ def sweep(bundles, out) -> None:
                                       f" {read_hash(arr.read_all(cells=read_cells))}", file=out)
 
 
+def long_sweep(bundle, out) -> None:
+    for p in (10, 100):
+        for threads in (1, 2):
+            config = f"long p={p} threads={threads}"
+            rng = np.random.default_rng(p)
+            arr = init_array(bundle, M, a=0.0, seed=9, p=p, threads=threads)
+            print(f"{config} init {arr.state_digest()}", file=out)
+            for k in range(LONG_ROUNDS):
+                half = rng.permutation(M)[: M // 2]
+                for cells, amp in ((half, -1.5), (half, 1.5), (None, -1.5), (None, 1.5)):
+                    rep = arr.apply_pulses(amp, cells=cells)
+                    print(f"{config} round {k} {'all' if cells is None else 'half'} {amp!r}"
+                          f" {arr.state_digest()} {rep.n_set} {rep.n_full_reset}", file=out)
+                if k % 8 == 7:
+                    print(f"{config} read {k} {read_hash(arr.read_all())}", file=out)
+            print(f"{config} min cycle {arr.cycle.min()}", file=out)
+
+
 def run(out=sys.stdout) -> None:
     with tempfile.TemporaryDirectory() as tmp:
         fitted = fitted_bundle(Path(tmp))
-    sweep([("reference", synth.reference_bundle(), (1, 10, 100)),
-           ("fitted", fitted, (10, 100))], out)
+    reference = synth.reference_bundle()
+    sweep([("reference", reference, (1, 10, 100)), ("fitted", fitted, (10, 100))], out)
+    long_sweep(reference, out)
 
 
 if __name__ == "__main__":

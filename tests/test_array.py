@@ -2,6 +2,7 @@ import threading
 
 import numpy as np
 import pytest
+from mirror_machine import MirrorCell
 from scipy.constants import e as Q_E
 from scipy.constants import k as K_B
 
@@ -12,6 +13,7 @@ from stochsyn.array import (
     PHASE_HRS,
     PHASE_IRS,
     PHASE_LRS,
+    READOUT_CACHE_SIZE,
     ReadoutConfig,
     dequantize,
     init_array,
@@ -80,10 +82,37 @@ def test_thread_counts_outside_the_bound_raise(ref_bundle):
 
 
 def test_footprint_formula(ref_bundle):
-    arr = init_array(ref_bundle, m=1000, a=0.0, seed=2, p=10)
-    assert arr.bytes_per_cell() == 16 * 10 + 77
-    arr = init_array(ref_bundle, m=1000, a=0.0, seed=2, p=1)
-    assert arr.bytes_per_cell() == 16 * 1 + 77
+    # p + B lag slots of 16 bytes, a 1-byte window offset and 77 bytes of
+    # other state, within criterion 8's budget at every reference order
+    for p in (10, 1, 100):
+        arr = init_array(ref_bundle, m=1000, a=0.0, seed=2, p=p)
+        assert arr.bytes_per_cell() == 16 * (p + min(16, p + 2)) + 78
+        assert arr.bytes_per_cell() <= 2 * (16 * p + 56)
+
+
+def test_windowed_history_matches_a_shifted_history(ref_bundle):
+    # addressed halves advance some cells twice as often as others, so the
+    # windows lie at different offsets, and each is copied back at least
+    # three times; the canonical lags must equal the mirror's shifted ones
+    m, p, seed = MIN_PARALLEL_CELLS, 10, 17
+    spare = min(16, p + 2)
+    arr = init_array(ref_bundle, m=m, a=0.0, seed=seed, p=p, threads=2)
+    rng = np.random.default_rng(3)
+    watched = rng.choice(m, 48, replace=False)
+    mirrors = {int(c): MirrorCell(ref_bundle, p=p, seed=seed, index=int(c)) for c in watched}
+    offsets_seen = set()
+    for _ in range(3 * spare + 1):
+        half = rng.permutation(m)[: m // 2]
+        for cells, amp in ((half, -1.5), (half, 1.5), (None, -1.5), (None, 1.5)):
+            arr.apply_pulses(amp, cells=cells)
+            for c in mirrors if cells is None else set(mirrors) & set(half.tolist()):
+                mirrors[c].pulse(amp)
+            offsets_seen.add(np.unique(arr._offset).size)
+    assert max(offsets_seen) > 1 and arr.cycle.min() > 3 * spare
+    lags = arr.lags()
+    for c, cell in mirrors.items():
+        assert cell.cycle == arr.cycle[c]
+        assert lags[c].tobytes() == cell.lags[0].tobytes()
 
 
 def test_contraction_operands_have_pinned_layouts(ref_bundle):
@@ -107,7 +136,7 @@ def test_initial_lags_match_stationary_covariance(ref_bundle):
     arr = init_array(ref_bundle, m=m, a=0.0, seed=22, p=p)
     factor = stationary_factor(arr.model)
     gamma = factor @ factor.T
-    lags = arr._lags.astype(np.float64)
+    lags = arr.lags().astype(np.float64)
     second_moment = lags.T @ lags / m
     # standard error of a Gaussian second moment: sqrt((g_ii g_jj + g_ij^2) / m)
     var = np.outer(np.diag(gamma), np.diag(gamma)) + gamma ** 2
@@ -215,6 +244,19 @@ def test_sparse_addressing(small):
         small.apply_pulses(1.0, cells=[64])
     rep = small.apply_pulses(-1.5, cells=[3])
     assert rep.n_set == 1
+
+
+def test_repeated_cell_with_two_amplitudes_raises(ref_bundle):
+    # the last amplitude given for a cell used to win silently: [-1.5, 0.0]
+    # left cell 3 in HRS, [0.0, -1.5] switched it
+    arr = init_array(ref_bundle, m=8, seed=1, p=1)
+    digest = arr.state_digest()
+    for amps in ([-1.5, 0.0], [0.0, -1.5]):
+        with pytest.raises(ValueError, match="two different amplitudes"):
+            arr.apply_pulses(amps, cells=[3, 3])
+    assert arr.state_digest() == digest
+    rep = arr.apply_pulses([-1.5, 0.5, -1.5], cells=[3, 4, 3])
+    assert (rep.n_addressed, rep.n_set) == (2, 1) and arr.phase[3] == PHASE_LRS
 
 
 @pytest.mark.parametrize("cells", [[1.5], np.array([0.0, 2.0]), [True, True] + [False] * 30],
@@ -447,8 +489,13 @@ def test_array_gates_its_effective_settings(ref_bundle):
     with pytest.raises(ValueError, match="dtd_scale"):
         init_array(ref_bundle, m=8, a=1e300)
     arr = init_array(ref_bundle, m=8)
-    with pytest.raises(ValueError, match="u_read"):
-        arr.read_all(ReadoutConfig(u_read=1e20))
+    for _ in range(2):      # a config that fails is not kept as checked
+        with pytest.raises(ValueError, match="u_read"):
+            arr.read_all(ReadoutConfig(u_read=1e20))
+    # each config's readout constants are kept, up to READOUT_CACHE_SIZE
+    for k in range(2 * READOUT_CACHE_SIZE):
+        arr.read_all(ReadoutConfig(u_read=0.1 + 0.01 * k))
+        assert len(arr._readout_consts) <= READOUT_CACHE_SIZE
 
 
 def test_readout_config_validation():
