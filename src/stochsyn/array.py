@@ -59,7 +59,6 @@ MAX_THREADS = 256          # worker threads an array may run on
 MAX_SEED = (1 << 64) - 1   # seeds are the 64-bit stream-key words 0..MAX_SEED
 INIT_BLOCK_DRAWS = 1 << 19  # lag entries per init block (2 MB)
 SPARE_LAG_SLOTS = 16       # history slots beyond the p-slot lag window, at most p + 2
-READOUT_CACHE_SIZE = 16    # readout settings whose constants an array keeps
 
 ELECTRON_CHARGE = 1.602176634e-19  # C, exact in the SI since 2019
 BOLTZMANN = 1.380649e-23           # J/K, exact in the SI since 2019
@@ -187,6 +186,9 @@ class CellArray:
     vector, stream key and draw counter.  The cell's lags are the p slots
     from its offset on, newest first (`lags()`); an advance writes the new
     slot in front of them, so no slot moves until the window reaches slot 0.
+    The readout is fixed at construction: its settings pass the float32
+    gates once, the two limiting currents at `u_read` are kept, and
+    `readout` is read-only, so they cannot go stale.
     """
 
     def __init__(self, bundle, m: int, a: float | None = None, seed: int = 0,
@@ -208,12 +210,13 @@ class CellArray:
         self.seed = int(seed)
         self.threads = int(threads)
         self.u_max = float(defaults.u_max)
-        self.readout = readout or defaults.readout
-        self.conduction = bundle.conduction
+        self._readout = readout = readout or defaults.readout
+        self.conduction = cm = bundle.conduction
         self.gamma = bundle.gamma
-        self.sigma = bundle.sigma
-        self._readout_consts = {}
-        self._read_currents(self.readout)
+        for where, what in float32_problems(cm, bundle.sigma, self.u_max, a, readout):
+            raise ValueError(f"{where}: {what}")
+        # float32 (i_hhrs, i_llrs) at the read voltage, for every read
+        self._i_read = tuple(np.float32(i(readout.u_read)) for i in (cm.i_hhrs, cm.i_llrs))
 
         # float32 working copies of the model; the lag weights are pinned
         # Fortran-ordered, which fixes the einsum's summation order and speed
@@ -242,22 +245,6 @@ class CellArray:
         self._init_cells(bundle)
 
     # -- construction ------------------------------------------------------
-
-    def _read_currents(self, cfg: ReadoutConfig):
-        """float32 (i_hhrs, i_llrs) at cfg.u_read, once the settings this
-        array runs with pass `float32_problems`.  Both are kept per config,
-        so a read pass does not evaluate the polynomials again."""
-        consts = self._readout_consts.get(cfg)
-        if consts is None:
-            for where, what in float32_problems(self.conduction, self.sigma, self.u_max, self.a,
-                                                cfg):
-                raise ValueError(f"{where}: {what}")
-            if len(self._readout_consts) >= READOUT_CACHE_SIZE:
-                self._readout_consts.clear()
-            cm = self.conduction
-            consts = self._readout_consts[cfg] = (np.float32(cm.i_hhrs(cfg.u_read)),
-                                                  np.float32(cm.i_llrs(cfg.u_read)))
-        return consts
 
     def _init_cells(self, bundle) -> None:
         if self.a > 0.0:
@@ -323,21 +310,24 @@ class CellArray:
         window alone.  Only the new slot is written back.  Realizes the
         scaled feature vector of the new cycle into out[idx].
         """
+        def rows():     # a slice's own range, or the index array as given
+            return np.arange(*idx.indices(self.m)) if isinstance(idx, slice) else idx
+
         innov = mix_lower_triangular(self._normals(idx, _DRAWS_STEP), self._cholu32)
         off = self._offset[idx]
         if not off.all():
-            rows = np.arange(self.m)[idx][off == 0]
+            back = rows()[off == 0]
             # the windows are gathered before they are written back, so the
             # overlap is safe; blocks bound the gathered copy
-            for lo in range(0, rows.size, 65536):
-                block = rows[lo : lo + 65536]
+            for lo in range(0, back.size, 65536):
+                block = back[lo : lo + 65536]
                 self._slots[block, self._spare :] = self._slots[block, : self.p]
-            self._offset[rows] = self._spare
+            self._offset[back] = self._spare
             off = self._offset[idx]
         if off.min() == off.max():
             cells, cols = idx, int(off[0])
         else:
-            cells, cols = np.arange(self.m)[idx], off.astype(np.intp)
+            cells, cols = rows(), off.astype(np.intp)
         # sliding_window_view(s, p, axis=1)[c, j] is s[c, j : j + p]
         windows = sliding_window_view(self._slots, self.p, axis=1)
         x = step(windows[cells, cols].view(np.float32), self._w32, innov)
@@ -463,16 +453,17 @@ class CellArray:
         counts = self._run_partitioned(lambda lo, hi: self._apply_chunk(lo, hi, ua[lo:hi]), self.m)
         return PulseReport(n_addr, *(sum(c) for c in zip(*counts)))
 
-    def read_all(self, cfg: ReadoutConfig | None = None, cells=None):
-        """Noisy quantized readout of every cell (or a subset).
+    def read_all(self, cells=None):
+        """Noisy quantized readout of every cell (or a subset), with the
+        readout the array was built with.
 
         Returns (i_noisy, codes, i_dequantized).  Reads never modify r; with
         noise enabled each read consumes one draw from the cell's stream.
         Each cell (see `_addresses`) may be addressed once per call
         (ValueError otherwise); addressed reads use the worker threads too.
         """
-        cfg = cfg or self.readout
-        ih, il = self._read_currents(cfg)
+        cfg = self._readout
+        ih, il = self._i_read
 
         if cells is not None:
             cells = self._addresses(cells)
@@ -492,6 +483,12 @@ class CellArray:
         return i_noisy, codes, dequantize(codes, cfg)
 
     # -- inspection ----------------------------------------------------------
+
+    @property
+    def readout(self) -> ReadoutConfig:
+        """The readout settings the array was built with; they cannot be
+        reassigned."""
+        return self._readout
 
     def static_resistance(self) -> np.ndarray:
         """u0 / I(r, u0) per cell, in float64."""
@@ -550,5 +547,7 @@ def init_array(bundle, m: int, a: float | None = None, seed: int = 0,
     features of its first cycle.  Cells are drawn on `threads` workers
     (1..MAX_THREADS); the result does not depend on that number.  `seed` is
     one 64-bit word (0..MAX_SEED); ValueError outside either range.
+    `readout` (default: the bundle's) is fixed for the array's life; the
+    settings, `a` and `u_max` must pass `float32_problems` (ValueError).
     """
     return CellArray(bundle, m, a=a, seed=seed, p=p, threads=threads, readout=readout)

@@ -15,7 +15,10 @@ or the per-cell amplitude of each address (a repeated cell gets one
 amplitude).  After every pulse a line gives the `state_digest` and the
 `PulseReport` counts; after every third pulse two more give SHA-256 hashes
 of the outputs of a whole read and of an addressed read of 4300 cells in
-shuffled order.
+shuffled order.  Two more arrays per configuration are built with a
+non-default readout each: 12 bits over 0-60 uA with noise, and the same
+window without it.  They run the addressed per-cell pulses and give the
+same read lines.
 
 A long configuration then runs the reference orders 10 and 100 on 1 and 2
 threads for 56 rounds, each a set/reset pair on a random half of the cells
@@ -36,7 +39,7 @@ from pathlib import Path
 import numpy as np
 
 from stochsyn import paramfile, synth
-from stochsyn.array import init_array
+from stochsyn.array import ReadoutConfig, init_array
 from stochsyn.cli import main
 
 M = 4500
@@ -45,6 +48,8 @@ READ_CELLS = 4300     # cells of the addressed reads, each once
 AMPLITUDES = (-1.5, 0.9, 1.1, -1.5, 0.8, 1.5, 1.23236083984375, -1.5,
               0.95, -0.7, 1.2, 1.5, -1.5, 1.0, 1.4, -1.5)
 LONG_ROUNDS = 56      # rounds of the long configuration
+READOUTS = (("noisy12", ReadoutConfig(n_bits=12, i_min=0.0, i_max=60e-6)),
+            ("clean12", ReadoutConfig(n_bits=12, i_min=0.0, i_max=60e-6, noise_enabled=False)))
 
 
 def fitted_bundle(workdir: Path):
@@ -88,8 +93,13 @@ def sweep(bundles, out) -> None:
                     config = f"{name} p={p} a={a} threads={threads}"
                     rng = np.random.default_rng(p * 10 + int(a * 10))
                     read_cells = rng.permutation(M)[:READ_CELLS]
-                    for form, pulse in pulse_forms(rng):
-                        arr = init_array(bundle, M, a=a, seed=7, p=p, threads=threads)
+                    forms = pulse_forms(rng)
+                    runs = [(form, pulse, None) for form, pulse in forms]
+                    runs += [(f"{forms[-1][0]} {label}", forms[-1][1], readout)
+                             for label, readout in READOUTS]
+                    for form, pulse, readout in runs:
+                        arr = init_array(bundle, M, a=a, seed=7, p=p, threads=threads,
+                                         readout=readout)
                         print(f"{config} {form} init {arr.state_digest()}", file=out)
                         for k, amp in enumerate(AMPLITUDES):
                             rep = pulse(arr, amp)

@@ -8,13 +8,13 @@ branch-logic defect rather than arithmetic noise; state comparisons in the
 tests are exact.  The start is written out here on its own: 4p normals drawn
 slot by slot, oldest slot first, each newest-first lag slot i the dot
 product of the first 4(i + 1) of them with its rows of the shared float32
-stationary factor, then one step.
+stationary factor, then one step.  A read is written out on its own too.
 """
 
 import numpy as np
 
 from stochsyn import streams
-from stochsyn.array import U_RESET_CLEARANCE, stationary_factor32
+from stochsyn.array import U_RESET_CLEARANCE, noise_sigma, quantize, stationary_factor32
 from stochsyn.conduction import state_from_resistance, transition_state
 from stochsyn.svar import mix_lower_triangular, step
 from stochsyn.transform import inverse_map
@@ -94,3 +94,16 @@ class MirrorCell:
             self.r = state_from_resistance(self.feat[2], self.cm)
             self.phase = LRS
             self.u_reset = self.feat[3]
+
+    def read(self, readout):
+        """(i_noisy, code) of one read, each a 1-element array: the clean
+        float32 current r * (i_h - i_l) + i_l between the limiting currents
+        at u_read, plus the noise times the first value of one normal pair
+        from the cell's stream, then the ADC code."""
+        i_h = np.float32(self.cm.i_hhrs(readout.u_read))
+        i_l = np.float32(self.cm.i_llrs(readout.u_read))
+        i = np.float32([self.r]) * (i_h - i_l) + i_l
+        if readout.noise_enabled:
+            z = streams.normals(self.key, self.ctr, 2)[0]
+            i = i + noise_sigma(i, readout) * z
+        return i, quantize(i, readout)

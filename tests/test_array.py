@@ -13,7 +13,6 @@ from stochsyn.array import (
     PHASE_HRS,
     PHASE_IRS,
     PHASE_LRS,
-    READOUT_CACHE_SIZE,
     ReadoutConfig,
     dequantize,
     init_array,
@@ -113,6 +112,34 @@ def test_windowed_history_matches_a_shifted_history(ref_bundle):
     for c, cell in mirrors.items():
         assert cell.cycle == arr.cycle[c]
         assert lags[c].tobytes() == cell.lags[0].tobytes()
+
+
+@pytest.mark.parametrize("readout", [None, ReadoutConfig(n_bits=12, i_min=0.0, i_max=60e-6,
+                                                         noise_enabled=False)])
+def test_reads_match_the_mirror(ref_bundle, readout):
+    # whole and shuffled addressed reads on 2 threads, between pulses that
+    # spread the window offsets; a noisy read's draw moves the cell's stream
+    m, p, seed = MIN_PARALLEL_CELLS, 10, 19
+    arr = init_array(ref_bundle, m=m, a=0.0, seed=seed, p=p, threads=2, readout=readout)
+    cfg = arr.readout
+    rng = np.random.default_rng(8)
+    watched = rng.choice(m, 48, replace=False)
+    mirrors = {int(c): MirrorCell(ref_bundle, p=p, seed=seed, index=int(c)) for c in watched}
+    for _ in range(6):
+        half = rng.permutation(m)[: m // 2]
+        for cells, amp in ((half, -1.5), (half, 1.5), (None, -1.5), (half, 1.1), (None, 0.9)):
+            arr.apply_pulses(amp, cells=cells)
+            for c in mirrors if cells is None else set(mirrors) & set(half.tolist()):
+                mirrors[c].pulse(amp)
+        for cells in (None, rng.permutation(m)[: 3 * m // 4]):
+            i_noisy, codes, deq = arr.read_all(cells=cells)
+            slot = {int(c): k for k, c in enumerate(range(m) if cells is None else cells)}
+            for c in set(mirrors) & set(slot):
+                i, code = mirrors[c].read(cfg)
+                k = slot[c]
+                assert i.tobytes() == i_noisy[k : k + 1].tobytes() and code[0] == codes[k]
+    assert np.unique(arr._offset).size > 1
+    assert np.array_equal(deq, dequantize(codes, cfg))
 
 
 def test_contraction_operands_have_pinned_layouts(ref_bundle):
@@ -396,34 +423,35 @@ def test_quantizer_paper_constants():
     assert np.array_equal(np.unique(codes), np.arange(16))
 
 
-def test_read_noise_off_deterministic_and_immutable(small):
-    cfg = ReadoutConfig(noise_enabled=False)
-    r_before = small.r.tobytes()
-    i1, c1, d1 = small.read_all(cfg)
-    i2, c2, d2 = small.read_all(cfg)
+def test_read_noise_off_deterministic_and_immutable(ref_bundle):
+    arr = init_array(ref_bundle, m=32, a=0.0, seed=101, p=10,
+                     readout=ReadoutConfig(noise_enabled=False))
+    r_before = arr.r.tobytes()
+    i1, c1, d1 = arr.read_all()
+    i2, c2, d2 = arr.read_all()
     assert np.array_equal(i1, i2) and np.array_equal(c1, c2)
-    assert small.r.tobytes() == r_before
+    assert arr.r.tobytes() == r_before
     # identical r implies identical readouts
-    small.r[:] = np.float32(0.4)
-    i3, _, _ = small.read_all(cfg)
+    arr.r[:] = np.float32(0.4)
+    i3, _, _ = arr.read_all()
     assert np.unique(i3).size == 1
 
 
 def test_read_code_for_forced_current(ref_bundle):
-    arr = init_array(ref_bundle, m=4, a=0.0, seed=3, p=10)
     cfg = ReadoutConfig(noise_enabled=False, n_bits=4, i_min=0.0, i_max=40e-6)
+    arr = init_array(ref_bundle, m=4, a=0.0, seed=3, p=10, readout=cfg)
     arr.r[:] = np.float32(state_from_point(20e-6, 0.2, arr.conduction))
-    i, codes, deq = arr.read_all(cfg)
+    i, codes, deq = arr.read_all()
     assert np.allclose(i, 20e-6, rtol=1e-5)
     assert np.all(codes == 8)
     assert np.allclose(deq, 8 * 40e-6 / 15)
 
 
 def test_read_noise_statistics(ref_bundle):
-    arr = init_array(ref_bundle, m=20_000, a=0.0, seed=4, p=10)
-    arr.r[:] = np.float32(0.5)
     cfg = ReadoutConfig(noise_enabled=True, n_bits=12, i_min=0.0, i_max=60e-6)
-    i_noisy, _, _ = arr.read_all(cfg)
+    arr = init_array(ref_bundle, m=20_000, a=0.0, seed=4, p=10, readout=cfg)
+    arr.r[:] = np.float32(0.5)
+    i_noisy, _, _ = arr.read_all()
     i_clean = float(np.float32(0.5) * (np.float32(arr.conduction.i_hhrs(0.2))
                     - np.float32(arr.conduction.i_llrs(0.2)))
                     + np.float32(arr.conduction.i_llrs(0.2)))
@@ -488,14 +516,24 @@ def test_array_gates_its_effective_settings(ref_bundle):
         init_array(ref_bundle, m=8, readout=ReadoutConfig(u_read=1e20))
     with pytest.raises(ValueError, match="dtd_scale"):
         init_array(ref_bundle, m=8, a=1e300)
-    arr = init_array(ref_bundle, m=8)
-    for _ in range(2):      # a config that fails is not kept as checked
-        with pytest.raises(ValueError, match="u_read"):
-            arr.read_all(ReadoutConfig(u_read=1e20))
-    # each config's readout constants are kept, up to READOUT_CACHE_SIZE
-    for k in range(2 * READOUT_CACHE_SIZE):
-        arr.read_all(ReadoutConfig(u_read=0.1 + 0.01 * k))
-        assert len(arr._readout_consts) <= READOUT_CACHE_SIZE
+
+
+def test_readout_is_fixed_at_construction(ref_bundle):
+    # the limiting currents are taken once, at the readout's u_read; a
+    # readout that could be reassigned would change or stale the reads
+    cfg = ReadoutConfig(u_read=0.3, noise_enabled=False, n_bits=12, i_max=60e-6)
+    arr = init_array(ref_bundle, m=8, a=0.0, seed=2, p=10, readout=cfg)
+    before = arr.read_all()
+    with pytest.raises(AttributeError):
+        arr.readout = ReadoutConfig()
+    assert arr.readout is cfg
+    for x, y in zip(before, arr.read_all()):
+        assert x.tobytes() == y.tobytes()
+    cm = arr.conduction
+    ih, il = np.float32(cm.i_hhrs(0.3)), np.float32(cm.i_llrs(0.3))
+    assert before[0].tobytes() == (arr.r * (ih - il) + il).tobytes()
+    with pytest.raises(IndexError):     # a config is no cell address
+        arr.read_all(ReadoutConfig())
 
 
 def test_readout_config_validation():
