@@ -412,13 +412,15 @@ class CellArray:
         futures = [self._pool.submit(fn, lo, hi) for lo, hi in parts]
         return [f.result() for f in futures]
 
-    def _addresses(self, cells) -> np.ndarray:
-        """``cells`` as int64 indices.  Only integers in 0..m-1 (or an empty
-        list) address cells: floats, booleans and others raise IndexError."""
+    def _addresses(self, cells) -> tuple[np.ndarray, int]:
+        """The one address rule of pulses and reads: (int64 indices, distinct
+        count) of a 1-d list of integers in 0..m-1 or [], else IndexError."""
         idx = np.asarray(cells)
-        if idx.size and (idx.dtype.kind not in "iu" or idx.min() < 0 or idx.max() >= self.m):
-            raise IndexError(f"cell indices must be integers in 0..{self.m - 1}")
-        return idx.astype(np.int64)
+        if idx.ndim != 1 or idx.size and (idx.dtype.kind not in "iu" or idx.min() < 0
+                                          or idx.max() >= self.m):
+            raise IndexError(f"cell indices must be a 1-d list of integers in 0..{self.m - 1}")
+        s = np.sort(idx)   # a sort and a neighbour compare: np.unique hashes, slower here
+        return idx.astype(np.int64), int(s.size and 1 + np.count_nonzero(s[1:] != s[:-1]))
 
     # -- public operations ---------------------------------------------------
 
@@ -432,21 +434,22 @@ class CellArray:
         addressed ones scattered into 0 V no-ops, so an amplitude's bits do
         not depend on its form or on the thread count.  Addressing the same
         cell twice in one call with one amplitude collapses to a single
-        application; two different amplitudes for one cell raise ValueError,
-        as do amplitudes that are not finite.
+        application (`n_addressed` counts distinct cells); two different
+        amplitudes for one cell raise ValueError, as do amplitudes that are
+        not finite in float32 (1e39 is not).
         """
-        if not np.all(np.isfinite(u_a)):
-            raise ValueError("pulse amplitudes must be finite")
-        ua = np.asarray(u_a, dtype=np.float32)
+        with np.errstate(over="ignore"):
+            ua = np.asarray(u_a, dtype=np.float32)
+        if not np.all(np.isfinite(ua)):
+            raise ValueError("pulse amplitudes must be finite in float32")
         n_addr = self.m
         if cells is not None:
-            cells = self._addresses(cells)
+            cells, n_addr = self._addresses(cells)
             full = np.zeros(self.m, dtype=np.float32)
             full[cells] = ua
             if np.any(full[cells] != ua):
                 raise ValueError("a pulse gives a repeated cell two different amplitudes")
             ua = full
-            n_addr = int(np.unique(cells).size)
         elif ua.shape not in ((), (self.m,)):
             raise ValueError(f"per-cell amplitudes must have shape ({self.m},)")
         ua = np.broadcast_to(ua, (self.m,))
@@ -459,15 +462,15 @@ class CellArray:
 
         Returns (i_noisy, codes, i_dequantized).  Reads never modify r; with
         noise enabled each read consumes one draw from the cell's stream.
-        Each cell (see `_addresses`) may be addressed once per call
-        (ValueError otherwise); addressed reads use the worker threads too.
+        `cells` (see `_addresses`) names each cell at most once (ValueError
+        otherwise); addressed reads use the worker threads too.
         """
         cfg = self._readout
         ih, il = self._i_read
 
         if cells is not None:
-            cells = self._addresses(cells)
-            if np.unique(cells).size != cells.size:
+            cells, n_distinct = self._addresses(cells)
+            if n_distinct < cells.size:
                 raise ValueError("a read addresses each cell at most once")
 
         def run(lo, hi):

@@ -18,7 +18,10 @@ of the outputs of a whole read and of an addressed read of 4300 cells in
 shuffled order.  Two more arrays per configuration are built with a
 non-default readout each: 12 bits over 0-60 uA with noise, and the same
 window without it.  They run the addressed per-cell pulses and give the
-same read lines.
+same read lines.  A last line per configuration gives the digest and the
+`PulseReport` counts of one more addressed pulse on that last array: every
+cell, shuffled with 500 repeats, each address with its cell's per-cell
+amplitude, so the distinct-cell count covers all m cells.
 
 A long configuration then runs the reference orders 10 and 100 on 1 and 2
 threads for 56 rounds, each a set/reset pair on a random half of the cells
@@ -45,6 +48,7 @@ from stochsyn.cli import main
 M = 4500
 ADDRESSED = 3000      # addresses drawn with repeats for the addressed pulses
 READ_CELLS = 4300     # cells of the addressed reads, each once
+REPEATS = 500         # repeated addresses added to the pulse naming every cell
 AMPLITUDES = (-1.5, 0.9, 1.1, -1.5, 0.8, 1.5, 1.23236083984375, -1.5,
               0.95, -0.7, 1.2, 1.5, -1.5, 1.0, 1.4, -1.5)
 LONG_ROUNDS = 56      # rounds of the long configuration
@@ -111,6 +115,13 @@ def sweep(bundles, out) -> None:
                                       f" {read_hash(arr.read_all())}", file=out)
                                 print(f"{config} {form} read {k} addressed"
                                       f" {read_hash(arr.read_all(cells=read_cells))}", file=out)
+                    every = rng.permutation(np.concatenate([np.arange(M),
+                                                            rng.integers(0, M, REPEATS)]))
+                    amps = (np.float32(1.2) + rng.normal(0.0, 0.1, M).astype(np.float32))[every]
+                    rep = arr.apply_pulses(amps, cells=every)
+                    print(f"{config} every cell {arr.state_digest()} {rep.n_addressed}"
+                          f" {rep.n_set} {rep.n_full_reset} {rep.n_partial_reset} {rep.n_noop}",
+                          file=out)
 
 
 def long_sweep(bundle, out) -> None:

@@ -1,7 +1,10 @@
 import threading
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from mirror_machine import MirrorCell
 from scipy.constants import e as Q_E
 from scipy.constants import k as K_B
@@ -286,16 +289,42 @@ def test_repeated_cell_with_two_amplitudes_raises(ref_bundle):
     assert (rep.n_addressed, rep.n_set) == (2, 1) and arr.phase[3] == PHASE_LRS
 
 
-@pytest.mark.parametrize("cells", [[1.5], np.array([0.0, 2.0]), [True, True] + [False] * 30],
-                         ids=["float_list", "float_array", "boolean_mask"])
+@pytest.mark.parametrize("cells", [[1.5], np.array([0.0, 2.0]), [True, True] + [False] * 30,
+                                   5, [[1, 2], [3, 4]]],
+                         ids=["float_list", "float_array", "boolean_mask", "scalar", "nested_list"])
 def test_non_integer_cells_raise(small, cells):
-    # once cast to int64: [1.5] addressed cell 1 and the mask cells 0 and 1
+    # once cast to int64: [1.5] addressed cell 1 and the mask cells 0 and 1;
+    # a scalar and a nested list were pulsed, while a read failed inside numpy
     digest = small.state_digest()
     with pytest.raises(IndexError, match="integers"):
         small.apply_pulses(-1.5, cells=cells)
     with pytest.raises(IndexError, match="integers"):
         small.read_all(cells=cells)
     assert small.state_digest() == digest
+
+
+def test_distinct_cell_count_matches_a_set(ref_bundle):
+    # the engine counts distinct addresses by sorting; a Python set is the
+    # reference.  Cells come with repeats in random order, as a list (None)
+    # or an array of each integer dtype.  0 V pulses change no cell.
+    arr = init_array(ref_bundle, m=100, a=0.0, seed=3, p=10)
+
+    @settings(max_examples=300, derandomize=True, deadline=None, database=None)
+    @given(st.lists(st.integers(0, 99) | st.integers(0, 4), max_size=150),
+           st.sampled_from((np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint16,
+                            np.uint32, np.uint64, None)))
+    @example([], None)
+    @example([], np.uint64)
+    def check(cells, dtype):
+        c = cells if dtype is None else np.array(cells, dtype=dtype)
+        assert arr.apply_pulses(0.0, cells=c).n_addressed == len(set(cells))
+        if len(set(cells)) < len(cells):
+            with pytest.raises(ValueError, match="at most once"):
+                arr.read_all(cells=c)
+        else:
+            assert arr.read_all(cells=c)[0].size == len(cells)
+
+    check()
 
 
 def test_integer_cell_forms_are_one_form(ref_bundle):
@@ -316,10 +345,15 @@ def test_integer_cell_forms_are_one_form(ref_bundle):
 
 
 def test_non_finite_amplitudes_rejected(small):
+    # 1e39 is finite in float64 but not in the float32 the engine runs: it
+    # used to pass with an overflow warning and act as a full reset
     digest = small.state_digest()
-    for u_a, cells in ((np.nan, None), (np.inf, [3]), (np.full(32, -np.inf), None)):
-        with pytest.raises(ValueError):
-            small.apply_pulses(u_a, cells=cells)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for u_a, cells in ((np.nan, None), (np.inf, [3]), (np.full(32, -np.inf), None),
+                           (1e39, None), ([-1e39], [3])):
+            with pytest.raises(ValueError):
+                small.apply_pulses(u_a, cells=cells)
     assert small.state_digest() == digest
 
 

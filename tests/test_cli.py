@@ -538,6 +538,7 @@ def test_sim_csvs_equal_the_f_string_rendering(corpus, tmp_path):
 @pytest.mark.parametrize("script, row", [
     ("pulses", "0,0:40,-1.5"),   # range past the last of 16 cells
     ("pulses", "0,all,nan"),     # amplitude that is not finite
+    ("pulses", "0,all,1e39"),    # finite, but not in float32
     ("reads", "0,5:3"),          # reversed range
     ("pulses", "-1,all,1.5"),    # negative step
     ("reads", "-2,0"),
