@@ -4,31 +4,51 @@ Every column of a block of rows becomes a ``(rows, width)`` uint8 matrix of
 ASCII characters padded with byte 0; the block's matrix is the columns side
 by side with ``,`` and a newline between them, and the row text is its
 non-zero bytes in order.  The text is exactly what Python's formatting
-gives: ``str`` of integers and strings, and ``'%.9g'`` of floats.
+gives: ``str`` of integers and strings, and ``'%.9g'`` or ``'%.17g'`` of
+floats (`write_rows` takes the digit count).
 
-``'%.9g'`` of a float32 value with 1e-9 <= |x| < 1e8 is computed exactly in
-integers.  The value is M * 2**E with M < 2**24; M * 5**s fits in uint64 for
-the scale s = 8 - d <= 17 that brings its decimal exponent d to the ninth
-digit, the shift by E + s that completes the multiplication by 10**s rounds
-half to even on the bits it drops, and a d that log10 misjudged is corrected
-and the value redone.  Rounding never carries into a tenth digit: the float32
-values nearest below the powers of ten in range are further from them than
-the 5e-10 relative that would take.  The text is then assembled from lookup
-tables of 4- and 8-byte words: the sign with the "0.000" of the fixed form
-below 1, three groups of three digits that carry the point and drop trailing
-zeros, and the exponent.  Every other value (zero, subnormals and |x| < 1e-9, |x| >= 1e8,
-NaN and infinities, float64 values that are not exactly a float32) is
-formatted by Python, one element at a time.
+The n significant digits of a float are computed exactly in integers.  The
+value is M * 2**E; for the scale s = n - 1 - d that brings its decimal
+exponent d to the n-th digit, M * 5**s is formed exactly, and the shift by
+E + s that completes the multiplication by 10**s rounds half to even on the
+bits it drops.  A d that log10 misjudged is corrected and the value redone.
+One product serves both cases: M < 2**53 and s <= 21, so M * 5**s < 2**102
+is formed in two uint64 words from 32-bit limbs, and over the ranges below
+the shift drops at most 62 bits, even after a misjudged d, so the rounding
+reads the low word alone.
+
+- ``'%.9g'`` of a float32 value with 1e-9 <= |x| < 1e8 (M < 2**24,
+  s <= 17).  Rounding never carries into a tenth digit: the float32 values
+  nearest below the powers of ten in range are further from them than the
+  5e-10 relative that would take.
+- any other float64 value, with 1e-7 <= |x| < 1e8 at 9 digits and
+  1e-5 <= |x| < 1e16 at 17.  A value that rounds up to 10**n is written as
+  10**(n - 1) with d + 1.
+
+The text is then assembled from lookup tables of 4- and 8-byte words: the
+sign with the "0.000" of the fixed form below 1, up to six groups of three
+digits that carry the point and drop trailing zeros (17 digits are written
+as 18 with a trailing zero), and the exponent.  Every other value (zero,
+subnormals, values outside the ranges, NaN and infinities) is formatted by
+Python, one element at a time.
 """
 
 import numpy as np
 
 BLOCK_ROWS = 1 << 13           # rows per character matrix; its temporaries stay in cache
 
-# range of the integer '%.9g', compared in float64; decimal exponents -9..7
+# range of the float32 '%.9g', compared in float64, and its decimal exponents
 _G9_MIN, _G9_MAX = np.float64(1e-9), np.float64(1e8)
-_POW5 = np.array([5**k for k in range(18)], dtype=np.uint64)
-_POW10 = np.array([10**k for k in range(10)], dtype=np.uint64)
+_G9_EXPONENTS = (-9, 7)
+# digits -> the decimal exponents of the float64 path: 10**lo <= |x| < 10**(hi + 1)
+_F64_EXPONENTS = {9: (-7, 7), 17: (-5, 15)}
+_POW5 = np.array([5**k for k in range(22)], dtype=np.uint64)
+_POW10 = np.array([10**k for k in range(18)], dtype=np.uint64)
+_LOW32 = np.uint64(0xFFFFFFFF)
+
+_GROUP_COUNT = 6               # digit groups of 3: the 17 digits and a trailing zero
+_COLUMNS = 3 * _GROUP_COUNT + 1
+_D_MIN, _D_MAX = -9, 16        # decimal exponents the tables cover, carries included
 
 
 def chars(texts, width: int | None = None) -> np.ndarray:
@@ -54,34 +74,42 @@ def _group_words() -> np.ndarray:
 
 
 def _group_rows() -> np.ndarray:
-    """Row g, column (point + 1) * 10 + keep: the offset into `_GROUPS` of digit
-    group g when the point follows digit `point` (-1: none) and `keep` digits
-    are written.  The point is dropped when no digit follows it."""
-    point, keep = np.arange(-1, 8)[:, None], np.arange(10)
+    """Row g, column (point + 1) * _COLUMNS + keep: the offset into `_GROUPS`
+    of digit group g when the point follows digit `point` (-1: none) and
+    `keep` digits are written.  The point is dropped when no digit follows it."""
+    point, keep = np.arange(-1, _COLUMNS - 1)[:, None], np.arange(_COLUMNS)
     rows = []
-    for g in range(3):
+    for g in range(_GROUP_COUNT):
         at = point - 3 * g
         at = np.where((at >= 0) & (at <= 2) & (keep > point + 1), at, 3)
         rows.append(((at * 4 + np.clip(keep - 3 * g, 0, 3)) * 1000).ravel())
     return np.stack(rows)
 
 
+def _exponent_words(digits: int) -> np.ndarray:
+    """The exponent of '%.{digits}g' for each decimal exponent, "" in the fixed form."""
+    return chars([f"e{d:+03d}" if d < -4 or d >= digits else ""
+                  for d in range(_D_MIN, _D_MAX + 1)], 4).view(np.uint32).ravel()
+
+
 _GROUPS = _group_words()
 _GROUP_ROWS = _group_rows()
 _TRAILING_ZEROS = sum((np.arange(1000) % 10**k == 0).astype(np.int64) for k in (1, 2, 3))
-# indexed by decimal exponent + 9 (+ 17 for a negative value): the sign with
-# the "0.000" of the fixed form below 1, and the exponent of the exponent form
+# indexed by decimal exponent - _D_MIN (+ _D_SPAN for a negative value): the
+# sign with the "0.000" of the fixed form below 1
+_D_SPAN = _D_MAX - _D_MIN + 1
 _PREFIX = chars([sign + ("0." + "0" * (-d - 1) if -4 <= d < 0 else "")
-                 for sign in ("", "-") for d in range(-9, 8)], 8).view(np.uint64).ravel()
-_EXPONENT = chars([f"e-{-d:02d}" if d < -4 else "" for d in range(-9, 8)],
-                  4).view(np.uint32).ravel()
+                 for sign in ("", "-") for d in range(_D_MIN, _D_MAX + 1)],
+                8).view(np.uint64).ravel()
+_EXPONENT = {digits: _exponent_words(digits) for digits in _F64_EXPONENTS}
 
 
-def value_chars(values) -> np.ndarray:
-    """Character matrix of a column: ``str`` of integers and strings, ``'%.9g'`` of floats."""
+def value_chars(values, digits: int = 9) -> np.ndarray:
+    """Character matrix of a column: ``str`` of integers and strings,
+    ``'%.{digits}g'`` of floats (`digits` 9 or 17)."""
     values = np.asarray(values)
     if values.dtype.kind == "f":
-        return g9_chars(values)
+        return float_chars(values, digits)
     if values.dtype.kind in "iu":
         width = max(len(str(values.min())), len(str(values.max())))
         values = values.astype(f"S{width}")
@@ -90,78 +118,122 @@ def value_chars(values) -> np.ndarray:
     return values.view(np.uint8).reshape(values.size, values.itemsize)
 
 
-def g9_chars(values) -> np.ndarray:
-    """Character matrix of ``f"{v:.9g}"`` for each value."""
+def float_chars(values, digits: int = 9) -> np.ndarray:
+    """Character matrix of ``f"{v:.{digits}g}"`` for each value, `digits` 9 or 17."""
+    if digits not in _F64_EXPONENTS:
+        raise ValueError(f"digits must be one of {sorted(_F64_EXPONENTS)}, got {digits}")
     values = np.asarray(values).ravel()
+    lo, hi = _F64_EXPONENTS[digits]
     with np.errstate(over="ignore", invalid="ignore"):
-        x = values.astype(np.float32, copy=False)
-        fast = (np.abs(x) >= _G9_MIN) & (np.abs(x) < _G9_MAX) & (x == values)
-    if fast.all():
-        return _g9_float32(x)
-    quick = _g9_float32(x[fast])
-    slow = chars([f"{v:.9g}" for v in values[~fast].tolist()])
-    out = np.zeros((x.size, max(quick.shape[1], slow.shape[1])), np.uint8)
-    out[fast, :quick.shape[1]] = quick
-    out[~fast, :slow.shape[1]] = slow
+        fast32 = np.zeros(values.size, bool)
+        if digits == 9:
+            x32 = values.astype(np.float32, copy=False)
+            fast32 = (np.abs(x32) >= _G9_MIN) & (np.abs(x32) < _G9_MAX) & (x32 == values)
+            if fast32.all():
+                return _exact_g(x32, 9, 24, _G9_EXPONENTS)
+        x = values.astype(np.float64, copy=False)
+        fast64 = (np.abs(x) >= 10.0**lo) & (np.abs(x) < 10.0**(hi + 1)) & ~fast32
+    if fast64.all():
+        return _exact_g(x, digits, 53, (lo, hi))
+    slow = ~(fast32 | fast64)
+    parts = [(slow, chars([f"{v:.{digits}g}" for v in x[slow].tolist()]))]
+    if fast32.any():
+        parts.append((fast32, _exact_g(x32[fast32], 9, 24, _G9_EXPONENTS)))
+    if fast64.any():
+        parts.append((fast64, _exact_g(x[fast64], digits, 53, (lo, hi))))
+    out = np.zeros((x.size, max(mat.shape[1] for _, mat in parts)), np.uint8)
+    for rows, mat in parts:
+        out[rows, :mat.shape[1]] = mat
     return out
 
 
-def _g9_float32(x: np.ndarray) -> np.ndarray:
-    """``'%.9g'`` of float32 values with 1e-9 <= |x| < 1e8."""
-    ax = np.abs(x)
+def _decompose(ax: np.ndarray, bits: int, d_range):
+    """ax == mant * 2**e2 with mant < 2**bits, and log10's decimal exponent
+    clipped to `d_range`."""
     frac, e2 = np.frexp(ax)
-    mant = (frac * np.float32(2**24)).astype(np.uint64)
-    e2 = e2.astype(np.int64) - 24                # ax == mant * 2**e2 exactly
-    d = np.clip(np.floor(np.log10(ax)).astype(np.int64), -9, 7)
-    q, off = _nine_digits(mant, e2, d)
+    mant = (frac * ax.dtype.type(2**bits)).astype(np.uint64)
+    d = np.clip(np.floor(np.log10(ax)).astype(np.int64), *d_range)
+    return mant, e2.astype(np.int64) - bits, d
+
+
+def _exact_digits(mant, e2, d, digits: int):
+    """`_round_digits`, with each d that log10 misjudged corrected."""
+    q, off = _round_digits(mant, e2, d, digits)
     bad = np.flatnonzero(off)
-    while bad.size:                              # log10 misjudged the exponent
+    while bad.size:
         d[bad] += off[bad]
-        q[bad], off[bad] = _nine_digits(mant[bad], e2[bad], d[bad])
+        q[bad], off[bad] = _round_digits(mant[bad], e2[bad], d[bad], digits)
         bad = bad[off[bad] != 0]
-
-    q = q.astype(np.int64)
-    thousands, hi = q // 1000, q // 1000000
-    groups = (hi, thousands - hi * 1000, q - thousands * 1000)
-    zeros = np.take(_TRAILING_ZEROS, groups[2])
-    zeros += (groups[2] == 0) * (np.take(_TRAILING_ZEROS, groups[1])
-                                 + (groups[1] == 0) * np.take(_TRAILING_ZEROS, hi))
-    exp = d < -4
-    point = np.where(exp, 0, np.maximum(d, -1))  # the digit the point follows; -1: "0.00…"
-    column = (point + 1) * 10 + np.maximum(9 - zeros, point + 1)
-
-    # words: the prefix (a uint64 over the first two), 3 digit groups, the exponent
-    out = np.empty((x.size, 6), np.uint32)
-    for g, v in enumerate(groups):
-        out[:, 2 + g] = np.take(_GROUPS, np.take(_GROUP_ROWS[g], column) + v)
-    first, last = 2, 5
-    neg = x < 0
-    if neg.any() or (point < 0).any():
-        out[:, :2].view(np.uint64)[:, 0] = np.take(_PREFIX, d + 9 + 17 * neg)
-        first = 0
-    if exp.any():
-        out[:, 5] = np.take(_EXPONENT, d + 9)
-        last = 6
-    return out[:, first:last].view(np.uint8)
+    return q, d
 
 
-def _nine_digits(mant, e2, d):
-    """round(mant * 2**e2 * 10**(8 - d)), ties to even, and per value the
-    correction to d (-1, 0 or 1) that the truncated value's length asks for."""
-    s = 8 - d
+def _exact_g(x: np.ndarray, digits: int, bits: int, d_range) -> np.ndarray:
+    """``'%.{digits}g'`` of values with `bits`-bit mantissas (24 for float32,
+    53 for float64) and decimal exponents in `d_range`."""
+    q, d = _exact_digits(*_decompose(np.abs(x), bits, d_range), digits)
+    carry = q == _POW10[digits]
+    q[carry] = _POW10[digits - 1]
+    return _assemble(q, d + carry, x < 0, digits)
+
+
+def _round_digits(mant, e2, d, digits: int):
+    """round(mant * 2**e2 * 10**(digits - 1 - d)), ties to even, for
+    mant < 2**53, and per value the correction to d (-1, 0 or 1) that the
+    truncated value's length asks for.  The product mant * 5**s is the two
+    words (hi, lo), from 32-bit limbs; the shift drops at most 62 bits."""
+    s = digits - 1 - d
+    p5 = _POW5[s]
+    m_hi, m_lo, p_hi, p_lo = mant >> 32, mant & _LOW32, p5 >> 32, p5 & _LOW32
+    low = m_lo * p_lo
+    mid = m_hi * p_lo + m_lo * p_hi              # < 2**54
+    lo = low + (mid << 32)
+    hi = m_hi * p_hi + (mid >> 32) + (lo < low)  # the carry out of the low word
     shift = e2 + s
-    scaled = (mant * _POW5[s]) << np.maximum(shift, 0).astype(np.uint64)
     drop = np.maximum(-shift, 0).astype(np.uint64)
-    t = scaled >> drop
-    off = (t >= _POW10[9]).astype(np.int64) - (t < _POW10[8])
-    twice_rem = (scaled - (t << drop)) << np.uint64(1)
+    t = ((lo >> drop) | ((hi << 1) << (63 - drop))) << np.maximum(shift, 0).astype(np.uint64)
+    off = (t >= _POW10[digits]).astype(np.int64) - (t < _POW10[digits - 1])
+    twice_rem = (lo & ((np.uint64(1) << drop) - 1)) << 1
     unit = np.uint64(1) << drop
-    t += (twice_rem > unit) | ((twice_rem == unit) & (t & np.uint64(1) == 1))
+    t += (twice_rem > unit) | ((twice_rem == unit) & (t & 1 == 1))
     return t, off
 
 
-def write_rows(fh, n: int, columns) -> None:
-    """Write `n` CSV rows to the binary file `fh`, `BLOCK_ROWS` rows at a time.
+def _assemble(q, d, neg, digits: int) -> np.ndarray:
+    """Character matrix of '%.{digits}g' from its `digits` decimal digits q,
+    decimal exponent d and sign."""
+    count = (digits + 2) // 3
+    q = q.astype(np.int64) * 10 ** (3 * count - digits)
+    groups = []
+    for _ in range(count - 1):
+        head = q // 1000                         # numpy's // by a scalar; divmod is slower
+        groups.insert(0, q - head * 1000)
+        q = head
+    groups.insert(0, q)
+    zeros = np.take(_TRAILING_ZEROS, groups[-1])
+    for k, v in enumerate(groups[-2::-1], 1):    # the k later groups are 0 iff zeros == 3k
+        zeros += np.take(_TRAILING_ZEROS, v) * (zeros == 3 * k)
+    exp = (d < -4) | (d >= digits)
+    point = np.where(exp, 0, np.maximum(d, -1))  # the digit the point follows; -1: "0.00…"
+    column = (point + 1) * _COLUMNS + np.maximum(3 * count - zeros, point + 1)
+
+    # words: the prefix (a uint64 over the first two), the digit groups, the
+    # exponent, and a spare word that keeps the rows' uint64 aligned
+    out = np.empty((q.size, count + 3 + (count + 3) % 2), np.uint32)
+    for g, v in enumerate(groups):
+        out[:, 2 + g] = np.take(_GROUPS, np.take(_GROUP_ROWS[g], column) + v)
+    first, last = 2, count + 2
+    if neg.any() or (point < 0).any():
+        out[:, :2].view(np.uint64)[:, 0] = np.take(_PREFIX, d - _D_MIN + _D_SPAN * neg)
+        first = 0
+    if exp.any():
+        out[:, last] = np.take(_EXPONENT[digits], d - _D_MIN)
+        last += 1
+    return out[:, first:last].view(np.uint8)
+
+
+def write_rows(fh, n: int, columns, digits: int = 9) -> None:
+    """Write `n` CSV rows to the binary file `fh`, `BLOCK_ROWS` rows at a time,
+    floats as ``'%.{digits}g'`` (`digits` 9 or 17).
 
     A column is an array of `n` values, or a pair ``(texts, index)`` of a
     character matrix and the row of it that each CSV row takes (an array of
@@ -176,7 +248,7 @@ def write_rows(fh, n: int, columns) -> None:
                 pieces.append(texts[index] if np.isscalar(index)
                               else np.take(texts, index[lo:hi], axis=0))
             else:
-                pieces.append(value_chars(col[lo:hi]))
+                pieces.append(value_chars(col[lo:hi], digits))
         mat = np.empty((hi - lo, sum(p.shape[-1] + 1 for p in pieces)), np.uint8)
         at = 0
         for piece in pieces:

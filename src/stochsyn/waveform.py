@@ -23,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from . import csvtext
 from .conduction import U0_DEFAULT, eval_poly, fit_conduction_polys
 
 FEATURE_NAMES = ("r_h", "u_s", "r_l", "u_r")
@@ -164,12 +165,15 @@ def write_trace_iuw(trace: RawTrace, path) -> None:
 
 
 def write_features_csv(features: np.ndarray, path, cycles=None) -> None:
+    """The header and one row per cycle: its number (default 1..n) and the
+    four features as exact ``'%.17g'``, through `csvtext.write_rows`."""
     features = np.asarray(features, dtype=np.float64).reshape(-1, 4)
-    if cycles is None:
-        cycles = np.arange(1, features.shape[0] + 1)
-    data = np.column_stack([cycles, features])
-    np.savetxt(path, data, delimiter=",", header=FEATURES_HEADER, comments="",
-               fmt=["%d"] + ["%.17g"] * 4)
+    cycles = np.arange(1, len(features) + 1) if cycles is None else np.asarray(cycles)
+    if cycles.shape != (len(features),):
+        raise ValueError(f"{cycles.size} cycle numbers for {len(features)} feature rows")
+    with open(path, "wb") as fh:
+        fh.write(FEATURES_HEADER.encode() + b"\n")
+        csvtext.write_rows(fh, len(features), [cycles, *features.T], digits=17)
 
 
 def read_features_csv(path) -> tuple[np.ndarray, np.ndarray]:

@@ -31,6 +31,11 @@ advances at least 56 times, more than three times `SPARE_LAG_SLOTS`, so each
 window is copied back several times.  Each pulse gives a digest line, each
 eighth round a whole read's hash, and the last line the smallest cycle
 count.
+
+Last come the features CSVs: for each of the five models above and seeds 1-3,
+the SHA-256 of `write_features_csv(inverse_map(gamma, generate(model, 20000,
+seed)))`, and of one file of 20000 rows whose features are random float64
+bit patterns (NaN, infinities, subnormals and every magnitude).
 """
 
 import contextlib
@@ -44,6 +49,9 @@ import numpy as np
 from stochsyn import paramfile, synth
 from stochsyn.array import ReadoutConfig, init_array
 from stochsyn.cli import main
+from stochsyn.svar import generate
+from stochsyn.transform import inverse_map
+from stochsyn.waveform import write_features_csv
 
 M = 4500
 ADDRESSED = 3000      # addresses drawn with repeats for the addressed pulses
@@ -52,6 +60,7 @@ REPEATS = 500         # repeated addresses added to the pulse naming every cell
 AMPLITUDES = (-1.5, 0.9, 1.1, -1.5, 0.8, 1.5, 1.23236083984375, -1.5,
               0.95, -0.7, 1.2, 1.5, -1.5, 1.0, 1.4, -1.5)
 LONG_ROUNDS = 56      # rounds of the long configuration
+FEATURE_ROWS = 20000  # cycles per features CSV, more than two of its writer's blocks
 READOUTS = (("noisy12", ReadoutConfig(n_bits=12, i_min=0.0, i_max=60e-6)),
             ("clean12", ReadoutConfig(n_bits=12, i_min=0.0, i_max=60e-6, noise_enabled=False)))
 
@@ -142,12 +151,29 @@ def long_sweep(bundle, out) -> None:
             print(f"{config} min cycle {arr.cycle.min()}", file=out)
 
 
+def features_sweep(bundles, path: Path, out) -> None:
+    def digest(features) -> str:
+        write_features_csv(features, path)
+        return hashlib.sha256(path.read_bytes()).hexdigest()
+
+    for name, bundle, orders in bundles:
+        for p in orders:
+            for seed in (1, 2, 3):
+                z = generate(bundle.model(p), FEATURE_ROWS, seed)
+                print(f"features {name} p={p} seed={seed}"
+                      f" {digest(inverse_map(bundle.gamma, z))}", file=out)
+    bits = np.random.default_rng(3).integers(0, 1 << 64, (FEATURE_ROWS, 4), dtype=np.uint64)
+    print(f"features random bits {digest(bits.view(np.float64))}", file=out)
+
+
 def run(out=sys.stdout) -> None:
     with tempfile.TemporaryDirectory() as tmp:
         fitted = fitted_bundle(Path(tmp))
-    reference = synth.reference_bundle()
-    sweep([("reference", reference, (1, 10, 100)), ("fitted", fitted, (10, 100))], out)
-    long_sweep(reference, out)
+        reference = synth.reference_bundle()
+        bundles = [("reference", reference, (1, 10, 100)), ("fitted", fitted, (10, 100))]
+        sweep(bundles, out)
+        long_sweep(reference, out)
+        features_sweep(bundles, Path(tmp) / "features.csv", out)
 
 
 if __name__ == "__main__":
