@@ -12,18 +12,16 @@ value is M * 2**E; for the scale s = n - 1 - d that brings its decimal
 exponent d to the n-th digit, M * 5**s is formed exactly, and the shift by
 E + s that completes the multiplication by 10**s rounds half to even on the
 bits it drops.  A d that log10 misjudged is corrected and the value redone.
-One product serves both cases: M < 2**53 and s <= 21, so M * 5**s < 2**102
-is formed in two uint64 words from 32-bit limbs, and over the ranges below
-the shift drops at most 62 bits, even after a misjudged d, so the rounding
-reads the low word alone.
-
-- ``'%.9g'`` of a float32 value with 1e-9 <= |x| < 1e8 (M < 2**24,
-  s <= 17).  Rounding never carries into a tenth digit: the float32 values
-  nearest below the powers of ten in range are further from them than the
-  5e-10 relative that would take.
-- any other float64 value, with 1e-7 <= |x| < 1e8 at 9 digits and
-  1e-5 <= |x| < 1e16 at 17.  A value that rounds up to 10**n is written as
-  10**(n - 1) with d + 1.
+The column's dtype picks M's width: a float32 column at 9 digits keeps its
+24-bit mantissas, with 1e-9 <= |x| < 1e8, and every other column is cast to
+float64, with 53-bit mantissas and 1e-7 <= |x| < 1e8 at 9 digits or
+1e-5 <= |x| < 1e16 at 17.  One product serves both: M < 2**53 and s <= 21,
+so M * 5**s < 2**102 is formed in two uint64 words from 32-bit limbs, and
+over these ranges the shift drops at most 62 bits, even after a misjudged d,
+so the rounding reads the low word alone.  A value that rounds up to 10**n
+is written as 10**(n - 1) with d + 1; a float32 value at 9 digits never
+does, since those nearest below the powers of ten are further from them
+than the 5e-10 relative that would take.
 
 The text is then assembled from lookup tables of 4- and 8-byte words: the
 sign with the "0.000" of the fixed form below 1, up to six groups of three
@@ -37,11 +35,9 @@ import numpy as np
 
 BLOCK_ROWS = 1 << 13           # rows per character matrix; its temporaries stay in cache
 
-# range of the float32 '%.9g', compared in float64, and its decimal exponents
-_G9_MIN, _G9_MAX = np.float64(1e-9), np.float64(1e8)
-_G9_EXPONENTS = (-9, 7)
-# digits -> the decimal exponents of the float64 path: 10**lo <= |x| < 10**(hi + 1)
-_F64_EXPONENTS = {9: (-7, 7), 17: (-5, 15)}
+# (dtype, digits) -> the decimal exponents written in integers: 10**lo <= |x| < 10**(hi + 1);
+# a column whose pair is not here is cast to float64
+_EXPONENTS = {(np.float32, 9): (-9, 7), (np.float64, 9): (-7, 7), (np.float64, 17): (-5, 15)}
 _POW5 = np.array([5**k for k in range(22)], dtype=np.uint64)
 _POW10 = np.array([10**k for k in range(18)], dtype=np.uint64)
 _LOW32 = np.uint64(0xFFFFFFFF)
@@ -101,7 +97,7 @@ _D_SPAN = _D_MAX - _D_MIN + 1
 _PREFIX = chars([sign + ("0." + "0" * (-d - 1) if -4 <= d < 0 else "")
                  for sign in ("", "-") for d in range(_D_MIN, _D_MAX + 1)],
                 8).view(np.uint64).ravel()
-_EXPONENT = {digits: _exponent_words(digits) for digits in _F64_EXPONENTS}
+_EXPONENT = {digits: _exponent_words(digits) for _, digits in _EXPONENTS}
 
 
 def value_chars(values, digits: int = 9) -> np.ndarray:
@@ -120,36 +116,29 @@ def value_chars(values, digits: int = 9) -> np.ndarray:
 
 def float_chars(values, digits: int = 9) -> np.ndarray:
     """Character matrix of ``f"{v:.{digits}g}"`` for each value, `digits` 9 or 17."""
-    if digits not in _F64_EXPONENTS:
-        raise ValueError(f"digits must be one of {sorted(_F64_EXPONENTS)}, got {digits}")
-    values = np.asarray(values).ravel()
-    lo, hi = _F64_EXPONENTS[digits]
-    with np.errstate(over="ignore", invalid="ignore"):
-        fast32 = np.zeros(values.size, bool)
-        if digits == 9:
-            x32 = values.astype(np.float32, copy=False)
-            fast32 = (np.abs(x32) >= _G9_MIN) & (np.abs(x32) < _G9_MAX) & (x32 == values)
-            if fast32.all():
-                return _exact_g(x32, 9, 24, _G9_EXPONENTS)
-        x = values.astype(np.float64, copy=False)
-        fast64 = (np.abs(x) >= 10.0**lo) & (np.abs(x) < 10.0**(hi + 1)) & ~fast32
-    if fast64.all():
-        return _exact_g(x, digits, 53, (lo, hi))
-    slow = ~(fast32 | fast64)
-    parts = [(slow, chars([f"{v:.{digits}g}" for v in x[slow].tolist()]))]
-    if fast32.any():
-        parts.append((fast32, _exact_g(x32[fast32], 9, 24, _G9_EXPONENTS)))
-    if fast64.any():
-        parts.append((fast64, _exact_g(x[fast64], digits, 53, (lo, hi))))
-    out = np.zeros((x.size, max(mat.shape[1] for _, mat in parts)), np.uint8)
-    for rows, mat in parts:
-        out[rows, :mat.shape[1]] = mat
+    if (np.float64, digits) not in _EXPONENTS:
+        raise ValueError(f"digits must be 9 or 17, got {digits}")
+    x = np.asarray(values).ravel()
+    with np.errstate(invalid="ignore"):          # casts of signalling NaNs
+        if (x.dtype.type, digits) not in _EXPONENTS:
+            x = x.astype(np.float64)
+        lo, hi = _EXPONENTS[x.dtype.type, digits]
+        ax = np.abs(x)                           # compared in float64, as the bounds are
+        fast = (ax >= np.float64(10.0**lo)) & (ax < np.float64(10.0**(hi + 1)))
+    if fast.all():
+        return _exact_g(x, digits, (lo, hi))
+    exact = _exact_g(x[fast], digits, (lo, hi))
+    python = chars([f"{v:.{digits}g}" for v in x[~fast].tolist()])
+    out = np.zeros((x.size, max(exact.shape[1], python.shape[1])), np.uint8)
+    out[fast, :exact.shape[1]] = exact
+    out[~fast, :python.shape[1]] = python
     return out
 
 
-def _decompose(ax: np.ndarray, bits: int, d_range):
-    """ax == mant * 2**e2 with mant < 2**bits, and log10's decimal exponent
-    clipped to `d_range`."""
+def _decompose(ax: np.ndarray, d_range):
+    """ax == mant * 2**e2 with mant below 2**(the dtype's mantissa bits), and
+    log10's decimal exponent clipped to `d_range`."""
+    bits = np.finfo(ax.dtype).nmant + 1
     frac, e2 = np.frexp(ax)
     mant = (frac * ax.dtype.type(2**bits)).astype(np.uint64)
     d = np.clip(np.floor(np.log10(ax)).astype(np.int64), *d_range)
@@ -167,10 +156,10 @@ def _exact_digits(mant, e2, d, digits: int):
     return q, d
 
 
-def _exact_g(x: np.ndarray, digits: int, bits: int, d_range) -> np.ndarray:
-    """``'%.{digits}g'`` of values with `bits`-bit mantissas (24 for float32,
-    53 for float64) and decimal exponents in `d_range`."""
-    q, d = _exact_digits(*_decompose(np.abs(x), bits, d_range), digits)
+def _exact_g(x: np.ndarray, digits: int, d_range) -> np.ndarray:
+    """``'%.{digits}g'`` of float32 or float64 values with decimal exponents
+    in `d_range`."""
+    q, d = _exact_digits(*_decompose(np.abs(x), d_range), digits)
     carry = q == _POW10[digits]
     q[carry] = _POW10[digits - 1]
     return _assemble(q, d + carry, x < 0, digits)

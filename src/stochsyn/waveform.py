@@ -193,16 +193,17 @@ def smoothing_half_widths(n: int, set_locations) -> np.ndarray:
     Far from any flagged location the window is SMOOTH_WINDOW_MAX samples
     wide; it ramps down linearly to SMOOTH_WINDOW_MIN at the locations over
     a +-SMOOTH_RAMP_SPAN span.  The ramp only grows with distance, so each
-    sample takes the smallest ramp value any location writes onto it.
+    sample takes the smallest ramp value any location writes onto it.  The
+    half-widths are 1..12, so they are int8: one byte per sample of the trace.
     """
     h_max = (SMOOTH_WINDOW_MAX - 1) // 2
     h_min = (SMOOTH_WINDOW_MIN - 1) // 2
-    h = np.full(n, h_max, dtype=np.int64)
+    h = np.full(n, h_max, dtype=np.int8)
     locs = np.asarray(set_locations, dtype=np.int64)
     if locs.size:
         offsets = np.arange(-SMOOTH_RAMP_SPAN, SMOOTH_RAMP_SPAN + 1)
         frac = np.abs(offsets) / SMOOTH_RAMP_SPAN
-        ramp = np.rint(h_min + (h_max - h_min) * frac).astype(np.int64)
+        ramp = np.rint(h_min + (h_max - h_min) * frac).astype(np.int8)
         pos = (locs[:, None] + offsets).ravel()
         inside = (pos >= 0) & (pos < n)
         np.minimum.at(h, pos[inside], np.tile(ramp, locs.size)[inside])

@@ -32,10 +32,16 @@ window is copied back several times.  Each pulse gives a digest line, each
 eighth round a whole read's hash, and the last line the smallest cycle
 count.
 
-Last come the features CSVs: for each of the five models above and seeds 1-3,
+Then come the features CSVs: for each of the five models above and seeds 1-3,
 the SHA-256 of `write_features_csv(inverse_map(gamma, generate(model, 20000,
 seed)))`, and of one file of 20000 rows whose features are random float64
 bit patterns (NaN, infinities, subnormals and every magnitude).
+
+Last come `csvtext.float_chars`'s routes, one line each: the SHA-256 of the
+texts of 1e5 random float32 bit patterns at 9 digits, of the same values as
+float64 at 9 and at 17 digits, and of the two float columns of a `read_all`
+of a 4500-cell array (the float32 noisy currents and the float64
+dequantized ones).
 """
 
 import contextlib
@@ -46,7 +52,7 @@ from pathlib import Path
 
 import numpy as np
 
-from stochsyn import paramfile, synth
+from stochsyn import csvtext, paramfile, synth
 from stochsyn.array import ReadoutConfig, init_array
 from stochsyn.cli import main
 from stochsyn.svar import generate
@@ -61,6 +67,7 @@ AMPLITUDES = (-1.5, 0.9, 1.1, -1.5, 0.8, 1.5, 1.23236083984375, -1.5,
               0.95, -0.7, 1.2, 1.5, -1.5, 1.0, 1.4, -1.5)
 LONG_ROUNDS = 56      # rounds of the long configuration
 FEATURE_ROWS = 20000  # cycles per features CSV, more than two of its writer's blocks
+FLOAT_VALUES = 100_000  # random float32 bit patterns formatted by each float route
 READOUTS = (("noisy12", ReadoutConfig(n_bits=12, i_min=0.0, i_max=60e-6)),
             ("clean12", ReadoutConfig(n_bits=12, i_min=0.0, i_max=60e-6, noise_enabled=False)))
 
@@ -166,6 +173,25 @@ def features_sweep(bundles, path: Path, out) -> None:
     print(f"features random bits {digest(bits.view(np.float64))}", file=out)
 
 
+def float_route_sweep(bundle, out) -> None:
+    def digest(values, digits) -> str:
+        return hashlib.sha256(b"\n".join(bytes(row[row != 0]) for row in
+                                         csvtext.float_chars(values, digits))).hexdigest()
+
+    bits = np.random.default_rng(11).integers(0, 1 << 32, FLOAT_VALUES, dtype=np.uint64)
+    x = bits.astype(np.uint32).view(np.float32)
+    with np.errstate(invalid="ignore"):
+        x64 = x.astype(np.float64)
+    print(f"float_chars float32 bits 9 {digest(x, 9)}", file=out)
+    print(f"float_chars float64 of float32 bits 9 {digest(x64, 9)}", file=out)
+    print(f"float_chars float64 of float32 bits 17 {digest(x64, 17)}", file=out)
+    arr = init_array(bundle, M, a=0.5, seed=7, p=10)
+    arr.apply_pulses(-1.5)
+    i_noisy, _, i_dequantized = arr.read_all()
+    print(f"float_chars read_all i_noisy {digest(i_noisy, 9)}", file=out)
+    print(f"float_chars read_all i_dequantized {digest(i_dequantized, 9)}", file=out)
+
+
 def run(out=sys.stdout) -> None:
     with tempfile.TemporaryDirectory() as tmp:
         fitted = fitted_bundle(Path(tmp))
@@ -174,6 +200,7 @@ def run(out=sys.stdout) -> None:
         sweep(bundles, out)
         long_sweep(reference, out)
         features_sweep(bundles, Path(tmp) / "features.csv", out)
+        float_route_sweep(reference, out)
 
 
 if __name__ == "__main__":

@@ -64,15 +64,32 @@ def test_g9_matches_python_on_edge_values():
     assert {"1000000.12", "1000000.38"} <= set(got)   # 1000000.125 and .375: half to even
 
 
-def test_g9_matches_python_on_random_float32_bit_patterns():
+def _float32_bit_patterns():
     bits = np.random.default_rng(20261018).integers(0, 1 << 32, 200_000, dtype=np.uint64)
     with np.errstate(invalid="ignore"):
-        x = bits.astype(np.uint32).view(np.float32)
+        return bits.astype(np.uint32).view(np.float32)
+
+
+def test_g9_matches_python_on_random_float32_bit_patterns():
+    x = _float32_bit_patterns()
     fast = (np.abs(x) >= 1e-9) & (np.abs(x) < 1e8)
     assert fast.sum() > 20_000          # the integer path is exercised, not only the fallback
     with np.errstate(invalid="ignore"):
         want = _py(x)
     assert [(w, g) for w, g in zip(want, _texts(csvtext.float_chars(x))) if w != g] == []
+
+
+@pytest.mark.parametrize("dtype, digits", [(np.float64, 9), (np.float32, 17)],
+                         ids=["float64-9", "float32-17"])
+def test_the_column_dtype_picks_the_route(dtype, digits):
+    # float32 values held in float64 take the 53-bit route, which leaves
+    # 1e-9 <= |x| < 1e-7 to Python; float32 at 17 digits is cast to float64
+    with np.errstate(invalid="ignore"):
+        x = _float32_bit_patterns().astype(dtype)
+        tiny = (np.abs(x) >= 1e-9) & (np.abs(x) < 1e-7)
+        want = _py(x, digits)
+    assert tiny.sum() > 1_000
+    assert [(w, g) for w, g in zip(want, _texts(csvtext.float_chars(x, digits))) if w != g] == []
 
 
 def test_g9_corrects_a_misjudged_decimal_exponent(monkeypatch):

@@ -102,6 +102,21 @@ def test_smoothing_peak_memory_per_sample():
     assert peak <= 32 * u.size
 
 
+def test_smoothing_half_widths_take_one_byte_per_sample():
+    # cumulative sum and output take 16 B per sample; int64 half-widths
+    # added 8 more (about 24.6 B in all), int8 ones add 1
+    n = 1 << 22
+    trace = RawTrace(u=np.zeros(n), i=np.random.default_rng(5).normal(0.0, 1e-6, n))
+    locs = np.arange(600, n, 1042)
+    tracemalloc.start()
+    try:
+        smooth_adaptive(trace, locs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * n
+
+
 def test_smoothing_rejects_out_of_range_locations():
     trace = RawTrace(u=np.zeros(10), i=np.zeros(10), samples_per_cycle=10)
     with pytest.raises(ValueError):
