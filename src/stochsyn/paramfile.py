@@ -11,9 +11,8 @@ Section payloads hold counts ahead of their float64 data, so the file is
 self-describing; unknown tags are skipped on load for forward compatibility.
 The autoregression section may repeat, one entry per stored model order;
 any other repeated section, or a repeated order, fails to load.
-Each section's payload layout is written once, in `SECTIONS`, which encoding,
-decoding and the JSON rendering all walk; a float64 field that is not finite
-fails to load.
+Each section's payload layout is written once, in `SECTIONS`, which encoding
+and decoding both walk; a float64 field that is not finite fails to load.
 """
 
 import math
@@ -258,14 +257,3 @@ def load(path, validate: bool = True) -> ParameterBundle:
         bundle.validate()
     return bundle
 
-
-def bundle_to_json(bundle: ParameterBundle) -> dict:
-    """Plain-python rendering of every section, for inspection/debugging:
-    each section's fields by name, repeated sections keyed by their key."""
-    doc = {"format_version": VERSION}
-    for sec in SECTIONS:
-        entries = [{name: np.asarray(values[name]).tolist() for name, _ in sec.fields}
-                   for values in sec.values(bundle)]
-        doc[sec.name] = entries[0] if sec.key is None else {
-            str(entry[sec.key]): entry for entry in entries}
-    return doc

@@ -8,9 +8,13 @@ narrows around those transitions, and reduces each cycle to the four-feature
 vector (r_h, u_s, r_l, u_r): high-resistance value, switching threshold
 magnitude, low-resistance value, and the voltage where the gradual
 positive-polarity transition begins.  Every step runs as array operations
-over a block of cycles at once, one cycle per row of a padded view; the
-per-cycle functions are one-row calls of the same kernels, and the kept
-cycles' branch-fit points leave as flat arrays with a count per cycle.  The
+over a block of cycles at once, one cycle per row of a padded view: the
+kernels `extract_set_voltage`, `extract_reset_voltage` and
+`fit_state_polynomials` each take such a block, and the kept cycles'
+branch-fit points leave as flat arrays with a count per cycle.  A trace
+keeps its samples' width (a .iuw file's float32 stays float32, see
+`conduction.as_float`); each block converts its own rows to float64, which
+is exact, so the kernels compute in float64 whatever the input.  The
 feature names (FEATURE_NAMES), the nominal cycle length (SAMPLES_PER_CYCLE)
 and the static-resistance voltage (`conduction.U0_DEFAULT`) are each defined
 once.
@@ -24,7 +28,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import csvtext
-from .conduction import U0_DEFAULT, eval_poly, fit_conduction_polys
+from .conduction import U0_DEFAULT, as_float, eval_poly, fit_conduction_polys
 
 FEATURE_NAMES = ("r_h", "u_s", "r_l", "u_r")
 FEATURES_HEADER = ",".join(("cycle",) + FEATURE_NAMES)
@@ -59,15 +63,15 @@ class ExtractionError(ValueError):
 
 @dataclass
 class RawTrace:
-    """Sampled (voltage, current) channels with the nominal cycle length."""
+    """Sampled (voltage, current) channels with the nominal cycle length.
+    float32 channels stay float32; any other input becomes float64."""
 
     u: np.ndarray
     i: np.ndarray
     samples_per_cycle: int = SAMPLES_PER_CYCLE
 
     def __post_init__(self):
-        self.u = np.asarray(self.u, dtype=np.float64)
-        self.i = np.asarray(self.i, dtype=np.float64)
+        self.u, self.i = as_float(self.u), as_float(self.i)
         if self.u.shape != self.i.shape or self.u.ndim != 1:
             raise ValueError("u and i must be equal-length 1-D arrays")
 
@@ -221,7 +225,7 @@ def smooth_adaptive(trace: RawTrace, set_locations) -> RawTrace:
         raise ValueError("set locations out of range")
     h = smoothing_half_widths(n, locs)
     cs = np.zeros(n + 1)
-    np.cumsum(trace.i, out=cs[1:])
+    np.cumsum(trace.i, out=cs[1:], dtype=np.float64)
     sm = np.empty(n)
     for start in range(0, n, SMOOTH_BLOCK):
         block = slice(start, min(start + SMOOTH_BLOCK, n))
@@ -275,12 +279,13 @@ def _cycle_blocks(boundaries):
 
 
 def _rows(x, starts, lengths, width: int, fill) -> np.ndarray:
-    """x[start : start + length] as the rows of a (len(starts), width) array,
-    padded with ``fill``.  Rows are copied from a strided view of x; the few
-    that would run past its end are gathered instead."""
+    """x[start : start + length] as the rows of a (len(starts), width) float64
+    array, padded with ``fill``.  Rows are copied from a strided view of x;
+    the few that would run past its end are gathered instead."""
     last = x.size - width
     if last >= 0:
-        out = sliding_window_view(x, width)[np.minimum(starts, last)]
+        out = sliding_window_view(x, width)[np.minimum(starts, last)].astype(
+            np.float64, copy=False)
     else:
         out = np.empty((starts.size, width))
     cols = np.arange(width)
@@ -288,14 +293,6 @@ def _rows(x, starts, lengths, width: int, fill) -> np.ndarray:
     out[late] = x[np.minimum(starts[late, None] + cols, x.size - 1)]
     out[cols >= lengths[:, None]] = fill
     return out
-
-
-def _one_row(u, *currents):
-    """One cycle as a one-row padded view: (lengths, u, *currents), the
-    voltage padded with +inf (which argmin passes over), currents with NaN."""
-    pad = [np.concatenate([np.asarray(x, dtype=np.float64), [fill]])[None, :]
-           for x, fill in zip((u, *currents), (np.inf,) + (np.nan,) * len(currents))]
-    return (np.array([pad[0].shape[1] - 1]), *pad)
 
 
 def _first_crossings(i: np.ndarray, threshold: float):
@@ -308,9 +305,10 @@ def _first_crossings(i: np.ndarray, threshold: float):
     return np.where(cross.any(axis=1), cross.argmax(axis=1), -1)
 
 
-def _set_voltages(u, i, threshold: float):
-    """|U| at each row's first threshold crossing, interpolated between the
-    bracketing samples; NaN and a reason where there is no crossing."""
+def extract_set_voltage(u, i, threshold: float):
+    """Per row of a padded (cycles, width) block, |U| at the first threshold
+    crossing, interpolated between the bracketing samples; NaN and a reason
+    where there is no crossing."""
     k = _first_crossings(i, threshold)
     r = np.arange(u.shape[0])
     k0 = np.maximum(k, 0)
@@ -374,12 +372,13 @@ def _base_minima(x: np.ndarray, peaks: np.ndarray, step: int) -> np.ndarray:
     return low
 
 
-def _reset_voltages(u, i, lengths, turn, min_prominence: float, i_raw=None):
-    """Per row, the voltage of the first peak of prominence >= min_prominence
-    (else the most prominent one) on the increasing, positive-voltage section
-    after the voltage minimum ``turn``; NaN and a reason where the section or
-    its peaks are missing.  Peaks are plain neighbour-comparison local
-    maxima, and prominence is computed within the section.
+def extract_reset_voltage(u, i, lengths, turn, min_prominence: float, i_raw=None):
+    """Per row of a padded (cycles, width) block, the voltage of the first
+    peak of prominence >= min_prominence (else the most prominent one) on the
+    increasing, positive-voltage section after the voltage minimum ``turn``;
+    NaN and a reason where the section or its peaks are missing.  Peaks are
+    plain neighbour-comparison local maxima, and prominence is computed
+    within the section.
 
     When the unsmoothed current ``i_raw`` is given, the chosen peak moves to
     the raw argmax inside the smoothing support: the moving average locates
@@ -433,8 +432,9 @@ def _masked_block(mask, u, i):
     return np.where(mask[:, cut], u[:, cut], 0.0), np.where(mask[:, cut], i[:, cut], 0.0)
 
 
-def _branch_fits(u, i, turn, u_s, u_r, u0: float):
-    """Constrained fits of both static branches of every row.
+def fit_state_polynomials(u, i, turn, u_s, u_r, u0: float):
+    """Constrained fits of both static branches of every row of a padded
+    (cycles, width) block.
 
     The high-resistance branch is fit with degree HRS_FIT_DEGREE on the
     decreasing sweep up to the voltage minimum ``turn``, from HRS_FIT_MARGIN
@@ -486,58 +486,6 @@ def detect_set_locations(trace: RawTrace, threshold: float = SET_CURRENT_THRESHO
     return locs, len(boundaries) - locs.size
 
 
-# ---------------------------------------------------------------------------
-# per-cycle extraction: one-row calls of the batch kernels, kept because
-# perfbench's layer map times these names
-
-def _raise_reason(reason) -> None:
-    if reason[0] is not None:
-        raise ExtractionError(reason[0])
-
-
-def extract_set_voltage(u: np.ndarray, i: np.ndarray,
-                        threshold: float = SET_CURRENT_THRESHOLD) -> float:
-    """`_set_voltages` on one cycle; ExtractionError where it fails."""
-    _, u2, i2 = _one_row(u, i)
-    u_s, reason = _set_voltages(u2, i2, threshold)
-    _raise_reason(reason)
-    return float(u_s[0])
-
-
-def extract_reset_voltage(u: np.ndarray, i: np.ndarray,
-                          min_prominence: float = RESET_MIN_PROMINENCE,
-                          i_raw: np.ndarray | None = None) -> float:
-    """`_reset_voltages` on one cycle; ExtractionError where it fails."""
-    arrays = (u, i) if i_raw is None else (u, i, i_raw)
-    n, u2, i2, *raw2 = _one_row(*arrays)
-    u_r, reason = _reset_voltages(u2, i2, n, np.argmin(u2, axis=1), min_prominence,
-                                  raw2[0] if raw2 else None)
-    _raise_reason(reason)
-    return float(u_r[0])
-
-
-@dataclass
-class StatePolyFit:
-    r_h: float
-    r_l: float
-    hrs_coeffs: np.ndarray
-    lrs_coeffs: np.ndarray
-    hrs_window: tuple   # (u, i) points used for the high-resistance fit
-    lrs_window: tuple
-
-
-def fit_state_polynomials(u: np.ndarray, i: np.ndarray, u_s: float, u_r: float) -> StatePolyFit:
-    """`_branch_fits` on one cycle; ExtractionError where it fails."""
-    _, u2, i2 = _one_row(u, i)
-    r_h, r_l, m_h, m_l, hrs, lrs, reason = _branch_fits(
-        u2, i2, np.argmin(u2, axis=1), np.array([u_s], float), np.array([u_r], float), U0_DEFAULT)
-    _raise_reason(reason)
-    return StatePolyFit(
-        r_h=float(r_h[0]), r_l=float(r_l[0]), hrs_coeffs=hrs[0], lrs_coeffs=lrs[0],
-        hrs_window=(u2[0, m_h[0]], i2[0, m_h[0]]), lrs_window=(u2[0, m_l[0]], i2[0, m_l[0]]),
-    )
-
-
 def extract_features(trace: RawTrace, smoothing: bool = True,
                      set_threshold: float = SET_CURRENT_THRESHOLD,
                      min_prominence: float = RESET_MIN_PROMINENCE,
@@ -564,9 +512,9 @@ def extract_features(trace: RawTrace, smoothing: bool = True,
         i = _rows(work.i, starts, lengths, width, np.nan)
         i_raw = _rows(trace.i, starts, lengths, width, np.nan) if smoothing else None
         turn = np.argmin(u, axis=1)
-        u_s, why_s = _set_voltages(u, i, set_threshold)
-        u_r, why_r = _reset_voltages(u, i, lengths, turn, min_prominence, i_raw)
-        r_h, r_l, m_h, m_l, _, _, why_f = _branch_fits(u, i, turn, u_s, u_r, U0_DEFAULT)
+        u_s, why_s = extract_set_voltage(u, i, set_threshold)
+        u_r, why_r = extract_reset_voltage(u, i, lengths, turn, min_prominence, i_raw)
+        r_h, r_l, m_h, m_l, _, _, why_f = fit_state_polynomials(u, i, turn, u_s, u_r, U0_DEFAULT)
         reason = _first_reason(why_s, why_r, why_f)
         features.append(np.column_stack([r_h, u_s, r_l, u_r]))
         reasons.append(reason)

@@ -37,11 +37,19 @@ the SHA-256 of `write_features_csv(inverse_map(gamma, generate(model, 20000,
 seed)))`, and of one file of 20000 rows whose features are random float64
 bit patterns (NaN, infinities, subnormals and every magnitude).
 
-Last come `csvtext.float_chars`'s routes, one line each: the SHA-256 of the
+Then come `csvtext.float_chars`'s routes, one line each: the SHA-256 of the
 texts of 1e5 random float32 bit patterns at 9 digits, of the same values as
 float64 at 9 and at 17 digits, and of the two float columns of a `read_all`
 of a 4500-cell array (the float32 noisy currents and the float64
 dequantized ones).
+
+Last come the extraction lines.  Two 2000-cycle traces are rendered from
+the reference model's features, one at the default current noise and one
+at a noise that makes `extract_features` exclude some cycles.  Each is
+extracted as rendered (float64) and after a `.iuw` round trip (float32),
+with and without smoothing.  A line gives the SHA-256 of the features'
+bytes, the kept cycles, the exclusions with their reasons, and the
+high- and low-resistance fit windows.
 """
 
 import contextlib
@@ -57,7 +65,7 @@ from stochsyn.array import ReadoutConfig, init_array
 from stochsyn.cli import main
 from stochsyn.svar import generate
 from stochsyn.transform import inverse_map
-from stochsyn.waveform import write_features_csv
+from stochsyn.waveform import extract_features, read_trace, write_features_csv, write_trace_iuw
 
 M = 4500
 ADDRESSED = 3000      # addresses drawn with repeats for the addressed pulses
@@ -68,6 +76,8 @@ AMPLITUDES = (-1.5, 0.9, 1.1, -1.5, 0.8, 1.5, 1.23236083984375, -1.5,
 LONG_ROUNDS = 56      # rounds of the long configuration
 FEATURE_ROWS = 20000  # cycles per features CSV, more than two of its writer's blocks
 FLOAT_VALUES = 100_000  # random float32 bit patterns formatted by each float route
+TRACE_CYCLES = 2000   # cycles per trace of the extraction lines
+TRACE_NOISES = (1e-6, 2e-5)  # current noise [A]: none excluded, and some
 READOUTS = (("noisy12", ReadoutConfig(n_bits=12, i_min=0.0, i_max=60e-6)),
             ("clean12", ReadoutConfig(n_bits=12, i_min=0.0, i_max=60e-6, noise_enabled=False)))
 
@@ -192,6 +202,23 @@ def float_route_sweep(bundle, out) -> None:
     print(f"float_chars read_all i_dequantized {digest(i_dequantized, 9)}", file=out)
 
 
+def extraction_sweep(bundle, path: Path, out) -> None:
+    features = synth.sample_features(bundle, TRACE_CYCLES, seed=5)
+    for noise in TRACE_NOISES:
+        rendered = synth.reconstruct_trace(features, bundle.conduction, noise_sigma=noise, seed=6)
+        write_trace_iuw(rendered, path)
+        for form, trace in (("float64", rendered), ("iuw", read_trace(path))):
+            for smoothing in (True, False):
+                result = extract_features(trace, smoothing=smoothing, collect_windows=True)
+                h = hashlib.sha256(result.features.tobytes())
+                h.update(result.cycles.astype(np.int64).tobytes())
+                h.update(repr(result.exclusions).encode())
+                for x in (*result.hrs_windows, *result.lrs_windows):
+                    h.update(np.ascontiguousarray(x).tobytes())
+                print(f"extract noise={noise:g} {form} smoothing={smoothing}"
+                      f" {len(result.exclusions)} {h.hexdigest()}", file=out)
+
+
 def run(out=sys.stdout) -> None:
     with tempfile.TemporaryDirectory() as tmp:
         fitted = fitted_bundle(Path(tmp))
@@ -201,6 +228,7 @@ def run(out=sys.stdout) -> None:
         long_sweep(reference, out)
         features_sweep(bundles, Path(tmp) / "features.csv", out)
         float_route_sweep(reference, out)
+        extraction_sweep(reference, Path(tmp) / "trace.iuw", out)
 
 
 if __name__ == "__main__":

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from scipy.stats import spearmanr
+from test_waveform import _one_row
 
 import stochsyn
 from stochsyn import cli, csvtext, paramfile, synth
@@ -73,7 +74,8 @@ def test_extract_and_flags(corpus, tmp_path):
 
 def _per_cycle_limits_json(trace_path) -> str:
     """`extract --limits-out`'s JSON text from per-cycle (u, i) windows, each
-    refit by `fit_state_polynomials`, pooled window by window: the reference."""
+    taken from the masks of `fit_state_polynomials` on that cycle alone,
+    pooled window by window: the reference."""
     trace = read_trace(trace_path)
     result = extract_features(trace)
     bounds, _ = split_cycles(trace)
@@ -81,8 +83,10 @@ def _per_cycle_limits_json(trace_path) -> str:
     windows = []
     for k, (_, u_s, _, u_r) in zip(result.cycles, result.features):
         lo, hi = bounds[k]
-        fit = fit_state_polynomials(work.u[lo:hi], work.i[lo:hi], u_s, u_r)
-        windows.append((fit.hrs_window, fit.lrs_window))
+        _, u, i = _one_row(work.u[lo:hi], work.i[lo:hi])
+        m_h, m_l = fit_state_polynomials(u, i, np.argmin(u, axis=1), np.array([u_s]),
+                                         np.array([u_r]), U0_DEFAULT)[2:4]
+        windows.append(((u[m_h], i[m_h]), (u[m_l], i[m_l])))
     r_h, r_l = result.features[:, 0], result.features[:, 2]
     pools = (r_h >= np.quantile(r_h, 1.0 - LIMIT_PERCENTILE / 100.0),
              r_l <= np.quantile(r_l, LIMIT_PERCENTILE / 100.0))

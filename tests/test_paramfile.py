@@ -174,14 +174,6 @@ def test_validate_rejects_unstable_model(tmp_path):
         unstable.validate()
 
 
-def test_json_export_complete(ref_bundle):
-    doc = paramfile.bundle_to_json(ref_bundle)
-    assert set(doc) == {"format_version", "conduction", "gamma", "sigma",
-                        "defaults", "svar"}
-    assert doc["svar"]["1"]["p"] == 1
-    assert len(doc["gamma"]["coeffs"]) == 4
-
-
 def test_non_finite_model_parameter_rejected(tmp_path, ref_bundle):
     p = tmp_path / "a.ssyn"
     save(ref_bundle, p)
