@@ -119,7 +119,6 @@ def cmd_extract(args) -> int:
         smoothing=not args.no_smoothing,
         set_threshold=args.set_threshold,
         min_prominence=args.min_prominence,
-        collect_windows=args.limits_out is not None,
     )
     waveform.write_features_csv(result.features, args.output, cycles=result.cycles + 1)
     report = {
@@ -130,8 +129,7 @@ def cmd_extract(args) -> int:
     }
     _write_json(args.report or str(args.output) + ".report.json", report)
     if args.limits_out:
-        model = fit_limiting_model(result.hrs_windows, result.lrs_windows,
-                                   result.features[:, 0], result.features[:, 2])
+        model = fit_limiting_model(result.hrs_points, result.lrs_points)
         _write_json(args.limits_out, {"u0": model.u0, "hhrs": model.hhrs.tolist(),
                                       "llrs": model.llrs.tolist()})
     print(f"extracted {result.features.shape[0]}/{result.n_cycles} cycles -> {args.output}")

@@ -7,9 +7,10 @@ polynomials in the applied voltage: the most resistive characteristic
 The module also holds the parabolic transition current, `transition_current`,
 that connects a cycle's low-resistance branch to the next high-resistance
 branch during gradual positive-polarity switching, and the constrained
-polynomial fits (c0 = 0, c1 >= MIN_LINEAR_COEFF) that estimate the limits
-from the cycles at the LIMIT_PERCENTILE extremes.  U0_DEFAULT is the one
-reference voltage of the package's static resistances.
+polynomial fits (c0 = 0, c1 >= MIN_LINEAR_COEFF) of degree HRS_FIT_DEGREE
+and LRS_FIT_DEGREE that fit each cycle's branches and, from the branch
+points pooled over the cycles at the LIMIT_PERCENTILE extremes, the limits.
+U0_DEFAULT is the one reference voltage of the package's static resistances.
 """
 
 from dataclasses import dataclass
@@ -21,6 +22,8 @@ MIN_LINEAR_COEFF = 1e-9     # lower bound on the linear coefficient [A/V]
 DENOM_FLOOR = 1e-12         # |i_llrs - i_hhrs| below this is degenerate [A]
 MIN_CURVE_SPAN = 1e-3       # smallest usable (u_max - u_start) [V]
 LIMIT_PERCENTILE = 1.0      # share of cycles pooled at each extreme [%]
+HRS_FIT_DEGREE = 5          # degree of the high-resistance branch fits
+LRS_FIT_DEGREE = 3          # degree of the low-resistance branch fits
 
 
 class DegenerateVoltageError(ValueError):
@@ -231,21 +234,8 @@ def _monomial_lstsq(u, y, lo: int, hi: int) -> np.ndarray:
     return coef + solve(y - np.einsum("jrw,rj->rw", design, coef))
 
 
-def fit_limiting_model(hrs_windows, lrs_windows, r_h, r_l) -> ConductionModel:
-    """Estimate the limiting polynomials from the cycles' branch-fit points.
-
-    Each window argument is one (u, i, counts) triple (see
-    `waveform.ExtractionResult`): every cycle's points in cycle order, and
-    counts[k] of them for cycle k.  Cycles whose high-resistance value falls
-    in the top LIMIT_PERCENTILE of r_h (respectively the bottom
-    LIMIT_PERCENTILE of r_l) are pooled, and one constrained polynomial is
-    refit to each pooled point set.
-    """
-    r_h = np.asarray(r_h, dtype=float)
-    r_l = np.asarray(r_l, dtype=float)
-    hi = r_h >= np.quantile(r_h, 1.0 - LIMIT_PERCENTILE / 100.0)
-    lo = r_l <= np.quantile(r_l, LIMIT_PERCENTILE / 100.0)
-    (u_h, i_h, n_h), (u_l, i_l, n_l) = hrs_windows, lrs_windows
-    pool_h, pool_l = np.repeat(hi, n_h), np.repeat(lo, n_l)   # misaligned counts raise
-    return ConductionModel(hhrs=fit_conduction_poly(u_h[pool_h], i_h[pool_h], degree=5),
-                           llrs=fit_conduction_poly(u_l[pool_l], i_l[pool_l], degree=3))
+def fit_limiting_model(hrs_points, lrs_points) -> ConductionModel:
+    """Refit one constrained polynomial to each branch's pooled (u, i)
+    points, as `waveform.ExtractionResult` carries them."""
+    return ConductionModel(hhrs=fit_conduction_poly(*hrs_points, HRS_FIT_DEGREE),
+                           llrs=fit_conduction_poly(*lrs_points, LRS_FIT_DEGREE))

@@ -10,8 +10,9 @@ magnitude, low-resistance value, and the voltage where the gradual
 positive-polarity transition begins.  Every step runs as array operations
 over a block of cycles at once, one cycle per row of a padded view: the
 kernels `extract_set_voltage`, `extract_reset_voltage` and
-`fit_state_polynomials` each take such a block, and the kept cycles'
-branch-fit points leave as flat arrays with a count per cycle.  A trace
+`fit_state_polynomials` each take such a block, and the cycles at the
+LIMIT_PERCENTILE extremes give the limit fit its pooled branch points from
+their rows alone.  A trace
 keeps its samples' width (a .iuw file's float32 stays float32, see
 `conduction.as_float`); each block converts its own rows to float64, which
 is exact, so the kernels compute in float64 whatever the input.  The
@@ -28,7 +29,8 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import csvtext
-from .conduction import U0_DEFAULT, as_float, eval_poly, fit_conduction_polys
+from .conduction import (HRS_FIT_DEGREE, LIMIT_PERCENTILE, LRS_FIT_DEGREE, U0_DEFAULT, as_float,
+                         eval_poly, fit_conduction_polys)
 
 FEATURE_NAMES = ("r_h", "u_s", "r_l", "u_r")
 FEATURES_HEADER = ",".join(("cycle",) + FEATURE_NAMES)
@@ -44,11 +46,9 @@ SMOOTH_BLOCK = 1 << 16           # samples per moving-average block
 CYCLE_BLOCK = 256                # cycles per batch of the extraction kernels
 PEAK_WALK_BLOCK = 32             # samples per pass of the prominence base search
 
-HRS_FIT_DEGREE = 5
 HRS_FIT_MARGIN = 0.1             # start the window this far above the (signed) threshold [V]
 HRS_FIT_U_MAX = 1.5              # [V]
 HRS_FIT_I_RANGE = (-25e-6, 80e-6)
-LRS_FIT_DEGREE = 3
 LRS_FIT_U_MIN = -0.7             # [V]
 LRS_FIT_MARGIN = 0.05            # stop the window this far below u_r [V]
 LRS_FIT_I_RANGE = (-80e-6, 120e-6)
@@ -81,17 +81,18 @@ class RawTrace:
 
 @dataclass
 class ExtractionResult:
-    """Features of the kept cycles and why the others were excluded.  With
-    ``collect_windows``, each branch's fit points as one (u, i, counts)
-    triple: the kept cycles' points in cycle order, and how many each has."""
+    """Features of the kept cycles, why the others were excluded, and the
+    limit fit's pooled (u, i) points, in cycle order: the high-resistance
+    ones of the kept cycles in the top LIMIT_PERCENTILE of r_h, and the
+    low-resistance ones of those in the bottom LIMIT_PERCENTILE of r_l."""
 
     features: np.ndarray              # (n, 4) float64
     cycles: np.ndarray                # (n,) original cycle indices
     exclusions: list                  # (cycle index, reason)
     n_cycles: int
     set_missing: int                  # cycles without a detectable abrupt transition
-    hrs_windows: tuple | None = None  # (u, i, counts) of the high-resistance fits
-    lrs_windows: tuple | None = None  # (u, i, counts) of the low-resistance fits
+    hrs_points: tuple                 # (u, i) pooled from the high-resistance windows
+    lrs_points: tuple                 # (u, i) pooled from the low-resistance windows
 
 
 # ---------------------------------------------------------------------------
@@ -240,37 +241,30 @@ def split_cycles(trace: RawTrace):
     """Cycle boundaries at the positive apex of the voltage in each nominal
     period window.
 
-    Returns (boundaries, n_dropped): contiguous, non-overlapping (start,
-    stop) pairs, plus how many leading/trailing partial segments were cut.
-    A trailing segment is kept only if it spans at least a nominal period
-    minus 2 samples.
+    Returns (boundaries, n_dropped): an (n, 2) int64 array of contiguous,
+    non-overlapping (start, stop) rows, plus how many leading/trailing
+    partial segments were cut.  A trailing segment is kept only if it spans
+    at least a nominal period minus 2 samples.
     """
     n = len(trace)
     period = trace.samples_per_cycle
     n_windows = n // period
     if n_windows < 1:
-        return [], (1 if n else 0)
+        return np.empty((0, 2), dtype=np.int64), (1 if n else 0)
     windows = trace.u[: n_windows * period].reshape(n_windows, period)
-    apex = (np.argmax(windows, axis=1) + period * np.arange(n_windows)).tolist()
-    bounds = list(zip(apex[:-1], apex[1:]))
-    dropped = 0
-    if apex[0] > 0:
-        dropped += 1
-    tail = n - apex[-1]
-    if tail >= period - 2:
-        bounds.append((apex[-1], n))
-    elif tail > 0:
-        dropped += 1
-    return bounds, dropped
+    apex = np.argmax(windows, axis=1) + period * np.arange(n_windows, dtype=np.int64)
+    tail = n - int(apex[-1])
+    stops = np.append(apex[1:], n) if tail >= period - 2 else apex[1:]
+    dropped = int(apex[0] > 0) + int(0 < tail < period - 2)
+    return np.column_stack([apex[: stops.size], stops]), dropped
 
 
 # ---------------------------------------------------------------------------
 # batch kernels: every cycle is one row of a padded (cycles, width) view
 
-def _cycle_blocks(boundaries):
-    """(starts, lengths, width) per block of CYCLE_BLOCK cycles.  The width
-    leaves at least one padding column after every cycle."""
-    bounds = np.asarray(boundaries, dtype=np.int64).reshape(-1, 2)
+def _cycle_blocks(bounds):
+    """(starts, lengths, width) per block of CYCLE_BLOCK rows of the (n, 2)
+    ``bounds``.  The width leaves at least one padding column after every cycle."""
     lengths = bounds[:, 1] - bounds[:, 0]
     width = int(lengths.max(initial=0)) + 1
     for lo in range(0, bounds.shape[0], CYCLE_BLOCK):
@@ -432,6 +426,18 @@ def _masked_block(mask, u, i):
     return np.where(mask[:, cut], u[:, cut], 0.0), np.where(mask[:, cut], i[:, cut], 0.0)
 
 
+def _branch_masks(u, i, turn, u_s, u_r):
+    """Per row of a padded (cycles, width) block, the points of the high- and
+    of the low-resistance fit window (see `fit_state_polynomials`)."""
+    cols = np.arange(u.shape[1])
+    m_h = (cols <= turn[:, None]) & (u >= -u_s[:, None] + HRS_FIT_MARGIN) \
+        & (u <= HRS_FIT_U_MAX) & (i >= HRS_FIT_I_RANGE[0]) & (i <= HRS_FIT_I_RANGE[1])
+    m_l = (cols >= turn[:, None]) & (u >= LRS_FIT_U_MIN) \
+        & (u <= u_r[:, None] - LRS_FIT_MARGIN) & (i >= LRS_FIT_I_RANGE[0]) \
+        & (i <= LRS_FIT_I_RANGE[1])
+    return m_h, m_l
+
+
 def fit_state_polynomials(u, i, turn, u_s, u_r, u0: float):
     """Constrained fits of both static branches of every row of a padded
     (cycles, width) block.
@@ -444,12 +450,7 @@ def fit_state_polynomials(u, i, turn, u_s, u_r, u0: float):
     LRS_FIT_MARGIN below u_r, restricted to LRS_FIT_I_RANGE.  r_h and r_l are
     the static resistances of the fits at u0.  Returns r_h, r_l, the point
     masks of each branch, the coefficients and per-row reasons."""
-    cols = np.arange(u.shape[1])
-    m_h = (cols <= turn[:, None]) & (u >= -u_s[:, None] + HRS_FIT_MARGIN) \
-        & (u <= HRS_FIT_U_MAX) & (i >= HRS_FIT_I_RANGE[0]) & (i <= HRS_FIT_I_RANGE[1])
-    m_l = (cols >= turn[:, None]) & (u >= LRS_FIT_U_MIN) \
-        & (u <= u_r[:, None] - LRS_FIT_MARGIN) & (i >= LRS_FIT_I_RANGE[0]) \
-        & (i <= LRS_FIT_I_RANGE[1])
+    m_h, m_l = _branch_masks(u, i, turn, u_s, u_r)
     n_h, n_l = m_h.sum(axis=1), m_l.sum(axis=1)
     fit = (n_h >= MIN_FIT_POINTS) & (n_l >= MIN_FIT_POINTS)
     hrs = np.full((u.shape[0], HRS_FIT_DEGREE + 1), np.nan)
@@ -486,27 +487,44 @@ def detect_set_locations(trace: RawTrace, threshold: float = SET_CURRENT_THRESHO
     return locs, len(boundaries) - locs.size
 
 
+def _pooled_points(work: RawTrace, bounds, features):
+    """The limit fit's pooled points (see `ExtractionResult`) from the rows of
+    the pooled cycles alone; ``bounds`` and ``features`` are the kept cycles'."""
+    r_h, u_s, r_l, u_r = features.T
+    top = r_h >= np.quantile(r_h, 1.0 - LIMIT_PERCENTILE / 100.0)
+    bottom = r_l <= np.quantile(r_l, LIMIT_PERCENTILE / 100.0)
+    pool = top | bottom
+    starts, stops = bounds[pool].T
+    lengths = stops - starts
+    width = int(lengths.max()) + 1
+    u = _rows(work.u, starts, lengths, width, np.inf)
+    i = _rows(work.i, starts, lengths, width, np.nan)
+    m_h, m_l = _branch_masks(u, i, np.argmin(u, axis=1), u_s[pool], u_r[pool])
+    m_h &= top[pool, None]
+    m_l &= bottom[pool, None]
+    return (u[m_h], i[m_h]), (u[m_l], i[m_l])
+
+
 def extract_features(trace: RawTrace, smoothing: bool = True,
                      set_threshold: float = SET_CURRENT_THRESHOLD,
-                     min_prominence: float = RESET_MIN_PROMINENCE,
-                     collect_windows: bool = False) -> ExtractionResult:
-    """Reduce a whole trace to the per-cycle feature series.
+                     min_prominence: float = RESET_MIN_PROMINENCE) -> ExtractionResult:
+    """Reduce a whole trace to the per-cycle feature series and the pooled
+    branch points of the limit fit (see `ExtractionResult`).
 
     Cycles run through the batch kernels CYCLE_BLOCK at a time.  Cycles
     failing any step are excluded (with the reason of the first failing
     step) rather than imputed; more than 50% exclusions is an error, as is a
-    trace with no full cycle.  ``collect_windows`` keeps the branch-fit
-    points for `conduction.fit_limiting_model` (see `ExtractionResult`).
+    trace with no full cycle.
     """
     if len(trace) == 0:
         raise ExtractionError("empty trace")
     boundaries, _ = split_cycles(trace)
-    if not boundaries:
+    if not boundaries.size:
         raise ExtractionError("no full cycle found")
     set_locs, set_missing = detect_set_locations(trace, set_threshold, boundaries)
     work = smooth_adaptive(trace, set_locs) if smoothing else trace
 
-    features, reasons, hrs_blocks, lrs_blocks = [], [], [], []
+    features, reasons = [], []
     for starts, lengths, width in _cycle_blocks(boundaries):
         u = _rows(work.u, starts, lengths, width, np.inf)
         i = _rows(work.i, starts, lengths, width, np.nan)
@@ -514,14 +532,9 @@ def extract_features(trace: RawTrace, smoothing: bool = True,
         turn = np.argmin(u, axis=1)
         u_s, why_s = extract_set_voltage(u, i, set_threshold)
         u_r, why_r = extract_reset_voltage(u, i, lengths, turn, min_prominence, i_raw)
-        r_h, r_l, m_h, m_l, _, _, why_f = fit_state_polynomials(u, i, turn, u_s, u_r, U0_DEFAULT)
-        reason = _first_reason(why_s, why_r, why_f)
+        r_h, r_l, *_, why_f = fit_state_polynomials(u, i, turn, u_s, u_r, U0_DEFAULT)
         features.append(np.column_stack([r_h, u_s, r_l, u_r]))
-        reasons.append(reason)
-        if collect_windows:
-            kept = np.equal(reason, None)
-            for mask, blocks in ((m_h[kept], hrs_blocks), (m_l[kept], lrs_blocks)):
-                blocks.append((u[kept][mask], i[kept][mask], mask.sum(axis=1)))
+        reasons.append(_first_reason(why_s, why_r, why_f))
 
     reasons = np.concatenate(reasons)
     kept = np.flatnonzero(np.equal(reasons, None))
@@ -530,11 +543,8 @@ def extract_features(trace: RawTrace, smoothing: bool = True,
         raise ExtractionError(
             f"{len(exclusions)} of {len(boundaries)} cycles failed extraction"
         )
-    del work   # free the trace-sized smoothed current before the points are copied
-    hrs_windows, lrs_windows = [tuple(map(np.concatenate, zip(*blocks))) if collect_windows
-                                else None for blocks in (hrs_blocks, lrs_blocks)]
+    features = np.concatenate(features)[kept]
+    hrs_points, lrs_points = _pooled_points(work, boundaries[kept], features)
     return ExtractionResult(
-        features=np.concatenate(features)[kept], cycles=kept,
-        exclusions=exclusions, n_cycles=len(boundaries), set_missing=set_missing,
-        hrs_windows=hrs_windows, lrs_windows=lrs_windows,
-    )
+        features=features, cycles=kept, exclusions=exclusions, n_cycles=len(boundaries),
+        set_missing=set_missing, hrs_points=hrs_points, lrs_points=lrs_points)

@@ -47,9 +47,14 @@ Last come the extraction lines.  Two 2000-cycle traces are rendered from
 the reference model's features, one at the default current noise and one
 at a noise that makes `extract_features` exclude some cycles.  Each is
 extracted as rendered (float64) and after a `.iuw` round trip (float32),
-with and without smoothing.  A line gives the SHA-256 of the features'
-bytes, the kept cycles, the exclusions with their reasons, and the
-high- and low-resistance fit windows.
+with and without smoothing.  One line gives the SHA-256 of the features'
+bytes, the kept cycles and the exclusions with their reasons; a second
+line gives that of the pooled high- and low-resistance points of the limit
+fit.  Then the `extract --limits-out` command runs on each trace written
+as `.iuw` and as a `u,i` CSV of its float64 samples (exact 17-digit text),
+with and without `--no-smoothing`, and a line gives its exit code and the
+SHA-256 of the files it wrote: the features CSV, `.report.json` and
+`limits.json` (which a failed limit fit does not write).
 """
 
 import contextlib
@@ -202,21 +207,44 @@ def float_route_sweep(bundle, out) -> None:
     print(f"float_chars read_all i_dequantized {digest(i_dequantized, 9)}", file=out)
 
 
-def extraction_sweep(bundle, path: Path, out) -> None:
+def file_hash(*paths) -> str:
+    h = hashlib.sha256()
+    for path in paths:
+        h.update(path.read_bytes())
+    return h.hexdigest()
+
+
+def extraction_sweep(bundle, workdir: Path, out) -> None:
     features = synth.sample_features(bundle, TRACE_CYCLES, seed=5)
+    iuw, csv = workdir / "trace.iuw", workdir / "trace.csv"
+    feats, limits = workdir / "extracted.csv", workdir / "limits.json"
     for noise in TRACE_NOISES:
         rendered = synth.reconstruct_trace(features, bundle.conduction, noise_sigma=noise, seed=6)
-        write_trace_iuw(rendered, path)
-        for form, trace in (("float64", rendered), ("iuw", read_trace(path))):
+        write_trace_iuw(rendered, iuw)
+        with open(csv, "wb") as fh:
+            fh.write(b"u,i\n")
+            csvtext.write_rows(fh, len(rendered), [rendered.u, rendered.i], digits=17)
+        for form, trace in (("float64", rendered), ("iuw", read_trace(iuw))):
             for smoothing in (True, False):
-                result = extract_features(trace, smoothing=smoothing, collect_windows=True)
+                config = f"extract noise={noise:g} {form} smoothing={smoothing}"
+                result = extract_features(trace, smoothing=smoothing)
                 h = hashlib.sha256(result.features.tobytes())
                 h.update(result.cycles.astype(np.int64).tobytes())
                 h.update(repr(result.exclusions).encode())
-                for x in (*result.hrs_windows, *result.lrs_windows):
-                    h.update(np.ascontiguousarray(x).tobytes())
-                print(f"extract noise={noise:g} {form} smoothing={smoothing}"
-                      f" {len(result.exclusions)} {h.hexdigest()}", file=out)
+                print(f"{config} {len(result.exclusions)} {h.hexdigest()}", file=out)
+                print(f"{config} pooled {read_hash((*result.hrs_points, *result.lrs_points))}",
+                      file=out)
+        outputs = (feats, workdir / "extracted.csv.report.json", limits)
+        for path in (csv, iuw):
+            for flags in ([], ["--no-smoothing"]):
+                for x in outputs:
+                    x.unlink(missing_ok=True)
+                with contextlib.redirect_stdout(sys.stderr):
+                    rc = main(["extract", str(path), str(feats), "--limits-out", str(limits),
+                               *flags])
+                written = [x for x in outputs if x.exists()]
+                print(f"extract cli noise={noise:g} {path.suffix[1:]} smoothing={not flags}"
+                      f" exit {rc} {len(written)} {file_hash(*written)}", file=out)
 
 
 def run(out=sys.stdout) -> None:
@@ -228,7 +256,7 @@ def run(out=sys.stdout) -> None:
         long_sweep(reference, out)
         features_sweep(bundles, Path(tmp) / "features.csv", out)
         float_route_sweep(reference, out)
-        extraction_sweep(reference, Path(tmp) / "trace.iuw", out)
+        extraction_sweep(reference, Path(tmp), out)
 
 
 if __name__ == "__main__":

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -104,6 +105,28 @@ def test_extract_limits_equal_the_per_cycle_pooling(corpus, tmp_path):
                "--limits-out", str(out)])
     assert rc == 0
     assert out.read_bytes() == _per_cycle_limits_json(corpus / "trace.iuw").encode()
+
+
+@pytest.mark.parametrize("flags, bound", [([], 28.5), (["--no-smoothing"], 23.0)],
+                         ids=["smoothing", "no_smoothing"])
+def test_extract_limits_out_peak_memory_per_sample(ref_bundle, tmp_path, flags, bound):
+    # The tracemalloc peak per sample of a 2000-cycle .iuw, bounded between
+    # the two measured designs.  Keeping every kept cycle's branch-fit points
+    # for the limit fit peaked at 30.9 B (29.3 without smoothing); pooling
+    # only the extreme cycles' points peaks at 26.3 B (16.7), set by the
+    # smoothing's cumulative sum and output.
+    feats = synth.sample_features(ref_bundle, 2000, seed=5)
+    trace = synth.reconstruct_trace(feats, ref_bundle.conduction, seed=6)
+    write_trace_iuw(trace, tmp_path / "t.iuw")
+    argv = ["extract", str(tmp_path / "t.iuw"), str(tmp_path / "f.csv"),
+            "--limits-out", str(tmp_path / "limits.json"), *flags]
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < bound * len(trace)
 
 
 def test_extract_missing_file_exits_2(tmp_path):

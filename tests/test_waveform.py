@@ -5,7 +5,9 @@ import pytest
 
 from stochsyn import synth, waveform
 from stochsyn.conduction import (
+    LIMIT_PERCENTILE,
     MIN_LINEAR_COEFF,
+    U0_DEFAULT,
     current,
     fit_conduction_polys,
     fit_limiting_model,
@@ -126,7 +128,7 @@ def test_split_pure_triangle_three_periods():
     u = triangle_u(3)
     trace = RawTrace(u=u, i=np.zeros_like(u))
     bounds, dropped = split_cycles(trace)
-    assert len(bounds) == 3
+    assert bounds.shape == (3, 2) and bounds.dtype == np.int64
     assert dropped == 0
     lengths = [b - a for a, b in bounds]
     assert all(abs(l - 1042) <= 1 for l in lengths)
@@ -381,13 +383,9 @@ def _lstsq_reference(u, i, degree):
     return np.concatenate([[0.0], coef])
 
 
-def _assert_fits_match_lstsq(points, degree, u0=0.2, rel=1e-10):
-    """The batch kernel on zero-padded windows against the per-window
-    reference: coefficients relative to each row's largest, and u0 / I(u0).
-    ``points`` is a (u, i, counts) triple, split into one window per count."""
-    u_all, i_all, counts = points
-    cut = np.cumsum(counts)[:-1]
-    windows = list(zip(np.split(u_all, cut), np.split(i_all, cut)))
+def _assert_fits_match_lstsq(windows, degree, u0=0.2, rel=1e-10):
+    """The batch kernel on zero-padded (u, i) windows against the per-window
+    reference: coefficients relative to each row's largest, and u0 / I(u0)."""
     width = max(u.size for u, _ in windows)
     u_pad, i_pad = np.zeros((len(windows), width)), np.zeros((len(windows), width))
     for row, (u, i) in enumerate(windows):
@@ -401,23 +399,37 @@ def _assert_fits_match_lstsq(points, degree, u0=0.2, rel=1e-10):
     return want, r_want
 
 
+def _kept_windows(trace, result):
+    """Every kept cycle's high- and low-resistance fit windows, in cycle
+    order, from `waveform._branch_masks` on block rows of the smoothed trace."""
+    bounds, _ = split_cycles(trace)
+    work = smooth_adaptive(trace, detect_set_locations(trace, boundaries=bounds)[0])
+    _, u_s, _, u_r = result.features.T
+    hrs, lrs, done = [], [], 0
+    for starts, lengths, width in waveform._cycle_blocks(bounds[result.cycles]):
+        u = waveform._rows(work.u, starts, lengths, width, np.inf)
+        i = waveform._rows(work.i, starts, lengths, width, np.nan)
+        rows = slice(done, done + starts.size)
+        m_h, m_l = waveform._branch_masks(u, i, np.argmin(u, axis=1), u_s[rows], u_r[rows])
+        hrs += [(u[r, m_h[r]], i[r, m_h[r]]) for r in range(starts.size)]
+        lrs += [(u[r, m_l[r]], i[r, m_l[r]]) for r in range(starts.size)]
+        done += starts.size
+    return hrs, lrs
+
+
 def test_branch_fits_match_lstsq_on_synthetic_trace(ref_bundle):
     n = 10_000
     feats = synth.sample_features(ref_bundle, n + 1, seed=77)
     trace = synth.reconstruct_trace(feats, ref_bundle.conduction, seed=78)
     keep = n * trace.samples_per_cycle
-    result = extract_features(RawTrace(u=trace.u[:keep], i=trace.i[:keep]),
-                              collect_windows=True)
-    _, r_h = _assert_fits_match_lstsq(result.hrs_windows, HRS_FIT_DEGREE)
-    _, r_l = _assert_fits_match_lstsq(result.lrs_windows, LRS_FIT_DEGREE)
+    trace = RawTrace(u=trace.u[:keep], i=trace.i[:keep])
+    result = extract_features(trace)
+    hrs, lrs = _kept_windows(trace, result)
+    assert len(hrs) == len(lrs) == result.cycles.size
+    _, r_h = _assert_fits_match_lstsq(hrs, HRS_FIT_DEGREE)
+    _, r_l = _assert_fits_match_lstsq(lrs, LRS_FIT_DEGREE)
     assert np.all(np.abs(result.features[:, 0] / r_h - 1.0) <= 1e-10)
     assert np.all(np.abs(result.features[:, 2] / r_l - 1.0) <= 1e-10)
-
-
-def _points(windows):
-    """Per-window (u, i) pairs as one (u, i, counts) triple."""
-    u, i = zip(*windows)
-    return np.concatenate(u), np.concatenate(i), np.array([x.size for x in u])
 
 
 def test_branch_fits_match_lstsq_clamped_and_narrowest_windows(ref_bundle):
@@ -428,7 +440,7 @@ def test_branch_fits_match_lstsq_clamped_and_narrowest_windows(ref_bundle):
     clamped = [(u, (-1e-6 * u + 2e-6 * u**3) * (1.0 + 0.01 * rng.standard_normal(u.size)))
                for _ in range(20)]
     for degree in (HRS_FIT_DEGREE, LRS_FIT_DEGREE):
-        want, _ = _assert_fits_match_lstsq(_points(clamped), degree)
+        want, _ = _assert_fits_match_lstsq(clamped, degree)
         assert np.all(want[:, 1] == MIN_LINEAR_COEFF)
     # MIN_FIT_POINTS points over the narrowest spans the masks admit: the
     # high-resistance window at u_s -> 0, the low-resistance one at u_r -> 0
@@ -437,8 +449,7 @@ def test_branch_fits_match_lstsq_clamped_and_narrowest_windows(ref_bundle):
         u = np.linspace(lo, hi, MIN_FIT_POINTS)
         i = current(state_from_resistance(res, cm), u, cm)
         _assert_fits_match_lstsq(
-            _points([(u, i * (1.0 + 0.05 * rng.standard_normal(u.size))) for _ in range(50)]),
-            degree)
+            [(u, i * (1.0 + 0.05 * rng.standard_normal(u.size))) for _ in range(50)], degree)
 
 
 # -- synthetic traces and exclusions -----------------------------------------------
@@ -488,7 +499,8 @@ def _exclusion_trace(bundle):
 
 
 def test_exclusion_reasons_one_cycle_each(ref_bundle):
-    result = extract_features(_exclusion_trace(ref_bundle))
+    trace = _exclusion_trace(ref_bundle)
+    result = extract_features(trace)
     assert result.exclusions == [
         (0, "only 0 points in high-resistance window"),
         (2, "no crossing of -5e-05 A"),
@@ -499,10 +511,32 @@ def test_exclusion_reasons_one_cycle_each(ref_bundle):
     ]
     assert result.set_missing == 1
     assert result.cycles.tolist() == [1, 3, 5, 7, 9, 10, 11, 12, 13, 14]
+    _assert_pool_is_the_per_cycle_pool(trace, result)
 
 
-def test_windows_align_with_cycles_when_a_block_keeps_none(ref_bundle):
-    """A last block whose only cycle is excluded adds no points and no count."""
+def _assert_pool_is_the_per_cycle_pool(trace, result):
+    """Each branch's pooled (u, i) points equal those pooled from every kept
+    cycle on its own, through `_one_row` and `fit_state_polynomials`' masks."""
+    bounds, _ = split_cycles(trace)
+    work = smooth_adaptive(trace, detect_set_locations(trace, boundaries=bounds)[0])
+    r_h, u_s, r_l, u_r = result.features.T
+    pools = (r_h >= np.quantile(r_h, 1.0 - LIMIT_PERCENTILE / 100.0),
+             r_l <= np.quantile(r_l, LIMIT_PERCENTILE / 100.0))
+    picked = ([], [])
+    for k, (lo, hi) in enumerate(bounds[result.cycles]):
+        _, u, i = _one_row(work.u[lo:hi], work.i[lo:hi])
+        masks = fit_state_polynomials(u, i, np.argmin(u, axis=1), u_s[k : k + 1],
+                                      u_r[k : k + 1], U0_DEFAULT)[2:4]
+        for pool, mask, points in zip(pools, masks, picked):
+            if pool[k]:
+                points.append((u[mask], i[mask]))
+    for got, points in zip((result.hrs_points, result.lrs_points), picked):
+        u, i = (np.concatenate(x) for x in zip(*points))
+        assert np.array_equal(got[0], u) and np.array_equal(got[1], i)
+
+
+def test_pooled_points_equal_the_per_cycle_pooling_when_a_block_keeps_none(ref_bundle):
+    """A last block whose only cycle is excluded leaves the pool aligned."""
     n = CYCLE_BLOCK + 1
     feats = synth.sample_features(ref_bundle, n + 1, seed=11)
     trace = synth.reconstruct_trace(feats, ref_bundle.conduction, noise_sigma=0.0)
@@ -510,13 +544,12 @@ def test_windows_align_with_cycles_when_a_block_keeps_none(ref_bundle):
     u, i = trace.u[: n * pp].copy(), trace.i[: n * pp].copy()
     last = slice((n - 1) * pp + pp // 2, n * pp)
     i[last] = 50e-6 * (u[last] + 1.5)               # strictly increasing: no reset peak
-    result = extract_features(RawTrace(u=u, i=i, samples_per_cycle=pp), collect_windows=True)
+    trace = RawTrace(u=u, i=i, samples_per_cycle=pp)
+    result = extract_features(trace)
     assert result.exclusions == [(n - 1, "monotone section, no peak")]
-    for u_pts, i_pts, counts in (result.hrs_windows, result.lrs_windows):
-        assert counts.size == len(result.cycles) == n - 1
-        assert u_pts.size == i_pts.size == counts.sum()
-    fit_limiting_model(result.hrs_windows, result.lrs_windows,
-                       result.features[:, 0], result.features[:, 2])
+    assert len(result.cycles) == n - 1
+    _assert_pool_is_the_per_cycle_pool(trace, result)
+    fit_limiting_model(result.hrs_points, result.lrs_points)
 
 
 # -- end to end -------------------------------------------------------------------
@@ -539,9 +572,7 @@ def test_extract_features_synthetic_end_to_end(ref_bundle):
         w1 = wasserstein1(result.features[:, k], truth[:, k])
         assert w1 / truth[:, k].mean() < 0.02
     # pooled extremal refit brackets the per-cycle branches
-    result_w = extract_features(trace, collect_windows=True)
-    limits = fit_limiting_model(result_w.hrs_windows, result_w.lrs_windows,
-                                result_w.features[:, 0], result_w.features[:, 2])
+    limits = fit_limiting_model(result.hrs_points, result.lrs_points)
     assert 0.2 / limits.i_hhrs(0.2) > np.quantile(result.features[:, 0], 0.98)
     assert 0.2 / limits.i_llrs(0.2) < np.quantile(result.features[:, 2], 0.02)
 
