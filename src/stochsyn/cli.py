@@ -25,7 +25,7 @@ import numpy as np
 
 from . import csvtext, paramfile, synth, waveform
 from .array import MAX_SEED, MAX_THREADS, ReadoutConfig, dequantize, init_array
-from .conduction import ConductionModel, fit_limiting_model
+from .conduction import LIMIT_PERCENTILE, ConductionModel, fit_limiting_model
 from .svar import fit_svar, spectral_radius
 from .transform import fit_map_with_fallback, forward_map, inverse_map
 from .svar import generate as svar_generate
@@ -129,7 +129,13 @@ def cmd_extract(args) -> int:
     }
     _write_json(args.report or str(args.output) + ".report.json", report)
     if args.limits_out:
-        model = fit_limiting_model(result.hrs_points, result.lrs_points)
+        try:
+            model = fit_limiting_model(result.hrs_points, result.lrs_points)
+        except ValueError as exc:
+            (n_h, n_l), (u_h, _), (u_l, _) = result.pool_sizes, result.hrs_points, result.lrs_points
+            raise ValueError(f"limit fit of the cycles at the {LIMIT_PERCENTILE:g} % extremes"
+                             f" ({n_h} HRS cycles, {u_h.size} points; {n_l} LRS cycles,"
+                             f" {u_l.size} points): {exc}") from None
         _write_json(args.limits_out, {"u0": model.u0, "hhrs": model.hhrs.tolist(),
                                       "llrs": model.llrs.tolist()})
     print(f"extracted {result.features.shape[0]}/{result.n_cycles} cycles -> {args.output}")

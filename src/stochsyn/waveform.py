@@ -12,7 +12,9 @@ over a block of cycles at once, one cycle per row of a padded view: the
 kernels `extract_set_voltage`, `extract_reset_voltage` and
 `fit_state_polynomials` each take such a block, and the cycles at the
 LIMIT_PERCENTILE extremes give the limit fit its pooled branch points from
-their rows alone.  A trace
+their rows alone.  Each block smooths only its own samples: its cumulative
+sum starts from the carry of the block before, so the smoothing holds no
+trace-sized array and keeps the bits of one whole-trace sum.  A trace
 keeps its samples' width (a .iuw file's float32 stays float32, see
 `conduction.as_float`); each block converts its own rows to float64, which
 is exact, so the kernels compute in float64 whatever the input.  The
@@ -93,6 +95,7 @@ class ExtractionResult:
     set_missing: int                  # cycles without a detectable abrupt transition
     hrs_points: tuple                 # (u, i) pooled from the high-resistance windows
     lrs_points: tuple                 # (u, i) pooled from the low-resistance windows
+    pool_sizes: tuple                 # cycles in the high- and the low-resistance pool
 
 
 # ---------------------------------------------------------------------------
@@ -192,49 +195,63 @@ def read_features_csv(path) -> tuple[np.ndarray, np.ndarray]:
 # ---------------------------------------------------------------------------
 # smoothing and segmentation
 
-def smoothing_half_widths(n: int, set_locations) -> np.ndarray:
-    """Per-sample half-width of the adaptive moving-average window.
+def smoothing_half_widths(stop: int, set_locations, start: int = 0) -> np.ndarray:
+    """Per-sample half-width of the adaptive moving-average window, for the
+    samples start..stop-1.
 
     Far from any flagged location the window is SMOOTH_WINDOW_MAX samples
     wide; it ramps down linearly to SMOOTH_WINDOW_MIN at the locations over
     a +-SMOOTH_RAMP_SPAN span.  The ramp only grows with distance, so each
     sample takes the smallest ramp value any location writes onto it.  The
-    half-widths are 1..12, so they are int8: one byte per sample of the trace.
+    half-widths are 1..12, so they are int8: one byte per sample.
     """
     h_max = (SMOOTH_WINDOW_MAX - 1) // 2
     h_min = (SMOOTH_WINDOW_MIN - 1) // 2
-    h = np.full(n, h_max, dtype=np.int8)
+    h = np.full(stop - start, h_max, dtype=np.int8)
     locs = np.asarray(set_locations, dtype=np.int64)
+    locs = locs[(locs >= start - SMOOTH_RAMP_SPAN) & (locs < stop + SMOOTH_RAMP_SPAN)]
     if locs.size:
         offsets = np.arange(-SMOOTH_RAMP_SPAN, SMOOTH_RAMP_SPAN + 1)
         frac = np.abs(offsets) / SMOOTH_RAMP_SPAN
         ramp = np.rint(h_min + (h_max - h_min) * frac).astype(np.int8)
-        pos = (locs[:, None] + offsets).ravel()
-        inside = (pos >= 0) & (pos < n)
+        pos = (locs[:, None] - start + offsets).ravel()
+        inside = (pos >= 0) & (pos < h.size)
         np.minimum.at(h, pos[inside], np.tile(ramp, locs.size)[inside])
     return h
 
 
-def smooth_adaptive(trace: RawTrace, set_locations) -> RawTrace:
-    """Adaptive moving average on the current channel; voltage untouched.
+def smooth_adaptive(i, set_locations, start: int = 0, stop=None, carry: float = 0.0,
+                    resume=()):
+    """Adaptive moving average of the current i[start:stop] (all of it by
+    default) in float64, and the carries of spans starting at ``resume``.
 
-    Every window sum is a difference of one global cumulative sum, taken in
-    fixed blocks of samples so the temporaries stay small."""
-    n = len(trace)
+    Every window sum is a difference of one cumulative sum of i, run in
+    sample order from (SMOOTH_WINDOW_MAX - 1) // 2 samples before the span,
+    or sample 0, on from ``carry``: the sum before that point, as an earlier
+    span returned it.  So spans smoothed one by one keep the bits of one
+    whole-trace sum.  The index arithmetic runs SMOOTH_BLOCK samples at a time."""
+    n = i.size
+    stop = n if stop is None else stop
     locs = np.asarray(set_locations, dtype=np.int64)
     if locs.size and (locs.min() < 0 or locs.max() >= n):
         raise ValueError("set locations out of range")
-    h = smoothing_half_widths(n, locs)
-    cs = np.zeros(n + 1)
-    np.cumsum(trace.i, out=cs[1:], dtype=np.float64)
-    sm = np.empty(n)
-    for start in range(0, n, SMOOTH_BLOCK):
-        block = slice(start, min(start + SMOOTH_BLOCK, n))
-        pos = np.arange(block.start, block.stop)
-        lo = np.maximum(pos - h[block], 0)
-        hi = np.minimum(pos + h[block], n - 1)
-        sm[block] = (cs[hi + 1] - cs[lo]) / (hi + 1 - lo)
-    return RawTrace(u=trace.u, i=sm, samples_per_cycle=trace.samples_per_cycle)
+    h = smoothing_half_widths(stop, locs, start)
+    reach = (SMOOTH_WINDOW_MAX - 1) // 2
+    base = max(start - reach, 0)
+    cs = np.empty(min(stop + reach, n) - base + 1)
+    cs[0] = carry
+    cs[1:] = i[base : base + cs.size - 1]
+    # from sample 0 the first sum is the first sample itself, not 0 + it
+    run = cs[1:] if base == 0 else cs
+    np.cumsum(run, out=run)
+    sm = np.empty(stop - start)
+    for lo in range(0, sm.size, SMOOTH_BLOCK):
+        hb = h[lo : lo + SMOOTH_BLOCK]
+        pos = np.arange(start + lo, start + lo + hb.size)
+        left = np.maximum(pos - hb, 0)
+        right = np.minimum(pos + hb, n - 1)
+        sm[lo : lo + hb.size] = (cs[right + 1 - base] - cs[left - base]) / (right + 1 - left)
+    return sm, cs[np.maximum(np.asarray(resume, dtype=np.int64) - reach, 0) - base]
 
 
 def split_cycles(trace: RawTrace):
@@ -244,15 +261,19 @@ def split_cycles(trace: RawTrace):
     Returns (boundaries, n_dropped): an (n, 2) int64 array of contiguous,
     non-overlapping (start, stop) rows, plus how many leading/trailing
     partial segments were cut.  A trailing segment is kept only if it spans
-    at least a nominal period minus 2 samples.
+    at least a nominal period minus 2 samples.  The apexes are found
+    CYCLE_BLOCK periods at a time, each block copied contiguous first.
     """
     n = len(trace)
     period = trace.samples_per_cycle
     n_windows = n // period
     if n_windows < 1:
         return np.empty((0, 2), dtype=np.int64), (1 if n else 0)
-    windows = trace.u[: n_windows * period].reshape(n_windows, period)
-    apex = np.argmax(windows, axis=1) + period * np.arange(n_windows, dtype=np.int64)
+    apex = period * np.arange(n_windows, dtype=np.int64)
+    for lo in range(0, n_windows, CYCLE_BLOCK):
+        block = trace.u[lo * period : min(lo + CYCLE_BLOCK, n_windows) * period]
+        apex[lo : lo + CYCLE_BLOCK] += np.argmax(
+            np.ascontiguousarray(block).reshape(-1, period), axis=1)
     tail = n - int(apex[-1])
     stops = np.append(apex[1:], n) if tail >= period - 2 else apex[1:]
     dropped = int(apex[0] > 0) + int(0 < tail < period - 2)
@@ -448,8 +469,8 @@ def fit_state_polynomials(u, i, turn, u_s, u_r, u0: float):
     to HRS_FIT_I_RANGE; the low-resistance branch with degree LRS_FIT_DEGREE
     on the increasing sweep from ``turn``, from LRS_FIT_U_MIN up to
     LRS_FIT_MARGIN below u_r, restricted to LRS_FIT_I_RANGE.  r_h and r_l are
-    the static resistances of the fits at u0.  Returns r_h, r_l, the point
-    masks of each branch, the coefficients and per-row reasons."""
+    the static resistances of the fits at u0.  Returns r_h, r_l, the
+    coefficients of each branch and per-row reasons."""
     m_h, m_l = _branch_masks(u, i, turn, u_s, u_r)
     n_h, n_l = m_h.sum(axis=1), m_l.sum(axis=1)
     fit = (n_h >= MIN_FIT_POINTS) & (n_l >= MIN_FIT_POINTS)
@@ -465,7 +486,7 @@ def fit_state_polynomials(u, i, turn, u_s, u_r, u0: float):
     for count, name in ((n_l, "low"), (n_h, "high")):
         for row in np.flatnonzero(count < MIN_FIT_POINTS):
             reason[row] = f"only {count[row]} points in {name}-resistance window"
-    return r_h, r_l, m_h, m_l, hrs, lrs, reason
+    return r_h, r_l, hrs, lrs, reason
 
 
 def detect_set_locations(trace: RawTrace, threshold: float = SET_CURRENT_THRESHOLD,
@@ -487,9 +508,11 @@ def detect_set_locations(trace: RawTrace, threshold: float = SET_CURRENT_THRESHO
     return locs, len(boundaries) - locs.size
 
 
-def _pooled_points(work: RawTrace, bounds, features):
-    """The limit fit's pooled points (see `ExtractionResult`) from the rows of
-    the pooled cycles alone; ``bounds`` and ``features`` are the kept cycles'."""
+def _pooled_points(trace: RawTrace, bounds, features, set_locs, carries):
+    """The limit fit's pooled points (see `ExtractionResult`) and how many
+    cycles each pool holds, from the rows of the pooled cycles alone.
+    ``bounds``, ``features`` and the smoothing ``carries`` (see
+    `smooth_adaptive`; None without smoothing) are the kept cycles'."""
     r_h, u_s, r_l, u_r = features.T
     top = r_h >= np.quantile(r_h, 1.0 - LIMIT_PERCENTILE / 100.0)
     bottom = r_l <= np.quantile(r_l, LIMIT_PERCENTILE / 100.0)
@@ -497,12 +520,15 @@ def _pooled_points(work: RawTrace, bounds, features):
     starts, stops = bounds[pool].T
     lengths = stops - starts
     width = int(lengths.max()) + 1
-    u = _rows(work.u, starts, lengths, width, np.inf)
-    i = _rows(work.i, starts, lengths, width, np.nan)
+    u = _rows(trace.u, starts, lengths, width, np.inf)
+    i = _rows(trace.i, starts, lengths, width, np.nan)
+    if carries is not None:
+        for row, (start, stop, carry) in enumerate(zip(starts, stops, carries[pool])):
+            i[row, : stop - start] = smooth_adaptive(trace.i, set_locs, start, stop, carry)[0]
     m_h, m_l = _branch_masks(u, i, np.argmin(u, axis=1), u_s[pool], u_r[pool])
     m_h &= top[pool, None]
     m_l &= bottom[pool, None]
-    return (u[m_h], i[m_h]), (u[m_l], i[m_l])
+    return (u[m_h], i[m_h]), (u[m_l], i[m_l]), (int(top.sum()), int(bottom.sum()))
 
 
 def extract_features(trace: RawTrace, smoothing: bool = True,
@@ -511,10 +537,12 @@ def extract_features(trace: RawTrace, smoothing: bool = True,
     """Reduce a whole trace to the per-cycle feature series and the pooled
     branch points of the limit fit (see `ExtractionResult`).
 
-    Cycles run through the batch kernels CYCLE_BLOCK at a time.  Cycles
-    failing any step are excluded (with the reason of the first failing
-    step) rather than imputed; more than 50% exclusions is an error, as is a
-    trace with no full cycle.
+    Cycles run through the batch kernels CYCLE_BLOCK at a time, each block
+    smoothing its samples from the previous block's end (sample 0 for the
+    first) on that block's carry; each cycle's carry is kept to smooth the
+    pooled cycles again.  Cycles failing any step are excluded (with the
+    reason of the first failing step) rather than imputed; more than 50%
+    exclusions is an error, as is a trace with no full cycle.
     """
     if len(trace) == 0:
         raise ExtractionError("empty trace")
@@ -522,13 +550,19 @@ def extract_features(trace: RawTrace, smoothing: bool = True,
     if not boundaries.size:
         raise ExtractionError("no full cycle found")
     set_locs, set_missing = detect_set_locations(trace, set_threshold, boundaries)
-    work = smooth_adaptive(trace, set_locs) if smoothing else trace
 
-    features, reasons = [], []
+    features, reasons, carries, edge, carry = [], [], [], 0, 0.0
     for starts, lengths, width in _cycle_blocks(boundaries):
-        u = _rows(work.u, starts, lengths, width, np.inf)
-        i = _rows(work.i, starts, lengths, width, np.nan)
-        i_raw = _rows(trace.i, starts, lengths, width, np.nan) if smoothing else None
+        u = _rows(trace.u, starts, lengths, width, np.inf)
+        i = _rows(trace.i, starts, lengths, width, np.nan)
+        i_raw = None
+        if smoothing:
+            stop = int(starts[-1] + lengths[-1])
+            sm, marks = smooth_adaptive(trace.i, set_locs, edge, stop, carry,
+                                        np.append(starts, stop))
+            carries.append(marks[:-1])
+            i_raw, i = i, _rows(sm, starts - edge, lengths, width, np.nan)
+            edge, carry = stop, marks[-1]
         turn = np.argmin(u, axis=1)
         u_s, why_s = extract_set_voltage(u, i, set_threshold)
         u_r, why_r = extract_reset_voltage(u, i, lengths, turn, min_prominence, i_raw)
@@ -544,7 +578,10 @@ def extract_features(trace: RawTrace, smoothing: bool = True,
             f"{len(exclusions)} of {len(boundaries)} cycles failed extraction"
         )
     features = np.concatenate(features)[kept]
-    hrs_points, lrs_points = _pooled_points(work, boundaries[kept], features)
+    carries = np.concatenate(carries)[kept] if smoothing else None
+    hrs_points, lrs_points, pool_sizes = _pooled_points(trace, boundaries[kept], features,
+                                                        set_locs, carries)
     return ExtractionResult(
         features=features, cycles=kept, exclusions=exclusions, n_cycles=len(boundaries),
-        set_missing=set_missing, hrs_points=hrs_points, lrs_points=lrs_points)
+        set_missing=set_missing, hrs_points=hrs_points, lrs_points=lrs_points,
+        pool_sizes=pool_sizes)

@@ -47,10 +47,12 @@ Last come the extraction lines.  Two 2000-cycle traces are rendered from
 the reference model's features, one at the default current noise and one
 at a noise that makes `extract_features` exclude some cycles.  Each is
 extracted as rendered (float64) and after a `.iuw` round trip (float32),
-with and without smoothing.  One line gives the SHA-256 of the features'
-bytes, the kept cycles and the exclusions with their reasons; a second
-line gives that of the pooled high- and low-resistance points of the limit
-fit.  Then the `extract --limits-out` command runs on each trace written
+with and without smoothing.  So is a shifted copy of the first trace,
+without its first 300 and last 400 samples: its 1998 cycles, not a multiple
+of `CYCLE_BLOCK`, start after a leading partial segment and end before a
+trailing one.  One line gives the SHA-256 of the features' bytes, the kept
+cycles and the exclusions with their reasons; a second line gives that of
+the pooled high- and low-resistance points of the limit fit.  Then the `extract --limits-out` command runs on each trace written
 as `.iuw` and as a `u,i` CSV of its float64 samples (exact 17-digit text),
 with and without `--no-smoothing`, and a line gives its exit code and the
 SHA-256 of the files it wrote: the features CSV, `.report.json` and
@@ -70,7 +72,8 @@ from stochsyn.array import ReadoutConfig, init_array
 from stochsyn.cli import main
 from stochsyn.svar import generate
 from stochsyn.transform import inverse_map
-from stochsyn.waveform import extract_features, read_trace, write_features_csv, write_trace_iuw
+from stochsyn.waveform import (RawTrace, extract_features, read_trace, write_features_csv,
+                               write_trace_iuw)
 
 M = 4500
 ADDRESSED = 3000      # addresses drawn with repeats for the addressed pulses
@@ -83,6 +86,7 @@ FEATURE_ROWS = 20000  # cycles per features CSV, more than two of its writer's b
 FLOAT_VALUES = 100_000  # random float32 bit patterns formatted by each float route
 TRACE_CYCLES = 2000   # cycles per trace of the extraction lines
 TRACE_NOISES = (1e-6, 2e-5)  # current noise [A]: none excluded, and some
+SHIFTED_CUT = (300, -400)  # samples kept of the shifted trace: both ends are partial segments
 READOUTS = (("noisy12", ReadoutConfig(n_bits=12, i_min=0.0, i_max=60e-6)),
             ("clean12", ReadoutConfig(n_bits=12, i_min=0.0, i_max=60e-6, noise_enabled=False)))
 
@@ -214,6 +218,14 @@ def file_hash(*paths) -> str:
     return h.hexdigest()
 
 
+def extraction_lines(config, result, out) -> None:
+    h = hashlib.sha256(result.features.tobytes())
+    h.update(result.cycles.astype(np.int64).tobytes())
+    h.update(repr(result.exclusions).encode())
+    print(f"{config} {len(result.exclusions)} {h.hexdigest()}", file=out)
+    print(f"{config} pooled {read_hash((*result.hrs_points, *result.lrs_points))}", file=out)
+
+
 def extraction_sweep(bundle, workdir: Path, out) -> None:
     features = synth.sample_features(bundle, TRACE_CYCLES, seed=5)
     iuw, csv = workdir / "trace.iuw", workdir / "trace.csv"
@@ -224,16 +236,17 @@ def extraction_sweep(bundle, workdir: Path, out) -> None:
         with open(csv, "wb") as fh:
             fh.write(b"u,i\n")
             csvtext.write_rows(fh, len(rendered), [rendered.u, rendered.i], digits=17)
-        for form, trace in (("float64", rendered), ("iuw", read_trace(iuw))):
-            for smoothing in (True, False):
-                config = f"extract noise={noise:g} {form} smoothing={smoothing}"
-                result = extract_features(trace, smoothing=smoothing)
-                h = hashlib.sha256(result.features.tobytes())
-                h.update(result.cycles.astype(np.int64).tobytes())
-                h.update(repr(result.exclusions).encode())
-                print(f"{config} {len(result.exclusions)} {h.hexdigest()}", file=out)
-                print(f"{config} pooled {read_hash((*result.hrs_points, *result.lrs_points))}",
-                      file=out)
+        traces = [(f"noise={noise:g}", rendered, iuw)]
+        if noise == TRACE_NOISES[0]:
+            cut = slice(*SHIFTED_CUT)
+            shifted = RawTrace(u=rendered.u[cut], i=rendered.i[cut])
+            write_trace_iuw(shifted, workdir / "shifted.iuw")
+            traces.append(("shifted", shifted, workdir / "shifted.iuw"))
+        for name, trace64, path in traces:
+            for form, trace in (("float64", trace64), ("iuw", read_trace(path))):
+                for smoothing in (True, False):
+                    extraction_lines(f"extract {name} {form} smoothing={smoothing}",
+                                     extract_features(trace, smoothing=smoothing), out)
         outputs = (feats, workdir / "extracted.csv.report.json", limits)
         for path in (csv, iuw):
             for flags in ([], ["--no-smoothing"]):

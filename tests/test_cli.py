@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -9,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from scipy.stats import spearmanr
-from test_waveform import _one_row
+from test_waveform import _one_row, _smoothed
 
 import stochsyn
 from stochsyn import cli, csvtext, paramfile, synth
@@ -18,12 +19,10 @@ from stochsyn.cli import main
 from stochsyn.conduction import LIMIT_PERCENTILE, U0_DEFAULT, fit_conduction_poly
 from stochsyn.waveform import (
     RawTrace,
-    detect_set_locations,
+    _branch_masks,
     extract_features,
-    fit_state_polynomials,
     read_features_csv,
     read_trace,
-    smooth_adaptive,
     split_cycles,
     write_trace_iuw,
 )
@@ -75,18 +74,17 @@ def test_extract_and_flags(corpus, tmp_path):
 
 def _per_cycle_limits_json(trace_path) -> str:
     """`extract --limits-out`'s JSON text from per-cycle (u, i) windows, each
-    taken from the masks of `fit_state_polynomials` on that cycle alone,
-    pooled window by window: the reference."""
+    taken from the branch masks of that cycle alone (`waveform._branch_masks`)
+    on the whole-trace smoothing, pooled window by window: the reference."""
     trace = read_trace(trace_path)
     result = extract_features(trace)
     bounds, _ = split_cycles(trace)
-    work = smooth_adaptive(trace, detect_set_locations(trace, boundaries=bounds)[0])
+    work = _smoothed(trace)
     windows = []
     for k, (_, u_s, _, u_r) in zip(result.cycles, result.features):
         lo, hi = bounds[k]
         _, u, i = _one_row(work.u[lo:hi], work.i[lo:hi])
-        m_h, m_l = fit_state_polynomials(u, i, np.argmin(u, axis=1), np.array([u_s]),
-                                         np.array([u_r]), U0_DEFAULT)[2:4]
+        m_h, m_l = _branch_masks(u, i, np.argmin(u, axis=1), np.array([u_s]), np.array([u_r]))
         windows.append(((u[m_h], i[m_h]), (u[m_l], i[m_l])))
     r_h, r_l = result.features[:, 0], result.features[:, 2]
     pools = (r_h >= np.quantile(r_h, 1.0 - LIMIT_PERCENTILE / 100.0),
@@ -127,6 +125,59 @@ def test_extract_limits_out_peak_memory_per_sample(ref_bundle, tmp_path, flags, 
     finally:
         tracemalloc.stop()
     assert peak < bound * len(trace)
+
+
+def _extract_peak(path, out_dir) -> int:
+    """The tracemalloc peak of one `extract --limits-out` of ``path``."""
+    argv = ["extract", str(path), str(out_dir / "f.csv"),
+            "--limits-out", str(out_dir / "limits.json")]
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak
+
+
+def test_extract_peak_grows_by_little_more_than_the_file(ref_bundle, tmp_path):
+    # Doubling a .iuw from 2000 to 4000 cycles adds 8 B per added sample of
+    # file.  A whole-trace smoothing added 17 B more (its int8 half-widths,
+    # float64 cumulative sum and output: 24.9 B in all); smoothing block by
+    # block holds none of them for the whole trace.
+    peaks, samples = [], []
+    for cycles in (2000, 4000):
+        feats = synth.sample_features(ref_bundle, cycles, seed=5)
+        trace = synth.reconstruct_trace(feats, ref_bundle.conduction, seed=6)
+        write_trace_iuw(trace, tmp_path / f"t{cycles}.iuw")
+        samples.append(len(trace))
+        del trace
+        peaks.append(_extract_peak(tmp_path / f"t{cycles}.iuw", tmp_path))
+    assert (peaks[1] - peaks[0]) / (samples[1] - samples[0]) < 10.0
+
+
+@pytest.mark.parametrize("suffix", [".iuw", ".csv"])
+def test_extract_failed_limit_fit_names_its_pool(ref_bundle, tmp_path, capsys, suffix):
+    # At 2e-5 A of current noise the cycles at the r_h extreme are those
+    # whose noisy fits put i(u0) nearest zero, and their pooled high-resistance
+    # fit goes negative at u0: the error says which fit failed and on what.
+    feats = synth.sample_features(ref_bundle, 2000, seed=5)
+    trace = synth.reconstruct_trace(feats, ref_bundle.conduction, noise_sigma=2e-5, seed=6)
+    path = tmp_path / f"t{suffix}"
+    if suffix == ".iuw":
+        write_trace_iuw(trace, path)
+    else:
+        with open(path, "wb") as fh:
+            fh.write(b"u,i\n")
+            csvtext.write_rows(fh, len(trace), [trace.u, trace.i], digits=17)
+    rc = main(["extract", str(path), str(tmp_path / "f.csv"),
+               "--limits-out", str(tmp_path / "limits.json")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert re.search(rf"limit fit of the cycles at the {LIMIT_PERCENTILE:g} % extremes"
+                     r" \(\d+ HRS cycles, \d+ points; \d+ LRS cycles, \d+ points\):"
+                     r" need i_llrs\(u0\) > i_hhrs\(u0\) > 0", err), err
+    assert not (tmp_path / "limits.json").exists()
 
 
 def test_extract_missing_file_exits_2(tmp_path):

@@ -26,6 +26,7 @@ from stochsyn.waveform import (
     MIN_FIT_POINTS,
     RESET_MIN_PROMINENCE,
     SET_CURRENT_THRESHOLD,
+    SMOOTH_RAMP_SPAN,
     SMOOTH_WINDOW_MAX,
     ExtractionError,
     RawTrace,
@@ -65,9 +66,8 @@ def test_half_widths_far_and_at_transition():
 def test_smoothing_constant_unchanged():
     trace = RawTrace(u=np.linspace(-1, 1, 500), i=np.full(500, 3.3e-6),
                      samples_per_cycle=500)
-    out = smooth_adaptive(trace, [250])
-    assert np.allclose(out.i, 3.3e-6, rtol=1e-12)
-    assert out.u is trace.u
+    out, _ = smooth_adaptive(trace.i, [250])
+    assert np.allclose(out, 3.3e-6, rtol=1e-12)
 
 
 def test_smoothing_preserves_flagged_step():
@@ -75,8 +75,8 @@ def test_smoothing_preserves_flagged_step():
     i = np.zeros(n)
     i[200:] = 1.0
     trace = RawTrace(u=np.zeros(n), i=i, samples_per_cycle=n)
-    adaptive = smooth_adaptive(trace, [200]).i
-    uniform = smooth_adaptive(trace, []).i
+    adaptive = smooth_adaptive(trace.i, [200])[0]
+    uniform = smooth_adaptive(trace.i, [])[0]
     # midpoint slope: adaptive keeps the edge within a 3-sample blur,
     # the uniform 25-sample window flattens it
     slope_a = adaptive[201] - adaptive[199]
@@ -94,7 +94,7 @@ def test_smoothing_peak_memory_per_sample():
     locs = np.arange(600, u.size, 1042)
     tracemalloc.start()
     try:
-        smooth_adaptive(trace, locs)
+        smooth_adaptive(trace.i, locs)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -109,17 +109,120 @@ def test_smoothing_half_widths_take_one_byte_per_sample():
     locs = np.arange(600, n, 1042)
     tracemalloc.start()
     try:
-        smooth_adaptive(trace, locs)
+        smooth_adaptive(trace.i, locs)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 20 * n
 
 
+H = (SMOOTH_WINDOW_MAX - 1) // 2   # how far a window reaches at most
+
+
+def _whole_trace_smoothing(i, locs):
+    """The adaptive moving average from one float64 cumulative sum over the
+    whole trace, and that sum: the reference the spans must match bit for bit."""
+    n = i.size
+    h = smoothing_half_widths(n, locs)
+    cs = np.zeros(n + 1)
+    np.cumsum(i, out=cs[1:], dtype=np.float64)
+    pos = np.arange(n)
+    lo, hi = np.maximum(pos - h, 0), np.minimum(pos + h, n - 1)
+    return (cs[hi + 1] - cs[lo]) / (hi + 1 - lo), cs
+
+
+def _smoothed(trace):
+    """The trace with its current smoothed around its set locations in one
+    whole-trace call."""
+    locs, _ = detect_set_locations(trace)
+    return RawTrace(u=trace.u, i=smooth_adaptive(trace.i, locs)[0],
+                    samples_per_cycle=trace.samples_per_cycle)
+
+
+def test_smoothing_from_sample_0_starts_at_the_first_sample():
+    # the whole-trace sum's first value is the first sample itself, not 0 plus
+    # it, so a trace that starts at -0.0 smooths to -0.0 there
+    i = np.concatenate([np.full(40, -0.0), np.random.default_rng(4).normal(0.0, 1e-6, 200)])
+    want, _ = _whole_trace_smoothing(i, [])
+    got, _ = smooth_adaptive(i, [])
+    assert np.signbit(got[0]) and got.tobytes() == want.tobytes()
+
+
+CARRY_CASES = ("leading_partial_segment", "set_near_block_edges",
+               "partial_last_block", "last_cycle_at_trace_end")
+
+
+def _carry_trace(bundle, case, dtype):
+    """A model trace for one edge of the block-to-block carry, as float64
+    channels or as the float32 column views of a .iuw's pairs."""
+    cycles = {"set_near_block_edges": 2 * CYCLE_BLOCK + 1,
+              "last_cycle_at_trace_end": 2 * CYCLE_BLOCK}.get(case, 2 * CYCLE_BLOCK + 88)
+    feats = synth.sample_features(bundle, cycles, seed=13)
+    trace = synth.reconstruct_trace(feats, bundle.conduction, seed=14)
+    pp = trace.samples_per_cycle
+    u, i = trace.u.copy(), trace.i.copy()
+    if case == "set_near_block_edges":
+        # first crossings just after the start of cycle 256 and just
+        # before the ends of cycles 255 and 511
+        edge = CYCLE_BLOCK * pp
+        i[edge + 5 : edge + 10] = -80e-6
+        i[edge - pp : edge] = np.abs(i[edge - pp : edge])
+        i[edge - 8 : edge - 3] = -80e-6
+        i[2 * edge - pp : 2 * edge] = np.abs(i[2 * edge - pp : 2 * edge])
+        i[2 * edge - 8 : 2 * edge - 3] = -80e-6
+    keep = {"leading_partial_segment": slice(300, None),
+            "partial_last_block": slice(300, -400)}.get(case, slice(None))
+    pairs = np.column_stack([u[keep], i[keep]]).astype(dtype)
+    return RawTrace(u=pairs[:, 0], i=pairs[:, 1], samples_per_cycle=pp)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("case", CARRY_CASES)
+def test_smoothing_carried_block_to_block_is_the_whole_trace_sum(ref_bundle, case, dtype,
+                                                                 monkeypatch):
+    trace = _carry_trace(ref_bundle, case, dtype)
+    bounds, _ = split_cycles(trace)
+    locs, _ = detect_set_locations(trace, boundaries=bounds)
+    edges = np.append(0, bounds[CYCLE_BLOCK - 1 :: CYCLE_BLOCK, 1])
+    edges = np.append(edges, bounds[-1, 1]) if bounds.shape[0] % CYCLE_BLOCK else edges
+    near = np.abs(locs[:, None] - edges[1:-1]).min()
+    assert {"leading_partial_segment": bounds[0, 0] > H,
+            "set_near_block_edges": near <= H + SMOOTH_RAMP_SPAN,
+            "partial_last_block": bounds.shape[0] % CYCLE_BLOCK and bounds[-1, 1] < len(trace),
+            "last_cycle_at_trace_end": bounds[-1, 1] == len(trace)}[case]
+    want, cs = _whole_trace_smoothing(trace.i, locs)
+
+    # the spans extract_features smooths, each from the previous one's carry
+    got, carry = [], 0.0
+    for start, stop in zip(edges[:-1], edges[1:]):
+        sm, (carry,) = smooth_adaptive(trace.i, locs, start, stop, carry, [stop])
+        assert carry.tobytes() == cs[max(stop - H, 0)].tobytes()
+        got.append(sm)
+    assert np.concatenate(got).tobytes() == want[: edges[-1]].tobytes()
+    # every cycle alone, from the carry of its start, as the pooled ones are
+    for start, stop in bounds:
+        sm, _ = smooth_adaptive(trace.i, locs, start, stop, cs[max(start - H, 0)])
+        assert sm.tobytes() == want[start:stop].tobytes()
+
+    # extract_features against itself on the reference's smoothing
+    result = extract_features(trace)
+
+    def reference(i, set_locations, start=0, stop=None, carry=0.0, resume=()):
+        at = np.maximum(np.asarray(resume, dtype=np.int64) - H, 0)
+        return want[start : len(trace) if stop is None else stop], cs[at]
+
+    monkeypatch.setattr(waveform, "smooth_adaptive", reference)
+    expected = extract_features(trace)
+    assert result.exclusions == expected.exclusions
+    for name in ("features", "cycles", "hrs_points", "lrs_points"):
+        a, b = (np.asarray(getattr(r, name)) for r in (result, expected))
+        assert a.tobytes() == b.tobytes(), name
+
+
 def test_smoothing_rejects_out_of_range_locations():
     trace = RawTrace(u=np.zeros(10), i=np.zeros(10), samples_per_cycle=10)
     with pytest.raises(ValueError):
-        smooth_adaptive(trace, [99])
+        smooth_adaptive(trace.i, [99])
 
 
 # -- segmentation ---------------------------------------------------------------
@@ -134,6 +237,22 @@ def test_split_pure_triangle_three_periods():
     assert all(abs(l - 1042) <= 1 for l in lengths)
     for a, _ in bounds:
         assert u[a] == pytest.approx(1.5)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_split_by_blocks_finds_the_whole_trace_apexes(dtype):
+    # more than two blocks of noisy periods, a leading and a trailing partial
+    # segment, the float32 channel a strided column as a .iuw's
+    period, n_periods = 1042, 2 * CYCLE_BLOCK + 5
+    u = triangle_u(n_periods, phase=400)[:-500]
+    u += np.random.default_rng(2).normal(0.0, 1e-3, u.size)
+    pairs = np.column_stack([u, np.zeros_like(u)]).astype(dtype)
+    trace = RawTrace(u=pairs[:, 0], i=pairs[:, 1])
+    bounds, dropped = split_cycles(trace)
+    k = u.size // period
+    apex = np.argmax(trace.u[: k * period].reshape(k, period), axis=1) + period * np.arange(k)
+    assert dropped == 2
+    assert np.array_equal(bounds[:, 0], apex[:-1]) and np.array_equal(bounds[:, 1], apex[1:])
 
 
 def test_split_phase_shift_drops_partial():
@@ -214,7 +333,7 @@ def _reset_voltage(u, i, min_prominence=RESET_MIN_PROMINENCE, i_raw=None):
 
 def _branch_fit(u, i, u_s, u_r):
     _, u2, i2 = _one_row(u, i)
-    r_h, r_l, _, _, hrs, lrs, why = fit_state_polynomials(
+    r_h, r_l, hrs, lrs, why = fit_state_polynomials(
         u2, i2, np.argmin(u2, axis=1), np.array([u_s]), np.array([u_r]), 0.2)
     return r_h[0], r_l[0], hrs[0], lrs[0], why[0]
 
@@ -403,7 +522,7 @@ def _kept_windows(trace, result):
     """Every kept cycle's high- and low-resistance fit windows, in cycle
     order, from `waveform._branch_masks` on block rows of the smoothed trace."""
     bounds, _ = split_cycles(trace)
-    work = smooth_adaptive(trace, detect_set_locations(trace, boundaries=bounds)[0])
+    work = _smoothed(trace)
     _, u_s, _, u_r = result.features.T
     hrs, lrs, done = [], [], 0
     for starts, lengths, width in waveform._cycle_blocks(bounds[result.cycles]):
@@ -516,17 +635,17 @@ def test_exclusion_reasons_one_cycle_each(ref_bundle):
 
 def _assert_pool_is_the_per_cycle_pool(trace, result):
     """Each branch's pooled (u, i) points equal those pooled from every kept
-    cycle on its own, through `_one_row` and `fit_state_polynomials`' masks."""
+    cycle on its own, through `_one_row` and `waveform._branch_masks`."""
     bounds, _ = split_cycles(trace)
-    work = smooth_adaptive(trace, detect_set_locations(trace, boundaries=bounds)[0])
+    work = _smoothed(trace)
     r_h, u_s, r_l, u_r = result.features.T
     pools = (r_h >= np.quantile(r_h, 1.0 - LIMIT_PERCENTILE / 100.0),
              r_l <= np.quantile(r_l, LIMIT_PERCENTILE / 100.0))
     picked = ([], [])
     for k, (lo, hi) in enumerate(bounds[result.cycles]):
         _, u, i = _one_row(work.u[lo:hi], work.i[lo:hi])
-        masks = fit_state_polynomials(u, i, np.argmin(u, axis=1), u_s[k : k + 1],
-                                      u_r[k : k + 1], U0_DEFAULT)[2:4]
+        masks = waveform._branch_masks(u, i, np.argmin(u, axis=1), u_s[k : k + 1],
+                                       u_r[k : k + 1])
         for pool, mask, points in zip(pools, masks, picked):
             if pool[k]:
                 points.append((u[mask], i[mask]))
