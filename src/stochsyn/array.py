@@ -200,8 +200,8 @@ class CellArray:
             raise ValueError(f"seed must be in 0..{MAX_SEED}, got {seed}")
         defaults = bundle.defaults
         a = defaults.dtd_scale if a is None else float(a)
-        if a < 0:
-            raise ValueError(f"device-variability scale must be >= 0, got {a}")
+        if not (a >= 0 and np.isfinite(a)):
+            raise ValueError(f"device-variability scale a must be finite and >= 0, got {a}")
         self.model = bundle.model(p)
 
         self.m = int(m)

@@ -114,12 +114,7 @@ def _readout_from_args(args, base: ReadoutConfig) -> ReadoutConfig:
 
 def cmd_extract(args) -> int:
     trace = waveform.read_trace(args.input, samples_per_cycle=args.samples_per_cycle)
-    result = waveform.extract_features(
-        trace,
-        smoothing=not args.no_smoothing,
-        set_threshold=args.set_threshold,
-        min_prominence=args.min_prominence,
-    )
+    result = waveform.extract_features(trace, smoothing=not args.no_smoothing)
     waveform.write_features_csv(result.features, args.output, cycles=result.cycles + 1)
     report = {
         "cycles_total": result.n_cycles,
@@ -397,10 +392,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input", help="trace file (.csv with 'u,i' header, or .iuw)")
     p.add_argument("output", help="features CSV to write")
     p.add_argument("--no-smoothing", action="store_true")
-    p.add_argument("--set-threshold", type=float, default=waveform.SET_CURRENT_THRESHOLD,
-                   help="level-crossing current for the abrupt transition [A]")
-    p.add_argument("--min-prominence", type=float, default=waveform.RESET_MIN_PROMINENCE,
-                   help="peak prominence floor for the gradual transition [A]")
     p.add_argument("--samples-per-cycle", type=_ints(1),
                    default=waveform.SAMPLES_PER_CYCLE)
     p.add_argument("--report", default=None, help="exclusion report JSON path")

@@ -44,6 +44,7 @@ RESET_MIN_PROMINENCE = 5e-6      # peak prominence floor for the gradual one [A]
 SMOOTH_WINDOW_MAX = 25           # samples, far from any abrupt transition
 SMOOTH_WINDOW_MIN = 3            # samples, at a detected transition
 SMOOTH_RAMP_SPAN = 25            # samples over which the window recovers
+SMOOTH_REACH = (SMOOTH_WINDOW_MAX - 1) // 2   # samples a window reaches at most
 SMOOTH_BLOCK = 1 << 16           # samples per moving-average block
 CYCLE_BLOCK = 256                # cycles per batch of the extraction kernels
 PEAK_WALK_BLOCK = 32             # samples per pass of the prominence base search
@@ -165,7 +166,8 @@ def read_trace_iuw(path, samples_per_cycle: int = SAMPLES_PER_CYCLE) -> RawTrace
 
 
 def write_trace_iuw(trace: RawTrace, path) -> None:
-    pairs = np.column_stack([trace.u, trace.i]).astype("<f4")
+    pairs = np.empty((len(trace), 2), dtype="<f4")   # cast column by column: no float64 copy
+    pairs[:, 0], pairs[:, 1] = trace.u, trace.i
     with open(path, "wb") as fh:
         fh.write(IUW_MAGIC)
         fh.write(struct.pack("<I", len(trace)))
@@ -203,17 +205,16 @@ def smoothing_half_widths(stop: int, set_locations, start: int = 0) -> np.ndarra
     wide; it ramps down linearly to SMOOTH_WINDOW_MIN at the locations over
     a +-SMOOTH_RAMP_SPAN span.  The ramp only grows with distance, so each
     sample takes the smallest ramp value any location writes onto it.  The
-    half-widths are 1..12, so they are int8: one byte per sample.
+    half-widths are 1..SMOOTH_REACH, so they are int8: one byte per sample.
     """
-    h_max = (SMOOTH_WINDOW_MAX - 1) // 2
     h_min = (SMOOTH_WINDOW_MIN - 1) // 2
-    h = np.full(stop - start, h_max, dtype=np.int8)
+    h = np.full(stop - start, SMOOTH_REACH, dtype=np.int8)
     locs = np.asarray(set_locations, dtype=np.int64)
     locs = locs[(locs >= start - SMOOTH_RAMP_SPAN) & (locs < stop + SMOOTH_RAMP_SPAN)]
     if locs.size:
         offsets = np.arange(-SMOOTH_RAMP_SPAN, SMOOTH_RAMP_SPAN + 1)
         frac = np.abs(offsets) / SMOOTH_RAMP_SPAN
-        ramp = np.rint(h_min + (h_max - h_min) * frac).astype(np.int8)
+        ramp = np.rint(h_min + (SMOOTH_REACH - h_min) * frac).astype(np.int8)
         pos = (locs[:, None] - start + offsets).ravel()
         inside = (pos >= 0) & (pos < h.size)
         np.minimum.at(h, pos[inside], np.tile(ramp, locs.size)[inside])
@@ -226,7 +227,7 @@ def smooth_adaptive(i, set_locations, start: int = 0, stop=None, carry: float = 
     default) in float64, and the carries of spans starting at ``resume``.
 
     Every window sum is a difference of one cumulative sum of i, run in
-    sample order from (SMOOTH_WINDOW_MAX - 1) // 2 samples before the span,
+    sample order from SMOOTH_REACH samples before the span,
     or sample 0, on from ``carry``: the sum before that point, as an earlier
     span returned it.  So spans smoothed one by one keep the bits of one
     whole-trace sum.  The index arithmetic runs SMOOTH_BLOCK samples at a time."""
@@ -236,9 +237,8 @@ def smooth_adaptive(i, set_locations, start: int = 0, stop=None, carry: float = 
     if locs.size and (locs.min() < 0 or locs.max() >= n):
         raise ValueError("set locations out of range")
     h = smoothing_half_widths(stop, locs, start)
-    reach = (SMOOTH_WINDOW_MAX - 1) // 2
-    base = max(start - reach, 0)
-    cs = np.empty(min(stop + reach, n) - base + 1)
+    base = max(start - SMOOTH_REACH, 0)
+    cs = np.empty(min(stop + SMOOTH_REACH, n) - base + 1)
     cs[0] = carry
     cs[1:] = i[base : base + cs.size - 1]
     # from sample 0 the first sum is the first sample itself, not 0 + it
@@ -251,7 +251,7 @@ def smooth_adaptive(i, set_locations, start: int = 0, stop=None, carry: float = 
         left = np.maximum(pos - hb, 0)
         right = np.minimum(pos + hb, n - 1)
         sm[lo : lo + hb.size] = (cs[right + 1 - base] - cs[left - base]) / (right + 1 - left)
-    return sm, cs[np.maximum(np.asarray(resume, dtype=np.int64) - reach, 0) - base]
+    return sm, cs[np.maximum(np.asarray(resume, dtype=np.int64) - SMOOTH_REACH, 0) - base]
 
 
 def split_cycles(trace: RawTrace):
@@ -425,10 +425,9 @@ def extract_reset_voltage(u, i, lengths, turn, min_prominence: float, i_raw=None
     pick = np.zeros(n_rows, dtype=np.int64)
     pick[row[lead]] = col[lead]
     if i_raw is not None:
-        h = (SMOOTH_WINDOW_MAX - 1) // 2
-        lo = np.maximum(pick - h, first)
-        hi = np.minimum(pick + h + 1, lengths)
-        near = lo[:, None] + np.arange(2 * h + 1)
+        lo = np.maximum(pick - SMOOTH_REACH, first)
+        hi = np.minimum(pick + SMOOTH_REACH + 1, lengths)
+        near = lo[:, None] + np.arange(2 * SMOOTH_REACH + 1)
         raw = np.where(near < hi[:, None],
                        np.take_along_axis(i_raw, np.minimum(near, width - 1), axis=1), -np.inf)
         pick = lo + raw.argmax(axis=1)
@@ -489,20 +488,17 @@ def fit_state_polynomials(u, i, turn, u_s, u_r, u0: float):
     return r_h, r_l, hrs, lrs, reason
 
 
-def detect_set_locations(trace: RawTrace, threshold: float = SET_CURRENT_THRESHOLD,
-                         boundaries=None):
-    """First downward crossing of ``threshold`` per cycle on the raw current.
+def detect_set_locations(trace: RawTrace, boundaries):
+    """First downward crossing of SET_CURRENT_THRESHOLD on the raw current in
+    each cycle of ``boundaries`` (`split_cycles`' rows).
 
     Returns (indices, n_missing); cycles without a crossing contribute no
     index and are counted.
     """
-    if threshold >= 0:
-        raise ValueError("threshold must be negative (abrupt transitions are negative polarity)")
-    if boundaries is None:
-        boundaries, _ = split_cycles(trace)
     locs = []
     for starts, lengths, width in _cycle_blocks(boundaries):
-        k = _first_crossings(_rows(trace.i, starts, lengths, width, np.nan), threshold)
+        k = _first_crossings(_rows(trace.i, starts, lengths, width, np.nan),
+                             SET_CURRENT_THRESHOLD)
         locs.append((starts + k + 1)[k >= 0])
     locs = np.concatenate(locs) if locs else np.empty(0, dtype=np.int64)
     return locs, len(boundaries) - locs.size
@@ -531,25 +527,26 @@ def _pooled_points(trace: RawTrace, bounds, features, set_locs, carries):
     return (u[m_h], i[m_h]), (u[m_l], i[m_l]), (int(top.sum()), int(bottom.sum()))
 
 
-def extract_features(trace: RawTrace, smoothing: bool = True,
-                     set_threshold: float = SET_CURRENT_THRESHOLD,
-                     min_prominence: float = RESET_MIN_PROMINENCE) -> ExtractionResult:
+def extract_features(trace: RawTrace, smoothing: bool = True) -> ExtractionResult:
     """Reduce a whole trace to the per-cycle feature series and the pooled
     branch points of the limit fit (see `ExtractionResult`).
 
-    Cycles run through the batch kernels CYCLE_BLOCK at a time, each block
-    smoothing its samples from the previous block's end (sample 0 for the
-    first) on that block's carry; each cycle's carry is kept to smooth the
-    pooled cycles again.  Cycles failing any step are excluded (with the
-    reason of the first failing step) rather than imputed; more than 50%
-    exclusions is an error, as is a trace with no full cycle.
+    The detection levels are constants: SET_CURRENT_THRESHOLD marks the
+    abrupt transition and RESET_MIN_PROMINENCE is the gradual one's peak
+    prominence floor.  Cycles run through the batch kernels CYCLE_BLOCK at a
+    time, each block smoothing its samples from the previous block's end
+    (sample 0 for the first) on that block's carry; each cycle's carry is
+    kept to smooth the pooled cycles again.  Cycles failing any step are
+    excluded (with the reason of the first failing step) rather than
+    imputed; more than 50% exclusions is an error, as is a trace with no
+    full cycle.
     """
     if len(trace) == 0:
         raise ExtractionError("empty trace")
     boundaries, _ = split_cycles(trace)
     if not boundaries.size:
         raise ExtractionError("no full cycle found")
-    set_locs, set_missing = detect_set_locations(trace, set_threshold, boundaries)
+    set_locs, set_missing = detect_set_locations(trace, boundaries)
 
     features, reasons, carries, edge, carry = [], [], [], 0, 0.0
     for starts, lengths, width in _cycle_blocks(boundaries):
@@ -564,8 +561,8 @@ def extract_features(trace: RawTrace, smoothing: bool = True,
             i_raw, i = i, _rows(sm, starts - edge, lengths, width, np.nan)
             edge, carry = stop, marks[-1]
         turn = np.argmin(u, axis=1)
-        u_s, why_s = extract_set_voltage(u, i, set_threshold)
-        u_r, why_r = extract_reset_voltage(u, i, lengths, turn, min_prominence, i_raw)
+        u_s, why_s = extract_set_voltage(u, i, SET_CURRENT_THRESHOLD)
+        u_r, why_r = extract_reset_voltage(u, i, lengths, turn, RESET_MIN_PROMINENCE, i_raw)
         r_h, r_l, *_, why_f = fit_state_polynomials(u, i, turn, u_s, u_r, U0_DEFAULT)
         features.append(np.column_stack([r_h, u_s, r_l, u_r]))
         reasons.append(_first_reason(why_s, why_r, why_f))

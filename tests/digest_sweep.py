@@ -57,6 +57,19 @@ as `.iuw` and as a `u,i` CSV of its float64 samples (exact 17-digit text),
 with and without `--no-smoothing`, and a line gives its exit code and the
 SHA-256 of the files it wrote: the features CSV, `.report.json` and
 `limits.json` (which a failed limit fit does not write).
+
+Last of all come the command lines: one per output file of each command,
+giving the command's exit code and the file's SHA-256.  The commands run in
+the temporary directory on relative paths, so no file names it.  `synth`
+writes a corpus with a 5000-cycle trace (`params.ssyn`, `features.csv`,
+`trace.iuw`, `meta.json`); `extract --limits-out` reduces that trace; `fit
+-p 10,100` fits its features with those limits (`.ssyn`, `.diag.json`), as
+does the fit of the fitted bundle above with the built-in reference.
+`generate` samples orders 10 and 100 of the first file, and `sim` drives it
+through both presets, one of them with every readout flag, and through
+pulse and read scripts on more cells than one block of `csvtext` rows (the
+readout and the state CSV of each).  `bench` gives its CSV rows without the
+timing columns: mode, m, p, threads and ops.
 """
 
 import contextlib
@@ -87,20 +100,26 @@ FLOAT_VALUES = 100_000  # random float32 bit patterns formatted by each float ro
 TRACE_CYCLES = 2000   # cycles per trace of the extraction lines
 TRACE_NOISES = (1e-6, 2e-5)  # current noise [A]: none excluded, and some
 SHIFTED_CUT = (300, -400)  # samples kept of the shifted trace: both ends are partial segments
+SIM_SCRIPT_CELLS = csvtext.BLOCK_ROWS + 300   # the script run's CSVs span two blocks
 READOUTS = (("noisy12", ReadoutConfig(n_bits=12, i_min=0.0, i_max=60e-6)),
             ("clean12", ReadoutConfig(n_bits=12, i_min=0.0, i_max=60e-6, noise_enabled=False)))
 
 
+def command(argv) -> int:
+    """``main(argv)``'s exit code; the command's messages, which name the
+    temporary directory, go to stderr."""
+    with contextlib.redirect_stdout(sys.stderr):
+        return main(argv)
+
+
 def fitted_bundle(workdir: Path):
-    """Orders 10 and 100 fitted to 20000 features sampled from the reference.
-    The commands' messages, which name the temporary directory, go to stderr."""
+    """Orders 10 and 100 fitted to 20000 features sampled from the reference."""
     corpus = workdir / "corpus"
     for argv in (["synth", str(corpus), "-n", "20000", "--seed", "1", "--trace-cycles", "0"],
                  ["fit", str(corpus / "features.csv"), "-o", str(workdir / "fit.ssyn"),
                   "-p", "10,100", "--diagnostics", str(workdir / "fit.diag.json")]):
-        with contextlib.redirect_stdout(sys.stderr):
-            if main(argv) != 0:
-                raise SystemExit(f"{argv[0]} failed")
+        if command(argv) != 0:
+            raise SystemExit(f"{argv[0]} failed")
     return paramfile.load(workdir / "fit.ssyn")
 
 
@@ -252,12 +271,64 @@ def extraction_sweep(bundle, workdir: Path, out) -> None:
             for flags in ([], ["--no-smoothing"]):
                 for x in outputs:
                     x.unlink(missing_ok=True)
-                with contextlib.redirect_stdout(sys.stderr):
-                    rc = main(["extract", str(path), str(feats), "--limits-out", str(limits),
-                               *flags])
+                rc = command(["extract", str(path), str(feats), "--limits-out", str(limits),
+                              *flags])
                 written = [x for x in outputs if x.exists()]
                 print(f"extract cli noise={noise:g} {path.suffix[1:]} smoothing={not flags}"
                       f" exit {rc} {len(written)} {file_hash(*written)}", file=out)
+
+
+def command_lines(name, argv, outputs, out) -> None:
+    rc = command(argv)
+    for path in outputs:
+        digest = file_hash(Path(path)) if Path(path).exists() else "missing"
+        print(f"command {name} exit {rc} {path} {digest}", file=out)
+
+
+def command_sweep(workdir: Path, out) -> None:
+    with contextlib.chdir(workdir):
+        command_lines("synth", ["synth", "cmd", "-n", "6000", "--seed", "2",
+                                "--trace-cycles", "5000"],
+                      [f"cmd/{name}" for name in ("params.ssyn", "features.csv", "trace.iuw",
+                                                  "meta.json")], out)
+        command_lines("extract", ["extract", "cmd/trace.iuw", "cmd/extracted.csv",
+                                  "--limits-out", "cmd/limits.json"],
+                      ["cmd/extracted.csv", "cmd/extracted.csv.report.json", "cmd/limits.json"],
+                      out)
+        command_lines("fit", ["fit", "cmd/extracted.csv", "-o", "cmd/fit.ssyn", "-p", "10,100",
+                              "--conduction", "cmd/limits.json"],
+                      ["cmd/fit.ssyn", "cmd/fit.ssyn.diag.json"], out)
+        for path in ("fit.ssyn", "fit.diag.json"):   # the fitted bundle's
+            print(f"command fit reference {path} {file_hash(Path(path))}", file=out)
+        for p in (10, 100):
+            command_lines(f"generate p={p}", ["generate", "cmd/fit.ssyn", "-n", "20000",
+                                              "--seed", "3", "--order", str(p),
+                                              "-o", f"cmd/gen{p}.csv"],
+                          [f"cmd/gen{p}.csv"], out)
+        pulses, reads = Path("cmd/pulses.csv"), Path("cmd/reads.csv")
+        m = SIM_SCRIPT_CELLS
+        pulses.write_text(f"step,target,u_a\n0,all,-1.5\n1,0:{m // 2},1.5\n2,5,0.9\n"
+                          f"3,all,1.1\n4,100:{m // 2},-1.5\n")
+        reads.write_text(f"step,target\n0,all\n1,17\n2,all\n3,{m // 3}:{m}\n4,all\n")
+        sims = [("full-cycling", ["-m", "300", "--seed", "4", "--order", "10", "-a", "0.5",
+                                  "--threads", "2", "--preset", "full-cycling",
+                                  "--cycles", "3"]),
+                ("multilevel readout", ["-m", "300", "--seed", "5", "--order", "100",
+                                        "--preset", "multilevel", "--cycles", "20",
+                                        "--u-read", "0.25", "--bandwidth", "4e6",
+                                        "--n-bits", "7", "--i-min=-2e-6", "--i-max", "50e-6"]),
+                ("script", ["-m", str(m), "--seed", "9", "--order", "10", "-a", "0.5",
+                            "--threads", "2", "--pulses", str(pulses), "--reads", str(reads)])]
+        for k, (name, flags) in enumerate(sims):
+            files = [f"cmd/sim{k}_readout.csv", f"cmd/sim{k}_state.csv"]
+            command_lines(f"sim {name}", ["sim", "cmd/fit.ssyn", *flags, "--readout-out",
+                                          files[0], "--state-out", files[1]], files, out)
+        bench = Path("cmd/bench.csv")
+        rc = command(["bench", "cmd/fit.ssyn", "-m", "4096", "--seed", "6", "--orders", "10,100",
+                      "--threads-list", "1,2", "--pulses", "3", "--reads", "3", "-o", str(bench)])
+        print(f"command bench exit {rc}", file=out)
+        for row in bench.read_text().splitlines() if bench.exists() else []:
+            print(f"command bench {','.join(row.split(',')[:5])}", file=out)
 
 
 def run(out=sys.stdout) -> None:
@@ -270,6 +341,7 @@ def run(out=sys.stdout) -> None:
         features_sweep(bundles, Path(tmp) / "features.csv", out)
         float_route_sweep(reference, out)
         extraction_sweep(reference, Path(tmp), out)
+        command_sweep(Path(tmp), out)
 
 
 if __name__ == "__main__":

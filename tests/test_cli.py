@@ -14,7 +14,7 @@ from test_waveform import _one_row, _smoothed
 
 import stochsyn
 from stochsyn import cli, csvtext, paramfile, synth
-from stochsyn.array import MAX_SEED, MAX_THREADS, dequantize, init_array
+from stochsyn.array import MAX_SEED, MAX_THREADS, ReadoutConfig, dequantize, init_array
 from stochsyn.cli import main
 from stochsyn.conduction import LIMIT_PERCENTILE, U0_DEFAULT, fit_conduction_poly
 from stochsyn.waveform import (
@@ -24,6 +24,7 @@ from stochsyn.waveform import (
     read_features_csv,
     read_trace,
     split_cycles,
+    write_features_csv,
     write_trace_iuw,
 )
 
@@ -70,6 +71,33 @@ def test_extract_and_flags(corpus, tmp_path):
     assert rc == 0
     _, feats2 = read_features_csv(out2)
     assert not np.array_equal(feats, feats2)  # smoothing flag is live
+
+
+@pytest.mark.parametrize("flag", [["--min-prominence", "1e-6"], ["--set-threshold=-5e-05"]])
+def test_extract_detection_levels_are_not_options(corpus, tmp_path, capsys, flag):
+    out = tmp_path / "f.csv"
+    assert main(["extract", str(corpus / "trace.iuw"), str(out), *flag]) == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_extract_samples_per_cycle_sets_the_period(ref_bundle, tmp_path):
+    n = 60
+    feats = synth.sample_features(ref_bundle, n, seed=21)
+    trace = synth.reconstruct_trace(feats, ref_bundle.conduction, samples_per_cycle=800, seed=22)
+    path = tmp_path / "t.iuw"
+    write_trace_iuw(trace, path)
+    out, want = tmp_path / "f.csv", tmp_path / "want.csv"
+    assert main(["extract", str(path), str(out), "--samples-per-cycle", "800"]) == 0
+    result = extract_features(read_trace(path, 800))
+    write_features_csv(result.features, want, cycles=result.cycles + 1)
+    assert out.read_bytes() == want.read_bytes()
+    report = json.loads((tmp_path / "f.csv.report.json").read_text())
+    assert report["cycles_total"] == result.n_cycles == n
+    # at the default period the same file splits into other cycles
+    assert main(["extract", str(path), str(tmp_path / "g.csv")]) == 0
+    report = json.loads((tmp_path / "g.csv.report.json").read_text())
+    assert report["cycles_total"] != n
 
 
 def _per_cycle_limits_json(trace_path) -> str:
@@ -571,10 +599,11 @@ def test_sim_custom_script(corpus, tmp_path):
     assert cycles[4] == 1 and phases[4] == "lrs"   # pulsed down, never reset
 
 
-def _f_string_sim(params, m, seed, events, **init):
-    """`sim`'s readout and state CSV texts from a per-row f-string, the reference."""
+def _f_string_sim(params, m, seed, events, readout=None, **init):
+    """`sim`'s readout and state CSV texts from a per-row f-string, the reference;
+    the readout is the file's default unless one is given."""
     bundle = paramfile.load(params)
-    readout = bundle.defaults.readout
+    readout = readout or bundle.defaults.readout
     array = init_array(bundle, m, seed=seed, readout=readout, **init)
     deq_text = [f"{v:.9g}" for v in dequantize(np.arange(readout.levels + 1), readout).tolist()]
     rows = ["step,cell,i_noisy,code,i_dequant\n"]
@@ -613,6 +642,24 @@ def test_sim_csvs_equal_the_f_string_rendering(corpus, tmp_path):
     assert phases == {"hrs", "lrs", "irs"}
 
 
+def test_sim_readout_flags_set_their_fields(corpus, tmp_path):
+    # a distinct value per flag, so a flag that sets another field moves the
+    # output or fails the readout's checks; a negative number in scientific
+    # notation needs the `=` form, or argparse reads it as an option
+    readout = ReadoutConfig(u_read=0.25, delta_f=4e6, n_bits=7, i_min=-2e-6, i_max=50e-6)
+    ro, st = tmp_path / "ro.csv", tmp_path / "st.csv"
+    rc = main(["sim", str(corpus / "params.ssyn"), "-m", "64", "--seed", "8", "--order", "10",
+               "--preset", "full-cycling", "--cycles", "2", "--u-read", "0.25",
+               "--bandwidth", "4e6", "--n-bits", "7", "--i-min=-2e-6", "--i-max", "50e-6",
+               "--readout-out", str(ro), "--state-out", str(st)])
+    assert rc == 0
+    events = cli._preset_schedule("full-cycling", 2, paramfile.load(corpus / "params.ssyn")
+                                  .defaults.u_max)
+    want_ro, want_st = _f_string_sim(corpus / "params.ssyn", 64, 8, events, readout, p=10)
+    assert ro.read_bytes() == want_ro.encode()
+    assert st.read_bytes() == want_st.encode()
+
+
 @pytest.mark.parametrize("script, row", [
     ("pulses", "0,0:40,-1.5"),   # range past the last of 16 cells
     ("pulses", "0,all,nan"),     # amplitude that is not finite
@@ -648,6 +695,20 @@ def test_sim_overrides_fail_the_float32_gates(corpus, tmp_path, capsys, flags, f
                "--state-out", str(tmp_path / "st.csv")])
     assert rc == 1
     assert field in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, value", [("sim", "nan"), ("sim", "inf"), ("bench", "nan")])
+def test_non_finite_scale_is_named(corpus, tmp_path, capsys, command, value):
+    argv = {"sim": ["--preset", "multilevel", "--cycles", "2",
+                    "--readout-out", str(tmp_path / "ro.csv"),
+                    "--state-out", str(tmp_path / "st.csv")],
+            "bench": ["-o", str(tmp_path / "bench.csv")]}[command]
+    rc = main([command, str(corpus / "params.ssyn"), "-m", "16", "--seed", "1", "-a", value,
+               *argv])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "device-variability scale" in err and value in err
+    assert "defaults" not in err
 
 
 def test_bench_scale_fails_the_float32_gate(corpus, tmp_path, capsys):

@@ -27,7 +27,7 @@ from stochsyn.waveform import (
     RESET_MIN_PROMINENCE,
     SET_CURRENT_THRESHOLD,
     SMOOTH_RAMP_SPAN,
-    SMOOTH_WINDOW_MAX,
+    SMOOTH_REACH,
     ExtractionError,
     RawTrace,
     detect_set_locations,
@@ -116,9 +116,6 @@ def test_smoothing_half_widths_take_one_byte_per_sample():
     assert peak < 20 * n
 
 
-H = (SMOOTH_WINDOW_MAX - 1) // 2   # how far a window reaches at most
-
-
 def _whole_trace_smoothing(i, locs):
     """The adaptive moving average from one float64 cumulative sum over the
     whole trace, and that sum: the reference the spans must match bit for bit."""
@@ -134,7 +131,7 @@ def _whole_trace_smoothing(i, locs):
 def _smoothed(trace):
     """The trace with its current smoothed around its set locations in one
     whole-trace call."""
-    locs, _ = detect_set_locations(trace)
+    locs, _ = detect_set_locations(trace, split_cycles(trace)[0])
     return RawTrace(u=trace.u, i=smooth_adaptive(trace.i, locs)[0],
                     samples_per_cycle=trace.samples_per_cycle)
 
@@ -186,8 +183,8 @@ def test_smoothing_carried_block_to_block_is_the_whole_trace_sum(ref_bundle, cas
     edges = np.append(0, bounds[CYCLE_BLOCK - 1 :: CYCLE_BLOCK, 1])
     edges = np.append(edges, bounds[-1, 1]) if bounds.shape[0] % CYCLE_BLOCK else edges
     near = np.abs(locs[:, None] - edges[1:-1]).min()
-    assert {"leading_partial_segment": bounds[0, 0] > H,
-            "set_near_block_edges": near <= H + SMOOTH_RAMP_SPAN,
+    assert {"leading_partial_segment": bounds[0, 0] > SMOOTH_REACH,
+            "set_near_block_edges": near <= SMOOTH_REACH + SMOOTH_RAMP_SPAN,
             "partial_last_block": bounds.shape[0] % CYCLE_BLOCK and bounds[-1, 1] < len(trace),
             "last_cycle_at_trace_end": bounds[-1, 1] == len(trace)}[case]
     want, cs = _whole_trace_smoothing(trace.i, locs)
@@ -196,19 +193,19 @@ def test_smoothing_carried_block_to_block_is_the_whole_trace_sum(ref_bundle, cas
     got, carry = [], 0.0
     for start, stop in zip(edges[:-1], edges[1:]):
         sm, (carry,) = smooth_adaptive(trace.i, locs, start, stop, carry, [stop])
-        assert carry.tobytes() == cs[max(stop - H, 0)].tobytes()
+        assert carry.tobytes() == cs[max(stop - SMOOTH_REACH, 0)].tobytes()
         got.append(sm)
     assert np.concatenate(got).tobytes() == want[: edges[-1]].tobytes()
     # every cycle alone, from the carry of its start, as the pooled ones are
     for start, stop in bounds:
-        sm, _ = smooth_adaptive(trace.i, locs, start, stop, cs[max(start - H, 0)])
+        sm, _ = smooth_adaptive(trace.i, locs, start, stop, cs[max(start - SMOOTH_REACH, 0)])
         assert sm.tobytes() == want[start:stop].tobytes()
 
     # extract_features against itself on the reference's smoothing
     result = extract_features(trace)
 
     def reference(i, set_locations, start=0, stop=None, carry=0.0, resume=()):
-        at = np.maximum(np.asarray(resume, dtype=np.int64) - H, 0)
+        at = np.maximum(np.asarray(resume, dtype=np.int64) - SMOOTH_REACH, 0)
         return want[start : len(trace) if stop is None else stop], cs[at]
 
     monkeypatch.setattr(waveform, "smooth_adaptive", reference)
@@ -277,7 +274,7 @@ def test_detect_one_crossing_per_cycle():
     u = triangle_u(4)
     i = np.where(u < -0.8, -80e-6, 0.0)
     trace = RawTrace(u=u, i=i)
-    locs, missing = detect_set_locations(trace)
+    locs, missing = detect_set_locations(trace, split_cycles(trace)[0])
     assert len(locs) == 4
     assert missing == 0
     assert np.all(np.abs(u[locs] - (-0.8)) < 0.01)
@@ -285,15 +282,9 @@ def test_detect_one_crossing_per_cycle():
 
 def test_detect_flat_zero_trace_empty():
     trace = RawTrace(u=triangle_u(3), i=np.zeros(3 * 1042))
-    locs, missing = detect_set_locations(trace)
+    locs, missing = detect_set_locations(trace, split_cycles(trace)[0])
     assert locs.size == 0
     assert missing == 3
-
-
-def test_detect_requires_negative_threshold():
-    trace = RawTrace(u=triangle_u(1), i=np.zeros(1042))
-    with pytest.raises(ValueError):
-        detect_set_locations(trace, threshold=10e-6)
 
 
 def test_detect_on_model_trace_within_two_samples(ref_bundle):
@@ -359,13 +350,12 @@ def test_reset_voltage_single_bump():
 def test_reset_voltage_refined_on_raw_current():
     # the smoothed peak moves to the raw argmax, but only within the
     # smoothing support around it
-    h = (SMOOTH_WINDOW_MAX - 1) // 2
     u = np.linspace(-1.5, 1.5, 301)
     i = _bump(u, 0.9, 0.05, 10e-6)
     raw = _bump(u, 0.93, 0.05, 10e-6)
     assert _reset_voltage(u, i, i_raw=raw) == (u[np.argmax(raw)], None)
     raw = _bump(u, 0.3, 0.05, 10e-6)
-    assert _reset_voltage(u, i, i_raw=raw) == (u[np.argmax(i) - h], None)
+    assert _reset_voltage(u, i, i_raw=raw) == (u[np.argmax(i) - SMOOTH_REACH], None)
 
 
 def _bump(u, center, width, height):
@@ -709,6 +699,25 @@ def test_read_trace_keeps_an_iuw_at_its_float32_width(tmp_path):
         tracemalloc.stop()
     assert trace.u.dtype == trace.i.dtype == np.float32
     assert peak < 12 * n
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_write_trace_iuw_holds_only_the_float32_pairs(tmp_path, dtype):
+    # the pairs take 8 B per sample; stacking the channels before the cast
+    # added a copy at their width: 16 B more for float64, 8 B for float32
+    n = 1 << 20
+    rng = np.random.default_rng(7)
+    trace = RawTrace(u=rng.normal(0.0, 1.0, n).astype(dtype),
+                     i=rng.normal(0.0, 1e-6, n).astype(dtype))
+    tracemalloc.start()
+    try:
+        write_trace_iuw(trace, tmp_path / "t.iuw")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * n
+    pairs = np.column_stack([trace.u, trace.i]).astype("<f4")
+    assert (tmp_path / "t.iuw").read_bytes()[8:] == pairs.tobytes()
 
 
 def test_trace_and_features_file_roundtrip(tmp_path, ref_bundle):
