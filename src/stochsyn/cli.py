@@ -27,7 +27,7 @@ from . import csvtext, paramfile, synth, waveform
 from .array import MAX_SEED, MAX_THREADS, ReadoutConfig, dequantize, init_array
 from .conduction import LIMIT_PERCENTILE, ConductionModel, fit_limiting_model
 from .svar import fit_svar, spectral_radius
-from .transform import fit_map_with_fallback, forward_map, inverse_map
+from .transform import GAMMA_DEGREE, fit_map_with_fallback, forward_map, inverse_map
 from .svar import generate as svar_generate
 
 PARAMS_ENV = "STOCHSYN_PARAMS"
@@ -114,7 +114,7 @@ def _readout_from_args(args, base: ReadoutConfig) -> ReadoutConfig:
 
 def cmd_extract(args) -> int:
     trace = waveform.read_trace(args.input, samples_per_cycle=args.samples_per_cycle)
-    result = waveform.extract_features(trace, smoothing=not args.no_smoothing)
+    result = waveform.extract_features(trace)
     waveform.write_features_csv(result.features, args.output, cycles=result.cycles + 1)
     report = {
         "cycles_total": result.n_cycles,
@@ -147,7 +147,7 @@ def cmd_fit(args) -> int:
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
-            gamma = fit_map_with_fallback(features, degree=args.gamma_degree)
+            gamma = fit_map_with_fallback(features)
         except ValueError as exc:   # a failed fit still records the fallbacks it tried
             _write_json(diag_path, {"gamma_fallbacks": [str(w.message) for w in caught],
                                     "error": str(exc)})
@@ -163,7 +163,7 @@ def cmd_fit(args) -> int:
     diagnostics = {
         "orders": {},
         "clipped_inputs": int(np.count_nonzero(clipped)),
-        "gamma_degree_requested": args.gamma_degree,
+        "gamma_degree_requested": GAMMA_DEGREE,
         "gamma_degree_used": degree_used,
         "gamma_fallbacks": [str(w.message) for w in caught],
         "conduction_source": source,
@@ -391,7 +391,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("extract", help="reduce a cycling waveform to per-cycle features")
     p.add_argument("input", help="trace file (.csv with 'u,i' header, or .iuw)")
     p.add_argument("output", help="features CSV to write")
-    p.add_argument("--no-smoothing", action="store_true")
     p.add_argument("--samples-per-cycle", type=_ints(1),
                    default=waveform.SAMPLES_PER_CYCLE)
     p.add_argument("--report", default=None, help="exclusion report JSON path")
@@ -406,8 +405,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="model order(s), comma separated")
     p.add_argument("--conduction", default=None,
                    help="limiting-polynomial JSON from `extract --limits-out`")
-    p.add_argument("--gamma-degree", type=_ints(1), default=5,
-                   help="quantile polynomial degree (falls back if non-monotone)")
     p.add_argument("--diagnostics", default=None, help="diagnostics JSON path")
     p.set_defaults(func=cmd_fit)
 

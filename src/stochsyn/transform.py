@@ -1,12 +1,12 @@
 """Marginal normalizing map between feature space and standard-normal space.
 
-Each of the four cycle features gets one degree-5 polynomial mapping a
-standard-normal quantile z to the log of the feature, checked increasing on
-Z_RANGE (a failure names the feature from `waveform.FEATURE_NAMES`).  The
-generating direction (z -> feature) is one Horner evaluation and an exp per
-component; the analysis direction (feature -> z) inverts the polynomial
-numerically and is needed at fit time only, as is scipy (`ndtri`, imported
-in `fit_map`).
+Each of the four cycle features gets one polynomial of degree GAMMA_DEGREE
+mapping a standard-normal quantile z to the log of the feature, checked
+increasing on Z_RANGE (a failure names the feature from
+`waveform.FEATURE_NAMES`).  The generating direction (z -> feature) is one
+Horner evaluation and an exp per component; the analysis direction
+(feature -> z) inverts the polynomial numerically and is needed at fit time
+only, as is scipy (`ndtri`, imported in `fit_map`).
 """
 
 import warnings
@@ -22,6 +22,7 @@ PROB_RANGE = (0.01, 0.99)
 Z_RANGE = (-4.0, 4.0)
 Z_LIMIT = 10.0  # z_range must lie inside [-Z_LIMIT, Z_LIMIT]
 MONOTONIC_GRID_STEP = 1e-3
+GAMMA_DEGREE = 5         # quantile polynomial degree, lowered only on a monotonicity failure
 MIN_FALLBACK_DEGREE = 3  # `fit_map_with_fallback` drops the degree no lower
 FORWARD_TOL = 1e-12      # largest gamma residual `forward_map` passes silently
 
@@ -63,7 +64,7 @@ def _check_monotone(m: NormalizingMap) -> None:
             raise MonotonicityError(name, float(grid[np.argmax(bad)]))
 
 
-def fit_map(features: np.ndarray, degree: int = 5) -> NormalizingMap:
+def fit_map(features: np.ndarray, degree: int = GAMMA_DEGREE) -> NormalizingMap:
     """Fit the map from empirical quantiles of the log features.
 
     Quantiles are taken at N_QUANTILES equally spaced probabilities between
@@ -92,22 +93,22 @@ def fit_map(features: np.ndarray, degree: int = 5) -> NormalizingMap:
     return m
 
 
-def fit_map_with_fallback(features: np.ndarray, degree: int = 5) -> NormalizingMap:
+def fit_map_with_fallback(features: np.ndarray) -> NormalizingMap:
     """fit_map, retrying at successively lower degrees on monotonicity failure.
 
     The quantile pairs only span the fitted probability range (roughly
     +-2.3 sigma), so with moderate sample sizes the top polynomial orders are
     noise-dominated and can turn the extrapolated tail non-monotone; dropping
-    the degree is the documented caller-side remedy.  Each fallback emits a
-    warning.  The error of the fit at MIN_FALLBACK_DEGREE propagates, as does
-    that of a requested degree below it, which is fit once with no fallback.
+    the degree is the documented caller-side remedy.  The degrees run from
+    GAMMA_DEGREE down to MIN_FALLBACK_DEGREE, and a lower-degree map is padded
+    with zero columns to GAMMA_DEGREE + 1 coefficients.  Each fallback emits a
+    warning; the error of the fit at MIN_FALLBACK_DEGREE propagates.
     """
-    lowest = min(degree, MIN_FALLBACK_DEGREE)
-    for d in range(degree, lowest - 1, -1):
+    for d in range(GAMMA_DEGREE, MIN_FALLBACK_DEGREE - 1, -1):
         try:
             m = fit_map(features, degree=d)
         except MonotonicityError as exc:
-            if d == lowest:
+            if d == MIN_FALLBACK_DEGREE:
                 raise
             warnings.warn(
                 f"degree-{d} quantile fit not monotone ({exc.feature});"
@@ -115,8 +116,8 @@ def fit_map_with_fallback(features: np.ndarray, degree: int = 5) -> NormalizingM
                 RuntimeWarning,
             )
             continue
-        if d < degree:
-            padded = np.zeros((4, degree + 1))
+        if d < GAMMA_DEGREE:
+            padded = np.zeros((4, GAMMA_DEGREE + 1))
             padded[:, : d + 1] = m.coeffs
             m = NormalizingMap(coeffs=padded)
         return m

@@ -37,6 +37,7 @@ from .conduction import (HRS_FIT_DEGREE, LIMIT_PERCENTILE, LRS_FIT_DEGREE, U0_DE
 FEATURE_NAMES = ("r_h", "u_s", "r_l", "u_r")
 FEATURES_HEADER = ",".join(("cycle",) + FEATURE_NAMES)
 SAMPLES_PER_CYCLE = 1042         # nominal samples per cycle of a trace
+CYCLE_SLACK = 2                  # samples a cycle's length may differ from the nominal
 
 SET_CURRENT_THRESHOLD = -50e-6   # level crossing that marks the abrupt transition [A]
 RESET_MIN_PROMINENCE = 5e-6      # peak prominence floor for the gradual one [A]
@@ -261,7 +262,7 @@ def split_cycles(trace: RawTrace):
     Returns (boundaries, n_dropped): an (n, 2) int64 array of contiguous,
     non-overlapping (start, stop) rows, plus how many leading/trailing
     partial segments were cut.  A trailing segment is kept only if it spans
-    at least a nominal period minus 2 samples.  The apexes are found
+    at least a nominal period minus CYCLE_SLACK samples.  The apexes are found
     CYCLE_BLOCK periods at a time, each block copied contiguous first.
     """
     n = len(trace)
@@ -275,8 +276,8 @@ def split_cycles(trace: RawTrace):
         apex[lo : lo + CYCLE_BLOCK] += np.argmax(
             np.ascontiguousarray(block).reshape(-1, period), axis=1)
     tail = n - int(apex[-1])
-    stops = np.append(apex[1:], n) if tail >= period - 2 else apex[1:]
-    dropped = int(apex[0] > 0) + int(0 < tail < period - 2)
+    stops = np.append(apex[1:], n) if tail >= period - CYCLE_SLACK else apex[1:]
+    dropped = int(apex[0] > 0) + int(0 < tail < period - CYCLE_SLACK)
     return np.column_stack([apex[: stops.size], stops]), dropped
 
 
@@ -395,10 +396,10 @@ def extract_reset_voltage(u, i, lengths, turn, min_prominence: float, i_raw=None
     plain neighbour-comparison local maxima, and prominence is computed
     within the section.
 
-    When the unsmoothed current ``i_raw`` is given, the chosen peak moves to
-    the raw argmax inside the smoothing support: the moving average locates
-    the peak robustly but displaces an asymmetric peak toward its shallower
-    flank."""
+    With the unsmoothed current ``i_raw`` (optional only so that tests can
+    check the peak rule alone against scipy's), the chosen peak moves to the
+    raw argmax inside the smoothing support: the moving average locates the
+    peak robustly but displaces an asymmetric peak toward its shallower flank."""
     n_rows, width = u.shape
     cols = np.arange(width)
     inside = cols < lengths[:, None]
@@ -506,9 +507,9 @@ def detect_set_locations(trace: RawTrace, boundaries):
 
 def _pooled_points(trace: RawTrace, bounds, features, set_locs, carries):
     """The limit fit's pooled points (see `ExtractionResult`) and how many
-    cycles each pool holds, from the rows of the pooled cycles alone.
-    ``bounds``, ``features`` and the smoothing ``carries`` (see
-    `smooth_adaptive`; None without smoothing) are the kept cycles'."""
+    cycles each pool holds, from the rows of the pooled cycles alone,
+    smoothed again from their carries.  ``bounds``, ``features`` and the
+    smoothing ``carries`` (see `smooth_adaptive`) are the kept cycles'."""
     r_h, u_s, r_l, u_r = features.T
     top = r_h >= np.quantile(r_h, 1.0 - LIMIT_PERCENTILE / 100.0)
     bottom = r_l <= np.quantile(r_l, LIMIT_PERCENTILE / 100.0)
@@ -518,16 +519,15 @@ def _pooled_points(trace: RawTrace, bounds, features, set_locs, carries):
     width = int(lengths.max()) + 1
     u = _rows(trace.u, starts, lengths, width, np.inf)
     i = _rows(trace.i, starts, lengths, width, np.nan)
-    if carries is not None:
-        for row, (start, stop, carry) in enumerate(zip(starts, stops, carries[pool])):
-            i[row, : stop - start] = smooth_adaptive(trace.i, set_locs, start, stop, carry)[0]
+    for row, (start, stop, carry) in enumerate(zip(starts, stops, carries[pool])):
+        i[row, : stop - start] = smooth_adaptive(trace.i, set_locs, start, stop, carry)[0]
     m_h, m_l = _branch_masks(u, i, np.argmin(u, axis=1), u_s[pool], u_r[pool])
     m_h &= top[pool, None]
     m_l &= bottom[pool, None]
     return (u[m_h], i[m_h]), (u[m_l], i[m_l]), (int(top.sum()), int(bottom.sum()))
 
 
-def extract_features(trace: RawTrace, smoothing: bool = True) -> ExtractionResult:
+def extract_features(trace: RawTrace) -> ExtractionResult:
     """Reduce a whole trace to the per-cycle feature series and the pooled
     branch points of the limit fit (see `ExtractionResult`).
 
@@ -538,8 +538,10 @@ def extract_features(trace: RawTrace, smoothing: bool = True) -> ExtractionResul
     (sample 0 for the first) on that block's carry; each cycle's carry is
     kept to smooth the pooled cycles again.  Cycles failing any step are
     excluded (with the reason of the first failing step) rather than
-    imputed; more than 50% exclusions is an error, as is a trace with no
-    full cycle.
+    imputed.  The first step checks that a cycle ending at the next apex
+    spans the nominal period within CYCLE_SLACK samples.  More than 50%
+    exclusions is an error naming the most frequent reason, as is a trace
+    with no full cycle.
     """
     if len(trace) == 0:
         raise ExtractionError("empty trace")
@@ -547,37 +549,36 @@ def extract_features(trace: RawTrace, smoothing: bool = True) -> ExtractionResul
     if not boundaries.size:
         raise ExtractionError("no full cycle found")
     set_locs, set_missing = detect_set_locations(trace, boundaries)
+    period = trace.samples_per_cycle
 
     features, reasons, carries, edge, carry = [], [], [], 0, 0.0
     for starts, lengths, width in _cycle_blocks(boundaries):
         u = _rows(trace.u, starts, lengths, width, np.inf)
-        i = _rows(trace.i, starts, lengths, width, np.nan)
-        i_raw = None
-        if smoothing:
-            stop = int(starts[-1] + lengths[-1])
-            sm, marks = smooth_adaptive(trace.i, set_locs, edge, stop, carry,
-                                        np.append(starts, stop))
-            carries.append(marks[:-1])
-            i_raw, i = i, _rows(sm, starts - edge, lengths, width, np.nan)
-            edge, carry = stop, marks[-1]
+        i = i_raw = _rows(trace.i, starts, lengths, width, np.nan)   # frees the last block's i
+        stop = int(starts[-1] + lengths[-1])
+        sm, marks = smooth_adaptive(trace.i, set_locs, edge, stop, carry, np.append(starts, stop))
+        carries.append(marks[:-1])
+        i = _rows(sm, starts - edge, lengths, width, np.nan)
+        edge, carry = stop, marks[-1]
+        off = (np.abs(lengths - period) > CYCLE_SLACK) & (starts + lengths < len(trace))
+        why_n = _reasons(off, f"cycle length not within {CYCLE_SLACK} samples of period {period}")
         turn = np.argmin(u, axis=1)
         u_s, why_s = extract_set_voltage(u, i, SET_CURRENT_THRESHOLD)
         u_r, why_r = extract_reset_voltage(u, i, lengths, turn, RESET_MIN_PROMINENCE, i_raw)
         r_h, r_l, *_, why_f = fit_state_polynomials(u, i, turn, u_s, u_r, U0_DEFAULT)
         features.append(np.column_stack([r_h, u_s, r_l, u_r]))
-        reasons.append(_first_reason(why_s, why_r, why_f))
+        reasons.append(_first_reason(why_n, why_s, why_r, why_f))
 
     reasons = np.concatenate(reasons)
     kept = np.flatnonzero(np.equal(reasons, None))
     exclusions = [(int(n), reasons[n]) for n in np.flatnonzero(np.not_equal(reasons, None))]
     if len(exclusions) > 0.5 * len(boundaries):
-        raise ExtractionError(
-            f"{len(exclusions)} of {len(boundaries)} cycles failed extraction"
-        )
+        why, count = np.unique([r for _, r in exclusions], return_counts=True)
+        raise ExtractionError(f"{len(exclusions)} of {len(boundaries)} cycles failed extraction;"
+                              f" most often ({count.max()} cycles): {why[count.argmax()]}")
     features = np.concatenate(features)[kept]
-    carries = np.concatenate(carries)[kept] if smoothing else None
-    hrs_points, lrs_points, pool_sizes = _pooled_points(trace, boundaries[kept], features,
-                                                        set_locs, carries)
+    hrs_points, lrs_points, pool_sizes = _pooled_points(
+        trace, boundaries[kept], features, set_locs, np.concatenate(carries)[kept])
     return ExtractionResult(
         features=features, cycles=kept, exclusions=exclusions, n_cycles=len(boundaries),
         set_missing=set_missing, hrs_points=hrs_points, lrs_points=lrs_points,

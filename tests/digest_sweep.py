@@ -46,16 +46,16 @@ dequantized ones).
 Last come the extraction lines.  Two 2000-cycle traces are rendered from
 the reference model's features, one at the default current noise and one
 at a noise that makes `extract_features` exclude some cycles.  Each is
-extracted as rendered (float64) and after a `.iuw` round trip (float32),
-with and without smoothing.  So is a shifted copy of the first trace,
-without its first 300 and last 400 samples: its 1998 cycles, not a multiple
-of `CYCLE_BLOCK`, start after a leading partial segment and end before a
-trailing one.  One line gives the SHA-256 of the features' bytes, the kept
-cycles and the exclusions with their reasons; a second line gives that of
-the pooled high- and low-resistance points of the limit fit.  Then the `extract --limits-out` command runs on each trace written
-as `.iuw` and as a `u,i` CSV of its float64 samples (exact 17-digit text),
-with and without `--no-smoothing`, and a line gives its exit code and the
-SHA-256 of the files it wrote: the features CSV, `.report.json` and
+extracted as rendered (float64) and after a `.iuw` round trip (float32).
+So is a shifted copy of the first trace, without its first 300 and last
+400 samples: its 1998 cycles, not a multiple of `CYCLE_BLOCK`, start after
+a leading partial segment and end before a trailing one.  One line gives
+the SHA-256 of the features' bytes, the kept cycles and the exclusions
+with their reasons; a second line gives that of the pooled high- and
+low-resistance points of the limit fit.  Then the `extract --limits-out`
+command runs on each trace written as `.iuw` and as a `u,i` CSV of its
+float64 samples (exact 17-digit text), and a line gives its exit code and
+the SHA-256 of the files it wrote: the features CSV, `.report.json` and
 `limits.json` (which a failed limit fit does not write).
 
 Last of all come the command lines: one per output file of each command,
@@ -263,19 +263,15 @@ def extraction_sweep(bundle, workdir: Path, out) -> None:
             traces.append(("shifted", shifted, workdir / "shifted.iuw"))
         for name, trace64, path in traces:
             for form, trace in (("float64", trace64), ("iuw", read_trace(path))):
-                for smoothing in (True, False):
-                    extraction_lines(f"extract {name} {form} smoothing={smoothing}",
-                                     extract_features(trace, smoothing=smoothing), out)
+                extraction_lines(f"extract {name} {form}", extract_features(trace), out)
         outputs = (feats, workdir / "extracted.csv.report.json", limits)
         for path in (csv, iuw):
-            for flags in ([], ["--no-smoothing"]):
-                for x in outputs:
-                    x.unlink(missing_ok=True)
-                rc = command(["extract", str(path), str(feats), "--limits-out", str(limits),
-                              *flags])
-                written = [x for x in outputs if x.exists()]
-                print(f"extract cli noise={noise:g} {path.suffix[1:]} smoothing={not flags}"
-                      f" exit {rc} {len(written)} {file_hash(*written)}", file=out)
+            for x in outputs:
+                x.unlink(missing_ok=True)
+            rc = command(["extract", str(path), str(feats), "--limits-out", str(limits)])
+            written = [x for x in outputs if x.exists()]
+            print(f"extract cli noise={noise:g} {path.suffix[1:]}"
+                  f" exit {rc} {len(written)} {file_hash(*written)}", file=out)
 
 
 def command_lines(name, argv, outputs, out) -> None:

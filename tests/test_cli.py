@@ -17,6 +17,7 @@ from stochsyn import cli, csvtext, paramfile, synth
 from stochsyn.array import MAX_SEED, MAX_THREADS, ReadoutConfig, dequantize, init_array
 from stochsyn.cli import main
 from stochsyn.conduction import LIMIT_PERCENTILE, U0_DEFAULT, fit_conduction_poly
+from stochsyn.transform import GAMMA_DEGREE
 from stochsyn.waveform import (
     RawTrace,
     _branch_masks,
@@ -66,22 +67,39 @@ def test_extract_and_flags(corpus, tmp_path):
     assert rep["cycles_extracted"] == feats.shape[0] == len(cycles)
     assert rep["cycles_total"] == 400
 
-    out2 = tmp_path / "f2.csv"
-    rc = main(["extract", str(corpus / "trace.iuw"), str(out2), "--no-smoothing"])
-    assert rc == 0
-    _, feats2 = read_features_csv(out2)
-    assert not np.array_equal(feats, feats2)  # smoothing flag is live
 
-
-@pytest.mark.parametrize("flag", [["--min-prominence", "1e-6"], ["--set-threshold=-5e-05"]])
-def test_extract_detection_levels_are_not_options(corpus, tmp_path, capsys, flag):
-    out = tmp_path / "f.csv"
-    assert main(["extract", str(corpus / "trace.iuw"), str(out), *flag]) == 2
+@pytest.mark.parametrize("command, source, flags", [
+    ("extract", "trace.iuw", ["--min-prominence", "1e-6"]),
+    ("extract", "trace.iuw", ["--set-threshold=-5e-05"]),
+    ("extract", "trace.iuw", ["--no-smoothing"]),
+    ("fit", "features.csv", ["--gamma-degree", "3"]),
+], ids=["min_prominence", "set_threshold", "no_smoothing", "gamma_degree"])
+def test_removed_options_are_rejected(corpus, tmp_path, capsys, command, source, flags):
+    # extraction's detection levels, its smoothing and the quantile degree
+    # are constants, not options
+    out = str(tmp_path / "out")
+    outputs = [out] if command == "extract" else ["-o", out]
+    assert main([command, str(corpus / source), *outputs, *flags]) == 2
     assert "unrecognized arguments" in capsys.readouterr().err
-    assert not out.exists()
+    assert list(tmp_path.iterdir()) == []
 
 
-def test_extract_samples_per_cycle_sets_the_period(ref_bundle, tmp_path):
+def test_readme_names_only_accepted_flags(capsys):
+    # every --flag the README names is in some subcommand's --help, so a
+    # deleted flag leaves the docs with the code; pip's is the one exemption
+    flag = r"(?<![\w-])--[a-z][a-z0-9-]*"
+    assert main(["--help"]) == 0
+    commands = re.search(r"\{([a-z,]+)\}", capsys.readouterr().out).group(1).split(",")
+    accepted = set()
+    for command in commands:
+        assert main([command, "--help"]) == 0
+        accepted |= set(re.findall(flag, capsys.readouterr().out))
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    named = set(re.findall(flag, readme)) - {"--no-build-isolation"}
+    assert named and named <= accepted, named - accepted
+
+
+def test_extract_samples_per_cycle_sets_the_period(ref_bundle, tmp_path, capsys):
     n = 60
     feats = synth.sample_features(ref_bundle, n, seed=21)
     trace = synth.reconstruct_trace(feats, ref_bundle.conduction, samples_per_cycle=800, seed=22)
@@ -94,10 +112,13 @@ def test_extract_samples_per_cycle_sets_the_period(ref_bundle, tmp_path):
     assert out.read_bytes() == want.read_bytes()
     report = json.loads((tmp_path / "f.csv.report.json").read_text())
     assert report["cycles_total"] == result.n_cycles == n
-    # at the default period the same file splits into other cycles
-    assert main(["extract", str(path), str(tmp_path / "g.csv")]) == 0
-    report = json.loads((tmp_path / "g.csv.report.json").read_text())
-    assert report["cycles_total"] != n
+    # at the default period the same file splits into cycles that each span
+    # parts of two, and their lengths fail extraction
+    assert main(["extract", str(path), str(tmp_path / "g.csv")]) == 1
+    err = capsys.readouterr().err
+    assert "cycles failed extraction" in err
+    assert "cycle length not within 2 samples of period 1042" in err
+    assert not (tmp_path / "g.csv").exists()
 
 
 def _per_cycle_limits_json(trace_path) -> str:
@@ -133,14 +154,12 @@ def test_extract_limits_equal_the_per_cycle_pooling(corpus, tmp_path):
     assert out.read_bytes() == _per_cycle_limits_json(corpus / "trace.iuw").encode()
 
 
-@pytest.mark.parametrize("flags, bound", [([], 28.5), (["--no-smoothing"], 23.0)],
-                         ids=["smoothing", "no_smoothing"])
+@pytest.mark.parametrize("flags, bound", [([], 28.5)], ids=["smoothing"])
 def test_extract_limits_out_peak_memory_per_sample(ref_bundle, tmp_path, flags, bound):
     # The tracemalloc peak per sample of a 2000-cycle .iuw, bounded between
     # the two measured designs.  Keeping every kept cycle's branch-fit points
-    # for the limit fit peaked at 30.9 B (29.3 without smoothing); pooling
-    # only the extreme cycles' points peaks at 26.3 B (16.7), set by the
-    # smoothing's cumulative sum and output.
+    # for the limit fit peaked at 30.9 B; pooling only the extreme cycles'
+    # points peaks at 26.3 B, set by the smoothing's cumulative sum and output.
     feats = synth.sample_features(ref_bundle, 2000, seed=5)
     trace = synth.reconstruct_trace(feats, ref_bundle.conduction, seed=6)
     write_trace_iuw(trace, tmp_path / "t.iuw")
@@ -252,7 +271,8 @@ def _cosine_trace(cycles: int, period: int = 1042) -> str:
 
 @pytest.mark.parametrize("text, why", [
     ("u,i\n" + "0.1,0.0\n" * 100, "no full cycle found"),
-    (_cosine_trace(4), "4 of 4 cycles failed extraction"),
+    (_cosine_trace(4), "4 of 4 cycles failed extraction;"
+                       " most often (4 cycles): no crossing of -5e-05 A"),
 ], ids=["shorter_than_a_cycle", "every_cycle_excluded"])
 def test_extract_fails_on_a_trace_without_usable_cycles(tmp_path, capsys, text, why):
     path = tmp_path / "t.csv"
@@ -368,14 +388,19 @@ def test_fit_supports_order_100(corpus, tmp_path):
     assert sorted(paramfile.load(params).svar) == [100]
 
 
-def test_fit_below_the_fallback_floor(corpus, tmp_path):
-    params = tmp_path / "d2.ssyn"
-    rc = main(["fit", str(corpus / "features.csv"), "-o", str(params), "-p", "2",
-               "--gamma-degree", "2"])
-    assert rc == 0
+def test_fit_falls_back_one_degree(corpus, tmp_path, capsys):
+    # the corpus' r_h quantiles take no monotone degree-5 polynomial, but a
+    # degree-4 one
+    params = tmp_path / "d4.ssyn"
+    assert main(["fit", str(corpus / "features.csv"), "-o", str(params), "-p", "2"]) == 0
+    coeffs = paramfile.load(params).gamma.coeffs
+    assert coeffs.shape == (4, GAMMA_DEGREE + 1)
+    assert np.all(coeffs[:, -1] == 0.0) and np.any(coeffs[:, -2] != 0.0)
     diag = json.loads(Path(str(params) + ".diag.json").read_text())
-    assert diag["gamma_degree_used"] == 2 and diag["gamma_fallbacks"] == []
-    assert paramfile.load(params).gamma.coeffs.shape == (4, 3)
+    assert (diag["gamma_degree_requested"], diag["gamma_degree_used"]) == (GAMMA_DEGREE, 4)
+    assert len(diag["gamma_fallbacks"]) == 1
+    assert diag["gamma_fallbacks"][0].startswith("degree-5 quantile fit not monotone")
+    assert "warning: degree-5 quantile fit not monotone" in capsys.readouterr().err
 
 
 def test_fit_prints_its_fallbacks_when_it_fails(tmp_path, capsys):

@@ -86,16 +86,6 @@ def test_monotonicity_checked_on_fit():
     assert err.value.feature in ("r_h", "u_s", "r_l", "u_r")
 
 
-def test_degree_below_fallback_floor_is_fit_as_requested():
-    # log features exp(z): convex quantile curve, whose quadratic fit turns
-    # back inside the checked z range; a straight line stays monotone
-    rng = np.random.default_rng(12)
-    x = np.exp(np.exp(rng.standard_normal((5000, 4))))
-    with pytest.raises(MonotonicityError):
-        fit_map_with_fallback(x, degree=2)
-    assert fit_map_with_fallback(x, degree=1).coeffs.shape == (4, 2)
-
-
 def test_fit_rejects_bad_inputs():
     with pytest.raises(ValueError):
         fit_map(np.ones((10, 4)))  # too few rows
