@@ -479,6 +479,14 @@ def main(argv=None) -> int:
     except (ValueError, KeyError) as exc:   # MonotonicityError and LinAlgError among them
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        # Large frees raise glibc's trim threshold; the freed heap it keeps would
+        # sit under the next peak of a process that runs several commands.
+        import ctypes   # numpy has loaded it already
+        try:
+            ctypes.CDLL(None).malloc_trim(0)
+        except (AttributeError, OSError, TypeError):   # not glibc
+            pass
 
 
 def entry() -> None:

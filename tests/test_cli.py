@@ -1,3 +1,4 @@
+import ctypes
 import hashlib
 import json
 import os
@@ -386,6 +387,26 @@ def test_fit_supports_order_100(corpus, tmp_path):
     rc = main(["fit", str(corpus / "features.csv"), "-o", str(params), "-p", "100"])
     assert rc == 0
     assert sorted(paramfile.load(params).svar) == [100]
+
+
+class _Mallinfo2(ctypes.Structure):
+    _fields_ = [(name, ctypes.c_size_t) for name in (
+        "arena", "ordblks", "smblks", "hblks", "hblkhd", "usmblks", "fsmblks", "uordblks",
+        "fordblks", "keepcost")]
+
+
+def test_a_command_leaves_no_freed_heap_top_resident(corpus, tmp_path):
+    # Once an order-100 fit has freed its 19 MB design matrix, glibc serves
+    # extract's block arrays from the heap, and without a trim their freed
+    # top (20 MiB) stays resident under the next command's peak.
+    mallinfo2 = getattr(ctypes.CDLL(None), "mallinfo2", None)
+    if mallinfo2 is None:
+        pytest.skip("needs glibc's mallinfo2")
+    mallinfo2.restype = _Mallinfo2
+    assert main(["fit", str(corpus / "features.csv"), "-o", str(tmp_path / "p.ssyn"),
+                 "-p", "100"]) == 0
+    assert main(["extract", str(corpus / "trace.iuw"), str(tmp_path / "f.csv")]) == 0
+    assert mallinfo2().keepcost < 1 << 20
 
 
 def test_fit_falls_back_one_degree(corpus, tmp_path, capsys):
