@@ -34,7 +34,7 @@ class MonotonicityError(ValueError):
         self.feature = feature
         super().__init__(
             f"quantile polynomial for {feature!r} not increasing near z={z_at:.3f};"
-            " refit with a lower degree or more data"
+            " fit a features file with more cycles"
         )
 
 

@@ -14,13 +14,18 @@ kernels `extract_set_voltage`, `extract_reset_voltage` and
 LIMIT_PERCENTILE extremes give the limit fit its pooled branch points from
 their rows alone.  Each block smooths only its own samples: its cumulative
 sum starts from the carry of the block before, so the smoothing holds no
-trace-sized array and keeps the bits of one whole-trace sum.  A trace
-keeps its samples' width (a .iuw file's float32 stays float32, see
-`conduction.as_float`); each block converts its own rows to float64, which
-is exact, so the kernels compute in float64 whatever the input.  The
-feature names (FEATURE_NAMES), the nominal cycle length (SAMPLES_PER_CYCLE)
-and the static-resistance voltage (`conduction.U0_DEFAULT`) are each defined
-once.
+trace-sized array and keeps the bits of one whole-trace sum.
+
+A trace is a reader of sample ranges: ``len(trace)`` and
+``trace.read(lo, hi)``, the (u, i) samples lo..hi-1.  Every pass asks it for
+its own block, so no stage holds the whole trace.  An in-memory `RawTrace`
+(from `synth` or a CSV file) slices its channels; an `IuwTrace` reads only
+the range's bytes from its .iuw file.  A trace keeps its samples' width (a
+.iuw file's float32 stays float32, see `conduction.as_float`); each block
+converts its own rows to float64, which is exact, so the kernels compute in
+float64 whatever the input.  The feature names (FEATURE_NAMES), the nominal
+cycle length (SAMPLES_PER_CYCLE) and the static-resistance voltage
+(`conduction.U0_DEFAULT`) are each defined once.
 """
 
 import os
@@ -82,6 +87,37 @@ class RawTrace:
     def __len__(self):
         return self.u.size
 
+    def read(self, lo: int, hi: int):
+        """The (u, i) samples lo..hi-1, as views of the channels."""
+        return self.u[lo:hi], self.i[lo:hi]
+
+
+@dataclass
+class IuwTrace:
+    """A .iuw trace file of ``n`` (u, i) float32 pairs, read range by range:
+    `read` takes only the range's bytes from the file, so the trace is never
+    held whole.  `read_trace_iuw` opens it and checks its header and size."""
+
+    path: str
+    n: int
+    samples_per_cycle: int = SAMPLES_PER_CYCLE
+
+    def __len__(self):
+        return self.n
+
+    def read(self, lo: int, hi: int):
+        """The (u, i) samples lo..hi-1 as float32 column views of their pairs.
+        A file that has become shorter than its header says fails the read."""
+        pairs = np.empty((hi - lo, 2), dtype="<f4")
+        with open(self.path, "rb", buffering=0) as fh:
+            fh.seek(8 + 8 * lo)
+            got = fh.readinto(pairs) // 8
+        if got != hi - lo:
+            raise ExtractionError(f"trace {self.path}: samples {lo}..{hi - 1} cut short at"
+                                  f" {lo + got}: the file holds fewer than the header's"
+                                  f" {self.n} pairs")
+        return pairs[:, 0], pairs[:, 1]
+
 
 @dataclass
 class ExtractionResult:
@@ -103,24 +139,27 @@ class ExtractionResult:
 # ---------------------------------------------------------------------------
 # trace I/O
 
-def read_trace(path, samples_per_cycle: int = SAMPLES_PER_CYCLE) -> RawTrace:
-    """Load a trace from .csv (header ``u,i``) or .iuw (binary f32 pairs).
+def read_trace(path, samples_per_cycle: int = SAMPLES_PER_CYCLE):
+    """Open a trace as a reader of sample ranges (see the module docstring):
+    a .iuw (binary f32 pairs) as an `IuwTrace`, which reads each range from
+    the file when asked, anything else as a CSV (header ``u,i``) loaded whole
+    into a `RawTrace`.
 
-    A NaN or infinite sample fails the load: the smoothing's running sums
-    would carry it into every later cycle.
+    A NaN or infinite sample fails the open, checked SMOOTH_BLOCK samples at
+    a time: the smoothing's running sums would carry it into every later cycle.
     """
     path = str(path)
     if path.endswith(".iuw"):
         trace = read_trace_iuw(path, samples_per_cycle)
     else:
         trace = read_trace_csv(path, samples_per_cycle)
-    for lo in range(0, len(trace), SMOOTH_BLOCK):   # blockwise: no trace-sized mask
-        bad = np.flatnonzero(~(np.isfinite(trace.u[lo:lo + SMOOTH_BLOCK])
-                               & np.isfinite(trace.i[lo:lo + SMOOTH_BLOCK])))
+    for lo in range(0, len(trace), SMOOTH_BLOCK):
+        u, i = trace.read(lo, min(lo + SMOOTH_BLOCK, len(trace)))
+        bad = np.flatnonzero(~(np.isfinite(u) & np.isfinite(i)))
         if bad.size:
-            k = lo + int(bad[0])
-            raise ExtractionError(f"{path}: sample {k} is not finite"
-                                  f" (u={trace.u[k]:g}, i={trace.i[k]:g})")
+            k = int(bad[0])
+            raise ExtractionError(f"{path}: sample {lo + k} is not finite"
+                                  f" (u={u[k]:g}, i={i[k]:g})")
     return trace
 
 
@@ -150,7 +189,8 @@ def read_trace_csv(path, samples_per_cycle: int = SAMPLES_PER_CYCLE) -> RawTrace
     return RawTrace(u=data[:, 0], i=data[:, 1], samples_per_cycle=samples_per_cycle)
 
 
-def read_trace_iuw(path, samples_per_cycle: int = SAMPLES_PER_CYCLE) -> RawTrace:
+def read_trace_iuw(path, samples_per_cycle: int = SAMPLES_PER_CYCLE) -> IuwTrace:
+    """The .iuw file as an `IuwTrace`, once its header and size agree."""
     with open(path, "rb") as fh:
         head = fh.read(8)
         if head[:4] != IUW_MAGIC:
@@ -159,11 +199,10 @@ def read_trace_iuw(path, samples_per_cycle: int = SAMPLES_PER_CYCLE) -> RawTrace
             raise ExtractionError(f"truncated header in {path}")
         (count,) = struct.unpack("<I", head[4:])
         size = os.fstat(fh.fileno()).st_size - 8
-        if size != 8 * count:   # checked first: the count sizes the allocation
-            raise ExtractionError(f"trace {path}: header counts {count} pairs"
-                                  f" ({8 * count} bytes), the file holds {size} bytes")
-        pairs = np.fromfile(fh, dtype="<f4", count=2 * count).reshape(-1, 2)
-    return RawTrace(u=pairs[:, 0], i=pairs[:, 1], samples_per_cycle=samples_per_cycle)
+    if size != 8 * count:
+        raise ExtractionError(f"trace {path}: header counts {count} pairs"
+                              f" ({8 * count} bytes), the file holds {size} bytes")
+    return IuwTrace(path=str(path), n=count, samples_per_cycle=samples_per_cycle)
 
 
 def write_trace_iuw(trace: RawTrace, path) -> None:
@@ -222,26 +261,29 @@ def smoothing_half_widths(stop: int, set_locations, start: int = 0) -> np.ndarra
     return h
 
 
-def smooth_adaptive(i, set_locations, start: int = 0, stop=None, carry: float = 0.0,
+def smooth_adaptive(trace, set_locations, start: int = 0, stop=None, carry: float = 0.0,
                     resume=()):
-    """Adaptive moving average of the current i[start:stop] (all of it by
-    default) in float64, and the carries of spans starting at ``resume``.
+    """Adaptive moving average of the trace's current over samples
+    start..stop-1 (all of them by default) in float64, and the carries of
+    spans starting at ``resume``.
 
-    Every window sum is a difference of one cumulative sum of i, run in
-    sample order from SMOOTH_REACH samples before the span,
-    or sample 0, on from ``carry``: the sum before that point, as an earlier
-    span returned it.  So spans smoothed one by one keep the bits of one
-    whole-trace sum.  The index arithmetic runs SMOOTH_BLOCK samples at a time."""
-    n = i.size
+    Every window sum is a difference of one cumulative sum of the current,
+    run in sample order from SMOOTH_REACH samples before the span, or sample
+    0, on from ``carry``: the sum before that point, as an earlier span
+    returned it.  So spans smoothed one by one keep the bits of one
+    whole-trace sum, and each reads only its own samples, SMOOTH_REACH more
+    on either side.  The index arithmetic runs SMOOTH_BLOCK samples at a time."""
+    n = len(trace)
     stop = n if stop is None else stop
     locs = np.asarray(set_locations, dtype=np.int64)
     if locs.size and (locs.min() < 0 or locs.max() >= n):
         raise ValueError("set locations out of range")
     h = smoothing_half_widths(stop, locs, start)
     base = max(start - SMOOTH_REACH, 0)
-    cs = np.empty(min(stop + SMOOTH_REACH, n) - base + 1)
+    end = min(stop + SMOOTH_REACH, n)
+    cs = np.empty(end - base + 1)
     cs[0] = carry
-    cs[1:] = i[base : base + cs.size - 1]
+    cs[1:] = trace.read(base, end)[1]
     # from sample 0 the first sum is the first sample itself, not 0 + it
     run = cs[1:] if base == 0 else cs
     np.cumsum(run, out=run)
@@ -255,7 +297,7 @@ def smooth_adaptive(i, set_locations, start: int = 0, stop=None, carry: float = 
     return sm, cs[np.maximum(np.asarray(resume, dtype=np.int64) - SMOOTH_REACH, 0) - base]
 
 
-def split_cycles(trace: RawTrace):
+def split_cycles(trace):
     """Cycle boundaries at the positive apex of the voltage in each nominal
     period window.
 
@@ -263,7 +305,8 @@ def split_cycles(trace: RawTrace):
     non-overlapping (start, stop) rows, plus how many leading/trailing
     partial segments were cut.  A trailing segment is kept only if it spans
     at least a nominal period minus CYCLE_SLACK samples.  The apexes are found
-    CYCLE_BLOCK periods at a time, each block copied contiguous first.
+    CYCLE_BLOCK periods at a time, each block's voltage read and copied
+    contiguous first.
     """
     n = len(trace)
     period = trace.samples_per_cycle
@@ -272,9 +315,9 @@ def split_cycles(trace: RawTrace):
         return np.empty((0, 2), dtype=np.int64), (1 if n else 0)
     apex = period * np.arange(n_windows, dtype=np.int64)
     for lo in range(0, n_windows, CYCLE_BLOCK):
-        block = trace.u[lo * period : min(lo + CYCLE_BLOCK, n_windows) * period]
+        u, _ = trace.read(lo * period, min(lo + CYCLE_BLOCK, n_windows) * period)
         apex[lo : lo + CYCLE_BLOCK] += np.argmax(
-            np.ascontiguousarray(block).reshape(-1, period), axis=1)
+            np.ascontiguousarray(u).reshape(-1, period), axis=1)
     tail = n - int(apex[-1])
     stops = np.append(apex[1:], n) if tail >= period - CYCLE_SLACK else apex[1:]
     dropped = int(apex[0] > 0) + int(0 < tail < period - CYCLE_SLACK)
@@ -489,45 +532,58 @@ def fit_state_polynomials(u, i, turn, u_s, u_r, u0: float):
     return r_h, r_l, hrs, lrs, reason
 
 
-def detect_set_locations(trace: RawTrace, boundaries):
+def detect_set_locations(trace, boundaries):
     """First downward crossing of SET_CURRENT_THRESHOLD on the raw current in
-    each cycle of ``boundaries`` (`split_cycles`' rows).
+    each cycle of ``boundaries`` (`split_cycles`' rows): the first sample at
+    or below it after one above it (or NaN) in the same cycle.  The crossings
+    are found over each block's samples at once, compared in float64.
 
     Returns (indices, n_missing); cycles without a crossing contribute no
     index and are counted.
     """
     locs = []
-    for starts, lengths, width in _cycle_blocks(boundaries):
-        k = _first_crossings(_rows(trace.i, starts, lengths, width, np.nan),
-                             SET_CURRENT_THRESHOLD)
-        locs.append((starts + k + 1)[k >= 0])
+    for starts, lengths, _ in _cycle_blocks(boundaries):
+        stops = starts + lengths
+        _, i = trace.read(starts[0], stops[-1])
+        below = i <= np.float64(SET_CURRENT_THRESHOLD)
+        # every crossing in the block, then the block's end: no crossing
+        cross = np.append(np.flatnonzero(below[1:] & ~below[:-1]) + starts[0] + 1, stops[-1])
+        first = cross[np.searchsorted(cross, starts + 1)]
+        locs.append(first[first < stops])
     locs = np.concatenate(locs) if locs else np.empty(0, dtype=np.int64)
     return locs, len(boundaries) - locs.size
 
 
-def _pooled_points(trace: RawTrace, bounds, features, set_locs, carries):
+def _pooled_points(trace, bounds, features, set_locs, carries):
     """The limit fit's pooled points (see `ExtractionResult`) and how many
-    cycles each pool holds, from the rows of the pooled cycles alone,
-    smoothed again from their carries.  ``bounds``, ``features`` and the
-    smoothing ``carries`` (see `smooth_adaptive`) are the kept cycles'."""
+    cycles each pool holds, from the rows of the pooled cycles alone, each
+    read again and smoothed again from its carry, CYCLE_BLOCK rows at a time.
+    ``bounds``, ``features`` and the smoothing ``carries`` (see
+    `smooth_adaptive`) are the kept cycles'."""
     r_h, u_s, r_l, u_r = features.T
     top = r_h >= np.quantile(r_h, 1.0 - LIMIT_PERCENTILE / 100.0)
     bottom = r_l <= np.quantile(r_l, LIMIT_PERCENTILE / 100.0)
-    pool = top | bottom
-    starts, stops = bounds[pool].T
-    lengths = stops - starts
-    width = int(lengths.max()) + 1
-    u = _rows(trace.u, starts, lengths, width, np.inf)
-    i = _rows(trace.i, starts, lengths, width, np.nan)
-    for row, (start, stop, carry) in enumerate(zip(starts, stops, carries[pool])):
-        i[row, : stop - start] = smooth_adaptive(trace.i, set_locs, start, stop, carry)[0]
-    m_h, m_l = _branch_masks(u, i, np.argmin(u, axis=1), u_s[pool], u_r[pool])
-    m_h &= top[pool, None]
-    m_l &= bottom[pool, None]
-    return (u[m_h], i[m_h]), (u[m_l], i[m_l]), (int(top.sum()), int(bottom.sum()))
+    pool = np.flatnonzero(top | bottom)
+    hrs, lrs = [], []
+    for lo in range(0, pool.size, CYCLE_BLOCK):
+        rows = pool[lo : lo + CYCLE_BLOCK]
+        starts, stops = bounds[rows].T
+        width = int((stops - starts).max()) + 1
+        u = np.full((rows.size, width), np.inf)
+        i = np.full((rows.size, width), np.nan)
+        for row, (start, stop, carry) in enumerate(zip(starts, stops, carries[rows])):
+            u[row, : stop - start] = trace.read(start, stop)[0]
+            i[row, : stop - start] = smooth_adaptive(trace, set_locs, start, stop, carry)[0]
+        m_h, m_l = _branch_masks(u, i, np.argmin(u, axis=1), u_s[rows], u_r[rows])
+        m_h &= top[rows, None]
+        m_l &= bottom[rows, None]
+        hrs.append((u[m_h], i[m_h]))
+        lrs.append((u[m_l], i[m_l]))
+    hrs, lrs = (tuple(map(np.concatenate, zip(*points))) for points in (hrs, lrs))
+    return hrs, lrs, (int(top.sum()), int(bottom.sum()))
 
 
-def extract_features(trace: RawTrace) -> ExtractionResult:
+def extract_features(trace) -> ExtractionResult:
     """Reduce a whole trace to the per-cycle feature series and the pooled
     branch points of the limit fit (see `ExtractionResult`).
 
@@ -553,10 +609,11 @@ def extract_features(trace: RawTrace) -> ExtractionResult:
 
     features, reasons, carries, edge, carry = [], [], [], 0, 0.0
     for starts, lengths, width in _cycle_blocks(boundaries):
-        u = _rows(trace.u, starts, lengths, width, np.inf)
-        i = i_raw = _rows(trace.i, starts, lengths, width, np.nan)   # frees the last block's i
         stop = int(starts[-1] + lengths[-1])
-        sm, marks = smooth_adaptive(trace.i, set_locs, edge, stop, carry, np.append(starts, stop))
+        u, i = trace.read(starts[0], stop)
+        u = _rows(u, starts - starts[0], lengths, width, np.inf)
+        i = i_raw = _rows(i, starts - starts[0], lengths, width, np.nan)   # frees the read
+        sm, marks = smooth_adaptive(trace, set_locs, edge, stop, carry, np.append(starts, stop))
         carries.append(marks[:-1])
         i = _rows(sm, starts - edge, lengths, width, np.nan)
         edge, carry = stop, marks[-1]

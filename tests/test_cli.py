@@ -20,6 +20,8 @@ from stochsyn.cli import main
 from stochsyn.conduction import LIMIT_PERCENTILE, U0_DEFAULT, fit_conduction_poly
 from stochsyn.transform import GAMMA_DEGREE
 from stochsyn.waveform import (
+    CYCLE_BLOCK,
+    SMOOTH_BLOCK,
     RawTrace,
     _branch_masks,
     extract_features,
@@ -129,7 +131,7 @@ def _per_cycle_limits_json(trace_path) -> str:
     trace = read_trace(trace_path)
     result = extract_features(trace)
     bounds, _ = split_cycles(trace)
-    work = _smoothed(trace)
+    work = _smoothed(RawTrace(*trace.read(0, len(trace))))
     windows = []
     for k, (_, u_s, _, u_r) in zip(result.cycles, result.features):
         lo, hi = bounds[k]
@@ -188,11 +190,11 @@ def _extract_peak(path, out_dir) -> int:
     return peak
 
 
-def test_extract_peak_grows_by_little_more_than_the_file(ref_bundle, tmp_path):
-    # Doubling a .iuw from 2000 to 4000 cycles adds 8 B per added sample of
-    # file.  A whole-trace smoothing added 17 B more (its int8 half-widths,
-    # float64 cumulative sum and output: 24.9 B in all); smoothing block by
-    # block holds none of them for the whole trace.
+@pytest.fixture(scope="module")
+def iuw_extract_peaks(ref_bundle, tmp_path_factory):
+    """The samples of a 2000- and a 4000-cycle .iuw and the tracemalloc peak
+    of one `extract --limits-out` of each."""
+    tmp_path = tmp_path_factory.mktemp("peaks")
     peaks, samples = [], []
     for cycles in (2000, 4000):
         feats = synth.sample_features(ref_bundle, cycles, seed=5)
@@ -201,7 +203,23 @@ def test_extract_peak_grows_by_little_more_than_the_file(ref_bundle, tmp_path):
         samples.append(len(trace))
         del trace
         peaks.append(_extract_peak(tmp_path / f"t{cycles}.iuw", tmp_path))
+    return samples, peaks
+
+
+def test_extract_peak_grows_by_little_more_than_the_file(iuw_extract_peaks):
+    # Doubling a .iuw from 2000 to 4000 cycles adds 8 B per added sample of
+    # file.  A whole-trace smoothing added 17 B more (its int8 half-widths,
+    # float64 cumulative sum and output: 24.9 B in all); smoothing block by
+    # block holds none of them for the whole trace.
+    samples, peaks = iuw_extract_peaks
     assert (peaks[1] - peaks[0]) / (samples[1] - samples[0]) < 10.0
+
+
+def test_extract_peak_does_not_grow_with_an_iuw(iuw_extract_peaks):
+    # Holding the file's float32 pairs took 8.1 B per added sample; reading
+    # each block from the file leaves the per-cycle results, about 0.1 B.
+    samples, peaks = iuw_extract_peaks
+    assert (peaks[1] - peaks[0]) / (samples[1] - samples[0]) < 1.0
 
 
 @pytest.mark.parametrize("suffix", [".iuw", ".csv"])
@@ -250,7 +268,7 @@ def test_extract_reads_a_csv_trace_as_its_iuw(corpus, tmp_path):
     # same float32 values written with repr
     trace = read_trace(corpus / "trace.iuw")
     n = 300 * trace.samples_per_cycle
-    part = RawTrace(u=trace.u[:n], i=trace.i[:n])
+    part = RawTrace(*trace.read(0, n))
     write_trace_iuw(part, tmp_path / "t.iuw")
     (tmp_path / "t.csv").write_text("u,i\n" + "".join(
         f"{u!r},{i!r}\n" for u, i in zip(part.u.tolist(), part.i.tolist())))
@@ -309,7 +327,8 @@ def test_extract_rejects_an_iuw_count_beyond_the_file_without_allocating(tmp_pat
 def _tiled_trace(corpus, path, copies):
     """The corpus trace repeated `copies` times, written as .iuw."""
     trace = read_trace(corpus / "trace.iuw")
-    write_trace_iuw(RawTrace(u=np.tile(trace.u, copies), i=np.tile(trace.i, copies)), path)
+    u, i = trace.read(0, len(trace))
+    write_trace_iuw(RawTrace(u=np.tile(u, copies), i=np.tile(i, copies)), path)
     return len(trace) * copies
 
 
@@ -328,16 +347,45 @@ def test_extract_rejects_an_iuw_count_below_the_file(corpus, tmp_path, capsys):
 
 def test_extract_rejects_non_finite_samples(corpus, tmp_path, capsys):
     # 100 NaN currents in cycle 1000 of a 2000-cycle trace: the smoothing's
-    # running sums would carry them into every later cycle
+    # running sums would carry them into every later cycle.  The file is
+    # checked SMOOTH_BLOCK samples at a time, so a NaN voltage at the first
+    # sample of a block and a NaN current at the last sample, in the last,
+    # partial block, are named too.
     path = tmp_path / "nan.iuw"
-    _tiled_trace(corpus, path, 5)
+    n = _tiled_trace(corpus, path, 5)
     trace = read_trace(path)
-    first = 1000 * trace.samples_per_cycle + 300
-    trace.i[first:first + 100] = np.nan
-    write_trace_iuw(trace, path)
+    clean = trace.read(0, n)
+    assert n % SMOOTH_BLOCK
+    for first, count, channel in ((1000 * trace.samples_per_cycle + 300, 100, 1),
+                                  (3 * SMOOTH_BLOCK, 1, 0), (n - 1, 1, 1)):
+        u, i = (c.copy() for c in clean)
+        (u, i)[channel][first:first + count] = np.nan
+        write_trace_iuw(RawTrace(u=u, i=i), path)
+        assert main(["extract", str(path), str(tmp_path / "o.csv")]) == 1
+        err = capsys.readouterr().err
+        assert f"sample {first} is not finite" in err and "nan.iuw" in err
+
+
+def test_extract_fails_on_an_iuw_cut_short_after_it_was_opened(corpus, tmp_path, capsys,
+                                                              monkeypatch):
+    # the header and size checks pass when the file is opened; a file cut to
+    # 200 of its 400 cycles before extraction reads it fails the first read
+    # past the cut, naming the file and the range
+    path = tmp_path / "cut.iuw"
+    path.write_bytes((corpus / "trace.iuw").read_bytes())
+    open_trace = cli.waveform.read_trace
+
+    def open_then_cut(*args, **kwargs):
+        trace = open_trace(*args, **kwargs)
+        os.truncate(path, 8 + 8 * 200 * trace.samples_per_cycle)
+        return trace
+
+    monkeypatch.setattr(cli.waveform, "read_trace", open_then_cut)
     assert main(["extract", str(path), str(tmp_path / "o.csv")]) == 1
     err = capsys.readouterr().err
-    assert f"sample {first} is not finite" in err and "nan.iuw" in err
+    hi = CYCLE_BLOCK * 1042
+    assert f"cut.iuw: samples 0..{hi - 1} cut short at {200 * 1042}" in err, err
+    assert not (tmp_path / "o.csv").exists()
 
 
 def test_cli_import_leaves_scipy_stats_unloaded():
@@ -439,6 +487,8 @@ def test_fit_prints_its_fallbacks_when_it_fails(tmp_path, capsys):
     assert err[0].startswith("warning: degree-5 quantile fit not monotone (r_h)")
     assert err[1].startswith("warning: degree-4 quantile fit not monotone (r_h)")
     assert err[2].startswith("error: quantile polynomial for 'r_h' not increasing")
+    # fit takes no degree: the advice is only what the command line can do
+    assert err[2].endswith("; fit a features file with more cycles")
     # the diagnostics record the same fallbacks and error; no parameter file is written
     diag = json.loads((tmp_path / "b.ssyn.diag.json").read_text())
     assert diag["gamma_fallbacks"] == [line.removeprefix("warning: ") for line in err[:2]]

@@ -148,7 +148,8 @@ assert cli.main(["synth", str(CORPUS), "-n", "1200", "--seed", "1", "--trace-cyc
 
 _TRACE = r"""
 trace = cli.waveform.read_trace(CORPUS / "trace.iuw")
-LINES = ["u,i"] + [f"{u!r},{i!r}" for u, i in zip(trace.u.tolist(), trace.i.tolist())]
+U, I = trace.read(0, len(trace))
+LINES = ["u,i"] + [f"{u!r},{i!r}" for u, i in zip(U.tolist(), I.tolist())]
 
 
 @fuzz(mutations(LINES, [NUMBER] * 2), 120)

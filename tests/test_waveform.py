@@ -66,7 +66,7 @@ def test_half_widths_far_and_at_transition():
 def test_smoothing_constant_unchanged():
     trace = RawTrace(u=np.linspace(-1, 1, 500), i=np.full(500, 3.3e-6),
                      samples_per_cycle=500)
-    out, _ = smooth_adaptive(trace.i, [250])
+    out, _ = smooth_adaptive(trace, [250])
     assert np.allclose(out, 3.3e-6, rtol=1e-12)
 
 
@@ -75,8 +75,8 @@ def test_smoothing_preserves_flagged_step():
     i = np.zeros(n)
     i[200:] = 1.0
     trace = RawTrace(u=np.zeros(n), i=i, samples_per_cycle=n)
-    adaptive = smooth_adaptive(trace.i, [200])[0]
-    uniform = smooth_adaptive(trace.i, [])[0]
+    adaptive = smooth_adaptive(trace, [200])[0]
+    uniform = smooth_adaptive(trace, [])[0]
     # midpoint slope: adaptive keeps the edge within a 3-sample blur,
     # the uniform 25-sample window flattens it
     slope_a = adaptive[201] - adaptive[199]
@@ -94,7 +94,7 @@ def test_smoothing_peak_memory_per_sample():
     locs = np.arange(600, u.size, 1042)
     tracemalloc.start()
     try:
-        smooth_adaptive(trace.i, locs)
+        smooth_adaptive(trace, locs)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -109,7 +109,7 @@ def test_smoothing_half_widths_take_one_byte_per_sample():
     locs = np.arange(600, n, 1042)
     tracemalloc.start()
     try:
-        smooth_adaptive(trace.i, locs)
+        smooth_adaptive(trace, locs)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -132,7 +132,7 @@ def _smoothed(trace):
     """The trace with its current smoothed around its set locations in one
     whole-trace call."""
     locs, _ = detect_set_locations(trace, split_cycles(trace)[0])
-    return RawTrace(u=trace.u, i=smooth_adaptive(trace.i, locs)[0],
+    return RawTrace(u=trace.u, i=smooth_adaptive(trace, locs)[0],
                     samples_per_cycle=trace.samples_per_cycle)
 
 
@@ -141,7 +141,7 @@ def test_smoothing_from_sample_0_starts_at_the_first_sample():
     # it, so a trace that starts at -0.0 smooths to -0.0 there
     i = np.concatenate([np.full(40, -0.0), np.random.default_rng(4).normal(0.0, 1e-6, 200)])
     want, _ = _whole_trace_smoothing(i, [])
-    got, _ = smooth_adaptive(i, [])
+    got, _ = smooth_adaptive(RawTrace(u=np.zeros_like(i), i=i), [])
     assert np.signbit(got[0]) and got.tobytes() == want.tobytes()
 
 
@@ -192,19 +192,19 @@ def test_smoothing_carried_block_to_block_is_the_whole_trace_sum(ref_bundle, cas
     # the spans extract_features smooths, each from the previous one's carry
     got, carry = [], 0.0
     for start, stop in zip(edges[:-1], edges[1:]):
-        sm, (carry,) = smooth_adaptive(trace.i, locs, start, stop, carry, [stop])
+        sm, (carry,) = smooth_adaptive(trace, locs, start, stop, carry, [stop])
         assert carry.tobytes() == cs[max(stop - SMOOTH_REACH, 0)].tobytes()
         got.append(sm)
     assert np.concatenate(got).tobytes() == want[: edges[-1]].tobytes()
     # every cycle alone, from the carry of its start, as the pooled ones are
     for start, stop in bounds:
-        sm, _ = smooth_adaptive(trace.i, locs, start, stop, cs[max(start - SMOOTH_REACH, 0)])
+        sm, _ = smooth_adaptive(trace, locs, start, stop, cs[max(start - SMOOTH_REACH, 0)])
         assert sm.tobytes() == want[start:stop].tobytes()
 
     # extract_features against itself on the reference's smoothing
     result = extract_features(trace)
 
-    def reference(i, set_locations, start=0, stop=None, carry=0.0, resume=()):
+    def reference(trace, set_locations, start=0, stop=None, carry=0.0, resume=()):
         at = np.maximum(np.asarray(resume, dtype=np.int64) - SMOOTH_REACH, 0)
         return want[start : len(trace) if stop is None else stop], cs[at]
 
@@ -219,7 +219,7 @@ def test_smoothing_carried_block_to_block_is_the_whole_trace_sum(ref_bundle, cas
 def test_smoothing_rejects_out_of_range_locations():
     trace = RawTrace(u=np.zeros(10), i=np.zeros(10), samples_per_cycle=10)
     with pytest.raises(ValueError):
-        smooth_adaptive(trace.i, [99])
+        smooth_adaptive(trace, [99])
 
 
 # -- segmentation ---------------------------------------------------------------
@@ -694,10 +694,11 @@ def test_read_trace_keeps_an_iuw_at_its_float32_width(tmp_path):
     tracemalloc.start()
     try:
         trace = read_trace(tmp_path / "t.iuw")
+        u, i = trace.read(0, len(trace))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert trace.u.dtype == trace.i.dtype == np.float32
+    assert u.dtype == i.dtype == np.float32
     assert peak < 12 * n
 
 
@@ -726,8 +727,9 @@ def test_trace_and_features_file_roundtrip(tmp_path, ref_bundle):
     path = tmp_path / "t.iuw"
     write_trace_iuw(trace, path)
     back = read_trace_iuw(path)
-    assert np.allclose(back.u, trace.u, atol=1e-6)
-    assert np.allclose(back.i, trace.i, atol=1e-9)
+    u, i = back.read(0, len(back))
+    assert np.allclose(u, trace.u, atol=1e-6)
+    assert np.allclose(i, trace.i, atol=1e-9)
 
     fpath = tmp_path / "f.csv"
     write_features_csv(feats, fpath)
