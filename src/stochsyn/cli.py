@@ -34,6 +34,7 @@ PARAMS_ENV = "STOCHSYN_PARAMS"
 BENCH_AMPLITUDE = 1.5
 BENCH_MODES = ("write", "read")
 PRESET_CYCLES = 300
+FLOAT_OPTIONS = ("-a", "--u-read", "--bandwidth", "--i-min", "--i-max")   # of sim and bench
 
 
 class UsageError(Exception):
@@ -61,6 +62,27 @@ def _mode_list(text):
     if not modes or not set(modes) <= set(BENCH_MODES):
         raise argparse.ArgumentTypeError(f"need modes from {','.join(BENCH_MODES)}, got {text!r}")
     return modes
+
+
+def _join_float_values(argv):
+    """argv with each FLOAT_OPTIONS option joined by ``=`` to a separate
+    value that parses as a float: argparse takes a separate ``-1e-6`` for an
+    option, not for a value, but reads ``--i-min=-1e-6`` as meant."""
+    out = []
+    for tok in argv:
+        if out and out[-1] in FLOAT_OPTIONS and _parses_as_float(tok):
+            out[-1] += "=" + tok
+        else:
+            out.append(tok)
+    return out
+
+
+def _parses_as_float(text) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
 
 
 def _params_path(args) -> str:
@@ -468,7 +490,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_join_float_values(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
     try:

@@ -96,10 +96,12 @@ class RawTrace:
 class IuwTrace:
     """A .iuw trace file of ``n`` (u, i) float32 pairs, read range by range:
     `read` takes only the range's bytes from the file, so the trace is never
-    held whole.  `read_trace_iuw` opens it and checks its header and size."""
+    held whole.  `read_trace_iuw` opens it, checks its header and size and
+    records its ``identity`` (`_file_identity`), which every read checks."""
 
     path: str
     n: int
+    identity: tuple
     samples_per_cycle: int = SAMPLES_PER_CYCLE
 
     def __len__(self):
@@ -107,15 +109,20 @@ class IuwTrace:
 
     def read(self, lo: int, hi: int):
         """The (u, i) samples lo..hi-1 as float32 column views of their pairs.
-        A file that has become shorter than its header says fails the read."""
+        A file that has become shorter than its header says, or that was
+        replaced or written since it was opened, fails the read."""
         pairs = np.empty((hi - lo, 2), dtype="<f4")
         with open(self.path, "rb", buffering=0) as fh:
             fh.seek(8 + 8 * lo)
             got = fh.readinto(pairs) // 8
+            identity = _file_identity(fh)
         if got != hi - lo:
             raise ExtractionError(f"trace {self.path}: samples {lo}..{hi - 1} cut short at"
                                   f" {lo + got}: the file holds fewer than the header's"
                                   f" {self.n} pairs")
+        if identity != self.identity:
+            raise ExtractionError(f"trace {self.path}: replaced or written since it was"
+                                  f" opened (read of samples {lo}..{hi - 1})")
         return pairs[:, 0], pairs[:, 1]
 
 
@@ -190,7 +197,8 @@ def read_trace_csv(path, samples_per_cycle: int = SAMPLES_PER_CYCLE) -> RawTrace
 
 
 def read_trace_iuw(path, samples_per_cycle: int = SAMPLES_PER_CYCLE) -> IuwTrace:
-    """The .iuw file as an `IuwTrace`, once its header and size agree."""
+    """The .iuw file as an `IuwTrace` with the file's identity, once its
+    header and size agree."""
     with open(path, "rb") as fh:
         head = fh.read(8)
         if head[:4] != IUW_MAGIC:
@@ -198,11 +206,20 @@ def read_trace_iuw(path, samples_per_cycle: int = SAMPLES_PER_CYCLE) -> IuwTrace
         if len(head) < 8:
             raise ExtractionError(f"truncated header in {path}")
         (count,) = struct.unpack("<I", head[4:])
-        size = os.fstat(fh.fileno()).st_size - 8
+        identity = _file_identity(fh)
+    size = identity[2] - 8
     if size != 8 * count:
         raise ExtractionError(f"trace {path}: header counts {count} pairs"
                               f" ({8 * count} bytes), the file holds {size} bytes")
-    return IuwTrace(path=str(path), n=count, samples_per_cycle=samples_per_cycle)
+    return IuwTrace(path=str(path), n=count, identity=identity,
+                    samples_per_cycle=samples_per_cycle)
+
+
+def _file_identity(fh) -> tuple:
+    """(device, inode, size, mtime in ns) of an open file: another file
+    renamed over the path, or a write to it, changes it."""
+    st = os.fstat(fh.fileno())
+    return st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns
 
 
 def write_trace_iuw(trace: RawTrace, path) -> None:

@@ -388,15 +388,75 @@ def test_extract_fails_on_an_iuw_cut_short_after_it_was_opened(corpus, tmp_path,
     assert not (tmp_path / "o.csv").exists()
 
 
-def test_cli_import_leaves_scipy_stats_unloaded():
-    # no scipy module at all: only `fit` imports it, inside `transform.fit_map`
+def test_extract_fails_on_an_iuw_replaced_after_it_was_opened(corpus, tmp_path, capsys,
+                                                             monkeypatch):
+    # after ten reads a copy of the trace with its current negated, of the
+    # same length, is renamed over it: the next read, which would take the
+    # copy's samples, fails naming the file
+    path = tmp_path / "swapped.iuw"
+    data = (corpus / "trace.iuw").read_bytes()
+    path.write_bytes(data)
+    pairs = np.frombuffer(data, dtype="<f4", offset=8).reshape(-1, 2) * np.float32([1, -1])
+    negated = tmp_path / "negated.iuw"
+    negated.write_bytes(data[:8] + pairs.astype("<f4").tobytes())
+    read = cli.waveform.IuwTrace.read
+    reads = []
+
+    def read_then_replace(self, lo, hi):
+        reads.append((lo, hi))
+        if len(reads) == 11:
+            os.replace(negated, path)
+        return read(self, lo, hi)
+
+    monkeypatch.setattr(cli.waveform.IuwTrace, "read", read_then_replace)
+    assert main(["extract", str(path), str(tmp_path / "o.csv")]) == 1
+    err = capsys.readouterr().err
+    lo, hi = reads[10]
+    assert (f"swapped.iuw: replaced or written since it was opened"
+            f" (read of samples {lo}..{hi - 1})") in err, err
+    assert len(reads) == 11
+    assert not (tmp_path / "o.csv").exists()
+
+
+_SCIPY_MODULES = ("sorted(name for name in sys.modules"
+                  " if name == 'scipy' or name.startswith('scipy.'))")
+
+
+def _fresh_python(code, *args):
+    """Standard output of ``code`` run in a new interpreter that imports this
+    checkout's stochsyn."""
     src = str(Path(stochsyn.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    run = subprocess.run(
-        [sys.executable, "-c", "import sys, stochsyn.cli; print(sorted(name for name in"
-         " sys.modules if name == 'scipy' or name.startswith('scipy.')))"],
-        env=env, capture_output=True, text=True, check=True)
-    assert run.stdout.strip() == "[]"
+    return subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True,
+                          text=True, check=True).stdout
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    # no scipy module at all: the runtime needs numpy alone
+    out = _fresh_python(f"import sys, stochsyn.cli; print({_SCIPY_MODULES})")
+    assert out.strip() == "[]"
+
+
+def test_no_command_loads_scipy(tmp_path):
+    # every command, `fit` among them, in one interpreter: `fit`'s normal
+    # quantiles come from `transform._ndtri`, not from scipy
+    code = f"""
+import sys
+from stochsyn.cli import main
+d = sys.argv[1]
+for argv in (["synth", d + "/c", "-n", "1500", "--seed", "3", "--trace-cycles", "60"],
+             ["extract", d + "/c/trace.iuw", d + "/x.csv"],
+             ["fit", d + "/c/features.csv", "-o", d + "/f.ssyn", "-p", "2"],
+             ["generate", d + "/f.ssyn", "-n", "100", "--seed", "4", "-o", d + "/g.csv"],
+             ["sim", d + "/f.ssyn", "-m", "8", "--seed", "5", "--preset", "multilevel",
+              "--cycles", "2", "--readout-out", d + "/r.csv", "--state-out", d + "/s.csv"],
+             ["bench", d + "/f.ssyn", "-m", "8", "--seed", "6", "--orders", "2",
+              "--pulses", "1", "--reads", "1", "-o", d + "/b.csv"]):
+    assert main(argv) == 0, argv
+print({_SCIPY_MODULES})
+"""
+    out = _fresh_python(code, str(tmp_path))
+    assert out.strip().splitlines()[-1] == "[]"
 
 
 def test_fit_generate_pipeline(corpus, tmp_path):
@@ -740,8 +800,7 @@ def test_sim_csvs_equal_the_f_string_rendering(corpus, tmp_path):
 
 def test_sim_readout_flags_set_their_fields(corpus, tmp_path):
     # a distinct value per flag, so a flag that sets another field moves the
-    # output or fails the readout's checks; a negative number in scientific
-    # notation needs the `=` form, or argparse reads it as an option
+    # output or fails the readout's checks
     readout = ReadoutConfig(u_read=0.25, delta_f=4e6, n_bits=7, i_min=-2e-6, i_max=50e-6)
     ro, st = tmp_path / "ro.csv", tmp_path / "st.csv"
     rc = main(["sim", str(corpus / "params.ssyn"), "-m", "64", "--seed", "8", "--order", "10",
@@ -754,6 +813,31 @@ def test_sim_readout_flags_set_their_fields(corpus, tmp_path):
     want_ro, want_st = _f_string_sim(corpus / "params.ssyn", 64, 8, events, readout, p=10)
     assert ro.read_bytes() == want_ro.encode()
     assert st.read_bytes() == want_st.encode()
+
+
+@pytest.mark.parametrize("command, option", [
+    ("sim", "-a"), ("sim", "--u-read"), ("sim", "--bandwidth"), ("sim", "--i-min"),
+    ("sim", "--i-max"), ("bench", "-a"),
+])
+@pytest.mark.parametrize("value, want", [
+    ("-1e-6", -1e-6), ("-2E-1", -0.2), ("-.5e+1", -5.0), ("-0.2", -0.2), ("3e-6", 3e-6),
+    ("=-1e-6", -1e-6), ("abc", None), ("-abc", None), ("=-x", None),
+])
+def test_float_options_take_a_negative_value_in_scientific_notation(monkeypatch, command, option,
+                                                                    value, want):
+    # argparse alone reads a separate -1e-6 as an option and exits 2; a value
+    # that is not a number still does
+    parsed = []
+    monkeypatch.setattr(cli, f"cmd_{command}", lambda args: parsed.append(args) or 0)
+    given = [option + value] if value.startswith("=") else [option, value]
+    argv = {"sim": ["sim", "p.ssyn", "-m", "4", "--seed", "1", "--preset", "multilevel"],
+            "bench": ["bench", "p.ssyn", "--seed", "1", "-o", "b.csv"]}[command]
+    rc = main([*argv, *given])
+    if want is None:
+        assert rc == 2 and not parsed
+    else:
+        assert rc == 0
+        assert getattr(parsed[0], option.lstrip("-").replace("-", "_")) == want
 
 
 @pytest.mark.parametrize("script, row", [

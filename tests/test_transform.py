@@ -1,11 +1,17 @@
+import math
+
 import numpy as np
 import pytest
+from scipy.special import ndtri
 from scipy.stats import norm
 
 from stochsyn.stats import wasserstein1
 from stochsyn.transform import (
     MonotonicityError,
+    N_QUANTILES,
+    PROB_RANGE,
     NormalizingMap,
+    _ndtri,
     fit_map,
     fit_map_with_fallback,
     forward_map,
@@ -44,6 +50,46 @@ def test_quantiles_match_sorted_interpolation_oracle():
     hi = np.ceil(pos).astype(int)
     oracle = xs[lo] + (pos - lo) * (xs[hi] - xs[lo])
     assert np.allclose(got, oracle, rtol=1e-12)
+
+
+def _assert_ndtri_bits(p):
+    got = np.array([_ndtri(v) for v in p.tolist()])
+    ref = ndtri(p)
+    diff = np.flatnonzero(got.view(np.int64) != ref.view(np.int64))
+    assert diff.size == 0, [(p[k], got[k], ref[k]) for k in diff[:5]]
+
+
+def test_ndtri_port_matches_scipy_on_the_fit_grid():
+    _assert_ndtri_bits(np.linspace(PROB_RANGE[0], PROB_RANGE[1], N_QUANTILES))
+
+
+def test_ndtri_port_matches_scipy_on_its_range():
+    # uniform draws for the central branch, log-uniform ones down to near
+    # exp(-32) in both tails, where the ported tail branch ends
+    rng = np.random.default_rng(28)
+    tail = np.exp(rng.uniform(-31.9, -2.0, 20_000))
+    _assert_ndtri_bits(np.concatenate([rng.uniform(0.0, 1.0, 20_000), tail, 1.0 - tail]))
+
+
+def test_ndtri_port_matches_scipy_at_its_branch_edges():
+    # np.nextafter neighbours of exp(-2) and 1 - exp(-2), where the central
+    # branch hands over to the tail branch
+    near = []
+    for edge in (math.exp(-2.0), 1.0 - math.exp(-2.0)):
+        for toward in (0.0, 1.0):
+            v = edge
+            for _ in range(4):
+                v = float(np.nextafter(v, toward))
+                near.append(v)
+        near.append(edge)
+    _assert_ndtri_bits(np.array(near))
+
+
+@pytest.mark.parametrize("p", [0.0, 1.0, -0.5, 1.5, math.nan, 1e-300, math.exp(-32.01),
+                               1.0 - math.exp(-32.01)])
+def test_ndtri_port_rejects_probabilities_outside_its_range(p):
+    with pytest.raises(ValueError):
+        _ndtri(p)
 
 
 def test_inverse_map_median_and_clamp(lognormal_map):
