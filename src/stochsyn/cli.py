@@ -135,10 +135,11 @@ def _readout_from_args(args, base: ReadoutConfig) -> ReadoutConfig:
 # ---------------------------------------------------------------------------
 
 def cmd_extract(args) -> int:
-    trace = waveform.read_trace(args.input, samples_per_cycle=args.samples_per_cycle)
+    trace = waveform.read_trace(args.input)
     result = waveform.extract_features(trace)
     waveform.write_features_csv(result.features, args.output, cycles=result.cycles + 1)
     report = {
+        "period": result.period,
         "cycles_total": result.n_cycles,
         "cycles_extracted": int(result.features.shape[0]),
         "set_detect_missing": result.set_missing,
@@ -413,8 +414,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("extract", help="reduce a cycling waveform to per-cycle features")
     p.add_argument("input", help="trace file (.csv with 'u,i' header, or .iuw)")
     p.add_argument("output", help="features CSV to write")
-    p.add_argument("--samples-per-cycle", type=_ints(1),
-                   default=waveform.SAMPLES_PER_CYCLE)
     p.add_argument("--report", default=None, help="exclusion report JSON path")
     p.add_argument("--limits-out", default=None,
                    help="write pooled limiting-polynomial estimates to this JSON")

@@ -28,6 +28,7 @@ from .waveform import RawTrace
 
 REFERENCE_ORDERS = (1, 10, 100)
 RENDER_BLOCK = 512               # cycles per block of `reconstruct_trace`
+SAMPLES_PER_CYCLE = 1042         # samples per rendered cycle, by default
 
 
 def reference_conduction() -> ConductionModel:
@@ -99,7 +100,7 @@ def sample_features(bundle: ParameterBundle, n: int, seed) -> np.ndarray:
 
 
 def reconstruct_trace(features: np.ndarray, conduction: ConductionModel,
-                      u_max: float = 1.5, samples_per_cycle: int = waveform.SAMPLES_PER_CYCLE,
+                      u_max: float = 1.5, samples_per_cycle: int = SAMPLES_PER_CYCLE,
                       noise_sigma: float = 1e-6, seed=0) -> RawTrace:
     """Render a full sweep waveform from a feature series.
 
@@ -148,7 +149,7 @@ def reconstruct_trace(features: np.ndarray, conduction: ConductionModel,
     i = i.ravel()
     if noise_sigma > 0:
         i += np.random.default_rng(seed).normal(0.0, noise_sigma, i.size)
-    return RawTrace(u=u, i=i, samples_per_cycle=pp)
+    return RawTrace(u=u, i=i)
 
 
 def make_corpus(outdir, n: int, seed: int, trace_cycles: int | None = None) -> dict:
@@ -185,9 +186,7 @@ def make_corpus(outdir, n: int, seed: int, trace_cycles: int | None = None) -> d
         # one extra feature row (when available) supplies the final cycle's endpoint
         trace = reconstruct_trace(features[: trace_cycles + 1], bundle.conduction,
                                   u_max=bundle.defaults.u_max, seed=s_noise)
-        keep = trace_cycles * trace.samples_per_cycle
-        trace = RawTrace(u=trace.u[:keep], i=trace.i[:keep],
-                         samples_per_cycle=trace.samples_per_cycle)
+        trace = RawTrace(*trace.read(0, trace_cycles * SAMPLES_PER_CYCLE))
         trace_path = outdir / "trace.iuw"
         waveform.write_trace_iuw(trace, trace_path)
         manifest["trace"] = trace_path.name

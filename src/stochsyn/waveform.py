@@ -23,9 +23,9 @@ its own block, so no stage holds the whole trace.  An in-memory `RawTrace`
 the range's bytes from its .iuw file.  A trace keeps its samples' width (a
 .iuw file's float32 stays float32, see `conduction.as_float`); each block
 converts its own rows to float64, which is exact, so the kernels compute in
-float64 whatever the input.  The feature names (FEATURE_NAMES), the nominal
-cycle length (SAMPLES_PER_CYCLE) and the static-resistance voltage
-(`conduction.U0_DEFAULT`) are each defined once.
+float64 whatever the input.  The voltage sweep gives the cycle period
+(`split_cycles`).  The feature names (FEATURE_NAMES) and the
+static-resistance voltage (`conduction.U0_DEFAULT`) are each defined once.
 """
 
 import os
@@ -41,8 +41,7 @@ from .conduction import (HRS_FIT_DEGREE, LIMIT_PERCENTILE, LRS_FIT_DEGREE, U0_DE
 
 FEATURE_NAMES = ("r_h", "u_s", "r_l", "u_r")
 FEATURES_HEADER = ",".join(("cycle",) + FEATURE_NAMES)
-SAMPLES_PER_CYCLE = 1042         # nominal samples per cycle of a trace
-CYCLE_SLACK = 2                  # samples a cycle's length may differ from the nominal
+CYCLE_SLACK = 2                  # samples a cycle's length may differ from the period
 
 SET_CURRENT_THRESHOLD = -50e-6   # level crossing that marks the abrupt transition [A]
 RESET_MIN_PROMINENCE = 5e-6      # peak prominence floor for the gradual one [A]
@@ -72,12 +71,11 @@ class ExtractionError(ValueError):
 
 @dataclass
 class RawTrace:
-    """Sampled (voltage, current) channels with the nominal cycle length.
-    float32 channels stay float32; any other input becomes float64."""
+    """Sampled (voltage, current) channels.  float32 channels stay float32;
+    any other input becomes float64."""
 
     u: np.ndarray
     i: np.ndarray
-    samples_per_cycle: int = SAMPLES_PER_CYCLE
 
     def __post_init__(self):
         self.u, self.i = as_float(self.u), as_float(self.i)
@@ -102,7 +100,6 @@ class IuwTrace:
     path: str
     n: int
     identity: tuple
-    samples_per_cycle: int = SAMPLES_PER_CYCLE
 
     def __len__(self):
         return self.n
@@ -137,6 +134,7 @@ class ExtractionResult:
     cycles: np.ndarray                # (n,) original cycle indices
     exclusions: list                  # (cycle index, reason)
     n_cycles: int
+    period: int                       # samples per cycle, from `split_cycles`
     set_missing: int                  # cycles without a detectable abrupt transition
     hrs_points: tuple                 # (u, i) pooled from the high-resistance windows
     lrs_points: tuple                 # (u, i) pooled from the low-resistance windows
@@ -146,7 +144,7 @@ class ExtractionResult:
 # ---------------------------------------------------------------------------
 # trace I/O
 
-def read_trace(path, samples_per_cycle: int = SAMPLES_PER_CYCLE):
+def read_trace(path):
     """Open a trace as a reader of sample ranges (see the module docstring):
     a .iuw (binary f32 pairs) as an `IuwTrace`, which reads each range from
     the file when asked, anything else as a CSV (header ``u,i``) loaded whole
@@ -157,9 +155,9 @@ def read_trace(path, samples_per_cycle: int = SAMPLES_PER_CYCLE):
     """
     path = str(path)
     if path.endswith(".iuw"):
-        trace = read_trace_iuw(path, samples_per_cycle)
+        trace = read_trace_iuw(path)
     else:
-        trace = read_trace_csv(path, samples_per_cycle)
+        trace = read_trace_csv(path)
     for lo in range(0, len(trace), SMOOTH_BLOCK):
         u, i = trace.read(lo, min(lo + SMOOTH_BLOCK, len(trace)))
         bad = np.flatnonzero(~(np.isfinite(u) & np.isfinite(i)))
@@ -189,14 +187,14 @@ def _read_csv(path, header: str, error=ValueError) -> np.ndarray:
     return data
 
 
-def read_trace_csv(path, samples_per_cycle: int = SAMPLES_PER_CYCLE) -> RawTrace:
+def read_trace_csv(path) -> RawTrace:
     data = _read_csv(path, "u,i", ExtractionError)
     if data.size == 0:
         raise ExtractionError(f"empty trace file {path}")
-    return RawTrace(u=data[:, 0], i=data[:, 1], samples_per_cycle=samples_per_cycle)
+    return RawTrace(u=data[:, 0], i=data[:, 1])
 
 
-def read_trace_iuw(path, samples_per_cycle: int = SAMPLES_PER_CYCLE) -> IuwTrace:
+def read_trace_iuw(path) -> IuwTrace:
     """The .iuw file as an `IuwTrace` with the file's identity, once its
     header and size agree."""
     with open(path, "rb") as fh:
@@ -211,8 +209,7 @@ def read_trace_iuw(path, samples_per_cycle: int = SAMPLES_PER_CYCLE) -> IuwTrace
     if size != 8 * count:
         raise ExtractionError(f"trace {path}: header counts {count} pairs"
                               f" ({8 * count} bytes), the file holds {size} bytes")
-    return IuwTrace(path=str(path), n=count, identity=identity,
-                    samples_per_cycle=samples_per_cycle)
+    return IuwTrace(path=str(path), n=count, identity=identity)
 
 
 def _file_identity(fh) -> tuple:
@@ -315,21 +312,31 @@ def smooth_adaptive(trace, set_locations, start: int = 0, stop=None, carry: floa
 
 
 def split_cycles(trace):
-    """Cycle boundaries at the positive apex of the voltage in each nominal
-    period window.
+    """Cycle boundaries at the positive apex of u in each period window, and
+    the period.  The sweep of u over the first SMOOTH_BLOCK samples gives it:
+    levels at 1/4 and 3/4 of their 5-95 % range mark each low-to-high switch,
+    k = round(span / d) periods span the first switch to the last, d their
+    median spacing, and period = round(span / k).  Fewer than two switches
+    raise `ExtractionError`.
 
-    Returns (boundaries, n_dropped): an (n, 2) int64 array of contiguous,
-    non-overlapping (start, stop) rows, plus how many leading/trailing
-    partial segments were cut.  A trailing segment is kept only if it spans
-    at least a nominal period minus CYCLE_SLACK samples.  The apexes are found
-    CYCLE_BLOCK periods at a time, each block's voltage read and copied
-    contiguous first.
+    Returns (boundaries, period): boundaries is an (n, 2) int64 array of
+    contiguous (start, stop) rows without the leading partial segment; a
+    trailing one is kept if it spans at least the period minus CYCLE_SLACK
+    samples.  The apexes are found CYCLE_BLOCK periods at a time, each
+    block's voltage read and copied contiguous first.
     """
     n = len(trace)
-    period = trace.samples_per_cycle
+    u, _ = trace.read(0, min(n, SMOOTH_BLOCK))
+    p5, p95 = np.sort(u)[[u.size // 20, -1 - u.size // 20]]
+    level = (u > p5 + 0.75 * (p95 - p5)).view(np.int8) - (u < p5 + 0.25 * (p95 - p5)).view(np.int8)
+    at = np.flatnonzero(level)
+    switches = at[1:][level[at[1:]] > level[at[:-1]]]
+    if switches.size < 2:
+        raise ExtractionError(f"no cycle period found: fewer than two upward voltage sweeps"
+                              f" in samples 0..{u.size - 1}")
+    span = int(switches[-1] - switches[0])
+    period = round(span / round(span / np.median(np.diff(switches))))
     n_windows = n // period
-    if n_windows < 1:
-        return np.empty((0, 2), dtype=np.int64), (1 if n else 0)
     apex = period * np.arange(n_windows, dtype=np.int64)
     for lo in range(0, n_windows, CYCLE_BLOCK):
         u, _ = trace.read(lo * period, min(lo + CYCLE_BLOCK, n_windows) * period)
@@ -337,8 +344,7 @@ def split_cycles(trace):
             np.ascontiguousarray(u).reshape(-1, period), axis=1)
     tail = n - int(apex[-1])
     stops = np.append(apex[1:], n) if tail >= period - CYCLE_SLACK else apex[1:]
-    dropped = int(apex[0] > 0) + int(0 < tail < period - CYCLE_SLACK)
-    return np.column_stack([apex[: stops.size], stops]), dropped
+    return np.column_stack([apex[: stops.size], stops]), period
 
 
 # ---------------------------------------------------------------------------
@@ -612,17 +618,16 @@ def extract_features(trace) -> ExtractionResult:
     kept to smooth the pooled cycles again.  Cycles failing any step are
     excluded (with the reason of the first failing step) rather than
     imputed.  The first step checks that a cycle ending at the next apex
-    spans the nominal period within CYCLE_SLACK samples.  More than 50%
+    spans `split_cycles`' period within CYCLE_SLACK samples.  More than 50%
     exclusions is an error naming the most frequent reason, as is a trace
-    with no full cycle.
+    with no period or no full cycle.
     """
     if len(trace) == 0:
         raise ExtractionError("empty trace")
-    boundaries, _ = split_cycles(trace)
+    boundaries, period = split_cycles(trace)
     if not boundaries.size:
         raise ExtractionError("no full cycle found")
     set_locs, set_missing = detect_set_locations(trace, boundaries)
-    period = trace.samples_per_cycle
 
     features, reasons, carries, edge, carry = [], [], [], 0, 0.0
     for starts, lengths, width in _cycle_blocks(boundaries):
@@ -655,5 +660,5 @@ def extract_features(trace) -> ExtractionResult:
         trace, boundaries[kept], features, set_locs, np.concatenate(carries)[kept])
     return ExtractionResult(
         features=features, cycles=kept, exclusions=exclusions, n_cycles=len(boundaries),
-        set_missing=set_missing, hrs_points=hrs_points, lrs_points=lrs_points,
+        period=period, set_missing=set_missing, hrs_points=hrs_points, lrs_points=lrs_points,
         pool_sizes=pool_sizes)

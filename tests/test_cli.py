@@ -20,7 +20,6 @@ from stochsyn.cli import main
 from stochsyn.conduction import LIMIT_PERCENTILE, U0_DEFAULT, fit_conduction_poly
 from stochsyn.transform import GAMMA_DEGREE
 from stochsyn.waveform import (
-    CYCLE_BLOCK,
     SMOOTH_BLOCK,
     RawTrace,
     _branch_masks,
@@ -28,7 +27,6 @@ from stochsyn.waveform import (
     read_features_csv,
     read_trace,
     split_cycles,
-    write_features_csv,
     write_trace_iuw,
 )
 
@@ -75,11 +73,12 @@ def test_extract_and_flags(corpus, tmp_path):
     ("extract", "trace.iuw", ["--min-prominence", "1e-6"]),
     ("extract", "trace.iuw", ["--set-threshold=-5e-05"]),
     ("extract", "trace.iuw", ["--no-smoothing"]),
+    ("extract", "trace.iuw", ["--samples-per-cycle", "800"]),
     ("fit", "features.csv", ["--gamma-degree", "3"]),
-], ids=["min_prominence", "set_threshold", "no_smoothing", "gamma_degree"])
+], ids=["min_prominence", "set_threshold", "no_smoothing", "samples_per_cycle", "gamma_degree"])
 def test_removed_options_are_rejected(corpus, tmp_path, capsys, command, source, flags):
     # extraction's detection levels, its smoothing and the quantile degree
-    # are constants, not options
+    # are constants, not options, and the cycle period comes from the sweep
     out = str(tmp_path / "out")
     outputs = [out] if command == "extract" else ["-o", out]
     assert main([command, str(corpus / source), *outputs, *flags]) == 2
@@ -102,26 +101,26 @@ def test_readme_names_only_accepted_flags(capsys):
     assert named and named <= accepted, named - accepted
 
 
-def test_extract_samples_per_cycle_sets_the_period(ref_bundle, tmp_path, capsys):
-    n = 60
-    feats = synth.sample_features(ref_bundle, n, seed=21)
-    trace = synth.reconstruct_trace(feats, ref_bundle.conduction, samples_per_cycle=800, seed=22)
+@pytest.mark.parametrize("pp, shift, cycles", [(800, 0, 60), (2084, 0, 60), (800, 267, 59),
+                                               (1042, 0, 60)],
+                         ids=["800", "2084", "800_shifted", "1042"])
+def test_extract_takes_the_period_from_the_sweep(ref_bundle, tmp_path, capsys, pp, shift,
+                                                 cycles):
+    # with no flag every cycle is extracted and the report states the period;
+    # the shifted render loses its leading partial segment.  A 1042-sample
+    # render once read at a period of 2084 gave 30 cycles, each spanning two.
+    feats = synth.sample_features(ref_bundle, 60, seed=21)
+    trace = synth.reconstruct_trace(feats, ref_bundle.conduction, samples_per_cycle=pp, seed=22)
     path = tmp_path / "t.iuw"
-    write_trace_iuw(trace, path)
-    out, want = tmp_path / "f.csv", tmp_path / "want.csv"
-    assert main(["extract", str(path), str(out), "--samples-per-cycle", "800"]) == 0
-    result = extract_features(read_trace(path, 800))
-    write_features_csv(result.features, want, cycles=result.cycles + 1)
-    assert out.read_bytes() == want.read_bytes()
+    write_trace_iuw(RawTrace(u=trace.u[shift:], i=trace.i[shift:]), path)
+    out = tmp_path / "f.csv"
+    assert main(["extract", str(path), str(out)]) == 0
+    assert capsys.readouterr().out == f"extracted {cycles}/{cycles} cycles -> {out}\n"
     report = json.loads((tmp_path / "f.csv.report.json").read_text())
-    assert report["cycles_total"] == result.n_cycles == n
-    # at the default period the same file splits into cycles that each span
-    # parts of two, and their lengths fail extraction
-    assert main(["extract", str(path), str(tmp_path / "g.csv")]) == 1
-    err = capsys.readouterr().err
-    assert "cycles failed extraction" in err
-    assert "cycle length not within 2 samples of period 1042" in err
-    assert not (tmp_path / "g.csv").exists()
+    assert report["period"] == pp
+    assert report["cycles_total"] == report["cycles_extracted"] == cycles
+    assert report["excluded"] == []
+    assert read_features_csv(out)[0].tolist() == list(range(1, cycles + 1))
 
 
 def _per_cycle_limits_json(trace_path) -> str:
@@ -267,7 +266,7 @@ def test_extract_reads_a_csv_trace_as_its_iuw(corpus, tmp_path):
     # the first 300 cycles of the corpus trace, as .iuw and as a CSV of the
     # same float32 values written with repr
     trace = read_trace(corpus / "trace.iuw")
-    n = 300 * trace.samples_per_cycle
+    n = 300 * synth.SAMPLES_PER_CYCLE
     part = RawTrace(*trace.read(0, n))
     write_trace_iuw(part, tmp_path / "t.iuw")
     (tmp_path / "t.csv").write_text("u,i\n" + "".join(
@@ -281,18 +280,24 @@ def test_extract_reads_a_csv_trace_as_its_iuw(corpus, tmp_path):
     assert len(want) > 0
 
 
-def _cosine_trace(cycles: int, period: int = 1042) -> str:
+def _cosine_trace(cycles: float, period: int = 1042) -> str:
     """A CSV trace whose voltage peaks at the start of every period and whose
     current is zero, so no cycle has an abrupt transition."""
-    u = 1.5 * np.cos(2 * np.pi * np.arange(cycles * period) / period)
+    u = 1.5 * np.cos(2 * np.pi * np.arange(int(cycles * period)) / period)
     return "u,i\n" + "".join(f"{v!r},0.0\n" for v in u.tolist())
 
 
 @pytest.mark.parametrize("text, why", [
-    ("u,i\n" + "0.1,0.0\n" * 100, "no full cycle found"),
+    ("u,i\n" + "0.1,0.0\n" * 100,
+     "no cycle period found: fewer than two upward voltage sweeps in samples 0..99"),
+    ("u,i\n" + "0.1,1e-06\n" * 5000,
+     "no cycle period found: fewer than two upward voltage sweeps in samples 0..4999"),
+    (_cosine_trace(1.5),
+     "no cycle period found: fewer than two upward voltage sweeps in samples 0..1562"),
     (_cosine_trace(4), "4 of 4 cycles failed extraction;"
                        " most often (4 cycles): no crossing of -5e-05 A"),
-], ids=["shorter_than_a_cycle", "every_cycle_excluded"])
+], ids=["shorter_than_a_cycle", "flat_voltage", "one_and_a_half_periods",
+        "every_cycle_excluded"])
 def test_extract_fails_on_a_trace_without_usable_cycles(tmp_path, capsys, text, why):
     path = tmp_path / "t.csv"
     path.write_text(text)
@@ -356,7 +361,7 @@ def test_extract_rejects_non_finite_samples(corpus, tmp_path, capsys):
     trace = read_trace(path)
     clean = trace.read(0, n)
     assert n % SMOOTH_BLOCK
-    for first, count, channel in ((1000 * trace.samples_per_cycle + 300, 100, 1),
+    for first, count, channel in ((1000 * synth.SAMPLES_PER_CYCLE + 300, 100, 1),
                                   (3 * SMOOTH_BLOCK, 1, 0), (n - 1, 1, 1)):
         u, i = (c.copy() for c in clean)
         (u, i)[channel][first:first + count] = np.nan
@@ -369,22 +374,22 @@ def test_extract_rejects_non_finite_samples(corpus, tmp_path, capsys):
 def test_extract_fails_on_an_iuw_cut_short_after_it_was_opened(corpus, tmp_path, capsys,
                                                               monkeypatch):
     # the header and size checks pass when the file is opened; a file cut to
-    # 200 of its 400 cycles before extraction reads it fails the first read
-    # past the cut, naming the file and the range
+    # 50 of its 400 cycles before extraction reads it fails the first read
+    # past the cut, the period search's first SMOOTH_BLOCK samples, naming the
+    # file and the range
     path = tmp_path / "cut.iuw"
     path.write_bytes((corpus / "trace.iuw").read_bytes())
     open_trace = cli.waveform.read_trace
 
     def open_then_cut(*args, **kwargs):
         trace = open_trace(*args, **kwargs)
-        os.truncate(path, 8 + 8 * 200 * trace.samples_per_cycle)
+        os.truncate(path, 8 + 8 * 50 * synth.SAMPLES_PER_CYCLE)
         return trace
 
     monkeypatch.setattr(cli.waveform, "read_trace", open_then_cut)
     assert main(["extract", str(path), str(tmp_path / "o.csv")]) == 1
     err = capsys.readouterr().err
-    hi = CYCLE_BLOCK * 1042
-    assert f"cut.iuw: samples 0..{hi - 1} cut short at {200 * 1042}" in err, err
+    assert f"cut.iuw: samples 0..{SMOOTH_BLOCK - 1} cut short at {50 * 1042}" in err, err
     assert not (tmp_path / "o.csv").exists()
 
 

@@ -64,8 +64,7 @@ def test_half_widths_far_and_at_transition():
 
 
 def test_smoothing_constant_unchanged():
-    trace = RawTrace(u=np.linspace(-1, 1, 500), i=np.full(500, 3.3e-6),
-                     samples_per_cycle=500)
+    trace = RawTrace(u=np.linspace(-1, 1, 500), i=np.full(500, 3.3e-6))
     out, _ = smooth_adaptive(trace, [250])
     assert np.allclose(out, 3.3e-6, rtol=1e-12)
 
@@ -74,7 +73,7 @@ def test_smoothing_preserves_flagged_step():
     n = 400
     i = np.zeros(n)
     i[200:] = 1.0
-    trace = RawTrace(u=np.zeros(n), i=i, samples_per_cycle=n)
+    trace = RawTrace(u=np.zeros(n), i=i)
     adaptive = smooth_adaptive(trace, [200])[0]
     uniform = smooth_adaptive(trace, [])[0]
     # midpoint slope: adaptive keeps the edge within a 3-sample blur,
@@ -132,8 +131,7 @@ def _smoothed(trace):
     """The trace with its current smoothed around its set locations in one
     whole-trace call."""
     locs, _ = detect_set_locations(trace, split_cycles(trace)[0])
-    return RawTrace(u=trace.u, i=smooth_adaptive(trace, locs)[0],
-                    samples_per_cycle=trace.samples_per_cycle)
+    return RawTrace(u=trace.u, i=smooth_adaptive(trace, locs)[0])
 
 
 def test_smoothing_from_sample_0_starts_at_the_first_sample():
@@ -156,7 +154,7 @@ def _carry_trace(bundle, case, dtype):
               "last_cycle_at_trace_end": 2 * CYCLE_BLOCK}.get(case, 2 * CYCLE_BLOCK + 88)
     feats = synth.sample_features(bundle, cycles, seed=13)
     trace = synth.reconstruct_trace(feats, bundle.conduction, seed=14)
-    pp = trace.samples_per_cycle
+    pp = synth.SAMPLES_PER_CYCLE
     u, i = trace.u.copy(), trace.i.copy()
     if case == "set_near_block_edges":
         # first crossings just after the start of cycle 256 and just
@@ -170,7 +168,7 @@ def _carry_trace(bundle, case, dtype):
     keep = {"leading_partial_segment": slice(300, None),
             "partial_last_block": slice(300, -400)}.get(case, slice(None))
     pairs = np.column_stack([u[keep], i[keep]]).astype(dtype)
-    return RawTrace(u=pairs[:, 0], i=pairs[:, 1], samples_per_cycle=pp)
+    return RawTrace(u=pairs[:, 0], i=pairs[:, 1])
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
@@ -217,7 +215,7 @@ def test_smoothing_carried_block_to_block_is_the_whole_trace_sum(ref_bundle, cas
 
 
 def test_smoothing_rejects_out_of_range_locations():
-    trace = RawTrace(u=np.zeros(10), i=np.zeros(10), samples_per_cycle=10)
+    trace = RawTrace(u=np.zeros(10), i=np.zeros(10))
     with pytest.raises(ValueError):
         smooth_adaptive(trace, [99])
 
@@ -227,9 +225,10 @@ def test_smoothing_rejects_out_of_range_locations():
 def test_split_pure_triangle_three_periods():
     u = triangle_u(3)
     trace = RawTrace(u=u, i=np.zeros_like(u))
-    bounds, dropped = split_cycles(trace)
+    bounds, period = split_cycles(trace)
     assert bounds.shape == (3, 2) and bounds.dtype == np.int64
-    assert dropped == 0
+    assert period == 1042
+    assert bounds[0, 0] == 0 and bounds[-1, 1] == u.size
     lengths = [b - a for a, b in bounds]
     assert all(abs(l - 1042) <= 1 for l in lengths)
     for a, _ in bounds:
@@ -245,19 +244,36 @@ def test_split_by_blocks_finds_the_whole_trace_apexes(dtype):
     u += np.random.default_rng(2).normal(0.0, 1e-3, u.size)
     pairs = np.column_stack([u, np.zeros_like(u)]).astype(dtype)
     trace = RawTrace(u=pairs[:, 0], i=pairs[:, 1])
-    bounds, dropped = split_cycles(trace)
+    bounds, found = split_cycles(trace)
     k = u.size // period
     apex = np.argmax(trace.u[: k * period].reshape(k, period), axis=1) + period * np.arange(k)
-    assert dropped == 2
+    assert found == period
+    assert bounds[0, 0] > 0 and bounds[-1, 1] < u.size
     assert np.array_equal(bounds[:, 0], apex[:-1]) and np.array_equal(bounds[:, 1], apex[1:])
 
 
 def test_split_phase_shift_drops_partial():
     u = triangle_u(3, phase=400)
     trace = RawTrace(u=u, i=np.zeros_like(u))
-    bounds, dropped = split_cycles(trace)
-    assert dropped >= 1
+    bounds, _ = split_cycles(trace)
+    assert bounds[0, 0] > 0
     assert all(b - a >= 1040 for a, b in bounds)
+
+
+@pytest.mark.parametrize("pp", [800, 2084])
+def test_split_takes_the_period_from_a_noisy_sweep(ref_bundle, pp):
+    # 20 mV of normal noise on u gives the period or one sample off; one 1e30
+    # sample in the second cycle's trough, where u is low, does not move it
+    feats = synth.sample_features(ref_bundle, 60, seed=31)
+    trace = synth.reconstruct_trace(feats, ref_bundle.conduction, samples_per_cycle=pp, seed=32)
+    for seed in range(5):
+        u = trace.u + np.random.default_rng(seed).normal(0.0, 0.02, trace.u.size)
+        _, period = split_cycles(RawTrace(u=u, i=trace.i))
+        assert abs(period - pp) <= 1, seed
+    u = trace.u.copy()
+    u[pp + pp // 2] = 1e30
+    _, period = split_cycles(RawTrace(u=u, i=trace.i))
+    assert period == pp
 
 
 def test_split_contiguous_partition():
@@ -530,7 +546,7 @@ def test_branch_fits_match_lstsq_on_synthetic_trace(ref_bundle):
     n = 10_000
     feats = synth.sample_features(ref_bundle, n + 1, seed=77)
     trace = synth.reconstruct_trace(feats, ref_bundle.conduction, seed=78)
-    keep = n * trace.samples_per_cycle
+    keep = n * synth.SAMPLES_PER_CYCLE
     trace = RawTrace(u=trace.u[:keep], i=trace.i[:keep])
     result = extract_features(trace)
     hrs, lrs = _kept_windows(trace, result)
@@ -591,7 +607,7 @@ def _exclusion_trace(bundle):
     n = 16
     feats = synth.sample_features(bundle, n + 1, seed=9)
     trace = synth.reconstruct_trace(feats, bundle.conduction, noise_sigma=0.0)
-    pp = trace.samples_per_cycle
+    pp = synth.SAMPLES_PER_CYCLE
     u = trace.u[: n * pp].reshape(n, pp).copy()
     i = trace.i[: n * pp].reshape(n, pp).copy()
     k = np.arange(pp)
@@ -604,7 +620,7 @@ def _exclusion_trace(bundle):
     i[6, rising] = 130e-6 + bump[rising]            # a reset peak above the low-resistance range
     i[8, hrs[8]] = -20e-6 * u[8, hrs[8]] ** 2       # fitted branch current <= 0 at u0
     i[15, rising] = 50e-6 * (u[15, rising] + 1.5)   # strictly increasing, last cycle
-    return RawTrace(u=u.ravel(), i=i.ravel(), samples_per_cycle=pp)
+    return RawTrace(u=u.ravel(), i=i.ravel())
 
 
 def test_exclusion_reasons_one_cycle_each(ref_bundle):
@@ -649,11 +665,11 @@ def test_pooled_points_equal_the_per_cycle_pooling_when_a_block_keeps_none(ref_b
     n = CYCLE_BLOCK + 1
     feats = synth.sample_features(ref_bundle, n + 1, seed=11)
     trace = synth.reconstruct_trace(feats, ref_bundle.conduction, noise_sigma=0.0)
-    pp = trace.samples_per_cycle
+    pp = synth.SAMPLES_PER_CYCLE
     u, i = trace.u[: n * pp].copy(), trace.i[: n * pp].copy()
     last = slice((n - 1) * pp + pp // 2, n * pp)
     i[last] = 50e-6 * (u[last] + 1.5)               # strictly increasing: no reset peak
-    trace = RawTrace(u=u, i=i, samples_per_cycle=pp)
+    trace = RawTrace(u=u, i=i)
     result = extract_features(trace)
     assert result.exclusions == [(n - 1, "monotone section, no peak")]
     assert len(result.cycles) == n - 1
@@ -672,7 +688,7 @@ def test_extract_features_synthetic_end_to_end(ref_bundle):
     n = 10_000
     feats = synth.sample_features(ref_bundle, n + 1, seed=77)
     trace = synth.reconstruct_trace(feats, ref_bundle.conduction, seed=78)
-    keep = n * trace.samples_per_cycle
+    keep = n * synth.SAMPLES_PER_CYCLE
     trace = RawTrace(u=trace.u[:keep], i=trace.i[:keep])
     result = extract_features(trace)
     assert result.features.shape[0] >= 0.99 * n
