@@ -14,6 +14,7 @@ own (`UsageError`), such as ``sim --preset`` with ``--reads``.
 
 import argparse
 import json
+import math
 import os
 import platform
 import sys
@@ -25,16 +26,14 @@ import numpy as np
 
 from . import csvtext, paramfile, synth, waveform
 from .array import MAX_SEED, MAX_THREADS, ReadoutConfig, dequantize, init_array
-from .conduction import LIMIT_PERCENTILE, ConductionModel, fit_limiting_model
+from .conduction import LIMIT_PERCENTILE, U0_DEFAULT, ConductionModel, fit_limiting_model
 from .svar import fit_svar, spectral_radius
 from .transform import GAMMA_DEGREE, fit_map_with_fallback, forward_map, inverse_map
 from .svar import generate as svar_generate
 
 PARAMS_ENV = "STOCHSYN_PARAMS"
-BENCH_AMPLITUDE = 1.5
-BENCH_MODES = ("write", "read")
 PRESET_CYCLES = 300
-FLOAT_OPTIONS = ("-a", "--u-read", "--bandwidth", "--i-min", "--i-max")   # of sim and bench
+FLOAT_OPTIONS = ("-a", "--u-read", "--bandwidth", "--i-min", "--i-max")   # sim's; bench takes none
 
 
 class UsageError(Exception):
@@ -55,13 +54,6 @@ def _ints(lo: int, hi: float = float("inf"), many: bool = False):
 
 
 _seed = _ints(0, MAX_SEED)   # one range for every command's random streams
-
-
-def _mode_list(text):
-    modes = [tok for tok in text.split(",") if tok]
-    if not modes or not set(modes) <= set(BENCH_MODES):
-        raise argparse.ArgumentTypeError(f"need modes from {','.join(BENCH_MODES)}, got {text!r}")
-    return modes
 
 
 def _join_float_values(argv):
@@ -96,7 +88,8 @@ def _params_path(args) -> str:
 
 def _read_limits(path) -> ConductionModel:
     """The conduction model in an `extract --limits-out` JSON; a missing or
-    malformed field fails with ValueError naming the file and the field."""
+    malformed field, or a `u0` other than the U0_DEFAULT at which extraction
+    defines r_h and r_l, fails with ValueError naming the file and the field."""
     with open(path) as fh:
         try:
             lims = json.load(fh)
@@ -106,16 +99,22 @@ def _read_limits(path) -> ConductionModel:
     for name, ndim in (("u0", 0), ("hhrs", 1), ("llrs", 1)):
         if not isinstance(lims, dict) or name not in lims:
             raise ValueError(f"{path}: missing field {name!r}")
-        try:
-            fields[name] = np.asarray(lims[name], dtype=np.float64)
-            valid = fields[name].ndim == ndim and np.isfinite(fields[name]).all()
-        except (TypeError, ValueError, OverflowError):   # OverflowError: a huge integer
+        value = lims[name]
+        numbers = value if ndim == 1 else [value]
+        try:   # JSON numbers only: a string or a boolean (a Python int) is not one
+            valid = isinstance(numbers, list) and all(
+                type(v) in (int, float) and math.isfinite(v) for v in numbers)
+        except OverflowError:   # an integer too large for a float
             valid = False
         if not valid:
             kind = "a finite number" if ndim == 0 else "a list of finite numbers"
-            raise ValueError(f"{path}: field {name!r} is not {kind}: {lims[name]!r}")
+            raise ValueError(f"{path}: field {name!r} is not {kind}: {value!r}")
+        fields[name] = value
+    if fields["u0"] != U0_DEFAULT:
+        raise ValueError(f"{path}: field 'u0' is {fields['u0']!r}, not the"
+                         f" {U0_DEFAULT} V at which extraction defines r_h and r_l")
     try:
-        return ConductionModel(hhrs=fields["hhrs"], llrs=fields["llrs"], u0=float(fields["u0"]))
+        return ConductionModel(hhrs=fields["hhrs"], llrs=fields["llrs"])
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
 
@@ -343,34 +342,31 @@ def cmd_sim(args) -> int:
 
 def cmd_bench(args) -> int:
     bundle = paramfile.load(_params_path(args))
+    # alternating broadcast pulses at -u_max and +u_max: every pulse switches
+    # every cell (abrupt transition or full positive transition)
+    u_max = bundle.defaults.u_max
+    amps = [-u_max if k % 2 == 0 else u_max for k in range(args.pulses + 2)]
     rows = []
     init_seconds = {}
     for p in args.orders:
         t0 = time.perf_counter()
-        array = init_array(bundle, args.m, a=args.a, seed=args.seed, p=p)
+        array = init_array(bundle, args.m, seed=args.seed, p=p)
         init_seconds[str(p)] = time.perf_counter() - t0
         for threads in args.threads_list:
             array.threads = threads
-            for mode in args.modes:
-                if mode == "write":
-                    # pre-generated alternating schedule; every pulse switches
-                    # every cell (abrupt transition or full positive transition)
-                    amps = [-BENCH_AMPLITUDE if k % 2 == 0 else BENCH_AMPLITUDE
-                            for k in range(args.pulses + 2)]
-                    array.apply_pulses(amps[0])
-                    array.apply_pulses(amps[1])  # warmup pair, untimed
-                    t0 = time.perf_counter()
-                    for amp in amps[2:]:
-                        array.apply_pulses(amp)
-                    dt = time.perf_counter() - t0
-                    ops = args.m * args.pulses
-                else:
-                    array.read_all()  # warmup, untimed
-                    t0 = time.perf_counter()
-                    for _ in range(args.reads):
-                        array.read_all()
-                    dt = time.perf_counter() - t0
-                    ops = args.m * args.reads
+            array.apply_pulses(amps[0])
+            array.apply_pulses(amps[1])  # warmup pair, untimed
+            t0 = time.perf_counter()
+            for amp in amps[2:]:
+                array.apply_pulses(amp)
+            write_dt = time.perf_counter() - t0
+            array.read_all()  # warmup, untimed
+            t0 = time.perf_counter()
+            for _ in range(args.reads):
+                array.read_all()
+            read_dt = time.perf_counter() - t0
+            for mode, ops, dt in (("write", args.m * args.pulses, write_dt),
+                                  ("read", args.m * args.reads, read_dt)):
                 rows.append((mode, args.m, p, threads, ops, dt, ops / dt))
                 print(f"bench {mode:5s} m={args.m} p={p} threads={threads}:"
                       f" {ops / dt:.3e} ops/s")
@@ -385,7 +381,8 @@ def cmd_bench(args) -> int:
         "contract": "timing excludes array initialization, schedule generation and file I/O;"
                     " init_seconds holds each order's single-threaded initialization time",
         "init_seconds": init_seconds,
-        "warmup": "one untimed pulse pair (write) or one untimed pass (read)",
+        "amplitude": u_max,
+        "warmup": "one untimed pulse pair before the writes and one untimed pass before the reads",
         "seed": args.seed,
         "cpu_count": os.cpu_count(),
         "platform": platform.platform(),
@@ -465,11 +462,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("params", nargs="?", default=None)
     p.add_argument("-m", type=_ints(1), default=1 << 20)
     p.add_argument("--seed", type=_seed, required=True)
-    p.add_argument("-a", type=float, default=None)
     p.add_argument("--orders", type=_ints(1, many=True), default=[10])
     p.add_argument("--threads-list", type=_ints(1, MAX_THREADS, many=True), default=[1],
                    dest="threads_list")
-    p.add_argument("--modes", type=_mode_list, default=list(BENCH_MODES))
     p.add_argument("--pulses", type=_ints(1), default=16)
     p.add_argument("--reads", type=_ints(1), default=16)
     p.add_argument("-o", "--output", required=True, help="benchmark CSV")
@@ -494,7 +489,7 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code is not None else 0
     try:
         return args.func(args)
-    except (FileNotFoundError, IsADirectoryError, PermissionError, UsageError) as exc:
+    except (OSError, UsageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, KeyError) as exc:   # MonotonicityError and LinAlgError among them

@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +16,7 @@ from test_waveform import _one_row, _smoothed
 
 import stochsyn
 from stochsyn import cli, csvtext, paramfile, synth
-from stochsyn.array import MAX_SEED, MAX_THREADS, ReadoutConfig, dequantize, init_array
+from stochsyn.array import MAX_SEED, MAX_THREADS, CellArray, ReadoutConfig, dequantize, init_array
 from stochsyn.cli import main
 from stochsyn.conduction import LIMIT_PERCENTILE, U0_DEFAULT, fit_conduction_poly
 from stochsyn.transform import GAMMA_DEGREE
@@ -75,10 +76,14 @@ def test_extract_and_flags(corpus, tmp_path):
     ("extract", "trace.iuw", ["--no-smoothing"]),
     ("extract", "trace.iuw", ["--samples-per-cycle", "800"]),
     ("fit", "features.csv", ["--gamma-degree", "3"]),
-], ids=["min_prominence", "set_threshold", "no_smoothing", "samples_per_cycle", "gamma_degree"])
+    ("bench", "params.ssyn", ["--seed", "1", "--modes", "read"]),
+    ("bench", "params.ssyn", ["--seed", "1", "-a", "0.5"]),
+], ids=["min_prominence", "set_threshold", "no_smoothing", "samples_per_cycle", "gamma_degree",
+        "bench_modes", "bench_scale"])
 def test_removed_options_are_rejected(corpus, tmp_path, capsys, command, source, flags):
     # extraction's detection levels, its smoothing and the quantile degree
-    # are constants, not options, and the cycle period comes from the sweep
+    # are constants, not options, and the cycle period comes from the sweep;
+    # bench runs one schedule, both modes, on the bundle's own cells
     out = str(tmp_path / "out")
     outputs = [out] if command == "extract" else ["-o", out]
     assert main([command, str(corpus / source), *outputs, *flags]) == 2
@@ -86,9 +91,10 @@ def test_removed_options_are_rejected(corpus, tmp_path, capsys, command, source,
     assert list(tmp_path.iterdir()) == []
 
 
-def test_readme_names_only_accepted_flags(capsys):
+def test_readme_names_exactly_the_accepted_flags(capsys):
     # every --flag the README names is in some subcommand's --help, so a
-    # deleted flag leaves the docs with the code; pip's is the one exemption
+    # deleted flag leaves the docs with the code, and every accepted one is
+    # documented; pip's and --help are the exemptions
     flag = r"(?<![\w-])--[a-z][a-z0-9-]*"
     assert main(["--help"]) == 0
     commands = re.search(r"\{([a-z,]+)\}", capsys.readouterr().out).group(1).split(",")
@@ -99,6 +105,7 @@ def test_readme_names_only_accepted_flags(capsys):
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     named = set(re.findall(flag, readme)) - {"--no-build-isolation"}
     assert named and named <= accepted, named - accepted
+    assert accepted - {"--help"} <= named, accepted - {"--help"} - named
 
 
 @pytest.mark.parametrize("pp, shift, cycles", [(800, 0, 60), (2084, 0, 60), (800, 267, 59),
@@ -572,8 +579,17 @@ def test_fit_prints_its_fallbacks_when_it_fails(tmp_path, capsys):
      "field 'u0' is not a finite number"),
     (b"[" * 100_000 + b"]" * 100_000, "not JSON"),
     (b'{"u0": 0.2, "hhrs": "\xff"}', "not JSON"),
+    ({"u0": "0.2", "hhrs": [0.0, 1e-4], "llrs": [0.0, 2e-4]}, "field 'u0' is not a finite number"),
+    ({"u0": True, "hhrs": [0.0, 1e-4], "llrs": [0.0, 2e-4]}, "field 'u0' is not a finite number"),
+    ({"u0": 0.2, "hhrs": ["0", "1e-4"], "llrs": [0.0, 2e-4]},
+     "field 'hhrs' is not a list of finite numbers"),
+    ({"u0": 0.2, "hhrs": [0.0, 1e-4], "llrs": [0.0, True]},
+     "field 'llrs' is not a list of finite numbers"),
+    ({"u0": 0.25, "hhrs": [0.0, 1e-4], "llrs": [0.0, 2e-4]},
+     f"field 'u0' is 0.25, not the {U0_DEFAULT} V at which extraction defines r_h and r_l"),
 ], ids=["missing", "text", "null", "constant_term", "not_an_object", "huge_integer",
-        "deep_nesting", "not_utf8"])
+        "deep_nesting", "not_utf8", "numeric_text", "boolean", "text_list", "boolean_in_list",
+        "other_u0"])
 def test_fit_rejects_a_bad_limits_file_naming_it(corpus, tmp_path, capsys, limits, why):
     path = tmp_path / "limits.json"
     path.write_bytes(limits if isinstance(limits, bytes) else json.dumps(limits).encode())
@@ -582,6 +598,28 @@ def test_fit_rejects_a_bad_limits_file_naming_it(corpus, tmp_path, capsys, limit
     assert rc == 1
     err = capsys.readouterr().err
     assert f"{path}: {why}" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["synth", "{file}", "-n", "5", "--seed", "1"],
+    ["extract", "{corpus}/trace.iuw", "{file}/f.csv"],
+    ["generate", "{corpus}/params.ssyn", "-n", "5", "--seed", "1", "-o", "{file}/g.csv"],
+    ["fit", "{corpus}/features.csv", "-o", "{file}/f.ssyn", "-p", "1"],
+    ["sim", "{corpus}/params.ssyn", "-m", "4", "--seed", "1", "--preset", "multilevel",
+     "--cycles", "1", "--readout-out", "{file}/r.csv", "--state-out", "{file}/s.csv"],
+    ["bench", "{corpus}/params.ssyn", "-m", "4", "--seed", "1", "--pulses", "1", "--reads", "1",
+     "-o", "{file}/b.csv"],
+], ids=["synth_into_a_file", "extract_under_a_file", "generate_under_a_file",
+        "fit_under_a_file", "sim_under_a_file", "bench_under_a_file"])
+def test_an_os_error_is_an_io_error(corpus, tmp_path, capsys, argv):
+    # FileExistsError and NotADirectoryError exit 2 like a missing file does
+    file = tmp_path / "file"
+    file.write_text("x")
+    assert main([a.format(corpus=corpus, file=file) for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1].startswith("error: ") and str(file) in err
+    assert "Traceback" not in err
+    assert file.read_text() == "x"
 
 
 def test_fit_reads_the_limits_file_before_fitting(tmp_path, capsys):
@@ -677,10 +715,8 @@ def test_sim_m_zero_usage_error(corpus, tmp_path):
 @pytest.mark.parametrize("argv", [
     ["sim", "-m", "8", "--seed", "1", "--preset", "multilevel", "--pulses", "nonexistent.csv"],
     ["sim", "-m", "8", "--seed", "1"],
-    ["bench", "-m", "64", "--seed", "1", "--modes", "wrte", "-o", "bench.csv"],
     ["sim", "-m", "8", "--seed", "1", "--preset", "multilevel", "--reads", "nonexistent.csv"],
     ["sim", "-m", "8", "--seed", "1", "--pulses", "nonexistent.csv", "--cycles", "2"],
-    ["bench", "-m", "64", "--seed", "1", "--modes", "read,bogus", "-o", "bench.csv"],
     ["generate", "-n", "5", "--seed", "-1", "-o", "g.csv"],
     ["synth", "-n", "5", "--seed", "-1"],
     ["sim", "-m", "8", "--seed", str(MAX_SEED + 1), "--preset", "multilevel"],
@@ -691,8 +727,8 @@ def test_sim_m_zero_usage_error(corpus, tmp_path):
     ["bench", "-m", "64", "--seed", "1", "--threads-list", "0", "-o", "bench.csv"],
     ["bench", "-m", "64", "--seed", "1", "--threads-list", f"1,{MAX_THREADS + 1}",
      "-o", "bench.csv"],
-], ids=["preset_and_pulses", "no_schedule", "unknown_mode", "preset_and_reads",
-        "pulses_and_cycles", "one_unknown_mode", "generate_negative_seed",
+], ids=["preset_and_pulses", "no_schedule", "preset_and_reads",
+        "pulses_and_cycles", "generate_negative_seed",
         "synth_negative_seed", "sim_seed_past_64_bits", "bench_negative_seed",
         "zero_threads", "threads_past_the_bound", "zero_in_threads_list",
         "threads_list_past_the_bound"])
@@ -820,24 +856,19 @@ def test_sim_readout_flags_set_their_fields(corpus, tmp_path):
     assert st.read_bytes() == want_st.encode()
 
 
-@pytest.mark.parametrize("command, option", [
-    ("sim", "-a"), ("sim", "--u-read"), ("sim", "--bandwidth"), ("sim", "--i-min"),
-    ("sim", "--i-max"), ("bench", "-a"),
-])
+@pytest.mark.parametrize("option", ["-a", "--u-read", "--bandwidth", "--i-min", "--i-max"])
 @pytest.mark.parametrize("value, want", [
     ("-1e-6", -1e-6), ("-2E-1", -0.2), ("-.5e+1", -5.0), ("-0.2", -0.2), ("3e-6", 3e-6),
     ("=-1e-6", -1e-6), ("abc", None), ("-abc", None), ("=-x", None),
 ])
-def test_float_options_take_a_negative_value_in_scientific_notation(monkeypatch, command, option,
+def test_float_options_take_a_negative_value_in_scientific_notation(monkeypatch, option,
                                                                     value, want):
     # argparse alone reads a separate -1e-6 as an option and exits 2; a value
     # that is not a number still does
     parsed = []
-    monkeypatch.setattr(cli, f"cmd_{command}", lambda args: parsed.append(args) or 0)
+    monkeypatch.setattr(cli, "cmd_sim", lambda args: parsed.append(args) or 0)
     given = [option + value] if value.startswith("=") else [option, value]
-    argv = {"sim": ["sim", "p.ssyn", "-m", "4", "--seed", "1", "--preset", "multilevel"],
-            "bench": ["bench", "p.ssyn", "--seed", "1", "-o", "b.csv"]}[command]
-    rc = main([*argv, *given])
+    rc = main(["sim", "p.ssyn", "-m", "4", "--seed", "1", "--preset", "multilevel", *given])
     if want is None:
         assert rc == 2 and not parsed
     else:
@@ -882,25 +913,15 @@ def test_sim_overrides_fail_the_float32_gates(corpus, tmp_path, capsys, flags, f
     assert field in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command, value", [("sim", "nan"), ("sim", "inf"), ("bench", "nan")])
-def test_non_finite_scale_is_named(corpus, tmp_path, capsys, command, value):
-    argv = {"sim": ["--preset", "multilevel", "--cycles", "2",
-                    "--readout-out", str(tmp_path / "ro.csv"),
-                    "--state-out", str(tmp_path / "st.csv")],
-            "bench": ["-o", str(tmp_path / "bench.csv")]}[command]
-    rc = main([command, str(corpus / "params.ssyn"), "-m", "16", "--seed", "1", "-a", value,
-               *argv])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_scale_is_named(corpus, tmp_path, capsys, value):
+    rc = main(["sim", str(corpus / "params.ssyn"), "-m", "16", "--seed", "1", "-a", value,
+               "--preset", "multilevel", "--cycles", "2",
+               "--readout-out", str(tmp_path / "ro.csv"), "--state-out", str(tmp_path / "st.csv")])
     assert rc == 1
     err = capsys.readouterr().err
     assert "device-variability scale" in err and value in err
     assert "defaults" not in err
-
-
-def test_bench_scale_fails_the_float32_gate(corpus, tmp_path, capsys):
-    rc = main(["bench", str(corpus / "params.ssyn"), "-m", "16", "--seed", "1",
-               "-a", "1e300", "-o", str(tmp_path / "bench.csv")])
-    assert rc == 1
-    assert "dtd_scale" in capsys.readouterr().err
 
 
 def test_bench_csv_schema(corpus, tmp_path):
@@ -918,14 +939,28 @@ def test_bench_csv_schema(corpus, tmp_path):
     assert "init_seconds" in meta["contract"]
     assert set(meta["init_seconds"]) == {"1", "10"}
     assert all(t > 0 for t in meta["init_seconds"].values())
+    assert meta["amplitude"] == paramfile.load(corpus / "params.ssyn").defaults.u_max
 
 
-def test_bench_modes_select_the_rows(corpus, tmp_path):
+def test_bench_pulses_switch_every_cell_at_the_bundles_u_max(corpus, tmp_path, monkeypatch):
+    # the schedule's amplitude is the bundle's u_max: at 2.0 V every timed
+    # pulse sets or fully resets every cell, where 1.5 V pulses reset partially
+    bundle = paramfile.load(corpus / "params.ssyn")
+    bundle.defaults = replace(bundle.defaults, u_max=2.0)
+    params = tmp_path / "u_max_2.ssyn"
+    paramfile.save(bundle, params)
+    reports = []
+    apply_pulses = CellArray.apply_pulses
+
+    def recorded(self, *args, **kwargs):
+        reports.append(apply_pulses(self, *args, **kwargs))
+        return reports[-1]
+
+    monkeypatch.setattr(CellArray, "apply_pulses", recorded)
     out = tmp_path / "bench.csv"
-    rc = main(["bench", str(corpus / "params.ssyn"), "-m", "64", "--seed", "6",
-               "--orders", "1", "--threads-list", "1,2", "--modes", "read",
-               "--reads", "2", "-o", str(out)])
-    assert rc == 0
-    rows = out.read_text().strip().splitlines()[1:]
-    assert [row.split(",")[:4] for row in rows] == [["read", "64", "1", "1"],
-                                                   ["read", "64", "1", "2"]]
+    assert main(["bench", str(params), "-m", "64", "--seed", "6", "--orders", "1,10",
+                 "--threads-list", "1,2", "--pulses", "5", "--reads", "1", "-o", str(out)]) == 0
+    assert len(reports) == 2 * 2 * (2 + 5)   # orders x threads x (warm-up pair + timed)
+    timed = [r for k, r in enumerate(reports) if k % 7 >= 2]
+    assert [(r.n_set + r.n_full_reset, r.n_partial_reset) for r in timed] == [(64, 0)] * 20
+    assert json.loads(Path(str(out) + ".meta.json").read_text())["amplitude"] == 2.0
