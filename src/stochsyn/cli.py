@@ -119,6 +119,16 @@ def _read_limits(path) -> ConductionModel:
         raise ValueError(f"{path}: {exc}") from None
 
 
+def _check_outputs(*paths) -> None:
+    """OSError (exit 2) before any work if an output path cannot be opened
+    for writing; a file this creates to find out is removed again."""
+    for path in paths:
+        existed = os.path.lexists(path)
+        open(path, "ab").close()
+        if not existed:
+            os.remove(path)
+
+
 def _write_json(path, obj) -> None:
     with open(path, "w") as fh:
         json.dump(obj, fh, indent=2)
@@ -160,12 +170,13 @@ def cmd_extract(args) -> int:
 
 
 def cmd_fit(args) -> int:
+    diag_path = args.diagnostics or str(args.output) + ".diag.json"
+    _check_outputs(args.output, diag_path)
     _, features = waveform.read_features_csv(args.features)
     if args.conduction:   # read before fitting: a bad file fails at once
         conduction, source = _read_limits(args.conduction), str(args.conduction)
     else:
         conduction, source = synth.reference_conduction(), "built-in reference"
-    diag_path = args.diagnostics or str(args.output) + ".diag.json"
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
@@ -305,6 +316,7 @@ def cmd_sim(args) -> int:
         raise UsageError("--reads applies only to --pulses; a preset schedules its own reads")
     if args.pulses and args.cycles is not None:
         raise UsageError("--cycles counts preset cycles; it does not apply to --pulses")
+    _check_outputs(args.readout_out, args.state_out)
     bundle = paramfile.load(_params_path(args))
     readout = _readout_from_args(args, bundle.defaults.readout)
     array = init_array(bundle, args.m, a=args.a, seed=args.seed, p=args.order,
@@ -341,6 +353,8 @@ def cmd_sim(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    meta_path = str(args.output) + ".meta.json"
+    _check_outputs(args.output, meta_path)
     bundle = paramfile.load(_params_path(args))
     # alternating broadcast pulses at -u_max and +u_max: every pulse switches
     # every cell (abrupt transition or full positive transition)
@@ -388,7 +402,7 @@ def cmd_bench(args) -> int:
         "platform": platform.platform(),
         "numpy": np.__version__,
     }
-    _write_json(str(args.output) + ".meta.json", meta)
+    _write_json(meta_path, meta)
     return 0
 
 

@@ -2,13 +2,16 @@
 
 One model, built from the fit's outputs: reduced-form lag matrices phi_i,
 residual covariance sigma_u and intercept (Lutkepohl, New Introduction to
-Multiple Time Series Analysis, 2005, ch. 2).  The constructor derives its
-recursive structural form (ch. 9), the exact maximum-likelihood
-decomposition under those constraints, once.  One kernel, `step`, advances
-the float64 generator, the float32 array engine and its test mirror.  Every
-start is one exact draw from the stationary distribution of the lags.  Their
-covariance is solved once, without BLAS (`stationary_covariance`); each model
-caches its Cholesky factor, and C(0) is `synth.reference_bundle`'s sigma.
+Multiple Time Series Analysis, 2005, ch. 2).  `fit_svar` is the least-squares
+estimator in moment form (sec. 3.2), solved from the lag moments of the
+series with fixed-order sums, without BLAS or the regressor matrix.  The
+constructor derives the model's recursive structural form (ch. 9), the exact
+maximum-likelihood decomposition under those constraints, once.  One kernel,
+`step`, advances the float64 generator, the float32 array engine and its
+test mirror.  Every start is one exact draw from the stationary distribution
+of the lags.  Their covariance is solved once, without BLAS
+(`stationary_covariance`); each model caches its Cholesky factor, and C(0)
+is `synth.reference_bundle`'s sigma.
 """
 
 import warnings
@@ -24,6 +27,8 @@ MAX_ORDER = 200
 INTERCEPT_WARN = 0.05
 LYAPUNOV_TOL = 1e-12   # relative residual of the stationary covariance
 MAX_TERMS = 1 << 16    # impulse responses summed at most: spectral radius up to about 0.9997
+RANK_RTOL = 1e-10      # fit_svar: least normal-equation pivot, relative to its diagonal entry
+SPECTRAL_DIGITS = 10   # significant digits `spectral_radius` keeps
 
 
 def structural_decompose(sigma_u: np.ndarray):
@@ -88,11 +93,19 @@ class SvarModel:
 
 
 def fit_svar(series: np.ndarray, p: int) -> SvarModel:
-    """OLS regression of x_n on its p lags and a constant, as a model.
+    """Least-squares regression of x_n on its p lags and a constant, as a model.
 
-    The residual covariance uses denominator N - p (the number of fitted
-    rows).  The input is expected to be normalized, so a large intercept is
-    suspicious and triggers a warning.
+    The estimator in moment form, B = Y Z' (Z Z')^-1 (Lutkepohl 2005, sec.
+    3.2), from `_lag_moments` without the (n - p, 4p + 1) regressor matrix Z.
+    The normal equations are solved by `_cholesky` and two substitutions, and
+    the residuals come from one einsum per lag, so no BLAS or LAPACK call is
+    made and the bits do not depend on their thread count.  A pivot not above
+    RANK_RTOL times its diagonal entry means a regressor is all but a
+    combination of the ones before it, and the solve would keep fewer than
+    about six significant digits: ValueError "rank deficient".  Normalized
+    feature series give relative pivots near 1.  The residual covariance uses
+    denominator n - p (the number of fitted rows).  The input is expected to
+    be normalized, so a large intercept is suspicious and triggers a warning.
     """
     x = np.asarray(series, dtype=np.float64)
     if p < 1:
@@ -104,24 +117,69 @@ def fit_svar(series: np.ndarray, p: int) -> SvarModel:
     if n <= 10 * n_params:
         raise ValueError(f"need more than {10 * n_params} observations for p={p}, got {n}")
 
-    y = x[p:]
-    design = np.empty((n - p, n_params))
-    for i in range(1, p + 1):
-        design[:, (i - 1) * DIM : i * DIM] = x[p - i : n - i]
-    design[:, -1] = 1.0
-
-    beta, _, rank, _ = np.linalg.lstsq(design, y, rcond=None)
-    if rank < n_params:
-        raise ValueError(f"regressor matrix is rank deficient ({rank} < {n_params})")
-    resid = y - design @ beta
+    moments = _lag_moments(x, p)
+    low = _cholesky(moments[DIM:, DIM:], rtol=RANK_RTOL, what="regressor matrix is rank deficient")
+    beta = _cholesky_solve(low, moments[DIM:, :DIM])   # (4p + 1, 4): lags newest first, constant
+    phi = np.ascontiguousarray(beta[:-1].reshape(p, DIM, DIM).transpose(0, 2, 1))
     intercept = beta[-1]
+    resid = x[p:] - intercept
+    term = np.empty_like(resid)
+    for i in range(1, p + 1):
+        resid -= np.einsum("sk,jk->sj", x[p - i : n - i], phi[i - 1], out=term)
     if np.max(np.abs(intercept)) > INTERCEPT_WARN:
         warnings.warn(
             f"intercept {intercept} larger than {INTERCEPT_WARN}; input not centered?",
             RuntimeWarning,
         )
-    return SvarModel(phi=np.stack([beta[(i - 1) * DIM : i * DIM].T for i in range(1, p + 1)]),
-                     sigma_u=resid.T @ resid / (n - p), intercept=intercept)
+    return SvarModel(phi=phi, sigma_u=np.einsum("si,sj->ij", resid, resid) / (n - p),
+                     intercept=intercept)
+
+
+def _lag_moments(x: np.ndarray, p: int) -> np.ndarray:
+    """Sum over t = p..n-1 of w_t w_t^T, w_t = [x_t; x_{t-1}; ...; x_{t-p}; 1].
+
+    Its block (i, i + h) is the lag-h moment over the window s = p-i..n-1-i,
+    sum x_s x_{s-h}^T: one fixed-order einsum over the n - 2p samples that
+    every window of lag h shares, plus running sums of the first and last p
+    products.  The constant's column comes from sums of x the same way.
+    """
+    n = x.shape[0]
+    inner = slice(p, n - p)
+    i = np.arange(p + 1)
+    blocks = np.empty((p + 1, DIM, p + 1, DIM))
+    for h in range(p + 1):
+        shared = np.einsum("si,sj->ij", x[inner], x[p - h : n - p - h])
+        head = _running_sums(np.einsum("si,sj->sij", x[h:p], x[: p - h])[::-1])
+        tail = _running_sums(np.einsum("si,sj->sij", x[n - p :], x[n - p - h : n - h]))
+        window = (shared + head) + tail[::-1][: p + 1 - h]   # windows i = 0..p-h
+        blocks[i[: p + 1 - h], :, i[h:], :] = window
+        blocks[i[h:], :, i[: p + 1 - h], :] = window.transpose(0, 2, 1)
+    sums = (np.einsum("si->i", x[inner]) + _running_sums(x[p - 1 :: -1])) \
+        + _running_sums(x[n - p :])[::-1]
+    k = DIM * (p + 1)
+    moments = np.empty((k + 1, k + 1))
+    moments[:k, :k] = blocks.reshape(k, k)
+    moments[:k, k] = moments[k, :k] = sums.ravel()
+    moments[k, k] = n - p
+    return moments
+
+
+def _running_sums(terms: np.ndarray) -> np.ndarray:
+    """(len(terms) + 1, ...): entry k is the sum of the first k terms, in order."""
+    out = np.zeros((len(terms) + 1, *terms.shape[1:]))
+    np.cumsum(terms, axis=0, out=out[1:])
+    return out
+
+
+def _cholesky_solve(low: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """x with low low^T x = rhs: forward then back substitution, one
+    fixed-order einsum per row."""
+    out = np.empty_like(rhs)
+    for j in range(len(low)):
+        out[j] = (rhs[j] - np.einsum("k,kd->d", low[j, :j], out[:j])) / low[j, j]
+    for j in range(len(low) - 1, -1, -1):
+        out[j] = (out[j] - np.einsum("k,kd->d", low[j + 1 :, j], out[j + 1 :])) / low[j, j]
+    return out
 
 
 def mix_lower_triangular(eps: np.ndarray, tri: np.ndarray) -> np.ndarray:
@@ -162,8 +220,18 @@ def companion_matrix(model: SvarModel) -> np.ndarray:
 
 
 def spectral_radius(model: SvarModel) -> float:
-    """Largest eigenvalue modulus of the companion matrix (LAPACK eigvals)."""
-    return float(np.max(np.abs(np.linalg.eigvals(companion_matrix(model)))))
+    """Largest eigenvalue modulus of the companion matrix (LAPACK eigvals),
+    rounded to SPECTRAL_DIGITS significant digits.
+
+    eigvals moves the last bits with BLAS's thread count (by 2e-15 for a
+    fitted order-100 model on 1 and 2 threads); the rounding lies far above
+    that, so `fit`'s .diag.json holds the same value under every count.  A
+    radius within that wobble of a rounding boundary, about one model in
+    10^4 or fewer, can still round both ways.  The value is reported only:
+    stationarity is decided by `stationary_factor`.
+    """
+    radius = float(np.max(np.abs(np.linalg.eigvals(companion_matrix(model)))))
+    return float(f"{radius:.{SPECTRAL_DIGITS}g}")
 
 
 def stationary_covariance(model: SvarModel) -> np.ndarray:
@@ -233,13 +301,15 @@ def stationary_factor(model: SvarModel) -> np.ndarray:
     return _cholesky(stationary_covariance(model))
 
 
-def _cholesky(a: np.ndarray) -> np.ndarray:
-    """Lower Cholesky factor, column by column with fixed-order einsums."""
+def _cholesky(a: np.ndarray, rtol: float = 0.0,
+              what: str = "stationary covariance not positive definite") -> np.ndarray:
+    """Lower Cholesky factor, column by column with fixed-order einsums.
+    ValueError `what` at the first pivot not above rtol times its diagonal entry."""
     low = np.zeros_like(a)
     for j in range(len(a)):
         col = a[j:, j] - np.einsum("ik,k->i", low[j:, :j], low[j, :j])
-        if not col[0] > 0.0:
-            raise ValueError(f"stationary covariance not positive definite (pivot {j})")
+        if not col[0] > rtol * a[j, j]:
+            raise ValueError(f"{what} (pivot {j} of {len(a)})")
         low[j:, j] = col / np.sqrt(col[0])
     return low
 

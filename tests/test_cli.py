@@ -509,6 +509,22 @@ def test_fit_supports_order_100(corpus, tmp_path):
     assert sorted(paramfile.load(params).svar) == [100]
 
 
+def test_fit_bits_do_not_depend_on_the_blas_thread_count(corpus, tmp_path):
+    # the VAR solve makes no BLAS call and the spectral radius is rounded,
+    # so neither file may move with OPENBLAS_NUM_THREADS at order 100
+    src = str(Path(stochsyn.__file__).resolve().parents[1])
+    written = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}.ssyn"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        subprocess.run([sys.executable, "-m", "stochsyn.cli", "fit", str(corpus / "features.csv"),
+                        "-o", str(out), "-p", "10,100"], env=env, capture_output=True, check=True)
+        written.append((out.read_bytes(), Path(str(out) + ".diag.json").read_bytes()))
+    assert written[0][0] == written[1][0], ".ssyn differs between 1 and 2 BLAS threads"
+    assert written[0][1] == written[1][1], ".diag.json differs between 1 and 2 BLAS threads"
+
+
 class _Mallinfo2(ctypes.Structure):
     _fields_ = [(name, ctypes.c_size_t) for name in (
         "arena", "ordblks", "smblks", "hblks", "hblkhd", "usmblks", "fsmblks", "uordblks",
@@ -516,9 +532,10 @@ class _Mallinfo2(ctypes.Structure):
 
 
 def test_a_command_leaves_no_freed_heap_top_resident(corpus, tmp_path):
-    # Once an order-100 fit has freed its 19 MB design matrix, glibc serves
-    # extract's block arrays from the heap, and without a trim their freed
-    # top (20 MiB) stays resident under the next command's peak.
+    # Large frees raise glibc's mmap and trim thresholds, so later arrays,
+    # extract's block arrays among them, come from the heap, and without a
+    # trim their freed top (33 MiB after the tests before this one) stays
+    # resident under the next command's peak.
     mallinfo2 = getattr(ctypes.CDLL(None), "mallinfo2", None)
     if mallinfo2 is None:
         pytest.skip("needs glibc's mallinfo2")
@@ -741,6 +758,33 @@ def test_usage_errors_exit_2_before_any_work(corpus, tmp_path, monkeypatch, caps
     assert main([argv[0], str(corpus / "params.ssyn"), *argv[1:]]) == 2
     assert "error:" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["fit", "FEATURES", "-o", "afile/p.ssyn"],
+    ["fit", "FEATURES", "-o", "p.ssyn", "--diagnostics", "afile/d.json"],
+    ["fit", "FEATURES", "-o", "adir"],
+    ["bench", "PARAMS", "-m", "8", "--seed", "1", "-o", "afile/b.csv"],
+    ["sim", "PARAMS", "-m", "8", "--seed", "1", "--preset", "multilevel",
+     "--readout-out", "afile/r.csv"],
+    ["sim", "PARAMS", "-m", "8", "--seed", "1", "--preset", "multilevel",
+     "--readout-out", "r.csv", "--state-out", "adir"],
+], ids=["fit_output", "fit_diagnostics", "fit_output_a_directory", "bench_output",
+        "sim_readout", "sim_state_a_directory"])
+def test_unwritable_output_exits_2_before_any_work(corpus, tmp_path, monkeypatch, capsys, argv):
+    def no_work(*args, **kwargs):
+        raise AssertionError("the command worked before it checked its output paths")
+
+    monkeypatch.setattr(cli, "init_array", no_work)
+    monkeypatch.setattr(cli, "fit_map_with_fallback", no_work)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "afile").write_text("a regular file\n")
+    (tmp_path / "adir").mkdir()
+    inputs = {"FEATURES": str(corpus / "features.csv"), "PARAMS": str(corpus / "params.ssyn")}
+    assert main([inputs.get(a, a) for a in argv]) == 2
+    assert "error:" in capsys.readouterr().err
+    # the paths checked before the failing one are not left behind
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["adir", "afile"]
 
 
 def test_sim_full_cycling_preset(corpus, tmp_path):

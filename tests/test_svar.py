@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -71,6 +72,60 @@ def test_fit_rank_deficient_rejected():
     series[:, 0] = 1.0  # constant column collides with the intercept
     with pytest.raises(ValueError):
         fit_svar(series, 1)
+
+
+def _lstsq_fit(x, p):
+    """phi, intercept and sigma_u by `np.linalg.lstsq` on the regressor matrix."""
+    n = len(x)
+    design = np.column_stack([x[p - i : n - i] for i in range(1, p + 1)] + [np.ones(n - p)])
+    beta, _, rank, _ = np.linalg.lstsq(design, x[p:], rcond=None)
+    resid = x[p:] - design @ beta
+    phi = np.stack([beta[4 * i : 4 * i + 4].T for i in range(p)])
+    return phi, beta[-1], resid.T @ resid / (n - p), rank
+
+
+@pytest.mark.parametrize("p", [10, 100])
+def test_fit_matches_lstsq_on_the_regressor_matrix(p):
+    # the moment form solves the normal equations without forming the
+    # regressor matrix; on a well-conditioned series it agrees with lstsq to
+    # a few ulps of the O(1) coefficients
+    series = generate(reference_svar(3), 8000, seed=31)
+    fit = fit_svar(series, p)
+    phi, intercept, sigma_u, _ = _lstsq_fit(series, p)
+    tol = 1e-12
+    assert np.max(np.abs(fit.phi - phi)) < tol
+    assert np.max(np.abs(fit.intercept - intercept)) < tol
+    assert np.max(np.abs(fit.sigma_u - sigma_u)) < tol
+    assert np.array_equal(fit.sigma_u, fit.sigma_u.T)
+
+
+def test_fit_near_collinear_rank_deficient_rejected():
+    # a component equal to another up to 1e-13 of its scale: lstsq's rank
+    # check drops a column, and the normal equations' pivot falls below
+    # RANK_RTOL
+    rng = np.random.default_rng(5)
+    series = rng.standard_normal((5000, 4))
+    series[:, 1] = series[:, 0] + 1e-13 * rng.standard_normal(5000)
+    assert _lstsq_fit(series, 2)[3] < 4 * 2 + 1
+    with pytest.raises(ValueError, match="rank deficient"):
+        fit_svar(series, 2)
+
+
+def test_fit_memory_grows_far_less_per_cycle_than_a_regressor_row():
+    # the regressor matrix took 8 (4p + 1) bytes per cycle; the moment form
+    # keeps the residuals and one per-lag term, 64 bytes per cycle
+    p = 100
+    peaks = []
+    for n in (6000, 12000):
+        series = generate(reference_svar(1), n, seed=32)
+        tracemalloc.start()
+        try:
+            fit_svar(series, p)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    per_cycle = (peaks[1] - peaks[0]) / 6000
+    assert per_cycle < 8 * (4 * p + 1) / 10, per_cycle
 
 
 # -- structural decomposition -------------------------------------------------
