@@ -54,8 +54,19 @@ PHASE_HRS, PHASE_LRS, PHASE_IRS = 0, 1, 2
 PHASE_NAMES = {PHASE_HRS: "hrs", PHASE_LRS: "lrs", PHASE_IRS: "irs"}
 
 U_RESET_CLEARANCE = 1e-3   # generated thresholds stay this far below u_max [V]
-MIN_PARALLEL_CELLS = 4096  # below this a thread pool is pure overhead
 MAX_THREADS = 256          # worker threads an array may run on
+# The smallest part of an operation that repays a worker thread (see
+# `CellArray._partitions`).  A part runs dozens of small numpy calls that
+# hand the GIL back and forth, so on a 2-core host a second thread slowed
+# reads until a part held 32768-65536 cells, and pulses until a part carried
+# about 2 ms of work.  A pulse costs a cell its 4p-entry lag contraction plus
+# a fixed share (branch masks, normals, realization) worth about 256 lag
+# entries: 124, 165 and 381 ns per cell at p = 1, 10 and 100.  So a write
+# part counts (4p + WRITE_CELL_LAGS) lag entries per cell: 16131 cells at
+# p = 1, 14169 at p = 10 and 6393 at p = 100.
+READ_PART_CELLS = 1 << 16  # cells per read part, whole or addressed
+WRITE_PART_LAGS = 1 << 22  # lag entries per pulse or init part
+WRITE_CELL_LAGS = 256      # a write's per-cell work besides its contraction, in lag entries
 MAX_SEED = (1 << 64) - 1   # seeds are the 64-bit stream-key words 0..MAX_SEED
 INIT_BLOCK_DRAWS = 1 << 19  # lag entries per init block (2 MB)
 SPARE_LAG_SLOTS = 16       # history slots beyond the p-slot lag window, at most p + 2
@@ -189,6 +200,15 @@ class CellArray:
     The readout is fixed at construction: its settings pass the float32
     gates once, the two limiting currents at `u_read` are kept, and
     `readout` is read-only, so they cannot go stale.
+
+    `threads` (1..MAX_THREADS, checked at every operation) is an upper bound.
+    An operation over n cells runs in min(threads, n // part) equal parts on
+    a thread pool, and inline, without a pool, when that is 1.  `part` is
+    READ_PART_CELLS = 2^16 cells for a read, whole or addressed, and
+    floor(2^22 / (4p + 256)) cells for a pulse or the init (`_write_part`):
+    14169 at p = 10, 6393 at p = 100.  Smaller parts ran slower on two
+    threads than on one (see the README's notes on performance).  No draw
+    or contraction depends on the parts, so neither do the bits.
     """
 
     def __init__(self, bundle, m: int, a: float | None = None, seed: int = 0,
@@ -257,7 +277,8 @@ class CellArray:
             med = inverse_map(self.gamma, np.zeros(4, dtype=np.float32))
             self.scale[:] = inverse_map(self.gamma, shat) / med
         factor = stationary_factor32(self.model)
-        self._run_partitioned(lambda lo, hi: self._draw_stationary_lags(lo, hi, factor), self.m)
+        self._run_partitioned(lambda lo, hi: self._draw_stationary_lags(lo, hi, factor), self.m,
+                              self._write_part())
         self._advance(slice(0, self.m), out=self.features)
         self.phase[:] = PHASE_HRS
         self.cycle[:] = 1
@@ -387,18 +408,29 @@ class CellArray:
 
         return tuple(int(np.count_nonzero(mask)) for mask in (set_m, full, part))
 
-    def _partitions(self, n: int):
-        """[lo, hi) parts of n items: one per thread, one below MIN_PARALLEL_CELLS."""
+    def _write_part(self) -> int:
+        """Cells per pulse or init part: WRITE_PART_LAGS lag entries at
+        4p + WRITE_CELL_LAGS per cell."""
+        return WRITE_PART_LAGS // (4 * self.p + WRITE_CELL_LAGS)
+
+    def _partitions(self, n: int, part: int):
+        """[lo, hi) parts of n items: min(threads, n // part) equal parts, so
+        none is smaller than `part`, the smallest that repays a worker thread;
+        one part when that count is at most 1.  ValueError for `threads`
+        outside 1..MAX_THREADS, whatever the size."""
         t = self.threads
         if not 1 <= t <= MAX_THREADS:
             raise ValueError(f"threads must be in 1..{MAX_THREADS}, got {t}")
-        if t == 1 or n < MIN_PARALLEL_CELLS:
+        k = min(t, n // part)
+        if k <= 1:
             return [(0, n)]
-        bounds = [n * i // t for i in range(t + 1)]
-        return [(bounds[i], bounds[i + 1]) for i in range(t) if bounds[i] < bounds[i + 1]]
+        bounds = [n * i // k for i in range(k + 1)]
+        return list(zip(bounds[:-1], bounds[1:]))
 
-    def _run_partitioned(self, fn, n: int):
-        parts = self._partitions(n)
+    def _run_partitioned(self, fn, n: int, part: int):
+        """fn(lo, hi) over `_partitions(n, part)`: inline for one part, else
+        on the pool, which is created only then."""
+        parts = self._partitions(n, part)
         if len(parts) == 1:
             return [fn(*parts[0])]
         if self._pool_workers != self.threads:
@@ -453,7 +485,8 @@ class CellArray:
         elif ua.shape not in ((), (self.m,)):
             raise ValueError(f"per-cell amplitudes must have shape ({self.m},)")
         ua = np.broadcast_to(ua, (self.m,))
-        counts = self._run_partitioned(lambda lo, hi: self._apply_chunk(lo, hi, ua[lo:hi]), self.m)
+        counts = self._run_partitioned(lambda lo, hi: self._apply_chunk(lo, hi, ua[lo:hi]), self.m,
+                                       self._write_part())
         return PulseReport(n_addr, *(sum(c) for c in zip(*counts)))
 
     def read_all(self, cells=None):
@@ -463,7 +496,8 @@ class CellArray:
         Returns (i_noisy, codes, i_dequantized).  Reads never modify r; with
         noise enabled each read consumes one draw from the cell's stream.
         `cells` (see `_addresses`) names each cell at most once (ValueError
-        otherwise); addressed reads use the worker threads too.
+        otherwise); addressed reads split over the worker threads like whole
+        ones.
         """
         cfg = self._readout
         ih, il = self._i_read
@@ -481,7 +515,8 @@ class CellArray:
                 i_read = i_read + noise_sigma(i_read, cfg) * z
             return i_read, quantize(i_read, cfg)
 
-        chunks = self._run_partitioned(run, self.m if cells is None else cells.size)
+        chunks = self._run_partitioned(run, self.m if cells is None else cells.size,
+                                       READ_PART_CELLS)
         i_noisy, codes = (np.concatenate(c) for c in zip(*chunks))
         return i_noisy, codes, dequantize(codes, cfg)
 
@@ -547,9 +582,10 @@ def init_array(bundle, m: int, a: float | None = None, seed: int = 0,
     median image); a = 0 pins every scale to exactly one.  Each cell's lag
     history is one exact draw from the stationary distribution of the
     order-p model, and one autoregression step from there realizes the
-    features of its first cycle.  Cells are drawn on `threads` workers
-    (1..MAX_THREADS); the result does not depend on that number.  `seed` is
-    one 64-bit word (0..MAX_SEED); ValueError outside either range.
+    features of its first cycle.  Cells are drawn on at most `threads`
+    workers (1..MAX_THREADS), in parts no smaller than a pulse's (see
+    `CellArray`); the result depends on neither.  `seed` is one 64-bit word
+    (0..MAX_SEED); ValueError outside either range.
     `readout` (default: the bundle's) is fixed for the array's life; the
     settings, `a` and `u_max` must pass `float32_problems` (ValueError).
     """

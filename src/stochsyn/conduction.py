@@ -11,6 +11,8 @@ polynomial fits (c0 = 0, c1 >= MIN_LINEAR_COEFF) of degree HRS_FIT_DEGREE
 and LRS_FIT_DEGREE that fit each cycle's branches and, from the branch
 points pooled over the cycles at the LIMIT_PERCENTILE extremes, the limits.
 U0_DEFAULT is the one reference voltage of the package's static resistances.
+`quantile` is the sample quantile that the limit pools and the normalizing
+map's fit share.
 """
 
 from dataclasses import dataclass
@@ -58,6 +60,24 @@ def eval_poly(coeffs, u):
     if acc.ndim == 0:
         return acc.item() if acc.dtype == np.float64 else acc[()]
     return acc
+
+
+def quantile(x, q):
+    """``np.quantile(x, q)`` of a finite 1-d ``x`` by its default (linear)
+    method, bit for bit, from one sort.  Position (n - 1) q lies between
+    order statistics a and b, and the fraction t between them interpolates
+    as a + (b - a) t, or as b - (b - a)(1 - t) for t >= 0.5; q = 1 takes
+    the largest value.  np.quantile's first call imports numpy.ma, which
+    costs a fresh command about 15 ms; this does not.
+    """
+    s = np.sort(x)
+    pos = (s.size - 1) * np.asarray(q, dtype=np.float64)
+    top = pos >= s.size - 1
+    lo = np.where(top, -1, np.floor(pos).astype(np.intp))
+    a, b = s[lo], s[np.where(top, -1, lo + 1)]
+    t = pos - lo
+    d = b - a
+    return np.where(t >= 0.5, b - d * (1 - t), a + d * t)
 
 
 @dataclass(frozen=True)

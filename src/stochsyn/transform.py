@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conduction import as_float, eval_poly
+from .conduction import as_float, eval_poly, quantile
 from .waveform import FEATURE_NAMES
 
 N_QUANTILES = 500
@@ -138,7 +138,7 @@ def fit_map(features: np.ndarray, degree: int = GAMMA_DEGREE) -> NormalizingMap:
     zq = np.array([_ndtri(v) for v in probs.tolist()])
     coeffs = np.empty((4, degree + 1))
     for k in range(4):
-        lq = np.quantile(np.log(x[:, k]), probs)
+        lq = quantile(np.log(x[:, k]), probs)
         coeffs[k] = np.polynomial.polynomial.polyfit(zq, lq, degree)
     m = NormalizingMap(coeffs=coeffs)
     _check_monotone(m)

@@ -37,7 +37,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from . import csvtext
 from .conduction import (HRS_FIT_DEGREE, LIMIT_PERCENTILE, LRS_FIT_DEGREE, U0_DEFAULT, as_float,
-                         eval_poly, fit_conduction_polys)
+                         eval_poly, fit_conduction_polys, quantile)
 
 FEATURE_NAMES = ("r_h", "u_s", "r_l", "u_r")
 FEATURES_HEADER = ",".join(("cycle",) + FEATURE_NAMES)
@@ -584,8 +584,8 @@ def _pooled_points(trace, bounds, features, set_locs, carries):
     ``bounds``, ``features`` and the smoothing ``carries`` (see
     `smooth_adaptive`) are the kept cycles'."""
     r_h, u_s, r_l, u_r = features.T
-    top = r_h >= np.quantile(r_h, 1.0 - LIMIT_PERCENTILE / 100.0)
-    bottom = r_l <= np.quantile(r_l, LIMIT_PERCENTILE / 100.0)
+    top = r_h >= quantile(r_h, 1.0 - LIMIT_PERCENTILE / 100.0)
+    bottom = r_l <= quantile(r_l, LIMIT_PERCENTILE / 100.0)
     pool = np.flatnonzero(top | bottom)
     hrs, lrs = [], []
     for lo in range(0, pool.size, CYCLE_BLOCK):

@@ -7,8 +7,12 @@ outputs to see whether a change moves any engine bit.
 
 The sweep covers the reference bundle's orders 1, 10 and 100 and the orders
 10 and 100 of a bundle fitted to its sampled features, device variability
-a = 0 and 0.5, and 1 and 2 worker threads, on arrays of 4500 cells (above
-`MIN_PARALLEL_CELLS`, so 2 threads split the work).  Each configuration
+a = 0 and 0.5, and 1 and 2 worker threads, on arrays of 4500 cells.  For
+its own run the sweep lowers the engine's smallest part to 2048 cells for
+reads (`READ_PART_CELLS`) and for pulses and init (`CellArray._write_part`)
+at every order, so 2 threads split each of its operations on 4096 cells or
+more in two, and none of its smaller ones; parts of the engine's own size
+would keep them all whole.  Each configuration
 runs 16 pulses in each of four forms: one broadcast amplitude, one float32
 amplitude per cell, and addressed cells with repeats, given one amplitude
 or the per-cell amplitude of each address (a repeated cell gets one
@@ -77,10 +81,11 @@ import hashlib
 import sys
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 
-from stochsyn import csvtext, paramfile, synth
+from stochsyn import array, csvtext, paramfile, synth
 from stochsyn.array import ReadoutConfig, init_array
 from stochsyn.cli import main
 from stochsyn.svar import generate
@@ -101,6 +106,7 @@ TRACE_CYCLES = 2000   # cycles per trace of the extraction lines
 TRACE_NOISES = (1e-6, 2e-5)  # current noise [A]: none excluded, and some
 SHIFTED_CUT = (300, -400)  # samples kept of the shifted trace: both ends are partial segments
 SIM_SCRIPT_CELLS = csvtext.BLOCK_ROWS + 300   # the script run's CSVs span two blocks
+SPLIT_PART = 2048     # cells per part that the sweep sets, see the docstring
 READOUTS = (("noisy12", ReadoutConfig(n_bits=12, i_min=0.0, i_max=60e-6)),
             ("clean12", ReadoutConfig(n_bits=12, i_min=0.0, i_max=60e-6, noise_enabled=False)))
 
@@ -328,7 +334,9 @@ def command_sweep(workdir: Path, out) -> None:
 
 
 def run(out=sys.stdout) -> None:
-    with tempfile.TemporaryDirectory() as tmp:
+    with (mock.patch.object(array, "READ_PART_CELLS", SPLIT_PART),
+          mock.patch.object(array.CellArray, "_write_part", lambda self: SPLIT_PART),
+          tempfile.TemporaryDirectory() as tmp):
         fitted = fitted_bundle(Path(tmp))
         reference = synth.reference_bundle()
         bundles = [("reference", reference, (1, 10, 100)), ("fitted", fitted, (10, 100))]

@@ -9,13 +9,15 @@ from mirror_machine import MirrorCell
 from scipy.constants import e as Q_E
 from scipy.constants import k as K_B
 
+from stochsyn import array
 from stochsyn.array import (
     MAX_SEED,
     MAX_THREADS,
-    MIN_PARALLEL_CELLS,
     PHASE_HRS,
     PHASE_IRS,
     PHASE_LRS,
+    READ_PART_CELLS,
+    CellArray,
     ReadoutConfig,
     dequantize,
     init_array,
@@ -32,6 +34,30 @@ from stochsyn.conduction import (
 )
 from stochsyn.svar import stationary_factor
 from stochsyn.transform import inverse_map
+
+
+@pytest.fixture()
+def part_counts(monkeypatch):
+    """The part count of each partitioned operation, in call order."""
+    counts = []
+    partitions = CellArray._partitions
+
+    def spy(self, n, part):
+        parts = partitions(self, n, part)
+        counts.append(len(parts))
+        return parts
+
+    monkeypatch.setattr(CellArray, "_partitions", spy)
+    return counts
+
+
+@pytest.fixture()
+def small_parts(monkeypatch, part_counts):
+    """`part_counts`, with the engine's smallest part lowered to 512 cells
+    for reads, pulses and init, so that arrays of a few thousand cells split."""
+    monkeypatch.setattr(array, "READ_PART_CELLS", 512)
+    monkeypatch.setattr(CellArray, "_write_part", lambda self: 512)
+    return part_counts
 
 
 @pytest.fixture()
@@ -69,7 +95,8 @@ def test_seeds_outside_64_bits_raise(ref_bundle):
 
 
 def test_thread_counts_outside_the_bound_raise(ref_bundle):
-    # few cells: a count the check missed would still run one partition
+    # few cells, below every part size: a count the check missed would
+    # still run one part
     with pytest.raises(ValueError, match="thread"):
         init_array(ref_bundle, m=16, seed=1, threads=MAX_THREADS + 1)
     arr = init_array(ref_bundle, m=16, seed=1)
@@ -92,11 +119,11 @@ def test_footprint_formula(ref_bundle):
         assert arr.bytes_per_cell() <= 2 * (16 * p + 56)
 
 
-def test_windowed_history_matches_a_shifted_history(ref_bundle):
+def test_windowed_history_matches_a_shifted_history(ref_bundle, small_parts):
     # addressed halves advance some cells twice as often as others, so the
     # windows lie at different offsets, and each is copied back at least
     # three times; the canonical lags must equal the mirror's shifted ones
-    m, p, seed = MIN_PARALLEL_CELLS, 10, 17
+    m, p, seed = 4096, 10, 17
     spare = min(16, p + 2)
     arr = init_array(ref_bundle, m=m, a=0.0, seed=seed, p=p, threads=2)
     rng = np.random.default_rng(3)
@@ -111,6 +138,7 @@ def test_windowed_history_matches_a_shifted_history(ref_bundle):
                 mirrors[c].pulse(amp)
             offsets_seen.add(np.unique(arr._offset).size)
     assert max(offsets_seen) > 1 and arr.cycle.min() > 3 * spare
+    assert set(small_parts) == {2}      # the init and every pulse split
     lags = arr.lags()
     for c, cell in mirrors.items():
         assert cell.cycle == arr.cycle[c]
@@ -119,10 +147,10 @@ def test_windowed_history_matches_a_shifted_history(ref_bundle):
 
 @pytest.mark.parametrize("readout", [None, ReadoutConfig(n_bits=12, i_min=0.0, i_max=60e-6,
                                                          noise_enabled=False)])
-def test_reads_match_the_mirror(ref_bundle, readout):
+def test_reads_match_the_mirror(ref_bundle, readout, small_parts):
     # whole and shuffled addressed reads on 2 threads, between pulses that
     # spread the window offsets; a noisy read's draw moves the cell's stream
-    m, p, seed = MIN_PARALLEL_CELLS, 10, 19
+    m, p, seed = 4096, 10, 19
     arr = init_array(ref_bundle, m=m, a=0.0, seed=seed, p=p, threads=2, readout=readout)
     cfg = arr.readout
     rng = np.random.default_rng(8)
@@ -142,6 +170,7 @@ def test_reads_match_the_mirror(ref_bundle, readout):
                 k = slot[c]
                 assert i.tobytes() == i_noisy[k : k + 1].tobytes() and code[0] == codes[k]
     assert np.unique(arr._offset).size > 1
+    assert set(small_parts) == {2}      # the reads split as the pulses do
     assert np.array_equal(deq, dequantize(codes, cfg))
 
 
@@ -154,9 +183,10 @@ def test_contraction_operands_have_pinned_layouts(ref_bundle):
 
 
 @pytest.mark.parametrize("p", [10, 100])
-def test_init_of_first_cells_independent_of_array_size(ref_bundle, p):
-    big = init_array(ref_bundle, m=MIN_PARALLEL_CELLS, a=0.4, seed=21, p=p, threads=2)
+def test_init_of_first_cells_independent_of_array_size(ref_bundle, p, small_parts):
+    big = init_array(ref_bundle, m=4096, a=0.4, seed=21, p=p, threads=2)
     small = init_array(ref_bundle, m=256, a=0.4, seed=21, p=p)
+    assert small_parts == [2, 1]
     for a, b in zip(big._state_arrays(), small._state_arrays()):
         assert a[:256].tobytes() == b.tobytes()
 
@@ -388,9 +418,10 @@ def test_scalar_amplitude_forms_are_one_form(ref_bundle):
     assert len(digests) == 1
 
 
-def test_partition_independence_bit_exact(ref_bundle):
+def test_partition_independence_bit_exact(ref_bundle, small_parts):
     runs = []
     for threads in (1, 2, 3, 8):
+        small_parts.clear()
         arr = init_array(ref_bundle, m=8192, a=0.4, seed=55, p=10,
                          threads=threads)
         rng = np.random.default_rng(7)
@@ -398,14 +429,60 @@ def test_partition_independence_bit_exact(ref_bundle):
             arr.apply_pulses(float(rng.uniform(-1.7, 1.7)))
         arr.apply_pulses(-1.5, cells=np.arange(0, 8192, 5))
         arr.read_all()
-        # an addressed read of more than MIN_PARALLEL_CELLS cells is split too
+        # an addressed read is split too
         reads = arr.read_all(cells=rng.permutation(8192)[:5000])
         runs.append((arr.state_digest(), *(x.tobytes() for x in reads)))
+        assert set(small_parts) == {threads}
     assert runs[0] == runs[1] == runs[2] == runs[3]
 
 
-def test_raising_threads_grows_the_pool(ref_bundle):
-    m = MIN_PARALLEL_CELLS
+@pytest.mark.parametrize("p, write_part", [(1, 16131), (10, 14169), (100, 6393)])
+def test_an_operation_splits_only_into_parts_that_repay_a_worker(ref_bundle, p, write_part):
+    # reads split into parts of READ_PART_CELLS = 2^16 cells at least,
+    # pulses and init into parts of 2^22 lag entries at 4p + 256 a cell;
+    # below two such parts an operation runs whole
+    arr = init_array(ref_bundle, m=4, a=0.0, seed=1, p=p)
+    assert (READ_PART_CELLS, arr._write_part()) == (1 << 16, write_part)
+    for part in (READ_PART_CELLS, write_part):
+        for n in (1, part - 1, part, 2 * part - 1, 2 * part, 3 * part + 7, 300 * part):
+            for threads in (1, 2, 3, 8, MAX_THREADS):
+                arr.threads = threads
+                parts = arr._partitions(n, part)
+                k = min(threads, n // part)
+                assert len(parts) == max(k, 1)
+                assert [lo for lo, _ in parts] == [0] + [hi for _, hi in parts[:-1]]
+                assert parts[-1][1] == n
+                assert k < 2 or min(hi - lo for lo, hi in parts) >= part
+            # the bound is checked before the rule can give one part
+            for threads in (0, MAX_THREADS + 1):
+                arr.threads = threads
+                with pytest.raises(ValueError, match="thread"):
+                    arr._partitions(n, part)
+
+
+@pytest.mark.parametrize("p, m, write_parts, read_parts", [(10, 3 * READ_PART_CELLS, 3, 3),
+                                                           (100, 16384, 2, 1)])
+def test_engine_sized_parts_leave_the_bits_alone(ref_bundle, part_counts, p, m, write_parts,
+                                                 read_parts):
+    # arrays big enough that 2 and 3 threads split at the engine's own part
+    # sizes: reads and writes at p = 10, writes at p = 100
+    cells = np.random.default_rng(p).permutation(m)
+    runs = []
+    for threads in (1, 2, 3):
+        part_counts.clear()
+        arr = init_array(ref_bundle, m=m, a=0.4, seed=57, p=p, threads=threads)
+        for amp in (-1.5, 1.1, 1.5, -1.5):
+            arr.apply_pulses(amp)
+        arr.apply_pulses(1.5, cells=cells[: m // 3])
+        reads = (*arr.read_all(), *arr.read_all(cells=cells))
+        runs.append((arr.state_digest(), *(x.tobytes() for x in reads)))
+        # the init and five pulses, then two reads
+        assert part_counts == [min(threads, write_parts)] * 6 + [min(threads, read_parts)] * 2
+    assert runs[0] == runs[1] == runs[2]
+
+
+def test_raising_threads_grows_the_pool(ref_bundle, small_parts):
+    m = 4096
     arr = init_array(ref_bundle, m=m, a=0.4, seed=56, p=10, threads=2)
     arr.apply_pulses(-1.5)
     arr.threads = 4
@@ -421,6 +498,7 @@ def test_raising_threads_grows_the_pool(ref_bundle):
     arr._apply_chunk = gated_chunk
     arr.apply_pulses(1.5)
     assert not barrier.broken
+    assert small_parts == [2, 2, 4]
 
     ref = init_array(ref_bundle, m=m, a=0.4, seed=56, p=10, threads=1)
     ref.apply_pulses(-1.5)

@@ -5,6 +5,7 @@ import pytest
 from scipy.special import ndtri
 from scipy.stats import norm
 
+from stochsyn.conduction import LIMIT_PERCENTILE, quantile
 from stochsyn.stats import wasserstein1
 from stochsyn.transform import (
     MonotonicityError,
@@ -42,7 +43,7 @@ def test_quantiles_match_sorted_interpolation_oracle():
     rng = np.random.default_rng(4)
     x = rng.lognormal(2.0, 0.4, 5001)
     probs = np.linspace(0.01, 0.99, 500)
-    got = np.quantile(x, probs)
+    got = quantile(x, probs)
     # naive sorted-array oracle, linear interpolation between order statistics
     xs = np.sort(x)
     pos = probs * (xs.size - 1)
@@ -50,6 +51,20 @@ def test_quantiles_match_sorted_interpolation_oracle():
     hi = np.ceil(pos).astype(int)
     oracle = xs[lo] + (pos - lo) * (xs[hi] - xs[lo])
     assert np.allclose(got, oracle, rtol=1e-12)
+
+
+def test_quantile_kernel_gives_np_quantile_bits():
+    # the fit's probability grid and the limit pools' two levels, on sizes
+    # that put positions on and between order statistics, including t = 0.5
+    rng = np.random.default_rng(12)
+    probs = np.linspace(PROB_RANGE[0], PROB_RANGE[1], N_QUANTILES)
+    levels = (LIMIT_PERCENTILE / 100.0, 1.0 - LIMIT_PERCENTILE / 100.0)
+    for n in (1, 2, 3, 99, 101, 1000, 5001, 20000):
+        x = rng.lognormal(2.0, 0.4, n) * 10.0 ** rng.integers(-8, 8)
+        for q in (probs, *levels, 0.0, 0.5, 1.0):
+            got, ref = quantile(x, q), np.quantile(x, q)
+            assert np.shape(got) == np.shape(ref)
+            assert np.asarray(got).tobytes() == np.asarray(ref).tobytes(), (n, q)
 
 
 def _assert_ndtri_bits(p):
