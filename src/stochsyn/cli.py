@@ -144,6 +144,8 @@ def _readout_from_args(args, base: ReadoutConfig) -> ReadoutConfig:
 # ---------------------------------------------------------------------------
 
 def cmd_extract(args) -> int:
+    report_path = args.report or str(args.output) + ".report.json"
+    _check_outputs(args.output, report_path, *filter(None, [args.limits_out]))
     trace = waveform.read_trace(args.input)
     result = waveform.extract_features(trace)
     waveform.write_features_csv(result.features, args.output, cycles=result.cycles + 1)
@@ -154,7 +156,7 @@ def cmd_extract(args) -> int:
         "set_detect_missing": result.set_missing,
         "excluded": [{"cycle": int(c), "reason": r} for c, r in result.exclusions],
     }
-    _write_json(args.report or str(args.output) + ".report.json", report)
+    _write_json(report_path, report)
     if args.limits_out:
         try:
             model = fit_limiting_model(result.hrs_points, result.lrs_points)
@@ -163,7 +165,7 @@ def cmd_extract(args) -> int:
             raise ValueError(f"limit fit of the cycles at the {LIMIT_PERCENTILE:g} % extremes"
                              f" ({n_h} HRS cycles, {u_h.size} points; {n_l} LRS cycles,"
                              f" {u_l.size} points): {exc}") from None
-        _write_json(args.limits_out, {"u0": model.u0, "hhrs": model.hhrs.tolist(),
+        _write_json(args.limits_out, {"u0": U0_DEFAULT, "hhrs": model.hhrs.tolist(),
                                       "llrs": model.llrs.tolist()})
     print(f"extracted {result.features.shape[0]}/{result.n_cycles} cycles -> {args.output}")
     return 0
@@ -222,6 +224,7 @@ def cmd_fit(args) -> int:
 
 
 def cmd_generate(args) -> int:
+    _check_outputs(args.output)
     bundle = paramfile.load(_params_path(args))
     model = bundle.model(args.order)
     z = svar_generate(model, args.n, args.seed)

@@ -82,16 +82,15 @@ def quantile(x, q):
 
 @dataclass(frozen=True)
 class ConductionModel:
-    """Limiting-polynomial pair plus the static-resistance reference voltage.
+    """Limiting-polynomial pair; static resistances are taken at U0_DEFAULT.
 
     Coefficients are ascending; the constant terms must be exactly zero and
     the linear terms at least MIN_LINEAR_COEFF.  The conductive branch must
-    carry more current than the resistive one at u0.
+    carry more current than the resistive one at U0_DEFAULT.
     """
 
     hhrs: np.ndarray
     llrs: np.ndarray
-    u0: float = U0_DEFAULT
 
     def __post_init__(self):
         object.__setattr__(self, "hhrs", np.asarray(self.hhrs, dtype=np.float64))
@@ -105,10 +104,10 @@ class ConductionModel:
                 raise ValueError(
                     f"{name} linear coefficient {c[1]:g} A/V below {MIN_LINEAR_COEFF:g}"
                 )
-        ih, il = self.i_hhrs(self.u0), self.i_llrs(self.u0)
+        ih, il = self.i_hhrs(U0_DEFAULT), self.i_llrs(U0_DEFAULT)
         if not (il > ih > 0.0):
             raise ValueError(
-                f"need i_llrs(u0) > i_hhrs(u0) > 0 at u0={self.u0}, got {il:g}, {ih:g}"
+                f"need i_llrs(u0) > i_hhrs(u0) > 0 at u0={U0_DEFAULT}, got {il:g}, {ih:g}"
             )
 
     def i_hhrs(self, u):
@@ -118,8 +117,8 @@ class ConductionModel:
         return eval_poly(self.llrs, u)
 
     def static_resistance(self, r):
-        """u0 / I(r, u0) for a state variable r."""
-        return self.u0 / current(r, self.u0, self)
+        """u0 / I(r, u0) at u0 = U0_DEFAULT for a state variable r."""
+        return U0_DEFAULT / current(r, U0_DEFAULT, self)
 
 
 def current(r, u, model: ConductionModel):
@@ -145,15 +144,15 @@ def state_from_point(i, u, model: ConductionModel):
 
 
 def state_from_resistance(res, model: ConductionModel):
-    """State variable whose static resistance at u0 equals ``res``:
-    clip(ca - cb / res), ca = i_l / (i_l - i_h) and cb = u0 / (i_l - i_h) at
-    u0.  Dtype-generic (see `as_float`)."""
+    """State variable whose static resistance at u0 = U0_DEFAULT equals
+    ``res``: clip(ca - cb / res), ca = i_l / (i_l - i_h) and
+    cb = u0 / (i_l - i_h) at u0.  Dtype-generic (see `as_float`)."""
     res = as_float(res)
     if np.min(res) <= 0.0:
         raise ValueError(f"resistance must be positive, got {res!r}")
-    il = model.i_llrs(model.u0)
-    denom = il - model.i_hhrs(model.u0)
-    return np.clip(il / denom - (model.u0 / denom) / res, 0.0, 1.0)
+    il = model.i_llrs(U0_DEFAULT)
+    denom = il - model.i_hhrs(U0_DEFAULT)
+    return np.clip(il / denom - (U0_DEFAULT / denom) / res, 0.0, 1.0)
 
 
 def transition_current(u, u_start, r_lrs, r_next, u_max, model: ConductionModel):

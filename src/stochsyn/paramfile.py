@@ -13,6 +13,9 @@ The autoregression section may repeat, one entry per stored model order;
 any other repeated section, or a repeated order, fails to load.
 Each section's payload layout is written once, in `SECTIONS`, which encoding
 and decoding both walk; a float64 field that is not finite fails to load.
+The conduction u0 and the gamma z_range are written as U0_DEFAULT and
+Z_RANGE, and any other value fails to load; an autoregression section's
+a, b, c and chol_u are derived from phi and sigma_u, and checked on load.
 """
 
 import math
@@ -24,9 +27,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .array import FLOAT32_MAX, ReadoutConfig, float32_problems
-from .conduction import ConductionModel
-from .svar import SvarModel, spectral_radius
-from .transform import MonotonicityError, NormalizingMap, _check_monotone, inverse_map
+from .conduction import U0_DEFAULT, ConductionModel
+from .svar import SvarModel, spectral_radius, structural_decompose
+from .transform import Z_RANGE, MonotonicityError, NormalizingMap, _check_monotone, inverse_map
 
 MAGIC = b"SSYN"
 VERSION = 1
@@ -86,7 +89,7 @@ class ParameterBundle:
     def validate(self) -> None:
         """Cross-checks beyond the member constructors, in float32 where the
         engine computes in float32: sigma is positive definite; γ, monotone
-        on z_range, is finite and positive at its ends; the defaults pass
+        on Z_RANGE, is finite and positive at its ends; the defaults pass
         `array.float32_problems`; every model passes the (cached)
         `svar.stationary_factor` gates, so the bundle can start an array."""
         sigma, gamma, cm, d = np.asarray(self.sigma), self.gamma, self.conduction, self.defaults
@@ -103,9 +106,9 @@ class ParameterBundle:
         except MonotonicityError as exc:
             need(False, "gamma", f"field coeffs: {exc}")
         with np.errstate(all="ignore"):
-            ends = inverse_map(gamma, np.float32(gamma.z_range)[:, None].repeat(4, 1))
+            ends = inverse_map(gamma, np.float32(Z_RANGE)[:, None].repeat(4, 1))
         need(np.all((ends > 0.0) & np.isfinite(ends)), "gamma", f"field coeffs: float32"
-             f" realization at the z_range ends is not finite and positive: {ends.tolist()}")
+             f" realization at the Z_RANGE ends is not finite and positive: {ends.tolist()}")
         for where, what in float32_problems(cm, sigma, d.u_max, d.dtd_scale, d.readout):
             need(False, where, what)
         for p, model in self.svar.items():
@@ -125,27 +128,42 @@ _READOUT_FIELDS = (("u_read", F64), ("delta_f", F64), ("temperature", F64), ("n_
                    ("i_min", F64), ("i_max", F64), ("noise_enabled", FLAG))
 
 
+def _svar_fields(model: SvarModel) -> dict:
+    """The model's fields with the structural form the file stores beside
+    them: a and b from `structural_decompose(sigma_u)`, and c_i = a phi_i."""
+    a, b = structural_decompose(model.sigma_u)
+    return {**vars(model), "a": a, "b": b, "c": np.stack([a @ phi_i for phi_i in model.phi])}
+
+
 def _svar_model(fields) -> SvarModel:
     """The model from its primary fields; the derived ones must agree."""
     model = SvarModel(phi=fields["phi"], sigma_u=fields["sigma_u"], intercept=fields["intercept"])
+    derived = _svar_fields(model)
     for name in ("a", "b", "c", "chol_u"):
-        if not np.max(np.abs(fields[name] - getattr(model, name))) <= 1e-10:
+        if not np.max(np.abs(fields[name] - derived[name])) <= 1e-10:
             raise ValueError(f"field {name} disagrees with phi and sigma_u by more than 1e-10")
     return model
 
 
-# A section: its tag, name, (field, kind) pairs in file order, the field
-# values read off a bundle (one dict per stored section), the bundle member
-# built back from them and, for a section that may repeat, the field that
-# keys its entries.
-_Section = namedtuple("_Section", "tag name fields values build key", defaults=(None,))
+class _Section(namedtuple("_Section", "tag name fields read build fixed key",
+                          defaults=({}, None))):
+    """A section: its tag, name, (field, kind) pairs in file order, the field
+    values read off a bundle (one dict per stored section), the bundle member
+    built back from them, the fields whose value the format fixes and, for a
+    section that may repeat, the field that keys its entries."""
+
+    def values(self, bundle) -> list:
+        """Every field's value, the fixed ones included, per stored section."""
+        return [{**entry, **self.fixed} for entry in self.read(bundle)]
 
 
 SECTIONS = (
     _Section(SEC_CONDUCTION, "conduction", (("hhrs", VEC), ("llrs", VEC), ("u0", F64)),
-             lambda b: [vars(b.conduction)], lambda f: ConductionModel(**f)),
+             lambda b: [vars(b.conduction)],
+             lambda f: ConductionModel(hhrs=f["hhrs"], llrs=f["llrs"]), {"u0": U0_DEFAULT}),
     _Section(SEC_GAMMA, "gamma", (("coeffs", MAT), ("z_range", (2,))),
-             lambda b: [vars(b.gamma)], lambda f: NormalizingMap(**f)),
+             lambda b: [vars(b.gamma)], lambda f: NormalizingMap(coeffs=f["coeffs"]),
+             {"z_range": Z_RANGE}),
     _Section(SEC_SIGMA, "sigma", (("sigma", (4, 4)),),
              lambda b: [{"sigma": b.sigma}], lambda f: f["sigma"]),
     _Section(SEC_DEFAULTS, "defaults", (("u_max", F64), ("dtd_scale", F64), *_READOUT_FIELDS),
@@ -156,7 +174,7 @@ SECTIONS = (
     _Section(SEC_SVAR, "svar", (("p", U32), ("a", (4, 4)), ("b", (4, 4)), ("c", ("p", 4, 4)),
                                 ("phi", ("p", 4, 4)), ("intercept", (4,)), ("sigma_u", (4, 4)),
                                 ("chol_u", (4, 4))),
-             lambda b: [vars(b.svar[p]) for p in sorted(b.svar)], _svar_model,
+             lambda b: [_svar_fields(b.svar[p]) for p in sorted(b.svar)], _svar_model,
              key="p"),
 )
 _BY_TAG = {sec.tag: sec for sec in SECTIONS}
@@ -208,6 +226,9 @@ def _decode(sec, payload: bytes) -> dict:
         if not np.all(np.isfinite(data)):
             raise FormatError(f"section {sec.name}: field {name} is not finite")
         values[name] = data.item() if kind == F64 else data.copy()
+        if name in sec.fixed and not np.array_equal(values[name], sec.fixed[name]):
+            raise FormatError(f"section {sec.name}: {name} is {np.asarray(values[name]).tolist()},"
+                              f" not the fixed {sec.fixed[name]}")
     return values
 
 

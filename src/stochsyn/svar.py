@@ -5,13 +5,14 @@ residual covariance sigma_u and intercept (Lutkepohl, New Introduction to
 Multiple Time Series Analysis, 2005, ch. 2).  `fit_svar` is the least-squares
 estimator in moment form (sec. 3.2), solved from the lag moments of the
 series with fixed-order sums, without BLAS or the regressor matrix.  The
-constructor derives the model's recursive structural form (ch. 9), the exact
-maximum-likelihood decomposition under those constraints, once.  One kernel,
-`step`, advances the float64 generator, the float32 array engine and its
-test mirror.  Every start is one exact draw from the stationary distribution
-of the lags.  Their covariance is solved once, without BLAS
-(`stationary_covariance`); each model caches its Cholesky factor, and C(0)
-is `synth.reference_bundle`'s sigma.
+model keeps the reduced form alone.  `structural_decompose` gives its
+recursive structural form (ch. 9), the exact maximum-likelihood
+decomposition under those constraints, which the parameter file stores
+beside it.  One kernel, `step`, advances the float64 generator, the float32
+array engine and its test mirror.  Every start is one exact draw from the
+stationary distribution of the lags.  Their covariance is solved once,
+without BLAS (`stationary_covariance`); each model caches its Cholesky
+factor, and C(0) is `synth.reference_bundle`'s sigma.
 """
 
 import warnings
@@ -51,9 +52,8 @@ def structural_decompose(sigma_u: np.ndarray):
 class SvarModel:
     """Model of order p = len(phi) from phi (p, 4, 4), sigma_u (4, 4) and the
     intercept (4,), kept for reporting: the generator treats the process as
-    zero-mean.  Derived on construction: p, chol_u = chol(sigma_u), and the
-    structural form, a unit lower-triangular and b positive diagonal with
-    a^-1 b = chol_u (`structural_decompose`), c_i = a phi_i.
+    zero-mean.  Derived on construction: p and chol_u = chol(sigma_u), the
+    innovations' mix; ValueError if sigma_u is not positive definite.
     """
 
     phi: np.ndarray
@@ -72,12 +72,13 @@ class SvarModel:
                              f" got {self.phi.shape}")
         if self.sigma_u.shape != (DIM, DIM) or self.intercept.shape != (DIM,):
             raise ValueError("sigma_u must be (4, 4) and intercept (4,)")
-        a, b = structural_decompose(self.sigma_u)
-        chol_u = np.linalg.cholesky(self.sigma_u)
+        try:
+            chol_u = np.linalg.cholesky(self.sigma_u)
+        except np.linalg.LinAlgError as exc:
+            raise ValueError(f"sigma_u not positive definite: {exc}") from exc
         if np.max(np.abs(chol_u @ chol_u.T - self.sigma_u)) > 1e-10:
             raise ValueError("sigma_u is not symmetric within 1e-10")
-        vars(self).update(p=len(self.phi), a=a, b=b, chol_u=chol_u,
-                          c=np.stack([a @ phi_i for phi_i in self.phi]))
+        vars(self).update(p=len(self.phi), chol_u=chol_u)
 
     def lag_weights(self) -> np.ndarray:
         """(4p, 4) Fortran-ordered, row block i phi_{i+1}.T: the `step` weights

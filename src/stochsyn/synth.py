@@ -57,8 +57,9 @@ def reference_svar(p: int = 1) -> SvarModel:
 
     The contemporaneous chain and noise amplitudes are chosen so recent
     history matters most.  These structural weights enter as their reduced
-    form, phi_1 = a^-1 c_1 and sigma_u = (a^-1 b)(a^-1 b)^T, from which the
-    model derives its structural form back like any fitted one.  Padding
+    form, phi_1 = a^-1 c_1 and sigma_u = (a^-1 b)(a^-1 b)^T, the model's only
+    inputs; `svar.structural_decompose` recovers a and b from sigma_u, as for
+    any fitted model, when the parameter file stores them.  Padding
     with zero lag matrices leaves the process unchanged while exercising the
     longer history machinery.
     """

@@ -23,7 +23,6 @@ from .waveform import FEATURE_NAMES
 N_QUANTILES = 500
 PROB_RANGE = (0.01, 0.99)
 Z_RANGE = (-4.0, 4.0)
-Z_LIMIT = 10.0  # z_range must lie inside [-Z_LIMIT, Z_LIMIT]
 MONOTONIC_GRID_STEP = 1e-3
 GAMMA_DEGREE = 5         # quantile polynomial degree, lowered only on a monotonicity failure
 MIN_FALLBACK_DEGREE = 3  # `fit_map_with_fallback` drops the degree no lower
@@ -59,19 +58,15 @@ class MonotonicityError(ValueError):
 
 @dataclass(frozen=True)
 class NormalizingMap:
-    """Per-feature log-space quantile polynomials, monotone on z_range."""
+    """Per-feature log-space quantile polynomials, used on Z_RANGE: `fit_map`
+    checks them monotone there, and `inverse_map` clamps z to it."""
 
     coeffs: np.ndarray                     # (4, degree+1) ascending
-    z_range: tuple = Z_RANGE
 
     def __post_init__(self):
         object.__setattr__(self, "coeffs", np.asarray(self.coeffs, dtype=np.float64))
-        object.__setattr__(self, "z_range", tuple(float(v) for v in self.z_range))
         if self.coeffs.ndim != 2 or self.coeffs.shape[0] != 4 or self.coeffs.shape[1] < 2:
             raise ValueError(f"coeffs must be (4, degree+1), degree >= 1, got {self.coeffs.shape}")
-        if not -Z_LIMIT <= self.z_range[0] < self.z_range[1] <= Z_LIMIT:
-            raise ValueError(f"z_range must be (lo, hi), {-Z_LIMIT:g} <= lo < hi <= {Z_LIMIT:g},"
-                             f" got {self.z_range}")
 
 
 def _horner(x: float, coeffs, monic: bool = False) -> float:
@@ -108,7 +103,7 @@ def _ndtri(p: float) -> float:
 
 
 def _check_monotone(m: NormalizingMap) -> None:
-    lo, hi = m.z_range
+    lo, hi = Z_RANGE
     grid = np.arange(lo, hi + MONOTONIC_GRID_STEP / 2, MONOTONIC_GRID_STEP)
     for name, c in zip(FEATURE_NAMES, m.coeffs):
         bad = eval_poly(c[1:] * np.arange(1, c.size), grid) <= 0.0
@@ -186,13 +181,13 @@ def _eval_gamma(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
 def inverse_map(m: NormalizingMap, z) -> np.ndarray:
     """Map normal deviates to feature space: exp(gamma_k(z_k)) per component.
 
-    z outside z_range is clamped first (deliberate tail truncation: the
+    z outside Z_RANGE is clamped first (deliberate tail truncation: the
     polynomials are only monotonicity-checked inside that window).
     Dtype-generic like `eval_poly`: float32 z, as the array engine passes,
     is realized in float32 with the coefficients and the clamp bounds
     rounded to float32; any other z in float64.
     """
-    z = np.clip(as_float(z), *m.z_range)
+    z = np.clip(as_float(z), *Z_RANGE)
     return np.exp(_eval_gamma(m.coeffs, z))
 
 
@@ -200,19 +195,19 @@ def forward_map(m: NormalizingMap, x):
     """Map features to normal deviates by inverting the gamma polynomials.
 
     Solves gamma_k(z) = log(x_k) by bracketed bisection plus a Newton polish
-    on z_range.  Returns (z, out_of_range) where the mask marks components
-    whose log fell outside the image of gamma on z_range; those come back
+    on Z_RANGE.  Returns (z, out_of_range) where the mask marks components
+    whose log fell outside the image of gamma on Z_RANGE; those come back
     clamped to the matching endpoint.
     """
     x = np.asarray(x, dtype=np.float64)
     target = np.log(x)
-    lo_val = _eval_gamma(m.coeffs, np.full_like(target, m.z_range[0]))
-    hi_val = _eval_gamma(m.coeffs, np.full_like(target, m.z_range[1]))
+    lo_val = _eval_gamma(m.coeffs, np.full_like(target, Z_RANGE[0]))
+    hi_val = _eval_gamma(m.coeffs, np.full_like(target, Z_RANGE[1]))
     out_of_range = (target < lo_val) | (target > hi_val)
     t = np.clip(target, lo_val, hi_val)
 
-    lo = np.full_like(t, m.z_range[0])
-    hi = np.full_like(t, m.z_range[1])
+    lo = np.full_like(t, Z_RANGE[0])
+    hi = np.full_like(t, Z_RANGE[1])
     for _ in range(52):
         mid = 0.5 * (lo + hi)
         below = _eval_gamma(m.coeffs, mid) <= t
@@ -224,7 +219,7 @@ def forward_map(m: NormalizingMap, x):
     for _ in range(3):
         resid = _eval_gamma(m.coeffs, z) - t
         deriv = _eval_gamma(m.coeffs[:, 1:] * np.arange(1, m.coeffs.shape[1]), z)
-        z = np.clip(z - resid / deriv, m.z_range[0], m.z_range[1])
+        z = np.clip(z - resid / deriv, *Z_RANGE)
     resid = np.abs(_eval_gamma(m.coeffs, z) - t)
     if np.max(resid) > FORWARD_TOL:
         warnings.warn(

@@ -773,18 +773,26 @@ def test_usage_errors_exit_2_before_any_work(corpus, tmp_path, monkeypatch, caps
      "--readout-out", "afile/r.csv"],
     ["sim", "PARAMS", "-m", "8", "--seed", "1", "--preset", "multilevel",
      "--readout-out", "r.csv", "--state-out", "adir"],
+    ["extract", "TRACE", "afile/f.csv"],
+    ["extract", "TRACE", "f.csv", "--report", "afile/r.json"],
+    ["extract", "TRACE", "f.csv", "--limits-out", "afile/l.json"],
+    ["generate", "PARAMS", "-n", "10", "--seed", "1", "-o", "afile/g.csv"],
 ], ids=["fit_output", "fit_diagnostics", "fit_output_a_directory", "bench_output",
-        "sim_readout", "sim_state_a_directory"])
+        "sim_readout", "sim_state_a_directory", "extract_features", "extract_report",
+        "extract_limits", "generate_output"])
 def test_unwritable_output_exits_2_before_any_work(corpus, tmp_path, monkeypatch, capsys, argv):
     def no_work(*args, **kwargs):
         raise AssertionError("the command worked before it checked its output paths")
 
     monkeypatch.setattr(cli, "init_array", no_work)
     monkeypatch.setattr(cli, "fit_map_with_fallback", no_work)
+    monkeypatch.setattr(cli.waveform, "read_trace", no_work)
+    monkeypatch.setattr(cli, "svar_generate", no_work)
     monkeypatch.chdir(tmp_path)
     (tmp_path / "afile").write_text("a regular file\n")
     (tmp_path / "adir").mkdir()
-    inputs = {"FEATURES": str(corpus / "features.csv"), "PARAMS": str(corpus / "params.ssyn")}
+    inputs = {"FEATURES": str(corpus / "features.csv"), "PARAMS": str(corpus / "params.ssyn"),
+              "TRACE": str(corpus / "trace.iuw")}
     assert main([inputs.get(a, a) for a in argv]) == 2
     assert "error:" in capsys.readouterr().err
     # the paths checked before the failing one are not left behind

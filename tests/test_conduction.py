@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from stochsyn import synth
 from stochsyn.conduction import (
+    U0_DEFAULT,
     ConductionModel,
     DegenerateVoltageError,
     current,
@@ -79,7 +80,7 @@ def test_state_from_point_degenerate_voltage(model):
 
 
 def test_state_from_resistance_endpoints_and_roundtrip(model):
-    u0 = model.u0
+    u0 = U0_DEFAULT
     assert state_from_resistance(u0 / model.i_llrs(u0), model) == pytest.approx(0.0, abs=1e-15)
     assert state_from_resistance(u0 / model.i_hhrs(u0), model) == pytest.approx(1.0, abs=1e-15)
     for res in np.geomspace(6e3, 8e5, 25):

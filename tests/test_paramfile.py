@@ -32,10 +32,10 @@ def test_roundtrip_bit_exact(tmp_path, ref_bundle):
     again = load(p1)
     save(again, p2)
     assert p1.read_bytes() == p2.read_bytes()
-    for p, m in ref_bundle.svar.items():
-        m2 = again.svar[p]
+    svar_section = next(sec for sec in paramfile.SECTIONS if sec.tag == paramfile.SEC_SVAR)
+    for m, m2 in zip(svar_section.values(ref_bundle), svar_section.values(again), strict=True):
         for name in ("a", "b", "c", "phi", "sigma_u", "chol_u", "intercept"):
-            assert np.array_equal(getattr(m, name), getattr(m2, name))
+            assert np.array_equal(m[name], m2[name])
     assert np.array_equal(again.gamma.coeffs, ref_bundle.gamma.coeffs)
     assert np.array_equal(again.sigma, ref_bundle.sigma)
     assert again.defaults == ref_bundle.defaults
@@ -322,8 +322,12 @@ def test_unbounded_z_range_fails_load_without_allocating(tmp_path, ref_bundle):
     (paramfile.SEC_DEFAULTS, 8, -1.0, "section defaults: u_max .* dtd_scale"),
     # conduction: u32 size and the 6 hhrs coefficients, u32 size, then llrs
     (paramfile.SEC_CONDUCTION, 52 + 4 + 8 * 3, 1e300, "section conduction: fields hhrs, llrs"),
+    # then u0, the static-resistance voltage every producer writes as U0_DEFAULT
+    (paramfile.SEC_CONDUCTION, 52 + 4 + 8 * 4, 0.25, "section conduction: u0"),
+    (paramfile.SEC_GAMMA, 8 + 8 * 24, -3.0, "section gamma: z_range"),      # (-3, 4)
 ], ids=["z_range-reversed", "gamma-float32-overflow", "temperature-negative", "u_max-negative",
-        "u_max-float32-inf", "dtd_scale-negative", "llrs-float32-overflow"])
+        "u_max-float32-inf", "dtd_scale-negative", "llrs-float32-overflow", "u0-other",
+        "z_range-other"])
 def test_out_of_domain_field_rejected(tmp_path, capsys, ref_bundle, tag, offset, value, match):
     p = tmp_path / "a.ssyn"
     save(ref_bundle, p)

@@ -172,11 +172,12 @@ def test_step_pure_noise_passthrough():
 
 def test_reference_fixture_matches_published_weights():
     m = reference_svar(1)
-    assert np.allclose(np.diag(m.b), [0.984, 0.945, 0.908, 0.921])
-    assert -m.a[1, 0] == pytest.approx(0.111)
-    assert -m.a[2, 1] == pytest.approx(-0.139)
-    assert -m.a[3, 2] == pytest.approx(0.180)
-    assert m.c[0][2, 2] == pytest.approx(0.153)
+    a, b = structural_decompose(m.sigma_u)
+    assert np.allclose(np.diag(b), [0.984, 0.945, 0.908, 0.921])
+    assert -a[1, 0] == pytest.approx(0.111)
+    assert -a[2, 1] == pytest.approx(-0.139)
+    assert -a[3, 2] == pytest.approx(0.180)
+    assert (a @ m.phi[0])[2, 2] == pytest.approx(0.153)
     noise = mix_lower_triangular(np.array([[1.0], [0.0], [0.0], [0.0]]), m.chol_u)
     out = step(np.zeros((1, 4)), m.lag_weights(), noise)[0]
     assert out[0] == pytest.approx(0.984, abs=1e-12)
@@ -373,16 +374,18 @@ def test_model_structure_validation():
 
 
 def test_structural_form_derived_from_reduced_form():
-    m = reference_svar(3)
-    assert m.p == 3
-    assert np.array_equal(np.triu(m.a, 1), np.zeros((4, 4))) and np.all(np.diag(m.a) == 1.0)
-    assert np.array_equal(m.b, np.diag(np.diag(m.b))) and np.all(np.diag(m.b) > 0.0)
-    assert np.max(np.abs(np.linalg.solve(m.a, m.b) - m.chol_u)) < 1e-12
-    assert np.max(np.abs(np.einsum("ij,pjk->pik", m.a, m.phi) - m.c)) < 1e-15
+    # the structural form is stored in the parameter file's svar section
+    svar_section = next(sec for sec in paramfile.SECTIONS if sec.tag == paramfile.SEC_SVAR)
+    (m,) = svar_section.values(reference_bundle(orders=(3,)))
+    assert m["p"] == 3
+    assert np.array_equal(np.triu(m["a"], 1), np.zeros((4, 4))) and np.all(np.diag(m["a"]) == 1.0)
+    assert np.array_equal(m["b"], np.diag(np.diag(m["b"]))) and np.all(np.diag(m["b"]) > 0.0)
+    assert np.max(np.abs(np.linalg.solve(m["a"], m["b"]) - m["chol_u"])) < 1e-12
+    assert np.max(np.abs(np.einsum("ij,pjk->pik", m["a"], m["phi"]) - m["c"])) < 1e-15
 
 
 def test_fit_svar_identification_identity(source_normalized):
     m = fit_svar(source_normalized[:50_000], 3)
-    recon = np.linalg.solve(m.a, m.b)
+    recon = np.linalg.solve(*structural_decompose(m.sigma_u))
     assert np.max(np.abs(recon @ recon.T - m.sigma_u)) < 1e-10
     assert spectral_radius(m) < 1.0
