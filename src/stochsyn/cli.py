@@ -4,12 +4,15 @@ Subcommands cover the whole workflow: ``synth`` builds a ground-truth corpus,
 ``extract`` reduces waveforms to feature series, ``fit`` turns features into a
 parameter file, ``generate`` samples feature series from parameters, ``sim``
 drives a cell array through scripted or preset pulse/read schedules, and
-``bench`` measures read/write throughput.  All stochastic commands require an
-explicit --seed and are deterministic for a given seed and thread count.
+``bench`` measures read/write throughput.  ``generate``, ``sim`` and
+``bench`` take the parameter file as their first argument, and no other way.
+All stochastic commands require an explicit --seed and are deterministic for
+a given seed and thread count.
 
 Exit codes: 0 success, 1 validation or fit failure, 2 usage or I/O error.
 Usage errors include option combinations that argparse cannot reject on its
-own (`UsageError`), such as ``sim --preset`` with ``--reads``.
+own (`UsageError`), such as ``sim --preset`` with ``--reads``, and an output
+path that names an input or another output (`_check_outputs`).
 """
 
 import argparse
@@ -31,7 +34,6 @@ from .svar import fit_svar, spectral_radius
 from .transform import GAMMA_DEGREE, fit_map_with_fallback, forward_map, inverse_map
 from .svar import generate as svar_generate
 
-PARAMS_ENV = "STOCHSYN_PARAMS"
 PRESET_CYCLES = 300
 FLOAT_OPTIONS = ("-a", "--u-read", "--bandwidth", "--i-min", "--i-max")   # sim's; bench takes none
 
@@ -77,15 +79,6 @@ def _parses_as_float(text) -> bool:
     return True
 
 
-def _params_path(args) -> str:
-    path = getattr(args, "params", None) or os.environ.get(PARAMS_ENV)
-    if not path:
-        raise FileNotFoundError(
-            f"no parameter file given and ${PARAMS_ENV} is not set"
-        )
-    return path
-
-
 def _read_limits(path) -> ConductionModel:
     """The conduction model in an `extract --limits-out` JSON; a missing or
     malformed field, or a `u0` other than the U0_DEFAULT at which extraction
@@ -119,14 +112,31 @@ def _read_limits(path) -> ConductionModel:
         raise ValueError(f"{path}: {exc}") from None
 
 
-def _check_outputs(*paths) -> None:
-    """OSError (exit 2) before any work if an output path cannot be opened
-    for writing; a file this creates to find out is removed again."""
-    for path in paths:
+def _check_outputs(inputs, *outputs) -> None:
+    """Before any work: UsageError (exit 2) if an output names an input or
+    another output, the same `os.path.realpath` or, where both exist, the
+    same file by `os.path.samefile`; then OSError (exit 2) if an output
+    cannot be opened for writing, a file this creates to find out being
+    removed again.  An empty path or None is one not given."""
+    named = [(path, "input") for path in filter(None, inputs)]
+    outputs = list(filter(None, outputs))
+    for path in outputs:
+        for other, role in named:
+            if _same_file(path, other):
+                raise UsageError(f"output {path} names the same file as the {role} {other}")
+        named.append((path, "output"))
+    for path in outputs:
         existed = os.path.lexists(path)
         open(path, "ab").close()
         if not existed:
             os.remove(path)
+
+
+def _same_file(a, b) -> bool:
+    try:
+        return os.path.realpath(a) == os.path.realpath(b) or os.path.samefile(a, b)
+    except OSError:   # one of them does not exist
+        return False
 
 
 def _write_json(path, obj) -> None:
@@ -145,7 +155,7 @@ def _readout_from_args(args, base: ReadoutConfig) -> ReadoutConfig:
 
 def cmd_extract(args) -> int:
     report_path = args.report or str(args.output) + ".report.json"
-    _check_outputs(args.output, report_path, *filter(None, [args.limits_out]))
+    _check_outputs([args.input], args.output, report_path, args.limits_out)
     trace = waveform.read_trace(args.input)
     result = waveform.extract_features(trace)
     waveform.write_features_csv(result.features, args.output, cycles=result.cycles + 1)
@@ -173,7 +183,7 @@ def cmd_extract(args) -> int:
 
 def cmd_fit(args) -> int:
     diag_path = args.diagnostics or str(args.output) + ".diag.json"
-    _check_outputs(args.output, diag_path)
+    _check_outputs([args.features, args.conduction], args.output, diag_path)
     _, features = waveform.read_features_csv(args.features)
     if args.conduction:   # read before fitting: a bad file fails at once
         conduction, source = _read_limits(args.conduction), str(args.conduction)
@@ -224,8 +234,8 @@ def cmd_fit(args) -> int:
 
 
 def cmd_generate(args) -> int:
-    _check_outputs(args.output)
-    bundle = paramfile.load(_params_path(args))
+    _check_outputs([args.params], args.output)
+    bundle = paramfile.load(args.params)
     model = bundle.model(args.order)
     z = svar_generate(model, args.n, args.seed)
     features = inverse_map(bundle.gamma, z)
@@ -319,8 +329,8 @@ def cmd_sim(args) -> int:
         raise UsageError("--reads applies only to --pulses; a preset schedules its own reads")
     if args.pulses and args.cycles is not None:
         raise UsageError("--cycles counts preset cycles; it does not apply to --pulses")
-    _check_outputs(args.readout_out, args.state_out)
-    bundle = paramfile.load(_params_path(args))
+    _check_outputs([args.params, args.pulses, args.reads], args.readout_out, args.state_out)
+    bundle = paramfile.load(args.params)
     readout = _readout_from_args(args, bundle.defaults.readout)
     array = init_array(bundle, args.m, a=args.a, seed=args.seed, p=args.order,
                        threads=args.threads, readout=readout)
@@ -357,8 +367,8 @@ def cmd_sim(args) -> int:
 
 def cmd_bench(args) -> int:
     meta_path = str(args.output) + ".meta.json"
-    _check_outputs(args.output, meta_path)
-    bundle = paramfile.load(_params_path(args))
+    _check_outputs([args.params], args.output, meta_path)
+    bundle = paramfile.load(args.params)
     # alternating broadcast pulses at -u_max and +u_max: every pulse switches
     # every cell (abrupt transition or full positive transition)
     u_max = bundle.defaults.u_max
@@ -444,8 +454,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_fit)
 
     p = sub.add_parser("generate", help="sample a feature series from fitted parameters")
-    p.add_argument("params", nargs="?", default=None,
-                   help=f"parameter file (default ${PARAMS_ENV})")
+    p.add_argument("params", help="parameter file")
     p.add_argument("-n", type=_ints(0), required=True)
     p.add_argument("--seed", type=_seed, required=True)
     p.add_argument("-o", "--output", required=True)
@@ -453,7 +462,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("sim", help="drive a simulated array through pulses and readouts")
-    p.add_argument("params", nargs="?", default=None)
+    p.add_argument("params", help="parameter file")
     p.add_argument("-m", type=_ints(1), required=True, help="number of cells")
     p.add_argument("--seed", type=_seed, required=True)
     p.add_argument("-a", type=float, default=None, help="device-variability scale")
@@ -476,7 +485,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_sim)
 
     p = sub.add_parser("bench", help="measure write/read throughput")
-    p.add_argument("params", nargs="?", default=None)
+    p.add_argument("params", help="parameter file")
     p.add_argument("-m", type=_ints(1), default=1 << 20)
     p.add_argument("--seed", type=_seed, required=True)
     p.add_argument("--orders", type=_ints(1, many=True), default=[10])

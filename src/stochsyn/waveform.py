@@ -377,31 +377,35 @@ def _rows(x, starts, lengths, width: int, fill) -> np.ndarray:
     return out
 
 
-def _first_crossings(i: np.ndarray, threshold: float):
-    """Per row, the first k with i[k] above (or NaN) and i[k + 1] at or below
-    ``threshold``; -1 where there is none.  NaN padding never crosses."""
-    below = i <= threshold
-    cross = below[:, 1:] & ~below[:, :-1]
-    if cross.shape[1] == 0:
-        return np.full(i.shape[0], -1)
-    return np.where(cross.any(axis=1), cross.argmax(axis=1), -1)
+def _first_crossings(i: np.ndarray, starts, stops) -> np.ndarray:
+    """The abrupt-transition rule on spans of a 1-D current: per span
+    starts[k]..stops[k]-1, the index of the first sample at or below
+    SET_CURRENT_THRESHOLD after one above it (or NaN), compared in float64;
+    the span's stop where there is none.  A sample at a span's first index
+    never counts, and NaN never crosses.  Every span lies within i."""
+    below = i <= np.float64(SET_CURRENT_THRESHOLD)
+    # every crossing, then the current's end: no crossing
+    cross = np.append(np.flatnonzero(below[1:] & ~below[:-1]) + 1, i.size)
+    return np.minimum(cross[np.searchsorted(cross, starts + 1)], stops)
 
 
-def extract_set_voltage(u, i, threshold: float):
-    """Per row of a padded (cycles, width) block, |U| at the first threshold
-    crossing, interpolated between the bracketing samples; NaN and a reason
-    where there is no crossing."""
-    k = _first_crossings(i, threshold)
-    r = np.arange(u.shape[0])
-    k0 = np.maximum(k, 0)
-    k1 = np.minimum(k0 + 1, u.shape[1] - 1)
-    i0, i1, u0, u1 = i[r, k0], i[r, k1], u[r, k0], u[r, k1]
+def extract_set_voltage(u, i):
+    """Per row of a padded (cycles, width) block, |U| at the first
+    SET_CURRENT_THRESHOLD crossing (`_first_crossings` on the block's rows as
+    spans of one flat current), interpolated between the bracketing samples;
+    NaN and a reason where there is no crossing."""
+    width = u.shape[1]
+    stops = width * np.arange(1, u.shape[0] + 1)
+    k = _first_crossings(i.ravel(), stops - width, stops)
+    missing = k == stops
+    k1 = np.minimum(k, i.size - 1)   # a missing row's value is discarded
+    u, i = u.ravel(), i.ravel()
+    i0, i1, u0, u1 = i[k1 - 1], i[k1], u[k1 - 1], u[k1]
     with np.errstate(all="ignore"):
-        frac = (threshold - i0) / (i1 - i0)
+        frac = (SET_CURRENT_THRESHOLD - i0) / (i1 - i0)
         u_s = np.abs(u0 + frac * (u1 - u0))
-    missing = k < 0
     u_s[missing] = np.nan
-    return u_s, _reasons(missing, f"no crossing of {threshold:g} A")
+    return u_s, _reasons(missing, f"no crossing of {SET_CURRENT_THRESHOLD:g} A")
 
 
 def _reasons(failed, message: str) -> np.ndarray:
@@ -525,7 +529,7 @@ def _branch_masks(u, i, turn, u_s, u_r):
     return m_h, m_l
 
 
-def fit_state_polynomials(u, i, turn, u_s, u_r, u0: float):
+def fit_state_polynomials(u, i, turn, u_s, u_r):
     """Constrained fits of both static branches of every row of a padded
     (cycles, width) block.
 
@@ -535,7 +539,7 @@ def fit_state_polynomials(u, i, turn, u_s, u_r, u0: float):
     to HRS_FIT_I_RANGE; the low-resistance branch with degree LRS_FIT_DEGREE
     on the increasing sweep from ``turn``, from LRS_FIT_U_MIN up to
     LRS_FIT_MARGIN below u_r, restricted to LRS_FIT_I_RANGE.  r_h and r_l are
-    the static resistances of the fits at u0.  Returns r_h, r_l, the
+    the static resistances of the fits at U0_DEFAULT.  Returns r_h, r_l, the
     coefficients of each branch and per-row reasons."""
     m_h, m_l = _branch_masks(u, i, turn, u_s, u_r)
     n_h, n_l = m_h.sum(axis=1), m_l.sum(axis=1)
@@ -544,11 +548,11 @@ def fit_state_polynomials(u, i, turn, u_s, u_r, u0: float):
     lrs = np.full((u.shape[0], LRS_FIT_DEGREE + 1), np.nan)
     hrs[fit] = fit_conduction_polys(*_masked_block(m_h[fit], u[fit], i[fit]), HRS_FIT_DEGREE)
     lrs[fit] = fit_conduction_polys(*_masked_block(m_l[fit], u[fit], i[fit]), LRS_FIT_DEGREE)
-    ih, il = eval_poly(hrs.T, u0), eval_poly(lrs.T, u0)
+    ih, il = eval_poly(hrs.T, U0_DEFAULT), eval_poly(lrs.T, U0_DEFAULT)
     reason = _reasons(fit & ((ih <= 0.0) | (il <= 0.0)),
                       "fitted branch has non-positive current at u0")
     with np.errstate(divide="ignore", invalid="ignore"):
-        r_h, r_l = u0 / ih, u0 / il
+        r_h, r_l = U0_DEFAULT / ih, U0_DEFAULT / il
     for count, name in ((n_l, "low"), (n_h, "high")):
         for row in np.flatnonzero(count < MIN_FIT_POINTS):
             reason[row] = f"only {count[row]} points in {name}-resistance window"
@@ -557,9 +561,9 @@ def fit_state_polynomials(u, i, turn, u_s, u_r, u0: float):
 
 def detect_set_locations(trace, boundaries):
     """First downward crossing of SET_CURRENT_THRESHOLD on the raw current in
-    each cycle of ``boundaries`` (`split_cycles`' rows): the first sample at
-    or below it after one above it (or NaN) in the same cycle.  The crossings
-    are found over each block's samples at once, compared in float64.
+    each cycle of ``boundaries`` (`split_cycles`' rows), by the rule of
+    `_first_crossings` that `extract_set_voltage` also applies: the cycles of
+    a block are its spans, found over the block's samples at once.
 
     Returns (indices, n_missing); cycles without a crossing contribute no
     index and are counted.
@@ -568,10 +572,7 @@ def detect_set_locations(trace, boundaries):
     for starts, lengths, _ in _cycle_blocks(boundaries):
         stops = starts + lengths
         _, i = trace.read(starts[0], stops[-1])
-        below = i <= np.float64(SET_CURRENT_THRESHOLD)
-        # every crossing in the block, then the block's end: no crossing
-        cross = np.append(np.flatnonzero(below[1:] & ~below[:-1]) + starts[0] + 1, stops[-1])
-        first = cross[np.searchsorted(cross, starts + 1)]
+        first = starts[0] + _first_crossings(i, starts - starts[0], stops - starts[0])
         locs.append(first[first < stops])
     locs = np.concatenate(locs) if locs else np.empty(0, dtype=np.int64)
     return locs, len(boundaries) - locs.size
@@ -642,9 +643,9 @@ def extract_features(trace) -> ExtractionResult:
         off = (np.abs(lengths - period) > CYCLE_SLACK) & (starts + lengths < len(trace))
         why_n = _reasons(off, f"cycle length not within {CYCLE_SLACK} samples of period {period}")
         turn = np.argmin(u, axis=1)
-        u_s, why_s = extract_set_voltage(u, i, SET_CURRENT_THRESHOLD)
+        u_s, why_s = extract_set_voltage(u, i)
         u_r, why_r = extract_reset_voltage(u, i, lengths, turn, RESET_MIN_PROMINENCE, i_raw)
-        r_h, r_l, *_, why_f = fit_state_polynomials(u, i, turn, u_s, u_r, U0_DEFAULT)
+        r_h, r_l, *_, why_f = fit_state_polynomials(u, i, turn, u_s, u_r)
         features.append(np.column_stack([r_h, u_s, r_l, u_r]))
         reasons.append(_first_reason(why_n, why_s, why_r, why_f))
 

@@ -717,14 +717,18 @@ def test_generate_seed_required(corpus, tmp_path):
     assert rc == 2
 
 
-def test_params_env_fallback(corpus, tmp_path, monkeypatch):
-    out = tmp_path / "env.csv"
+def test_the_parameter_file_comes_only_from_the_command_line(corpus, tmp_path, monkeypatch,
+                                                             capsys):
+    # STOCHSYN_PARAMS, once a fallback, names a valid file and does not stand in for it
     monkeypatch.setenv("STOCHSYN_PARAMS", str(corpus / "params.ssyn"))
-    rc = main(["generate", "-n", "5", "--seed", "2", "-o", str(out), "--order", "1"])
-    assert rc == 0
-    monkeypatch.delenv("STOCHSYN_PARAMS")
-    rc = main(["generate", "-n", "5", "--seed", "2", "-o", str(out), "--order", "1"])
-    assert rc == 2
+    monkeypatch.chdir(tmp_path)
+    for argv in (["generate", "-n", "5", "--seed", "2", "-o", "g.csv", "--order", "1"],
+                 ["sim", "-m", "8", "--seed", "1", "--preset", "multilevel", "--cycles", "1"],
+                 ["bench", "-m", "8", "--seed", "1", "--pulses", "1", "--reads", "1",
+                  "-o", "b.csv"]):
+        assert main(argv) == 2
+        assert "error" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_sim_m_zero_usage_error(corpus, tmp_path):
@@ -777,9 +781,22 @@ def test_usage_errors_exit_2_before_any_work(corpus, tmp_path, monkeypatch, caps
     ["extract", "TRACE", "f.csv", "--report", "afile/r.json"],
     ["extract", "TRACE", "f.csv", "--limits-out", "afile/l.json"],
     ["generate", "PARAMS", "-n", "10", "--seed", "1", "-o", "afile/g.csv"],
+    ["sim", "PARAMS", "-m", "8", "--seed", "1", "--preset", "multilevel",
+     "--readout-out", "x.csv", "--state-out", "x.csv"],
+    ["fit", "FEATURES", "-o", "x", "--diagnostics", "x"],
+    ["generate", "PARAMS", "-n", "10", "--seed", "1", "-o", "PARAMS"],
+    ["extract", "TRACE", "TRACE"],
+    ["extract", "alink", "f.csv", "--report", "afile"],
+    ["sim", "PARAMS", "-m", "8", "--seed", "1", "--pulses", "afile",
+     "--state-out", "adir/../afile"],
+    ["fit", "FEATURES", "-o", "p.ssyn", "--conduction", "afile", "--diagnostics", "afile"],
+    ["bench", "PARAMS", "-m", "8", "--seed", "1", "-o", "PARAMS"],
 ], ids=["fit_output", "fit_diagnostics", "fit_output_a_directory", "bench_output",
         "sim_readout", "sim_state_a_directory", "extract_features", "extract_report",
-        "extract_limits", "generate_output"])
+        "extract_limits", "generate_output", "sim_readout_is_state", "fit_diagnostics_is_output",
+        "generate_output_is_params", "extract_output_is_trace",
+        "extract_report_is_a_hard_link_to_the_trace", "sim_state_is_pulses_by_another_path",
+        "fit_diagnostics_is_conduction", "bench_output_is_params"])
 def test_unwritable_output_exits_2_before_any_work(corpus, tmp_path, monkeypatch, capsys, argv):
     def no_work(*args, **kwargs):
         raise AssertionError("the command worked before it checked its output paths")
@@ -790,13 +807,15 @@ def test_unwritable_output_exits_2_before_any_work(corpus, tmp_path, monkeypatch
     monkeypatch.setattr(cli, "svar_generate", no_work)
     monkeypatch.chdir(tmp_path)
     (tmp_path / "afile").write_text("a regular file\n")
+    os.link(tmp_path / "afile", tmp_path / "alink")
     (tmp_path / "adir").mkdir()
     inputs = {"FEATURES": str(corpus / "features.csv"), "PARAMS": str(corpus / "params.ssyn"),
               "TRACE": str(corpus / "trace.iuw")}
     assert main([inputs.get(a, a) for a in argv]) == 2
     assert "error:" in capsys.readouterr().err
     # the paths checked before the failing one are not left behind
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["adir", "afile"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["adir", "afile", "alink"]
+    assert (tmp_path / "afile").read_text() == "a regular file\n"
 
 
 def test_sim_full_cycling_preset(corpus, tmp_path):

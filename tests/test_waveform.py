@@ -303,6 +303,43 @@ def test_detect_flat_zero_trace_empty():
     assert missing == 3
 
 
+def _first_crossing_loop(i, start, stop):
+    """The abrupt-transition rule written out for one span, in float64."""
+    def below(k):
+        return float(i[k]) <= SET_CURRENT_THRESHOLD
+
+    for k in range(start + 1, stop):
+        if below(k) and not below(k - 1):
+            return k
+    return stop
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_first_crossings_match_a_per_span_loop(dtype):
+    rng = np.random.default_rng(11)
+    i = rng.uniform(-100e-6, 20e-6, 3000)
+    i[rng.random(i.size) < 0.1] = SET_CURRENT_THRESHOLD   # at the level counts as below
+    for lo in rng.integers(0, i.size, 60):                # NaN runs
+        i[lo : lo + rng.integers(1, 12)] = np.nan
+    stops = np.cumsum(rng.choice([1, 2, 3, 7, 40], size=400))
+    stops = stops[stops < i.size]
+    starts = np.append(0, stops[:-1])
+    # a crossing at a span's first index belongs to no span
+    edge = starts[1::3]
+    i[edge - 1], i[edge] = 0.0, -80e-6
+    i = i.astype(dtype)
+    got = waveform._first_crossings(i, starts, stops)
+    assert got.tolist() == [_first_crossing_loop(i, a, b) for a, b in zip(starts, stops)]
+    assert (got[1::3] > edge).all()
+    assert {1, 2} <= set((stops - starts).tolist())
+
+
+def test_set_voltage_of_a_width_one_block_is_no_crossing():
+    u_s, why = extract_set_voltage(np.array([[-1.0], [-0.5]]), np.array([[-80e-6], [np.nan]]))
+    assert np.isnan(u_s).all()
+    assert why.tolist() == ["no crossing of -5e-05 A"] * 2
+
+
 def test_detect_on_model_trace_within_two_samples(ref_bundle):
     feats = synth.sample_features(ref_bundle, 40, seed=5)
     trace = synth.reconstruct_trace(feats, ref_bundle.conduction, noise_sigma=0.0)
@@ -328,7 +365,7 @@ def _one_row(u, *currents):
 
 def _set_voltage(u, i):
     _, u2, i2 = _one_row(u, i)
-    u_s, why = extract_set_voltage(u2, i2, SET_CURRENT_THRESHOLD)
+    u_s, why = extract_set_voltage(u2, i2)
     return u_s[0], why[0]
 
 
@@ -341,7 +378,7 @@ def _reset_voltage(u, i, min_prominence=RESET_MIN_PROMINENCE, i_raw=None):
 def _branch_fit(u, i, u_s, u_r):
     _, u2, i2 = _one_row(u, i)
     r_h, r_l, hrs, lrs, why = fit_state_polynomials(
-        u2, i2, np.argmin(u2, axis=1), np.array([u_s]), np.array([u_r]), 0.2)
+        u2, i2, np.argmin(u2, axis=1), np.array([u_s]), np.array([u_r]))
     return r_h[0], r_l[0], hrs[0], lrs[0], why[0]
 
 
