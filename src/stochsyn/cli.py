@@ -201,7 +201,8 @@ def cmd_fit(args) -> int:
             for w in caught:
                 print(f"warning: {w.message}", file=sys.stderr)
     z, clipped = forward_map(gamma, features)
-    sigma = np.cov(z, rowvar=False)
+    centred = z - z.mean(axis=0)
+    sigma = np.einsum("si,sj->ij", centred, centred) / (len(z) - 1)
 
     degree_used = int(np.max(np.nonzero(np.any(gamma.coeffs != 0.0, axis=0))[0]))
     models = {}

@@ -12,7 +12,9 @@ and LRS_FIT_DEGREE that fit each cycle's branches and, from the branch
 points pooled over the cycles at the LIMIT_PERCENTILE extremes, the limits.
 U0_DEFAULT is the one reference voltage of the package's static resistances.
 `quantile` is the sample quantile that the limit pools and the normalizing
-map's fit share.
+map's fit share.  Every least-squares fit of the package, the VAR's too,
+solves its normal equations by `normal_solver` (Golub and Van Loan, Matrix
+Computations, 4th ed., sec. 5.3), in fixed-order einsums without BLAS or LAPACK.
 """
 
 from dataclasses import dataclass
@@ -26,6 +28,7 @@ MIN_CURVE_SPAN = 1e-3       # smallest usable (u_max - u_start) [V]
 LIMIT_PERCENTILE = 1.0      # share of cycles pooled at each extreme [%]
 HRS_FIT_DEGREE = 5          # degree of the high-resistance branch fits
 LRS_FIT_DEGREE = 3          # degree of the low-resistance branch fits
+RANK_RTOL = 1e-10           # least Cholesky pivot kept, relative to its diagonal entry
 
 
 class DegenerateVoltageError(ValueError):
@@ -184,11 +187,8 @@ def transition_state(u_a, u_start, r_lrs, r_next, u_max, model: ConductionModel)
 
 
 def fit_conduction_poly(u, i, degree) -> np.ndarray:
-    """Least-squares polynomial of ``degree`` with c0 = 0 and c1 >= MIN_LINEAR_COEFF.
-
-    One row of `fit_conduction_polys`.  Returns ascending coefficients of
-    length degree + 1.
-    """
+    """Least-squares polynomial of ``degree`` with c0 = 0 and c1 >= MIN_LINEAR_COEFF:
+    one row of `fit_conduction_polys`, ascending coefficients of length degree + 1."""
     u = np.asarray(u, dtype=np.float64)
     if u.size <= degree:
         raise ValueError(f"need more than {degree} points, got {u.size}")
@@ -196,61 +196,84 @@ def fit_conduction_poly(u, i, degree) -> np.ndarray:
 
 
 def fit_conduction_polys(u, i, degree) -> np.ndarray:
-    """`fit_conduction_poly` for every row of a (rows, width) block at once.
-
-    Each row is fit with c0 = 0, so a point at u = i = 0 adds nothing to its
-    fit: windows of different sizes are zero-padded (or zeroed where masked
-    off) to one width.  The linear bound is enforced by a single active-set
-    clamp (fix c1, refit the rest), which is always feasible; only the rows
-    that need it are refit.  Returns (rows, degree + 1) ascending
-    coefficients.
+    """`fit_conduction_poly` for every row of a (rows, width) block at once,
+    windows of different sizes zero-padded (or zeroed where masked off) to
+    one width.  The linear bound is enforced by a single active-set clamp
+    (fix c1, refit the rest), which is always feasible; only the rows that
+    need it are refit.  Returns (rows, degree + 1) ascending coefficients.
     """
     u = np.asarray(u, dtype=np.float64)
     i = np.asarray(i, dtype=np.float64)
-    coef = _monomial_lstsq(u, i, 1, degree)
+    coef = monomial_fit(u, i, 1, degree)
     low = np.nonzero(coef[:, 0] < MIN_LINEAR_COEFF)[0]
     if low.size:
         coef[low, 0] = MIN_LINEAR_COEFF
-        coef[low, 1:] = _monomial_lstsq(u[low], i[low] - MIN_LINEAR_COEFF * u[low], 2, degree)
+        coef[low, 1:] = monomial_fit(u[low], i[low] - MIN_LINEAR_COEFF * u[low], 2, degree)
     return np.concatenate([np.zeros((u.shape[0], 1)), coef], axis=1)
 
 
-def _monomial_lstsq(u, y, lo: int, hi: int) -> np.ndarray:
-    """Per-row least squares of y on the columns u**lo .. u**hi.
-
-    Solved from the column-scaled normal equations, whose power sums come
-    from powers built by repeated products, with one step of iterative
-    refinement on the residual.  The scaled Gram matrix is inverted through
-    its eigenvalues, dropping those at rounding level, so a rank-deficient
-    row still gets a finite least-squares solution (minimum-norm in the
-    scaled columns).  Returns (rows, hi - lo + 1).
-    """
-    k = hi - lo + 1
-    if k < 1:
-        return np.empty((u.shape[0], 0))
-    powers = np.empty((hi,) + u.shape)
-    powers[0] = u
-    for m in range(1, hi):
-        np.multiply(powers[m - 1], u, out=powers[m])
-    sums = np.empty((u.shape[0], 2 * hi + 1))
-    sums[:, 1 : hi + 1] = powers.sum(axis=2).T
-    for m in range(1, hi + 1):
-        sums[:, hi + m] = np.einsum("rw,rw->r", powers[-1], powers[m - 1])
+def monomial_fit(u, y, lo: int, hi: int) -> np.ndarray:
+    """Per-row least squares of y on the columns u**lo .. u**hi, (rows, hi - lo + 1):
+    `normal_solver` on the normal equations, whose power sums come from powers
+    built by repeated products, then once more on the data residual (one step
+    of refinement); a column it drops gets 0.  A point at u = y = 0 adds
+    nothing to the columns u**1 and up, so rows may be zero-padded when lo >= 1;
+    the u**0 column counts every point of its row."""
+    powers = np.empty((hi + 1,) + u.shape)
+    powers[0] = 1.0
+    for m in range(hi):
+        np.multiply(powers[m], u, out=powers[m + 1])
+    sums = np.concatenate([powers.sum(axis=2), np.einsum("rw,mrw->mr", powers[-1], powers[1:])])
     j = np.arange(lo, hi + 1)
-    gram = sums[:, j[:, None] + j[None, :]]
-    scale = np.sqrt(np.diagonal(gram, axis1=1, axis2=2))
-    scale = np.divide(1.0, scale, out=np.zeros_like(scale), where=scale > 0.0)
-    evals, evecs = np.linalg.eigh(gram * scale[:, :, None] * scale[:, None, :])
-    keep = evals > k * np.finfo(np.float64).eps * evals[:, -1:]
-    inv = np.divide(1.0, evals, out=np.zeros_like(evals), where=keep)
-    design = powers[lo - 1 :]
+    solve, _ = normal_solver(sums.T[:, j[:, None] + j[None, :]])
+    design = powers[lo:]
+    coef = solve(np.einsum("jrw,rw->rj", design, y))
+    return coef + solve(np.einsum("jrw,rw->rj", design, y - np.einsum("jrw,rj->rw", design, coef)))
 
-    def solve(target):
-        rhs = np.einsum("jrw,rw->rj", design, target) * scale
-        return np.einsum("rij,rj->ri", evecs, np.einsum("rji,rj->ri", evecs, rhs) * inv) * scale
 
-    coef = solve(y)
-    return coef + solve(y - np.einsum("jrw,rj->rw", design, coef))
+def normal_solver(gram):
+    """(solve, dropped) for the normal equations of each (..., k, k) X^T X.
+
+    The columns are scaled to a unit diagonal and factored by `cholesky`;
+    solve(rhs) substitutes forward and back for right-hand sides X^T y of
+    shape (..., k), by einsums on C-ordered arrays (einsum's summation order
+    follows the layout), so each batch entry gets its bits alone.  ``dropped``
+    (..., k) marks the columns `cholesky` dropped; their coefficients are 0."""
+    diag = np.diagonal(gram, axis1=-2, axis2=-1)
+    scale = np.divide(1.0, np.sqrt(diag), out=np.zeros_like(diag), where=diag > 0.0)
+    low, dropped = cholesky(gram * scale[..., :, None] * scale[..., None, :])
+    scale = np.where(dropped, 0.0, scale)
+    pivot, k = np.diagonal(low, axis1=-2, axis2=-1), gram.shape[-1]
+
+    def solve(rhs):
+        x = np.ascontiguousarray(rhs * scale)
+        for j in range(k):
+            x[..., j] = (x[..., j] - np.einsum("...k,...k->...", low[..., j, :j], x[..., :j])) \
+                / pivot[..., j]
+        for j in range(k - 1, -1, -1):
+            x[..., j] = (x[..., j] - np.einsum("...k,...k->...", low[..., j + 1 :, j],
+                                                x[..., j + 1 :])) / pivot[..., j]
+        return x * scale
+
+    return solve, dropped
+
+
+def cholesky(a):
+    """Lower Cholesky factor of each (..., k, k) matrix, C-ordered, by einsums,
+    and the columns it dropped, (..., k) bool: a pivot not above RANK_RTOL
+    times its diagonal entry drops its column, whose row and column of the
+    factor become the identity's, so the rest factors the matrix without it."""
+    low, dropped = np.zeros(a.shape), np.zeros(a.shape[:-1], dtype=bool)
+    tol = RANK_RTOL * np.diagonal(a, axis1=-2, axis2=-1)
+    for j in range(a.shape[-1]):
+        col = a[..., j:, j] - np.einsum("...ik,...k->...i", low[..., j:, :j], low[..., j, :j])
+        keep = col[..., 0] > tol[..., j]
+        if not keep.all():
+            drop = dropped[..., j] = ~keep
+            col = np.where(drop[..., None], np.eye(1, col.shape[-1])[0], col)
+            low[..., j, :j] = np.where(drop[..., None], 0.0, low[..., j, :j])
+        low[..., j:, j] = col / np.sqrt(col[..., :1])
+    return low, dropped
 
 
 def fit_limiting_model(hrs_points, lrs_points) -> ConductionModel:

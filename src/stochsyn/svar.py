@@ -3,16 +3,16 @@
 One model, built from the fit's outputs: reduced-form lag matrices phi_i,
 residual covariance sigma_u and intercept (Lutkepohl, New Introduction to
 Multiple Time Series Analysis, 2005, ch. 2).  `fit_svar` is the least-squares
-estimator in moment form (sec. 3.2), solved from the lag moments of the
-series with fixed-order sums, without BLAS or the regressor matrix.  The
-model keeps the reduced form alone.  `structural_decompose` gives its
-recursive structural form (ch. 9), the exact maximum-likelihood
-decomposition under those constraints, which the parameter file stores
-beside it.  One kernel, `step`, advances the float64 generator, the float32
-array engine and its test mirror.  Every start is one exact draw from the
-stationary distribution of the lags.  Their covariance is solved once,
-without BLAS (`stationary_covariance`); each model caches its Cholesky
-factor, and C(0) is `synth.reference_bundle`'s sigma.
+estimator in moment form (sec. 3.2), solved from the series' lag moments by
+`conduction.normal_solver`, without BLAS or the regressor matrix.  The model
+keeps the reduced form alone.  `structural_decompose` gives its recursive
+structural form (ch. 9), the exact maximum-likelihood decomposition under
+those constraints, from the model's own Cholesky factor; the parameter file
+stores it beside the model.  One kernel, `step`, advances the float64
+generator, the float32 array engine and its test mirror.  Every start is one
+exact draw from the stationary distribution of the lags.  Their covariance
+is solved once, without BLAS (`stationary_covariance`); each model caches
+its `conduction.cholesky` factor, and C(0) is `synth.reference_bundle`'s sigma.
 """
 
 import warnings
@@ -21,31 +21,27 @@ from functools import cached_property
 
 import numpy as np
 
-from .conduction import as_float
+from .conduction import as_float, cholesky, normal_solver
 
 DIM = 4
 MAX_ORDER = 200
 INTERCEPT_WARN = 0.05
 LYAPUNOV_TOL = 1e-12   # relative residual of the stationary covariance
 MAX_TERMS = 1 << 16    # impulse responses summed at most: spectral radius up to about 0.9997
-RANK_RTOL = 1e-10      # fit_svar: least normal-equation pivot, relative to its diagonal entry
 SPECTRAL_DIGITS = 10   # significant digits `spectral_radius` keeps
 
 
-def structural_decompose(sigma_u: np.ndarray):
+def structural_decompose(sigma_u: np.ndarray, chol_u: np.ndarray = None):
     """Recursive-identification MLE (a, b) from the residual covariance: with
-    L = chol(sigma_u), b = diag(L) and a = b L^-1, so a^-1 b = L exactly."""
-    sigma_u = np.asarray(sigma_u, dtype=np.float64)
-    try:
-        chol = np.linalg.cholesky(sigma_u)
-    except np.linalg.LinAlgError as exc:
-        raise ValueError(f"covariance not positive definite: {exc}") from exc
-    b = np.diag(np.diag(chol))
-    # forward substitution keeps the strict upper triangle exactly zero
-    a = b @ np.linalg.inv(chol)
-    a[np.triu_indices(DIM, 1)] = 0.0
-    np.fill_diagonal(a, 1.0)
-    return a, b
+    L = chol(sigma_u), b = diag(L) and a = b L^-1, so a^-1 b = L.  ``chol_u``
+    is L when the caller has it (`SvarModel.chol_u`), else it is factored."""
+    chol_u = np.linalg.cholesky(sigma_u) if chol_u is None else chol_u
+    # a inverts the unit lower triangle L b^-1; forward substitution keeps
+    # its strict upper triangle exactly zero and its diagonal exactly one
+    unit, a = chol_u / np.diag(chol_u), np.eye(DIM)
+    for j in range(1, DIM):
+        a[j] -= np.einsum("k,kd->d", unit[j, :j], a[:j])
+    return a, np.diag(np.diag(chol_u))
 
 
 @dataclass(frozen=True)
@@ -98,15 +94,15 @@ def fit_svar(series: np.ndarray, p: int) -> SvarModel:
 
     The estimator in moment form, B = Y Z' (Z Z')^-1 (Lutkepohl 2005, sec.
     3.2), from `_lag_moments` without the (n - p, 4p + 1) regressor matrix Z.
-    The normal equations are solved by `_cholesky` and two substitutions, and
-    the residuals come from one einsum per lag, so no BLAS or LAPACK call is
-    made and the bits do not depend on their thread count.  A pivot not above
-    RANK_RTOL times its diagonal entry means a regressor is all but a
-    combination of the ones before it, and the solve would keep fewer than
-    about six significant digits: ValueError "rank deficient".  Normalized
-    feature series give relative pivots near 1.  The residual covariance uses
-    denominator n - p (the number of fitted rows).  The input is expected to
-    be normalized, so a large intercept is suspicious and triggers a warning.
+    The normal equations are solved by `conduction.normal_solver`, and the
+    residuals come from one einsum per lag, so no BLAS or LAPACK call is made
+    and the bits do not depend on their thread count.  A pivot not above
+    `conduction.RANK_RTOL` times its diagonal entry drops its regressor, all
+    but a combination of the ones before it, whose solve would keep fewer
+    than about six significant digits: ValueError "rank deficient".
+    Normalized feature series give relative pivots near 1.  The residual
+    covariance uses denominator n - p (the number of fitted rows).  The input
+    is expected to be normalized, so a large intercept triggers a warning.
     """
     x = np.asarray(series, dtype=np.float64)
     if p < 1:
@@ -119,8 +115,10 @@ def fit_svar(series: np.ndarray, p: int) -> SvarModel:
         raise ValueError(f"need more than {10 * n_params} observations for p={p}, got {n}")
 
     moments = _lag_moments(x, p)
-    low = _cholesky(moments[DIM:, DIM:], rtol=RANK_RTOL, what="regressor matrix is rank deficient")
-    beta = _cholesky_solve(low, moments[DIM:, :DIM])   # (4p + 1, 4): lags newest first, constant
+    solve, dropped = normal_solver(moments[DIM:, DIM:])
+    if dropped.any():
+        raise ValueError(f"regressor matrix is rank deficient (column {dropped.argmax()})")
+    beta = solve(moments[DIM:, :DIM].T).T   # (4p + 1, 4): lags newest first, constant
     phi = np.ascontiguousarray(beta[:-1].reshape(p, DIM, DIM).transpose(0, 2, 1))
     intercept = beta[-1]
     resid = x[p:] - intercept
@@ -169,17 +167,6 @@ def _running_sums(terms: np.ndarray) -> np.ndarray:
     """(len(terms) + 1, ...): entry k is the sum of the first k terms, in order."""
     out = np.zeros((len(terms) + 1, *terms.shape[1:]))
     np.cumsum(terms, axis=0, out=out[1:])
-    return out
-
-
-def _cholesky_solve(low: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """x with low low^T x = rhs: forward then back substitution, one
-    fixed-order einsum per row."""
-    out = np.empty_like(rhs)
-    for j in range(len(low)):
-        out[j] = (rhs[j] - np.einsum("k,kd->d", low[j, :j], out[:j])) / low[j, j]
-    for j in range(len(low) - 1, -1, -1):
-        out[j] = (out[j] - np.einsum("k,kd->d", low[j + 1 :, j], out[j + 1 :])) / low[j, j]
     return out
 
 
@@ -298,20 +285,10 @@ def stationary_covariance(model: SvarModel) -> np.ndarray:
 
 
 def stationary_factor(model: SvarModel) -> np.ndarray:
-    """Lower Cholesky factor of `stationary_covariance` (ValueError if not positive definite)."""
-    return _cholesky(stationary_covariance(model))
-
-
-def _cholesky(a: np.ndarray, rtol: float = 0.0,
-              what: str = "stationary covariance not positive definite") -> np.ndarray:
-    """Lower Cholesky factor, column by column with fixed-order einsums.
-    ValueError `what` at the first pivot not above rtol times its diagonal entry."""
-    low = np.zeros_like(a)
-    for j in range(len(a)):
-        col = a[j:, j] - np.einsum("ik,k->i", low[j:, :j], low[j, :j])
-        if not col[0] > rtol * a[j, j]:
-            raise ValueError(f"{what} (pivot {j} of {len(a)})")
-        low[j:, j] = col / np.sqrt(col[0])
+    """`conduction.cholesky` of `stationary_covariance` (ValueError if not positive definite)."""
+    low, dropped = cholesky(stationary_covariance(model))
+    if dropped.any():
+        raise ValueError(f"stationary covariance not positive definite (pivot {dropped.argmax()})")
     return low
 
 

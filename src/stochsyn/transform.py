@@ -8,7 +8,9 @@ Horner evaluation and an exp per component; the analysis direction
 (feature -> z) inverts the polynomial numerically and is needed at fit time
 only.  The fit's standard-normal quantiles come from `_ndtri`, a port of the
 Cephes ``ndtri`` that `scipy.special.ndtri` runs, bit for bit on the
-probabilities it covers, so the runtime needs numpy alone.
+probabilities it covers, so the runtime needs numpy alone.  Its polynomials
+come from `conduction.monomial_fit`, the least-squares path of the branch
+fits, so no LAPACK call moves their bits.
 """
 
 import math
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conduction import as_float, eval_poly, quantile
+from .conduction import as_float, eval_poly, monomial_fit, quantile
 from .waveform import FEATURE_NAMES
 
 N_QUANTILES = 500
@@ -118,9 +120,9 @@ def fit_map(features: np.ndarray, degree: int = GAMMA_DEGREE) -> NormalizingMap:
     0.01 and 0.99 (linear interpolation between order statistics) and paired
     with the standard-normal quantiles of the same probabilities (`_ndtri`, a
     port of the Cephes ``ndtri`` that gives `scipy.special.ndtri`'s bits); a
-    least-squares polynomial of ``degree`` is fit per feature and verified to
-    be increasing on Z_RANGE.  Non-monotone fits are a hard error, no silent
-    repair.
+    least-squares polynomial of ``degree`` is fit per feature, all four in
+    one `conduction.monomial_fit`, and verified to be increasing on Z_RANGE.
+    Non-monotone fits are a hard error, no silent repair.
     """
     x = np.asarray(features, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != 4:
@@ -131,11 +133,8 @@ def fit_map(features: np.ndarray, degree: int = GAMMA_DEGREE) -> NormalizingMap:
         raise ValueError("features must be finite and strictly positive")
     probs = np.linspace(PROB_RANGE[0], PROB_RANGE[1], N_QUANTILES)
     zq = np.array([_ndtri(v) for v in probs.tolist()])
-    coeffs = np.empty((4, degree + 1))
-    for k in range(4):
-        lq = quantile(np.log(x[:, k]), probs)
-        coeffs[k] = np.polynomial.polynomial.polyfit(zq, lq, degree)
-    m = NormalizingMap(coeffs=coeffs)
+    lq = np.stack([quantile(np.log(x[:, k]), probs) for k in range(4)])
+    m = NormalizingMap(coeffs=monomial_fit(np.broadcast_to(zq, lq.shape), lq, 0, degree))
     _check_monotone(m)
     return m
 

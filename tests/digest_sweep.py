@@ -5,6 +5,10 @@ outputs to see whether a change moves any engine bit.
 
     PYTHONPATH=src python tests/digest_sweep.py > sweep.txt
 
+Only the sweep's lines go to standard output.  The in-process commands'
+messages, which name a temporary directory, and `bench`'s measured rates go
+to standard error (`command`), so two runs of one tree print the same lines.
+
 The sweep covers the reference bundle's orders 1, 10 and 100 and the orders
 10 and 100 of a bundle fitted to its sampled features, device variability
 a = 0 and 0.5, and 1 and 2 worker threads, on arrays of 4500 cells.  For

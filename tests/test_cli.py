@@ -514,19 +514,46 @@ def test_fit_supports_order_100(corpus, tmp_path):
 
 
 def test_fit_bits_do_not_depend_on_the_blas_thread_count(corpus, tmp_path):
-    # the VAR solve makes no BLAS call and the spectral radius is rounded,
-    # so neither file may move with OPENBLAS_NUM_THREADS at order 100
+    # every least-squares solve and product of `extract` and `fit` is a
+    # fixed-order einsum and the spectral radius is rounded, so no file they
+    # write may move with OPENBLAS_NUM_THREADS (`fit` at order 100 too)
     src = str(Path(stochsyn.__file__).resolve().parents[1])
+    outputs = ["x.csv", "x.csv.report.json", "limits.json", "fit.ssyn", "fit.ssyn.diag.json"]
     written = []
     for threads in ("1", "2"):
-        out = tmp_path / f"threads{threads}.ssyn"
+        out = tmp_path / f"threads{threads}"
+        out.mkdir()
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
                    PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-        subprocess.run([sys.executable, "-m", "stochsyn.cli", "fit", str(corpus / "features.csv"),
-                        "-o", str(out), "-p", "10,100"], env=env, capture_output=True, check=True)
-        written.append((out.read_bytes(), Path(str(out) + ".diag.json").read_bytes()))
-    assert written[0][0] == written[1][0], ".ssyn differs between 1 and 2 BLAS threads"
-    assert written[0][1] == written[1][1], ".diag.json differs between 1 and 2 BLAS threads"
+        for argv in (["extract", corpus / "trace.iuw", out / "x.csv",
+                      "--limits-out", out / "limits.json"],
+                     ["fit", corpus / "features.csv", "-o", out / "fit.ssyn", "-p", "10,100"]):
+            subprocess.run([sys.executable, "-m", "stochsyn.cli", *map(str, argv)], env=env,
+                           capture_output=True, check=True)
+        written.append([(out / name).read_bytes() for name in outputs])
+    for name, one, two in zip(outputs, *written):
+        assert one == two, f"{name} differs between 1 and 2 BLAS threads"
+
+
+class _Forbidden(Exception):
+    pass
+
+
+def test_extract_and_fit_call_no_lapack_solver_or_np_cov(corpus, tmp_path, monkeypatch):
+    # every fit goes through `conduction.normal_solver`; LAPACK is left the
+    # rounded spectral radius (eigvals), the model's own factors (cholesky)
+    # and the check that sigma is positive definite (eigvalsh)
+    def forbidden(*args, **kwargs):
+        raise _Forbidden("called")
+
+    for module, name in ((np.linalg, "lstsq"), (np.linalg, "solve"), (np.linalg, "eigh"),
+                         (np.linalg, "inv"), (np.polynomial.polynomial, "polyfit"), (np, "cov")):
+        monkeypatch.setattr(module, name, forbidden)
+    limits = tmp_path / "limits.json"
+    assert main(["extract", str(corpus / "trace.iuw"), str(tmp_path / "x.csv"),
+                 "--limits-out", str(limits)]) == 0
+    assert main(["fit", str(corpus / "features.csv"), "-o", str(tmp_path / "fit.ssyn"),
+                 "-p", "10,100", "--conduction", str(limits)]) == 0
 
 
 class _Mallinfo2(ctypes.Structure):

@@ -13,6 +13,7 @@ from stochsyn.conduction import (
     current,
     eval_poly,
     fit_conduction_poly,
+    fit_conduction_polys,
     state_from_point,
     state_from_resistance,
     transition_current,
@@ -140,3 +141,20 @@ def test_fit_conduction_poly_exact_and_clamped():
     # unconstrained slope below the floor comes back exactly clamped
     coef = fit_conduction_poly(u, 1e-10 * u, degree=3)
     assert coef[1] == 1e-9
+
+
+def test_fit_drops_columns_beyond_the_distinct_voltages():
+    # 8 points on 2 distinct voltages determine c1 and c2 of a degree-5 row:
+    # the kernel drops the columns u**3 .. u**5, whose coefficients come
+    # back exactly 0, and the rest still passes through every point.  Beside
+    # a full-rank row in one block, each row gets the bits it gets alone
+    u = np.stack([np.repeat([0.1, 0.3], 4), np.linspace(0.05, 1.0, 8)])
+    i = 1e-5 * u + 2e-5 * u**2 + 1e-6 * u**4
+    block = fit_conduction_polys(u, i, 5)
+    alone = np.stack([fit_conduction_polys(u[r : r + 1], i[r : r + 1], 5)[0] for r in range(2)])
+    assert np.array_equal(block, alone)
+    coef = block[0]
+    assert coef[0] == 0.0
+    assert np.all(coef[1:3] != 0.0)
+    assert np.array_equal(coef[3:], np.zeros(3))
+    assert np.allclose(eval_poly(coef, u[0]), i[0], rtol=1e-14, atol=0.0)

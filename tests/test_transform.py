@@ -5,6 +5,7 @@ import pytest
 from scipy.special import ndtri
 from scipy.stats import norm
 
+from stochsyn import transform
 from stochsyn.conduction import LIMIT_PERCENTILE, quantile
 from stochsyn.stats import wasserstein1
 from stochsyn.transform import (
@@ -21,12 +22,18 @@ from stochsyn.transform import (
 
 
 @pytest.fixture(scope="module")
-def lognormal_map():
-    """Map fit on exactly lognormal features (closure case)."""
+def lognormal_features():
+    """Exactly lognormal features, with their log means and deviations."""
     rng = np.random.default_rng(81)
     mu = np.array([11.9, -0.16, 9.0, -0.33])
     sd = np.array([0.30, 0.06, 0.12, 0.05])
-    x = np.exp(mu + sd * rng.standard_normal((100_000, 4)))
+    return np.exp(mu + sd * rng.standard_normal((100_000, 4))), mu, sd
+
+
+@pytest.fixture(scope="module")
+def lognormal_map(lognormal_features):
+    """Map fit on exactly lognormal features (closure case)."""
+    x, mu, sd = lognormal_features
     return fit_map_with_fallback(x), mu, sd
 
 
@@ -37,6 +44,21 @@ def test_lognormal_closure(lognormal_map):
         g1 = np.polynomial.polynomial.polyval(1.0, m.coeffs[k])
         assert abs(g1 - (mu[k] + sd[k])) < 0.01 * sd[k]
         assert np.all(np.abs(m.coeffs[k, 2:]) < 0.02 * sd[k])
+
+
+@pytest.mark.parametrize("degree", [5, 4, 3])
+@pytest.mark.parametrize("data", ["source_features", "lognormal_features"])
+def test_fit_map_matches_polyfit(request, monkeypatch, data, degree):
+    # the degrees `fit_map_with_fallback` tries, each fit whether monotone or
+    # not, against np.polynomial's lstsq on the same quantile pairs
+    x = request.getfixturevalue(data)
+    x = x[0] if data == "lognormal_features" else x
+    monkeypatch.setattr(transform, "_check_monotone", lambda m: None)
+    got = fit_map(x, degree).coeffs
+    probs = np.linspace(PROB_RANGE[0], PROB_RANGE[1], N_QUANTILES)
+    want = np.array([np.polynomial.polynomial.polyfit(ndtri(probs), np.quantile(np.log(col), probs),
+                                                      degree) for col in x.T])
+    assert np.all(np.abs(got - want) <= 1e-10 * np.abs(want))
 
 
 def test_quantiles_match_sorted_interpolation_oracle():
