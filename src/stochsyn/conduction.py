@@ -187,8 +187,11 @@ def transition_state(u_a, u_start, r_lrs, r_next, u_max, model: ConductionModel)
 
 
 def fit_conduction_poly(u, i, degree) -> np.ndarray:
-    """Least-squares polynomial of ``degree`` with c0 = 0 and c1 >= MIN_LINEAR_COEFF:
-    one row of `fit_conduction_polys`, ascending coefficients of length degree + 1."""
+    """Least-squares polynomial of ``degree`` with c0 = 0 and c1 >= MIN_LINEAR_COEFF.
+
+    One row of `fit_conduction_polys`.  Returns ascending coefficients of
+    length degree + 1.
+    """
     u = np.asarray(u, dtype=np.float64)
     if u.size <= degree:
         raise ValueError(f"need more than {degree} points, got {u.size}")
@@ -196,11 +199,14 @@ def fit_conduction_poly(u, i, degree) -> np.ndarray:
 
 
 def fit_conduction_polys(u, i, degree) -> np.ndarray:
-    """`fit_conduction_poly` for every row of a (rows, width) block at once,
-    windows of different sizes zero-padded (or zeroed where masked off) to
-    one width.  The linear bound is enforced by a single active-set clamp
-    (fix c1, refit the rest), which is always feasible; only the rows that
-    need it are refit.  Returns (rows, degree + 1) ascending coefficients.
+    """`fit_conduction_poly` for every row of a (rows, width) block at once.
+
+    Each row is fit with c0 = 0, so a point at u = i = 0 adds nothing to its
+    fit: windows of different sizes are zero-padded (or zeroed where masked
+    off) to one width.  The linear bound is enforced by a single active-set
+    clamp (fix c1, refit the rest), which is always feasible; only the rows
+    that need it are refit.  Returns (rows, degree + 1) ascending
+    coefficients.
     """
     u = np.asarray(u, dtype=np.float64)
     i = np.asarray(i, dtype=np.float64)
@@ -219,14 +225,15 @@ def monomial_fit(u, y, lo: int, hi: int) -> np.ndarray:
     of refinement); a column it drops gets 0.  A point at u = y = 0 adds
     nothing to the columns u**1 and up, so rows may be zero-padded when lo >= 1;
     the u**0 column counts every point of its row."""
-    powers = np.empty((hi + 1,) + u.shape)
-    powers[0] = 1.0
-    for m in range(hi):
-        np.multiply(powers[m], u, out=powers[m + 1])
-    sums = np.concatenate([powers.sum(axis=2), np.einsum("rw,mrw->mr", powers[-1], powers[1:])])
+    powers = np.empty((hi,) + u.shape)
+    powers[0] = u
+    for m in range(1, hi):
+        np.multiply(powers[m - 1], u, out=powers[m])
+    sums = np.concatenate([np.full((1, len(u)), u.shape[1]), powers.sum(axis=2),
+                           np.einsum("rw,mrw->mr", powers[-1], powers)])
     j = np.arange(lo, hi + 1)
     solve, _ = normal_solver(sums.T[:, j[:, None] + j[None, :]])
-    design = powers[lo:]
+    design = powers[lo - 1 :] if lo else np.concatenate([np.ones((1,) + u.shape), powers])
     coef = solve(np.einsum("jrw,rw->rj", design, y))
     return coef + solve(np.einsum("jrw,rw->rj", design, y - np.einsum("jrw,rj->rw", design, coef)))
 

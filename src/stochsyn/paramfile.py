@@ -130,8 +130,8 @@ _READOUT_FIELDS = (("u_read", F64), ("delta_f", F64), ("temperature", F64), ("n_
 
 def _svar_fields(model: SvarModel) -> dict:
     """The model's fields with the structural form the file stores beside
-    them: a and b from `structural_decompose(sigma_u, chol_u)`, and c_i = a phi_i."""
-    a, b = structural_decompose(model.sigma_u, model.chol_u)
+    them: a and b from `structural_decompose(sigma_u)`, and c_i = a phi_i."""
+    a, b = structural_decompose(model.sigma_u)
     return {**vars(model), "a": a, "b": b, "c": np.einsum("ij,pjk->pik", a, model.phi)}
 
 

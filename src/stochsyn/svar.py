@@ -7,8 +7,8 @@ estimator in moment form (sec. 3.2), solved from the series' lag moments by
 `conduction.normal_solver`, without BLAS or the regressor matrix.  The model
 keeps the reduced form alone.  `structural_decompose` gives its recursive
 structural form (ch. 9), the exact maximum-likelihood decomposition under
-those constraints, from the model's own Cholesky factor; the parameter file
-stores it beside the model.  One kernel, `step`, advances the float64
+those constraints, by forward substitution on chol(sigma_u); the parameter
+file stores it beside the model.  One kernel, `step`, advances the float64
 generator, the float32 array engine and its test mirror.  Every start is one
 exact draw from the stationary distribution of the lags.  Their covariance
 is solved once, without BLAS (`stationary_covariance`); each model caches
@@ -31,17 +31,20 @@ MAX_TERMS = 1 << 16    # impulse responses summed at most: spectral radius up to
 SPECTRAL_DIGITS = 10   # significant digits `spectral_radius` keeps
 
 
-def structural_decompose(sigma_u: np.ndarray, chol_u: np.ndarray = None):
+def structural_decompose(sigma_u: np.ndarray):
     """Recursive-identification MLE (a, b) from the residual covariance: with
-    L = chol(sigma_u), b = diag(L) and a = b L^-1, so a^-1 b = L.  ``chol_u``
-    is L when the caller has it (`SvarModel.chol_u`), else it is factored."""
-    chol_u = np.linalg.cholesky(sigma_u) if chol_u is None else chol_u
+    L = chol(sigma_u), b = diag(L) and a = b L^-1, so a^-1 b = L."""
+    sigma_u = np.asarray(sigma_u, dtype=np.float64)
+    try:
+        chol = np.linalg.cholesky(sigma_u)
+    except np.linalg.LinAlgError as exc:
+        raise ValueError(f"covariance not positive definite: {exc}") from exc
     # a inverts the unit lower triangle L b^-1; forward substitution keeps
     # its strict upper triangle exactly zero and its diagonal exactly one
-    unit, a = chol_u / np.diag(chol_u), np.eye(DIM)
+    unit, a = chol / np.diag(chol), np.eye(DIM)
     for j in range(1, DIM):
         a[j] -= np.einsum("k,kd->d", unit[j, :j], a[:j])
-    return a, np.diag(np.diag(chol_u))
+    return a, np.diag(np.diag(chol))
 
 
 @dataclass(frozen=True)
@@ -285,7 +288,12 @@ def stationary_covariance(model: SvarModel) -> np.ndarray:
 
 
 def stationary_factor(model: SvarModel) -> np.ndarray:
-    """`conduction.cholesky` of `stationary_covariance` (ValueError if not positive definite)."""
+    """`conduction.cholesky` of `stationary_covariance`.
+
+    ValueError "not positive definite" at a pivot not above
+    `conduction.RANK_RTOL` times its diagonal entry, the fits' rank rule,
+    even where LAPACK can still factor the model's sigma_u.
+    """
     low, dropped = cholesky(stationary_covariance(model))
     if dropped.any():
         raise ValueError(f"stationary covariance not positive definite (pivot {dropped.argmax()})")

@@ -10,6 +10,7 @@ from scipy.linalg import solve_discrete_lyapunov
 
 import stochsyn
 from stochsyn import paramfile
+from stochsyn.conduction import RANK_RTOL
 from stochsyn.svar import (
     LYAPUNOV_TOL,
     SvarModel,
@@ -262,6 +263,26 @@ def test_stationary_factor_rejects_models_without_a_stationary_distribution():
     for model in (_rotation_model(1.02), _diag_model(1.0)):  # explosive, unit root
         with pytest.raises(ValueError):
             stationary_factor(model)
+
+
+def test_stationary_factor_drops_a_pivot_at_the_fits_rank_tolerance():
+    # the shared Cholesky keeps a pivot only above RANK_RTOL times its diagonal
+    # entry.  With phi = 0 the stationary covariance is sigma_u, whose second
+    # relative pivot is d**2 = rel * RANK_RTOL.  LAPACK factors sigma_u at both
+    # values, so SvarModel accepts it; only the one below has no stationary start
+    for rel, ok in ((1e-2, False), (1e2, True)):
+        low = np.eye(4)
+        low[1, :2] = 1.0, np.sqrt(rel * RANK_RTOL)   # d
+        model = SvarModel(phi=np.zeros((1, 4, 4)), sigma_u=low @ low.T, intercept=np.zeros(4))
+        if ok:
+            factor = stationary_factor(model)
+            assert np.max(np.abs(factor @ factor.T - model.sigma_u)) < 1e-15
+            assert generate(model, 10, seed=0).shape == (10, 4)
+            continue
+        with pytest.raises(ValueError, match="not positive definite"):
+            stationary_factor(model)
+        with pytest.raises(ValueError, match="not positive definite"):
+            generate(model, 10, seed=0)
 
 
 _START_DIGESTS = """

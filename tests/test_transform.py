@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -46,18 +47,36 @@ def test_lognormal_closure(lognormal_map):
         assert np.all(np.abs(m.coeffs[k, 2:]) < 0.02 * sd[k])
 
 
+def _exact_polyfit(z, y, degree):
+    """Least-squares coefficients of y on 1, z, ..., z**degree, ascending: the
+    normal equations solved exactly in rationals, rounded once to float."""
+    z, y = [Fraction(v) for v in z.tolist()], [Fraction(v) for v in y.tolist()]
+    powers = [[Fraction(1)] * len(z)]
+    for _ in range(2 * degree):
+        powers.append([a * b for a, b in zip(powers[-1], z)])
+    k = degree + 1
+    rows = [[sum(powers[i + j]) for j in range(k)] + [sum(a * b for a, b in zip(powers[i], y))]
+            for i in range(k)]
+    for c in range(k):   # Gauss-Jordan; a Gram matrix of distinct points needs no pivoting
+        rows[c] = [v / rows[c][c] for v in rows[c]]
+        for r in range(k):
+            if r != c:
+                rows[r] = [a - rows[r][c] * b for a, b in zip(rows[r], rows[c])]
+    return np.array([float(row[-1]) for row in rows])
+
+
 @pytest.mark.parametrize("degree", [5, 4, 3])
 @pytest.mark.parametrize("data", ["source_features", "lognormal_features"])
-def test_fit_map_matches_polyfit(request, monkeypatch, data, degree):
+def test_fit_map_matches_the_exact_least_squares_solution(request, monkeypatch, data, degree):
     # the degrees `fit_map_with_fallback` tries, each fit whether monotone or
-    # not, against np.polynomial's lstsq on the same quantile pairs
+    # not, against the exact solution on the same quantile pairs
     x = request.getfixturevalue(data)
     x = x[0] if data == "lognormal_features" else x
     monkeypatch.setattr(transform, "_check_monotone", lambda m: None)
     got = fit_map(x, degree).coeffs
     probs = np.linspace(PROB_RANGE[0], PROB_RANGE[1], N_QUANTILES)
-    want = np.array([np.polynomial.polynomial.polyfit(ndtri(probs), np.quantile(np.log(col), probs),
-                                                      degree) for col in x.T])
+    want = np.array([_exact_polyfit(ndtri(probs), np.quantile(np.log(col), probs), degree)
+                     for col in x.T])
     assert np.all(np.abs(got - want) <= 1e-10 * np.abs(want))
 
 
