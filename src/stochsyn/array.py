@@ -45,7 +45,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import streams
-from .conduction import U0_DEFAULT, as_float, eval_poly
+from .conduction import U0_DEFAULT, as_float, eval_poly, positive_definite_factor
 from .conduction import state_from_resistance, transition_state
 from .svar import mix_lower_triangular, step
 from .transform import inverse_map
@@ -268,12 +268,8 @@ class CellArray:
 
     def _init_cells(self, bundle) -> None:
         if self.a > 0.0:
-            try:
-                chol = np.linalg.cholesky(self.a * np.asarray(bundle.sigma, dtype=np.float64))
-            except np.linalg.LinAlgError as exc:
-                raise ValueError(f"a * sigma is not positive definite: {exc}") from exc
-            z = self._normals(slice(None), _DRAWS_DTD)
-            shat = mix_lower_triangular(z, chol.astype(np.float32))
+            chol = positive_definite_factor(self.a * np.asarray(bundle.sigma, float), "a * sigma")
+            shat = mix_lower_triangular(self._normals(slice(None), _DRAWS_DTD), chol)
             med = inverse_map(self.gamma, np.zeros(4, dtype=np.float32))
             self.scale[:] = inverse_map(self.gamma, shat) / med
         factor = stationary_factor32(self.model)

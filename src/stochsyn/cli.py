@@ -30,7 +30,7 @@ import numpy as np
 from . import csvtext, paramfile, synth, waveform
 from .array import MAX_SEED, MAX_THREADS, ReadoutConfig, dequantize, init_array
 from .conduction import LIMIT_PERCENTILE, U0_DEFAULT, ConductionModel, fit_limiting_model
-from .svar import fit_svar, spectral_radius
+from .svar import MAX_ORDER, fit_svar, spectral_radius
 from .transform import GAMMA_DEGREE, fit_map_with_fallback, forward_map, inverse_map
 from .svar import generate as svar_generate
 
@@ -421,6 +421,11 @@ def cmd_bench(args) -> int:
 
 
 def cmd_synth(args) -> int:
+    if args.trace_cycles is None or args.trace_cycles <= args.n:   # else make_corpus refuses
+        os.makedirs(args.outdir, exist_ok=True)
+        rendered = args.n > 0 and args.trace_cycles != 0   # min(n, 20000) cycles by default
+        names = ("params.ssyn", "features.csv", "meta.json", "trace.iuw")[: 3 + rendered]
+        _check_outputs([], *(os.path.join(args.outdir, name) for name in names))
     manifest = synth.make_corpus(args.outdir, args.n, args.seed,
                                  trace_cycles=args.trace_cycles)
     print(f"corpus written to {args.outdir}: {manifest}")
@@ -447,7 +452,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fit", help="fit normalizing map and autoregression from features")
     p.add_argument("features")
     p.add_argument("-o", "--output", required=True, help="parameter file to write")
-    p.add_argument("-p", "--order", type=_ints(1, many=True), default=[10],
+    p.add_argument("-p", "--order", type=_ints(1, MAX_ORDER, many=True), default=[10],
                    help="model order(s), comma separated")
     p.add_argument("--conduction", default=None,
                    help="limiting-polynomial JSON from `extract --limits-out`")
@@ -519,7 +524,7 @@ def main(argv=None) -> int:
     except (OSError, UsageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, KeyError) as exc:   # MonotonicityError and LinAlgError among them
+    except (ValueError, KeyError) as exc:   # MonotonicityError and FormatError among them
         print(f"error: {exc}", file=sys.stderr)
         return 1
     finally:

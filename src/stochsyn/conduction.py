@@ -269,7 +269,8 @@ def cholesky(a):
     """Lower Cholesky factor of each (..., k, k) matrix, C-ordered, by einsums,
     and the columns it dropped, (..., k) bool: a pivot not above RANK_RTOL
     times its diagonal entry drops its column, whose row and column of the
-    factor become the identity's, so the rest factors the matrix without it."""
+    factor become the identity's, so the rest factors the matrix without it.
+    Reads the lower triangle; `normal_solver` and `positive_definite_factor` call it."""
     low, dropped = np.zeros(a.shape), np.zeros(a.shape[:-1], dtype=bool)
     tol = RANK_RTOL * np.diagonal(a, axis1=-2, axis2=-1)
     for j in range(a.shape[-1]):
@@ -281,6 +282,14 @@ def cholesky(a):
             low[..., j, :j] = np.where(drop[..., None], 0.0, low[..., j, :j])
         low[..., j:, j] = col / np.sqrt(col[..., :1])
     return low, dropped
+
+
+def positive_definite_factor(a, name: str) -> np.ndarray:
+    """`cholesky` of a covariance, ValueError "<name> not positive definite" at a dropped pivot."""
+    low, dropped = cholesky(np.asarray(a, dtype=np.float64))
+    if dropped.any():
+        raise ValueError(f"{name} not positive definite (pivot {dropped.argmax()})")
+    return low
 
 
 def fit_limiting_model(hrs_points, lrs_points) -> ConductionModel:

@@ -15,7 +15,7 @@ Each section's payload layout is written once, in `SECTIONS`, which encoding
 and decoding both walk; a float64 field that is not finite fails to load.
 The conduction u0 and the gamma z_range are written as U0_DEFAULT and
 Z_RANGE, and any other value fails to load; an autoregression section's
-a, b, c and chol_u are derived from phi and sigma_u, and checked on load.
+a, b, c and chol_u are derived from phi and sigma_u by `conduction.cholesky`, and checked on load.
 """
 
 import math
@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .array import FLOAT32_MAX, ReadoutConfig, float32_problems
-from .conduction import U0_DEFAULT, ConductionModel
+from .conduction import U0_DEFAULT, ConductionModel, cholesky
 from .svar import SvarModel, spectral_radius, structural_decompose
 from .transform import Z_RANGE, MonotonicityError, NormalizingMap, _check_monotone, inverse_map
 
@@ -88,7 +88,7 @@ class ParameterBundle:
 
     def validate(self) -> None:
         """Cross-checks beyond the member constructors, in float32 where the
-        engine computes in float32: sigma is positive definite; γ, monotone
+        engine computes in float32: sigma passes `conduction.cholesky`'s rule; γ, monotone
         on Z_RANGE, is finite and positive at its ends; the defaults pass
         `array.float32_problems`; every model passes the (cached)
         `svar.stationary_factor` gates, so the bundle can start an array."""
@@ -99,8 +99,8 @@ class ParameterBundle:
                 raise FormatError(f"section {where}: {what}")
 
         need(sigma.shape == (4, 4) and np.max(np.abs(sigma - sigma.T)) <= 1e-12
-             and np.linalg.eigvalsh(sigma).min() > 0.0,
-             "sigma", "field sigma must be a symmetric positive definite 4x4 matrix")
+             and not cholesky(sigma)[1].any(),
+             "sigma", "field sigma is not a symmetric 4x4 matrix, or not positive definite")
         try:
             _check_monotone(gamma)
         except MonotonicityError as exc:

@@ -11,8 +11,9 @@ those constraints, by forward substitution on chol(sigma_u); the parameter
 file stores it beside the model.  One kernel, `step`, advances the float64
 generator, the float32 array engine and its test mirror.  Every start is one
 exact draw from the stationary distribution of the lags.  Their covariance
-is solved once, without BLAS (`stationary_covariance`); each model caches
-its `conduction.cholesky` factor, and C(0) is `synth.reference_bundle`'s sigma.
+is solved once, without BLAS (`stationary_covariance`), and C(0) is
+`synth.reference_bundle`'s sigma; each model caches its factor.  Every
+factor, chol_u's too, is `conduction.positive_definite_factor`'s.
 """
 
 import warnings
@@ -21,7 +22,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .conduction import as_float, cholesky, normal_solver
+from .conduction import as_float, normal_solver, positive_definite_factor
 
 DIM = 4
 MAX_ORDER = 200
@@ -33,26 +34,26 @@ SPECTRAL_DIGITS = 10   # significant digits `spectral_radius` keeps
 
 def structural_decompose(sigma_u: np.ndarray):
     """Recursive-identification MLE (a, b) from the residual covariance: with
-    L = chol(sigma_u), b = diag(L) and a = b L^-1, so a^-1 b = L."""
-    sigma_u = np.asarray(sigma_u, dtype=np.float64)
-    try:
-        chol = np.linalg.cholesky(sigma_u)
-    except np.linalg.LinAlgError as exc:
-        raise ValueError(f"covariance not positive definite: {exc}") from exc
+    L = chol(sigma_u), as `SvarModel.chol_u`, b = diag(L) and a = b L^-1, so a^-1 b = L."""
+    chol = positive_definite_factor(sigma_u, "covariance")
     # a inverts the unit lower triangle L b^-1; forward substitution keeps
     # its strict upper triangle exactly zero and its diagonal exactly one
-    unit, a = chol / np.diag(chol), np.eye(DIM)
+    return forward_substitution(chol / np.diag(chol), np.eye(DIM)), np.diag(np.diag(chol))
+
+
+def forward_substitution(unit: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """unit^-1 x, in place, for a unit lower-triangular (4, 4): fixed-order einsums."""
     for j in range(1, DIM):
-        a[j] -= np.einsum("k,kd->d", unit[j, :j], a[:j])
-    return a, np.diag(np.diag(chol))
+        x[j] -= np.einsum("k,kd->d", unit[j, :j], x[:j])
+    return x
 
 
 @dataclass(frozen=True)
 class SvarModel:
     """Model of order p = len(phi) from phi (p, 4, 4), sigma_u (4, 4) and the
     intercept (4,), kept for reporting: the generator treats the process as
-    zero-mean.  Derived on construction: p and chol_u = chol(sigma_u), the
-    innovations' mix; ValueError if sigma_u is not positive definite.
+    zero-mean.  Derived on construction: p and chol_u, the innovations' mix, by
+    `conduction.positive_definite_factor`; ValueError if sigma_u is asymmetric or not PD.
     """
 
     phi: np.ndarray
@@ -71,13 +72,9 @@ class SvarModel:
                              f" got {self.phi.shape}")
         if self.sigma_u.shape != (DIM, DIM) or self.intercept.shape != (DIM,):
             raise ValueError("sigma_u must be (4, 4) and intercept (4,)")
-        try:
-            chol_u = np.linalg.cholesky(self.sigma_u)
-        except np.linalg.LinAlgError as exc:
-            raise ValueError(f"sigma_u not positive definite: {exc}") from exc
-        if np.max(np.abs(chol_u @ chol_u.T - self.sigma_u)) > 1e-10:
+        if np.max(np.abs(self.sigma_u - self.sigma_u.T)) > 1e-10:
             raise ValueError("sigma_u is not symmetric within 1e-10")
-        vars(self).update(p=len(self.phi), chol_u=chol_u)
+        vars(self).update(p=len(self.phi), chol_u=positive_definite_factor(self.sigma_u, "sigma_u"))
 
     def lag_weights(self) -> np.ndarray:
         """(4p, 4) Fortran-ordered, row block i phi_{i+1}.T: the `step` weights
@@ -108,8 +105,8 @@ def fit_svar(series: np.ndarray, p: int) -> SvarModel:
     is expected to be normalized, so a large intercept triggers a warning.
     """
     x = np.asarray(series, dtype=np.float64)
-    if p < 1:
-        raise ValueError(f"order must be >= 1, got {p}")
+    if not 1 <= p <= MAX_ORDER:
+        raise ValueError(f"order must be in 1..{MAX_ORDER}, got {p}")
     if x.ndim != 2 or x.shape[1] != DIM:
         raise ValueError(f"series must be (n, {DIM}), got {x.shape}")
     n = x.shape[0]
@@ -205,8 +202,7 @@ def companion_matrix(model: SvarModel) -> np.ndarray:
     k = DIM * model.p
     f = np.zeros((k, k))
     f[:DIM] = model.lag_weights().T
-    if model.p > 1:
-        f[DIM:, :-DIM] = np.eye(k - DIM)
+    f[DIM:, :-DIM] = np.eye(k - DIM)
     return f
 
 
@@ -288,16 +284,10 @@ def stationary_covariance(model: SvarModel) -> np.ndarray:
 
 
 def stationary_factor(model: SvarModel) -> np.ndarray:
-    """`conduction.cholesky` of `stationary_covariance`.
-
-    ValueError "not positive definite" at a pivot not above
-    `conduction.RANK_RTOL` times its diagonal entry, the fits' rank rule,
-    even where LAPACK can still factor the model's sigma_u.
-    """
-    low, dropped = cholesky(stationary_covariance(model))
-    if dropped.any():
-        raise ValueError(f"stationary covariance not positive definite (pivot {dropped.argmax()})")
-    return low
+    """`conduction.positive_definite_factor` of `stationary_covariance`: ValueError
+    "not positive definite" at a pivot not above `conduction.RANK_RTOL` times
+    its diagonal entry, the rule sigma_u passed when the model was built."""
+    return positive_definite_factor(stationary_covariance(model), "stationary covariance")
 
 
 def generate(model: SvarModel, n: int, seed) -> np.ndarray:

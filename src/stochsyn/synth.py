@@ -4,7 +4,8 @@ No measurement data ships with the package, so tests and demos run against a
 known ground truth: a stable hand-chosen autoregression with log-space
 polynomial marginals on realistic resistance/threshold scales, a conduction
 model wide enough to represent every feature vector the generator can emit,
-and as sigma the autoregression's C(0) (`svar.stationary_covariance`).  From
+and as sigma the autoregression's C(0) (`svar.stationary_covariance`), its
+reduced form solved by `svar.forward_substitution`, without LAPACK.  From
 that bundle the module can sample feature series and render full sweep
 waveforms (one triangular voltage period per cycle, the abrupt transition at
 the threshold, the parabolic transition back up to the apex), which gives the
@@ -22,7 +23,7 @@ from . import waveform
 from .conduction import (MIN_CURVE_SPAN, ConductionModel, current, state_from_resistance,
                          transition_current)
 from .paramfile import ParameterBundle, SimDefaults, save
-from .svar import SvarModel, generate, stationary_covariance
+from .svar import SvarModel, forward_substitution, generate, stationary_covariance
 from .transform import NormalizingMap, inverse_map
 from .waveform import RawTrace
 
@@ -77,10 +78,9 @@ def reference_svar(p: int = 1) -> SvarModel:
         [0.0, 0.0, 0.153, 0.010],
         [0.0, 0.0, 0.0, 0.085],
     ])
-    chol_u = np.linalg.solve(a, b)
-    phi = np.zeros((p, 4, 4))
-    phi[0] = np.linalg.solve(a, c1)
-    return SvarModel(phi=phi, sigma_u=chol_u @ chol_u.T, intercept=np.zeros(4))
+    chol_u, phi_1 = np.split(forward_substitution(a, np.concatenate([b, c1], axis=1)), 2, axis=1)
+    return SvarModel(phi=np.concatenate([phi_1[None], np.zeros((p - 1, 4, 4))]),
+                     sigma_u=np.einsum("ik,jk->ij", chol_u, chol_u), intercept=np.zeros(4))
 
 
 def reference_bundle(orders=REFERENCE_ORDERS) -> ParameterBundle:

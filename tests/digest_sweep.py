@@ -67,7 +67,10 @@ the SHA-256 of the files it wrote: the features CSV, `.report.json` and
 `limits.json` (which a failed limit fit does not write).
 
 Last of all come the command lines: one per output file of each command,
-giving the command's exit code and the file's SHA-256.  The commands run in
+giving the command's exit code and the file's SHA-256.  Each `.ssyn`, the
+fitted bundle's too, is followed by one line per stored field of each
+section (`paramfile.SECTIONS`), the SHA-256 of that field's bytes, so a
+diff names the field that moved, such as "svar p=10 chol_u".  The commands run in
 the temporary directory on relative paths, so no file names it.  `synth`
 writes a corpus with a 5000-cycle trace (`params.ssyn`, `features.csv`,
 `trace.iuw`, `meta.json`); `extract --limits-out` reduces that trace; `fit
@@ -284,11 +287,28 @@ def extraction_sweep(bundle, workdir: Path, out) -> None:
                   f" exit {rc} {len(written)} {file_hash(*written)}", file=out)
 
 
+def field_lines(prefix, path: Path, out) -> None:
+    """One line per field of a `.ssyn`: the SHA-256 of the bytes the format
+    stores for it, from `paramfile.SECTIONS`' values of the bundle loaded
+    without validation, so a diff names the field that moved.  The derived
+    a, b, c and chol_u are the loading code's, which match the stored ones
+    within the load check's 1e-10."""
+    bundle = paramfile.load(path, validate=False)
+    for sec in paramfile.SECTIONS:
+        for values in sec.values(bundle):
+            entry = f"{sec.name} {sec.key}={values[sec.key]}" if sec.key else sec.name
+            for name, kind in sec.fields:
+                digest = hashlib.sha256(paramfile._encode_field(kind, values[name])).hexdigest()
+                print(f"{prefix} field {entry} {name} {digest}", file=out)
+
+
 def command_lines(name, argv, outputs, out) -> None:
     rc = command(argv)
     for path in outputs:
         digest = file_hash(Path(path)) if Path(path).exists() else "missing"
         print(f"command {name} exit {rc} {path} {digest}", file=out)
+        if path.endswith(".ssyn") and Path(path).exists():
+            field_lines(f"command {name} {path}", Path(path), out)
 
 
 def command_sweep(workdir: Path, out) -> None:
@@ -306,6 +326,7 @@ def command_sweep(workdir: Path, out) -> None:
                       ["cmd/fit.ssyn", "cmd/fit.ssyn.diag.json"], out)
         for path in ("fit.ssyn", "fit.diag.json"):   # the fitted bundle's
             print(f"command fit reference {path} {file_hash(Path(path))}", file=out)
+        field_lines("command fit reference fit.ssyn", Path("fit.ssyn"), out)
         for p in (10, 100):
             command_lines(f"generate p={p}", ["generate", "cmd/fit.ssyn", "-n", "20000",
                                               "--seed", "3", "--order", str(p),

@@ -1,3 +1,4 @@
+import ast
 import ctypes
 import hashlib
 import json
@@ -19,6 +20,7 @@ from stochsyn import cli, csvtext, paramfile, synth
 from stochsyn.array import MAX_SEED, MAX_THREADS, CellArray, ReadoutConfig, dequantize, init_array
 from stochsyn.cli import main
 from stochsyn.conduction import LIMIT_PERCENTILE, U0_DEFAULT, fit_conduction_poly
+from stochsyn.svar import MAX_ORDER
 from stochsyn.transform import GAMMA_DEGREE
 from stochsyn.waveform import (
     SMOOTH_BLOCK,
@@ -540,20 +542,45 @@ class _Forbidden(Exception):
 
 
 def test_extract_and_fit_call_no_lapack_solver_or_np_cov(corpus, tmp_path, monkeypatch):
-    # every fit goes through `conduction.normal_solver`; LAPACK is left the
-    # rounded spectral radius (eigvals), the model's own factors (cholesky)
-    # and the check that sigma is positive definite (eigvalsh)
+    # every fit goes through `conduction.normal_solver`, and every covariance
+    # factor and positive-definiteness gate through `conduction.cholesky`; of
+    # LAPACK the commands keep only the rounded spectral radius (eigvals)
     def forbidden(*args, **kwargs):
         raise _Forbidden("called")
 
     for module, name in ((np.linalg, "lstsq"), (np.linalg, "solve"), (np.linalg, "eigh"),
-                         (np.linalg, "inv"), (np.polynomial.polynomial, "polyfit"), (np, "cov")):
+                         (np.linalg, "inv"), (np.linalg, "cholesky"), (np.linalg, "eigvalsh"),
+                         (np.polynomial.polynomial, "polyfit"), (np, "cov")):
         monkeypatch.setattr(module, name, forbidden)
-    limits = tmp_path / "limits.json"
-    assert main(["extract", str(corpus / "trace.iuw"), str(tmp_path / "x.csv"),
-                 "--limits-out", str(limits)]) == 0
-    assert main(["fit", str(corpus / "features.csv"), "-o", str(tmp_path / "fit.ssyn"),
-                 "-p", "10,100", "--conduction", str(limits)]) == 0
+    limits, params = tmp_path / "limits.json", str(tmp_path / "fit.ssyn")
+    for argv in (["synth", str(tmp_path / "c"), "-n", "1000", "--seed", "1",
+                  "--trace-cycles", "20"],
+                 ["extract", str(corpus / "trace.iuw"), str(tmp_path / "x.csv"),
+                  "--limits-out", str(limits)],
+                 ["fit", str(corpus / "features.csv"), "-o", params, "-p", "10,100",
+                  "--conduction", str(limits)],
+                 ["generate", params, "-n", "100", "--seed", "1", "-o", str(tmp_path / "g.csv")],
+                 ["sim", params, "-m", "16", "--seed", "1", "-a", "0.5", "--preset", "multilevel",
+                  "--cycles", "2", "--readout-out", str(tmp_path / "r.csv"),
+                  "--state-out", str(tmp_path / "s.csv")],
+                 ["bench", params, "-m", "64", "--seed", "1", "--orders", "10,100",
+                  "--pulses", "1", "--reads", "1", "-o", str(tmp_path / "b.csv")]):
+        assert main(argv) == 0, argv[0]
+
+
+def test_the_package_asks_lapack_only_for_eigvals():
+    # a static backstop for the paths that the test above does not run
+    found = []
+    for path in sorted(Path(stochsyn.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and ast.unparse(node.value) in (
+                    "np.linalg", "numpy.linalg") and node.attr != "eigvals":
+                found.append(f"{path.name}:{node.lineno} {ast.unparse(node)}")
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and any(
+                    "linalg" in f"{getattr(node, 'module', '')}.{alias.name}"
+                    for alias in node.names):
+                found.append(f"{path.name}:{node.lineno} {ast.unparse(node)}")
+    assert found == []
 
 
 class _Mallinfo2(ctypes.Structure):
@@ -703,6 +730,25 @@ def test_fit_usage_errors(corpus, tmp_path):
     assert rc == 2
     rc = main(["fit", str(tmp_path / "missing.csv"), "-o", str(tmp_path / "x.ssyn")])
     assert rc == 2
+
+
+def test_fit_order_above_max_order_is_a_usage_error(corpus, tmp_path, monkeypatch, capsys):
+    def no_work(*args, **kwargs):
+        raise AssertionError("fit read its features before it checked -p")
+
+    monkeypatch.setattr(cli.waveform, "read_features_csv", no_work)
+    assert main(["fit", str(corpus / "features.csv"), "-o", str(tmp_path / "x.ssyn"),
+                 "-p", f"10,{MAX_ORDER + 1}"]) == 2
+    assert f"need integers in 1..{MAX_ORDER}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_synth_checks_its_outputs_before_any_work(tmp_path, capsys):
+    out = tmp_path / "outdir"
+    (out / "trace.iuw").mkdir(parents=True)
+    assert main(["synth", str(out), "-n", "20000", "--seed", "1"]) == 2
+    assert "trace.iuw" in capsys.readouterr().err
+    assert [p.name for p in out.iterdir()] == ["trace.iuw"]
 
 
 def test_generate_n_zero_header_only(corpus, tmp_path):

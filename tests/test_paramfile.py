@@ -1,3 +1,4 @@
+import contextlib
 import os
 import re
 import struct
@@ -10,7 +11,8 @@ import numpy as np
 import pytest
 
 import stochsyn
-from stochsyn import paramfile
+from stochsyn import paramfile, svar
+from stochsyn.array import init_array
 from stochsyn.cli import main
 from stochsyn.paramfile import (
     BadMagicError,
@@ -20,7 +22,7 @@ from stochsyn.paramfile import (
     load,
     save,
 )
-from stochsyn.svar import fit_svar
+from stochsyn.svar import SvarModel, fit_svar
 from stochsyn.synth import reference_bundle, reference_svar
 from stochsyn.transform import fit_map, forward_map
 
@@ -241,6 +243,35 @@ def test_validate_and_load_reject_model_past_the_stationary_factor(tmp_path):
     p.write_bytes(paramfile._encode(near_unit))
     with pytest.raises(FormatError, match="order-1"):
         load(p)
+
+
+@pytest.mark.parametrize("pivot, ok", [(1e-12, False), (1e-8, True)])
+def test_one_pivot_rule_decides_every_covariance_gate(tmp_path, capsys, monkeypatch, pivot, ok):
+    # L is the identity but for row 1, (1, d), so the second relative pivot of
+    # L L^T is d**2 / (1 + d**2): 1e-12 lies below conduction.RANK_RTOL
+    # (1e-10), which LAPACK and eigvalsh would pass, 1e-8 above it
+    low = np.eye(4)
+    low[1, :2] = 1.0, np.sqrt(pivot)
+    cov = low @ low.T
+    gate = contextlib.nullcontext() if ok else pytest.raises(ValueError,
+                                                            match="not positive definite")
+    with gate:
+        SvarModel(phi=np.zeros((1, 4, 4)), sigma_u=cov, intercept=np.zeros(4))
+    bundle = reference_bundle(orders=(1,))
+    bundle.sigma = cov
+    with gate:
+        init_array(bundle, 16, a=0.5, seed=1)   # a * sigma, never validated
+    with gate:
+        bundle.validate()
+    p = tmp_path / "pivot.ssyn"
+    p.write_bytes(paramfile._encode(bundle))
+    assert main(["sim", str(p), "-m", "8", "--seed", "1", "-a", "0.5", "--preset", "multilevel",
+                 "--cycles", "2", "--readout-out", str(tmp_path / "ro.csv"),
+                 "--state-out", str(tmp_path / "st.csv")]) == (0 if ok else 1)
+    assert ok or "section sigma: field sigma" in capsys.readouterr().err
+    monkeypatch.setattr(svar, "stationary_covariance", lambda model: cov)
+    with gate:
+        svar.stationary_factor(reference_svar(1))
 
 
 def test_load_rejects_structure_inconsistent_with_reduced_form(tmp_path, capsys, ref_bundle):

@@ -9,7 +9,7 @@ import pytest
 from scipy.linalg import solve_discrete_lyapunov
 
 import stochsyn
-from stochsyn import paramfile
+from stochsyn import paramfile, svar
 from stochsyn.conduction import RANK_RTOL
 from stochsyn.svar import (
     LYAPUNOV_TOL,
@@ -268,21 +268,50 @@ def test_stationary_factor_rejects_models_without_a_stationary_distribution():
 def test_stationary_factor_drops_a_pivot_at_the_fits_rank_tolerance():
     # the shared Cholesky keeps a pivot only above RANK_RTOL times its diagonal
     # entry.  With phi = 0 the stationary covariance is sigma_u, whose second
-    # relative pivot is d**2 = rel * RANK_RTOL.  LAPACK factors sigma_u at both
-    # values, so SvarModel accepts it; only the one below has no stationary start
+    # relative pivot is d**2 = rel * RANK_RTOL.  SvarModel factors sigma_u by
+    # the same rule, so the one below fails as it is built (LAPACK would factor
+    # it), and the one above has a stationary start
     for rel, ok in ((1e-2, False), (1e2, True)):
         low = np.eye(4)
         low[1, :2] = 1.0, np.sqrt(rel * RANK_RTOL)   # d
-        model = SvarModel(phi=np.zeros((1, 4, 4)), sigma_u=low @ low.T, intercept=np.zeros(4))
+        fields = dict(phi=np.zeros((1, 4, 4)), sigma_u=low @ low.T, intercept=np.zeros(4))
         if ok:
+            model = SvarModel(**fields)
             factor = stationary_factor(model)
             assert np.max(np.abs(factor @ factor.T - model.sigma_u)) < 1e-15
             assert generate(model, 10, seed=0).shape == (10, 4)
             continue
-        with pytest.raises(ValueError, match="not positive definite"):
-            stationary_factor(model)
-        with pytest.raises(ValueError, match="not positive definite"):
-            generate(model, 10, seed=0)
+        with pytest.raises(ValueError, match="sigma_u not positive definite"):
+            SvarModel(**fields)
+
+
+def test_svar_model_takes_an_exactly_symmetric_sigma_u_at_any_scale():
+    # symmetry is sigma_u against its transpose, not a reconstruction from its
+    # factor, whose error grows with the scale
+    ref = reference_svar(1)
+    big = SvarModel(phi=ref.phi, sigma_u=1e6 * ref.sigma_u, intercept=ref.intercept)
+    assert np.max(np.abs(big.chol_u - 1e3 * ref.chol_u)) < 1e-10 * 1e3
+    x = generate(reference_svar(3), 8000, seed=31)
+    with pytest.warns(RuntimeWarning, match="intercept"):   # 1e3 x is not normalized
+        scaled = fit_svar(1e3 * x, 3)
+    phi = fit_svar(x, 3).phi
+    assert np.max(np.abs(scaled.phi - phi)) <= 1e-12 * np.max(np.abs(phi))
+
+
+def test_svar_model_rejects_an_asymmetric_sigma_u():
+    sigma_u = reference_svar(1).sigma_u.copy()
+    sigma_u[0, 2] += 1e-6
+    with pytest.raises(ValueError, match="not symmetric"):
+        SvarModel(phi=np.zeros((1, 4, 4)), sigma_u=sigma_u, intercept=np.zeros(4))
+
+
+def test_fit_svar_rejects_an_order_above_max_order_before_its_moments(monkeypatch):
+    def moments(*args):
+        raise AssertionError("lag moments computed")
+
+    monkeypatch.setattr(svar, "_lag_moments", moments)
+    with pytest.raises(ValueError, match=f"order must be in 1..{svar.MAX_ORDER}, got 201"):
+        fit_svar(np.zeros((40_000, 4)), svar.MAX_ORDER + 1)
 
 
 _START_DIGESTS = """
