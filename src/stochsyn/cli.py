@@ -464,7 +464,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-n", type=_ints(0), required=True)
     p.add_argument("--seed", type=_seed, required=True)
     p.add_argument("-o", "--output", required=True)
-    p.add_argument("--order", type=int, default=None)
+    p.add_argument("--order", type=_ints(1, MAX_ORDER), default=None)
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("sim", help="drive a simulated array through pulses and readouts")
@@ -472,7 +472,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-m", type=_ints(1), required=True, help="number of cells")
     p.add_argument("--seed", type=_seed, required=True)
     p.add_argument("-a", type=float, default=None, help="device-variability scale")
-    p.add_argument("--order", type=int, default=None)
+    p.add_argument("--order", type=_ints(1, MAX_ORDER), default=None)
     p.add_argument("--threads", type=_ints(1, MAX_THREADS), default=1)
     schedule = p.add_mutually_exclusive_group(required=True)
     schedule.add_argument("--preset", choices=["full-cycling", "multilevel"], default=None)
@@ -494,7 +494,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("params", help="parameter file")
     p.add_argument("-m", type=_ints(1), default=1 << 20)
     p.add_argument("--seed", type=_seed, required=True)
-    p.add_argument("--orders", type=_ints(1, many=True), default=[10])
+    p.add_argument("--orders", type=_ints(1, MAX_ORDER, many=True), default=[10])
     p.add_argument("--threads-list", type=_ints(1, MAX_THREADS, many=True), default=[1],
                    dest="threads_list")
     p.add_argument("--pulses", type=_ints(1), default=16)

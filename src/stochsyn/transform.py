@@ -6,14 +6,12 @@ increasing on Z_RANGE (a failure names the feature from
 `waveform.FEATURE_NAMES`).  The generating direction (z -> feature) is one
 Horner evaluation and an exp per component; the analysis direction
 (feature -> z) inverts the polynomial numerically and is needed at fit time
-only.  The fit's standard-normal quantiles come from `_ndtri`, a port of the
-Cephes ``ndtri`` that `scipy.special.ndtri` runs, bit for bit on the
-probabilities it covers, so the runtime needs numpy alone.  Its polynomials
-come from `conduction.monomial_fit`, the least-squares path of the branch
-fits, so no LAPACK call moves their bits.
+only.  The fit's standard-normal quantiles come from the standard library's
+`statistics.NormalDist` (Wichura's AS241), so the runtime needs numpy alone.
+Its polynomials come from `conduction.monomial_fit`, the least-squares path
+of the branch fits, so no LAPACK call moves their bits.
 """
 
-import math
 import warnings
 from dataclasses import dataclass
 
@@ -29,22 +27,6 @@ MONOTONIC_GRID_STEP = 1e-3
 GAMMA_DEGREE = 5         # quantile polynomial degree, lowered only on a monotonicity failure
 MIN_FALLBACK_DEGREE = 3  # `fit_map_with_fallback` drops the degree no lower
 FORWARD_TOL = 1e-12      # largest gamma residual `forward_map` passes silently
-
-# Cephes ndtri: a rational approximation in p - 0.5 for exp(-2) < p < 1 - exp(-2),
-# one in 1/x, x = sqrt(-2 log p), for the tails while x < 8 (p > exp(-32))
-_NDTRI_EXP_M2 = 0.13533528323661269189
-_NDTRI_S2PI = 2.50662827463100050242e0
-_NDTRI_P0 = (-5.99633501014107895267e1, 9.80010754185999661536e1, -5.66762857469070293439e1,
-             1.39312609387279679503e1, -1.23916583867381258016e0)
-_NDTRI_Q0 = (1.95448858338141759834e0, 4.67627912898881538453e0, 8.63602421390890590575e1,
-             -2.25462687854119370527e2, 2.00260212380060660359e2, -8.20372256168333339912e1,
-             1.59056225126211695515e1, -1.18331621121330003142e0)
-_NDTRI_P1 = (4.05544892305962419923e0, 3.15251094599893866154e1, 5.71628192246421288162e1,
-             4.40805073893200834700e1, 1.46849561928858024014e1, 2.18663306850790267539e0,
-             -1.40256079171354495875e-1, -3.50424626827848203418e-2, -8.57456785154685413611e-4)
-_NDTRI_Q1 = (1.57799883256466749731e1, 4.53907635128879210584e1, 4.13172038254672030440e1,
-             1.50425385692907503408e1, 2.50464946208309415979e0, -1.42182922854787788574e-1,
-             -3.80806407691578277194e-2, -9.33259480895457427372e-4)
 
 
 class MonotonicityError(ValueError):
@@ -71,39 +53,6 @@ class NormalizingMap:
             raise ValueError(f"coeffs must be (4, degree+1), degree >= 1, got {self.coeffs.shape}")
 
 
-def _horner(x: float, coeffs, monic: bool = False) -> float:
-    """Cephes `polevl`, or with ``monic`` `p1evl` (an implicit leading 1)."""
-    acc = x + coeffs[0] if monic else coeffs[0]
-    for c in coeffs[1:]:
-        acc = acc * x + c
-    return acc
-
-
-def _ndtri(p: float) -> float:
-    """The standard-normal quantile of p, as Cephes ``ndtri`` computes it.
-
-    Python floats with `math.log` and `math.sqrt` repeat the C code's
-    operations one by one, so the result equals `scipy.special.ndtri`'s bits.
-    Only the central branch and the first tail branch are ported: a p
-    outside exp(-32) < p < 1 - exp(-32), roughly, raises ValueError.
-    """
-    if not 0.0 < p < 1.0:
-        raise ValueError(f"probability {p!r} is outside (0, 1)")
-    upper = p > 1.0 - _NDTRI_EXP_M2
-    y = 1.0 - p if upper else p
-    if y > _NDTRI_EXP_M2:
-        y -= 0.5
-        y2 = y * y
-        x = y + y * (y2 * _horner(y2, _NDTRI_P0) / _horner(y2, _NDTRI_Q0, monic=True))
-        return x * _NDTRI_S2PI
-    x = math.sqrt(-2.0 * math.log(y))
-    if not x < 8.0:
-        raise ValueError(f"probability {p!r} is in a tail the ndtri port does not cover")
-    z = 1.0 / x
-    x = x - math.log(x) / x - z * _horner(z, _NDTRI_P1) / _horner(z, _NDTRI_Q1, monic=True)
-    return x if upper else -x
-
-
 def _check_monotone(m: NormalizingMap) -> None:
     lo, hi = Z_RANGE
     grid = np.arange(lo, hi + MONOTONIC_GRID_STEP / 2, MONOTONIC_GRID_STEP)
@@ -118,12 +67,14 @@ def fit_map(features: np.ndarray, degree: int = GAMMA_DEGREE) -> NormalizingMap:
 
     Quantiles are taken at N_QUANTILES equally spaced probabilities between
     0.01 and 0.99 (linear interpolation between order statistics) and paired
-    with the standard-normal quantiles of the same probabilities (`_ndtri`, a
-    port of the Cephes ``ndtri`` that gives `scipy.special.ndtri`'s bits); a
-    least-squares polynomial of ``degree`` is fit per feature, all four in
-    one `conduction.monomial_fit`, and verified to be increasing on Z_RANGE.
-    Non-monotone fits are a hard error, no silent repair.
+    with the standard-normal quantiles of the same probabilities
+    (`statistics.NormalDist().inv_cdf`); a least-squares polynomial of
+    ``degree`` is fit per feature, all four in one `conduction.monomial_fit`,
+    and verified to be increasing on Z_RANGE.  A feature whose log quantiles
+    at 0.01 and 0.99 are equal has no spread to map and raises ValueError
+    before any fit; non-monotone fits are a hard error, no silent repair.
     """
+    from statistics import NormalDist   # here, or `decimal` and `fractions` slow every start
     x = np.asarray(features, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != 4:
         raise ValueError(f"features must be (n, 4), got {x.shape}")
@@ -132,8 +83,11 @@ def fit_map(features: np.ndarray, degree: int = GAMMA_DEGREE) -> NormalizingMap:
     if not np.all(np.isfinite(x)) or np.min(x) <= 0.0:
         raise ValueError("features must be finite and strictly positive")
     probs = np.linspace(PROB_RANGE[0], PROB_RANGE[1], N_QUANTILES)
-    zq = np.array([_ndtri(v) for v in probs.tolist()])
     lq = np.stack([quantile(np.log(x[:, k]), probs) for k in range(4)])
+    for name, row in zip(FEATURE_NAMES, lq):
+        if row[0] == row[-1]:
+            raise ValueError(f"feature {name!r} has no spread: equal quantiles at 0.01 and 0.99")
+    zq = np.array([NormalDist().inv_cdf(v) for v in probs.tolist()])
     m = NormalizingMap(coeffs=monomial_fit(np.broadcast_to(zq, lq.shape), lq, 0, degree))
     _check_monotone(m)
     return m

@@ -446,17 +446,21 @@ def _fresh_python(code, *args):
 
 
 def test_cli_import_leaves_scipy_stats_unloaded():
-    # no scipy module at all: the runtime needs numpy alone
-    out = _fresh_python(f"import sys, stochsyn.cli; print({_SCIPY_MODULES})")
-    assert out.strip() == "[]"
+    # no scipy module at all: the runtime needs numpy alone.  `fit_map`
+    # imports `statistics` (which loads `decimal` and `fractions`) when it
+    # runs, so no other command pays for them at start
+    out = _fresh_python(f"import sys, stochsyn.cli; print({_SCIPY_MODULES});"
+                        " print([m for m in ('statistics', 'decimal', 'fractions')"
+                        " if m in sys.modules])")
+    assert out.strip().splitlines() == ["[]", "[]"]
 
 
 def test_no_command_loads_scipy(tmp_path):
     # every command, `fit` among them, in one interpreter: `fit`'s normal
-    # quantiles come from `transform._ndtri`, not from scipy.  The sample
-    # quantiles of `extract`'s limit pools and of `fit`'s map come from
-    # `conduction.quantile`, so numpy.ma, which np.quantile imports, stays
-    # unloaded too
+    # quantiles come from the standard library's `NormalDist`, not from
+    # scipy.  The sample quantiles of `extract`'s limit pools and of `fit`'s
+    # map come from `conduction.quantile`, so numpy.ma, which np.quantile
+    # imports, stays unloaded too
     code = f"""
 import sys
 from stochsyn.cli import main
@@ -741,6 +745,38 @@ def test_fit_order_above_max_order_is_a_usage_error(corpus, tmp_path, monkeypatc
                  "-p", f"10,{MAX_ORDER + 1}"]) == 2
     assert f"need integers in 1..{MAX_ORDER}" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("order", ["0", str(MAX_ORDER + 1)])
+@pytest.mark.parametrize("command", ["generate", "sim", "bench"])
+def test_order_options_outside_one_to_max_order_are_usage_errors(
+        corpus, tmp_path, monkeypatch, capsys, command, order):
+    def no_work(*args, **kwargs):
+        raise AssertionError(f"{command} loaded its parameters before it checked the order")
+
+    monkeypatch.setattr(cli.paramfile, "load", no_work)
+    argv = {"generate": ["-n", "10", "-o", str(tmp_path / "g.csv"), "--order", order],
+            "sim": ["-m", "8", "--preset", "multilevel", "--order", order],
+            "bench": ["-m", "8", "--orders", f"10,{order}", "-o", str(tmp_path / "b.csv")]}
+    assert main([command, str(corpus / "params.ssyn"), "--seed", "1", *argv[command]]) == 2
+    assert f"need integers in 1..{MAX_ORDER}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_fit_names_a_feature_with_no_spread(corpus, tmp_path, capsys):
+    # a constant feature has no quantile map at any degree: fit says which
+    # one, before any polynomial fit, so no degree fallback is tried
+    cycles, features = read_features_csv(corpus / "features.csv")
+    features[:, 3] = 0.7
+    flat = tmp_path / "flat.csv"
+    cli.waveform.write_features_csv(features, flat, cycles)
+    out = tmp_path / "fit.ssyn"
+    assert main(["fit", str(flat), "-o", str(out), "-p", "10"]) == 1
+    err = capsys.readouterr().err
+    assert "'u_r' has no spread" in err and "warning" not in err, err
+    diag = json.loads((tmp_path / "fit.ssyn.diag.json").read_text())
+    assert diag["gamma_fallbacks"] == [] and "'u_r'" in diag["error"]
+    assert not out.exists()
 
 
 def test_synth_checks_its_outputs_before_any_work(tmp_path, capsys):

@@ -1,4 +1,3 @@
-import math
 from fractions import Fraction
 
 import numpy as np
@@ -14,7 +13,6 @@ from stochsyn.transform import (
     N_QUANTILES,
     PROB_RANGE,
     NormalizingMap,
-    _ndtri,
     fit_map,
     fit_map_with_fallback,
     forward_map,
@@ -108,44 +106,23 @@ def test_quantile_kernel_gives_np_quantile_bits():
             assert np.asarray(got).tobytes() == np.asarray(ref).tobytes(), (n, q)
 
 
-def _assert_ndtri_bits(p):
-    got = np.array([_ndtri(v) for v in p.tolist()])
-    ref = ndtri(p)
-    diff = np.flatnonzero(got.view(np.int64) != ref.view(np.int64))
-    assert diff.size == 0, [(p[k], got[k], ref[k]) for k in diff[:5]]
+def test_fit_grid_normal_quantiles_match_scipy(monkeypatch):
+    # `fit_map`'s standard-normal quantiles (`statistics.NormalDist`, Wichura's
+    # AS241) against scipy's Cephes ndtri.  AS241 is documented accurate to
+    # about 1 part in 1e16 and Cephes to a peak of 7.2e-16 relative (rms
+    # 1.3e-16) in its trials, so the two differ by at most about 8e-16; the
+    # bound allows 2e-15 for peaks found by sampling
+    seen = []
 
+    def record(z, y, lo, degree):
+        seen.append(z[0].copy())
+        return np.zeros((4, degree + 1))
 
-def test_ndtri_port_matches_scipy_on_the_fit_grid():
-    _assert_ndtri_bits(np.linspace(PROB_RANGE[0], PROB_RANGE[1], N_QUANTILES))
-
-
-def test_ndtri_port_matches_scipy_on_its_range():
-    # uniform draws for the central branch, log-uniform ones down to near
-    # exp(-32) in both tails, where the ported tail branch ends
-    rng = np.random.default_rng(28)
-    tail = np.exp(rng.uniform(-31.9, -2.0, 20_000))
-    _assert_ndtri_bits(np.concatenate([rng.uniform(0.0, 1.0, 20_000), tail, 1.0 - tail]))
-
-
-def test_ndtri_port_matches_scipy_at_its_branch_edges():
-    # np.nextafter neighbours of exp(-2) and 1 - exp(-2), where the central
-    # branch hands over to the tail branch
-    near = []
-    for edge in (math.exp(-2.0), 1.0 - math.exp(-2.0)):
-        for toward in (0.0, 1.0):
-            v = edge
-            for _ in range(4):
-                v = float(np.nextafter(v, toward))
-                near.append(v)
-        near.append(edge)
-    _assert_ndtri_bits(np.array(near))
-
-
-@pytest.mark.parametrize("p", [0.0, 1.0, -0.5, 1.5, math.nan, 1e-300, math.exp(-32.01),
-                               1.0 - math.exp(-32.01)])
-def test_ndtri_port_rejects_probabilities_outside_its_range(p):
-    with pytest.raises(ValueError):
-        _ndtri(p)
+    monkeypatch.setattr(transform, "monomial_fit", record)
+    monkeypatch.setattr(transform, "_check_monotone", lambda m: None)
+    fit_map(np.exp(np.random.default_rng(3).standard_normal((1000, 4))))
+    ref = ndtri(np.linspace(PROB_RANGE[0], PROB_RANGE[1], N_QUANTILES))
+    assert np.all(np.abs(seen[0] - ref) <= 2e-15 * np.abs(ref))
 
 
 def test_inverse_map_median_and_clamp(lognormal_map):
