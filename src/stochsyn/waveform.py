@@ -12,9 +12,8 @@ over a block of cycles at once, one cycle per row of a padded view: the
 kernels `extract_set_voltage`, `extract_reset_voltage` and
 `fit_state_polynomials` each take such a block, and the cycles at the
 LIMIT_PERCENTILE extremes give the limit fit its pooled branch points from
-their rows alone.  Each block smooths only its own samples: its cumulative
-sum starts from the carry of the block before, so the smoothing holds no
-trace-sized array and keeps the bits of one whole-trace sum.
+their rows alone.  Each cycle's current is smoothed from its own samples
+and SMOOTH_REACH more on either side, so no other cycle enters it.
 
 A trace is a reader of sample ranges: ``len(trace)`` and
 ``trace.read(lo, hi)``, the (u, i) samples lo..hi-1.  Every pass asks it for
@@ -50,7 +49,7 @@ SMOOTH_WINDOW_MAX = 25           # samples, far from any abrupt transition
 SMOOTH_WINDOW_MIN = 3            # samples, at a detected transition
 SMOOTH_RAMP_SPAN = 25            # samples over which the window recovers
 SMOOTH_REACH = (SMOOTH_WINDOW_MAX - 1) // 2   # samples a window reaches at most
-SMOOTH_BLOCK = 1 << 16           # samples per moving-average block
+SMOOTH_BLOCK = 1 << 16           # samples per finiteness-check read; the period search's prefix
 CYCLE_BLOCK = 256                # cycles per batch of the extraction kernels
 PEAK_WALK_BLOCK = 32             # samples per pass of the prominence base search
 
@@ -151,7 +150,7 @@ def read_trace(path):
     into a `RawTrace`.
 
     A NaN or infinite sample fails the open, checked SMOOTH_BLOCK samples at
-    a time: the smoothing's running sums would carry it into every later cycle.
+    a time, so it fails loudly, naming the sample, not in the cycles around it.
     """
     path = str(path)
     if path.endswith(".iuw"):
@@ -275,40 +274,48 @@ def smoothing_half_widths(stop: int, set_locations, start: int = 0) -> np.ndarra
     return h
 
 
-def smooth_adaptive(trace, set_locations, start: int = 0, stop=None, carry: float = 0.0,
-                    resume=()):
-    """Adaptive moving average of the trace's current over samples
-    start..stop-1 (all of them by default) in float64, and the carries of
-    spans starting at ``resume``.
-
-    Every window sum is a difference of one cumulative sum of the current,
-    run in sample order from SMOOTH_REACH samples before the span, or sample
-    0, on from ``carry``: the sum before that point, as an earlier span
-    returned it.  So spans smoothed one by one keep the bits of one
-    whole-trace sum, and each reads only its own samples, SMOOTH_REACH more
-    on either side.  The index arithmetic runs SMOOTH_BLOCK samples at a time."""
-    n = len(trace)
-    stop = n if stop is None else stop
+def smooth_adaptive(x, starts, set_locations, n: int) -> np.ndarray:
+    """Adaptive moving average of an n-sample trace's current by rows: row k
+    of x holds samples starts[k] - SMOOTH_REACH onward (zero outside the
+    trace; the starts increase), row k of the result samples starts[k]
+    onward.  Each window sum is a difference of its row's own float64
+    cumulative sum, which overwrites x, so a row depends on its samples
+    alone; a window reaching past the trace's ends is clipped to them."""
     locs = np.asarray(set_locations, dtype=np.int64)
     if locs.size and (locs.min() < 0 or locs.max() >= n):
         raise ValueError("set locations out of range")
-    h = smoothing_half_widths(stop, locs, start)
-    base = max(start - SMOOTH_REACH, 0)
-    end = min(stop + SMOOTH_REACH, n)
-    cs = np.empty(end - base + 1)
-    cs[0] = carry
-    cs[1:] = trace.read(base, end)[1]
-    # from sample 0 the first sum is the first sample itself, not 0 + it
-    run = cs[1:] if base == 0 else cs
-    np.cumsum(run, out=run)
-    sm = np.empty(stop - start)
-    for lo in range(0, sm.size, SMOOTH_BLOCK):
-        hb = h[lo : lo + SMOOTH_BLOCK]
-        pos = np.arange(start + lo, start + lo + hb.size)
-        left = np.maximum(pos - hb, 0)
-        right = np.minimum(pos + hb, n - 1)
-        sm[lo : lo + hb.size] = (cs[right + 1 - base] - cs[left - base]) / (right + 1 - left)
-    return sm, cs[np.maximum(np.asarray(resume, dtype=np.int64) - SMOOTH_REACH, 0) - base]
+    width = x.shape[1] - 2 * SMOOTH_REACH
+    h = sliding_window_view(smoothing_half_widths(int(starts[-1]) + width, locs, int(starts[0])),
+                            width)[starts - starts[0]]
+    np.cumsum(x, axis=1, out=x)
+    # the widest windows by slicing, the narrowed and the clipped ones by index
+    sm = np.empty(h.shape)
+    sm[:, 0] = x[:, 2 * SMOOTH_REACH]
+    np.subtract(x[:, 2 * SMOOTH_REACH + 1 :], x[:, : width - 1], out=sm[:, 1:])
+    sm /= 2 * SMOOTH_REACH + 1
+    cols = np.arange(width)
+    row, col = np.nonzero((h < SMOOTH_REACH) | (cols < SMOOTH_REACH - starts[:, None])
+                          | (cols >= n - SMOOTH_REACH - starts[:, None]))
+    pos, base = starts[row] + col, starts[row] - SMOOTH_REACH
+    left = np.maximum(pos - h[row, col], 0) - base
+    right = np.minimum(pos + h[row, col], n - 1) - base
+    sm[row, col] = (x[row, right] - np.where(left > 0, x[row, left - 1], 0.0)) / (right + 1 - left)
+    return sm
+
+
+def _cycle_rows(trace, set_locations, starts, lengths, width: int):
+    """Voltage, raw-current and smoothed-current rows of consecutive cycles as
+    padded (cycles, width) blocks (+inf, NaN and NaN past each cycle), from
+    one read of their samples and SMOOTH_REACH more on either side."""
+    base, end = int(starts[0]) - SMOOTH_REACH, int(starts[-1]) + width + SMOOTH_REACH
+    lo, hi = max(base, 0), min(end, len(trace))
+    u, i = trace.read(lo, hi)
+    x = sliding_window_view(np.concatenate([np.zeros(lo - base), i, np.zeros(end - hi)]),
+                            width + 2 * SMOOTH_REACH)[starts - starts[0]]
+    sm = smooth_adaptive(x, starts, set_locations, len(trace))
+    sm[np.arange(width) >= lengths[:, None]] = np.nan
+    return (_rows(u, starts - lo, lengths, width, np.inf),
+            _rows(i, starts - lo, lengths, width, np.nan), sm)
 
 
 def split_cycles(trace):
@@ -578,12 +585,11 @@ def detect_set_locations(trace, boundaries):
     return locs, len(boundaries) - locs.size
 
 
-def _pooled_points(trace, bounds, features, set_locs, carries):
+def _pooled_points(trace, bounds, features, set_locs):
     """The limit fit's pooled points (see `ExtractionResult`) and how many
     cycles each pool holds, from the rows of the pooled cycles alone, each
-    read again and smoothed again from its carry, CYCLE_BLOCK rows at a time.
-    ``bounds``, ``features`` and the smoothing ``carries`` (see
-    `smooth_adaptive`) are the kept cycles'."""
+    read and smoothed again by `_cycle_rows`, CYCLE_BLOCK rows at a time.
+    ``bounds`` and ``features`` are the kept cycles'."""
     r_h, u_s, r_l, u_r = features.T
     top = r_h >= quantile(r_h, 1.0 - LIMIT_PERCENTILE / 100.0)
     bottom = r_l <= quantile(r_l, LIMIT_PERCENTILE / 100.0)
@@ -591,13 +597,12 @@ def _pooled_points(trace, bounds, features, set_locs, carries):
     hrs, lrs = [], []
     for lo in range(0, pool.size, CYCLE_BLOCK):
         rows = pool[lo : lo + CYCLE_BLOCK]
-        starts, stops = bounds[rows].T
-        width = int((stops - starts).max()) + 1
-        u = np.full((rows.size, width), np.inf)
-        i = np.full((rows.size, width), np.nan)
-        for row, (start, stop, carry) in enumerate(zip(starts, stops, carries[rows])):
-            u[row, : stop - start] = trace.read(start, stop)[0]
-            i[row, : stop - start] = smooth_adaptive(trace, set_locs, start, stop, carry)[0]
+        starts, lengths = bounds[rows, 0], bounds[rows, 1] - bounds[rows, 0]
+        u = np.full((rows.size, lengths.max() + 1), np.inf)
+        i = np.full(u.shape, np.nan)
+        for k, n in enumerate(lengths):
+            cu, _, ci = _cycle_rows(trace, set_locs, starts[k : k + 1], lengths[k : k + 1], n)
+            u[k, :n], i[k, :n] = cu[0], ci[0]
         m_h, m_l = _branch_masks(u, i, np.argmin(u, axis=1), u_s[rows], u_r[rows])
         m_h &= top[rows, None]
         m_l &= bottom[rows, None]
@@ -614,9 +619,8 @@ def extract_features(trace) -> ExtractionResult:
     The detection levels are constants: SET_CURRENT_THRESHOLD marks the
     abrupt transition and RESET_MIN_PROMINENCE is the gradual one's peak
     prominence floor.  Cycles run through the batch kernels CYCLE_BLOCK at a
-    time, each block smoothing its samples from the previous block's end
-    (sample 0 for the first) on that block's carry; each cycle's carry is
-    kept to smooth the pooled cycles again.  Cycles failing any step are
+    time, each block's rows from one `_cycle_rows` read, every cycle
+    smoothed from its own samples.  Cycles failing any step are
     excluded (with the reason of the first failing step) rather than
     imputed.  The first step checks that a cycle ending at the next apex
     spans `split_cycles`' period within CYCLE_SLACK samples.  More than 50%
@@ -630,35 +634,27 @@ def extract_features(trace) -> ExtractionResult:
         raise ExtractionError("no full cycle found")
     set_locs, set_missing = detect_set_locations(trace, boundaries)
 
-    features, reasons, carries, edge, carry = [], [], [], 0, 0.0
-    for starts, lengths, width in _cycle_blocks(boundaries):
-        stop = int(starts[-1] + lengths[-1])
-        u, i = trace.read(starts[0], stop)
-        u = _rows(u, starts - starts[0], lengths, width, np.inf)
-        i = i_raw = _rows(i, starts - starts[0], lengths, width, np.nan)   # frees the read
-        sm, marks = smooth_adaptive(trace, set_locs, edge, stop, carry, np.append(starts, stop))
-        carries.append(marks[:-1])
-        i = _rows(sm, starts - edge, lengths, width, np.nan)
-        edge, carry = stop, marks[-1]
+    features, reasons = np.empty((len(boundaries), 4)), np.empty(len(boundaries), dtype=object)
+    for block, (starts, lengths, width) in enumerate(_cycle_blocks(boundaries)):
+        rows = slice(block * CYCLE_BLOCK, block * CYCLE_BLOCK + starts.size)
+        u, i_raw, i = _cycle_rows(trace, set_locs, starts, lengths, width)
         off = (np.abs(lengths - period) > CYCLE_SLACK) & (starts + lengths < len(trace))
         why_n = _reasons(off, f"cycle length not within {CYCLE_SLACK} samples of period {period}")
         turn = np.argmin(u, axis=1)
         u_s, why_s = extract_set_voltage(u, i)
         u_r, why_r = extract_reset_voltage(u, i, lengths, turn, RESET_MIN_PROMINENCE, i_raw)
         r_h, r_l, *_, why_f = fit_state_polynomials(u, i, turn, u_s, u_r)
-        features.append(np.column_stack([r_h, u_s, r_l, u_r]))
-        reasons.append(_first_reason(why_n, why_s, why_r, why_f))
+        features[rows] = np.column_stack([r_h, u_s, r_l, u_r])
+        reasons[rows] = _first_reason(why_n, why_s, why_r, why_f)
 
-    reasons = np.concatenate(reasons)
     kept = np.flatnonzero(np.equal(reasons, None))
     exclusions = [(int(n), reasons[n]) for n in np.flatnonzero(np.not_equal(reasons, None))]
     if len(exclusions) > 0.5 * len(boundaries):
         why, count = np.unique([r for _, r in exclusions], return_counts=True)
         raise ExtractionError(f"{len(exclusions)} of {len(boundaries)} cycles failed extraction;"
                               f" most often ({count.max()} cycles): {why[count.argmax()]}")
-    features = np.concatenate(features)[kept]
-    hrs_points, lrs_points, pool_sizes = _pooled_points(
-        trace, boundaries[kept], features, set_locs, np.concatenate(carries)[kept])
+    features = features[kept]
+    hrs_points, lrs_points, pool_sizes = _pooled_points(trace, boundaries[kept], features, set_locs)
     return ExtractionResult(
         features=features, cycles=kept, exclusions=exclusions, n_cycles=len(boundaries),
         period=period, set_missing=set_missing, hrs_points=hrs_points, lrs_points=lrs_points,

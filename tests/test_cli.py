@@ -135,7 +135,7 @@ def test_extract_takes_the_period_from_the_sweep(ref_bundle, tmp_path, capsys, p
 def _per_cycle_limits_json(trace_path) -> str:
     """`extract --limits-out`'s JSON text from per-cycle (u, i) windows, each
     taken from the branch masks of that cycle alone (`waveform._branch_masks`)
-    on the whole-trace smoothing, pooled window by window: the reference."""
+    on its own smoothing (`_smoothed`), pooled window by window: the reference."""
     trace = read_trace(trace_path)
     result = extract_features(trace)
     bounds, _ = split_cycles(trace)
@@ -170,7 +170,9 @@ def test_extract_limits_out_peak_memory_per_sample(ref_bundle, tmp_path, flags, 
     # The tracemalloc peak per sample of a 2000-cycle .iuw, bounded between
     # the two measured designs.  Keeping every kept cycle's branch-fit points
     # for the limit fit peaked at 30.9 B; pooling only the extreme cycles'
-    # points peaks at 26.3 B, set by the smoothing's cumulative sum and output.
+    # points peaked at 26.3 B with the smoothing's trace-sized cumulative sum
+    # and output, and peaks at 8.9 B with every cycle's rows smoothed block
+    # by block.
     feats = synth.sample_features(ref_bundle, 2000, seed=5)
     trace = synth.reconstruct_trace(feats, ref_bundle.conduction, seed=6)
     write_trace_iuw(trace, tmp_path / "t.iuw")
@@ -216,9 +218,10 @@ def iuw_extract_peaks(ref_bundle, tmp_path_factory):
 
 def test_extract_peak_grows_by_little_more_than_the_file(iuw_extract_peaks):
     # Doubling a .iuw from 2000 to 4000 cycles adds 8 B per added sample of
-    # file.  A whole-trace smoothing added 17 B more (its int8 half-widths,
-    # float64 cumulative sum and output: 24.9 B in all); smoothing block by
-    # block holds none of them for the whole trace.
+    # file.  Smoothing the whole trace in one pass added 17 B more (its int8
+    # half-widths, float64 cumulative sum and output: 24.9 B in all);
+    # smoothing the cycles' rows block by block holds none of them for the
+    # whole trace.
     samples, peaks = iuw_extract_peaks
     assert (peaks[1] - peaks[0]) / (samples[1] - samples[0]) < 10.0
 
@@ -360,8 +363,8 @@ def test_extract_rejects_an_iuw_count_below_the_file(corpus, tmp_path, capsys):
 
 
 def test_extract_rejects_non_finite_samples(corpus, tmp_path, capsys):
-    # 100 NaN currents in cycle 1000 of a 2000-cycle trace: the smoothing's
-    # running sums would carry them into every later cycle.  The file is
+    # 100 NaN currents in cycle 1000 of a 2000-cycle trace fail loudly,
+    # naming the first, not in the cycles smoothed over them.  The file is
     # checked SMOOTH_BLOCK samples at a time, so a NaN voltage at the first
     # sample of a block and a NaN current at the last sample, in the last,
     # partial block, are named too.

@@ -1,7 +1,9 @@
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from stochsyn import synth, waveform
 from stochsyn.conduction import (
@@ -63,9 +65,22 @@ def test_half_widths_far_and_at_transition():
     assert np.all(np.diff(mid) >= 0)  # linear recovery, monotone
 
 
+def _current_rows(i, starts, width):
+    """Rows of a 1-D current as `smooth_adaptive` takes them: row k holds
+    samples starts[k] - SMOOTH_REACH to starts[k] + width + SMOOTH_REACH - 1,
+    zero outside the current."""
+    ext = np.zeros(i.size + width + 2 * SMOOTH_REACH)
+    ext[SMOOTH_REACH : SMOOTH_REACH + i.size] = i
+    return sliding_window_view(ext, width + 2 * SMOOTH_REACH)[np.asarray(starts)]
+
+
+def _smooth_whole(i, locs):
+    """The whole of a 1-D current smoothed as one row."""
+    return smooth_adaptive(_current_rows(i, [0], i.size), np.array([0]), locs, i.size)[0]
+
+
 def test_smoothing_constant_unchanged():
-    trace = RawTrace(u=np.linspace(-1, 1, 500), i=np.full(500, 3.3e-6))
-    out, _ = smooth_adaptive(trace, [250])
+    out = _smooth_whole(np.full(500, 3.3e-6), [250])
     assert np.allclose(out, 3.3e-6, rtol=1e-12)
 
 
@@ -73,9 +88,8 @@ def test_smoothing_preserves_flagged_step():
     n = 400
     i = np.zeros(n)
     i[200:] = 1.0
-    trace = RawTrace(u=np.zeros(n), i=i)
-    adaptive = smooth_adaptive(trace, [200])[0]
-    uniform = smooth_adaptive(trace, [])[0]
+    adaptive = _smooth_whole(i, [200])
+    uniform = _smooth_whole(i, [])
     # midpoint slope: adaptive keeps the edge within a 3-sample blur,
     # the uniform 25-sample window flattens it
     slope_a = adaptive[201] - adaptive[199]
@@ -85,15 +99,17 @@ def test_smoothing_preserves_flagged_step():
 
 
 def test_smoothing_peak_memory_per_sample():
-    # one global cumulative sum, evaluated in fixed blocks: about 24 B per
-    # sample (half-widths, cumulative sum, output) where the whole-trace
-    # index arithmetic took about 61
+    # each row's running sum overwrites the caller's rows, so the kernel holds
+    # its output (8 B per sample), its int8 half-widths and the masks and
+    # indices of the narrowed windows: about 12 B per sample, where the
+    # whole-trace index arithmetic took about 61
     u = triangle_u(960)
-    trace = RawTrace(u=u, i=np.random.default_rng(3).normal(0.0, 1e-6, u.size))
-    locs = np.arange(600, u.size, 1042)
+    i = np.random.default_rng(3).normal(0.0, 1e-6, u.size)
+    starts = np.arange(0, u.size, 1042)
+    x = _current_rows(i, starts, 1042)
     tracemalloc.start()
     try:
-        smooth_adaptive(trace, locs)
+        smooth_adaptive(x, starts, np.arange(600, u.size, 1042), u.size)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -101,54 +117,83 @@ def test_smoothing_peak_memory_per_sample():
 
 
 def test_smoothing_half_widths_take_one_byte_per_sample():
-    # cumulative sum and output take 16 B per sample; int64 half-widths
-    # added 8 more (about 24.6 B in all), int8 ones add 1
+    # the output takes 8 B per sample beside the caller's rows; int64
+    # half-widths would add 8 more, int8 ones add 1
     n = 1 << 22
-    trace = RawTrace(u=np.zeros(n), i=np.random.default_rng(5).normal(0.0, 1e-6, n))
-    locs = np.arange(600, n, 1042)
+    starts = np.arange(0, n, 1024)
+    x = _current_rows(np.random.default_rng(5).normal(0.0, 1e-6, n), starts, 1024)
     tracemalloc.start()
     try:
-        smooth_adaptive(trace, locs)
+        smooth_adaptive(x, starts, np.arange(600, n, 1042), n)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 20 * n
 
 
-def _whole_trace_smoothing(i, locs):
-    """The adaptive moving average from one float64 cumulative sum over the
-    whole trace, and that sum: the reference the spans must match bit for bit."""
-    n = i.size
-    h = smoothing_half_widths(n, locs)
-    cs = np.zeros(n + 1)
-    np.cumsum(i, out=cs[1:], dtype=np.float64)
-    pos = np.arange(n)
-    lo, hi = np.maximum(pos - h, 0), np.minimum(pos + h, n - 1)
-    return (cs[hi + 1] - cs[lo]) / (hi + 1 - lo), cs
+def _cycle_smoothing(i, locs, start, stop):
+    """Samples start..stop-1 of a 1-D current smoothed from one float64
+    cumulative sum over them and SMOOTH_REACH samples more on either side,
+    zero outside the current: the per-cycle reference, to the bit."""
+    n, base = i.size, start - SMOOTH_REACH
+    x = np.zeros(stop - start + 2 * SMOOTH_REACH)
+    lo, hi = max(base, 0), min(stop + SMOOTH_REACH, n)
+    x[lo - base : hi - base] = i[lo:hi]
+    cs = np.concatenate([[0.0], np.cumsum(x)])
+    h = smoothing_half_widths(stop, locs, start)
+    pos = np.arange(start, stop)
+    left, right = np.maximum(pos - h, 0), np.minimum(pos + h, n - 1)
+    return (cs[right + 1 - base] - cs[left - base]) / (right + 1 - left)
 
 
 def _smoothed(trace):
-    """The trace with its current smoothed around its set locations in one
-    whole-trace call."""
-    locs, _ = detect_set_locations(trace, split_cycles(trace)[0])
-    return RawTrace(u=trace.u, i=smooth_adaptive(trace, locs)[0])
+    """The trace with each cycle's current smoothed on its own around the set
+    locations (`_cycle_smoothing`); samples outside every cycle are NaN."""
+    bounds, _ = split_cycles(trace)
+    locs, _ = detect_set_locations(trace, bounds)
+    i = np.full(len(trace), np.nan)
+    for start, stop in bounds:
+        i[start:stop] = _cycle_smoothing(trace.i, locs, start, stop)
+    return RawTrace(u=trace.u, i=i)
 
 
-def test_smoothing_from_sample_0_starts_at_the_first_sample():
-    # the whole-trace sum's first value is the first sample itself, not 0 plus
-    # it, so a trace that starts at -0.0 smooths to -0.0 there
-    i = np.concatenate([np.full(40, -0.0), np.random.default_rng(4).normal(0.0, 1e-6, 200)])
-    want, _ = _whole_trace_smoothing(i, [])
-    got, _ = smooth_adaptive(RawTrace(u=np.zeros_like(i), i=i), [])
-    assert np.signbit(got[0]) and got.tobytes() == want.tobytes()
+def test_smoothing_rows_match_exact_window_sums(ref_bundle):
+    # A window sum is a difference of two prefixes of a recursive sum, so the
+    # rounding before the window cancels and each of the window's own
+    # additions errs by at most eps / 2 times the running sum's size
+    # (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
+    # section 4.2).  Summed over its row that size is at most sum|i over the
+    # row|, so with the subtraction's and the division's roundings a window
+    # mean lies within 2 * eps * sum|i over the row| of math.fsum's exact one
+    # (measured: 0.08 of it).  A running sum carried along the whole trace
+    # grows with the current's mean instead: on this trace it reached -15.9
+    # A.samples, and the means taken from it erred by up to 35 times this
+    # bound, beyond it in 490 of the 513 cycles.
+    feats = synth.sample_features(ref_bundle, 2 * CYCLE_BLOCK + 1, seed=41)
+    trace = synth.reconstruct_trace(feats, ref_bundle.conduction, seed=42)
+    bounds, _ = split_cycles(trace)
+    locs, _ = detect_set_locations(trace, bounds)
+    assert len(bounds) >= 2 * CYCLE_BLOCK
+    n, width = len(trace), int((bounds[:, 1] - bounds[:, 0]).max())
+    x = _current_rows(trace.i, bounds[:, 0], width)
+    bound = 2 * np.finfo(np.float64).eps * np.abs(x).sum(axis=1)
+    sm = smooth_adaptive(x, bounds[:, 0], locs, n)
+    h = smoothing_half_widths(n, locs)
+    i = trace.i.tolist()
+    for k, (start, stop) in enumerate(bounds):
+        pos = np.arange(start, stop)
+        left, right = np.maximum(pos - h[start:stop], 0), np.minimum(pos + h[start:stop], n - 1)
+        count = right + 1 - left
+        exact = np.array([math.fsum(i[a : b + 1]) for a, b in zip(left, right)]) / count
+        assert np.all(np.abs(sm[k, : stop - start] - exact) <= bound[k]), k
 
 
-CARRY_CASES = ("leading_partial_segment", "set_near_block_edges",
-               "partial_last_block", "last_cycle_at_trace_end")
+EDGE_CASES = ("leading_partial_segment", "set_near_block_edges",
+              "partial_last_block", "last_cycle_at_trace_end")
 
 
-def _carry_trace(bundle, case, dtype):
-    """A model trace for one edge of the block-to-block carry, as float64
+def _edge_trace(bundle, case, dtype):
+    """A model trace for one edge of the blocks of cycles, as float64
     channels or as the float32 column views of a .iuw's pairs."""
     cycles = {"set_near_block_edges": 2 * CYCLE_BLOCK + 1,
               "last_cycle_at_trace_end": 2 * CYCLE_BLOCK}.get(case, 2 * CYCLE_BLOCK + 88)
@@ -172,52 +217,44 @@ def _carry_trace(bundle, case, dtype):
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-@pytest.mark.parametrize("case", CARRY_CASES)
-def test_smoothing_carried_block_to_block_is_the_whole_trace_sum(ref_bundle, case, dtype,
-                                                                 monkeypatch):
-    trace = _carry_trace(ref_bundle, case, dtype)
+@pytest.mark.parametrize("case", EDGE_CASES)
+def test_smoothing_in_block_alone_and_pooled_agree(ref_bundle, case, dtype, monkeypatch):
+    trace = _edge_trace(ref_bundle, case, dtype)
     bounds, _ = split_cycles(trace)
     locs, _ = detect_set_locations(trace, boundaries=bounds)
     edges = np.append(0, bounds[CYCLE_BLOCK - 1 :: CYCLE_BLOCK, 1])
-    edges = np.append(edges, bounds[-1, 1]) if bounds.shape[0] % CYCLE_BLOCK else edges
-    near = np.abs(locs[:, None] - edges[1:-1]).min()
+    near = np.abs(locs[:, None] - edges[1:]).min()
     assert {"leading_partial_segment": bounds[0, 0] > SMOOTH_REACH,
             "set_near_block_edges": near <= SMOOTH_REACH + SMOOTH_RAMP_SPAN,
             "partial_last_block": bounds.shape[0] % CYCLE_BLOCK and bounds[-1, 1] < len(trace),
             "last_cycle_at_trace_end": bounds[-1, 1] == len(trace)}[case]
-    want, cs = _whole_trace_smoothing(trace.i, locs)
 
-    # the spans extract_features smooths, each from the previous one's carry
-    got, carry = [], 0.0
-    for start, stop in zip(edges[:-1], edges[1:]):
-        sm, (carry,) = smooth_adaptive(trace, locs, start, stop, carry, [stop])
-        assert carry.tobytes() == cs[max(stop - SMOOTH_REACH, 0)].tobytes()
-        got.append(sm)
-    assert np.concatenate(got).tobytes() == want[: edges[-1]].tobytes()
-    # every cycle alone, from the carry of its start, as the pooled ones are
-    for start, stop in bounds:
-        sm, _ = smooth_adaptive(trace, locs, start, stop, cs[max(start - SMOOTH_REACH, 0)])
-        assert sm.tobytes() == want[start:stop].tobytes()
+    # every smoothed row of one extraction: its blocks', then each pooled cycle's
+    cycle_rows, calls = waveform._cycle_rows, []
 
-    # extract_features against itself on the reference's smoothing
+    def recording(trace, set_locations, starts, lengths, width):
+        rows = cycle_rows(trace, set_locations, starts, lengths, width)
+        calls.append([(int(s), row[:n]) for s, n, row in zip(starts, lengths, rows[2])])
+        return rows
+
+    monkeypatch.setattr(waveform, "_cycle_rows", recording)
     result = extract_features(trace)
-
-    def reference(trace, set_locations, start=0, stop=None, carry=0.0, resume=()):
-        at = np.maximum(np.asarray(resume, dtype=np.int64) - SMOOTH_REACH, 0)
-        return want[start : len(trace) if stop is None else stop], cs[at]
-
-    monkeypatch.setattr(waveform, "smooth_adaptive", reference)
-    expected = extract_features(trace)
-    assert result.exclusions == expected.exclusions
-    for name in ("features", "cycles", "hrs_points", "lrs_points"):
-        a, b = (np.asarray(getattr(r, name)) for r in (result, expected))
-        assert a.tobytes() == b.tobytes(), name
+    blocks = -(-len(bounds) // CYCLE_BLOCK)
+    in_block = dict(row for call in calls[:blocks] for row in call)
+    pooled = dict(row for call in calls[blocks:] for row in call)
+    assert len(in_block) == len(bounds) and len(calls) - blocks == len(pooled) > 0
+    for start, stop in bounds:
+        _, _, alone = cycle_rows(trace, locs, np.array([start]), np.array([stop - start]),
+                                 stop - start)
+        want = _cycle_smoothing(trace.i, locs, start, stop)
+        assert alone[0].tobytes() == in_block[start].tobytes() == want.tobytes()
+        assert pooled.get(start, want).tobytes() == want.tobytes()
+    _assert_pool_is_the_per_cycle_pool(trace, result)
 
 
 def test_smoothing_rejects_out_of_range_locations():
-    trace = RawTrace(u=np.zeros(10), i=np.zeros(10))
     with pytest.raises(ValueError):
-        smooth_adaptive(trace, [99])
+        smooth_adaptive(np.zeros((1, 10 + 2 * SMOOTH_REACH)), np.array([0]), [99], 10)
 
 
 # -- segmentation ---------------------------------------------------------------
