@@ -155,13 +155,19 @@ def quantize(i, cfg: ReadoutConfig):
     """ADC code for a current: round-to-nearest of (i - i_min) * (1 / lsb),
     clamped to the window.  Dtype-generic (see `conduction.as_float`)."""
     lsb = (cfg.i_max - cfg.i_min) / cfg.levels
-    codes = np.rint((as_float(i) - cfg.i_min) * (1.0 / lsb))
-    return np.clip(codes, 0, cfg.levels).astype(np.int32)
+    x = as_float(i) - cfg.i_min
+    x *= 1.0 / lsb
+    out = x if isinstance(x, np.ndarray) else None   # a scalar has no buffer to reuse
+    x = np.rint(x, out=out)
+    x = np.maximum(x, 0, out=out)
+    return np.minimum(x, cfg.levels, out=out).astype(np.int32)
 
 
 def dequantize(codes, cfg: ReadoutConfig):
     lsb = (cfg.i_max - cfg.i_min) / cfg.levels
-    return cfg.i_min + np.asarray(codes, dtype=np.float64) * lsb
+    x = np.asarray(codes, dtype=np.float64) * lsb
+    x += cfg.i_min
+    return x
 
 
 def stationary_factor32(model) -> np.ndarray:
@@ -307,11 +313,12 @@ class CellArray:
 
     # -- internals ---------------------------------------------------------
 
-    def _normals(self, idx, n: int) -> np.ndarray:
+    def _normals(self, idx, n: int, sines: bool = True) -> np.ndarray:
         """(n, cells) standard normals from the streams of the cells that a
-        slice or an index array `idx` selects, advancing their counters."""
+        slice or an index array `idx` selects, advancing their counters;
+        the first n/2 rows only without `sines` (see `streams.normals`)."""
         ctrs = self._counters[idx]          # view for slices, copy otherwise
-        z = streams.normals(self._keys[idx], ctrs, n)
+        z = streams.normals(self._keys[idx], ctrs, n, sines)
         if not isinstance(idx, slice):
             self._counters[idx] = ctrs
         return z
@@ -505,15 +512,18 @@ class CellArray:
 
         def run(lo, hi):
             sl = slice(lo, hi) if cells is None else cells[lo:hi]
-            i_read = self.r[sl] * (ih - il) + il
+            i_read = self.r[sl] * (ih - il)
+            i_read += il
             if cfg.noise_enabled:
-                z = self._normals(sl, _DRAWS_READ)[0]
-                i_read = i_read + noise_sigma(i_read, cfg) * z
+                noise = noise_sigma(i_read, cfg)
+                noise *= self._normals(sl, _DRAWS_READ, False)[0]
+                i_read += noise
             return i_read, quantize(i_read, cfg)
 
         chunks = self._run_partitioned(run, self.m if cells is None else cells.size,
                                        READ_PART_CELLS)
-        i_noisy, codes = (np.concatenate(c) for c in zip(*chunks))
+        # one part's arrays are its own temporaries, fresh like a concatenation
+        i_noisy, codes = chunks[0] if len(chunks) == 1 else map(np.concatenate, zip(*chunks))
         return i_noisy, codes, dequantize(codes, cfg)
 
     # -- inspection ----------------------------------------------------------

@@ -16,6 +16,7 @@ path that names an input or another output (`_check_outputs`).
 """
 
 import argparse
+import hashlib
 import json
 import math
 import os
@@ -366,6 +367,20 @@ def cmd_sim(args) -> int:
     return 0
 
 
+def math_fingerprint() -> str:
+    """SHA-256 of numpy's `exp`, `log`, `sin` and `cos` on fixed float32 and
+    float64 probe vectors.  numpy picks these loops at run time from the
+    CPU's features, and their last bits differ between loops, so outputs
+    compare bit for bit only between runs with one fingerprint (README,
+    "Notes on determinism and performance")."""
+    h = hashlib.sha256()
+    for dtype in (np.float32, np.float64):
+        x = np.linspace(2.0**-10, 40.0, 16384, dtype=dtype)
+        for values in (np.exp(x - dtype(20.0)), np.log(x), np.sin(x), np.cos(x)):
+            h.update(values.tobytes())
+    return h.hexdigest()
+
+
 def cmd_bench(args) -> int:
     meta_path = str(args.output) + ".meta.json"
     _check_outputs([args.params], args.output, meta_path)
@@ -415,6 +430,7 @@ def cmd_bench(args) -> int:
         "cpu_count": os.cpu_count(),
         "platform": platform.platform(),
         "numpy": np.__version__,
+        "math_fingerprint": math_fingerprint(),
     }
     _write_json(meta_path, meta)
     return 0

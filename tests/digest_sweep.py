@@ -66,7 +66,7 @@ float64 samples (exact 17-digit text), and a line gives its exit code and
 the SHA-256 of the files it wrote: the features CSV, `.report.json` and
 `limits.json` (which a failed limit fit does not write).
 
-Last of all come the command lines: one per output file of each command,
+Then come the command lines: one per output file of each command,
 giving the command's exit code and the file's SHA-256.  Each `.ssyn`, the
 fitted bundle's too, is followed by one line per stored field of each
 section (`paramfile.SECTIONS`), the SHA-256 of that field's bytes, so a
@@ -81,6 +81,15 @@ through both presets, one of them with every readout flag, and through
 pulse and read scripts on more cells than one block of `csvtext` rows (the
 readout and the state CSV of each).  `bench` gives its CSV rows without the
 timing columns: mode, m, p, threads and ops.
+
+Last come the stream lines: the SHA-256 of `streams.normals` on fixed keys
+of 1000 streams at n = 2, 4 and 50, whole and cosine half only, with the
+counters it leaves.  The counters are random 64-bit words, the last 100 of
+them within 8 of 2^64 so that the keyed sums wrap.
+
+The first line of all is `cli.math_fingerprint()`: two sweeps with
+different fingerprints ran different `exp`, `log`, `sin` or `cos` loops, so
+their lines need not compare.
 """
 
 import contextlib
@@ -92,9 +101,9 @@ from unittest import mock
 
 import numpy as np
 
-from stochsyn import array, csvtext, paramfile, synth
+from stochsyn import array, csvtext, paramfile, streams, synth
 from stochsyn.array import ReadoutConfig, init_array
-from stochsyn.cli import main
+from stochsyn.cli import main, math_fingerprint
 from stochsyn.svar import generate
 from stochsyn.transform import inverse_map
 from stochsyn.waveform import (RawTrace, extract_features, read_trace, write_features_csv,
@@ -114,6 +123,8 @@ TRACE_NOISES = (1e-6, 2e-5)  # current noise [A]: none excluded, and some
 SHIFTED_CUT = (300, -400)  # samples kept of the shifted trace: both ends are partial segments
 SIM_SCRIPT_CELLS = csvtext.BLOCK_ROWS + 300   # the script run's CSVs span two blocks
 SPLIT_PART = 2048     # cells per part that the sweep sets, see the docstring
+STREAMS = 1000        # streams of the stream lines, the last WRAPPING near 2^64
+WRAPPING = 100
 READOUTS = (("noisy12", ReadoutConfig(n_bits=12, i_min=0.0, i_max=60e-6)),
             ("clean12", ReadoutConfig(n_bits=12, i_min=0.0, i_max=60e-6, noise_enabled=False)))
 
@@ -358,7 +369,19 @@ def command_sweep(workdir: Path, out) -> None:
             print(f"command bench {','.join(row.split(',')[:5])}", file=out)
 
 
+def streams_sweep(out) -> None:
+    keys = streams.stream_keys(21, np.arange(STREAMS))
+    start = np.random.default_rng(21).integers(0, 1 << 64, STREAMS, dtype=np.uint64)
+    start[-WRAPPING:] = np.uint64(2**64 - 8) + np.arange(WRAPPING, dtype=np.uint64) % np.uint64(8)
+    for n in (2, 4, 50):
+        for sines in (True, False):
+            counters = start.copy()
+            z = streams.normals(keys, counters, n, sines)
+            print(f"streams normals n={n} sines={sines} {read_hash((z, counters))}", file=out)
+
+
 def run(out=sys.stdout) -> None:
+    print(f"math fingerprint {math_fingerprint()}", file=out)
     with (mock.patch.object(array, "READ_PART_CELLS", SPLIT_PART),
           mock.patch.object(array.CellArray, "_write_part", lambda self: SPLIT_PART),
           tempfile.TemporaryDirectory() as tmp):
@@ -371,6 +394,7 @@ def run(out=sys.stdout) -> None:
         float_route_sweep(reference, out)
         extraction_sweep(reference, Path(tmp), out)
         command_sweep(Path(tmp), out)
+    streams_sweep(out)
 
 
 if __name__ == "__main__":

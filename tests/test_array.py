@@ -535,6 +535,77 @@ def test_quantizer_paper_constants():
     assert np.array_equal(np.unique(codes), np.arange(16))
 
 
+@pytest.mark.parametrize("cfg", [ReadoutConfig(n_bits=4, i_min=0.0, i_max=40e-6),
+                                 ReadoutConfig(n_bits=7, i_min=-2e-6, i_max=50e-6),
+                                 ReadoutConfig(n_bits=4, i_min=0.0, i_max=15 * 2.0**-20)])
+def test_quantize_codes_scalars_as_arrays(cfg):
+    # at the clamp edges and the half-LSB points, in both dtypes, a scalar
+    # gets the code its value gets in an array, and both get the codes of
+    # the formula written with np.clip; the last window has lsb = 2^-20, so
+    # its half-LSB points are exact ties
+    lsb = (cfg.i_max - cfg.i_min) / cfg.levels
+    halves = (np.arange(-1, cfg.levels + 1) + 0.5) * lsb + cfg.i_min
+    edges = np.array([cfg.i_min, cfg.i_max, -1.0, 1.0, 0.0, -0.0, 2 * cfg.i_max])
+    values = np.concatenate([halves, edges])
+    values = np.concatenate([values, np.nextafter(values, -np.inf), np.nextafter(values, np.inf)])
+    for dtype in (np.float64, np.float32):
+        x = values.astype(dtype)
+        codes = quantize(x, cfg)
+        want = np.clip(np.rint((x - cfg.i_min) * (1.0 / lsb)), 0, cfg.levels).astype(np.int32)
+        assert np.array_equal(codes, want)
+        for v, code in zip(x, codes):
+            for form in (v, np.asarray(v), np.array([v])):
+                got = quantize(form, cfg)
+                assert got.dtype == np.int32 and got.shape == np.shape(form) and got == code
+            if dtype == np.float64:
+                assert quantize(float(v), cfg) == code
+    if lsb == 2.0**-20:
+        assert np.array_equal(quantize(halves[1:-1], cfg), 2 * ((np.arange(cfg.levels) + 1) // 2))
+
+
+@pytest.mark.parametrize("readout", [None, ReadoutConfig(noise_enabled=False)])
+def test_whole_split_and_addressed_reads_agree(ref_bundle, readout, small_parts):
+    # a read in one part hands out its own arrays, one in two parts joins
+    # them, an addressed read gathers: the same cells read the same bits
+    m = 1024
+    order = np.random.default_rng(4).permutation(m)
+    runs = []
+    for threads, cells in ((1, None), (2, None), (2, order), (1, order)):
+        arr = init_array(ref_bundle, m=m, a=0.5, seed=23, p=10, threads=threads,
+                         readout=readout)
+        for amp in (-1.5, 1.1, -1.5, 0.9):
+            arr.apply_pulses(amp)
+        small_parts.clear()
+        outputs = arr.read_all(cells=cells)
+        if cells is not None:
+            outputs = [x[np.argsort(cells)] for x in outputs]
+        runs.append((list(small_parts), arr.state_digest(), [x.tobytes() for x in outputs]))
+    assert [r[0] for r in runs] == [[1], [2], [2], [1]]
+    assert all(r[1:] == runs[0][1:] for r in runs)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("readout", [None, ReadoutConfig(noise_enabled=False)])
+def test_read_outputs_are_fresh_arrays(ref_bundle, readout, threads, small_parts):
+    # a one-part read returns its own temporaries, not copies: writing into
+    # them must change neither the state nor the next read
+    arr, twin = (init_array(ref_bundle, m=1024, a=0.5, seed=29, p=10, threads=threads,
+                            readout=readout) for _ in range(2))
+    for a in (arr, twin):
+        a.apply_pulses(-1.5)
+    state = arr._cell_arrays() + (arr._slots, arr._offset)
+    for cells in (None, np.arange(1024)[::-1]):
+        outputs = arr.read_all(cells=cells)
+        twin.read_all(cells=cells)
+        for k, x in enumerate(outputs):
+            assert not any(np.shares_memory(x, y) for y in state + outputs[k + 1:])
+            x[...] = 7
+        assert arr.state_digest() == twin.state_digest()
+        assert all(a.tobytes() == b.tobytes()
+                   for a, b in zip(arr.read_all(cells=cells), twin.read_all(cells=cells)))
+    assert set(small_parts[-4:]) == {threads}
+
+
 def test_read_noise_off_deterministic_and_immutable(ref_bundle):
     arr = init_array(ref_bundle, m=32, a=0.0, seed=101, p=10,
                      readout=ReadoutConfig(noise_enabled=False))

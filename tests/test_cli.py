@@ -18,7 +18,7 @@ from test_waveform import _one_row, _smoothed
 import stochsyn
 from stochsyn import cli, csvtext, paramfile, synth
 from stochsyn.array import MAX_SEED, MAX_THREADS, CellArray, ReadoutConfig, dequantize, init_array
-from stochsyn.cli import main
+from stochsyn.cli import main, math_fingerprint
 from stochsyn.conduction import LIMIT_PERCENTILE, U0_DEFAULT, fit_conduction_poly
 from stochsyn.svar import MAX_ORDER
 from stochsyn.transform import GAMMA_DEGREE
@@ -1127,6 +1127,9 @@ def test_bench_csv_schema(corpus, tmp_path):
     assert set(meta["init_seconds"]) == {"1", "10"}
     assert all(t > 0 for t in meta["init_seconds"].values())
     assert meta["amplitude"] == paramfile.load(corpus / "params.ssyn").defaults.u_max
+    assert meta["numpy"] == np.__version__
+    assert meta["math_fingerprint"] == math_fingerprint()
+    assert len(meta["math_fingerprint"]) == 64
 
 
 def test_bench_pulses_switch_every_cell_at_the_bundles_u_max(corpus, tmp_path, monkeypatch):

@@ -71,3 +71,67 @@ def test_streams_decorrelated_across_cells():
     z = streams.normals(keys, ctr, 20_000)
     rho = np.corrcoef(z[:, 0], z[:, 1])[0, 1]
     assert abs(rho) < 0.03
+
+
+# the splitmix64 constants (Steele, Lea and Flood, OOPSLA 2014) and the
+# counter scramble, written out here so the tests pin the definition of a word
+STEP = np.uint64(0xD6E8FEB86659FD93)
+
+
+def _splitmix64(z):
+    """The whole splitmix64 finalizer, on a copy of ``z``."""
+    z = z.copy()
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(0xBF58476D1CE4E5B9)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(0x94D049BB133111EB)
+    z ^= z >> np.uint64(31)
+    return z
+
+
+def _keys_and_wrapping_counters(seed, m=512):
+    """Random keys and counters, half of them within 8 of 2^64 so that the
+    counter sums wrap."""
+    rng = np.random.default_rng(seed)
+    keys = rng.integers(0, 1 << 64, m, dtype=np.uint64)
+    ctr = rng.integers(0, 1 << 64, m, dtype=np.uint64)
+    ctr[: m // 2] = np.uint64(2**64 - 8) + rng.integers(0, 8, m // 2, dtype=np.uint64)
+    return keys, ctr
+
+
+def _full_words(keys, ctr, n):
+    """Word j of each stream: the whole finalizer of key ^ (counter + j + 1)·STEP."""
+    return _splitmix64(keys ^ ((ctr + np.arange(1, n + 1, dtype=np.uint64)[:, None]) * STEP))
+
+
+@pytest.mark.parametrize("n", [2, 4, 50])
+def test_words_keep_the_top_bits_of_the_full_finalizer(n):
+    # the words skip the finalizer's last xorshift, which moves no bit above 32
+    keys, ctr = _keys_and_wrapping_counters(n)
+    full = _full_words(keys, ctr, n)
+    words = streams.raw_words(keys, ctr, n)
+    assert np.array_equal(words >> np.uint64(40), full >> np.uint64(40))
+    assert np.array_equal(words >> np.uint64(33), full >> np.uint64(33))
+    assert not np.array_equal(words, full)
+    # the keys' finalizer is the whole one
+    z = keys ^ ((ctr + np.arange(1, n + 1, dtype=np.uint64)[:, None]) * STEP)
+    assert np.array_equal(streams.mix64(z), full)
+
+
+@pytest.mark.parametrize("n", [2, 4, 50])
+def test_normals_match_the_full_word_formula(n):
+    # the definition the draws had with whole words and numpy's single
+    # uint64 -> float32 cast: `normals` must give its bits, cosine half too
+    keys, ctr = _keys_and_wrapping_counters(100 + n)
+    u = (_full_words(keys, ctr, n) >> np.uint64(40)).astype(np.float32)
+    u += np.float32(0.5)
+    u *= np.float32(2.0**-24)
+    rad = np.sqrt(np.log(u[: n // 2]) * np.float32(-2.0))
+    ang = u[n // 2 :] * np.float32(2.0 * np.pi)
+    want = np.concatenate([np.cos(ang) * rad, np.sin(ang) * rad])
+    after = ctr.copy()
+    assert streams.normals(keys, after, n).tobytes() == want.tobytes()
+    assert np.array_equal(after, ctr + np.uint64(n))
+    after = ctr.copy()
+    assert streams.normals(keys, after, n, False).tobytes() == want[: n // 2].tobytes()
+    assert np.array_equal(after, ctr + np.uint64(n))
