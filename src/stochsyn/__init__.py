@@ -11,7 +11,6 @@ from .conduction import (
     transition_current,
 )
 from .paramfile import ParameterBundle, SimDefaults, load, save
-from .stats import CorrelationReport, lagged_pearson, wasserstein1
 from .svar import SvarModel, fit_svar, generate, mix_lower_triangular, spectral_radius, step
 from .transform import NormalizingMap, fit_map, forward_map, inverse_map
 from .waveform import RawTrace, extract_features

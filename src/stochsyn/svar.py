@@ -9,11 +9,12 @@ keeps the reduced form alone.  `structural_decompose` gives its recursive
 structural form (ch. 9), the exact maximum-likelihood decomposition under
 those constraints, by forward substitution on chol(sigma_u); the parameter
 file stores it beside the model.  One kernel, `step`, advances the float64
-generator, the float32 array engine and its test mirror.  Every start is one
-exact draw from the stationary distribution of the lags.  Their covariance
-is solved once, without BLAS (`stationary_covariance`), and C(0) is
-`synth.reference_bundle`'s sigma; each model caches its factor.  Every
-factor, chol_u's too, is `conduction.positive_definite_factor`'s.
+generator, the float32 array engine and its test mirror.  The model's
+second moments come from one function, `autocovariances`, without BLAS:
+C(h) = Cov(x_n, x_{n-h}) for h = 0..H.  Every start is one exact draw from
+the stationary distribution of the lags, whose covariance
+(`stationary_covariance`) is built from C(0..p-1); each model caches its
+factor.  Every factor, chol_u's too, is `conduction.positive_definite_factor`'s.
 """
 
 import warnings
@@ -100,7 +101,8 @@ def fit_svar(series: np.ndarray, p: int) -> SvarModel:
     `conduction.RANK_RTOL` times its diagonal entry drops its regressor, all
     but a combination of the ones before it, whose solve would keep fewer
     than about six significant digits: ValueError "rank deficient".
-    Normalized feature series give relative pivots near 1.  The residual
+    Normalized feature series give relative pivots near 1.  A NaN or
+    infinity is a ValueError that names its row and column.  The residual
     covariance uses denominator n - p (the number of fitted rows).  The input
     is expected to be normalized, so a large intercept triggers a warning.
     """
@@ -113,6 +115,9 @@ def fit_svar(series: np.ndarray, p: int) -> SvarModel:
     n_params = DIM * p + 1
     if n <= 10 * n_params:
         raise ValueError(f"need more than {10 * n_params} observations for p={p}, got {n}")
+    bad = np.argwhere(~np.isfinite(x))
+    if len(bad):
+        raise ValueError(f"series is not finite at row {bad[0, 0]}, column {bad[0, 1]}")
 
     moments = _lag_moments(x, p)
     solve, dropped = normal_solver(moments[DIM:, DIM:])
@@ -221,23 +226,22 @@ def spectral_radius(model: SvarModel) -> float:
     return float(f"{radius:.{SPECTRAL_DIGITS}g}")
 
 
-def stationary_covariance(model: SvarModel) -> np.ndarray:
-    """Stationary covariance of the p lags; its (4, 4) top-left block is C(0).
+def autocovariances(model: SvarModel, H: int) -> np.ndarray:
+    """(H + 1, 4, 4): the autocovariances C(0..H), C(h) = Cov(x_n, x_{n-h}).
 
-    Gamma = Cov([x_{n-1}; ...; x_{n-p}]), stacked newest first as in
-    `lag_weights` and `companion_matrix`, solves Gamma = F Gamma F^T + Q with
-    Q = blockdiag(sigma_u, 0).  Its block (i, j) is the autocovariance
-    C(j - i), C(h) = Cov(x_n, x_{n-h}) = sum_t w_{t+h} w_t^T, where
-    w_t = psi_t chol_u are the impulse responses of the moving-average form,
-    w_0 = chol_u and w_t = sum_i phi_i w_{t-i}.  The sums run until a block of
-    256 terms adds less than machine epsilon of the total.  Every product is
-    a fixed-order einsum, so the bits do not depend on BLAS or its thread
-    count, and C(0) is exactly symmetric.  Raises ValueError when the sums
-    do not converge within MAX_TERMS terms, or when the relative residual
-    ||F Gamma F^T + Q - Gamma|| / ||Gamma|| exceeds LYAPUNOV_TOL.
+    For h < p, C(h) = sum_t w_{t+h} w_t^T, where w_t = psi_t chol_u are the
+    impulse responses of the moving-average form, w_0 = chol_u and
+    w_t = sum_i phi_i w_{t-i} (Lutkepohl 2005, sec. 2.1.4).  The sums run until
+    a block of 256 terms adds less than machine epsilon of the total, and
+    C(0) is exactly symmetric.  For h >= p the Yule-Walker recursion
+    C(h) = sum_i phi_i C(h - i) continues them.  Every product is a
+    fixed-order einsum, so the bits do not depend on BLAS or its thread count,
+    nor on H.  ValueError when H is not a non-negative integer, or when the
+    sums diverge or do not converge within MAX_TERMS terms.
     """
+    if not isinstance(H, (int, np.integer)) or H < 0:
+        raise ValueError(f"H must be a non-negative integer, got {H!r}")
     p = model.p
-    phi = model.lag_weights().T                              # (4, 4p): F's first block row
     phi_rev = np.concatenate(list(model.phi[::-1]), axis=1)  # pairs with w oldest first
     # w[p - 1 + t] = w_t; the p - 1 zero blocks in front stand for t < 0
     block = 256  # terms between convergence checks
@@ -265,8 +269,28 @@ def stationary_covariance(model: SvarModel) -> np.ndarray:
     n = t + 1 - (p - 1)
     wt = np.ascontiguousarray(w[p - 1 : p + t].transpose(1, 0, 2))  # (4, t + 1, 4)
     right = wt[:, :n].reshape(DIM, -1)
-    cov = [np.einsum("ik,jk->ij", wt[:, h : h + n].reshape(DIM, -1), right) for h in range(p)]
-    blocks = np.stack([c.T for c in cov[:0:-1]] + cov)  # C(-(p-1)), ..., C(p-1)
+    cov = np.empty((H + 1, DIM, DIM))
+    for h in range(min(H + 1, p)):
+        cov[h] = np.einsum("ik,jk->ij", wt[:, h : h + n].reshape(DIM, -1), right)
+    for h in range(p, H + 1):
+        cov[h] = np.einsum("ik,kj->ij", phi_rev, cov[h - p : h].reshape(-1, DIM))
+    return cov
+
+
+def stationary_covariance(model: SvarModel) -> np.ndarray:
+    """Stationary covariance of the p lags; its (4, 4) top-left block is C(0).
+
+    Gamma = Cov([x_{n-1}; ...; x_{n-p}]), stacked newest first as in
+    `lag_weights` and `companion_matrix`, solves Gamma = F Gamma F^T + Q with
+    Q = blockdiag(sigma_u, 0).  Its block (i, j) is C(j - i), from
+    `autocovariances(model, p - 1)`, with C(-h) = C(h)^T.  Raises ValueError
+    as `autocovariances` does, or when the relative residual
+    ||F Gamma F^T + Q - Gamma|| / ||Gamma|| exceeds LYAPUNOV_TOL.
+    """
+    p = model.p
+    phi = model.lag_weights().T                              # (4, 4p): F's first block row
+    cov = autocovariances(model, p - 1)
+    blocks = np.concatenate([cov[:0:-1].transpose(0, 2, 1), cov])  # C(-(p-1)), ..., C(p-1)
     lag = np.arange(p)
     gamma = blocks[p - 1 + lag[None, :] - lag[:, None]].transpose(0, 2, 1, 3).reshape(DIM * p, -1)
 

@@ -4,7 +4,7 @@ No measurement data ships with the package, so tests and demos run against a
 known ground truth: a stable hand-chosen autoregression with log-space
 polynomial marginals on realistic resistance/threshold scales, a conduction
 model wide enough to represent every feature vector the generator can emit,
-and as sigma the autoregression's C(0) (`svar.stationary_covariance`), its
+and as sigma the autoregression's C(0) (`svar.autocovariances`), its
 reduced form solved by `svar.forward_substitution`, without LAPACK.  From
 that bundle the module can sample feature series and render full sweep
 waveforms (one triangular voltage period per cycle, the abrupt transition at
@@ -23,7 +23,7 @@ from . import waveform
 from .conduction import (MIN_CURVE_SPAN, ConductionModel, current, state_from_resistance,
                          transition_current)
 from .paramfile import ParameterBundle, SimDefaults, save
-from .svar import SvarModel, forward_substitution, generate, stationary_covariance
+from .svar import SvarModel, autocovariances, forward_substitution, generate
 from .transform import NormalizingMap, inverse_map
 from .waveform import RawTrace
 
@@ -88,7 +88,7 @@ def reference_bundle(orders=REFERENCE_ORDERS) -> ParameterBundle:
     return ParameterBundle(
         conduction=reference_conduction(),
         gamma=reference_gamma(),
-        sigma=stationary_covariance(models[min(orders)])[:4, :4],
+        sigma=autocovariances(models[min(orders)], 0)[0],
         svar=models,
         defaults=SimDefaults(u_max=1.5, dtd_scale=0.0),
     )

@@ -51,7 +51,7 @@ float64 at 9 and at 17 digits, and of the two float columns of a `read_all`
 of a 4500-cell array (the float32 noisy currents and the float64
 dequantized ones).
 
-Last come the extraction lines.  Two 2000-cycle traces are rendered from
+Then come the extraction lines.  Two 2000-cycle traces are rendered from
 the reference model's features, one at the default current noise and one
 at a noise that makes `extract_features` exclude some cycles.  Each is
 extracted as rendered (float64) and after a `.iuw` round trip (float32).
@@ -82,10 +82,13 @@ pulse and read scripts on more cells than one block of `csvtext` rows (the
 readout and the state CSV of each).  `bench` gives its CSV rows without the
 timing columns: mode, m, p, threads and ops.
 
-Last come the stream lines: the SHA-256 of `streams.normals` on fixed keys
+Then come the stream lines: the SHA-256 of `streams.normals` on fixed keys
 of 1000 streams at n = 2, 4 and 50, whole and cosine half only, with the
 counters it leaves.  The counters are random 64-bit words, the last 100 of
 them within 8 of 2^64 so that the keyed sums wrap.
+
+Last come the autocovariance lines: for each of the five models
+of the sweep, the SHA-256 of `svar.autocovariances(model, 30)`, its C(0..30).
 
 The first line of all is `cli.math_fingerprint()`: two sweeps with
 different fingerprints ran different `exp`, `log`, `sin` or `cos` loops, so
@@ -104,7 +107,7 @@ import numpy as np
 from stochsyn import array, csvtext, paramfile, streams, synth
 from stochsyn.array import ReadoutConfig, init_array
 from stochsyn.cli import main, math_fingerprint
-from stochsyn.svar import generate
+from stochsyn.svar import autocovariances, generate
 from stochsyn.transform import inverse_map
 from stochsyn.waveform import (RawTrace, extract_features, read_trace, write_features_csv,
                                write_trace_iuw)
@@ -125,6 +128,7 @@ SIM_SCRIPT_CELLS = csvtext.BLOCK_ROWS + 300   # the script run's CSVs span two b
 SPLIT_PART = 2048     # cells per part that the sweep sets, see the docstring
 STREAMS = 1000        # streams of the stream lines, the last WRAPPING near 2^64
 WRAPPING = 100
+AUTOCOVARIANCE_LAGS = 30   # C(0..30) per autocovariance line, past p = 10 and short of 100
 READOUTS = (("noisy12", ReadoutConfig(n_bits=12, i_min=0.0, i_max=60e-6)),
             ("clean12", ReadoutConfig(n_bits=12, i_min=0.0, i_max=60e-6, noise_enabled=False)))
 
@@ -380,6 +384,13 @@ def streams_sweep(out) -> None:
             print(f"streams normals n={n} sines={sines} {read_hash((z, counters))}", file=out)
 
 
+def autocovariance_lines(bundles, out) -> None:
+    for name, bundle, orders in bundles:
+        for p in orders:
+            cov = autocovariances(bundle.model(p), AUTOCOVARIANCE_LAGS)
+            print(f"autocovariances {name} p={p} {read_hash((cov,))}", file=out)
+
+
 def run(out=sys.stdout) -> None:
     print(f"math fingerprint {math_fingerprint()}", file=out)
     with (mock.patch.object(array, "READ_PART_CELLS", SPLIT_PART),
@@ -395,6 +406,7 @@ def run(out=sys.stdout) -> None:
         extraction_sweep(reference, Path(tmp), out)
         command_sweep(Path(tmp), out)
     streams_sweep(out)
+    autocovariance_lines(bundles, out)
 
 
 if __name__ == "__main__":

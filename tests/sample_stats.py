@@ -1,4 +1,6 @@
-"""Validation statistics: 1-D Wasserstein distance and lagged correlations."""
+"""Sample statistics the tests judge outputs by: the 1-D Wasserstein
+distance, the lagged Pearson correlations of a series, and the model's
+correlations in the same orientation (`model_correlations`)."""
 
 import warnings
 from dataclasses import dataclass, field
@@ -78,3 +80,11 @@ def lagged_pearson(series: np.ndarray, max_lag: int) -> CorrelationReport:
             r[:, v_lead == 0.0] = 0.0
         rho[l] = r
     return CorrelationReport(lags=lags, rho=rho, zero_variance=flagged)
+
+
+def model_correlations(cov: np.ndarray) -> np.ndarray:
+    """rho(0..H) of a model from its C(0..H) (`svar.autocovariances`), in
+    `lagged_pearson`'s orientation: rho[l][i, j] = corr(x_i at n - l, x_j at n),
+    the transpose of C(l) = Cov(x_n, x_{n-l}) normalized by C(0)'s diagonal."""
+    sd = np.sqrt(np.diag(cov[0]))
+    return cov.transpose(0, 2, 1) / np.outer(sd, sd)

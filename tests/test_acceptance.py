@@ -22,11 +22,11 @@ import numpy as np
 import pytest
 
 from mirror_machine import HRS, IRS, LRS, MirrorCell
+from sample_stats import lagged_pearson, wasserstein1
 from stochsyn import paramfile
 from stochsyn.array import PHASE_HRS, PHASE_IRS, PHASE_LRS, ReadoutConfig, init_array, noise_sigma, quantize
 from stochsyn.cli import main
 from stochsyn.conduction import state_from_resistance
-from stochsyn.stats import lagged_pearson, wasserstein1
 from stochsyn.svar import SvarModel, fit_svar, generate, structural_decompose
 from stochsyn.transform import (
     MONOTONIC_GRID_STEP,

@@ -590,6 +590,20 @@ def test_the_package_asks_lapack_only_for_eigvals():
     assert found == []
 
 
+def test_every_package_module_has_a_caller_in_the_package():
+    # a module that only `__init__` and the tests import is test code and
+    # belongs under tests/; `cli` is the entry point.  The package imports
+    # itself relatively: `from .x import ...` or `from . import x`
+    modules = {path.stem: path for path in Path(stochsyn.__file__).parent.glob("*.py")}
+    called = set()
+    for name, path in modules.items():
+        for node in ast.walk(ast.parse(path.read_text())):
+            if name != "__init__" and isinstance(node, ast.ImportFrom) and node.level == 1:
+                targets = [node.module] if node.module else [a.name for a in node.names]
+                called.update(t for t in targets if t != name)
+    assert sorted(modules.keys() - called - {"__init__", "cli"}) == []
+
+
 class _Mallinfo2(ctypes.Structure):
     _fields_ = [(name, ctypes.c_size_t) for name in (
         "arena", "ordblks", "smblks", "hblks", "hblkhd", "usmblks", "fsmblks", "uordblks",

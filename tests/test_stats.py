@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stochsyn.stats import lagged_pearson, wasserstein1
+from sample_stats import lagged_pearson, wasserstein1
 
 finite = st.floats(-1e6, 1e6, allow_nan=False)
 

@@ -2,10 +2,12 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from sample_stats import lagged_pearson, model_correlations
 from scipy.linalg import solve_discrete_lyapunov
 
 import stochsyn
@@ -14,6 +16,7 @@ from stochsyn.conduction import RANK_RTOL
 from stochsyn.svar import (
     LYAPUNOV_TOL,
     SvarModel,
+    autocovariances,
     companion_matrix,
     fit_svar,
     generate,
@@ -73,6 +76,16 @@ def test_fit_rank_deficient_rejected():
     series[:, 0] = 1.0  # constant column collides with the intercept
     with pytest.raises(ValueError):
         fit_svar(series, 1)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_fit_names_the_row_of_a_non_finite_value(bad):
+    series = np.random.default_rng(0).standard_normal((2000, 4))
+    series[5, 2] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="not finite at row 5, column 2"):
+            fit_svar(series, 1)
 
 
 def _lstsq_fit(x, p):
@@ -245,6 +258,58 @@ def test_reference_sigma_is_the_exactly_symmetric_c0_of_every_order():
     for p in (1, 10, 100):  # zero-padded lags leave the process unchanged
         assert np.array_equal(stationary_covariance(reference_svar(p))[:4, :4], sigma)
         assert np.array_equal(reference_bundle(orders=(p,)).sigma, sigma)
+
+
+@pytest.fixture(scope="module")
+def lag_models():
+    """The reference models at p = 1, 10 and 100 and orders 10 and 100 fitted
+    to one of their series."""
+    series = generate(reference_svar(3), 8000, seed=31)
+    return [reference_svar(p) for p in (1, 10, 100)] + [fit_svar(series, p) for p in (10, 100)]
+
+
+def test_autocovariances_are_the_stationary_covariance_blocks(lag_models):
+    # and C(0..p-1) keep their bits when H reaches past p
+    for model in lag_models:
+        p = model.p
+        gamma = stationary_covariance(model)
+        cov = autocovariances(model, p + 30)
+        assert cov.shape == (p + 31, 4, 4)
+        for h in range(p):
+            assert np.array_equal(cov[h], gamma[:4, 4 * h : 4 * h + 4])
+        assert np.array_equal(autocovariances(model, 0)[0], gamma[:4, :4])
+
+
+def test_autocovariances_satisfy_yule_walker(lag_models):
+    # C(h) = sum_i phi_i C(h - i), C(-k) = C(k)^T, for every h >= 1: for
+    # h < p the impulse sums compute both sides, for h >= p the recursion
+    for model in lag_models:
+        p = model.p
+        cov = autocovariances(model, p + 30)
+        for h in range(1, p + 31):
+            rhs = sum(phi @ (cov[h - i] if h >= i else cov[i - h].T)
+                      for i, phi in enumerate(model.phi, start=1))
+            assert np.max(np.abs(cov[h] - rhs)) <= LYAPUNOV_TOL * np.max(np.abs(cov[0]))
+    model = reference_svar(1)   # C(h) = phi_1^h C(0), C(0) from scipy's Lyapunov solve
+    c0 = solve_discrete_lyapunov(model.phi[0], model.sigma_u)
+    for h, c in enumerate(autocovariances(model, 8)):
+        assert np.max(np.abs(c - np.linalg.matrix_power(model.phi[0], h) @ c0)) < 1e-12
+
+
+def test_model_correlations_match_a_long_run_in_lagged_pearson_orientation():
+    model = reference_svar(1)
+    n = 400_000
+    data = lagged_pearson(generate(model, n, seed=11), 5).rho
+    rho = model_correlations(autocovariances(model, 5))
+    bound = 5 / np.sqrt(n)   # five standard errors of a correlation near zero
+    assert np.max(np.abs(rho - data)) < bound
+    assert np.max(np.abs(rho.transpose(0, 2, 1) - data)) > bound   # C(l) unflipped
+
+
+@pytest.mark.parametrize("bad", [-1, 2.0, 1.5, "3", None])
+def test_autocovariances_reject_a_bad_lag_count(bad):
+    with pytest.raises(ValueError, match="non-negative integer"):
+        autocovariances(reference_svar(1), bad)
 
 
 def test_stationary_factor_passes_residual_gate_with_tied_dominant_modes():

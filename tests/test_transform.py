@@ -2,12 +2,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from sample_stats import wasserstein1
 from scipy.special import ndtri
 from scipy.stats import norm
 
 from stochsyn import transform
 from stochsyn.conduction import LIMIT_PERCENTILE, quantile
-from stochsyn.stats import wasserstein1
 from stochsyn.transform import (
     MonotonicityError,
     N_QUANTILES,

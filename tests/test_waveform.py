@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from numpy.lib.stride_tricks import sliding_window_view
+from sample_stats import wasserstein1
 
 from stochsyn import synth, waveform
 from stochsyn.conduction import (
@@ -16,7 +17,6 @@ from stochsyn.conduction import (
     state_from_resistance,
     transition_current,
 )
-from stochsyn.stats import wasserstein1
 from stochsyn.waveform import (
     HRS_FIT_DEGREE,
     HRS_FIT_MARGIN,
