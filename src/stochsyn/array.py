@@ -45,7 +45,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import streams
-from .conduction import U0_DEFAULT, as_float, eval_poly, positive_definite_factor
+from .conduction import MIN_CURVE_SPAN, U0_DEFAULT, as_float, eval_poly, positive_definite_factor
 from .conduction import state_from_resistance, transition_state
 from .svar import mix_lower_triangular, step
 from .transform import inverse_map
@@ -53,7 +53,6 @@ from .transform import inverse_map
 PHASE_HRS, PHASE_LRS, PHASE_IRS = 0, 1, 2
 PHASE_NAMES = {PHASE_HRS: "hrs", PHASE_LRS: "lrs", PHASE_IRS: "irs"}
 
-U_RESET_CLEARANCE = 1e-3   # generated thresholds stay this far below u_max [V]
 MAX_THREADS = 256          # worker threads an array may run on
 # The smallest part of an operation that repays a worker thread (see
 # `CellArray._partitions`).  A part runs dozens of small numpy calls that
@@ -359,7 +358,7 @@ class CellArray:
         self._offset[idx] -= 1
         y = inverse_map(self.gamma, x)
         y *= self.scale[idx]
-        y[:, 3] = np.minimum(y[:, 3], self.u_max - U_RESET_CLEARANCE)
+        y[:, 3] = np.minimum(y[:, 3], self.u_max - MIN_CURVE_SPAN)
         out[idx] = y
 
     def _apply_chunk(self, lo: int, hi: int, ua) -> tuple[int, int, int]:

@@ -205,13 +205,12 @@ def cmd_fit(args) -> int:
     centred = z - z.mean(axis=0)
     sigma = np.einsum("si,sj->ij", centred, centred) / (len(z) - 1)
 
-    degree_used = int(np.max(np.nonzero(np.any(gamma.coeffs != 0.0, axis=0))[0]))
     models = {}
     diagnostics = {
         "orders": {},
         "clipped_inputs": int(np.count_nonzero(clipped)),
         "gamma_degree_requested": GAMMA_DEGREE,
-        "gamma_degree_used": degree_used,
+        "gamma_degree_used": gamma.coeffs.shape[1] - 1,
         "gamma_fallbacks": [str(w.message) for w in caught],
         "conduction_source": source,
     }
@@ -253,15 +252,17 @@ def _parse_target(token: str, m: int):
     token = token.strip()
     if token == "all":
         return None
-    if ":" in token:
-        lo, hi = (int(t) for t in token.split(":"))
-        if not 0 <= lo < hi <= m:
-            raise ValueError(f"range {token!r} is not lo:hi with 0 <= lo < hi <= {m}")
-        return np.arange(lo, hi)
-    cell = int(token)
-    if not 0 <= cell < m:
-        raise ValueError(f"cell {cell} out of range 0..{m - 1}")
-    return np.array([cell])
+    try:
+        lo, hi = (int(t) for t in token.split(":")) if ":" in token else (int(token), None)
+    except ValueError:
+        raise ValueError(f"target {token!r} is not 'all', a cell index or a range lo:hi") from None
+    if hi is None:
+        if not 0 <= lo < m:
+            raise ValueError(f"cell {lo} out of range 0..{m - 1}")
+        return np.array([lo])
+    if not 0 <= lo < hi <= m:
+        raise ValueError(f"range {token!r} is not lo:hi with 0 <= lo < hi <= {m}")
+    return np.arange(lo, hi)
 
 
 def _read_schedule(pulse_path, read_path, m: int):

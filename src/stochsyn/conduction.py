@@ -21,10 +21,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+FEATURE_NAMES = ("r_h", "u_s", "r_l", "u_r")   # the four per-cycle features, in order
 U0_DEFAULT = 0.2            # reference voltage for static resistance [V]
 MIN_LINEAR_COEFF = 1e-9     # lower bound on the linear coefficient [A/V]
 DENOM_FLOOR = 1e-12         # |i_llrs - i_hhrs| below this is degenerate [A]
-MIN_CURVE_SPAN = 1e-3       # smallest usable (u_max - u_start) [V]
+MIN_CURVE_SPAN = 1e-3       # smallest usable u_max - u_r, the transition curve's span [V]
 LIMIT_PERCENTILE = 1.0      # share of cycles pooled at each extreme [%]
 HRS_FIT_DEGREE = 5          # degree of the high-resistance branch fits
 LRS_FIT_DEGREE = 3          # degree of the low-resistance branch fits

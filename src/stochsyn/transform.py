@@ -1,10 +1,12 @@
 """Marginal normalizing map between feature space and standard-normal space.
 
-Each of the four cycle features gets one polynomial of degree GAMMA_DEGREE
-mapping a standard-normal quantile z to the log of the feature, checked
-increasing on Z_RANGE (a failure names the feature from
-`waveform.FEATURE_NAMES`).  The generating direction (z -> feature) is one
-Horner evaluation and an exp per component; the analysis direction
+Each of the four cycle features gets one polynomial, of degree GAMMA_DEGREE
+or the lower one `fit_map_with_fallback` fell back to, mapping a
+standard-normal quantile z to the log of the feature, checked increasing on
+Z_RANGE (a failure names the feature from `conduction.FEATURE_NAMES`).  A map
+keeps the degree it was fitted at: trailing zero coefficients would move no
+bit, only cost one Horner step each.  The generating direction (z -> feature)
+is one Horner evaluation and an exp per component; the analysis direction
 (feature -> z) inverts the polynomial numerically and is needed at fit time
 only.  The fit's standard-normal quantiles come from the standard library's
 `statistics.NormalDist` (Wichura's AS241), so the runtime needs numpy alone.
@@ -17,8 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conduction import as_float, eval_poly, monomial_fit, quantile
-from .waveform import FEATURE_NAMES
+from .conduction import FEATURE_NAMES, as_float, eval_poly, monomial_fit, quantile
 
 N_QUANTILES = 500
 PROB_RANGE = (0.01, 0.99)
@@ -100,8 +101,8 @@ def fit_map_with_fallback(features: np.ndarray) -> NormalizingMap:
     +-2.3 sigma), so with moderate sample sizes the top polynomial orders are
     noise-dominated and can turn the extrapolated tail non-monotone; dropping
     the degree is the documented caller-side remedy.  The degrees run from
-    GAMMA_DEGREE down to MIN_FALLBACK_DEGREE, and a lower-degree map is padded
-    with zero columns to GAMMA_DEGREE + 1 coefficients.  Each fallback emits a
+    GAMMA_DEGREE down to MIN_FALLBACK_DEGREE, and the map keeps the degree it
+    was fitted at: degree + 1 coefficients per feature.  Each fallback emits a
     warning; the error of the fit at MIN_FALLBACK_DEGREE propagates.
     """
     for d in range(GAMMA_DEGREE, MIN_FALLBACK_DEGREE - 1, -1):
@@ -116,10 +117,6 @@ def fit_map_with_fallback(features: np.ndarray) -> NormalizingMap:
                 RuntimeWarning,
             )
             continue
-        if d < GAMMA_DEGREE:
-            padded = np.zeros((4, GAMMA_DEGREE + 1))
-            padded[:, : d + 1] = m.coeffs
-            m = NormalizingMap(coeffs=padded)
         return m
 
 

@@ -23,7 +23,7 @@ the range's bytes from its .iuw file.  A trace keeps its samples' width (a
 .iuw file's float32 stays float32, see `conduction.as_float`); each block
 converts its own rows to float64, which is exact, so the kernels compute in
 float64 whatever the input.  The voltage sweep gives the cycle period
-(`split_cycles`).  The feature names (FEATURE_NAMES) and the
+(`split_cycles`).  The feature names (`conduction.FEATURE_NAMES`) and the
 static-resistance voltage (`conduction.U0_DEFAULT`) are each defined once.
 """
 
@@ -35,10 +35,9 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import csvtext
-from .conduction import (HRS_FIT_DEGREE, LIMIT_PERCENTILE, LRS_FIT_DEGREE, U0_DEFAULT, as_float,
-                         eval_poly, fit_conduction_polys, quantile)
+from .conduction import (FEATURE_NAMES, HRS_FIT_DEGREE, LIMIT_PERCENTILE, LRS_FIT_DEGREE,
+                         U0_DEFAULT, as_float, eval_poly, fit_conduction_polys, quantile)
 
-FEATURE_NAMES = ("r_h", "u_s", "r_l", "u_r")
 FEATURES_HEADER = ",".join(("cycle",) + FEATURE_NAMES)
 CYCLE_SLACK = 2                  # samples a cycle's length may differ from the period
 
@@ -588,21 +587,19 @@ def detect_set_locations(trace, boundaries):
 def _pooled_points(trace, bounds, features, set_locs):
     """The limit fit's pooled points (see `ExtractionResult`) and how many
     cycles each pool holds, from the rows of the pooled cycles alone, each
-    read and smoothed again by `_cycle_rows`, CYCLE_BLOCK rows at a time.
+    read and smoothed again by `_cycle_rows`, in the blocks of `_cycle_blocks`.
     ``bounds`` and ``features`` are the kept cycles'."""
     r_h, u_s, r_l, u_r = features.T
     top = r_h >= quantile(r_h, 1.0 - LIMIT_PERCENTILE / 100.0)
     bottom = r_l <= quantile(r_l, LIMIT_PERCENTILE / 100.0)
     pool = np.flatnonzero(top | bottom)
     hrs, lrs = [], []
-    for lo in range(0, pool.size, CYCLE_BLOCK):
-        rows = pool[lo : lo + CYCLE_BLOCK]
-        starts, lengths = bounds[rows, 0], bounds[rows, 1] - bounds[rows, 0]
-        u = np.full((rows.size, lengths.max() + 1), np.inf)
-        i = np.full(u.shape, np.nan)
-        for k, n in enumerate(lengths):
-            cu, _, ci = _cycle_rows(trace, set_locs, starts[k : k + 1], lengths[k : k + 1], n)
-            u[k, :n], i[k, :n] = cu[0], ci[0]
+    for block, (starts, lengths, width) in enumerate(_cycle_blocks(bounds[pool])):
+        rows = pool[block * CYCLE_BLOCK : block * CYCLE_BLOCK + starts.size]
+        u, i = np.empty((2, starts.size, width))
+        for k in range(starts.size):
+            one = slice(k, k + 1)
+            u[k], _, i[k] = _cycle_rows(trace, set_locs, starts[one], lengths[one], width)
         m_h, m_l = _branch_masks(u, i, np.argmin(u, axis=1), u_s[rows], u_r[rows])
         m_h &= top[rows, None]
         m_l &= bottom[rows, None]

@@ -14,8 +14,8 @@ stationary factor, then one step.  A read is written out on its own too.
 import numpy as np
 
 from stochsyn import streams
-from stochsyn.array import U_RESET_CLEARANCE, noise_sigma, quantize, stationary_factor32
-from stochsyn.conduction import state_from_resistance, transition_state
+from stochsyn.array import noise_sigma, quantize, stationary_factor32
+from stochsyn.conduction import MIN_CURVE_SPAN, state_from_resistance, transition_state
 from stochsyn.svar import mix_lower_triangular, step
 from stochsyn.transform import inverse_map
 
@@ -61,7 +61,7 @@ class MirrorCell:
 
     def _realize(self, x):
         y = inverse_map(self.gamma, x) * self.scale
-        y[:, 3] = np.minimum(y[:, 3], self.umax - U_RESET_CLEARANCE)
+        y[:, 3] = np.minimum(y[:, 3], self.umax - MIN_CURVE_SPAN)
         return y[0]
 
     def pulse(self, u_a):

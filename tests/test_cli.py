@@ -590,18 +590,41 @@ def test_the_package_asks_lapack_only_for_eigvals():
     assert found == []
 
 
+def _package_imports():
+    """The package modules that each package module imports.  The package
+    imports itself relatively: `from .x import ...` or `from . import x`."""
+    imports = {}
+    for path in Path(stochsyn.__file__).parent.glob("*.py"):
+        imports[path.stem] = set()
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                imports[path.stem].update([node.module] if node.module else
+                                          [a.name for a in node.names])
+    return imports
+
+
 def test_every_package_module_has_a_caller_in_the_package():
     # a module that only `__init__` and the tests import is test code and
-    # belongs under tests/; `cli` is the entry point.  The package imports
-    # itself relatively: `from .x import ...` or `from . import x`
-    modules = {path.stem: path for path in Path(stochsyn.__file__).parent.glob("*.py")}
-    called = set()
-    for name, path in modules.items():
-        for node in ast.walk(ast.parse(path.read_text())):
-            if name != "__init__" and isinstance(node, ast.ImportFrom) and node.level == 1:
-                targets = [node.module] if node.module else [a.name for a in node.names]
-                called.update(t for t in targets if t != name)
-    assert sorted(modules.keys() - called - {"__init__", "cli"}) == []
+    # belongs under tests/; `cli` is the entry point
+    imports = _package_imports()
+    called = set().union(*(deps - {name} for name, deps in imports.items() if name != "__init__"))
+    assert sorted(imports.keys() - called - {"__init__", "cli"}) == []
+
+
+def test_the_engine_imports_no_extraction_or_command_code():
+    # the model layers and the array engine run without the trace reader,
+    # the text codec, the corpus builder or the command line
+    imports = _package_imports()
+    banned, found = {"waveform", "csvtext", "synth", "cli"}, {}
+    for root in ("conduction", "streams", "svar", "transform", "array", "paramfile"):
+        seen, todo = set(), [root]
+        while todo:
+            for dep in imports[todo.pop()] - seen:
+                seen.add(dep)
+                todo.append(dep)
+        if seen & banned:
+            found[root] = sorted(seen & banned)
+    assert found == {}
 
 
 class _Mallinfo2(ctypes.Structure):
@@ -631,8 +654,8 @@ def test_fit_falls_back_one_degree(corpus, tmp_path, capsys):
     params = tmp_path / "d4.ssyn"
     assert main(["fit", str(corpus / "features.csv"), "-o", str(params), "-p", "2"]) == 0
     coeffs = paramfile.load(params).gamma.coeffs
-    assert coeffs.shape == (4, GAMMA_DEGREE + 1)
-    assert np.all(coeffs[:, -1] == 0.0) and np.any(coeffs[:, -2] != 0.0)
+    assert coeffs.shape == (4, GAMMA_DEGREE)   # degree 4, unpadded
+    assert np.any(coeffs[:, -1] != 0.0)
     diag = json.loads(Path(str(params) + ".diag.json").read_text())
     assert (diag["gamma_degree_requested"], diag["gamma_degree_used"]) == (GAMMA_DEGREE, 4)
     assert len(diag["gamma_fallbacks"]) == 1
@@ -1097,6 +1120,26 @@ def test_sim_hostile_script_row_fails_naming_the_line(corpus, tmp_path, capsys, 
                "--state-out", str(tmp_path / "st.csv")])
     assert rc == 1
     assert f"{script}.csv line 3" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("script", ["pulses", "reads"])
+@pytest.mark.parametrize("target", ["1:3:5", "1.5", "3:", "x"])
+def test_sim_malformed_target_fails_naming_it(corpus, tmp_path, capsys, script, target):
+    # these failed with Python's own "too many values to unpack" or "invalid
+    # literal for int()", which named neither the target nor its forms
+    scripts = {"pulses": "step,target,u_a\n0,all,-1.5\n", "reads": "step,target\n0,all\n"}
+    scripts[script] += f"0,{target},1.0\n" if script == "pulses" else f"0,{target}\n"
+    for name, text in scripts.items():
+        (tmp_path / f"{name}.csv").write_text(text)
+    rc = main(["sim", str(corpus / "params.ssyn"), "-m", "16", "--seed", "5",
+               "--order", "10", "--pulses", str(tmp_path / "pulses.csv"),
+               "--reads", str(tmp_path / "reads.csv"),
+               "--readout-out", str(tmp_path / "ro.csv"),
+               "--state-out", str(tmp_path / "st.csv")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert f"{script}.csv line 3" in err
+    assert f"target {target!r}" in err and "'all', a cell index or a range lo:hi" in err
 
 
 @pytest.mark.parametrize("flags, field", [

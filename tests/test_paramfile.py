@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import os
 import re
 import struct
@@ -24,7 +25,8 @@ from stochsyn.paramfile import (
 )
 from stochsyn.svar import SvarModel, fit_svar
 from stochsyn.synth import reference_bundle, reference_svar
-from stochsyn.transform import fit_map, forward_map
+from stochsyn.transform import (GAMMA_DEGREE, Z_RANGE, NormalizingMap, _check_monotone, fit_map,
+                                forward_map, inverse_map)
 
 
 def test_roundtrip_bit_exact(tmp_path, ref_bundle):
@@ -161,6 +163,46 @@ def test_fitted_bundle_roundtrips_and_validates(tmp_path, source_features):
     assert again.model(2).p == 2
     with pytest.raises(ValueError, match="no order-10 model"):
         again.model(10)
+
+
+@pytest.mark.parametrize("degree", [3, 4])
+def test_a_zero_padded_map_realizes_as_the_map_it_pads(tmp_path, ref_bundle, source_features,
+                                                        degree):
+    # earlier fits padded a map fitted below GAMMA_DEGREE with zero columns to
+    # GAMMA_DEGREE + 1; the zero steps of Horner's rule move no bit
+    fitted = fit_map(source_features, degree)
+    padded = NormalizingMap(np.hstack([fitted.coeffs, np.zeros((4, GAMMA_DEGREE - degree))]))
+    assert padded.coeffs.shape == (4, GAMMA_DEGREE + 1)
+    rng = np.random.default_rng(degree)
+    z = rng.uniform(1.5 * Z_RANGE[0], 1.5 * Z_RANGE[1], (4096, 4))   # past both ends
+    for dtype in (np.float32, np.float64):
+        want = inverse_map(fitted, z.astype(dtype))
+        assert want.dtype == dtype
+        assert np.array_equal(inverse_map(padded, z.astype(dtype)), want)
+    x = source_features[:4096] * np.exp(rng.uniform(-1.0, 1.0, (4096, 4)))
+    (z_f, out_f), (z_p, out_p) = forward_map(fitted, x), forward_map(padded, x)
+    assert out_f.any() and not out_f.all()
+    assert np.array_equal(z_p, z_f) and np.array_equal(out_p, out_f)
+    _check_monotone(fitted)
+    _check_monotone(padded)
+
+    arrays = []
+    for name, gamma in (("fitted", fitted), ("padded", padded)):
+        save(dataclasses.replace(ref_bundle, gamma=gamma), tmp_path / f"{name}.ssyn")
+        loaded = load(tmp_path / f"{name}.ssyn")
+        assert np.array_equal(loaded.gamma.coeffs, gamma.coeffs)
+        arr = init_array(loaded, 512, a=0.5, seed=7, p=10)
+        reads = []
+        for u_a, cells in ((-1.5, None), (0.9, np.arange(100, 300)), (1.5, None),
+                           (-1.5, np.arange(0, 512, 3)), (1.2, None)):
+            arr.apply_pulses(u_a, cells)
+            reads.append(arr.read_all())
+        arrays.append((arr.state_digest(), reads))
+    (digest_f, reads_f), (digest_p, reads_p) = arrays
+    assert digest_p == digest_f
+    for got, want in zip(reads_p, reads_f, strict=True):
+        for a, b in zip(got, want, strict=True):
+            assert np.array_equal(a, b)
 
 
 def test_validate_rejects_unstable_model(tmp_path):
